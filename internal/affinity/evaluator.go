@@ -566,23 +566,55 @@ func (e *DistanceEvaluator) PairwiseMoveDelta(p, q topology.NodeID) float64 {
 // to the hosting nodes hosts (any order; ties still break toward the lowest
 // node ID). It is the one-shot path for short-lived candidate placements:
 // the hosts are folded into rack/cloud aggregates and only rack-level bests
-// are compared — O(hosts + racks) instead of the former O(hosts²).
+// are compared — O(hosts + racks) instead of the former O(hosts²). Callers
+// that evaluate repeatedly keep a DistanceScratch instead.
 func DistanceOf(t *topology.Topology, hosts []topology.NodeID, w []int) (float64, topology.NodeID) {
+	var s DistanceScratch
+	return s.DistanceOf(t, hosts, w)
+}
+
+// DistanceScratch is the reusable working storage of DistanceOf: rack-
+// and cloud-sized tallies that are left zeroed between calls, so each
+// evaluation touches only the racks its hosts activate. The zero value
+// is ready to use; it sizes itself to the largest topology it has seen.
+// Not safe for concurrent use.
+type DistanceScratch struct {
+	rackW  []int             // racks: VMs per rack (zero between calls)
+	cloudW []int             // clouds: VMs per cloud (zero between calls)
+	bestW  []int             // racks: largest single-node load
+	bestID []topology.NodeID // racks: lowest ID achieving bestW
+	active []int             // racks touched by the current call
+}
+
+// DistanceOf is the package-level DistanceOf over reused storage; once
+// the scratch has grown to the topology, calls allocate nothing.
+//
+//lint:hotpath
+func (s *DistanceScratch) DistanceOf(t *topology.Topology, hosts []topology.NodeID, w []int) (float64, topology.NodeID) {
 	if len(hosts) == 0 {
 		return 0, -1
 	}
+	if len(s.rackW) < t.Racks() {
+		s.rackW = make([]int, t.Racks())
+	}
+	if len(s.bestW) < t.Racks() {
+		s.bestW = make([]int, t.Racks())
+	}
+	if len(s.bestID) < t.Racks() {
+		s.bestID = make([]topology.NodeID, t.Racks())
+	}
+	if len(s.cloudW) < t.Clouds() {
+		s.cloudW = make([]int, t.Clouds())
+	}
 	d := t.Distances()
-	rackW := make([]int, t.Racks())
-	cloudW := make([]int, t.Clouds())
-	bestW := make([]int, t.Racks())
-	bestID := make([]topology.NodeID, t.Racks())
-	active := make([]int, 0, len(hosts))
+	rackW, cloudW, bestW, bestID := s.rackW, s.cloudW, s.bestW, s.bestID
+	s.active = s.active[:0]
 	total := 0
 	for _, h := range hosts {
 		r := t.RackOf(h)
 		wh := w[h]
 		if rackW[r] == 0 {
-			active = append(active, r)
+			s.active = append(s.active, r)
 			bestW[r], bestID[r] = wh, h
 		} else if wh > bestW[r] || (wh == bestW[r] && h < bestID[r]) {
 			bestW[r], bestID[r] = wh, h
@@ -593,11 +625,15 @@ func DistanceOf(t *topology.Topology, hosts []topology.NodeID, w []int) (float64
 	}
 	best := math.Inf(1)
 	bestK := topology.NodeID(-1)
-	for _, r := range active {
-		s := TierSum(d, bestW[r], rackW[r], cloudW[t.CloudOfRack(r)], total)
-		if s < best || (s == best && bestID[r] < bestK) {
-			best, bestK = s, bestID[r]
+	for _, r := range s.active {
+		sum := TierSum(d, bestW[r], rackW[r], cloudW[t.CloudOfRack(r)], total)
+		if sum < best || (sum == best && bestID[r] < bestK) {
+			best, bestK = sum, bestID[r]
 		}
+	}
+	for _, r := range s.active {
+		rackW[r] = 0
+		cloudW[t.CloudOfRack(r)] = 0
 	}
 	return best, bestK
 }

@@ -323,3 +323,48 @@ func TestEvaluatorRemovePreview(t *testing.T) {
 		}
 	}
 }
+
+// TestDistanceScratchMatchesDistanceOf reuses one scratch across random
+// clusters and two plants of different shape: every call must equal the
+// one-shot DistanceOf (so the scratch is left clean between calls), and
+// once grown the scratch form allocates nothing.
+func TestDistanceScratchMatchesDistanceOf(t *testing.T) {
+	small := evalPlant(t)
+	big, err := topology.Uniform(3, 4, 5, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	var s DistanceScratch
+	for trial := 0; trial < 200; trial++ {
+		tp := small
+		if trial%3 == 0 {
+			tp = big
+		}
+		w := make([]int, tp.Nodes())
+		var hosts []topology.NodeID
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			node := topology.NodeID(rng.Intn(tp.Nodes()))
+			if w[node] == 0 {
+				hosts = append(hosts, node)
+			}
+			w[node] += 1 + rng.Intn(3)
+		}
+		wantD, wantK := DistanceOf(tp, hosts, w)
+		gotD, gotK := s.DistanceOf(tp, hosts, w)
+		if gotD != wantD || gotK != wantK {
+			t.Fatalf("trial %d: scratch (%v, %d) != DistanceOf (%v, %d)", trial, gotD, gotK, wantD, wantK)
+		}
+	}
+	if d, k := s.DistanceOf(big, nil, nil); d != 0 || k != -1 {
+		t.Fatalf("empty scratch DistanceOf: (%v, %d)", d, k)
+	}
+	hosts := []topology.NodeID{0, 7, 8, 30, 59}
+	w := make([]int, big.Nodes())
+	for i, h := range hosts {
+		w[h] = i + 1
+	}
+	if avg := testing.AllocsPerRun(100, func() { s.DistanceOf(big, hosts, w) }); avg != 0 {
+		t.Fatalf("scratch DistanceOf allocates %v per call, want 0", avg)
+	}
+}

@@ -249,6 +249,12 @@ type Simulator struct {
 	sp     affinity.SparseAlloc
 	spd    affinity.SparseAlloc // grow-delta scratch, distinct from sp
 
+	// Sparse DC scratch (see distance): per-node totals, zero between
+	// calls, and the hosting nodes of the cluster being priced.
+	dcs     affinity.DistanceScratch
+	dcW     []int
+	dcHosts []topology.NodeID
+
 	// Elastic resize state: resolved config and the per-cluster resize
 	// lifecycle records (nil map when elastic mode is off).
 	ecfg    ElasticConfig
@@ -259,11 +265,11 @@ type Simulator struct {
 	serve *service.Service
 
 	arrivals map[model.RequestID]float64
-	running  map[int]affinity.Allocation // live clusters by registry ID
-	reqOf    map[int]model.TimedRequest  // registry ID → original request
-	departEv map[int]*eventsim.Event     // registry ID → scheduled departure
-	slot     map[int]int                 // registry ID → index into Distances/Waits (RetainSamples only)
-	samples  map[int]servedSample        // registry ID → rollback record, O(active)
+	running  map[int]*cluster           // live clusters by registry ID
+	reqOf    map[int]model.TimedRequest // registry ID → original request
+	departEv map[int]*eventsim.Event    // registry ID → scheduled departure
+	slot     map[int]int                // registry ID → index into Distances/Waits (RetainSamples only)
+	samples  map[int]servedSample       // registry ID → rollback record, O(active)
 	nextRun  int
 	metrics  Metrics
 
@@ -338,12 +344,13 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 		global:          &placement.GlobalSubOpt{Obs: cfg.Obs},
 		mig:             &migration.Planner{Config: cfg.Migration, Obs: cfg.Obs},
 		arrivals:        make(map[model.RequestID]float64),
-		running:         make(map[int]affinity.Allocation),
+		running:         make(map[int]*cluster),
 		reqOf:           make(map[int]model.TimedRequest),
 		departEv:        make(map[int]*eventsim.Event),
 		slot:            make(map[int]int),
 		samples:         make(map[int]servedSample),
 		pendingRecovery: make(map[model.RequestID]float64),
+		dcW:             make([]int, tp.Nodes()),
 	}
 	sk := cfg.Sketch.withDefaults()
 	s.metrics.DistanceSketch = stats.NewQuantile(0, sk.DistanceMax, sk.Buckets)
@@ -358,15 +365,15 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 	s.queue.Instrument(cfg.Obs)
 	if cfg.Obs != nil {
 		s.om = simMetrics{
-			served:           cfg.Obs.Counter("cloudsim.served"),
-			rejected:         cfg.Obs.Counter("cloudsim.rejected"),
-			releaseFailures:  cfg.Obs.Counter("cloudsim.release_failures"),
-			migrationMoves:   cfg.Obs.Counter("cloudsim.migration_moves"),
-			migrationAborts:  cfg.Obs.Counter("cloudsim.migration_aborted"),
-			running:          cfg.Obs.Gauge("cloudsim.running_clusters"),
-			usedSlots:        cfg.Obs.Gauge("cloudsim.used_slots"),
-			waitSeconds:      cfg.Obs.Histogram("cloudsim.wait_seconds", 0, 200, 20),
-			placementDC:      cfg.Obs.Histogram("cloudsim.placement_dc", 0, 200, 20),
+			served:          cfg.Obs.Counter("cloudsim.served"),
+			rejected:        cfg.Obs.Counter("cloudsim.rejected"),
+			releaseFailures: cfg.Obs.Counter("cloudsim.release_failures"),
+			migrationMoves:  cfg.Obs.Counter("cloudsim.migration_moves"),
+			migrationAborts: cfg.Obs.Counter("cloudsim.migration_aborted"),
+			running:         cfg.Obs.Gauge("cloudsim.running_clusters"),
+			usedSlots:       cfg.Obs.Gauge("cloudsim.used_slots"),
+			waitSeconds:     cfg.Obs.Histogram("cloudsim.wait_seconds", 0, 200, 20),
+			placementDC:     cfg.Obs.Histogram("cloudsim.placement_dc", 0, 200, 20),
 		}
 		if cfg.Faults.Enabled() {
 			// Fault metrics are registered only for fault scenarios so
@@ -705,8 +712,7 @@ func (s *Simulator) place(r model.TimedRequest, now float64) bool {
 			}
 			return false
 		}
-		sp := affinity.SparseAlloc{NumNodes: s.topo.Nodes(), NumTypes: len(r.Vector), Entries: pl.Entries}
-		s.commission(r, sp.ToDense(), pl.DC, pl.Center, now)
+		s.commission(r, pl.Entries, pl.DC, pl.Center, now)
 		return true
 	}
 	if s.tidx != nil && len(r.Vector) == s.tidx.Types() {
@@ -723,7 +729,7 @@ func (s *Simulator) place(r model.TimedRequest, now float64) bool {
 			}
 			return false
 		}
-		s.commission(r, s.sp.ToDense(), d, center, now)
+		s.commission(r, s.sp.Entries, d, center, now)
 		return true
 	}
 	alloc, err := s.placer.Place(s.topo, s.inv.Remaining(), r.Vector)
@@ -740,23 +746,24 @@ func (s *Simulator) place(r model.TimedRequest, now float64) bool {
 		return false
 	}
 	d, center := alloc.Distance(s.topo)
-	s.commission(r, alloc, d, center, now)
+	s.commission(r, alloc.Sparse(), d, center, now)
 	return true
 }
 
-// commission records a served cluster and schedules its departure. The
-// caller supplies the cluster's data center distance and central node —
-// the sparse path gets them from the placement itself instead of
-// recomputing over the dense matrix.
-func (s *Simulator) commission(r model.TimedRequest, alloc affinity.Allocation, d float64, center topology.NodeID, now float64) {
+// commission records a served cluster, copied from its placement
+// entries, and schedules its departure. The caller supplies the
+// cluster's data center distance and central node — the sparse path gets
+// them from the placement itself instead of recomputing them.
+func (s *Simulator) commission(r model.TimedRequest, entries []affinity.VMEntry, d float64, center topology.NodeID, now float64) {
+	c := newCluster(entries)
 	s.sampleUtilization(now)
-	s.usedSlots += alloc.TotalVMs()
+	s.usedSlots += c.vms
 	wait := now - s.arrivals[r.ID]
 	delete(s.arrivals, r.ID)
 	s.metrics.Served++
 	id := s.nextRun
 	s.nextRun++
-	s.running[id] = alloc
+	s.running[id] = c
 	s.reqOf[id] = r
 	s.samples[id] = servedSample{d: d, wait: wait}
 	s.metrics.DistanceSketch.Observe(d)
@@ -776,7 +783,7 @@ func (s *Simulator) commission(r model.TimedRequest, alloc affinity.Allocation, 
 		obs.F("req", int(r.ID)),
 		obs.F("center", int(center)),
 		obs.F("dc", d),
-		obs.F("vms", alloc.TotalVMs()),
+		obs.F("vms", c.vms),
 		obs.F("wait", wait))
 	if failAt, ok := s.pendingRecovery[r.ID]; ok {
 		// A cluster torn down by a failure is back in service.
@@ -803,14 +810,14 @@ func (s *Simulator) commission(r model.TimedRequest, alloc affinity.Allocation, 
 
 func (s *Simulator) depart(id int, now float64) {
 	s.cancelElastic(id, now, "departed")
-	alloc := s.running[id]
+	c := s.running[id]
 	delete(s.running, id)
 	delete(s.departEv, id)
 	delete(s.slot, id)
 	delete(s.samples, id)
 	s.sampleUtilization(now)
-	s.usedSlots -= alloc.TotalVMs()
-	d, _ := alloc.Distance(s.topo)
+	s.usedSlots -= c.vms
+	d, _ := s.distance(c)
 	s.metrics.FinalDistanceSum += d
 	s.om.running.Set(float64(len(s.running)))
 	s.om.usedSlots.Set(float64(s.usedSlots))
@@ -818,9 +825,9 @@ func (s *Simulator) depart(id int, now float64) {
 	delete(s.reqOf, id)
 	var err error
 	if s.serve != nil {
-		err = s.serve.Release(alloc.Sparse())
+		err = s.serve.Release(c.cells)
 	} else {
-		err = s.inv.Release([][]int(alloc))
+		err = s.inv.ReleaseList(c.cells)
 	}
 	if err != nil {
 		// A release failure means the simulator corrupted its own
@@ -842,7 +849,8 @@ func (s *Simulator) depart(id int, now float64) {
 
 // migrate tightens the running clusters into freed capacity. Relocations
 // are reflected in the inventory with Move; swaps are capacity-neutral
-// and need no inventory change.
+// and need no inventory change. The planner takes dense matrices, so the
+// pass materializes every running cluster and writes them back after.
 func (s *Simulator) migrate(now float64) {
 	if len(s.running) == 0 {
 		return
@@ -855,7 +863,7 @@ func (s *Simulator) migrate(now float64) {
 	slices.Sort(ids)
 	clusters := make([]affinity.Allocation, len(ids))
 	for i, id := range ids {
-		clusters[i] = s.running[id]
+		clusters[i] = s.running[id].dense(s.topo.Nodes(), s.inv.Types())
 	}
 	plan, err := s.mig.Plan(s.topo, s.inv.RemainingView(), clusters)
 	if err != nil || len(plan.Moves) == 0 {
@@ -864,6 +872,7 @@ func (s *Simulator) migrate(now float64) {
 	// The plan was computed against the current (single-threaded) state,
 	// so it applies cleanly: relocations go through the inventory (which
 	// tracks per-node occupancy), swaps are capacity-neutral.
+apply:
 	for _, mv := range plan.Moves {
 		c := clusters[mv.Cluster]
 		switch mv.Kind {
@@ -873,7 +882,7 @@ func (s *Simulator) migrate(now float64) {
 				s.cfg.Obs.Emit("migration_abort", now,
 					obs.F("cluster", ids[mv.Cluster]),
 					obs.F("error", err.Error()))
-				return
+				break apply
 			}
 			c.Remove(mv.From, mv.Type)
 			c.Add(mv.To, mv.Type)
@@ -895,6 +904,9 @@ func (s *Simulator) migrate(now float64) {
 			obs.F("type", int(mv.Type)),
 			obs.F("gain", mv.Gain),
 			obs.F("cost_mb", mv.CostMB))
+	}
+	for i, id := range ids {
+		s.running[id].cells = clusters[i].Sparse()
 	}
 }
 
@@ -927,7 +939,7 @@ func (s *Simulator) drain(now float64) {
 					continue
 				}
 				d, center := alloc.Distance(s.topo)
-				s.commission(taken[i], alloc, d, center, now)
+				s.commission(taken[i], alloc.Sparse(), d, center, now)
 			}
 			return
 		}

@@ -142,10 +142,10 @@ func (s *Simulator) rejectGrow(id int, req model.RequestID, now float64, reason 
 // or the delta does not fit, it is deferred instead.
 func (s *Simulator) tryGrow(id int, now float64) {
 	st := s.elastic[id]
-	alloc := s.running[id]
+	c := s.running[id]
 	r := s.reqOf[id]
 	if s.queue.Len() == 0 {
-		dc, center, err := s.online.PlaceDeltaSparse(s.tidx, alloc.Sparse(), st.growVec, &s.spd)
+		dc, center, err := s.online.PlaceDeltaSparse(s.tidx, c.cells, st.growVec, &s.spd)
 		if err == nil {
 			if aerr := s.inv.AllocateList(s.spd.Entries); aerr != nil {
 				if !errors.Is(aerr, inventory.ErrInsufficient) {
@@ -156,11 +156,7 @@ func (s *Simulator) tryGrow(id int, now float64) {
 			}
 		}
 		if err == nil {
-			added := 0
-			for _, e := range s.spd.Entries {
-				alloc[e.Node][e.Type] += e.Count
-				added += e.Count
-			}
+			added := c.add(s.spd.Entries)
 			s.sampleUtilization(now)
 			s.usedSlots += added
 			st.grown = true
@@ -236,8 +232,8 @@ func (s *Simulator) shrink(id int, now float64) {
 	}
 	st := s.elastic[id]
 	st.shrinkEv = nil
-	alloc := s.running[id]
-	victims, err := placement.ReleaseSubset(s.topo, alloc, st.growVec)
+	c := s.running[id]
+	victims, err := placement.ReleaseSubsetSparse(s.topo, c.cells, st.growVec)
 	if err != nil {
 		s.fail(fmt.Errorf("cloudsim: shrinking cluster %d at t=%v: %w", id, now, err))
 		return
@@ -248,16 +244,13 @@ func (s *Simulator) shrink(id int, now float64) {
 		s.fail(fmt.Errorf("cloudsim: releasing shrink of cluster %d at t=%v: %w", id, now, err))
 		return
 	}
-	removed := 0
-	for _, e := range victims {
-		removed += e.Count
-	}
+	removed := c.remove(victims)
 	s.sampleUtilization(now)
 	s.usedSlots -= removed
 	s.metrics.Shrinks++
 	s.om.shrinks.Inc()
 	s.om.usedSlots.Set(float64(s.usedSlots))
-	d, _ := alloc.Distance(s.topo)
+	d, _ := s.distance(c)
 	s.cfg.Obs.Emit("resize_shrink", now,
 		obs.F("req", int(s.reqOf[id].ID)),
 		obs.F("cluster", id),

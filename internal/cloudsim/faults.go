@@ -76,26 +76,26 @@ func (s *Simulator) crash(ev faults.Event, now float64) {
 // evacuation when the survivors can be topped up from residual
 // capacity, whole-cluster re-placement otherwise.
 func (s *Simulator) degrade(id int, dead []topology.NodeID, now float64) {
-	alloc := s.running[id]
-	lostVec := make(model.Request, len(alloc[0]))
+	c := s.running[id]
+	lostVec := make(model.Request, s.inv.Types())
 	lostVMs := 0
-	for _, n := range dead {
-		for j, c := range alloc[n] {
-			lostVec[j] += c
-			lostVMs += c
+	kept := c.cells[:0]
+	for _, e := range c.cells {
+		if slices.Contains(dead, e.Node) {
+			lostVec[e.Type] += e.Count
+			lostVMs += e.Count
+			continue
 		}
+		kept = append(kept, e)
 	}
+	c.cells = kept
 	if lostVMs == 0 {
 		return
 	}
-	for _, n := range dead {
-		for j := range alloc[n] {
-			alloc[n][j] = 0
-		}
-	}
+	c.vms -= lostVMs
 	s.usedSlots -= lostVMs
 	s.metrics.LostVMs += lostVMs
-	survivors := alloc.TotalVMs()
+	survivors := c.vms
 	r := s.reqOf[id]
 	s.cfg.Obs.Emit("degraded", now,
 		obs.F("req", int(r.ID)),
@@ -103,9 +103,9 @@ func (s *Simulator) degrade(id int, dead []topology.NodeID, now float64) {
 		obs.F("lost", lostVMs),
 		obs.F("survivors", survivors))
 	if survivors > 0 {
-		repl, err := migration.PlanReplacement(s.topo, s.inv.RemainingView(), alloc, lostVec)
+		repl, err := migration.PlanReplacement(s.topo, s.inv.RemainingView(), c.dense(s.topo.Nodes(), s.inv.Types()), lostVec)
 		if err == nil {
-			s.evacuate(id, alloc, repl, lostVMs, now)
+			s.evacuate(id, c, repl.Sparse(), lostVMs, now)
 			return
 		}
 		if !errors.Is(err, migration.ErrNoCapacity) {
@@ -119,16 +119,12 @@ func (s *Simulator) degrade(id int, dead []topology.NodeID, now float64) {
 // evacuate commits a replacement plan: the new VMs are allocated and
 // merged into the running cluster, which keeps its identity, departure
 // time, and served sample.
-func (s *Simulator) evacuate(id int, alloc, repl affinity.Allocation, lostVMs int, now float64) {
-	if err := s.inv.Allocate([][]int(repl)); err != nil {
+func (s *Simulator) evacuate(id int, c *cluster, repl []affinity.VMEntry, lostVMs int, now float64) {
+	if err := s.inv.AllocateList(repl); err != nil {
 		s.fail(fmt.Errorf("cloudsim: allocating evacuation of cluster %d: %w", id, err))
 		return
 	}
-	for n := range repl {
-		for j, c := range repl[n] {
-			alloc[n][j] += c
-		}
-	}
+	c.add(repl)
 	s.usedSlots += lostVMs
 	s.metrics.Evacuations++
 	s.om.evacuations.Inc()
@@ -145,14 +141,14 @@ func (s *Simulator) evacuate(id int, alloc, repl affinity.Allocation, lostVMs in
 // arrival time, so a re-serve reports the true total wait).
 func (s *Simulator) teardown(id int, now float64) {
 	s.cancelElastic(id, now, "teardown")
-	alloc := s.running[id]
+	c := s.running[id]
 	r := s.reqOf[id]
 	s.engine.Cancel(s.departEv[id])
 	delete(s.departEv, id)
 	delete(s.running, id)
 	delete(s.reqOf, id)
-	s.usedSlots -= alloc.TotalVMs()
-	if err := s.inv.Release([][]int(alloc)); err != nil {
+	s.usedSlots -= c.vms
+	if err := s.inv.ReleaseList(c.cells); err != nil {
 		s.om.releaseFailures.Inc()
 		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", id), obs.F("error", err.Error()))
 		s.fail(fmt.Errorf("cloudsim: release of torn-down cluster %d at t=%v failed: %w", id, now, err))

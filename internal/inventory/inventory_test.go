@@ -461,3 +461,70 @@ func TestFailNodeRangeAndClone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCapacityTotalsTrackMutators checks the kept per-type capacity
+// totals behind CanEverSatisfy against a brute-force column sum of M
+// after every capacity mutator, and that CheckInvariants agrees.
+func TestCapacityTotalsTrackMutators(t *testing.T) {
+	inv := mustInv(t, [][]int{{3, 2}, {1, 0}, {0, 4}})
+	var clone *Inventory
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"NewFromMatrix", func() error { return nil }},
+		{"SetCapacity grow", func() error { return inv.SetCapacity(1, 1, 5) }},
+		{"SetCapacity shrink", func() error { return inv.SetCapacity(0, 0, 1) }},
+		{"Allocate", func() error { return inv.Allocate([][]int{{1, 1}, {0, 2}, {0, 0}}) }},
+		{"FailNode", func() error { _, err := inv.FailNode(1); return err }},
+		{"Clone", func() error { clone = inv.Clone(); return nil }},
+		{"RestoreNode", func() error { return inv.RestoreNode(1) }},
+		{"FailNode again", func() error { _, err := inv.FailNode(2); return err }},
+	}
+	colSum := func(inv *Inventory) []int {
+		out := make([]int, inv.types)
+		for _, row := range inv.max {
+			for j, k := range row {
+				out[j] += k
+			}
+		}
+		return out
+	}
+	for _, st := range steps {
+		if err := st.do(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		for _, x := range []*Inventory{inv, clone} {
+			if x == nil {
+				continue
+			}
+			want := colSum(x)
+			for j := range want {
+				if x.capSum[j] != want[j] {
+					t.Fatalf("after %s: capSum = %v, want %v", st.name, x.capSum, want)
+				}
+				r := make(model.Request, x.types)
+				r[j] = want[j]
+				if !x.CanEverSatisfy(r) {
+					t.Errorf("after %s: CanEverSatisfy rejects %v at the column total", st.name, r)
+				}
+				r[j]++
+				if x.CanEverSatisfy(r) {
+					t.Errorf("after %s: CanEverSatisfy accepts %v above the column total", st.name, r)
+				}
+			}
+			if err := x.CheckInvariants(); err != nil {
+				t.Fatalf("after %s: %v", st.name, err)
+			}
+		}
+	}
+	// The clone keeps its own totals: the original's later restore and
+	// failure must not have reached it.
+	if got, want := clone.capSum, []int{1, 6}; got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("clone capSum = %v, want %v", got, want)
+	}
+	inv.capSum[0]++
+	if err := inv.CheckInvariants(); err == nil {
+		t.Error("CheckInvariants missed a drifted capacity total")
+	}
+}

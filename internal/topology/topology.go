@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID indexes a physical node within a Topology. IDs are dense in
@@ -77,11 +78,21 @@ type Topology struct {
 	// center scan, which walks clouds then racks instead of nodes.
 	cloudRacks [][]int
 	racksByLow []int
-	// flat is the materialized row-major n×n distance table, so the hot
-	// Distance path is an array load instead of rack/cloud branch logic.
-	// It is nil above flatTableMaxNodes, where the O(n²) memory would
-	// outweigh the lookup savings.
-	flat []float64
+	// flat holds the row-major n×n distance table, so the Distance and
+	// DistanceRow paths are array loads instead of rack/cloud branch
+	// logic. The table is filled on the first such call: the placement
+	// and replay hot paths price clusters from tier aggregates and never
+	// read it, so plants that only serve them skip the O(n²) fill. It is
+	// nil above flatTableMaxNodes, where the O(n²) memory would outweigh
+	// the lookup savings. The pointer keeps the sync.Once out of the
+	// Topology value, which UnmarshalJSON copies.
+	flat *flatTable
+}
+
+// flatTable is the lazily filled distance table of one topology.
+type flatTable struct {
+	once sync.Once
+	d    []float64
 }
 
 // flatTableMaxNodes caps the plant size for which the flattened distance
@@ -89,20 +100,32 @@ type Topology struct {
 // to the tiered branch computation.
 const flatTableMaxNodes = 4096
 
-// buildFlat fills t.flat for plants small enough to materialize.
-func (t *Topology) buildFlat() {
-	n := len(t.nodes)
-	if n > flatTableMaxNodes {
-		return
+// initFlat arms the lazy distance table for plants small enough to
+// materialize it.
+func (t *Topology) initFlat() {
+	if len(t.nodes) <= flatTableMaxNodes {
+		t.flat = &flatTable{}
 	}
-	flat := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		row := flat[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] = t.tierDistance(NodeID(i), NodeID(j))
+}
+
+// flatDistances returns the filled distance table, building it on first
+// use, or nil when the plant is too large to materialize one.
+func (t *Topology) flatDistances() []float64 {
+	if t.flat == nil {
+		return nil
+	}
+	t.flat.once.Do(func() {
+		n := len(t.nodes)
+		d := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			row := d[i*n : (i+1)*n]
+			for j := 0; j < n; j++ {
+				row[j] = t.tierDistance(NodeID(i), NodeID(j))
+			}
 		}
-	}
-	t.flat = flat
+		t.flat.d = d
+	})
+	return t.flat.d
 }
 
 // Builder accumulates racks and nodes, then produces a Topology.
@@ -184,7 +207,7 @@ func (b *Builder) Build() (*Topology, error) {
 		t.rackNodes[n.Rack] = append(t.rackNodes[n.Rack], n.ID)
 	}
 	t.buildRackCloud()
-	t.buildFlat()
+	t.initFlat()
 	return t, nil
 }
 
@@ -300,8 +323,8 @@ func (t *Topology) Distances() Distances { return t.dist }
 // Distance returns D[a][b], the distance between two nodes. It is symmetric
 // and Distance(a, a) equals the SameNode tier (0 in the paper).
 func (t *Topology) Distance(a, b NodeID) float64 {
-	if t.flat != nil {
-		return t.flat[int(a)*len(t.nodes)+int(b)]
+	if flat := t.flatDistances(); flat != nil {
+		return flat[int(a)*len(t.nodes)+int(b)]
 	}
 	return t.tierDistance(a, b)
 }
@@ -328,8 +351,8 @@ func (t *Topology) tierDistance(a, b NodeID) float64 {
 //lint:shared documented read-only view of the immutable flat table
 func (t *Topology) DistanceRow(a NodeID) []float64 {
 	n := len(t.nodes)
-	if t.flat != nil {
-		return t.flat[int(a)*n : (int(a)+1)*n]
+	if flat := t.flatDistances(); flat != nil {
+		return flat[int(a)*n : (int(a)+1)*n]
 	}
 	row := make([]float64, n)
 	for j := range row {
@@ -455,7 +478,7 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 				i, n.Rack, n.Cloud, built.rackCloud[n.Rack])
 		}
 	}
-	built.buildFlat()
+	built.initFlat()
 	*t = *built
 	return nil
 }

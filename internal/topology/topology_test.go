@@ -3,6 +3,7 @@ package topology
 import (
 	"encoding/json"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -266,7 +267,10 @@ func TestFlatTableMatchesTierDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tp.flat == nil {
-		t.Fatal("flat table not materialized for a 30-node plant")
+		t.Fatal("flat table not armed for a 30-node plant")
+	}
+	if tp.flat.d != nil {
+		t.Fatal("flat table filled at Build; it must wait for the first lookup")
 	}
 	for i := 0; i < tp.Nodes(); i++ {
 		row := tp.DistanceRow(NodeID(i))
@@ -283,6 +287,35 @@ func TestFlatTableMatchesTierDistance(t *testing.T) {
 			}
 		}
 	}
+	if len(tp.flat.d) != tp.Nodes()*tp.Nodes() {
+		t.Fatalf("flat table has %d cells after lookups, want %d", len(tp.flat.d), tp.Nodes()*tp.Nodes())
+	}
+}
+
+// TestFlatTableConcurrentFirstUse races the lazy fill: 8 goroutines
+// look up distances on a freshly built topology at once. Under -race
+// this pins that the fill is published safely to every reader.
+func TestFlatTableConcurrentFirstUse(t *testing.T) {
+	tp, err := Uniform(2, 4, 8, DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			n := tp.Nodes()
+			for k := 0; k < n*n; k++ {
+				a, b := NodeID((k+g)%n), NodeID(k/n)
+				if got, want := tp.Distance(a, b), tp.tierDistance(a, b); got != want {
+					t.Errorf("goroutine %d: Distance(%d,%d) = %v, want %v", g, a, b, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestFlatTableSurvivesJSONRoundTrip(t *testing.T) {
@@ -300,6 +333,9 @@ func TestFlatTableSurvivesJSONRoundTrip(t *testing.T) {
 	}
 	if back.flat == nil {
 		t.Fatal("decoded topology lost the flat distance table")
+	}
+	if back.flat == tp.flat {
+		t.Fatal("decoded topology shares the source's flat table")
 	}
 	for i := 0; i < tp.Nodes(); i++ {
 		for j := 0; j < tp.Nodes(); j++ {
