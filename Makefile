@@ -1,11 +1,12 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # Pinned versions of the external analysis tools CI installs; bump
 # deliberately, never track latest.
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic verify clean
+.PHONY: all build test race vet fmt-check lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic verify clean
 
 all: build
 
@@ -20,6 +21,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every Go file must be gofmt-clean, except the analyzer
+# fixtures under testdata/, which keep the layouts their tests expect.
+fmt-check:
+	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*')); \
+	if [ -n "$$out" ]; then echo "gofmt -l: these files need gofmt -w:"; echo "$$out"; exit 1; fi
 
 # Static-analysis gate: the repo's own analyzer suite (aliasret,
 # detrand, errdrop, goexit, hotpath, maporder, scratchpool,
@@ -54,11 +61,13 @@ lint-json:
 	@cat LINT.json
 
 # Native fuzz targets, ~10s each: topology JSON import (reject or
-# round-trip, never panic) and Algorithm 1 placement (capacity respected,
-# evaluator DC(C) matches the row-scan oracle).
+# round-trip, never panic), Algorithm 1 placement (capacity respected,
+# evaluator DC(C) matches the row-scan oracle), and the trace encoder's
+# quoting fast path (byte-equal to strconv.AppendQuote).
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendQuote$$' -fuzztime 10s
 
 # Fault-injection gate: the fault/recovery tests under the race detector
 # plus one seeded end-to-end faults figure, so every recovery path runs
@@ -82,12 +91,14 @@ soak-race:
 	$(GO) run -race ./cmd/affinitysim -fig soak -requests 20000 > /dev/null
 
 # Elastic-resize gate: the delta-placement, mid-job resize, and
-# grow/shrink service tests under the race detector, plus one seeded
-# end-to-end elastic figure, so every resize path (PlaceDelta,
-# ReleaseSubset, deadline admission, deferred grows, teardown
-# cancellation) runs race-checked on each change.
+# grow/shrink service tests under the race detector, plus the event
+# heap's re-arm tests and one seeded end-to-end elastic figure, so every
+# resize path (PlaceDelta, ReleaseSubset, deadline admission, deferred
+# grows and their re-armed retries, teardown cancellation) runs
+# race-checked on each change. The allocation gates among them skip
+# under -race; `make test` runs them.
 elastic-race:
-	$(GO) test -race ./internal/placement ./internal/cloudsim ./internal/experiments ./internal/service -run 'Elastic|PlaceDelta|ReleaseSubset|DeltaChurn|GrowShrink|ShrinkWakes|GrowInsufficient'
+	$(GO) test -race ./internal/placement ./internal/cloudsim ./internal/experiments ./internal/service ./internal/eventsim -run 'Elastic|PlaceDelta|ReleaseSubset|DeltaChurn|GrowShrink|ShrinkWakes|GrowInsufficient|Reschedule|Rearm|ContainerHeap'
 	$(GO) run -race ./cmd/affinitysim -fig elastic > /dev/null
 
 # Full benchmark suite: every table/figure plus ablations.
@@ -133,11 +144,12 @@ bench-soak:
 	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchtime=1x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
 	@cat BENCH_soak.json
 
-# Mid-job resize benchmarks (grow-by-k through PlaceDeltaSparse against
-# populated 16k- and 1M-node plants) recorded as machine-readable JSON.
-# Same fixed 100-iteration benchtime as bench-json/bench-churn.
+# Mid-job resize benchmarks (grow-by-k through PlaceDeltaSparse and
+# shrink-by-k through ReleaseSubsetSparse against populated 16k- and
+# 1M-node plants) recorded as machine-readable JSON. Same fixed
+# 100-iteration benchtime as bench-json/bench-churn.
 bench-elastic:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlaceDelta' -benchmem -benchtime=100x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_elastic.json
+	$(GO) test -run '^$$' -bench 'BenchmarkPlaceDelta|BenchmarkReleaseSubset' -benchmem -benchtime=100x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_elastic.json
 	@cat BENCH_elastic.json
 
 # CI's short arm: only the 100k-request soak (the 1M arm skips under
@@ -146,5 +158,6 @@ bench-soak-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchtime=1x -short -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
 	@cat BENCH_soak.json
 
-# The pre-merge gate: build, vet, lint, full tests, and the race detector.
-verify: build vet lint test race
+# The pre-merge gate: build, vet, gofmt, lint, full tests, and the race
+# detector.
+verify: build vet fmt-check lint test race

@@ -1,13 +1,15 @@
 // Elastic-resize benchmarks: the cost of growing a live cluster by k
-// VMs through PlaceDeltaSparse against a populated plant with the
-// persistent tier index attached — the mid-job resize hot path. Each op
-// places the delta near the cluster's current center and immediately
-// releases it, so the plant stays in steady state and the figure is the
-// pure grow cost. BenchmarkPlaceDelta feeds BENCH_elastic.json
-// (make bench-elastic).
+// VMs through PlaceDeltaSparse, and of shrinking it by k through
+// ReleaseSubsetSparse, against a populated plant with the persistent
+// tier index attached — the mid-job resize hot paths. Each op resizes
+// and immediately undoes the resize, so the plant stays in steady state
+// and the figure is the pure grow or shrink cost. BenchmarkPlaceDelta
+// and BenchmarkReleaseSubset feed BENCH_elastic.json (make
+// bench-elastic).
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"affinitycluster/internal/affinity"
@@ -67,4 +69,67 @@ func BenchmarkPlaceDelta(b *testing.B) {
 	run("grow-by-12/10x40x40/util60", 10, 40, 40, 12)
 	run("grow-by-3/100x100x100/util60", 100, 100, 100, 3)
 	run("grow-by-12/100x100x100/util60", 100, 100, 100, 12)
+}
+
+// BenchmarkReleaseSubset measures shrink-by-k on the same plants: a
+// prefilled cluster is grown by k once, and each op picks the k
+// DC-minimizing victims of the merged cluster, releases them, and
+// commits them back.
+func BenchmarkReleaseSubset(b *testing.B) {
+	if testing.Short() {
+		b.Skip("delta plants are too heavy for -short runs")
+	}
+	const types = 3
+	plant := func(clouds, racks, nodesPerRack int, ks ...int) {
+		topo, err := topology.Uniform(clouds, racks, nodesPerRack, topology.DefaultDistances())
+		if err != nil {
+			b.Fatal(err)
+		}
+		caps, err := workload.RandomCapacities(benchSeed, topo.Nodes(), types, workload.DefaultInventoryConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ring := fillChurnRing(b, topo, caps, nodesPerRack, 60, benchSeed)
+		for _, k := range ks {
+			delta := make(model.Request, types)
+			for j := 0; j < k; j++ {
+				delta[j%types]++
+			}
+			// Grow the first prefilled cluster by k so it holds the k
+			// VMs the shrink gives back.
+			var sp affinity.SparseAlloc
+			if _, _, err := ring.h.PlaceDeltaSparse(ring.idx, ring.ents[0], delta, &sp); err != nil {
+				b.Fatal(err)
+			}
+			if err := ring.inv.AllocateList(sp.Entries); err != nil {
+				b.Fatal(err)
+			}
+			merged := append(append([]affinity.VMEntry(nil), ring.ents[0]...), sp.Entries...)
+			b.Run(fmt.Sprintf("shrink-by-%d/%dx%dx%d/util60", k, clouds, racks, nodesPerRack), func(b *testing.B) {
+				// One warm op fills the shrink scratch pool.
+				if _, err := placement.ReleaseSubsetSparse(topo, merged, delta); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					victims, err := placement.ReleaseSubsetSparse(topo, merged, delta)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := ring.inv.ReleaseList(victims); err != nil {
+						b.Fatal(err)
+					}
+					if err := ring.inv.AllocateList(victims); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if err := ring.inv.ReleaseList(sp.Entries); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	plant(10, 40, 40, 3, 12)
+	plant(100, 100, 100, 3, 12)
 }

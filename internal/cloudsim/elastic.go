@@ -95,7 +95,7 @@ type elasticState struct {
 	growVec  model.Request   // per-type delta requested for the map phase
 	deadline float64         // shrink boundary: commission + MapFrac·Hold
 	grown    bool            // the grow was served (shrink owed)
-	retryEv  *eventsim.Event // pending deferred-grow retry
+	retryEv  *eventsim.Event // deferred-grow retry, bound once and re-armed per deferral
 	shrinkEv *eventsim.Event // pending shrink at the boundary
 }
 
@@ -199,15 +199,17 @@ func (s *Simulator) deferGrow(id int, now float64) {
 		obs.F("req", int(s.reqOf[id].ID)),
 		obs.F("cluster", id),
 		obs.F("retry", retryAt))
-	ev, err := s.engine.At(retryAt, func(at float64) {
-		st.retryEv = nil
-		s.tryGrow(id, at)
-	})
+	// The first deferral binds the retry callback; later ones re-arm the
+	// same event, so a long retry chain allocates nothing per retry.
+	var err error
+	if st.retryEv == nil {
+		st.retryEv, err = s.engine.At(retryAt, func(at float64) { s.tryGrow(id, at) })
+	} else {
+		err = s.engine.Reschedule(st.retryEv, retryAt)
+	}
 	if err != nil {
 		s.fail(fmt.Errorf("cloudsim: scheduling grow retry for cluster %d: %w", id, err))
-		return
 	}
-	st.retryEv = ev
 }
 
 // expireGrow terminates a deferred grow that never served; the cluster
@@ -272,9 +274,7 @@ func (s *Simulator) cancelElastic(id int, now float64, reason string) {
 	if st == nil {
 		return
 	}
-	if st.retryEv != nil {
-		s.engine.Cancel(st.retryEv)
-		st.retryEv = nil
+	if s.engine.Cancel(st.retryEv) { // a deferred grow still waiting
 		s.expireGrow(id, now, reason)
 	}
 	if st.shrinkEv != nil {

@@ -2,9 +2,11 @@ package cloudsim
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
+	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/faults"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/obs"
@@ -32,12 +34,12 @@ func elasticCfg() ElasticConfig {
 func TestElasticValidation(t *testing.T) {
 	tp, inv := plant(t)
 	bad := []Config{
-		{Elastic: ElasticConfig{Enabled: true, MapFrac: 0.4}},                                  // GrowFactor unset
-		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5}},                               // MapFrac unset
-		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5, MapFrac: 1}},                   // boundary at departure
-		{Elastic: elasticCfg(), Batch: true},                                                   // per-request only
-		{Elastic: elasticCfg(), Migrate: true},                                                 // per-request only
-		{Elastic: elasticCfg(), BatchWindow: 3},                                                // per-request only
+		{Elastic: ElasticConfig{Enabled: true, MapFrac: 0.4}},                // GrowFactor unset
+		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5}},             // MapFrac unset
+		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5, MapFrac: 1}}, // boundary at departure
+		{Elastic: elasticCfg(), Batch: true},                                 // per-request only
+		{Elastic: elasticCfg(), Migrate: true},                               // per-request only
+		{Elastic: elasticCfg(), BatchWindow: 3},                              // per-request only
 	}
 	for i, cfg := range bad {
 		if _, err := New(tp, inv, &placement.OnlineHeuristic{}, cfg); err == nil {
@@ -328,7 +330,7 @@ func TestElasticNeverWorseAdmission(t *testing.T) {
 			}
 			for _, f := range e.Fields {
 				if f.Key == "req" {
-					set[f.Val.(int)] = true
+					set[f.Val().(int)] = true
 				}
 			}
 		}
@@ -346,5 +348,49 @@ func TestElasticNeverWorseAdmission(t *testing.T) {
 	}
 	if me.Served != ms.Served {
 		t.Errorf("served: elastic %d, static %d", me.Served, ms.Served)
+	}
+}
+
+// TestElasticDeferRetryZeroAllocs pins the re-armed retry handle: once a
+// grow has deferred, every further retry — the retry fires, tryGrow
+// finds requests waiting and defers again, emitting resize_defer and
+// re-arming the same event — allocates nothing, with obs off or
+// streaming.
+func TestElasticDeferRetryZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
+	}
+	for _, tc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{
+		{"obs-off", nil},
+		{"streaming", obs.NewStreamingRegistry(io.Discard)},
+	} {
+		tp, inv := plant(t)
+		sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: tc.reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One live cluster whose grow is far from its boundary, and one
+		// waiting request, so every retry defers behind the queue.
+		const id = 0
+		sim.running[id] = newCluster([]affinity.VMEntry{{Node: 0, Type: 0, Count: 1}})
+		sim.reqOf[id] = timed(0, model.Request{1, 0}, 0, 1e9)
+		sim.elastic[id] = &elasticState{growVec: model.Request{1, 0}, deadline: 1e9}
+		if err := sim.queue.Enqueue(timed(1, model.Request{1, 0}, 0, 10)); err != nil {
+			t.Fatal(err)
+		}
+		sim.deferGrow(id, 0) // binds the retry callback and its event
+		if avg := testing.AllocsPerRun(200, func() { sim.engine.Step() }); avg != 0 {
+			t.Errorf("%s: defer→re-arm retry cycle allocates %.2f allocs/op, want 0", tc.name, avg)
+		}
+		if sim.failed != nil || sim.engine.Pending() != 1 || sim.engine.Processed() != 201 {
+			t.Errorf("%s: failed=%v pending=%d processed=%d; want a live retry chain of 201 retries",
+				tc.name, sim.failed, sim.engine.Pending(), sim.engine.Processed())
+		}
+		if got := tc.reg.EventCount(); tc.reg != nil && got != 202 {
+			t.Errorf("%s: %d resize_defer events, want 202", tc.name, got)
+		}
 	}
 }

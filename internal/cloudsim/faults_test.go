@@ -159,7 +159,7 @@ func TestTeardownVictimRejectedWhenQueueFull(t *testing.T) {
 	for _, e := range reg.Events() {
 		if e.Kind == "queue_reject" {
 			for _, f := range e.Fields {
-				if f.Key == "reason" && f.Val == "requeue_full" {
+				if f.Key == "reason" && f.Val() == "requeue_full" {
 					found = true
 				}
 			}

@@ -186,12 +186,12 @@ func TestRunStreamRejectsContractViolations(t *testing.T) {
 	}
 	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{1, 0}, 1, 10),
-		timed(0, model.Request{1, 0}, 2, 10),            // duplicate ID
-		timed(1, model.Request{1, 0}, 1.5, 10),          // OK (arrival ≥ previous accepted)
-		timed(2, model.Request{1, 0}, 0.5, 10),          // goes back in time
-		timed(3, model.Request{1, 0}, math.NaN(), 10),   // invalid time
-		timed(4, model.Request{-1, 0}, 3, 10),           // negative demand
-		timed(5, model.Request{1, 0}, 3, 10),            // OK
+		timed(0, model.Request{1, 0}, 2, 10),          // duplicate ID
+		timed(1, model.Request{1, 0}, 1.5, 10),        // OK (arrival ≥ previous accepted)
+		timed(2, model.Request{1, 0}, 0.5, 10),        // goes back in time
+		timed(3, model.Request{1, 0}, math.NaN(), 10), // invalid time
+		timed(4, model.Request{-1, 0}, 3, 10),         // negative demand
+		timed(5, model.Request{1, 0}, 3, 10),          // OK
 	}))
 	if err != nil {
 		t.Fatal(err)

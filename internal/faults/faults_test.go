@@ -25,9 +25,9 @@ func TestValidate(t *testing.T) {
 		t.Errorf("disabled config rejected: %v", err)
 	}
 	bad := []Config{
-		{MTBF: 10},                                  // no MTTR
-		{MTBF: 10, MTTR: -1, Horizon: 10},           // negative MTTR
-		{MTBF: 10, MTTR: 5},                         // no horizon
+		{MTBF: 10},                        // no MTTR
+		{MTBF: 10, MTTR: -1, Horizon: 10}, // negative MTTR
+		{MTBF: 10, MTTR: 5},               // no horizon
 		{MTBF: 10, MTTR: 5, Horizon: 10, RackEvery: -1},
 		{MTBF: 10, MTTR: 5, Horizon: 10, MaxFailures: -2},
 	}

@@ -27,9 +27,9 @@ import (
 
 // Graph is the package-level may-call graph.
 type Graph struct {
-	funcs []*types.Func                     // declared functions, file order
-	decls map[*types.Func]*ast.FuncDecl     // declaration of each function
-	edges map[*types.Func][]*types.Func     // F -> same-package functions F references
+	funcs []*types.Func                 // declared functions, file order
+	decls map[*types.Func]*ast.FuncDecl // declaration of each function
+	edges map[*types.Func][]*types.Func // F -> same-package functions F references
 	eset  map[*types.Func]map[*types.Func]bool
 }
 

@@ -9,19 +9,81 @@ package obs
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 )
 
-// Field is one key/value pair of an event, in emission order.
+// FieldValue is the closed set of value types an event field carries.
+// Emitters convert named types (IDs, enums) at the call site.
+type FieldValue interface {
+	int | int64 | float64 | string | bool | []int
+}
+
+// fieldKind tags which member of Field holds the value.
+type fieldKind uint8
+
+const (
+	kindInt fieldKind = iota
+	kindInt64
+	kindFloat
+	kindString
+	kindBool
+	kindInts
+)
+
+// Field is one key/value pair of an event, in emission order. The value
+// is held unboxed, so building a Field never allocates.
 type Field struct {
-	Key string
-	Val any
+	Key  string
+	kind fieldKind
+	num  uint64 // int, int64 and bool values; float64 bits
+	str  string // string values
+	ints []int  // []int values (fault node lists)
 }
 
 // F builds a Field; the one-letter name keeps emission sites compact.
-func F(key string, val any) Field { return Field{Key: key, Val: val} }
+func F[T FieldValue](key string, v T) Field {
+	f := Field{Key: key}
+	switch x := any(v).(type) {
+	case int:
+		f.kind, f.num = kindInt, uint64(x)
+	case int64:
+		f.kind, f.num = kindInt64, uint64(x)
+	case float64:
+		f.kind, f.num = kindFloat, math.Float64bits(x)
+	case string:
+		f.kind, f.str = kindString, x
+	case bool:
+		f.kind = kindBool
+		if x {
+			f.num = 1
+		}
+	case []int:
+		f.kind, f.ints = kindInts, x
+	}
+	return f
+}
+
+// Val returns the field's value as the type it was built from. A []int
+// comes back as a copy.
+func (f Field) Val() any {
+	switch f.kind {
+	case kindInt:
+		return int(f.num)
+	case kindInt64:
+		return int64(f.num)
+	case kindFloat:
+		return math.Float64frombits(f.num)
+	case kindString:
+		return f.str
+	case kindBool:
+		return f.num != 0
+	default:
+		return slices.Clone(f.ints)
+	}
+}
 
 // Event is one recorded simulation decision. Time is eventsim virtual
 // time — never the wall clock — so traces are reproducible.
@@ -32,12 +94,14 @@ type Event struct {
 }
 
 // Emit records an event. No-op on a nil registry. In retained mode the
-// event is appended to the trace and the fields slice is retained;
-// callers must not reuse it. In streaming mode (NewStreamingRegistry)
-// the event is encoded into the registry's reused buffer and written to
-// the sink immediately, so nothing is retained and memory stays O(1) in
-// the event count; the first write error is latched (SinkErr) and later
-// events are still counted but dropped.
+// event is appended to the trace with a copy of the fields, so callers
+// may reuse their slice. In streaming mode (NewStreamingRegistry) the
+// event is encoded into the registry's reused buffer and written to the
+// sink immediately, so nothing is retained and memory stays O(1) in the
+// event count; the first write error is latched (SinkErr) and later
+// events are still counted but dropped. Fields never escape, so the
+// variadic slice stays on the caller's stack: only the retained copy
+// allocates.
 func (r *Registry) Emit(kind string, t float64, fields ...Field) {
 	if r == nil {
 		return
@@ -46,14 +110,14 @@ func (r *Registry) Emit(kind string, t float64, fields ...Field) {
 	r.nEvents++
 	if r.sink != nil {
 		if r.sinkErr == nil {
-			r.sinkBuf = Event{Time: t, Kind: kind, Fields: fields}.appendJSON(r.sinkBuf[:0])
+			r.sinkBuf = appendEvent(r.sinkBuf[:0], t, kind, fields)
 			r.sinkBuf = append(r.sinkBuf, '\n')
 			if _, err := r.sink.Write(r.sinkBuf); err != nil {
 				r.sinkErr = err
 			}
 		}
 	} else {
-		r.events = append(r.events, Event{Time: t, Kind: kind, Fields: fields})
+		r.events = append(r.events, Event{Time: t, Kind: kind, Fields: append([]Field(nil), fields...)})
 	}
 	r.mu.Unlock()
 }
@@ -92,58 +156,67 @@ func (r *Registry) SinkErr() error {
 	return r.sinkErr
 }
 
-// appendJSON renders one event as a single JSON object:
+// appendEvent renders one event as a single JSON object:
 // {"t":12.5,"kind":"place","req":3,"dc":14}.
-func (e Event) appendJSON(b []byte) []byte {
+//
+//lint:hotpath
+func appendEvent(b []byte, t float64, kind string, fields []Field) []byte {
 	b = append(b, `{"t":`...)
-	b = appendFloat(b, e.Time)
+	b = strconv.AppendFloat(b, t, 'g', -1, 64)
 	b = append(b, `,"kind":`...)
-	b = strconv.AppendQuote(b, e.Kind)
-	for _, f := range e.Fields {
+	b = appendQuote(b, kind)
+	for i := range fields {
 		b = append(b, ',')
-		b = strconv.AppendQuote(b, f.Key)
+		b = appendQuote(b, fields[i].Key)
 		b = append(b, ':')
-		b = appendValue(b, f.Val)
+		b = fields[i].appendValue(b)
 	}
-	return append(b, '}')
+	b = append(b, '}')
+	return b
 }
 
-func appendFloat(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-func appendValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case float64:
-		return appendFloat(b, x)
-	case float32:
-		return appendFloat(b, float64(x))
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case bool:
-		return strconv.AppendBool(b, x)
-	case string:
-		return strconv.AppendQuote(b, x)
-	case []int:
+//lint:hotpath
+func (f *Field) appendValue(b []byte) []byte {
+	switch f.kind {
+	case kindInt, kindInt64:
+		b = strconv.AppendInt(b, int64(f.num), 10)
+	case kindFloat:
+		b = strconv.AppendFloat(b, math.Float64frombits(f.num), 'g', -1, 64)
+	case kindString:
+		b = appendQuote(b, f.str)
+	case kindBool:
+		b = strconv.AppendBool(b, f.num != 0)
+	default:
 		// Node lists of fault events, serialized as a real JSON array so
 		// trace consumers need no string re-parsing.
 		b = append(b, '[')
-		for i, v := range x {
+		for i, v := range f.ints {
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = strconv.AppendInt(b, int64(v), 10)
 		}
-		return append(b, ']')
-	case fmt.Stringer:
-		return strconv.AppendQuote(b, x.String())
-	default:
-		return strconv.AppendQuote(b, fmt.Sprintf("%v", x))
+		b = append(b, ']')
 	}
+	return b
+}
+
+// appendQuote is strconv.AppendQuote with a copy fast path: a string of
+// printable ASCII needing no escapes quotes to itself, which covers
+// every key and kind and nearly every string value.
+//
+//lint:hotpath
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			b = strconv.AppendQuote(b, s)
+			return b
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	b = append(b, '"')
+	return b
 }
 
 // WriteTraceJSONL streams the trace as one JSON object per line. A
@@ -162,7 +235,7 @@ func (r *Registry) WriteTraceJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte
 	for _, e := range r.Events() {
-		buf = e.appendJSON(buf[:0])
+		buf = appendEvent(buf[:0], e.Time, e.Kind, e.Fields)
 		buf = append(buf, '\n')
 		if _, err := bw.Write(buf); err != nil {
 			return err

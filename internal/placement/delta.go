@@ -17,6 +17,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/model"
@@ -184,7 +185,8 @@ func ReleaseSubset(t *topology.Topology, alloc affinity.Allocation, delta model.
 
 // ReleaseSubsetSparse is ReleaseSubset over the cluster's sparse cells.
 // cur is only read; the returned entries alias neither cur nor any
-// internal state.
+// internal state. The working state comes from a pooled shrinkScratch,
+// so a steady-state call allocates only the returned slice.
 func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
 	K := 0
 	for j, v := range delta {
@@ -196,10 +198,15 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 	if K == 0 {
 		return nil, nil
 	}
+	sc := getShrink(t)
+	defer putShrink(sc)
 	// Aggregate the cluster's cells (duplicates summed) into a private
 	// working copy and check per-type feasibility.
-	cells := make([]affinity.VMEntry, 0, len(cur))
-	have := make([]int, len(delta))
+	sc.have = sc.have[:0]
+	for range delta {
+		sc.have = append(sc.have, 0)
+	}
+	have := sc.have
 	for _, e := range cur {
 		if e.Count <= 0 {
 			continue
@@ -210,16 +217,8 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 		if int(e.Type) < len(have) {
 			have[e.Type] += e.Count
 		}
-		merged := false
-		for i := range cells {
-			if cells[i].Node == e.Node && cells[i].Type == e.Type {
-				cells[i].Count += e.Count
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			cells = append(cells, affinity.VMEntry{Node: e.Node, Type: e.Type, Count: e.Count})
+		if !addEntry(sc.cells, e.Node, e.Type, e.Count) {
+			sc.cells = append(sc.cells, affinity.VMEntry{Node: e.Node, Type: e.Type, Count: e.Count})
 		}
 	}
 	for j, v := range delta {
@@ -227,11 +226,13 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 			return nil, fmt.Errorf("placement: shrink wants %d VMs of type %d back, cluster holds %d", v, j, have[j])
 		}
 	}
-	ev := affinity.NewDistanceEvaluator(t, nil)
+	cells := sc.cells
+	ev := sc.ev
 	for _, c := range cells {
 		ev.AddVMs(c.Node, c.Count)
 	}
-	need := append([]int(nil), delta...)
+	sc.need = append(sc.need[:0], delta...)
+	need := sc.need
 	removable := func(i topology.NodeID) bool {
 		for _, c := range cells {
 			if c.Node == i && c.Count > 0 && int(c.Type) < len(need) && need[c.Type] > 0 {
@@ -240,7 +241,6 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 		}
 		return false
 	}
-	victims := make([]affinity.VMEntry, 0, len(need))
 	for k := 0; k < K; k++ {
 		bestNode := topology.NodeID(-1)
 		bestDC := 0.0
@@ -265,25 +265,59 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 				}
 			}
 		}
-		for i := range cells {
-			if cells[i].Node == bestNode && cells[i].Type == bestType {
-				cells[i].Count--
-				break
-			}
-		}
+		addEntry(cells, bestNode, bestType, -1)
 		need[bestType]--
 		ev.Remove(bestNode)
-		merged := false
-		for i := range victims {
-			if victims[i].Node == bestNode && victims[i].Type == bestType {
-				victims[i].Count++
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			victims = append(victims, affinity.VMEntry{Node: bestNode, Type: bestType, Count: 1})
+		if !addEntry(sc.victims, bestNode, bestType, 1) {
+			sc.victims = append(sc.victims, affinity.VMEntry{Node: bestNode, Type: bestType, Count: 1})
 		}
 	}
-	return victims, nil
+	return append([]affinity.VMEntry(nil), sc.victims...), nil
+}
+
+// addEntry adds count to the (node, typ) entry of es, reporting false
+// when es has no such entry.
+func addEntry(es []affinity.VMEntry, node topology.NodeID, typ model.VMTypeID, count int) bool {
+	for i := range es {
+		if es[i].Node == node && es[i].Type == typ {
+			es[i].Count += count
+			return true
+		}
+	}
+	return false
+}
+
+// shrinkScratch is ReleaseSubsetSparse's working state for one topology:
+// the evaluator pricing the shrinking cluster, its aggregated cells, the
+// per-type held/owed tallies, and the victims being collected.
+type shrinkScratch struct {
+	t       *topology.Topology
+	ev      *affinity.DistanceEvaluator
+	cells   []affinity.VMEntry
+	have    []int
+	need    []int
+	victims []affinity.VMEntry
+}
+
+// shrinkPool recycles shrinkScratch across calls. A pooled scratch built
+// for another topology is dropped, so the pool is keyed by topology
+// identity and never hands out a mis-sized evaluator.
+var shrinkPool sync.Pool
+
+// getShrink returns an empty scratch for t: a pooled one reset in
+// O(hosts + clouds), or a fresh O(n) build when none matches.
+func getShrink(t *topology.Topology) *shrinkScratch {
+	if v := shrinkPool.Get(); v != nil {
+		if sc := v.(*shrinkScratch); sc.t == t {
+			sc.ev.Reset(nil)
+			return sc
+		}
+	}
+	return &shrinkScratch{t: t, ev: affinity.NewDistanceEvaluator(t, nil)}
+}
+
+func putShrink(sc *shrinkScratch) {
+	sc.cells = sc.cells[:0]
+	sc.victims = sc.victims[:0]
+	shrinkPool.Put(sc)
 }

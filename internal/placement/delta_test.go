@@ -489,3 +489,64 @@ func TestPlaceDeltaZeroAllocs(t *testing.T) {
 		t.Fatalf("PlaceDeltaSparse steady state allocates %.2f allocs/op, want 0", avg)
 	}
 }
+
+// TestReleaseSubsetPooledScratch interleaves shrinks on two plants, with
+// a rejected shrink between rounds, and checks every round returns the
+// first round's victims: the topology-keyed pool never leaks state from
+// one call, plant or error path into the next.
+func TestReleaseSubsetPooledScratch(t *testing.T) {
+	small, err := topology.Uniform(1, 2, 3, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plants := []*topology.Topology{deltaPlant(t), small}
+	cur := []affinity.VMEntry{{Node: 0, Type: 0, Count: 3}, {Node: 1, Type: 1, Count: 2}, {Node: 4, Type: 0, Count: 1}, {Node: 5, Type: 1, Count: 1}}
+	delta := model.Request{2, 1}
+	var first [][]affinity.VMEntry
+	for round := 0; round < 4; round++ {
+		for p, tp := range plants {
+			got, err := ReleaseSubsetSparse(tp, cur, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				first = append(first, got)
+			} else if !reflect.DeepEqual(got, first[p]) {
+				t.Fatalf("round %d plant %d: victims %v, first round %v", round, p, got, first[p])
+			}
+			if _, err := ReleaseSubsetSparse(tp, cur, model.Request{9, 0}); err == nil {
+				t.Fatal("oversized shrink accepted")
+			}
+		}
+	}
+}
+
+// TestReleaseSubsetSparseAllocs pins the pooled shrink scratch: at 16k
+// nodes a steady-state shrink allocates only the returned victims, where
+// a fresh DistanceEvaluator would cost O(n) per call.
+func TestReleaseSubsetSparseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
+	}
+	tp, err := topology.Uniform(10, 40, 40, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cluster spread over two racks of one cloud and a remote node.
+	cur := []affinity.VMEntry{
+		{Node: 0, Type: 0, Count: 4}, {Node: 0, Type: 2, Count: 1}, {Node: 1, Type: 1, Count: 3},
+		{Node: 3, Type: 0, Count: 2}, {Node: 45, Type: 1, Count: 2}, {Node: 46, Type: 2, Count: 2},
+		{Node: 9000, Type: 0, Count: 1},
+	}
+	for _, delta := range []model.Request{{1, 1, 1}, {4, 2, 2}} {
+		shrink := func() {
+			if _, err := ReleaseSubsetSparse(tp, cur, delta); err != nil {
+				t.Fatal(err)
+			}
+		}
+		shrink() // warm the pool
+		if avg := testing.AllocsPerRun(100, shrink); avg > 1 {
+			t.Errorf("shrink by %v allocates %.2f allocs/op, want ≤ 1 (the victims)", delta, avg)
+		}
+	}
+}

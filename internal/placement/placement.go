@@ -57,11 +57,24 @@ func admit(l [][]int, r model.Request) error {
 func admitAvail(avail []int, r model.Request) error {
 	for j := range r {
 		if r[j] > avail[j] {
-			return fmt.Errorf("%w: type %d needs %d, %d available", ErrInsufficient, j, r[j], avail[j])
+			return &shortfall{typ: j, need: r[j], avail: avail[j]}
 		}
 	}
 	return nil
 }
+
+// shortfall is admitAvail's ErrInsufficient. Deferred grows hit it on
+// every retry against a full plant, so the message is only formatted if
+// someone reads it.
+type shortfall struct {
+	typ, need, avail int
+}
+
+func (e *shortfall) Error() string {
+	return fmt.Sprintf("%v: type %d needs %d, %d available", ErrInsufficient, e.typ, e.need, e.avail)
+}
+
+func (e *shortfall) Unwrap() error { return ErrInsufficient }
 
 // CenterPolicy selects how Algorithm 1 picks candidate central nodes.
 type CenterPolicy int

@@ -493,3 +493,19 @@ func TestMoveDeltaScreenConsistency(t *testing.T) {
 		t.Errorf("delta mismatch: %v vs %v", d1-d0, affinity.MoveDelta(tp, center, 3, 1))
 	}
 }
+
+// TestShortfallError pins the admission failure: it matches
+// ErrInsufficient and reads exactly as the fmt.Errorf wrap it replaced.
+func TestShortfallError(t *testing.T) {
+	err := admitAvail([]int{3, 1}, model.Request{2, 4})
+	if !errors.Is(err, ErrInsufficient) {
+		t.Fatalf("admitAvail error %v does not match ErrInsufficient", err)
+	}
+	want := "placement: request exceeds available resources: type 1 needs 4, 1 available"
+	if err.Error() != want {
+		t.Errorf("Error() = %q, want %q", err.Error(), want)
+	}
+	if err := admitAvail([]int{3, 4}, model.Request{2, 4}); err != nil {
+		t.Errorf("fitting request rejected: %v", err)
+	}
+}
