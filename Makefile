@@ -6,7 +6,7 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet fmt-check lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic verify clean
+.PHONY: all build test race vet fmt-check examples lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic verify clean
 
 all: build
 
@@ -27,6 +27,14 @@ vet:
 fmt-check:
 	@out=$$($(GOFMT) -l $$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*')); \
 	if [ -n "$$out" ]; then echo "gofmt -l: these files need gofmt -w:"; echo "$$out"; exit 1; fi
+
+# Examples smoke: run every examples/* main to completion. They have no
+# tests of their own, and each finishes in well under a second.
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$${d%/}"; \
+		$(GO) run ./$${d%/} > /dev/null || exit 1; \
+	done
 
 # Static-analysis gate: the repo's own analyzer suite (aliasret,
 # detrand, errdrop, goexit, hotpath, maporder, scratchpool,
@@ -62,7 +70,8 @@ lint-json:
 
 # Native fuzz targets, ~10s each: topology JSON import (reject or
 # round-trip, never panic), Algorithm 1 placement (capacity respected,
-# evaluator DC(C) matches the row-scan oracle), and the trace encoder's
+# mismatched matrix widths rejected, evaluator DC(C) matches the
+# row-scan oracle), and the trace encoder's
 # quoting fast path (byte-equal to strconv.AppendQuote).
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
@@ -158,6 +167,6 @@ bench-soak-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchtime=1x -short -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
 	@cat BENCH_soak.json
 
-# The pre-merge gate: build, vet, gofmt, lint, full tests, and the race
-# detector.
-verify: build vet fmt-check lint test race
+# The pre-merge gate: build, vet, gofmt, lint, full tests, the examples
+# smoke, and the race detector.
+verify: build vet fmt-check lint test examples race

@@ -14,11 +14,9 @@ import (
 	"testing"
 
 	"affinitycluster/internal/affinity"
-	"affinitycluster/internal/anneal"
 	"affinitycluster/internal/cloudsim"
 	"affinitycluster/internal/experiments"
 	"affinitycluster/internal/inventory"
-	"affinitycluster/internal/jointopt"
 	"affinitycluster/internal/lp"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/placement"
@@ -203,36 +201,6 @@ func benchSetup(b *testing.B) (*topology.Topology, [][]int, []model.Request) {
 	return topo, sim.Capacities, sim.Requests
 }
 
-// BenchmarkAblationCenterPolicy compares Algorithm 1's center scan
-// (ScanAllCenters, ours) against the paper's random initial center.
-func BenchmarkAblationCenterPolicy(b *testing.B) {
-	topo, caps, reqs := benchSetup(b)
-	b.Run("scan-all", func(b *testing.B) {
-		h := &placement.OnlineHeuristic{Policy: placement.ScanAllCenters}
-		var total float64
-		for i := 0; i < b.N; i++ {
-			res, err := placement.PlaceSequential(topo, caps, reqs, h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = res.Total
-		}
-		b.ReportMetric(total, "total-distance")
-	})
-	b.Run("random-center", func(b *testing.B) {
-		var total float64
-		for i := 0; i < b.N; i++ {
-			h := &placement.OnlineHeuristic{Policy: placement.RandomCenter, Rand: rand.New(rand.NewSource(int64(i)))}
-			res, err := placement.PlaceSequential(topo, caps, reqs, h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = res.Total
-		}
-		b.ReportMetric(total, "total-distance")
-	})
-}
-
 // BenchmarkAblationTransferFixpoint compares Algorithm 2 run for a single
 // exchange pass (the paper) against run-to-fixpoint.
 func BenchmarkAblationTransferFixpoint(b *testing.B) {
@@ -322,35 +290,6 @@ func BenchmarkAblationDelaySched(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGlobalOptimizers compares the paper's Algorithm 2
-// exchange local search against simulated annealing on the same batch.
-func BenchmarkAblationGlobalOptimizers(b *testing.B) {
-	topo, caps, reqs := benchSetup(b)
-	b.Run("algorithm2", func(b *testing.B) {
-		g := &placement.GlobalSubOpt{}
-		var total float64
-		for i := 0; i < b.N; i++ {
-			res, err := g.PlaceBatch(topo, caps, reqs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = res.Total
-		}
-		b.ReportMetric(total, "total-distance")
-	})
-	b.Run("annealing", func(b *testing.B) {
-		var total float64
-		for i := 0; i < b.N; i++ {
-			res, err := anneal.Optimize(topo, caps, reqs, anneal.Options{Seed: benchSeed, Iterations: 20000})
-			if err != nil {
-				b.Fatal(err)
-			}
-			total = res.Total
-		}
-		b.ReportMetric(total, "total-distance")
-	})
-}
-
 // BenchmarkBaselineComparison regenerates the strategy comparison table.
 func BenchmarkBaselineComparison(b *testing.B) {
 	var onlineTotal float64
@@ -422,41 +361,6 @@ func BenchmarkAblationMigration(b *testing.B) {
 				final = m.FinalDistanceSum
 			}
 			b.ReportMetric(final, "final-distance")
-		})
-	}
-}
-
-// BenchmarkAblationJointopt compares DC-oriented and shuffle-oriented
-// placement objectives by the pairwise affinity of the cluster each
-// produces for the same request.
-func BenchmarkAblationJointopt(b *testing.B) {
-	topo, err := topology.Uniform(1, 4, 4, topology.DefaultDistances())
-	if err != nil {
-		b.Fatal(err)
-	}
-	caps, err := workload.RandomCapacities(benchSeed, topo.Nodes(), 1, workload.InventoryConfig{MaxPerType: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := model.Request{8}
-	for _, tc := range []struct {
-		name string
-		w    float64
-	}{
-		{"dc-oriented", 0},
-		{"shuffle-oriented", 1},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			p := &jointopt.Placer{Profile: jointopt.Profile{ShuffleWeight: tc.w}}
-			var aff float64
-			for i := 0; i < b.N; i++ {
-				alloc, err := p.Place(topo, caps, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				aff = alloc.PairwiseAffinity(topo)
-			}
-			b.ReportMetric(aff, "pairwise-affinity")
 		})
 	}
 }

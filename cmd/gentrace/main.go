@@ -1,17 +1,15 @@
 // Command gentrace generates a seeded random request trace (the paper's
 // simulation workload) on stdout or to a file, for replay with the
-// library's trace package or external tooling. Two formats are
-// supported: the whole-slice JSON document (-format json, the default)
-// and the streaming JSONL format (-format jsonl), which writes one
-// request per line and never holds the trace in memory — the openloop
-// scenario pairs with it to emit multi-million-request traces in O(1)
-// space.
+// library's trace package or external tooling. The trace is JSONL: a
+// header line, then one request per line, written as it is generated —
+// the openloop scenario streams straight from its generator, so
+// multi-million-request traces are emitted in O(1) space.
 //
 // Usage:
 //
 //	gentrace [-seed N] [-count N] [-types N]
-//	         [-scenario normal|small|openloop] [-format json|jsonl]
-//	         [-interarrival S] [-hold S] [-out trace.json]
+//	         [-scenario normal|small|openloop]
+//	         [-interarrival S] [-hold S] [-out trace.jsonl]
 package main
 
 import (
@@ -29,20 +27,19 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	count := flag.Int("count", 20, "number of requests")
 	types := flag.Int("types", 3, "VM type count")
-	scenario := flag.String("scenario", "normal", "request scenario: normal, small, or openloop (jsonl only)")
-	format := flag.String("format", "json", "output format: json (whole-slice document) or jsonl (streaming)")
+	scenario := flag.String("scenario", "normal", "request scenario: normal, small, or openloop")
 	out := flag.String("out", "", "output path (default stdout)")
 	interarrival := flag.Float64("interarrival", 30, "mean interarrival seconds")
 	hold := flag.Float64("hold", 300, "mean (openloop: median) hold seconds")
 	flag.Parse()
 
-	if err := run(*seed, *count, *types, *scenario, *format, *out, *interarrival, *hold); err != nil {
+	if err := run(*seed, *count, *types, *scenario, *out, *interarrival, *hold); err != nil {
 		fmt.Fprintln(os.Stderr, "gentrace:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed int64, count, types int, scenario, format, out string, interarrival, hold float64) error {
+func run(seed int64, count, types int, scenario, out string, interarrival, hold float64) error {
 	// Validate the numeric flags up front: a bad value must exit non-zero
 	// with a flag-shaped message, not surface as a downstream generator
 	// error (or, worse, emit a half-written trace). !(x > 0) also catches
@@ -59,15 +56,9 @@ func run(seed int64, count, types int, scenario, format, out string, interarriva
 	if !(hold > 0) || math.IsInf(hold, 0) {
 		return fmt.Errorf("-hold must be positive and finite, got %v", hold)
 	}
-	if format != "json" && format != "jsonl" {
-		return fmt.Errorf("unknown format %q (want json or jsonl)", format)
-	}
 
 	desc := fmt.Sprintf("seed %d, %s scenario, %d requests", seed, scenario, count)
 	if scenario == "openloop" {
-		if format != "jsonl" {
-			return fmt.Errorf("the openloop scenario streams; use -format jsonl")
-		}
 		cfg := workload.DefaultOpenLoopConfig()
 		cfg.BaseRate = 1 / interarrival
 		cfg.Types = types
@@ -99,17 +90,7 @@ func run(seed int64, count, types int, scenario, format, out string, interarriva
 	if err != nil {
 		return err
 	}
-	if format == "jsonl" {
-		return writeStream(out, desc, types, model.NewSliceSource(timed))
-	}
-	tr, err := trace.New(desc, types, timed)
-	if err != nil {
-		return err
-	}
-	if out == "" {
-		return trace.Save(os.Stdout, tr)
-	}
-	return trace.SaveFile(out, tr)
+	return writeStream(out, desc, types, model.NewSliceSource(timed))
 }
 
 // writeStream drains src into a JSONL trace at path (stdout when empty).

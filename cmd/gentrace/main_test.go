@@ -5,41 +5,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"affinitycluster/internal/model"
 	"affinitycluster/internal/trace"
 )
 
-func TestGenerateToFileAndReload(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "trace.json")
-	if err := run(5, 12, 3, "normal", "json", out, 30, 300); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.LoadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Requests) != 12 || tr.Types != 3 {
-		t.Errorf("trace shape: %d requests, %d types", len(tr.Requests), tr.Types)
-	}
-}
-
-func TestGenerateSmallScenario(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "trace.json")
-	if err := run(5, 8, 3, "small", "json", out, 10, 100); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.LoadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range tr.Requests {
-		if r.Vector.TotalVMs() > 3 {
-			t.Errorf("small request %d has %d VMs", i, r.Vector.TotalVMs())
-		}
-	}
-}
-
-// drainJSONL replays a streamed trace file and returns its request count.
-func drainJSONL(t *testing.T, path string, wantTypes int) int {
+// readJSONL replays a trace file and returns its requests.
+func readJSONL(t *testing.T, path string, wantTypes int) []model.TimedRequest {
 	t.Helper()
 	rd, err := trace.OpenFile(path)
 	if err != nil {
@@ -47,37 +18,59 @@ func drainJSONL(t *testing.T, path string, wantTypes int) int {
 	}
 	defer func() { _ = rd.Close() }()
 	if rd.Types() != wantTypes {
-		t.Errorf("streamed trace declares %d types, want %d", rd.Types(), wantTypes)
+		t.Errorf("trace declares %d types, want %d", rd.Types(), wantTypes)
 	}
-	n := 0
+	var reqs []model.TimedRequest
 	for {
-		_, ok, err := rd.Next()
+		r, ok, err := rd.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			return n
+			return reqs
 		}
-		n++
+		reqs = append(reqs, r)
+	}
+}
+
+func TestGenerateToFileAndReload(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := run(5, 12, 3, "normal", out, 30, 300); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(readJSONL(t, out, 3)); n != 12 {
+		t.Errorf("trace holds %d requests, want 12", n)
+	}
+}
+
+func TestGenerateSmallScenario(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := run(5, 8, 3, "small", out, 10, 100); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range readJSONL(t, out, 3) {
+		if r.Vector.TotalVMs() > 3 {
+			t.Errorf("small request %d has %d VMs", i, r.Vector.TotalVMs())
+		}
 	}
 }
 
 func TestGenerateStreamedNormal(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := run(5, 15, 3, "normal", "jsonl", out, 30, 300); err != nil {
+	if err := run(5, 15, 3, "normal", out, 30, 300); err != nil {
 		t.Fatal(err)
 	}
-	if n := drainJSONL(t, out, 3); n != 15 {
+	if n := len(readJSONL(t, out, 3)); n != 15 {
 		t.Errorf("streamed %d requests, want 15", n)
 	}
 }
 
 func TestGenerateOpenLoopStreams(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := run(5, 200, 4, "openloop", "jsonl", out, 2, 300); err != nil {
+	if err := run(5, 200, 4, "openloop", out, 2, 300); err != nil {
 		t.Fatal(err)
 	}
-	if n := drainJSONL(t, out, 4); n != 200 {
+	if n := len(readJSONL(t, out, 4)); n != 200 {
 		t.Errorf("streamed %d requests, want 200", n)
 	}
 }
@@ -87,18 +80,16 @@ func TestGenerateErrors(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"unknown scenario", func() error { return run(1, 5, 3, "weird", "json", "", 30, 300) }},
-		{"unknown format", func() error { return run(1, 5, 3, "normal", "xml", "", 30, 300) }},
-		{"zero count", func() error { return run(1, 0, 3, "normal", "json", "", 30, 300) }},
-		{"negative count", func() error { return run(1, -2, 3, "normal", "json", "", 30, 300) }},
-		{"zero types", func() error { return run(1, 5, 0, "normal", "json", "", 30, 300) }},
-		{"negative interarrival", func() error { return run(1, 5, 3, "normal", "json", "", -1, 300) }},
-		{"NaN interarrival", func() error { return run(1, 5, 3, "normal", "json", "", math.NaN(), 300) }},
-		{"Inf interarrival", func() error { return run(1, 5, 3, "normal", "json", "", math.Inf(1), 300) }},
-		{"zero hold", func() error { return run(1, 5, 3, "normal", "json", "", 30, 0) }},
-		{"NaN hold", func() error { return run(1, 5, 3, "normal", "json", "", 30, math.NaN()) }},
-		{"Inf hold", func() error { return run(1, 5, 3, "normal", "json", "", 30, math.Inf(1)) }},
-		{"openloop needs jsonl", func() error { return run(1, 5, 3, "openloop", "json", "", 30, 300) }},
+		{"unknown scenario", func() error { return run(1, 5, 3, "weird", "", 30, 300) }},
+		{"zero count", func() error { return run(1, 0, 3, "normal", "", 30, 300) }},
+		{"negative count", func() error { return run(1, -2, 3, "normal", "", 30, 300) }},
+		{"zero types", func() error { return run(1, 5, 0, "normal", "", 30, 300) }},
+		{"negative interarrival", func() error { return run(1, 5, 3, "normal", "", -1, 300) }},
+		{"NaN interarrival", func() error { return run(1, 5, 3, "normal", "", math.NaN(), 300) }},
+		{"Inf interarrival", func() error { return run(1, 5, 3, "normal", "", math.Inf(1), 300) }},
+		{"zero hold", func() error { return run(1, 5, 3, "normal", "", 30, 0) }},
+		{"NaN hold", func() error { return run(1, 5, 3, "normal", "", 30, math.NaN()) }},
+		{"Inf hold", func() error { return run(1, 5, 3, "normal", "", 30, math.Inf(1)) }},
 	}
 	for _, tc := range cases {
 		if tc.call() == nil {

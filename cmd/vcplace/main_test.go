@@ -66,4 +66,20 @@ func TestRunErrors(t *testing.T) {
 	if err := run(tooBig, false, "online"); err == nil {
 		t.Error("infeasible request accepted")
 	}
+	// Capacity rows whose width differs from the request's are errors
+	// under every strategy, with or without the exact solver — not panics.
+	for _, tc := range []struct{ name, content string }{
+		{"wide request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1,1,1]}`},
+		{"ragged row", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1]],"request":[1,1]}`},
+		{"narrow request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1]}`},
+	} {
+		path := writeProblem(t, tc.content)
+		for _, strategy := range []string{"online", "firstfit", "roundrobin", "pack"} {
+			for _, exact := range []bool{false, true} {
+				if err := run(path, exact, strategy); err == nil {
+					t.Errorf("%s accepted by %s (exact %v)", tc.name, strategy, exact)
+				}
+			}
+		}
+	}
 }

@@ -1,14 +1,18 @@
 // Quickstart: build a cloud, provision an affinity-aware virtual cluster
-// for a MapReduce-style request, inspect its distance and central node,
-// and release it.
+// for a MapReduce-style request through the placement service, inspect
+// its distance and central node, compare it with the exact optimum, and
+// release it.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"affinitycluster/internal/core"
+	"affinitycluster/internal/affinity"
+	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
+	"affinitycluster/internal/sdexact"
+	"affinitycluster/internal/service"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
 )
@@ -21,8 +25,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	inv, err := inventory.NewFromMatrix(caps)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	prov, err := core.NewProvisioner(topo, caps, core.Options{})
+	// The service owns the inventory until Close: placements and
+	// releases go through it, and it places with Algorithm 1.
+	svc, err := service.New(service.Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,27 +40,32 @@ func main() {
 	// Request the paper's running example: two small, four medium, one
 	// large instance.
 	req := model.Request{2, 4, 1}
-	fmt.Printf("requesting %d VMs: %v (availability %v)\n", req.TotalVMs(), req, prov.Available())
+	fmt.Printf("requesting %d VMs: %v (availability %v)\n", req.TotalVMs(), req, inv.Available())
 
-	vc, err := prov.Provision(req)
+	pl, err := svc.Place(req)
 	if err != nil {
 		log.Fatal(err)
 	}
+	alloc := (&affinity.SparseAlloc{NumNodes: topo.Nodes(), NumTypes: len(req), Entries: pl.Entries}).ToDense()
 	fmt.Printf("provisioned cluster: distance %.1f, central node %d, pairwise affinity %.1f\n",
-		vc.Distance, vc.Center, vc.PairwiseAffinity())
-	for _, node := range vc.Alloc.HostingNodes() {
-		fmt.Printf("  node %2d (rack %d): %v\n", node, topo.RackOf(node), vc.Alloc[node])
+		pl.DC, pl.Center, alloc.PairwiseAffinity(topo))
+	for _, node := range alloc.HostingNodes() {
+		fmt.Printf("  node %2d (rack %d): %v\n", node, topo.RackOf(node), alloc[node])
 	}
 
-	// Compare against the provable optimum without committing anything.
-	_, exact, err := prov.SolveExact(req)
+	// Compare against the provable optimum under the current load; the
+	// exact solver only reads the capacity snapshot.
+	exact, err := sdexact.SolveSD(topo, inv.Remaining(), req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("exact SD optimum for the same request under current load: %.1f\n", exact)
+	fmt.Printf("exact SD optimum for the same request under current load: %.1f\n", exact.Distance)
 
-	if err := vc.Release(); err != nil {
+	if err := svc.Release(pl.Entries); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("released; availability restored to %v\n", prov.Available())
+	if err := svc.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("released; availability restored to %v\n", inv.Available())
 }

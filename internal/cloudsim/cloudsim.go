@@ -12,6 +12,7 @@
 package cloudsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -31,11 +32,10 @@ import (
 	"affinitycluster/internal/topology"
 )
 
-// arrivalClass orders lazily scheduled stream arrivals below every other
-// event at the same timestamp. Run gets the "arrivals first on ties"
-// determinism contract for free by scheduling all arrivals before any
-// runtime event; RunStream schedules them one at a time, so the class
-// restores the identical pop order.
+// arrivalClass orders lazily scheduled arrivals below every other event
+// at the same timestamp: the "arrivals first on ties" determinism
+// contract, kept although each arrival enters the heap only once its
+// predecessor has fired.
 const arrivalClass = -1
 
 // Config selects queueing and service behaviour.
@@ -273,12 +273,6 @@ type Simulator struct {
 	nextRun  int
 	metrics  Metrics
 
-	// Stream-replay validation state: the last accepted request ID and
-	// arrival time, so RunStream enforces the RequestSource contract in
-	// O(1) instead of a seen-ID map.
-	streamLastID model.RequestID
-	streamLastAt float64
-
 	// Fault state: the precomputed schedule and, per torn-down request,
 	// the failure time — consumed when the victim is re-served so
 	// time-to-recovery can be observed.
@@ -459,25 +453,18 @@ func (s *Simulator) ServiceStats() (service.Stats, bool) {
 }
 
 // Run feeds the timed requests through the simulated cloud and returns
-// the aggregate metrics once all work has drained. A bookkeeping failure
-// (a departure whose release does not fit the inventory) aborts the run
-// and is returned as an error instead of panicking.
+// the aggregate metrics once all work has drained. The slice may be in
+// any order and its IDs need not increase: invalid and duplicate entries
+// are rejected at t=0, and the rest are stable-sorted by arrival and
+// replayed through the same lazy loop as RunStream. A bookkeeping
+// failure (a departure whose release does not fit the inventory) aborts
+// the run and is returned as an error instead of panicking.
 //
 //lint:owner singlewriter
-func (s *Simulator) Run(reqs []model.TimedRequest) (m *Metrics, err error) {
-	if s.serve != nil {
-		// The simulator owns the service's lifetime: stop its goroutines
-		// on every exit path. A Close failure on an otherwise clean run
-		// is surfaced; ErrClosed just means a prior Run already stopped it.
-		defer func() {
-			if cerr := s.serve.Close(); cerr != nil && !errors.Is(cerr, service.ErrClosed) && err == nil {
-				m, err = nil, fmt.Errorf("cloudsim: closing placement service: %w", cerr)
-			}
-		}()
-	}
+func (s *Simulator) Run(reqs []model.TimedRequest) (*Metrics, error) {
 	seen := make(map[model.RequestID]bool, len(reqs))
+	valid := make([]model.TimedRequest, 0, len(reqs))
 	for _, r := range reqs {
-		r := r
 		if !validRequest(r) || seen[r.ID] {
 			// Malformed or duplicate input is accounted for, not silently
 			// dropped, so conservation still holds over the input slice.
@@ -485,17 +472,10 @@ func (s *Simulator) Run(reqs []model.TimedRequest) (m *Metrics, err error) {
 			continue
 		}
 		seen[r.ID] = true
-		if _, err := s.engine.At(r.Arrival, func(now float64) { s.arrive(r, now) }); err != nil {
-			return nil, fmt.Errorf("cloudsim: scheduling arrival of request %d: %w", r.ID, err)
-		}
+		valid = append(valid, r)
 	}
-	// Fault events are scheduled after all arrivals so that, at equal
-	// timestamps, arrivals are processed first — part of the determinism
-	// contract.
-	if err := s.scheduleFaults(); err != nil {
-		return nil, err
-	}
-	return s.finish()
+	slices.SortStableFunc(valid, func(a, b model.TimedRequest) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	return s.replay(model.NewSliceSource(valid))
 }
 
 // servedSample is the per-active-cluster record needed to roll a served
@@ -511,14 +491,48 @@ type servedSample struct{ d, wait float64 }
 // source must honor the RequestSource contract (strictly increasing IDs,
 // non-decreasing arrivals); violating requests are counted as rejected,
 // the same accounting Run applies to malformed slice entries. On a valid
-// sorted input, RunStream and Run produce identical metrics: stream
-// arrivals are scheduled at arrivalClass, which reproduces Run's
-// "arrivals first at equal timestamps" pop order (pinned by
+// sorted input, RunStream and Run produce identical metrics (pinned by
 // TestRunStreamMatchesRun).
 //
 //lint:owner singlewriter
-func (s *Simulator) RunStream(src model.RequestSource) (m *Metrics, err error) {
+func (s *Simulator) RunStream(src model.RequestSource) (*Metrics, error) {
+	return s.replay(&contractSource{src: src, sim: s, lastID: -1})
+}
+
+// contractSource passes through the requests of src that honor the
+// RequestSource contract, checked in O(1) against the last accepted ID
+// and arrival instead of a seen-ID map. Violating and invalid requests
+// are rejected at the current virtual time and skipped.
+type contractSource struct {
+	src    model.RequestSource
+	sim    *Simulator
+	lastID model.RequestID
+	lastAt float64
+}
+
+func (c *contractSource) Next() (model.TimedRequest, bool, error) {
+	for {
+		r, ok, err := c.src.Next()
+		if err != nil || !ok {
+			return r, ok, err
+		}
+		if !validRequest(r) || r.ID <= c.lastID || r.Arrival < c.lastAt {
+			c.sim.reject(r, c.sim.engine.Now(), "invalid")
+			continue
+		}
+		c.lastID, c.lastAt = r.ID, r.Arrival
+		return r, true, nil
+	}
+}
+
+// replay is the event loop shared by Run and RunStream: faults are
+// scheduled up front, arrivals one at a time, each pulled from src as
+// its predecessor fires.
+func (s *Simulator) replay(src model.RequestSource) (m *Metrics, err error) {
 	if s.serve != nil {
+		// The simulator owns the service's lifetime: stop its goroutines
+		// on every exit path. A Close failure on an otherwise clean run
+		// is surfaced; ErrClosed just means a prior run already stopped it.
 		defer func() {
 			if cerr := s.serve.Close(); cerr != nil && !errors.Is(cerr, service.ErrClosed) && err == nil {
 				m, err = nil, fmt.Errorf("cloudsim: closing placement service: %w", cerr)
@@ -528,47 +542,37 @@ func (s *Simulator) RunStream(src model.RequestSource) (m *Metrics, err error) {
 	if err := s.scheduleFaults(); err != nil {
 		return nil, err
 	}
-	s.streamLastID, s.streamLastAt = -1, 0
 	if err := s.scheduleNextArrival(src); err != nil {
 		return nil, err
 	}
 	return s.finish()
 }
 
-// scheduleNextArrival pulls one request from the stream and schedules
-// its arrival; the arrival callback processes the request and then pulls
-// the next one. Contract-violating requests are rejected and skipped
-// here, so the engine only ever sees schedulable arrivals.
+// scheduleNextArrival pulls one request from src and schedules its
+// arrival; the arrival callback processes the request and then pulls
+// the next one.
 func (s *Simulator) scheduleNextArrival(src model.RequestSource) error {
-	for {
-		r, ok, err := src.Next()
-		if err != nil {
-			return fmt.Errorf("cloudsim: pulling next arrival: %w", err)
-		}
-		if !ok {
-			return nil
-		}
-		if !validRequest(r) || r.ID <= s.streamLastID || r.Arrival < s.streamLastAt {
-			s.reject(r, s.engine.Now(), "invalid")
-			continue
-		}
-		s.streamLastID, s.streamLastAt = r.ID, r.Arrival
-		_, err = s.engine.AtClass(r.Arrival, arrivalClass, func(now float64) {
-			s.arrive(r, now)
-			if err := s.scheduleNextArrival(src); err != nil {
-				s.fail(err)
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("cloudsim: scheduling arrival of request %d: %w", r.ID, err)
-		}
+	r, ok, err := src.Next()
+	if err != nil {
+		return fmt.Errorf("cloudsim: pulling next arrival: %w", err)
+	}
+	if !ok {
 		return nil
 	}
+	_, err = s.engine.AtClass(r.Arrival, arrivalClass, func(now float64) {
+		s.arrive(r, now)
+		if err := s.scheduleNextArrival(src); err != nil {
+			s.fail(err)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("cloudsim: scheduling arrival of request %d: %w", r.ID, err)
+	}
+	return nil
 }
 
 // scheduleFaults enqueues the precomputed fault plan. Faults run at
-// class 0, so they lose timestamp ties against pre-scheduled arrivals
-// (Run, by seq) and stream arrivals (RunStream, by class) alike.
+// class 0, so they lose timestamp ties against arrivals.
 func (s *Simulator) scheduleFaults() error {
 	for _, ev := range s.faultPlan {
 		ev := ev
@@ -585,8 +589,7 @@ func (s *Simulator) scheduleFaults() error {
 	return nil
 }
 
-// finish drives the event loop to completion and closes out the metrics
-// — the shared epilogue of Run and RunStream.
+// finish drives the event loop to completion and closes out the metrics.
 func (s *Simulator) finish() (*Metrics, error) {
 	for s.failed == nil && s.engine.Step() {
 	}

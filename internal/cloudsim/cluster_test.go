@@ -89,8 +89,8 @@ func TestClusterLedgerDifferential(t *testing.T) {
 		if err := sim.scheduleFaults(); err != nil {
 			t.Fatal(err)
 		}
-		sim.streamLastID = -1
-		if err := sim.scheduleNextArrival(model.NewSliceSource(reqs)); err != nil {
+		src := &contractSource{src: model.NewSliceSource(reqs), sim: sim, lastID: -1}
+		if err := sim.scheduleNextArrival(src); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; sim.failed == nil && sim.engine.Step(); step++ {

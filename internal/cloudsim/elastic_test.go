@@ -46,7 +46,7 @@ func TestElasticValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.RandomCenter}, Config{Elastic: elasticCfg()}); err == nil {
+	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}, Config{Elastic: elasticCfg()}); err == nil {
 		t.Error("elastic with non-indexed placer accepted")
 	}
 }

@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -35,14 +36,27 @@ func streamWorkload(t *testing.T, n int) []model.TimedRequest {
 	return timedReqs
 }
 
-// TestRunStreamMatchesRun pins the lazy-arrival determinism contract:
-// the same sorted workload fed eagerly through Run and lazily through
-// RunStream (including an active fault schedule, batching, and
+// TestRunStreamMatchesRun pins Run's any-order contract: a shuffled
+// copy of the workload fed through Run and the sorted workload streamed
+// through RunStream (including an active fault schedule, batching, and
 // migration) must produce equal Metrics and byte-identical registry
-// snapshots and event traces.
+// snapshots and event traces. The workload has no arrival ties, so Run's
+// stable sort restores exactly the streamed order.
 func TestRunStreamMatchesRun(t *testing.T) {
 	tp := topology.PaperSimPlant()
 	timedReqs := streamWorkload(t, 30)
+	for i := 1; i < len(timedReqs); i++ {
+		if timedReqs[i].Arrival <= timedReqs[i-1].Arrival {
+			t.Fatalf("workload arrivals not strictly increasing at %d", i)
+		}
+	}
+	shuffled := append([]model.TimedRequest(nil), timedReqs...)
+	rand.New(rand.NewSource(15)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	if reflect.DeepEqual(shuffled, timedReqs) {
+		t.Fatal("shuffle left the workload sorted")
+	}
 	run := func(stream bool) (*Metrics, []byte) {
 		caps, err := workload.RandomCapacities(11, tp.Nodes(), 3, workload.InventoryConfig{MaxPerType: 2})
 		if err != nil {
@@ -69,7 +83,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		if stream {
 			m, err = sim.RunStream(model.NewSliceSource(timedReqs))
 		} else {
-			m, err = sim.Run(timedReqs)
+			m, err = sim.Run(shuffled)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -1,17 +1,17 @@
 // Package integration ties the subsystems together end to end: the tests
-// here cross module boundaries on purpose — provisioning through the core
-// facade and executing MapReduce on the provisioned cluster, replaying
-// recorded traces through the cloud simulator, and placing on topologies
-// inferred from latency probes.
+// here cross module boundaries on purpose — placing a cluster with
+// Algorithm 1 and executing MapReduce on it, replaying recorded traces
+// through the cloud simulator, and cross-checking the exact solvers at
+// the paper plant's scale.
 package integration
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/cloudsim"
-	"affinitycluster/internal/core"
 	"affinitycluster/internal/dfs"
 	"affinitycluster/internal/eventsim"
 	"affinitycluster/internal/inventory"
@@ -19,7 +19,6 @@ import (
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/netmodel"
 	"affinitycluster/internal/placement"
-	"affinitycluster/internal/probing"
 	"affinitycluster/internal/sdexact"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/trace"
@@ -73,42 +72,26 @@ func TestProvisionThenExecute(t *testing.T) {
 		caps[i] = []int{2}
 	}
 	req := model.Request{8}
-	catalog := model.Catalog{{Name: "worker", MemoryGB: 4, ComputeUnits: 2, StorageGB: 100, Platform: "64-bit"}}
 
-	provAffine, err := core.NewProvisioner(topo, caps, core.Options{Catalog: catalog})
+	affine, err := (&placement.OnlineHeuristic{}).Place(topo, caps, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	affine, err := provAffine.Provision(req)
+	blind, err := placement.RoundRobinStripe{}.Place(topo, caps, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	provBlind, err := core.NewProvisioner(topo, caps, core.Options{Strategy: core.RoundRobin, Catalog: catalog})
-	if err != nil {
-		t.Fatal(err)
+	if a, b := affine.PairwiseAffinity(topo), blind.PairwiseAffinity(topo); a >= b {
+		t.Fatalf("affinity-aware cluster not tighter: %v vs %v", a, b)
 	}
-	blind, err := provBlind.Provision(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if affine.PairwiseAffinity() >= blind.PairwiseAffinity() {
-		t.Fatalf("affinity-aware cluster not tighter: %v vs %v",
-			affine.PairwiseAffinity(), blind.PairwiseAffinity())
-	}
-	cAffine := runJobOn(t, topo, affine.Alloc)
-	cBlind := runJobOn(t, topo, blind.Alloc)
+	cAffine := runJobOn(t, topo, affine)
+	cBlind := runJobOn(t, topo, blind)
 	if cAffine.Runtime >= cBlind.Runtime {
 		t.Errorf("affinity-aware cluster not faster: %.2fs vs %.2fs", cAffine.Runtime, cBlind.Runtime)
 	}
 	if cAffine.ShuffleRemoteMB > cBlind.ShuffleRemoteMB {
 		t.Errorf("affinity-aware cluster shuffles more cross-rack: %v vs %v",
 			cAffine.ShuffleRemoteMB, cBlind.ShuffleRemoteMB)
-	}
-	if err := affine.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := blind.Release(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -124,15 +107,18 @@ func TestTraceRecordReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.New("integration", 3, timed)
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, "integration", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := trace.Save(&buf, tr); err != nil {
+	if _, err := trace.CopySource(w, model.NewSliceSource(timed)); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := trace.Load(&buf)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := trace.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,61 +143,26 @@ func TestTraceRecordReplay(t *testing.T) {
 		return m
 	}
 	orig := run(timed)
-	replay := run(replayed.Requests)
+	var replayed []model.TimedRequest
+	for {
+		r, ok, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		replayed = append(replayed, r)
+	}
+	replay := run(replayed)
 	if orig.Served != replay.Served || orig.TotalDistance != replay.TotalDistance ||
 		orig.MakeSpan != replay.MakeSpan {
 		t.Errorf("replay diverged: %+v vs %+v", orig, replay)
 	}
 }
 
-// TestInferredTopologyPlacementMatchesTruth places the same request on
-// the ground-truth topology and on the probe-inferred one; with clean
-// inference the distances agree up to the measured tier values.
-func TestInferredTopologyPlacementMatchesTruth(t *testing.T) {
-	truth, err := topology.Uniform(1, 3, 4, topology.DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := probing.NewSampler(truth, 51, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := probing.NewEstimator(truth.Nodes(), probing.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sampler.Campaign(est, 6); err != nil {
-		t.Fatal(err)
-	}
-	inferred, err := est.InferTopology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	caps, err := workload.RandomCapacities(52, truth.Nodes(), 2, workload.DefaultInventoryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := model.Request{5, 2}
-	h := &placement.OnlineHeuristic{}
-	onTruth, err := h.Place(truth, caps, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onInferred, err := h.Place(inferred, caps, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Evaluate both allocations under the TRUE distances: placing on the
-	// inferred topology must not be worse than a whole distance tier.
-	dTruth, _ := onTruth.Distance(truth)
-	dInferred, _ := onInferred.Distance(truth)
-	if dInferred > dTruth+truth.Distances().SameRack {
-		t.Errorf("placement on inferred topology much worse: %v vs %v", dInferred, dTruth)
-	}
-}
-
-// TestExactSolverAgreementAtScale cross-checks the three exact SD paths
-// on the full paper plant.
+// TestExactSolverAgreementAtScale cross-checks the exact SD solver
+// against the paper's ILP formulation on the full paper plant.
 func TestExactSolverAgreementAtScale(t *testing.T) {
 	topo := topology.PaperSimPlant()
 	caps, err := workload.RandomCapacities(61, topo.Nodes(), 3, workload.DefaultInventoryConfig())
@@ -223,12 +174,12 @@ func TestExactSolverAgreementAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flow, err := sdexact.SolveSDMCMF(topo, caps, req)
+	ilp, err := sdexact.SolveSDMIP(topo, caps, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if greedy.Distance != flow.Distance {
-		t.Errorf("greedy %v != mcmf %v", greedy.Distance, flow.Distance)
+	if math.Abs(greedy.Distance-ilp.Distance) > 1e-9 {
+		t.Errorf("greedy %v != ilp %v", greedy.Distance, ilp.Distance)
 	}
 	// The heuristic on the same instance is bounded below by the optimum.
 	h := &placement.OnlineHeuristic{}

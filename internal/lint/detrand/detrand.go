@@ -21,8 +21,6 @@ import (
 var SimPackages = map[string]bool{
 	"placement":   true,
 	"affinity":    true,
-	"anneal":      true,
-	"jointopt":    true,
 	"queue":       true,
 	"cloudsim":    true,
 	"faults":      true,

@@ -22,7 +22,7 @@ func (p *Random) Name() string { return "random" }
 
 // Place implements Placer.
 func (p *Random) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
-	if err := admit(l, r); err != nil {
+	if err := admit(t, l, r); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()
@@ -55,7 +55,7 @@ func (FirstFit) Name() string { return "first-fit" }
 
 // Place implements Placer.
 func (FirstFit) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
-	if err := admit(l, r); err != nil {
+	if err := admit(t, l, r); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()
@@ -81,7 +81,7 @@ func (RoundRobinStripe) Name() string { return "round-robin" }
 
 // Place implements Placer.
 func (RoundRobinStripe) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
-	if err := admit(l, r); err != nil {
+	if err := admit(t, l, r); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()
@@ -114,7 +114,7 @@ func (PackBestFit) Name() string { return "pack-best-fit" }
 
 // Place implements Placer.
 func (PackBestFit) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
-	if err := admit(l, r); err != nil {
+	if err := admit(t, l, r); err != nil {
 		return nil, err
 	}
 	n := t.Nodes()

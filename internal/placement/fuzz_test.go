@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -10,19 +11,23 @@ import (
 )
 
 // FuzzPlaceRequest drives Algorithm 1 with arbitrary plant shapes,
-// capacity matrices, and requests. Invariants (DESIGN.md §10): Place
-// never panics, never mutates the capacity snapshot L, and every
-// successful allocation (a) satisfies the request within L, and (b) has a
-// DC(C) on which the tier-aggregated DistanceEvaluator and the plain
+// capacity matrices, and requests. The matrix width is drawn apart from
+// the request's, so malformed shapes are fuzzed too. Invariants
+// (DESIGN.md §10): Place never panics, never mutates the capacity
+// snapshot L, rejects a width mismatch with an error, and every
+// successful allocation (a) satisfies the request within L, and (b) has
+// a DC(C) on which the tier-aggregated DistanceEvaluator and the plain
 // row-scan oracle Allocation.DistanceFrom agree exactly, including the
 // lowest-ID center tie-break.
 func FuzzPlaceRequest(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(3), uint8(10), uint8(4), []byte{3, 2})
-	f.Add(int64(7), uint8(2), uint8(2), uint8(3), uint8(6), []byte{1, 0, 5})
-	f.Add(int64(42), uint8(3), uint8(4), uint8(5), uint8(1), []byte{9})
-	f.Add(int64(0), uint8(1), uint8(1), uint8(1), uint8(2), []byte{0, 0})
+	f.Add(int64(1), uint8(1), uint8(3), uint8(10), uint8(4), uint8(1), []byte{3, 2})
+	f.Add(int64(7), uint8(2), uint8(2), uint8(3), uint8(6), uint8(2), []byte{1, 0, 5})
+	f.Add(int64(42), uint8(3), uint8(4), uint8(5), uint8(1), uint8(0), []byte{9})
+	f.Add(int64(0), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), []byte{0, 0})
+	f.Add(int64(3), uint8(1), uint8(2), uint8(2), uint8(5), uint8(2), []byte{1, 1})
+	f.Add(int64(5), uint8(2), uint8(1), uint8(3), uint8(5), uint8(0), []byte{2, 1})
 
-	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, capMax uint8, reqBytes []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, capMax, width uint8, reqBytes []byte) {
 		nc := 1 + int(clouds)%3
 		nr := 1 + int(racksPer)%4
 		nn := 1 + int(nodesPer)%5
@@ -37,11 +42,11 @@ func FuzzPlaceRequest(f *testing.F) {
 		if len(reqBytes) > 4 {
 			reqBytes = reqBytes[:4]
 		}
-		m := len(reqBytes)
-		r := make(model.Request, m)
+		r := make(model.Request, len(reqBytes))
 		for j, b := range reqBytes {
 			r[j] = int(b % 11)
 		}
+		m := 1 + int(width)%4
 		rng := rand.New(rand.NewSource(seed))
 		l := make([][]int, n)
 		snapshot := make([][]int, n)
@@ -54,8 +59,7 @@ func FuzzPlaceRequest(f *testing.F) {
 			}
 		}
 
-		h := &OnlineHeuristic{Rand: rand.New(rand.NewSource(seed))}
-		alloc, err := h.Place(tp, l, r)
+		alloc, err := (&OnlineHeuristic{}).Place(tp, l, r)
 
 		// L is a read-only snapshot in all outcomes.
 		for i := range l {
@@ -65,8 +69,17 @@ func FuzzPlaceRequest(f *testing.F) {
 				}
 			}
 		}
+		if m != len(r) {
+			if err == nil || errors.Is(err, ErrInsufficient) {
+				t.Fatalf("width-%d request on a width-%d matrix: (%v, %v), want a shape error", len(r), m, alloc, err)
+			}
+			return
+		}
 		if err != nil {
-			return // infeasible or rejected: acceptable
+			if !errors.Is(err, ErrInsufficient) {
+				t.Fatalf("well-shaped request rejected with %v, want ErrInsufficient or success", err)
+			}
+			return // infeasible: acceptable
 		}
 		// (a) The allocation satisfies r without exceeding any L_ij.
 		if verr := alloc.Validate(r, l); verr != nil {

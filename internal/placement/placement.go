@@ -11,7 +11,6 @@ package placement
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -46,14 +45,25 @@ func available(l [][]int, m int) []int {
 }
 
 // admit implements the paper's first check, every R_j ≤ A_j, against a
-// fresh scan of L — the one-shot form the baseline placers use.
-func admit(l [][]int, r model.Request) error {
+// fresh scan of L — the one-shot form every dense placer runs. A matrix
+// that is not n×len(r) on t is a shape error, which does not wrap
+// ErrInsufficient: callers treat it as a hard error rather than as
+// "does not fit".
+func admit(t *topology.Topology, l [][]int, r model.Request) error {
+	if len(l) != t.Nodes() {
+		return fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
+	}
+	for i, row := range l {
+		if len(row) != len(r) {
+			return fmt.Errorf("placement: capacity row %d has %d types, request has %d", i, len(row), len(r))
+		}
+	}
 	return admitAvail(available(l, len(r)), r)
 }
 
-// admitAvail is admit against precomputed column totals. Batch drivers
-// maintain the totals across requests instead of rescanning the full L
-// matrix per admission.
+// admitAvail is admit against precomputed column totals — a tier
+// index's availability vector, kept across requests instead of
+// rescanning the full L matrix per admission.
 func admitAvail(avail []int, r model.Request) error {
 	for j := range r {
 		if r[j] > avail[j] {
@@ -88,10 +98,6 @@ const (
 	// DC — O(racks) builds instead of the paper's O(n), with bit-identical
 	// output to ExhaustiveCenters including the lowest-ID tie-break.
 	ScanAllCenters CenterPolicy = iota
-	// RandomCenter follows the paper's narration: pick one random center,
-	// then keep scanning and switch only when an improvement appears.
-	// With a nil Rand it degenerates to starting from node 0.
-	RandomCenter
 	// ExhaustiveCenters is the pre-pruning reference scan: every node is
 	// tried as the center, ascending ID, first strict improvement kept.
 	// It exists as the equivalence oracle for ScanAllCenters and as the
@@ -106,22 +112,18 @@ const (
 type OnlineHeuristic struct {
 	// Policy selects the center scan strategy; default ScanAllCenters.
 	Policy CenterPolicy
-	// Rand seeds RandomCenter; ignored by ScanAllCenters. Each Place call
-	// derives its own generator from a single mutex-guarded draw, so one
-	// placer is safe for concurrent Place calls.
-	Rand *rand.Rand
 	// Obs, when non-nil, receives placement metrics (call counts, fast-path
 	// hits, DC of returned allocations). Handles are resolved once on first
 	// Place; a nil Obs leaves the hot path with nil-receiver no-ops.
 	Obs *obs.Registry
 
-	randMu  sync.Mutex // guards Rand
 	obsOnce sync.Once
 	metrics placerMetrics
 
-	// bufPool recycles buildBuffers across Place calls on this placer.
-	// Buffers are keyed by the (nodes, types) shape; a pooled buffer whose
-	// shape no longer matches is dropped rather than resized.
+	// bufPool recycles the ExhaustiveCenters buildBuffers across Place
+	// calls on this placer. Buffers are keyed by the (nodes, types) shape;
+	// a pooled buffer whose shape no longer matches is dropped rather than
+	// resized.
 	bufPool sync.Pool
 	// scanPool recycles the indexed-scan scratch (see tierscan.go), keyed
 	// by topology identity and type count.
@@ -182,80 +184,54 @@ func (h *OnlineHeuristic) obsHandles() *placerMetrics {
 	return &h.metrics
 }
 
-// placeRand derives an independent per-call generator from the shared
-// seed source. Only the one seed draw is serialized, so concurrent Place
-// calls never share *rand.Rand state.
-func (h *OnlineHeuristic) placeRand() *rand.Rand {
-	if h.Rand == nil {
-		return nil
-	}
-	h.randMu.Lock()
-	seed := h.Rand.Int63()
-	h.randMu.Unlock()
-	return rand.New(rand.NewSource(seed))
-}
-
 // Name implements Placer.
 func (h *OnlineHeuristic) Name() string {
-	switch h.Policy {
-	case RandomCenter:
-		return "online-heuristic/random-center"
-	case ExhaustiveCenters:
+	if h.Policy == ExhaustiveCenters {
 		return "online-heuristic/exhaustive"
-	default:
-		return "online-heuristic"
 	}
+	return "online-heuristic"
 }
 
-// Place implements Placer with the paper's Algorithm 1.
+// Place implements Placer with the paper's Algorithm 1. ScanAllCenters
+// runs the tier-aggregated scan over a transient index rebuilt over l;
+// batch drivers and the inventory keep persistent indexes and call the
+// indexed core directly.
 func (h *OnlineHeuristic) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
-	if len(l) != t.Nodes() {
-		return nil, fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
-	}
-	return h.placeWith(t, l, r, available(l, len(r)))
-}
-
-// placeWith is Place against caller-maintained availability column totals
-// A_j = Σ_i L_ij, so batch drivers amortize the O(n·m) admission rescan.
-// avail is read-only here.
-func (h *OnlineHeuristic) placeWith(t *topology.Topology, l [][]int, r model.Request, avail []int) (affinity.Allocation, error) {
-	n := t.Nodes()
-	m := len(r)
 	om := h.obsHandles()
 	om.calls.Inc()
-	if len(l) != n {
-		return nil, fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), n)
-	}
-	if err := admitAvail(avail, r); err != nil {
-		om.infeasible.Inc()
+	if err := admit(t, l, r); err != nil {
+		if errors.Is(err, ErrInsufficient) {
+			om.infeasible.Inc()
+		}
 		return nil, err
 	}
-
-	// ScanAllCenters runs on the tier-aggregated index: a transient one
-	// is rebuilt over l here (cost comparable to the old per-call
-	// aggregate scans); batch drivers and the inventory maintain
-	// persistent indexes and call placeSparseCore directly. Shapes the
-	// index cannot represent (request narrower than the matrix) fall
-	// through to the exhaustive reference scan, which is result-identical.
-	if h.Policy == ScanAllCenters && n > 0 && len(l[0]) == m {
-		ds, err := h.getDense(t, l)
-		if err == nil {
-			defer h.putDense(ds)
-			dc, _, fast, err := h.placeSparseCore(ds.idx, r, &ds.sp)
-			if err != nil {
-				return nil, err
-			}
-			if fast {
-				om.fastPath.Inc()
-				om.dc.Observe(0)
-			} else {
-				om.dc.Observe(dc)
-			}
-			return ds.sp.ToDense(), nil
-		}
+	if h.Policy == ExhaustiveCenters {
+		return h.placeExhaustive(t, l, r, om)
 	}
+	ds, err := h.getDense(t, l)
+	if err != nil {
+		return nil, err
+	}
+	defer h.putDense(ds)
+	dc, _, fast, err := h.placeSparseCore(ds.idx, r, &ds.sp)
+	if err != nil {
+		return nil, err
+	}
+	if fast {
+		om.fastPath.Inc()
+		om.dc.Observe(0)
+	} else {
+		om.dc.Observe(dc)
+	}
+	return ds.sp.ToDense(), nil
+}
 
-	// Fast path (Algorithm 1, lines 9–14): a single node covers R.
+// placeExhaustive is the ExhaustiveCenters reference scan over a dense
+// build buffer: the lowest-ID node covering R outright (Algorithm 1,
+// lines 9–14), else a build around every node as the center, ascending
+// ID, keeping the first strict improvement.
+func (h *OnlineHeuristic) placeExhaustive(t *topology.Topology, l [][]int, r model.Request, om *placerMetrics) (affinity.Allocation, error) {
+	n, m := t.Nodes(), len(r)
 	for i := 0; i < n; i++ {
 		if model.Covers(l[i], r) {
 			alloc := affinity.NewAllocation(n, m)
@@ -265,10 +241,23 @@ func (h *OnlineHeuristic) placeWith(t *topology.Topology, l [][]int, r model.Req
 			return alloc, nil
 		}
 	}
-
 	buf := h.getBuffer(n, m)
 	defer h.putBuffer(buf)
-	best, bestDist := h.placeExhaustive(t, l, r, buf)
+	var (
+		best     affinity.Allocation
+		bestDist float64
+	)
+	for i := 0; i < n; i++ {
+		if buf.buildAround(t, l, r, topology.NodeID(i)) {
+			d, _ := affinity.DistanceOf(t, buf.hosts, buf.w)
+			if best == nil || d < bestDist {
+				// The buffer is reused across centers; only a new incumbent
+				// is materialized.
+				best, bestDist = buf.alloc.Clone(), d
+			}
+		}
+		buf.reset()
+	}
 	if best == nil {
 		// Admission held, so aggregate capacity suffices; every center can
 		// reach every node, so construction cannot fail.
@@ -278,52 +267,10 @@ func (h *OnlineHeuristic) placeWith(t *topology.Topology, l [][]int, r model.Req
 	return best, nil
 }
 
-// placeExhaustive is the reference center scan: build around every
-// candidate center and keep the first strict improvement. RandomCenter
-// rotates the scan order; ExhaustiveCenters walks ascending IDs.
-func (h *OnlineHeuristic) placeExhaustive(t *topology.Topology, l [][]int, r model.Request, buf *buildBuffer) (affinity.Allocation, float64) {
-	var (
-		best     affinity.Allocation
-		bestDist float64
-	)
-	order := h.centerOrder(t.Nodes(), h.placeRand())
-	for _, center := range order {
-		ok := buf.buildAround(t, l, r, center)
-		if !ok {
-			buf.reset()
-			continue
-		}
-		d, _ := affinity.DistanceOf(t, buf.hosts, buf.w)
-		if best == nil || d < bestDist {
-			// The buffer is reused across centers; only a new incumbent is
-			// materialized.
-			best, bestDist = buf.alloc.Clone(), d
-		}
-		buf.reset()
-	}
-	return best, bestDist
-}
-
-// centerOrder yields candidate centers: identity order for the full scan,
-// or a random rotation for RandomCenter driven by the per-call generator.
-func (h *OnlineHeuristic) centerOrder(n int, rng *rand.Rand) []topology.NodeID {
-	order := make([]topology.NodeID, n)
-	for i := range order {
-		order[i] = topology.NodeID(i)
-	}
-	if h.Policy == RandomCenter && rng != nil {
-		start := rng.Intn(n)
-		rot := make([]topology.NodeID, 0, n)
-		rot = append(rot, order[start:]...)
-		rot = append(rot, order[:start]...)
-		return rot
-	}
-	return order
-}
-
-// buildBuffer holds the scratch state of the center scan so a single
-// allocation matrix, weight vector, and candidate lists are reused across
-// all candidate centers — the scan itself allocates nothing per center.
+// buildBuffer holds the scratch state of the ExhaustiveCenters scan so a
+// single allocation matrix, weight vector, and candidate lists are reused
+// across all candidate centers — the scan itself allocates nothing per
+// center.
 type buildBuffer struct {
 	n, m     int // shape, the pool key
 	alloc    affinity.Allocation
@@ -578,53 +525,26 @@ func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.
 	res := &BatchResult{Allocs: make([]affinity.Allocation, len(reqs))}
 
 	// Step 2: sequential online placement, depleting the working capacity.
-	// The default scan maintains one tier index across the batch, so each
-	// accepted allocation folds back in O(affected tiers) and admission
-	// reads the index's availability vector; other policies carry the
-	// availability column totals across requests instead.
-	if online.Policy == ScanAllCenters && uniformWidth(work, reqs) {
-		idx, err := affinity.NewTierIndex(t, work)
-		if err != nil {
+	// One tier index is maintained across the batch, so each accepted
+	// allocation folds back in O(affected tiers) and admission reads the
+	// index's availability vector.
+	idx, err := affinity.NewTierIndex(t, work)
+	if err != nil {
+		return nil, err
+	}
+	var sp affinity.SparseAlloc
+	for qi, r := range reqs {
+		if _, _, err := online.placeSparseMetered(idx, r, &sp); err != nil {
+			if errors.Is(err, ErrInsufficient) {
+				res.Failed++
+				continue
+			}
 			return nil, err
 		}
-		var sp affinity.SparseAlloc
-		for qi, r := range reqs {
-			if _, _, err := online.placeSparseMetered(idx, r, &sp); err != nil {
-				if errors.Is(err, ErrInsufficient) {
-					res.Failed++
-					continue
-				}
-				return nil, err
-			}
-			res.Allocs[qi] = sp.ToDense()
-			for _, e := range sp.Entries {
-				work[e.Node][e.Type] -= e.Count
-				idx.Apply(e.Node, int(e.Type), -e.Count)
-			}
-		}
-	} else {
-		var avail []int
-		for qi, r := range reqs {
-			if len(avail) != len(r) {
-				avail = available(work, len(r))
-			}
-			alloc, err := online.placeWith(t, work, r, avail)
-			if err != nil {
-				if errors.Is(err, ErrInsufficient) {
-					res.Failed++
-					continue
-				}
-				return nil, err
-			}
-			res.Allocs[qi] = alloc
-			for i := range alloc {
-				for j, k := range alloc[i] {
-					work[i][j] -= k
-				}
-			}
-			for j := range r {
-				avail[j] -= r[j]
-			}
+		res.Allocs[qi] = sp.ToDense()
+		for _, e := range sp.Entries {
+			work[e.Node][e.Type] -= e.Count
+			idx.Apply(e.Node, int(e.Type), -e.Count)
 		}
 	}
 
@@ -799,50 +719,16 @@ func (g *GlobalSubOpt) swapPair(a, b affinity.Allocation, evA, evB *affinity.Dis
 	}
 }
 
-// uniformWidth reports whether every request spans exactly the matrix's
-// type dimension — the shape the persistent tier index covers.
-func uniformWidth(l [][]int, reqs []model.Request) bool {
-	if len(l) == 0 {
-		return false
-	}
-	m := len(l[0])
-	for _, r := range reqs {
-		if len(r) != m {
-			return false
-		}
-	}
-	return true
-}
-
 // PlaceSequential places a batch with any single-request placer, depleting
 // capacity between requests — the "online" arm of Figs. 5 and 6.
 func PlaceSequential(t *topology.Topology, l [][]int, reqs []model.Request, p Placer) (*BatchResult, error) {
-	// The default scan-all-centers heuristic runs over one persistent
-	// tier index maintained across the whole batch: each accepted
-	// allocation's cells are folded back in O(affected tiers), so no
-	// request after the first pays an aggregate rebuild.
-	if oh, ok := p.(*OnlineHeuristic); ok && oh.Policy == ScanAllCenters && uniformWidth(l, reqs) {
+	if oh, ok := p.(*OnlineHeuristic); ok && oh.Policy == ScanAllCenters {
 		return placeSequentialIndexed(t, l, reqs, oh)
 	}
 	work := cloneMatrix(l)
 	res := &BatchResult{Allocs: make([]affinity.Allocation, len(reqs))}
-	// The online heuristic admits against caller-maintained column totals;
-	// other placers fall back to Place and its per-request rescan.
-	oh, _ := p.(*OnlineHeuristic)
-	var avail []int
 	for qi, r := range reqs {
-		var (
-			alloc affinity.Allocation
-			err   error
-		)
-		if oh != nil {
-			if len(avail) != len(r) {
-				avail = available(work, len(r))
-			}
-			alloc, err = oh.placeWith(t, work, r, avail)
-		} else {
-			alloc, err = p.Place(t, work, r)
-		}
+		alloc, err := p.Place(t, work, r)
 		if err != nil {
 			if errors.Is(err, ErrInsufficient) {
 				res.Failed++
@@ -858,21 +744,17 @@ func PlaceSequential(t *topology.Topology, l [][]int, reqs []model.Request, p Pl
 				work[i][j] -= k
 			}
 		}
-		if oh != nil {
-			for j := range r {
-				avail[j] -= r[j]
-			}
-		}
 	}
 	return res, nil
 }
 
-// placeSequentialIndexed is PlaceSequential's indexed arm: one tier
-// index over the working matrix, updated incrementally per accepted
-// allocation. Results — allocations, totals, failure counts, metric
-// accounting — are identical to the legacy per-request path; the dc the
-// scan returns is bitwise the Allocation.Distance of the dense form, so
-// Total needs no rescan.
+// placeSequentialIndexed is PlaceSequential's arm for the default
+// scan: one tier index over the working matrix, updated incrementally
+// per accepted allocation, so no request after the first pays an
+// aggregate rebuild. Results — allocations, totals, failure counts,
+// metric accounting — are identical to a Place loop; the dc the scan
+// returns is bitwise the Allocation.Distance of the dense form, so Total
+// needs no rescan.
 func placeSequentialIndexed(t *topology.Topology, l [][]int, reqs []model.Request, oh *OnlineHeuristic) (*BatchResult, error) {
 	work := cloneMatrix(l)
 	res := &BatchResult{Allocs: make([]affinity.Allocation, len(reqs))}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +80,56 @@ func TestOnlineHeuristicBadShape(t *testing.T) {
 	}
 }
 
+// TestPlacersRejectMalformedShapes: a capacity matrix that is not
+// n×len(r) — too few rows, a wider or narrower request, or a ragged
+// row — is a shape error from every dense placer. It must not panic,
+// must not read as ErrInsufficient (cloudsim would queue instead of
+// failing), and must leave L untouched.
+func TestPlacersRejectMalformedShapes(t *testing.T) {
+	tp := twoRacks(t)
+	square := func() [][]int { return [][]int{{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}} }
+	ragged := func() [][]int { return [][]int{{1, 1}, {1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}} }
+	short := func() [][]int { return [][]int{{1, 1}, {1, 1}} }
+	shapes := []struct {
+		name string
+		l    func() [][]int
+		r    model.Request
+	}{
+		{"short matrix", short, model.Request{1, 1}},
+		{"wide request", square, model.Request{1, 1, 1}},
+		{"narrow request", square, model.Request{1}},
+		{"ragged matrix", ragged, model.Request{1, 1}},
+	}
+	for _, p := range []Placer{
+		&OnlineHeuristic{},
+		&OnlineHeuristic{Policy: ExhaustiveCenters},
+		&Random{Rand: rand.New(rand.NewSource(1))},
+		FirstFit{},
+		RoundRobinStripe{},
+		PackBestFit{},
+	} {
+		for _, sh := range shapes {
+			l := sh.l()
+			snapshot := cloneMatrix(l)
+			alloc, err := p.Place(tp, l, sh.r)
+			if err == nil || errors.Is(err, ErrInsufficient) {
+				t.Errorf("%s, %s: (%v, %v), want a shape error", p.Name(), sh.name, alloc, err)
+			}
+			if !reflect.DeepEqual(l, snapshot) {
+				t.Errorf("%s, %s: Place mutated L", p.Name(), sh.name)
+			}
+		}
+	}
+	for _, sh := range shapes {
+		if _, err := (&GlobalSubOpt{}).PlaceBatch(tp, sh.l(), []model.Request{sh.r}); err == nil || errors.Is(err, ErrInsufficient) {
+			t.Errorf("PlaceBatch, %s: err = %v, want a shape error", sh.name, err)
+		}
+		if _, err := PlaceSequential(tp, sh.l(), []model.Request{sh.r}, &OnlineHeuristic{}); err == nil || errors.Is(err, ErrInsufficient) {
+			t.Errorf("PlaceSequential, %s: err = %v, want a shape error", sh.name, err)
+		}
+	}
+}
+
 func TestOnlineHeuristicPrefersRackLocality(t *testing.T) {
 	tp := twoRacks(t)
 	// Rack 0 (nodes 0,1,2) can host the request across two nodes; rack 1
@@ -148,31 +199,6 @@ func TestQuickHeuristicBoundedByExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-// The scan-all-centers policy weakly dominates the random-center policy.
-func TestCenterPolicyDominance(t *testing.T) {
-	tp := paperPlant(t)
-	r := rand.New(rand.NewSource(7))
-	scan := &OnlineHeuristic{Policy: ScanAllCenters}
-	for trial := 0; trial < 30; trial++ {
-		l := randCapacity(r, tp.Nodes(), 3, 3)
-		req := model.Request{1 + r.Intn(4), r.Intn(4), r.Intn(2)}
-		rnd := &OnlineHeuristic{Policy: RandomCenter, Rand: rand.New(rand.NewSource(int64(trial)))}
-		a1, err1 := scan.Place(tp, l, req)
-		a2, err2 := rnd.Place(tp, l, req)
-		if err1 != nil || err2 != nil {
-			if errors.Is(err1, ErrInsufficient) && errors.Is(err2, ErrInsufficient) {
-				continue
-			}
-			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
-		}
-		d1, _ := a1.Distance(tp)
-		d2, _ := a2.Distance(tp)
-		if d1 > d2+1e-9 {
-			t.Errorf("trial %d: scan-all (%v) worse than random-center (%v)", trial, d1, d2)
-		}
 	}
 }
 
@@ -381,13 +407,13 @@ func TestBaselinesRejectInfeasible(t *testing.T) {
 
 func TestPlacerNames(t *testing.T) {
 	names := map[string]interface{ Name() string }{
-		"online-heuristic":               &OnlineHeuristic{},
-		"online-heuristic/random-center": &OnlineHeuristic{Policy: RandomCenter},
-		"random":                         &Random{},
-		"first-fit":                      FirstFit{},
-		"round-robin":                    RoundRobinStripe{},
-		"pack-best-fit":                  PackBestFit{},
-		"global-subopt":                  &GlobalSubOpt{},
+		"online-heuristic":            &OnlineHeuristic{},
+		"online-heuristic/exhaustive": &OnlineHeuristic{Policy: ExhaustiveCenters},
+		"random":                      &Random{},
+		"first-fit":                   FirstFit{},
+		"round-robin":                 RoundRobinStripe{},
+		"pack-best-fit":               PackBestFit{},
+		"global-subopt":               &GlobalSubOpt{},
 	}
 	for want, p := range names {
 		if got := p.Name(); got != want {

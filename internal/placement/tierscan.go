@@ -84,7 +84,7 @@ func (h *OnlineHeuristic) PlaceSparse(idx *affinity.TierIndex, r model.Request, 
 }
 
 // placeSparseMetered runs the indexed core and maps the outcome onto
-// the placer's metrics, mirroring placeWith's accounting.
+// the placer's metrics, mirroring Place's accounting.
 func (h *OnlineHeuristic) placeSparseMetered(idx *affinity.TierIndex, r model.Request, dst *affinity.SparseAlloc) (float64, topology.NodeID, error) {
 	om := h.obsHandles()
 	om.calls.Inc()
@@ -671,9 +671,10 @@ func (s *scanScratch) supplyOf(li []int) int {
 // tallies (and dst when non-nil): center first, rack peers by
 // descending supply then ID, then remote nodes bucketed by distance
 // tier with all supplies keyed to the residual as the remote phase
-// began — the exact take order of buildBuffer.buildAround. rackOnly
-// stops after the rack phase (the caller only needs the in-rack load
-// profile). Reports whether the residual was fully covered.
+// began — the exact take order of buildBuffer.buildAround, the
+// ExhaustiveCenters reference. rackOnly stops after the rack phase (the
+// caller only needs the in-rack load profile). Reports whether the
+// residual was fully covered.
 //
 //lint:hotpath
 func (s *scanScratch) buildSim(idx *affinity.TierIndex, r model.Request, center topology.NodeID, dst *affinity.SparseAlloc, rackOnly bool) bool {

@@ -54,29 +54,35 @@ type SDResult struct {
 	Center   topology.NodeID // minimizing central node
 }
 
-// feasible reports whether R_j ≤ Σ_i L_ij for all j.
-func feasible(l [][]int, r model.Request) bool {
+// feasible checks that l is an n×len(r) matrix on t — a shape error
+// otherwise — and then that R_j ≤ Σ_i L_ij for all j (ErrInfeasible).
+func feasible(t *topology.Topology, l [][]int, r model.Request) error {
+	if len(l) != t.Nodes() {
+		return fmt.Errorf("sdexact: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
+	}
+	for i, row := range l {
+		if len(row) != len(r) {
+			return fmt.Errorf("sdexact: capacity row %d has %d types, request has %d", i, len(row), len(r))
+		}
+	}
 	for j := range r {
 		total := 0
 		for i := range l {
 			total += l[i][j]
 		}
 		if r[j] > total {
-			return false
+			return ErrInfeasible
 		}
 	}
-	return true
+	return nil
 }
 
 // SolveSD returns the exact shortest-distance allocation for request r
 // against remaining capacity l on topology t.
 func SolveSD(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
 	n := t.Nodes()
-	if len(l) != n {
-		return nil, fmt.Errorf("sdexact: capacity matrix has %d rows, topology has %d nodes", len(l), n)
-	}
-	if !feasible(l, r) {
-		return nil, ErrInfeasible
+	if err := feasible(t, l, r); err != nil {
+		return nil, err
 	}
 	m := len(r)
 	var best *SDResult
@@ -142,8 +148,8 @@ func SolveSD(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error
 // Exposed for cross-validation and for the exactness ablation benchmark.
 func SolveSDMIP(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
 	n := t.Nodes()
-	if !feasible(l, r) {
-		return nil, ErrInfeasible
+	if err := feasible(t, l, r); err != nil {
+		return nil, err
 	}
 	m := len(r)
 	var best *SDResult
@@ -208,61 +214,6 @@ func SolveSDMIP(t *topology.Topology, l [][]int, r model.Request) (*SDResult, er
 	return best, nil
 }
 
-// SolveSDMCMF solves SD through min-cost flow: for each candidate center
-// the per-type subproblem is a transportation instance (nodes supply,
-// the request demands). A third independent exact path, used to
-// cross-validate SolveSD and SolveSDMIP.
-func SolveSDMCMF(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
-	n := t.Nodes()
-	if len(l) != n {
-		return nil, fmt.Errorf("sdexact: capacity matrix has %d rows, topology has %d nodes", len(l), n)
-	}
-	if !feasible(l, r) {
-		return nil, ErrInfeasible
-	}
-	m := len(r)
-	var best *SDResult
-	for k := 0; k < n; k++ {
-		center := topology.NodeID(k)
-		alloc := affinity.NewAllocation(n, m)
-		total := 0.0
-		ok := true
-		for j := 0; j < m && ok; j++ {
-			if r[j] == 0 {
-				continue
-			}
-			cost := make([][]float64, n)
-			supply := make([]int, n)
-			for i := 0; i < n; i++ {
-				cost[i] = []float64{t.Distance(topology.NodeID(i), center)}
-				supply[i] = l[i][j]
-			}
-			ship, c, err := mcmf.Transportation(cost, supply, []int{r[j]})
-			if err != nil {
-				ok = false
-				break
-			}
-			for i := 0; i < n; i++ {
-				alloc[i][j] += ship[i][0]
-			}
-			total += c
-		}
-		if !ok {
-			continue
-		}
-		if best == nil || total < best.Distance {
-			best = &SDResult{Alloc: alloc, Distance: total, Center: center}
-		}
-	}
-	if best == nil {
-		return nil, ErrInfeasible
-	}
-	d, ctr := best.Alloc.Distance(t)
-	best.Distance = d
-	best.Center = ctr
-	return best, nil
-}
-
 // GSDResult is an exact answer to the global shortest-distance problem.
 type GSDResult struct {
 	Allocs  []affinity.Allocation
@@ -301,8 +252,8 @@ func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request, opt GSDOpti
 		}
 		agg = model.Request(model.Add(agg, r))
 	}
-	if !feasible(l, agg) {
-		return nil, ErrInfeasible
+	if err := feasible(t, l, agg); err != nil {
+		return nil, err
 	}
 	maxLeaves := opt.MaxLeaves
 	if maxLeaves <= 0 {

@@ -1,12 +1,12 @@
-// Streaming JSONL traces: the whole-slice JSON format of trace.go keeps
-// every request in memory on both ends, which caps replay at whatever
-// fits in a []TimedRequest. The JSONL variant streams instead — a header
-// line followed by one request per line — so gentrace can emit and the
-// cloud simulator can replay multi-million-request traces in O(1) trace
-// memory. Validation is incremental: the same invariants Trace.Validate
-// enforces over a slice are checked request-by-request, with duplicate
-// detection done in O(1) by requiring strictly increasing request IDs
-// (a map of seen IDs would itself be O(history)).
+// Package trace records and replays virtual-cluster request traces as
+// JSONL — a header line followed by one request per line — so that
+// simulation scenarios (the paper's "twenty requests ... generated
+// randomly") can be archived, shared, and replayed exactly. Both ends
+// stream: gentrace can emit and the cloud simulator can replay
+// multi-million-request traces in O(1) trace memory. Validation is
+// incremental, request by request, with duplicate detection done in
+// O(1) by requiring strictly increasing request IDs (a map of seen IDs
+// would itself be O(history)).
 package trace
 
 import (
@@ -21,8 +21,10 @@ import (
 	"affinitycluster/internal/model"
 )
 
-// StreamFormat is the format tag on a JSONL trace's header line,
-// distinguishing it from the whole-slice JSON document format.
+// FormatVersion is the trace schema version written by this package.
+const FormatVersion = 1
+
+// StreamFormat is the format tag on a JSONL trace's header line.
 const StreamFormat = "jsonl"
 
 // streamHeader is the first line of a JSONL trace.
