@@ -87,6 +87,13 @@ func (c ElasticConfig) validate() error {
 	return nil
 }
 
+// retryClass is the event class of cluster id's grow retries. Retries
+// fire after every other event at their instant (departures, shrinks,
+// repairs, arrivals), and among themselves in cluster-id order, which
+// is commission order. The order therefore never depends on when a
+// retry was armed.
+func retryClass(id int) int { return 1 + id }
+
 // elasticState tracks one running cluster's resize lifecycle. It exists
 // only between the grow request at commission and its resolution (the
 // shrink for served grows, expiry for deferred ones); depart and
@@ -203,7 +210,7 @@ func (s *Simulator) deferGrow(id int, now float64) {
 	// same event, so a long retry chain allocates nothing per retry.
 	var err error
 	if st.retryEv == nil {
-		st.retryEv, err = s.engine.At(retryAt, func(at float64) { s.tryGrow(id, at) })
+		st.retryEv, err = s.engine.AtClass(retryAt, retryClass(id), func(at float64) { s.tryGrow(id, at) })
 	} else {
 		err = s.engine.Reschedule(st.retryEv, retryAt)
 	}
