@@ -255,10 +255,13 @@ type Simulator struct {
 	dcW     []int
 	dcHosts []topology.NodeID
 
-	// Elastic resize state: resolved config and the per-cluster resize
-	// lifecycle records (nil map when elastic mode is off).
+	// Elastic resize state: resolved config, the per-cluster resize
+	// lifecycle records (nil map when elastic mode is off), and the
+	// clusters whose grows are parked behind the wait queue. Entries
+	// whose record is gone (expired, departed, torn down) are stale.
 	ecfg    ElasticConfig
 	elastic map[int]*elasticState
+	parked  []int
 
 	// serve, when Config.Serve is set, owns the inventory: place and
 	// depart go through it and never touch inv's mutators directly.
@@ -592,6 +595,11 @@ func (s *Simulator) scheduleFaults() error {
 // finish drives the event loop to completion and closes out the metrics.
 func (s *Simulator) finish() (*Metrics, error) {
 	for s.failed == nil && s.engine.Step() {
+		// The queue only shrinks in drain, so the end of an event is the
+		// first moment a parked grow's poll could find it empty.
+		if len(s.parked) != 0 && s.queue.Len() == 0 {
+			s.wakeGrows(s.engine.Now())
+		}
 	}
 	if s.failed != nil {
 		return nil, s.failed

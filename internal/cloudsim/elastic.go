@@ -8,9 +8,12 @@
 // placement.PlaceDelta so the merged DC(C) stays tight. Admission is
 // deadline-aware: the grown VMs must serve at least MinPayoff seconds
 // before the shrink boundary at arrival + MapFrac·Hold, or the grow is
-// rejected outright; grows that do not currently fit — or that would
-// starve requests waiting in the queue — are deferred with a fixed
-// backoff and expire once retrying can no longer pay off. A served grow
+// rejected outright. A deferred grow retries on a ladder of ticks
+// DeferBackoff apart and expires once no tick can still pay off. A grow
+// that does not fit polls every tick. A grow that would jump requests
+// waiting in the queue parks off the event heap instead: no tick can
+// serve it until the queue empties, and when it does, the grow rejoins
+// its ladder at the first tick not yet passed. A served grow
 // schedules the shrink at the boundary: placement.ReleaseSubset picks
 // the DC-minimizing victims (not necessarily the VMs the grow added),
 // returns them to the inventory, and offers the freed capacity to the
@@ -29,7 +32,6 @@ import (
 	"math"
 
 	"affinitycluster/internal/eventsim"
-	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
@@ -102,6 +104,7 @@ type elasticState struct {
 	growVec  model.Request   // per-type delta requested for the map phase
 	deadline float64         // shrink boundary: commission + MapFrac·Hold
 	grown    bool            // the grow was served (shrink owed)
+	next     float64         // while parked: the ladder tick of the next poll
 	retryEv  *eventsim.Event // deferred-grow retry, bound once and re-armed per deferral
 	shrinkEv *eventsim.Event // pending shrink at the boundary
 }
@@ -145,74 +148,151 @@ func (s *Simulator) rejectGrow(id int, req model.RequestID, now float64, reason 
 }
 
 // tryGrow attempts to place the cluster's pending delta near its current
-// center. A grow never jumps the wait queue: while requests are waiting,
-// or the delta does not fit, it is deferred instead.
+// center. A grow never jumps the wait queue: while requests are waiting
+// it parks, and while the delta does not fit it polls.
 func (s *Simulator) tryGrow(id int, now float64) {
+	if s.queue.Len() != 0 {
+		s.parkGrow(id, now)
+		return
+	}
 	st := s.elastic[id]
 	c := s.running[id]
-	r := s.reqOf[id]
-	if s.queue.Len() == 0 {
-		dc, center, err := s.online.PlaceDeltaSparse(s.tidx, c.cells, st.growVec, &s.spd)
-		if err == nil {
-			if aerr := s.inv.AllocateList(s.spd.Entries); aerr != nil {
-				if !errors.Is(aerr, inventory.ErrInsufficient) {
-					s.fail(fmt.Errorf("cloudsim: allocating grow of cluster %d: %w", id, aerr))
-					return
-				}
-				err = aerr
-			}
-		}
-		if err == nil {
-			added := c.add(s.spd.Entries)
-			s.sampleUtilization(now)
-			s.usedSlots += added
-			st.grown = true
-			s.metrics.Grows++
-			s.metrics.GrowVMs += added
-			s.om.grows.Inc()
-			s.om.usedSlots.Set(float64(s.usedSlots))
-			s.cfg.Obs.Emit("resize_grow", now,
-				obs.F("req", int(r.ID)),
-				obs.F("cluster", id),
-				obs.F("vms", added),
-				obs.F("center", int(center)),
-				obs.F("dc", dc))
-			ev, serr := s.engine.At(st.deadline, func(at float64) { s.shrink(id, at) })
-			if serr != nil {
-				s.fail(fmt.Errorf("cloudsim: scheduling shrink of cluster %d: %w", id, serr))
-				return
-			}
-			st.shrinkEv = ev
-			return
-		}
+	dc, center, err := s.online.PlaceDeltaSparse(s.tidx, c.cells, st.growVec, &s.spd)
+	if err != nil {
 		if !errors.Is(err, placement.ErrInsufficient) {
 			s.fail(fmt.Errorf("cloudsim: growing cluster %d: %w", id, err))
 			return
 		}
-	}
-	s.deferGrow(id, now)
-}
-
-// deferGrow schedules a retry, or expires the grow when no retry can
-// still serve MinPayoff seconds before the boundary.
-func (s *Simulator) deferGrow(id int, now float64) {
-	st := s.elastic[id]
-	retryAt := now + s.ecfg.DeferBackoff
-	if retryAt+s.ecfg.MinPayoff > st.deadline {
-		s.expireGrow(id, now, "deadline")
+		s.pollGrow(id, now, err)
 		return
 	}
+	// The tier index admitted the delta, so the inventory must take it.
+	if err := s.inv.AllocateList(s.spd.Entries); err != nil {
+		s.fail(fmt.Errorf("cloudsim: allocating grow of cluster %d: %w", id, err))
+		return
+	}
+	added := c.add(s.spd.Entries)
+	s.sampleUtilization(now)
+	s.usedSlots += added
+	st.grown = true
+	s.metrics.Grows++
+	s.metrics.GrowVMs += added
+	s.om.grows.Inc()
+	s.om.usedSlots.Set(float64(s.usedSlots))
+	s.cfg.Obs.Emit("resize_grow", now,
+		obs.F("req", int(s.reqOf[id].ID)),
+		obs.F("cluster", id),
+		obs.F("vms", added),
+		obs.F("center", int(center)),
+		obs.F("dc", dc))
+	ev, serr := s.engine.At(st.deadline, func(at float64) { s.shrink(id, at) })
+	if serr != nil {
+		s.fail(fmt.Errorf("cloudsim: scheduling shrink of cluster %d: %w", id, serr))
+		return
+	}
+	st.shrinkEv = ev
+}
+
+// nextTick returns the retry ladder's tick after now, or expires the
+// grow and reports false when that tick can no longer serve MinPayoff
+// seconds before the boundary.
+func (s *Simulator) nextTick(id int, now float64) (float64, bool) {
+	next := now + s.ecfg.DeferBackoff
+	if next+s.ecfg.MinPayoff > s.elastic[id].deadline {
+		s.expireGrow(id, now, "deadline")
+		return 0, false
+	}
+	return next, true
+}
+
+// pollGrow re-arms a grow the plant cannot fit at the ladder's next
+// tick: any event before then may free the capacity it lacks.
+func (s *Simulator) pollGrow(id int, now float64, cause error) {
+	next, ok := s.nextTick(id, now)
+	if !ok {
+		return
+	}
+	typ, need, avail, _ := placement.Shortfall(cause)
 	s.cfg.Obs.Emit("resize_defer", now,
 		obs.F("req", int(s.reqOf[id].ID)),
 		obs.F("cluster", id),
-		obs.F("retry", retryAt))
-	// The first deferral binds the retry callback; later ones re-arm the
-	// same event, so a long retry chain allocates nothing per retry.
+		obs.F("retry", next),
+		obs.F("reason", "capacity"),
+		obs.F("type", typ),
+		obs.F("need", need),
+		obs.F("avail", avail))
+	s.armRetry(id, next)
+}
+
+// parkGrow takes a grow blocked by the wait queue off the ladder. No
+// poll can serve it while requests wait, so it records the ladder's next
+// tick and arms its retry at the ladder's last one, where it expires if
+// the queue never empties. wakeGrows brings it back earlier.
+func (s *Simulator) parkGrow(id int, now float64) {
+	next, ok := s.nextTick(id, now)
+	if !ok {
+		return
+	}
+	st := s.elastic[id]
+	st.next = next
+	// The same float additions as polling, so the last tick is exactly
+	// the one a polled grow would expire at.
+	last := next
+	for t := last + s.ecfg.DeferBackoff; t+s.ecfg.MinPayoff <= st.deadline; t += s.ecfg.DeferBackoff {
+		last = t
+	}
+	if len(s.parked) == cap(s.parked) {
+		// Drop grows that expired or left while parked before the list
+		// grows, so it stays within twice the live parked count.
+		live := s.parked[:0]
+		for _, p := range s.parked {
+			if s.elastic[p] != nil {
+				live = append(live, p)
+			}
+		}
+		s.parked = live
+	}
+	s.parked = append(s.parked, id)
+	s.cfg.Obs.Emit("resize_defer", now,
+		obs.F("req", int(s.reqOf[id].ID)),
+		obs.F("cluster", id),
+		obs.F("reason", "queue"))
+	s.armRetry(id, last)
+}
+
+// wakeGrows returns every parked grow to its ladder once the wait queue
+// is empty: each retry re-arms at the first tick at or after now, the
+// first poll that would have found the queue empty. The retry class
+// makes this exact on ties: a retry woken at a tick fires after every
+// other event at that tick, where its poll would have fired.
+func (s *Simulator) wakeGrows(now float64) {
+	for _, id := range s.parked {
+		st := s.elastic[id]
+		if st == nil {
+			continue // expired at its last tick, or its cluster left
+		}
+		for st.next < now {
+			st.next += s.ecfg.DeferBackoff
+		}
+		s.engine.Cancel(st.retryEv)
+		if err := s.engine.Reschedule(st.retryEv, st.next); err != nil {
+			s.fail(fmt.Errorf("cloudsim: waking grow retry for cluster %d: %w", id, err))
+			return
+		}
+	}
+	s.parked = s.parked[:0]
+}
+
+// armRetry schedules the grow's retry at t. The first deferral binds the
+// retry callback; later ones re-arm the same event, so a long retry
+// chain allocates nothing per retry.
+func (s *Simulator) armRetry(id int, t float64) {
+	st := s.elastic[id]
 	var err error
 	if st.retryEv == nil {
-		st.retryEv, err = s.engine.AtClass(retryAt, retryClass(id), func(at float64) { s.tryGrow(id, at) })
+		st.retryEv, err = s.engine.AtClass(t, retryClass(id), func(at float64) { s.tryGrow(id, at) })
 	} else {
-		err = s.engine.Reschedule(st.retryEv, retryAt)
+		err = s.engine.Reschedule(st.retryEv, t)
 	}
 	if err != nil {
 		s.fail(fmt.Errorf("cloudsim: scheduling grow retry for cluster %d: %w", id, err))

@@ -2,8 +2,11 @@ package cloudsim
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"affinitycluster/internal/affinity"
@@ -351,12 +354,12 @@ func TestElasticNeverWorseAdmission(t *testing.T) {
 	}
 }
 
-// TestElasticDeferRetryZeroAllocs pins the re-armed retry handle: once a
-// grow has deferred, every further retry — the retry fires, tryGrow
-// finds requests waiting and defers again, emitting resize_defer and
-// re-arming the same event — allocates nothing, with obs off or
-// streaming.
-func TestElasticDeferRetryZeroAllocs(t *testing.T) {
+// TestElasticParkWakeZeroAllocs pins the parked grow's cycle: the
+// queue empties and wakeGrows re-arms the parked retry at its ladder's
+// next tick, a request waits again, and the retry fires, finds it, and
+// parks once more, emitting resize_defer and re-arming the same event.
+// The cycle allocates nothing, with obs off or streaming.
+func TestElasticParkWakeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
 	}
@@ -372,25 +375,217 @@ func TestElasticDeferRetryZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// One live cluster whose grow is far from its boundary, and one
-		// waiting request, so every retry defers behind the queue.
+		// One live cluster whose grow has 400 ticks to its boundary, and
+		// one waiting request for it to park behind.
 		const id = 0
 		sim.running[id] = newCluster([]affinity.VMEntry{{Node: 0, Type: 0, Count: 1}})
-		sim.reqOf[id] = timed(0, model.Request{1, 0}, 0, 1e9)
-		sim.elastic[id] = &elasticState{growVec: model.Request{1, 0}, deadline: 1e9}
-		if err := sim.queue.Enqueue(timed(1, model.Request{1, 0}, 0, 10)); err != nil {
+		sim.reqOf[id] = timed(0, model.Request{1, 0}, 0, 5000)
+		sim.elastic[id] = &elasticState{growVec: model.Request{1, 0}, deadline: 2000}
+		waiting := timed(1, model.Request{1, 0}, 0, 10)
+		if err := sim.queue.Enqueue(waiting); err != nil {
 			t.Fatal(err)
 		}
-		sim.deferGrow(id, 0) // binds the retry callback and its event
-		if avg := testing.AllocsPerRun(200, func() { sim.engine.Step() }); avg != 0 {
-			t.Errorf("%s: defer→re-arm retry cycle allocates %.2f allocs/op, want 0", tc.name, avg)
+		sim.tryGrow(id, 0) // parks, binding the retry callback and its event
+		avg := testing.AllocsPerRun(200, func() {
+			if err := sim.queue.Cancel(waiting.ID); err != nil {
+				t.Fatal(err)
+			}
+			sim.wakeGrows(sim.engine.Now())
+			if err := sim.queue.Enqueue(waiting); err != nil {
+				t.Fatal(err)
+			}
+			sim.engine.Step()
+		})
+		if avg != 0 {
+			t.Errorf("%s: park→wake→fire→re-park cycle allocates %.2f allocs/op, want 0", tc.name, avg)
 		}
-		if sim.failed != nil || sim.engine.Pending() != 1 || sim.engine.Processed() != 201 {
-			t.Errorf("%s: failed=%v pending=%d processed=%d; want a live retry chain of 201 retries",
-				tc.name, sim.failed, sim.engine.Pending(), sim.engine.Processed())
+		if sim.failed != nil || sim.engine.Pending() != 1 || sim.engine.Processed() != 201 || sim.engine.Now() != 1005 {
+			t.Errorf("%s: failed=%v pending=%d processed=%d now=%v; want 201 retries, one a tick, still parked",
+				tc.name, sim.failed, sim.engine.Pending(), sim.engine.Processed(), sim.engine.Now())
+		}
+		if len(sim.parked) != 1 {
+			t.Errorf("%s: %d parked entries, want 1", tc.name, len(sim.parked))
 		}
 		if got := tc.reg.EventCount(); tc.reg != nil && got != 202 {
 			t.Errorf("%s: %d resize_defer events, want 202", tc.name, got)
 		}
+	}
+}
+
+// resizeTrace renders the run's place, depart and resize events as
+// "t kind key=value..." lines, in trace order.
+func resizeTrace(reg *obs.Registry) []string {
+	var out []string
+	for _, e := range reg.Events() {
+		if e.Kind != "place" && e.Kind != "depart" && !strings.HasPrefix(e.Kind, "resize_") {
+			continue
+		}
+		line := fmt.Sprintf("%g %s", e.Time, e.Kind)
+		for _, f := range e.Fields {
+			if f.Key == "req" || f.Key == "cluster" || f.Key == "reason" || f.Key == "retry" {
+				line += fmt.Sprintf(" %s=%v", f.Key, f.Val())
+			}
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+func checkTrace(t *testing.T, got, want []string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Errorf("trace:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// parkScenario serves request A = {2,1} at t=10, when X's departure
+// frees type 1, behind C = {2,0}, which still waits for type 0. A's
+// grow {1,1} parks with its ladder at 15, 20, …, 45 (deadline 10 +
+// 0.4·100 = 50). C, and with it the queue, clears when Y = {10,0}
+// departs at yHold.
+func parkScenario(t *testing.T, yHold float64) (*Metrics, *obs.Registry) {
+	t.Helper()
+	tp, inv := plant(t)
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []model.TimedRequest{
+		timed(0, model.Request{0, 12}, 0, 10),    // X, cluster 0
+		timed(1, model.Request{10, 0}, 0, yHold), // Y, cluster 1
+		timed(2, model.Request{2, 1}, 1, 100),    // A, cluster 2
+		timed(3, model.Request{2, 0}, 2, 50),     // C, cluster 3
+	}
+	m, err := sim.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticConserve(t, m, len(reqs))
+	return m, reg
+}
+
+// clusterTrace keeps the resizeTrace lines of one cluster.
+func clusterTrace(reg *obs.Registry, id int) []string {
+	var out []string
+	for _, l := range resizeTrace(reg) {
+		if strings.Contains(l, fmt.Sprintf(" cluster=%d", id)) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// The queue empties at t=17, between ticks: the parked grow's attempt
+// comes at its next tick, 20, not at the emptying time.
+func TestElasticParkWakesAtNextTick(t *testing.T) {
+	_, reg := parkScenario(t, 17)
+	checkTrace(t, clusterTrace(reg, 2), []string{
+		"10 resize_defer req=2 cluster=2 reason=queue",
+		"20 resize_grow req=2 cluster=2",
+		"50 resize_shrink req=2 cluster=2",
+	})
+}
+
+// The queue empties exactly at tick 20, when Y departs and C is served:
+// the attempt comes at that tick, after the events that emptied it.
+func TestElasticParkWakesAtEmptyingTick(t *testing.T) {
+	_, reg := parkScenario(t, 20)
+	got := resizeTrace(reg)
+	i := slices.Index(got, "20 depart req=1")
+	j := slices.Index(got, "20 place req=3")
+	k := slices.Index(got, "20 resize_grow req=2 cluster=2")
+	if i < 0 || j < i || k < j {
+		t.Errorf("want Y's departure at t=20, C's placement, then A's grow; trace:\n  %s", strings.Join(got, "\n  "))
+	}
+}
+
+// The queue never empties before A's boundary: one resize_defer at the
+// park, then resize_expire at the ladder's last tick, 45.
+func TestElasticParkNeverWokenExpires(t *testing.T) {
+	_, reg := parkScenario(t, 60)
+	checkTrace(t, clusterTrace(reg, 2), []string{
+		"10 resize_defer req=2 cluster=2 reason=queue",
+		"45 resize_expire req=2 cluster=2 reason=deadline",
+	})
+}
+
+// Two grows whose integer ladders coincide, parked in the reverse of
+// their cluster order, fire in cluster order at the tick the queue
+// empties, after the departure that emptied it. A's grow polls on
+// capacity until B parks behind C at t=10; A's own poll at t=10 then
+// parks too. Z's departure at t=20 serves C and empties the queue.
+func TestElasticParkTiedLaddersFireInIDOrder(t *testing.T) {
+	tp, inv := plant(t)
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []model.TimedRequest{
+		timed(0, model.Request{10, 0}, 0, 20), // Z, cluster 0
+		timed(1, model.Request{2, 0}, 0, 100), // A, cluster 1
+		timed(2, model.Request{0, 12}, 0, 10), // X, cluster 2
+		timed(3, model.Request{0, 1}, 6, 100), // B, cluster 3
+		timed(4, model.Request{3, 0}, 7, 50),  // C, cluster 4
+	}
+	m, err := sim.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticConserve(t, m, len(reqs))
+	var got []string
+	for _, l := range resizeTrace(reg) {
+		if strings.HasPrefix(l, "20 ") || strings.HasPrefix(l, "10 resize_defer") {
+			got = append(got, l)
+		}
+	}
+	checkTrace(t, got, []string{
+		"10 resize_defer req=3 cluster=3 reason=queue",
+		"10 resize_defer req=1 cluster=1 reason=queue",
+		"20 depart req=0",
+		"20 place req=4",
+		"20 resize_grow req=4 cluster=4",
+		"20 resize_grow req=1 cluster=1",
+		"20 resize_grow req=3 cluster=3",
+	})
+}
+
+// A parked grow whose cluster a crash tears down expires once, as
+// teardown; its stale parked entry never wakes or expires again.
+func TestElasticParkTeardownCountsOnce(t *testing.T) {
+	tp, inv := plant(t)
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject(sim, pair(30, 60, 0, 0, 1, 2)...)
+	reqs := []model.TimedRequest{
+		timed(0, model.Request{0, 12}, 0, 10),
+		timed(2, model.Request{2, 1}, 1, 100),
+		timed(3, model.Request{0, 12}, 2, 50),
+	}
+	m, err := sim.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticConserve(t, m, len(reqs))
+	checkTrace(t, clusterTrace(reg, 1), []string{
+		"10 resize_defer req=2 cluster=1 reason=queue",
+		"30 resize_expire req=2 cluster=1 reason=teardown",
+	})
+	expires := 0
+	for _, e := range reg.Events() {
+		if e.Kind == "resize_expire" {
+			expires++
+		}
+	}
+	if m.Requeued != 1 || m.Deferred != expires {
+		t.Errorf("requeued %d, deferred %d, resize_expire events %d; want 1 requeue and one expiry per deferred grow",
+			m.Requeued, m.Deferred, expires)
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
