@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"affinitycluster/internal/eventsim"
 	"affinitycluster/internal/model"
@@ -242,15 +243,16 @@ func (s *Simulator) parkGrow(id int, now float64) {
 		last = t
 	}
 	if len(s.parked) == cap(s.parked) {
-		// Drop grows that expired or left while parked before the list
-		// grows, so it stays within twice the live parked count.
+		// Drop grows that expired or left while parked. If most are
+		// still parked, make room for as many again, so each compaction
+		// is paid for by the appends before the next one.
 		live := s.parked[:0]
 		for _, p := range s.parked {
 			if s.elastic[p] != nil {
 				live = append(live, p)
 			}
 		}
-		s.parked = live
+		s.parked = slices.Grow(live, len(live))
 	}
 	s.parked = append(s.parked, id)
 	s.cfg.Obs.Emit("resize_defer", now,

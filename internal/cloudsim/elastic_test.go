@@ -412,6 +412,35 @@ func TestElasticParkWakeZeroAllocs(t *testing.T) {
 	}
 }
 
+// Parked grows whose clusters leave before the queue ever empties leave
+// stale entries behind; the list drops them instead of growing with
+// every park.
+func TestElasticParkedListStaysBounded(t *testing.T) {
+	tp, inv := plant(t)
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.queue.Enqueue(timed(0, model.Request{1, 0}, 0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 1000; id++ {
+		sim.running[id] = newCluster([]affinity.VMEntry{{Node: 0, Type: 0, Count: 1}})
+		sim.reqOf[id] = timed(id, model.Request{1, 0}, 0, 100)
+		sim.elastic[id] = &elasticState{growVec: model.Request{1, 0}, deadline: 40}
+		sim.tryGrow(id, 0)
+		if id >= 2 { // two live parked grows at a time
+			sim.cancelElastic(id-2, 0, "departed")
+		}
+	}
+	if sim.failed != nil || sim.metrics.Deferred != 998 {
+		t.Fatalf("failed=%v deferred=%d, want 998 grows expired by departure", sim.failed, sim.metrics.Deferred)
+	}
+	if c := cap(sim.parked); c > 8 {
+		t.Errorf("parked list capacity %d after 1000 parks with 2 live, want it to stay small", c)
+	}
+}
+
 // resizeTrace renders the run's place, depart and resize events as
 // "t kind key=value..." lines, in trace order.
 func resizeTrace(reg *obs.Registry) []string {

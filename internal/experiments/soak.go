@@ -45,6 +45,9 @@ type SoakConfig struct {
 	Recovery cloudsim.RecoveryConfig
 	// Sketch bounds the streaming wait/distance quantile sketches.
 	Sketch cloudsim.SketchConfig
+	// Elastic resizes every served cluster across its map/shuffle
+	// boundary; the zero value replays the static soak.
+	Elastic cloudsim.ElasticConfig
 	// MemEvery samples the Go heap every N pulled requests to report the
 	// replay's peak footprint (0 = 4096; negative disables sampling).
 	MemEvery int
@@ -145,6 +148,7 @@ func Soak(seed int64, cfg SoakConfig) (*SoakResult, error) {
 		FaultSeed: seed + 2,
 		Recovery:  cfg.Recovery,
 		Sketch:    cfg.Sketch,
+		Elastic:   cfg.Elastic,
 		Obs:       reg,
 	})
 	if err != nil {
