@@ -59,9 +59,10 @@ type ElasticConfig struct {
 	// cannot meet it are rejected at admission, and deferred grows
 	// expire once no retry can meet it. 0 = 1.
 	MinPayoff float64
-	// DeferBackoff is the retry delay, in simulation seconds, for grows
-	// deferred because the plant is full or the wait queue is busy.
-	// 0 = 5.
+	// DeferBackoff spaces a deferred grow's retry ladder, in simulation
+	// seconds: a grow the plant cannot fit retries every DeferBackoff,
+	// and one parked behind the wait queue rejoins the ladder when the
+	// queue empties. 0 = 5.
 	DeferBackoff float64
 }
 
@@ -89,13 +90,6 @@ func (c ElasticConfig) validate() error {
 	}
 	return nil
 }
-
-// retryClass is the event class of cluster id's grow retries. Retries
-// fire after every other event at their instant (departures, shrinks,
-// repairs, arrivals), and among themselves in cluster-id order, which
-// is commission order. The order therefore never depends on when a
-// retry was armed.
-func retryClass(id int) int { return 1 + id }
 
 // elasticState tracks one running cluster's resize lifecycle. It exists
 // only between the grow request at commission and its resolution (the
@@ -287,12 +281,16 @@ func (s *Simulator) wakeGrows(now float64) {
 
 // armRetry schedules the grow's retry at t. The first deferral binds the
 // retry callback; later ones re-arm the same event, so a long retry
-// chain allocates nothing per retry.
+// chain allocates nothing per retry. The retry's event class, 1 + id,
+// fires it after every other event at its instant (arrivals,
+// departures, shrinks, repairs), and among retries in cluster-id order,
+// which is commission order: the order never depends on when a retry
+// was armed.
 func (s *Simulator) armRetry(id int, t float64) {
 	st := s.elastic[id]
 	var err error
 	if st.retryEv == nil {
-		st.retryEv, err = s.engine.AtClass(t, retryClass(id), func(at float64) { s.tryGrow(id, at) })
+		st.retryEv, err = s.engine.AtClass(t, 1+id, func(at float64) { s.tryGrow(id, at) })
 	} else {
 		err = s.engine.Reschedule(st.retryEv, t)
 	}
