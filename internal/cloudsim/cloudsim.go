@@ -256,12 +256,11 @@ type Simulator struct {
 	dcHosts []topology.NodeID
 
 	// Elastic resize state: resolved config, the per-cluster resize
-	// lifecycle records (nil map when elastic mode is off), and the
-	// clusters whose grows are parked behind the wait queue. Entries
-	// whose record is gone (expired, departed, torn down) are stale.
+	// lifecycle records (nil map when elastic mode is off), and the head
+	// of the list of grows parked behind the wait queue.
 	ecfg    ElasticConfig
 	elastic map[int]*elasticState
-	parked  []int
+	parked  *elasticState
 
 	// serve, when Config.Serve is set, owns the inventory: place and
 	// depart go through it and never touch inv's mutators directly.
@@ -597,7 +596,7 @@ func (s *Simulator) finish() (*Metrics, error) {
 	for s.failed == nil && s.engine.Step() {
 		// The queue only shrinks in drain, so the end of an event is the
 		// first moment a parked grow's poll could find it empty.
-		if len(s.parked) != 0 && s.queue.Len() == 0 {
+		if s.parked != nil && s.queue.Len() == 0 {
 			s.wakeGrows(s.engine.Now())
 		}
 	}

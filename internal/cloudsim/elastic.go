@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"affinitycluster/internal/eventsim"
 	"affinitycluster/internal/model"
@@ -99,9 +98,14 @@ type elasticState struct {
 	growVec  model.Request   // per-type delta requested for the map phase
 	deadline float64         // shrink boundary: commission + MapFrac·Hold
 	grown    bool            // the grow was served (shrink owed)
-	next     float64         // while parked: the ladder tick of the next poll
 	retryEv  *eventsim.Event // deferred-grow retry, bound once and re-armed per deferral
 	shrinkEv *eventsim.Event // pending shrink at the boundary
+
+	// While parked: the ladder tick of the next poll, and the neighbours
+	// in the simulator's parked list. Parking links the record in and
+	// expiry unlinks it, so the list holds exactly the parked grows.
+	next       float64
+	prev, succ *elasticState
 }
 
 // requestGrow opens the resize lifecycle of a freshly commissioned
@@ -236,19 +240,11 @@ func (s *Simulator) parkGrow(id int, now float64) {
 	for t := last + s.ecfg.DeferBackoff; t+s.ecfg.MinPayoff <= st.deadline; t += s.ecfg.DeferBackoff {
 		last = t
 	}
-	if len(s.parked) == cap(s.parked) {
-		// Drop grows that expired or left while parked. If most are
-		// still parked, make room for as many again, so each compaction
-		// is paid for by the appends before the next one.
-		live := s.parked[:0]
-		for _, p := range s.parked {
-			if s.elastic[p] != nil {
-				live = append(live, p)
-			}
-		}
-		s.parked = slices.Grow(live, len(live))
+	st.succ = s.parked
+	if st.succ != nil {
+		st.succ.prev = st
 	}
-	s.parked = append(s.parked, id)
+	s.parked = st
 	s.cfg.Obs.Emit("resize_defer", now,
 		obs.F("req", int(s.reqOf[id].ID)),
 		obs.F("cluster", id),
@@ -262,21 +258,35 @@ func (s *Simulator) parkGrow(id int, now float64) {
 // makes this exact on ties: a retry woken at a tick fires after every
 // other event at that tick, where its poll would have fired.
 func (s *Simulator) wakeGrows(now float64) {
-	for _, id := range s.parked {
-		st := s.elastic[id]
-		if st == nil {
-			continue // expired at its last tick, or its cluster left
-		}
+	for s.parked != nil {
+		st := s.parked
+		s.unpark(st)
 		for st.next < now {
 			st.next += s.ecfg.DeferBackoff
 		}
 		s.engine.Cancel(st.retryEv)
 		if err := s.engine.Reschedule(st.retryEv, st.next); err != nil {
-			s.fail(fmt.Errorf("cloudsim: waking grow retry for cluster %d: %w", id, err))
+			s.fail(fmt.Errorf("cloudsim: waking a parked grow's retry: %w", err))
 			return
 		}
 	}
-	s.parked = s.parked[:0]
+}
+
+// unpark unlinks st from the parked list; a grow not parked is left
+// alone.
+func (s *Simulator) unpark(st *elasticState) {
+	switch {
+	case st.prev != nil:
+		st.prev.succ = st.succ
+	case s.parked == st:
+		s.parked = st.succ
+	default:
+		return
+	}
+	if st.succ != nil {
+		st.succ.prev = st.prev
+	}
+	st.prev, st.succ = nil, nil
 }
 
 // armRetry schedules the grow's retry at t. The first deferral binds the
@@ -302,6 +312,7 @@ func (s *Simulator) armRetry(id int, t float64) {
 // expireGrow terminates a deferred grow that never served; the cluster
 // carries on at its base size.
 func (s *Simulator) expireGrow(id int, now float64, reason string) {
+	s.unpark(s.elastic[id])
 	s.metrics.Deferred++
 	s.om.growDeferred.Inc()
 	s.cfg.Obs.Emit("resize_expire", now,

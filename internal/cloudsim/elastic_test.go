@@ -403,8 +403,8 @@ func TestElasticParkWakeZeroAllocs(t *testing.T) {
 			t.Errorf("%s: failed=%v pending=%d processed=%d now=%v; want 201 retries, one a tick, still parked",
 				tc.name, sim.failed, sim.engine.Pending(), sim.engine.Processed(), sim.engine.Now())
 		}
-		if len(sim.parked) != 1 {
-			t.Errorf("%s: %d parked entries, want 1", tc.name, len(sim.parked))
+		if n := parkedLen(t, sim); n != 1 {
+			t.Errorf("%s: %d parked grows, want 1", tc.name, n)
 		}
 		if got := tc.reg.EventCount(); tc.reg != nil && got != 202 {
 			t.Errorf("%s: %d resize_defer events, want 202", tc.name, got)
@@ -412,10 +412,24 @@ func TestElasticParkWakeZeroAllocs(t *testing.T) {
 	}
 }
 
-// Parked grows whose clusters leave before the queue ever empties leave
-// stale entries behind; the list drops them instead of growing with
-// every park.
-func TestElasticParkedListStaysBounded(t *testing.T) {
+// parkedLen walks the parked list, checking its back links.
+func parkedLen(t *testing.T, sim *Simulator) int {
+	t.Helper()
+	n := 0
+	var prev *elasticState
+	for st := sim.parked; st != nil; st = st.succ {
+		if st.prev != prev {
+			t.Fatalf("parked list entry %d has a broken back link", n)
+		}
+		prev = st
+		n++
+	}
+	return n
+}
+
+// Grows whose clusters leave while parked, before the queue ever
+// empties, drop out of the parked list instead of piling up in it.
+func TestElasticParkedListHoldsOnlyParkedGrows(t *testing.T) {
 	tp, inv := plant(t)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg()})
 	if err != nil {
@@ -429,15 +443,25 @@ func TestElasticParkedListStaysBounded(t *testing.T) {
 		sim.reqOf[id] = timed(id, model.Request{1, 0}, 0, 100)
 		sim.elastic[id] = &elasticState{growVec: model.Request{1, 0}, deadline: 40}
 		sim.tryGrow(id, 0)
-		if id >= 2 { // two live parked grows at a time
-			sim.cancelElastic(id-2, 0, "departed")
+		switch {
+		case id%3 == 1: // leaves from the middle of the list
+			sim.cancelElastic(id-1, 0, "departed")
+		case id%3 == 2: // leaves from its head
+			sim.cancelElastic(id, 0, "departed")
 		}
 	}
-	if sim.failed != nil || sim.metrics.Deferred != 998 {
-		t.Fatalf("failed=%v deferred=%d, want 998 grows expired by departure", sim.failed, sim.metrics.Deferred)
+	if sim.failed != nil || sim.metrics.Deferred != 666 {
+		t.Fatalf("failed=%v deferred=%d, want 666 grows expired by departure", sim.failed, sim.metrics.Deferred)
 	}
-	if c := cap(sim.parked); c > 8 {
-		t.Errorf("parked list capacity %d after 1000 parks with 2 live, want it to stay small", c)
+	if n := parkedLen(t, sim); n != 334 {
+		t.Errorf("%d parked grows listed, want the 334 still parked", n)
+	}
+	if err := sim.queue.Cancel(0); err != nil {
+		t.Fatal(err)
+	}
+	sim.wakeGrows(0)
+	if sim.parked != nil || sim.engine.Pending() != 334 {
+		t.Errorf("after wake: parked=%v pending=%d, want an empty list and 334 armed retries", sim.parked, sim.engine.Pending())
 	}
 }
 
