@@ -101,11 +101,12 @@ soak-race:
 
 # Elastic-resize gate: the delta-placement, mid-job resize, and
 # grow/shrink service tests under the race detector, plus the event
-# heap's re-arm tests and one seeded end-to-end elastic figure, so every
-# resize path (PlaceDelta, ReleaseSubset, deadline admission, deferred
-# grows and their re-armed retries, teardown cancellation) runs
-# race-checked on each change. The allocation gates among them skip
-# under -race; `make test` runs them.
+# heap's re-arm tests, the elastic golden differential and one seeded
+# end-to-end elastic figure, so every resize path (PlaceDelta,
+# ReleaseSubset, deadline admission, capacity-blocked grows polling
+# their retry ladder, queue-blocked grows parking and waking, teardown
+# cancellation) runs race-checked on each change. The allocation gates
+# among them skip under -race; `make test` runs them.
 elastic-race:
 	$(GO) test -race ./internal/placement ./internal/cloudsim ./internal/experiments ./internal/service ./internal/eventsim -run 'Elastic|PlaceDelta|ReleaseSubset|DeltaChurn|GrowShrink|ShrinkWakes|GrowInsufficient|Reschedule|Rearm|ContainerHeap'
 	$(GO) run -race ./cmd/affinitysim -fig elastic > /dev/null
