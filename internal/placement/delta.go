@@ -185,8 +185,10 @@ func ReleaseSubset(t *topology.Topology, alloc affinity.Allocation, delta model.
 
 // ReleaseSubsetSparse is ReleaseSubset over the cluster's sparse cells.
 // cur is only read; the returned entries alias neither cur nor any
-// internal state. The working state comes from a pooled shrinkScratch,
-// so a steady-state call allocates only the returned slice.
+// internal state. An entry whose node or type lies outside the plant and
+// delta, or whose count is negative, is an error. The working state
+// comes from a pooled shrinkScratch, so a steady-state call allocates
+// only the returned slice.
 func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
 	K := 0
 	for j, v := range delta {
@@ -194,6 +196,14 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 			return nil, fmt.Errorf("placement: negative shrink delta %d for type %d", v, j)
 		}
 		K += v
+	}
+	for _, e := range cur {
+		if int(e.Node) < 0 || int(e.Node) >= t.Nodes() || int(e.Type) < 0 || int(e.Type) >= len(delta) {
+			return nil, fmt.Errorf("placement: cluster entry (%d, %d) outside %dx%d plant", e.Node, e.Type, t.Nodes(), len(delta))
+		}
+		if e.Count < 0 {
+			return nil, fmt.Errorf("placement: cluster entry (%d, %d) has negative count %d", e.Node, e.Type, e.Count)
+		}
 	}
 	if K == 0 {
 		return nil, nil
@@ -208,15 +218,10 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 	}
 	have := sc.have
 	for _, e := range cur {
-		if e.Count <= 0 {
+		if e.Count == 0 {
 			continue
 		}
-		if int(e.Node) < 0 || int(e.Node) >= t.Nodes() {
-			return nil, fmt.Errorf("placement: cluster entry node %d outside %d-node plant", e.Node, t.Nodes())
-		}
-		if int(e.Type) < len(have) {
-			have[e.Type] += e.Count
-		}
+		have[e.Type] += e.Count
 		if !addEntry(sc.cells, e.Node, e.Type, e.Count) {
 			sc.cells = append(sc.cells, affinity.VMEntry{Node: e.Node, Type: e.Type, Count: e.Count})
 		}
@@ -235,7 +240,7 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 	need := sc.need
 	removable := func(i topology.NodeID) bool {
 		for _, c := range cells {
-			if c.Node == i && c.Count > 0 && int(c.Type) < len(need) && need[c.Type] > 0 {
+			if c.Node == i && c.Count > 0 && need[c.Type] > 0 {
 				return true
 			}
 		}
@@ -259,7 +264,7 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 		// Lowest owed type on the victim node.
 		bestType := model.VMTypeID(-1)
 		for _, c := range cells {
-			if c.Node == bestNode && c.Count > 0 && int(c.Type) < len(need) && need[c.Type] > 0 {
+			if c.Node == bestNode && c.Count > 0 && need[c.Type] > 0 {
 				if bestType < 0 || c.Type < bestType {
 					bestType = c.Type
 				}

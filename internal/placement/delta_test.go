@@ -277,6 +277,36 @@ func TestReleaseSubsetDoesNotAlias(t *testing.T) {
 	}
 }
 
+// TestReleaseSubsetRejectsBadEntries: an entry whose node or type lies
+// outside the plant and the delta, or whose count is negative, is an
+// error — never a panic, and never silently priced into the cluster.
+func TestReleaseSubsetRejectsBadEntries(t *testing.T) {
+	tp := deltaPlant(t)
+	good := []affinity.VMEntry{{Node: 0, Type: 0, Count: 2}, {Node: 5, Type: 1, Count: 1}}
+	for _, tc := range []struct {
+		name string
+		bad  affinity.VMEntry
+	}{
+		{"negative type", affinity.VMEntry{Node: 0, Type: -1, Count: 1}},
+		{"type beyond delta", affinity.VMEntry{Node: 0, Type: 2, Count: 1}},
+		{"negative node", affinity.VMEntry{Node: -1, Type: 0, Count: 1}},
+		{"node beyond plant", affinity.VMEntry{Node: topology.NodeID(tp.Nodes()), Type: 0, Count: 1}},
+		{"negative count", affinity.VMEntry{Node: 1, Type: 0, Count: -1}},
+	} {
+		cur := append([]affinity.VMEntry{tc.bad}, good...)
+		if victims, err := ReleaseSubsetSparse(tp, cur, model.Request{1, 0}); err == nil {
+			t.Errorf("%s: shrink accepted, victims %v", tc.name, victims)
+		}
+	}
+	victims, err := ReleaseSubsetSparse(tp, good, model.Request{1, 0})
+	if err != nil {
+		t.Fatalf("valid shrink after rejected ones: %v", err)
+	}
+	if want := []affinity.VMEntry{{Node: 0, Type: 0, Count: 1}}; !reflect.DeepEqual(victims, want) {
+		t.Fatalf("victims %v, want %v", victims, want)
+	}
+}
+
 // TestDeltaChurnTierIndexLockstep is the grow/shrink churn property test
 // of the shrink-path audit: PlaceDeltaSparse, ReleaseSubsetSparse and
 // FailNode interleave against a live inventory with an attached tier
