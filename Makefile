@@ -86,10 +86,13 @@ faults-race:
 	$(GO) run -race ./cmd/affinitysim -fig faults > /dev/null
 
 # Placement-service gate: the concurrency-sensitive service tests (the
-# 64-client determinism property, the place/release hammer, and the
-# cloudsim serve-parity check) under the race detector.
+# 64-client determinism property, the place/release and grow/shrink
+# hammers, Close against in-flight callers) ten times over under the race
+# detector, since lock order varies run to run, plus the cloudsim
+# serve-parity check.
 service-race:
-	$(GO) test -race ./internal/service ./internal/cloudsim -run 'Service|Ordered|Serve'
+	$(GO) test -race -count=10 ./internal/service -run 'Service|Ordered'
+	$(GO) test -race ./internal/cloudsim -run 'Service|Serve'
 
 # Streaming-replay gate: the soak scenario and the stream/retained
 # parity tests under the race detector, plus one seeded soak figure at a

@@ -76,18 +76,16 @@ type Config struct {
 	// Recovery tunes the requeue-with-backoff policy for clusters that
 	// cannot be evacuated after a failure.
 	Recovery RecoveryConfig
-	// Serve, when non-nil, routes every placement commit and release
-	// through a concurrent placement service (internal/service) instead
-	// of mutating the inventory directly: the service's apply loop
-	// becomes the inventory's single writer. Only per-request mode is
-	// supported (no Batch, Migrate, BatchWindow, or Faults), the placer
-	// must be the indexed online heuristic, and the simulator keeps its
-	// own wait queue — Topology, Inventory, Online, QueueCap, Ordered,
-	// GlobalOpt, and Obs in the supplied config are overridden, so only
-	// the batching knobs (BatchSize, MaxWait, IntakeCap) matter here. A
+	// Serve routes every placement commit and release through a
+	// placement service (internal/service) instead of mutating the
+	// inventory directly: the service becomes the inventory's single
+	// writer. Only per-request mode is supported (no Batch, Migrate,
+	// BatchWindow, Faults, or Elastic), the placer must be the indexed
+	// online heuristic, and the simulator keeps its own wait queue, so
+	// the service runs with its queue disabled and without telemetry. A
 	// served run is byte-identical to a direct one: metrics, registry
 	// snapshot, and event trace all match (pinned by TestServeParity).
-	Serve *service.Config
+	Serve bool
 	// Elastic, when enabled, resizes every served cluster across its
 	// map/shuffle boundary: grow for the map phase, shrink into the
 	// shuffle, with deadline-aware admission (see
@@ -397,7 +395,7 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 	if s.totalSlots == 0 {
 		return nil, errors.New("cloudsim: inventory has zero capacity")
 	}
-	if cfg.Serve != nil {
+	if cfg.Serve {
 		if cfg.Batch || cfg.Migrate || cfg.BatchWindow > 0 || cfg.Faults.Enabled() || cfg.Elastic.Enabled {
 			return nil, errors.New("cloudsim: Serve supports per-request mode only (no Batch, Migrate, BatchWindow, Faults, or Elastic)")
 		}
@@ -405,16 +403,11 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 		if !ok || oh.Policy != placement.ScanAllCenters {
 			return nil, fmt.Errorf("cloudsim: Serve requires the indexed online heuristic, got %q", placer.Name())
 		}
-		sc := *cfg.Serve
-		sc.Topology, sc.Inventory, sc.Online = tp, inv, oh
 		// The simulator's own queue does the waiting (its drain is driven
 		// by virtual time); the service answers non-fitting placements
 		// immediately. Telemetry stays with the simulator so a served run's
 		// registry matches a direct run's byte for byte.
-		sc.QueueCap = -1
-		sc.Ordered, sc.GlobalOpt = false, false
-		sc.Obs = nil
-		svc, err := service.New(sc)
+		svc, err := service.New(service.Config{Topology: tp, Inventory: inv, Online: oh, QueueCap: -1})
 		if err != nil {
 			return nil, fmt.Errorf("cloudsim: starting placement service: %w", err)
 		}
@@ -446,7 +439,7 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 
 // ServiceStats returns the placement service's activity counters and
 // whether Serve mode is active. The counters are valid during and after
-// Run (they are atomics owned by the service).
+// Run.
 func (s *Simulator) ServiceStats() (service.Stats, bool) {
 	if s.serve == nil {
 		return service.Stats{}, false
@@ -532,9 +525,9 @@ func (c *contractSource) Next() (model.TimedRequest, bool, error) {
 // its predecessor fires.
 func (s *Simulator) replay(src model.RequestSource) (m *Metrics, err error) {
 	if s.serve != nil {
-		// The simulator owns the service's lifetime: stop its goroutines
-		// on every exit path. A Close failure on an otherwise clean run
-		// is surfaced; ErrClosed just means a prior run already stopped it.
+		// The simulator owns the service's lifetime: close it on every
+		// exit path. A Close failure on an otherwise clean run is
+		// surfaced; ErrClosed just means a prior run already closed it.
 		defer func() {
 			if cerr := s.serve.Close(); cerr != nil && !errors.Is(cerr, service.ErrClosed) && err == nil {
 				m, err = nil, fmt.Errorf("cloudsim: closing placement service: %w", cerr)

@@ -10,7 +10,6 @@ import (
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/queue"
-	"affinitycluster/internal/service"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
 )
@@ -566,7 +565,7 @@ func TestServeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(serve *service.Config) (*Metrics, []byte) {
+	run := func(serve bool) (*Metrics, []byte) {
 		inv, err := inventory.NewFromMatrix(caps)
 		if err != nil {
 			t.Fatal(err)
@@ -596,8 +595,8 @@ func TestServeParity(t *testing.T) {
 		}
 		return m, buf.Bytes()
 	}
-	direct, directReg := run(nil)
-	served, servedReg := run(&service.Config{BatchSize: 4})
+	direct, directReg := run(false)
+	served, servedReg := run(true)
 	if direct.Served == 0 || direct.Served+direct.Rejected+direct.Unplaced != 40 {
 		t.Fatalf("degenerate workload: %+v", direct)
 	}
@@ -613,17 +612,16 @@ func TestServeParity(t *testing.T) {
 // batch-window, and fault modes are refused, as are non-indexed placers.
 func TestServeModeRestrictions(t *testing.T) {
 	tp, inv := plant(t)
-	sc := &service.Config{}
 	for name, cfg := range map[string]Config{
-		"batch":   {Serve: sc, Batch: true},
-		"migrate": {Serve: sc, Migrate: true},
-		"window":  {Serve: sc, BatchWindow: 10},
+		"batch":   {Serve: true, Batch: true},
+		"migrate": {Serve: true, Migrate: true},
+		"window":  {Serve: true, BatchWindow: 10},
 	} {
 		if _, err := New(tp, inv, &placement.OnlineHeuristic{}, cfg); err == nil {
 			t.Errorf("New with Serve+%s succeeded", name)
 		}
 	}
-	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}, Config{Serve: sc}); err == nil {
+	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}, Config{Serve: true}); err == nil {
 		t.Errorf("New with Serve and exhaustive placer succeeded")
 	}
 }

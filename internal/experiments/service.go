@@ -4,8 +4,9 @@
 // instead of direct inventory mutation. The simulator drives the service
 // synchronously from its event loop, so the scenario stays strictly
 // serial and the obs event order (and hence the -trace output) remains a
-// deterministic function of the seed — the service's wall-clock batching
-// figures live in its Stats, outside the registry.
+// deterministic function of the seed — the service's lock-pass figures
+// (every op applies in a pass of its own here) live in its Stats,
+// outside the registry.
 
 package experiments
 
@@ -31,9 +32,6 @@ type ServingConfig struct {
 	QueueCap int
 	// Arrival shapes the arrival/holding process.
 	Arrival workload.ArrivalConfig
-	// Serve carries the service's batching knobs (BatchSize, MaxWait,
-	// IntakeCap); the simulator overrides everything else.
-	Serve service.Config
 }
 
 // DefaultServingConfig mirrors the ops cloud half — same plant, same
@@ -45,7 +43,6 @@ func DefaultServingConfig() ServingConfig {
 		Requests: 40,
 		QueueCap: 0,
 		Arrival:  arr,
-		Serve:    service.Config{BatchSize: 8},
 	}
 }
 
@@ -85,11 +82,10 @@ func Serving(seed int64, cfg ServingConfig) (*ServingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	serveCfg := cfg.Serve
 	cs, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, cloudsim.Config{
 		Policy:   queue.FIFO,
 		QueueCap: cfg.QueueCap,
-		Serve:    &serveCfg,
+		Serve:    true,
 		Obs:      reg,
 	})
 	if err != nil {

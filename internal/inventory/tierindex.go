@@ -8,10 +8,11 @@
 //
 // The attached index and RemainingView share the inventory's live storage:
 // they are only coherent between mutations. The intended usage is the
-// single-writer discipline: exactly one goroutine — the simulator loop, or
-// the placement service's apply loop (internal/service) — both mutates the
-// inventory and reads the view/index, so its lock-free reads can never
-// interleave with a mutation. Any other goroutine must use the cloning
+// single-writer discipline: exactly one goroutine at a time — the
+// simulator loop, or the caller holding the placement service's writer
+// lock (internal/service) — both mutates the inventory and reads the
+// view/index, so its lock-free reads can never interleave with a
+// mutation. Any other goroutine must use the cloning
 // snapshots (Remaining, Available), whose RLocks order them against the
 // writer. The service's race-mode hammer test pins this discipline.
 package inventory

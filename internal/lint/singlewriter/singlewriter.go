@@ -64,9 +64,9 @@ The analyzer computes a package-level may-call graph (a function
 function-typed fields) and requires every mutator call site to be
 reachable from a function annotated "//lint:owner singlewriter" in its
 doc comment. Annotate the entry point that owns the mutation — the
-service apply loop, a single-threaded simulation driver, a provisioner
-API that commits under the inventory's own lock — not every helper on
-the path; reachability covers the helpers.
+service's lock-taking apply, a single-threaded simulation driver, a
+provisioner API that commits under the inventory's own lock — not every
+helper on the path; reachability covers the helpers.
 
 Exempt: _test.go files, and Inventory's own methods (intra-type
 plumbing such as Clone rebuilding an attached index).`,

@@ -124,6 +124,44 @@ func TestServiceGrowInsufficientAndShrinkInfeasible(t *testing.T) {
 	}
 }
 
+// A shrink naming an entry outside the plant is refused with an error —
+// not a panic while the writer lock is held — and the service keeps
+// serving with its inventory intact.
+func TestServiceShrinkRejectsBadEntry(t *testing.T) {
+	topo, inv := plant(t, 2, 2)
+	svc, err := New(Config{Topology: topo, Inventory: inv, QueueCap: -1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	p, err := svc.Place(model.Request{3, 1})
+	if err != nil {
+		t.Fatalf("Place: %v", err)
+	}
+	bad := append([]affinity.VMEntry{{Node: 0, Type: -1, Count: 1}}, p.Entries...)
+	if _, err := svc.Shrink(bad, model.Request{1, 0}); err == nil {
+		t.Fatal("Shrink with a negative entry type accepted")
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatalf("CheckInvariants after the rejected shrink: %v", err)
+	}
+	victims, err := svc.Shrink(p.Entries, model.Request{1, 0})
+	if err != nil {
+		t.Fatalf("Shrink after the rejected one: %v", err)
+	}
+	if err := svc.Release(subtractEntries(p.Entries, victims)); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+	if avail := inv.Available(); avail[0] != 60 || avail[1] != 60 {
+		t.Fatalf("Available = %v after release, want [60 60]", avail)
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatalf("CheckInvariants: %v", err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // A shrink's freed capacity must wake queued placements, exactly like a
 // release does.
 func TestServiceShrinkWakesWaiters(t *testing.T) {
@@ -176,13 +214,13 @@ func TestServiceShrinkWakesWaiters(t *testing.T) {
 	}
 }
 
-// Concurrent resize churn through the single-writer apply loop: every
+// Concurrent resize churn under the service's writer lock: every
 // client grows and shrinks its own cluster; the inventory must come back
 // to full capacity and keep its invariants. Run with -race (the
 // elastic-race gate) this pins the sharing discipline of the delta ops.
 func TestServiceGrowShrinkHammer(t *testing.T) {
 	topo, inv := plant(t, 2, 2)
-	svc, err := New(Config{Topology: topo, Inventory: inv, BatchSize: 8})
+	svc, err := New(Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

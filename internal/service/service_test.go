@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -89,9 +90,6 @@ func TestServiceConfigErrors(t *testing.T) {
 	if _, err := New(Config{Topology: topo}); err == nil {
 		t.Fatalf("New without inventory succeeded")
 	}
-	if _, err := New(Config{Topology: topo, Inventory: inv, Ordered: true, GlobalOpt: true}); err == nil {
-		t.Fatalf("New with Ordered+GlobalOpt succeeded")
-	}
 	bad := &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}
 	if _, err := New(Config{Topology: topo, Inventory: inv, Online: bad}); err == nil {
 		t.Fatalf("New with non-indexed placer succeeded")
@@ -110,6 +108,18 @@ func TestServiceConfigErrors(t *testing.T) {
 	}
 	if err := svc.ReleaseAt(0, nil); err == nil {
 		t.Fatalf("ReleaseAt on unordered service succeeded")
+	}
+	_, inv = plant(t, 2, 2)
+	ordered, err := New(Config{Topology: topo, Inventory: inv, Ordered: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer func() { _ = ordered.Close() }()
+	if _, err := ordered.PlaceAt(0, model.Request{1, 1}); err != nil {
+		t.Fatalf("PlaceAt(0): %v", err)
+	}
+	if _, err := ordered.PlaceAt(0, model.Request{1, 1}); err == nil {
+		t.Fatalf("second PlaceAt(0) succeeded")
 	}
 }
 
@@ -198,57 +208,191 @@ func TestServiceCloseFailsWaiters(t *testing.T) {
 	}
 }
 
-// TestServiceGlobalOpt drives the batch arm: concurrent placements
-// coalesce and are served by the global sub-optimization placer; commits
-// and releases still conserve the inventory.
-func TestServiceGlobalOpt(t *testing.T) {
-	topo, inv := plant(t, 2, 3)
-	svc, err := New(Config{
-		Topology: topo, Inventory: inv,
-		GlobalOpt: true,
-		BatchSize: 8,
-		MaxWait:   2 * time.Millisecond,
-	})
+// TestServiceRoundTripAllocs pins the round trip's allocations on an idle
+// plant with obs off: a call applies its op on the caller's goroutine, so
+// a Place+Release pair allocates only the returned entries, and a
+// Grow+Shrink pair only the grow's entries and the shrink's victims.
+func TestServiceRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
+	}
+	topo, inv := plant(t, 1, 0)
+	// Node 0 holds a 4-VM cluster whole; node 1 takes its 2-VM grow, so
+	// the shrink's DC-minimizing victims are exactly the grow's VMs and
+	// every Grow+Shrink pair returns the plant to the same state.
+	if err := inv.SetCapacity(0, 0, 4); err != nil {
+		t.Fatalf("SetCapacity: %v", err)
+	}
+	if err := inv.SetCapacity(1, 0, 2); err != nil {
+		t.Fatalf("SetCapacity: %v", err)
+	}
+	svc, err := New(Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	const clients = 16
+	defer func() { _ = svc.Close() }()
+	req := model.Request{3}
+	placeRelease := func() {
+		p, err := svc.Place(req)
+		if err != nil {
+			t.Fatalf("Place: %v", err)
+		}
+		if err := svc.Release(p.Entries); err != nil {
+			t.Fatalf("Release: %v", err)
+		}
+	}
+	placeRelease() // warm the placer's scratch
+	if avg := testing.AllocsPerRun(200, placeRelease); avg != 1 {
+		t.Errorf("Place+Release allocates %.2f allocs/op, want 1 (the returned entries)", avg)
+	}
+
+	base, err := svc.Place(model.Request{4})
+	if err != nil {
+		t.Fatalf("Place: %v", err)
+	}
+	delta := model.Request{2}
+	g, err := svc.Grow(base.Entries, delta)
+	if err != nil {
+		t.Fatalf("Grow: %v", err)
+	}
+	merged := mergeEntries(base.Entries, g.Entries)
+	victims, err := svc.Shrink(merged, delta)
+	if err != nil {
+		t.Fatalf("Shrink: %v", err)
+	}
+	if !reflect.DeepEqual(victims, g.Entries) {
+		t.Fatalf("shrink victims %v, want the grow's entries %v", victims, g.Entries)
+	}
+	growShrink := func() {
+		if _, err := svc.Grow(base.Entries, delta); err != nil {
+			t.Fatalf("Grow: %v", err)
+		}
+		if _, err := svc.Shrink(merged, delta); err != nil {
+			t.Fatalf("Shrink: %v", err)
+		}
+	}
+	if avg := testing.AllocsPerRun(200, growShrink); avg != 2 {
+		t.Errorf("Grow+Shrink allocates %.2f allocs/op, want 2 (the grow's entries and the victims)", avg)
+	}
+}
+
+// TestServiceCloseInFlight closes the service under eight clients cycling
+// Place, Grow, Shrink and Release on a plant small enough that some
+// placements park. Every call must return nil, ErrClosed or
+// ErrInsufficient, every client must return (the test's -timeout catches
+// a hang), and the inventory must hold exactly what the clients still
+// hold.
+func TestServiceCloseInFlight(t *testing.T) {
+	topo, inv := plant(t, 2, 1) // 30 slots per type
+	svc, err := New(Config{Topology: topo, Inventory: inv})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const clients = 8
+	held := make([][]affinity.VMEntry, clients)
 	var wg sync.WaitGroup
-	placements := make([]Placement, clients)
 	for w := 0; w < clients; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p, err := svc.Place(model.Request{1 + w%3, 2})
-			if err != nil {
-				t.Errorf("client %d: %v", w, err)
-				return
+			rng := rand.New(rand.NewSource(int64(7000 + w)))
+			// ok reports whether the client goes on after a call.
+			ok := func(call string, err error) bool {
+				switch {
+				case err == nil, errors.Is(err, placement.ErrInsufficient):
+					return true
+				case !errors.Is(err, ErrClosed):
+					t.Errorf("client %d: %s: %v", w, call, err)
+				}
+				return false
 			}
-			placements[w] = p
+			for {
+				// Any two clusters together may overflow the plant.
+				p, err := svc.Place(model.Request{10 + rng.Intn(11), 10 + rng.Intn(11)})
+				if !ok("Place", err) {
+					return
+				}
+				held[w] = p.Entries
+				g, err := svc.Grow(held[w], model.Request{1, 1})
+				if !ok("Grow", err) {
+					return
+				}
+				if err == nil {
+					held[w] = mergeEntries(held[w], g.Entries)
+					victims, err := svc.Shrink(held[w], model.Request{1, 1})
+					if !ok("Shrink", err) {
+						return
+					}
+					held[w] = subtractEntries(held[w], victims)
+				}
+				if !ok("Release", svc.Release(held[w])) {
+					return
+				}
+				held[w] = nil
+			}
 		}(w)
 	}
-	wg.Wait()
-	for w := range placements {
-		if want := 3 + w%3; entriesTotal(placements[w].Entries) != want {
-			t.Fatalf("client %d placement totals %d VMs, want %d", w, entriesTotal(placements[w].Entries), want)
-		}
-		if err := svc.Release(placements[w].Entries); err != nil {
-			t.Fatalf("release %d: %v", w, err)
-		}
+	for svc.Stats().Ops < 400 {
+		time.Sleep(100 * time.Microsecond)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	for j, a := range inv.Available() {
-		if a != 30*3 {
-			t.Fatalf("Available[%d] = %d after full release, want 90", j, a)
+	wg.Wait()
+	want := make([][]int, topo.Nodes())
+	for i := range want {
+		want[i] = make([]int, 2)
+	}
+	for _, entries := range held {
+		for _, e := range entries {
+			want[e.Node][e.Type] += e.Count
 		}
+	}
+	if got := inv.AllocatedMatrix(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("inventory allocation diverges from what the clients hold:\ngot  %v\nwant %v", got, want)
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants: %v", err)
 	}
 	if err := inv.TierIndex().CheckConsistent(); err != nil {
 		t.Fatalf("tier index: %v", err)
+	}
+}
+
+// TestOrderedCloseFailsEarlyOp: an Ordered op parked in the reorder buffer
+// ahead of its turn is answered with ErrClosed when the service closes,
+// and a second op under its seq is refused rather than left waiting.
+func TestOrderedCloseFailsEarlyOp(t *testing.T) {
+	topo, inv := plant(t, 1, 2)
+	svc, err := New(Config{Topology: topo, Inventory: inv, Ordered: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	errC := make(chan error, 1)
+	go func() {
+		_, err := svc.PlaceAt(1, model.Request{1})
+		errC <- err
+	}()
+	for parked := 0; parked == 0; {
+		time.Sleep(time.Millisecond)
+		svc.mu.Lock()
+		parked = len(svc.park)
+		svc.mu.Unlock()
+	}
+	if _, err := svc.PlaceAt(1, model.Request{1}); err == nil {
+		t.Fatal("second PlaceAt(1) accepted")
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-errC; !errors.Is(err, ErrClosed) {
+		t.Fatalf("early PlaceAt(1) err = %v, want ErrClosed", err)
+	}
+	if _, err := svc.PlaceAt(0, model.Request{1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("PlaceAt(0) after Close err = %v, want ErrClosed", err)
+	}
+	if st := svc.Stats(); st.Ops != 0 || st.Placed != 0 {
+		t.Fatalf("stats = %+v, want nothing applied", st)
 	}
 }
 
@@ -267,12 +411,7 @@ func runOrderedTrace(t *testing.T, workers int, reqs []model.Request) []byte {
 		Topology: topo, Inventory: inv,
 		Ordered:  true,
 		QueueCap: -1,
-		// A tiny batch size plus timer flushes maximizes batch-boundary
-		// variety across concurrency levels — exactly what the guarantee
-		// says must not matter.
-		BatchSize: 4,
-		MaxWait:   100 * time.Microsecond,
-		Obs:       reg,
+		Obs:      reg,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -331,12 +470,13 @@ func runOrderedTrace(t *testing.T, workers int, reqs []model.Request) []byte {
 	return buf.Bytes()
 }
 
-// TestOrderedDeterminism is the PR's property test: the same seeded
+// TestOrderedDeterminism is Ordered mode's property test: the same seeded
 // request trace served at 1, 8, and 64 client goroutines must produce
 // byte-identical allocations, metrics, and event traces. Sequential
 // per-request placement depends only on inventory state, which depends
-// only on the seq-ordered operation prefix — so batch boundaries, flush
-// timing, and client scheduling must all be invisible in the output.
+// only on the seq-ordered operation prefix — so lock order, which caller
+// applies which parked op, and client scheduling must all be invisible
+// in the output.
 func TestOrderedDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(4711))
 	reqs := make([]model.Request, 96)
@@ -372,14 +512,14 @@ func firstDiff(a, b []byte) []byte {
 }
 
 // TestServiceRaceHammer hammers concurrent Place/Release through the wait
-// queue under -race: the apply loop is the inventory's only writer, so the
-// RemainingView/TierIndex aliasing that was racy under direct concurrent
-// simulator access is now provably clean. Every request fits the empty
-// plant, so whenever a placement waits, some other client holds (and will
-// release) capacity — the hammer cannot deadlock.
+// queue under -race: the writer lock's holder is the inventory's only
+// writer, so the RemainingView/TierIndex aliasing that was racy under
+// direct concurrent simulator access is now provably clean. Every request
+// fits the empty plant, so whenever a placement waits, some other client
+// holds (and will release) capacity — the hammer cannot deadlock.
 func TestServiceRaceHammer(t *testing.T) {
 	topo, inv := plant(t, 2, 2) // 60 slots per type
-	svc, err := New(Config{Topology: topo, Inventory: inv, BatchSize: 8})
+	svc, err := New(Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -2,9 +2,9 @@
 // concurrent placement front-end of internal/service at increasing client
 // concurrency. Each client iteration is one place + one release round
 // trip, so the plant stays at a small steady-state load and the figure
-// isolates the serving pipeline (intake → batcher → single-writer apply)
-// rather than queueing behaviour. BenchmarkService feeds
-// BENCH_service.json (make bench-service).
+// isolates the serving path (writer lock → placement → commit) rather
+// than queueing behaviour. BenchmarkService feeds BENCH_service.json
+// (make bench-service).
 package bench
 
 import (
@@ -39,11 +39,7 @@ func BenchmarkService(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			svc, err := service.New(service.Config{
-				Topology:  topo,
-				Inventory: inv,
-				BatchSize: 32,
-			})
+			svc, err := service.New(service.Config{Topology: topo, Inventory: inv})
 			if err != nil {
 				b.Fatal(err)
 			}
