@@ -4,11 +4,20 @@
 // scraping free-form text downstream.
 //
 //	go test -run '^$' -bench BenchmarkPlaceScale -benchmem -benchtime=100x . | benchjson
+//
+// With -compare it gates a new JSON report on stdin against a base
+// report instead: it prints every arm's ns/op and allocs/op change and
+// exits 1 when an arm present in both reports allocates more than one
+// allocation per op above the base. Arms only one report has are
+// listed, not failed, and ns/op never fails the gate.
+//
+//	benchjson -compare base/BENCH_service.json < BENCH_service.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -118,6 +127,11 @@ func parseLine(line string) (Result, error) {
 }
 
 func main() {
+	base := flag.String("compare", "", "judge the JSON report on stdin against this base report; exit 1 when an arm's allocs/op rose by more than one")
+	flag.Parse()
+	if *base != "" {
+		os.Exit(runCompare(*base, os.Stdin, os.Stdout, os.Stderr))
+	}
 	rep, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
