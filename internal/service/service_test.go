@@ -332,7 +332,7 @@ func TestServiceCloseInFlight(t *testing.T) {
 			}
 		}(w)
 	}
-	for svc.Stats().Ops < 400 {
+	for svc.Stats().Ops < 400 && !t.Failed() {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if err := svc.Close(); err != nil {
