@@ -11,7 +11,9 @@
 // as its operation is applied. Only an operation that must wait gets a
 // waiter record with a reply channel: a placement parked in the wait
 // queue until a release frees capacity, or an Ordered operation that
-// arrives before its turn.
+// arrives before its turn. A caller that releases the lock while another
+// waits to run hands it the processor (see unlock), so contended callers
+// share the wait instead of one running on while the other stalls.
 //
 // Two orderings are offered. In the default (unordered) mode operations
 // are stamped with arrival sequence numbers in lock order and applied in
@@ -28,8 +30,10 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/inventory"
@@ -145,8 +149,12 @@ type Service struct {
 	online *placement.OnlineHeuristic
 	tidx   *affinity.TierIndex
 
-	// mu is the writer lock. Its holder is the inventory's single writer
-	// and the tier index's only reader; it guards every field below.
+	// blocked counts the callers waiting in lock, yielded those that
+	// yielded in unlock and have not run since. Both are read without mu.
+	blocked, yielded atomic.Int32
+	// mu is the writer lock, taken through lock and unlock. Its holder is
+	// the inventory's single writer and the tier index's only reader; it
+	// guards every field below.
 	mu       sync.Mutex
 	sp       affinity.SparseAlloc // placement scratch
 	closed   bool
@@ -283,8 +291,8 @@ func (s *Service) Shrink(entries []affinity.VMEntry, delta model.Request) ([]aff
 
 // Stats snapshots the service's activity counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	return s.st
 }
 
@@ -293,8 +301,8 @@ func (s *Service) Stats() Stats {
 // ascending seq order — and every later call with ErrClosed. Closing
 // twice returns ErrClosed.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if s.closed {
 		return ErrClosed
 	}
@@ -318,6 +326,38 @@ func failAll(m map[uint64]*waiter) {
 	}
 }
 
+// lock takes the writer lock, counting the caller in blocked while it
+// waits.
+func (s *Service) lock() {
+	if s.mu.TryLock() {
+		return
+	}
+	s.blocked.Add(1)
+	s.mu.Lock()
+	s.blocked.Add(-1)
+}
+
+// unlock releases the writer lock, then yields the processor if another
+// caller is waiting to run on it: one blocked in lock, which Unlock has
+// just woken, or one that yielded here and has not run since. The Go
+// scheduler queues a woken goroutine in its waker's run-next slot, which
+// another processor steals only after a sleep that Linux timer slack
+// stretches to about 50 µs; a waker that kept running would hold the
+// woken caller that long for an operation of about a microsecond. The
+// yielder waits in the global run queue, where an idle processor takes
+// it at once, unless that processor is itself in the sleep. The second
+// condition covers that case: the caller now running yields back at its
+// next unlock, so the two take turns on one processor until the other
+// is free.
+func (s *Service) unlock() {
+	s.mu.Unlock()
+	if s.blocked.Load() > 0 || s.yielded.Load() > 0 {
+		s.yielded.Add(1)
+		runtime.Gosched()
+		s.yielded.Add(-1)
+	}
+}
+
 // do applies o and returns its answer, first waiting for it when o must
 // wait.
 func (s *Service) do(o op) (Placement, error) {
@@ -335,8 +375,8 @@ func (s *Service) do(o op) (Placement, error) {
 //
 //lint:owner singlewriter
 func (s *Service) apply(o op) (result, *waiter) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lock()
+	defer s.unlock()
 	if s.closed {
 		return result{err: ErrClosed}, nil
 	}

@@ -339,6 +339,7 @@ func TestServiceCloseInFlight(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	wg.Wait()
+	checkLockCounts(t, svc)
 	want := make([][]int, topo.Nodes())
 	for i := range want {
 		want[i] = make([]int, 2)
@@ -586,6 +587,7 @@ func TestServiceRaceHammer(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	checkLockCounts(t, svc)
 	st := svc.Stats()
 	if int(st.Placed) != clients*iters || int(st.Released) != clients*iters {
 		t.Fatalf("stats = %+v, want %d placed and released", st, clients*iters)
@@ -600,6 +602,16 @@ func TestServiceRaceHammer(t *testing.T) {
 	}
 	if err := inv.TierIndex().CheckConsistent(); err != nil {
 		t.Fatalf("tier index after hammer: %v", err)
+	}
+}
+
+// checkLockCounts fails unless every caller that waited in lock or
+// yielded in unlock has left both counts; call it once all clients have
+// returned.
+func checkLockCounts(t *testing.T, svc *Service) {
+	t.Helper()
+	if b, y := svc.blocked.Load(), svc.yielded.Load(); b != 0 || y != 0 {
+		t.Fatalf("after the clients returned: %d blocked, %d yielded, want 0 and 0", b, y)
 	}
 }
 
