@@ -72,11 +72,13 @@ lint-json:
 # round-trip, never panic), Algorithm 1 placement (capacity respected,
 # mismatched matrix widths rejected, evaluator DC(C) matches the
 # row-scan oracle), and the trace encoder's
-# quoting fast path (byte-equal to strconv.AppendQuote).
+# quoting and integer-float fast paths (byte-equal to strconv.AppendQuote
+# and strconv.AppendFloat).
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendQuote$$' -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 10s
 
 # Fault-injection gate: the fault/recovery tests under the race detector
 # plus one seeded end-to-end faults figure, so every recovery path runs
@@ -152,9 +154,11 @@ bench-service:
 # machine-readable JSON. Each op is itself a long internally-averaged
 # run, so -benchtime=1x is correct here: benchjson accepts the
 # single-iteration results because they carry custom metrics (req/s,
-# peak-heap-bytes), which are the figures that matter.
+# peak-heap-bytes), which are the figures that matter. -benchmem records
+# each replay's allocs/op and B/op; nothing gates them, since one op is a
+# whole replay.
 bench-soak:
-	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchtime=1x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchmem -benchtime=1x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
 	@cat BENCH_soak.json
 
 # Mid-job resize benchmarks (grow-by-k through PlaceDeltaSparse and
@@ -168,7 +172,7 @@ bench-elastic:
 # CI's short arm: only the 100k-request soak (the 1M arm skips under
 # -short), same JSON artifact shape.
 bench-soak-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchtime=1x -short -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
+	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchmem -benchtime=1x -short -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
 	@cat BENCH_soak.json
 
 # The pre-merge gate: build, vet, gofmt, lint, full tests, the examples

@@ -253,25 +253,38 @@ type Simulator struct {
 	dcW     []int
 	dcHosts []topology.NodeID
 
-	// Elastic resize state: resolved config, the per-cluster resize
-	// lifecycle records (nil map when elastic mode is off), and the head
-	// of the list of grows parked behind the wait queue.
+	// Elastic resize state: resolved config, the number of open resize
+	// lifecycles, and the head of the list of clusters whose grows are
+	// parked behind the wait queue.
 	ecfg    ElasticConfig
-	elastic map[int]*elasticState
-	parked  *elasticState
+	resizes int
+	parked  *cluster
 
 	// serve, when Config.Serve is set, owns the inventory: place and
 	// depart go through it and never touch inv's mutators directly.
 	serve *service.Service
 
-	arrivals map[model.RequestID]float64
-	running  map[int]*cluster           // live clusters by registry ID
-	reqOf    map[int]model.TimedRequest // registry ID → original request
-	departEv map[int]*eventsim.Event    // registry ID → scheduled departure
-	slot     map[int]int                // registry ID → index into Distances/Waits (RetainSamples only)
-	samples  map[int]servedSample       // registry ID → rollback record, O(active)
-	nextRun  int
-	metrics  Metrics
+	running map[int]*cluster // live clusters by registry ID
+	free    []*cluster       // retired records, reused by commission
+	nextRun int
+	metrics Metrics
+
+	// The arrival event, bound at the first arrival and re-armed for
+	// each later one, the request it will deliver, and the source the
+	// next one comes from.
+	arrivalEv   *eventsim.Event
+	nextArrival model.TimedRequest
+	src         model.RequestSource
+	// unresolved counts admitted requests not yet served or rejected:
+	// every one of them must still be queued when the run ends.
+	unresolved int
+
+	// Drain scratch: the availability vector and the requests taken
+	// from the queue. draining guards the taken scratch against a
+	// nested drain.
+	avail    []int
+	taken    []model.TimedRequest
+	draining bool
 
 	// Fault state: the precomputed schedule and, per torn-down request,
 	// the failure time — consumed when the victim is re-served so
@@ -337,12 +350,7 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 		queue:           queue.New(cfg.Policy, cfg.QueueCap),
 		global:          &placement.GlobalSubOpt{Obs: cfg.Obs},
 		mig:             &migration.Planner{Config: cfg.Migration, Obs: cfg.Obs},
-		arrivals:        make(map[model.RequestID]float64),
 		running:         make(map[int]*cluster),
-		reqOf:           make(map[int]model.TimedRequest),
-		departEv:        make(map[int]*eventsim.Event),
-		slot:            make(map[int]int),
-		samples:         make(map[int]servedSample),
 		pendingRecovery: make(map[model.RequestID]float64),
 		dcW:             make([]int, tp.Nodes()),
 	}
@@ -388,10 +396,7 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 			s.om.growDeferred = cfg.Obs.Counter("cloudsim.resize_deferred")
 		}
 	}
-	caps := inv.CapacityMatrix()
-	for i := range caps {
-		s.totalSlots += model.Sum(caps[i])
-	}
+	s.totalSlots = model.Sum(inv.CapacityTotals())
 	if s.totalSlots == 0 {
 		return nil, errors.New("cloudsim: inventory has zero capacity")
 	}
@@ -432,7 +437,6 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 			return nil, fmt.Errorf("cloudsim: Elastic requires the indexed online heuristic, got %q", placer.Name())
 		}
 		s.ecfg = cfg.Elastic.withDefaults()
-		s.elastic = make(map[int]*elasticState)
 	}
 	return s, nil
 }
@@ -463,7 +467,7 @@ func (s *Simulator) Run(reqs []model.TimedRequest) (*Metrics, error) {
 		if !validRequest(r) || seen[r.ID] {
 			// Malformed or duplicate input is accounted for, not silently
 			// dropped, so conservation still holds over the input slice.
-			s.reject(r, 0, "invalid")
+			s.reject(r, 0, "invalid", false)
 			continue
 		}
 		seen[r.ID] = true
@@ -472,12 +476,6 @@ func (s *Simulator) Run(reqs []model.TimedRequest) (*Metrics, error) {
 	slices.SortStableFunc(valid, func(a, b model.TimedRequest) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	return s.replay(model.NewSliceSource(valid))
 }
-
-// servedSample is the per-active-cluster record needed to roll a served
-// cluster back out of the metrics when a fault tears it down. Unlike the
-// retained slices it is deleted at departure, so fault recovery stays
-// O(active) at any trace length.
-type servedSample struct{ d, wait float64 }
 
 // RunStream replays requests pulled lazily from src — a trace.Reader, a
 // workload.OpenLoop, or any model.RequestSource — holding exactly one
@@ -512,7 +510,7 @@ func (c *contractSource) Next() (model.TimedRequest, bool, error) {
 			return r, ok, err
 		}
 		if !validRequest(r) || r.ID <= c.lastID || r.Arrival < c.lastAt {
-			c.sim.reject(r, c.sim.engine.Now(), "invalid")
+			c.sim.reject(r, c.sim.engine.Now(), "invalid", false)
 			continue
 		}
 		c.lastID, c.lastAt = r.ID, r.Arrival
@@ -545,7 +543,9 @@ func (s *Simulator) replay(src model.RequestSource) (m *Metrics, err error) {
 
 // scheduleNextArrival pulls one request from src and schedules its
 // arrival; the arrival callback processes the request and then pulls
-// the next one.
+// the next one. The first arrival binds the callback and its event;
+// every later one re-arms that event, so the loop allocates nothing per
+// arrival.
 func (s *Simulator) scheduleNextArrival(src model.RequestSource) error {
 	r, ok, err := src.Next()
 	if err != nil {
@@ -554,16 +554,27 @@ func (s *Simulator) scheduleNextArrival(src model.RequestSource) error {
 	if !ok {
 		return nil
 	}
-	_, err = s.engine.AtClass(r.Arrival, arrivalClass, func(now float64) {
-		s.arrive(r, now)
-		if err := s.scheduleNextArrival(src); err != nil {
-			s.fail(err)
-		}
-	})
+	s.src, s.nextArrival = src, r
+	if s.arrivalEv == nil {
+		s.arrivalEv, err = s.engine.AtClass(r.Arrival, arrivalClass, s.onArrival)
+	} else {
+		err = s.engine.Reschedule(s.arrivalEv, r.Arrival, arrivalClass)
+	}
 	if err != nil {
 		return fmt.Errorf("cloudsim: scheduling arrival of request %d: %w", r.ID, err)
 	}
 	return nil
+}
+
+// onArrival is the arrival event's callback: it admits the pending
+// request and schedules the next one.
+func (s *Simulator) onArrival(now float64) {
+	r := s.nextArrival
+	s.nextArrival = model.TimedRequest{}
+	s.arrive(r, now)
+	if err := s.scheduleNextArrival(s.src); err != nil {
+		s.fail(err)
+	}
 }
 
 // scheduleFaults enqueues the precomputed fault plan. Faults run at
@@ -603,16 +614,16 @@ func (s *Simulator) finish() (*Metrics, error) {
 	}
 	s.metrics.Unplaced = s.queue.Len()
 	// Every admitted request must end up served, rejected, or still
-	// queued; a leftover arrival entry would mean one was silently lost.
-	if len(s.arrivals) != s.metrics.Unplaced {
-		return nil, fmt.Errorf("cloudsim: accounting leak: %d pending arrival entries, %d unplaced requests",
-			len(s.arrivals), s.metrics.Unplaced)
+	// queued; an unresolved one not in the queue was silently lost.
+	if s.unresolved != s.metrics.Unplaced {
+		return nil, fmt.Errorf("cloudsim: accounting leak: %d admitted requests unresolved, %d unplaced",
+			s.unresolved, s.metrics.Unplaced)
 	}
 	// The matching identity for mid-job deltas: every grow op must have
 	// terminated, and in exactly one way.
-	if s.elastic != nil {
-		if len(s.elastic) != 0 {
-			return nil, fmt.Errorf("cloudsim: accounting leak: %d clusters hold unresolved resize state", len(s.elastic))
+	if s.ecfg.Enabled {
+		if s.resizes != 0 {
+			return nil, fmt.Errorf("cloudsim: accounting leak: %d clusters hold unresolved resize state", s.resizes)
 		}
 		m := &s.metrics
 		if m.Grows+m.GrowRejected+m.Deferred != m.GrowRequests {
@@ -620,7 +631,11 @@ func (s *Simulator) finish() (*Metrics, error) {
 				m.Grows, m.GrowRejected, m.Deferred, m.GrowRequests)
 		}
 	}
-	return &s.metrics, nil
+	// A copy: a pointer into the simulator would keep the whole plant
+	// (inventory, tier index, event heap, queue, records) alive for as
+	// long as the caller keeps the metrics.
+	m := s.metrics
+	return &m, nil
 }
 
 // validRequest filters inputs the engine or the accounting cannot
@@ -648,16 +663,18 @@ func (s *Simulator) sampleUtilization(now float64) {
 	}
 }
 
+// arrive admits one request at its arrival time. A request's wait is
+// measured from r.Arrival, the instant its arrival event fires.
 func (s *Simulator) arrive(r model.TimedRequest, now float64) {
-	s.arrivals[r.ID] = now
+	s.unresolved++
 	if !s.inv.CanEverSatisfy(r.Vector) {
-		s.reject(r, now, "oversized")
+		s.reject(r, now, "oversized", true)
 		return
 	}
 	if s.cfg.BatchWindow > 0 {
 		// Reservation-style admission: accumulate a batch, drain later.
 		if err := s.queue.Enqueue(r); err != nil {
-			s.reject(r, now, "queue_full")
+			s.reject(r, now, "queue_full", true)
 			return
 		}
 		s.cfg.Obs.Emit("queue_admit", now, obs.F("req", int(r.ID)))
@@ -679,7 +696,7 @@ func (s *Simulator) arrive(r model.TimedRequest, now float64) {
 		}
 	}
 	if err := s.queue.Enqueue(r); err != nil {
-		s.reject(r, now, "queue_full")
+		s.reject(r, now, "queue_full", true)
 		return
 	}
 	s.cfg.Obs.Emit("queue_admit", now, obs.F("req", int(r.ID)))
@@ -693,9 +710,13 @@ func (s *Simulator) fail(err error) {
 	}
 }
 
-// reject records one turned-away arrival.
-func (s *Simulator) reject(r model.TimedRequest, now float64, reason string) {
-	delete(s.arrivals, r.ID)
+// reject records one turned-away request. arrived says whether it was
+// admitted first (and so counts as unresolved); contract violations and
+// Run's invalid entries never arrive.
+func (s *Simulator) reject(r model.TimedRequest, now float64, reason string, arrived bool) {
+	if arrived {
+		s.unresolved--
+	}
 	s.metrics.Rejected++
 	s.om.rejected.Inc()
 	s.cfg.Obs.Emit("queue_reject", now, obs.F("req", int(r.ID)), obs.F("reason", reason))
@@ -753,26 +774,26 @@ func (s *Simulator) place(r model.TimedRequest, now float64) bool {
 	return true
 }
 
-// commission records a served cluster, copied from its placement
-// entries, and schedules its departure. The caller supplies the
-// cluster's data center distance and central node — the sparse path gets
-// them from the placement itself instead of recomputing them.
+// commission records a served cluster in a reused record, copied from
+// its placement entries, and schedules its departure. The caller
+// supplies the cluster's data center distance and central node — the
+// sparse path gets them from the placement itself instead of
+// recomputing them.
 func (s *Simulator) commission(r model.TimedRequest, entries []affinity.VMEntry, d float64, center topology.NodeID, now float64) {
-	c := newCluster(entries)
+	c := s.takeRecord()
+	c.add(entries)
 	s.sampleUtilization(now)
 	s.usedSlots += c.vms
-	wait := now - s.arrivals[r.ID]
-	delete(s.arrivals, r.ID)
+	wait := now - r.Arrival
+	s.unresolved--
 	s.metrics.Served++
-	id := s.nextRun
+	c.id, c.req, c.d, c.wait = s.nextRun, r, d, wait
 	s.nextRun++
-	s.running[id] = c
-	s.reqOf[id] = r
-	s.samples[id] = servedSample{d: d, wait: wait}
+	s.running[c.id] = c
 	s.metrics.DistanceSketch.Observe(d)
 	s.metrics.WaitSketch.Observe(wait)
 	if s.cfg.RetainSamples {
-		s.slot[id] = len(s.metrics.Distances)
+		c.slot = len(s.metrics.Distances)
 		s.metrics.Distances = append(s.metrics.Distances, d)
 		s.metrics.Waits = append(s.metrics.Waits, wait)
 	}
@@ -799,33 +820,32 @@ func (s *Simulator) commission(r model.TimedRequest, entries []affinity.VMEntry,
 			obs.F("method", "requeue"),
 			obs.F("delay", now-failAt))
 	}
-	ev, err := s.engine.After(r.Hold, func(at float64) { s.depart(id, at) })
+	var err error
+	if at := s.engine.Now() + r.Hold; c.departEv == nil {
+		c.departEv, err = s.engine.At(at, func(at float64) { s.depart(c, at) })
+	} else {
+		err = s.engine.Reschedule(c.departEv, at, 0)
+	}
 	if err != nil {
-		s.fail(fmt.Errorf("cloudsim: scheduling departure of cluster %d: %w", id, err))
+		s.fail(fmt.Errorf("cloudsim: scheduling departure of cluster %d: %w", c.id, err))
 		return
 	}
-	s.departEv[id] = ev
-	if s.elastic != nil {
+	if s.ecfg.Enabled {
 		// The map phase starts now: open the cluster's resize lifecycle.
-		s.requestGrow(id, r, now)
+		s.requestGrow(c, now)
 	}
 }
 
-func (s *Simulator) depart(id int, now float64) {
-	s.cancelElastic(id, now, "departed")
-	c := s.running[id]
-	delete(s.running, id)
-	delete(s.departEv, id)
-	delete(s.slot, id)
-	delete(s.samples, id)
+func (s *Simulator) depart(c *cluster, now float64) {
+	s.cancelElastic(c, now, "departed")
+	delete(s.running, c.id)
 	s.sampleUtilization(now)
 	s.usedSlots -= c.vms
 	d, _ := s.distance(c)
 	s.metrics.FinalDistanceSum += d
 	s.om.running.Set(float64(len(s.running)))
 	s.om.usedSlots.Set(float64(s.usedSlots))
-	s.cfg.Obs.Emit("depart", now, obs.F("req", int(s.reqOf[id].ID)), obs.F("dc", d))
-	delete(s.reqOf, id)
+	s.cfg.Obs.Emit("depart", now, obs.F("req", int(c.req.ID)), obs.F("dc", d))
 	var err error
 	if s.serve != nil {
 		err = s.serve.Release(c.cells)
@@ -838,12 +858,13 @@ func (s *Simulator) depart(id int, now float64) {
 		// obs counter) instead of panicking the whole process; Run's
 		// event loop stops at the next step.
 		s.om.releaseFailures.Inc()
-		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", id), obs.F("error", err.Error()))
+		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", c.id), obs.F("error", err.Error()))
 		if s.failed == nil {
-			s.failed = fmt.Errorf("cloudsim: release of cluster %d at t=%v failed: %w", id, now, err)
+			s.failed = fmt.Errorf("cloudsim: release of cluster %d at t=%v failed: %w", c.id, now, err)
 		}
 		return
 	}
+	s.retire(c)
 	s.drain(now)
 	if s.cfg.Migrate {
 		s.migrate(now)
@@ -914,16 +935,34 @@ apply:
 }
 
 // drain admits whatever the queue can serve with the freed resources.
+// The availability and the taken requests go through reused scratch. No
+// path from a placement leads back into drain, so the taken scratch is
+// never overwritten while it is being served; the draining flag checks
+// that.
 func (s *Simulator) drain(now float64) {
-	var taken []model.TimedRequest
-	if s.cfg.Strict {
-		taken = s.queue.GetRequestsStrict(s.inv.Available())
-	} else {
-		taken = s.queue.GetRequests(s.inv.Available())
-	}
-	if len(taken) == 0 {
+	if s.draining {
+		s.fail(errors.New("cloudsim: nested drain"))
 		return
 	}
+	s.avail = s.inv.AppendAvailable(s.avail[:0])
+	if s.cfg.Strict {
+		s.taken = append(s.taken[:0], s.queue.GetRequestsStrict(s.avail)...)
+	} else {
+		s.taken = s.queue.AppendRequests(s.taken[:0], s.avail)
+	}
+	if len(s.taken) == 0 {
+		return
+	}
+	s.draining = true
+	s.admit(s.taken, now)
+	s.draining = false
+	// Drop the served requests so the scratch pins no request vectors.
+	clear(s.taken)
+}
+
+// admit serves the requests a drain took from the queue, requeueing any
+// that no longer fit.
+func (s *Simulator) admit(taken []model.TimedRequest, now float64) {
 	if s.cfg.Batch && len(taken) > 1 {
 		vecs := make([]model.Request, len(taken))
 		for i, r := range taken {
@@ -961,6 +1000,6 @@ func (s *Simulator) drain(now float64) {
 func (s *Simulator) requeue(r model.TimedRequest, now float64) {
 	if err := s.queue.Enqueue(r); err != nil {
 		delete(s.pendingRecovery, r.ID)
-		s.reject(r, now, "requeue_full")
+		s.reject(r, now, "requeue_full", true)
 	}
 }

@@ -1,9 +1,16 @@
-// Sparse live-cluster records. A served cluster is held as its non-zero
-// allocation cells instead of an n×m matrix, so commissioning, resizing,
-// pricing and releasing one cost O(cells) at any plant size. Only the
-// rare paths whose planners take a dense matrix (evacuation planning and
-// the migration pass) materialize one, and only for the clusters they
-// touch.
+// Live-cluster records. Each live cluster is one record holding
+// everything the simulator keeps about it: its registry ID and request,
+// its non-zero allocation cells instead of an n×m matrix, its served
+// sample, its departure event and its resize state. Commissioning,
+// resizing, pricing and releasing one cost O(cells) at any plant size.
+// Only the rare paths whose planners take a dense matrix (evacuation
+// planning and the migration pass) materialize one, and only for the
+// clusters they touch.
+//
+// Records are reused: a departed or torn-down cluster's record goes to
+// the simulator's free list after its last use, and the next commission
+// takes it back with its cells' capacity and its bound events, so a
+// steady-state replay allocates no bookkeeping per request.
 package cloudsim
 
 import (
@@ -11,23 +18,57 @@ import (
 	"slices"
 
 	"affinitycluster/internal/affinity"
+	"affinitycluster/internal/eventsim"
+	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
 )
 
 // cluster is one live virtual cluster: its non-zero cells, one entry
 // per (node, type) in ascending node-then-type order — the order
-// Allocation.Sparse produces — and its VM count.
+// Allocation.Sparse produces — and its VM count, plus the simulator's
+// bookkeeping for it.
 type cluster struct {
+	id    int                // registry ID, assigned in commission order
+	req   model.TimedRequest // the request it serves
 	cells []affinity.VMEntry
 	vms   int
+
+	// The served sample, rolled back out of the metrics if a fault tears
+	// the cluster down, and its index into Metrics.Distances/Waits
+	// (RetainSamples only).
+	d, wait float64
+	slot    int
+
+	// departEv fires depart; bound at the record's first commission and
+	// re-armed by every later one.
+	departEv *eventsim.Event
+
+	elasticState // resize lifecycle, Elastic mode only
 }
 
-// newCluster records a freshly placed cluster from its placement
-// entries, which it copies (placers hand out reused scratch).
-func newCluster(entries []affinity.VMEntry) *cluster {
-	c := &cluster{}
-	c.add(entries)
+// takeRecord returns a retired record from the free list, or a new one.
+// A reused record keeps its cells' backing array and its bound events,
+// none of them pending.
+func (s *Simulator) takeRecord() *cluster {
+	n := len(s.free)
+	if n == 0 {
+		return &cluster{}
+	}
+	c := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
 	return c
+}
+
+// retire puts a record whose cluster is gone on the free list. The
+// request is dropped so the idle record pins no request vector.
+//
+//lint:hotpath
+func (s *Simulator) retire(c *cluster) {
+	c.req = model.TimedRequest{}
+	c.cells = c.cells[:0]
+	c.vms = 0
+	s.free = append(s.free, c)
 }
 
 // add merges entries into the cluster and returns the VMs they add.

@@ -1,16 +1,26 @@
 package cloudsim
 
 import (
+	"io"
 	"testing"
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/faults"
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
+	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
 )
+
+// newCluster builds a bare record from placement entries, as
+// commission fills one.
+func newCluster(entries []affinity.VMEntry) *cluster {
+	c := &cluster{}
+	c.add(entries)
+	return c
+}
 
 // checkLedger asserts the sparse cluster records against the inventory
 // and the dense reference: the live clusters' cells sum to the allocated
@@ -112,6 +122,42 @@ func TestClusterLedgerDifferential(t *testing.T) {
 	if total.Grows == 0 || total.Shrinks == 0 || total.Evacuations == 0 || total.Requeued == 0 {
 		t.Fatalf("scenario misses a path: %d grows, %d shrinks, %d evacuations, %d teardowns",
 			total.Grows, total.Shrinks, total.Evacuations, total.Requeued)
+	}
+}
+
+// TestPlaceDepartZeroAllocs pins the steady serve cycle on one reused
+// record: a request arrives and is placed, its departure fires and
+// retires the record, and the next placement takes the record back and
+// re-arms its departure event. The cycle allocates nothing, with obs off
+// or streaming.
+func TestPlaceDepartZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
+	}
+	for _, tc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{
+		{"obs-off", nil},
+		{"streaming", obs.NewStreamingRegistry(io.Discard)},
+	} {
+		tp, inv := plant(t)
+		sim, err := New(tp, inv, &placement.OnlineHeuristic{Obs: tc.reg}, Config{Obs: tc.reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := timed(0, model.Request{3, 2}, 0, 10)
+		avg := testing.AllocsPerRun(200, func() {
+			sim.arrive(r, sim.engine.Now())
+			sim.engine.Step()
+		})
+		if avg != 0 {
+			t.Errorf("%s: place→depart cycle allocates %.2f allocs/op, want 0", tc.name, avg)
+		}
+		if sim.failed != nil || sim.metrics.Served != 201 || len(sim.running) != 0 || len(sim.free) != 1 || sim.unresolved != 0 {
+			t.Errorf("%s: failed=%v served=%d running=%d free=%d unresolved=%d; want 201 served through one record",
+				tc.name, sim.failed, sim.metrics.Served, len(sim.running), len(sim.free), sim.unresolved)
+		}
 	}
 }
 

@@ -90,115 +90,127 @@ func (c ElasticConfig) validate() error {
 	return nil
 }
 
-// elasticState tracks one running cluster's resize lifecycle. It exists
-// only between the grow request at commission and its resolution (the
-// shrink for served grows, expiry for deferred ones); depart and
-// teardown cancel whatever is still scheduled.
+// elasticState is one cluster's resize lifecycle, embedded in its
+// record. A lifecycle is open (active) from the grow request at
+// commission until it resolves: the shrink for a served grow, expiry for
+// a deferred one; depart and teardown cancel whatever is still
+// scheduled. The retry and shrink events are bound at the record's first
+// use and re-armed by every later lifecycle, and growVec keeps its
+// backing array, so a lifecycle allocates nothing once its record has
+// served one before.
 type elasticState struct {
+	active   bool            // a grow op is open (pending, deferred, or owing its shrink)
 	growVec  model.Request   // per-type delta requested for the map phase
 	deadline float64         // shrink boundary: commission + MapFrac·Hold
-	grown    bool            // the grow was served (shrink owed)
-	retryEv  *eventsim.Event // deferred-grow retry, bound once and re-armed per deferral
-	shrinkEv *eventsim.Event // pending shrink at the boundary
+	retryEv  *eventsim.Event // deferred-grow retry
+	shrinkEv *eventsim.Event // shrink at the boundary
 
 	// While parked: the ladder tick of the next poll, and the neighbours
 	// in the simulator's parked list. Parking links the record in and
 	// expiry unlinks it, so the list holds exactly the parked grows.
-	next       float64
-	prev, succ *elasticState
+	// last is the ladder's last tick, computed at the op's first park (0
+	// until then).
+	next, last float64
+	prev, succ *cluster
 }
 
 // requestGrow opens the resize lifecycle of a freshly commissioned
 // cluster: size the delta, run deadline admission, and attempt the grow.
-func (s *Simulator) requestGrow(id int, r model.TimedRequest, now float64) {
-	g := make(model.Request, len(r.Vector))
+func (s *Simulator) requestGrow(c *cluster, now float64) {
+	r := c.req
+	if len(c.growVec) < len(r.Vector) {
+		c.growVec = make(model.Request, len(r.Vector))
+	}
+	g := c.growVec[:len(r.Vector)]
 	total := 0
 	for j, v := range r.Vector {
+		g[j] = 0
 		if v > 0 {
 			g[j] = int(math.Ceil(s.ecfg.GrowFactor * float64(v)))
 			total += g[j]
 		}
 	}
+	c.growVec = g
 	if total == 0 {
 		return
 	}
 	s.metrics.GrowRequests++
 	window := s.ecfg.MapFrac * r.Hold
 	if window < s.ecfg.MinPayoff {
-		s.rejectGrow(id, r.ID, now, "deadline")
+		s.rejectGrow(c, now, "deadline")
 		return
 	}
 	if !s.inv.CanEverSatisfy(g) {
-		s.rejectGrow(id, r.ID, now, "oversized")
+		s.rejectGrow(c, now, "oversized")
 		return
 	}
-	s.elastic[id] = &elasticState{growVec: g, deadline: now + window}
-	s.tryGrow(id, now)
+	c.active, c.deadline, c.last = true, now+window, 0
+	s.resizes++
+	s.tryGrow(c, now)
 }
 
 // rejectGrow terminates a grow op at admission.
-func (s *Simulator) rejectGrow(id int, req model.RequestID, now float64, reason string) {
+func (s *Simulator) rejectGrow(c *cluster, now float64, reason string) {
 	s.metrics.GrowRejected++
 	s.om.growRejected.Inc()
 	s.cfg.Obs.Emit("resize_reject", now,
-		obs.F("req", int(req)),
-		obs.F("cluster", id),
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
 		obs.F("reason", reason))
 }
 
 // tryGrow attempts to place the cluster's pending delta near its current
 // center. A grow never jumps the wait queue: while requests are waiting
 // it parks, and while the delta does not fit it polls.
-func (s *Simulator) tryGrow(id int, now float64) {
+func (s *Simulator) tryGrow(c *cluster, now float64) {
 	if s.queue.Len() != 0 {
-		s.parkGrow(id, now)
+		s.parkGrow(c, now)
 		return
 	}
-	st := s.elastic[id]
-	c := s.running[id]
-	dc, center, err := s.online.PlaceDeltaSparse(s.tidx, c.cells, st.growVec, &s.spd)
+	dc, center, err := s.online.PlaceDeltaSparse(s.tidx, c.cells, c.growVec, &s.spd)
 	if err != nil {
 		if !errors.Is(err, placement.ErrInsufficient) {
-			s.fail(fmt.Errorf("cloudsim: growing cluster %d: %w", id, err))
+			s.fail(fmt.Errorf("cloudsim: growing cluster %d: %w", c.id, err))
 			return
 		}
-		s.pollGrow(id, now, err)
+		s.pollGrow(c, now, err)
 		return
 	}
 	// The tier index admitted the delta, so the inventory must take it.
 	if err := s.inv.AllocateList(s.spd.Entries); err != nil {
-		s.fail(fmt.Errorf("cloudsim: allocating grow of cluster %d: %w", id, err))
+		s.fail(fmt.Errorf("cloudsim: allocating grow of cluster %d: %w", c.id, err))
 		return
 	}
 	added := c.add(s.spd.Entries)
 	s.sampleUtilization(now)
 	s.usedSlots += added
-	st.grown = true
 	s.metrics.Grows++
 	s.metrics.GrowVMs += added
 	s.om.grows.Inc()
 	s.om.usedSlots.Set(float64(s.usedSlots))
 	s.cfg.Obs.Emit("resize_grow", now,
-		obs.F("req", int(s.reqOf[id].ID)),
-		obs.F("cluster", id),
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
 		obs.F("vms", added),
 		obs.F("center", int(center)),
 		obs.F("dc", dc))
-	ev, serr := s.engine.At(st.deadline, func(at float64) { s.shrink(id, at) })
-	if serr != nil {
-		s.fail(fmt.Errorf("cloudsim: scheduling shrink of cluster %d: %w", id, serr))
-		return
+	if c.shrinkEv == nil {
+		c.shrinkEv, err = s.engine.At(c.deadline, func(at float64) { s.shrink(c, at) })
+	} else {
+		err = s.engine.Reschedule(c.shrinkEv, c.deadline, 0)
 	}
-	st.shrinkEv = ev
+	if err != nil {
+		s.fail(fmt.Errorf("cloudsim: scheduling shrink of cluster %d: %w", c.id, err))
+	}
 }
 
 // nextTick returns the retry ladder's tick after now, or expires the
 // grow and reports false when that tick can no longer serve MinPayoff
 // seconds before the boundary.
-func (s *Simulator) nextTick(id int, now float64) (float64, bool) {
+func (s *Simulator) nextTick(c *cluster, now float64) (float64, bool) {
 	next := now + s.ecfg.DeferBackoff
-	if next+s.ecfg.MinPayoff > s.elastic[id].deadline {
-		s.expireGrow(id, now, "deadline")
+	if next+s.ecfg.MinPayoff > c.deadline {
+		s.expireGrow(c, now, "deadline")
 		return 0, false
 	}
 	return next, true
@@ -206,50 +218,54 @@ func (s *Simulator) nextTick(id int, now float64) (float64, bool) {
 
 // pollGrow re-arms a grow the plant cannot fit at the ladder's next
 // tick: any event before then may free the capacity it lacks.
-func (s *Simulator) pollGrow(id int, now float64, cause error) {
-	next, ok := s.nextTick(id, now)
+func (s *Simulator) pollGrow(c *cluster, now float64, cause error) {
+	next, ok := s.nextTick(c, now)
 	if !ok {
 		return
 	}
 	typ, need, avail, _ := placement.Shortfall(cause)
 	s.cfg.Obs.Emit("resize_defer", now,
-		obs.F("req", int(s.reqOf[id].ID)),
-		obs.F("cluster", id),
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
 		obs.F("retry", next),
 		obs.F("reason", "capacity"),
 		obs.F("type", typ),
 		obs.F("need", need),
 		obs.F("avail", avail))
-	s.armRetry(id, next)
+	s.armRetry(c, next)
 }
 
 // parkGrow takes a grow blocked by the wait queue off the ladder. No
 // poll can serve it while requests wait, so it records the ladder's next
 // tick and arms its retry at the ladder's last one, where it expires if
 // the queue never empties. wakeGrows brings it back earlier.
-func (s *Simulator) parkGrow(id int, now float64) {
-	next, ok := s.nextTick(id, now)
+func (s *Simulator) parkGrow(c *cluster, now float64) {
+	next, ok := s.nextTick(c, now)
 	if !ok {
 		return
 	}
-	st := s.elastic[id]
-	st.next = next
-	// The same float additions as polling, so the last tick is exactly
-	// the one a polled grow would expire at.
-	last := next
-	for t := last + s.ecfg.DeferBackoff; t+s.ecfg.MinPayoff <= st.deadline; t += s.ecfg.DeferBackoff {
-		last = t
+	c.next = next
+	if c.last == 0 {
+		// Every attempt after the commission one runs on a ladder tick,
+		// so all parks of one grow op share one last tick: compute it at
+		// the first park, by the same float additions as polling, so it
+		// is exactly the tick a polled grow would expire at.
+		last := next
+		for t := last + s.ecfg.DeferBackoff; t+s.ecfg.MinPayoff <= c.deadline; t += s.ecfg.DeferBackoff {
+			last = t
+		}
+		c.last = last
 	}
-	st.succ = s.parked
-	if st.succ != nil {
-		st.succ.prev = st
+	c.succ = s.parked
+	if c.succ != nil {
+		c.succ.prev = c
 	}
-	s.parked = st
+	s.parked = c
 	s.cfg.Obs.Emit("resize_defer", now,
-		obs.F("req", int(s.reqOf[id].ID)),
-		obs.F("cluster", id),
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
 		obs.F("reason", "queue"))
-	s.armRetry(id, last)
+	s.armRetry(c, c.last)
 }
 
 // wakeGrows returns every parked grow to its ladder once the wait queue
@@ -259,89 +275,85 @@ func (s *Simulator) parkGrow(id int, now float64) {
 // other event at that tick, where its poll would have fired.
 func (s *Simulator) wakeGrows(now float64) {
 	for s.parked != nil {
-		st := s.parked
-		s.unpark(st)
-		for st.next < now {
-			st.next += s.ecfg.DeferBackoff
+		c := s.parked
+		s.unpark(c)
+		for c.next < now {
+			c.next += s.ecfg.DeferBackoff
 		}
-		s.engine.Cancel(st.retryEv)
-		if err := s.engine.Reschedule(st.retryEv, st.next); err != nil {
+		s.engine.Cancel(c.retryEv)
+		if err := s.engine.Reschedule(c.retryEv, c.next, 1+c.id); err != nil {
 			s.fail(fmt.Errorf("cloudsim: waking a parked grow's retry: %w", err))
 			return
 		}
 	}
 }
 
-// unpark unlinks st from the parked list; a grow not parked is left
+// unpark unlinks c from the parked list; a grow not parked is left
 // alone.
-func (s *Simulator) unpark(st *elasticState) {
+func (s *Simulator) unpark(c *cluster) {
 	switch {
-	case st.prev != nil:
-		st.prev.succ = st.succ
-	case s.parked == st:
-		s.parked = st.succ
+	case c.prev != nil:
+		c.prev.succ = c.succ
+	case s.parked == c:
+		s.parked = c.succ
 	default:
 		return
 	}
-	if st.succ != nil {
-		st.succ.prev = st.prev
+	if c.succ != nil {
+		c.succ.prev = c.prev
 	}
-	st.prev, st.succ = nil, nil
+	c.prev, c.succ = nil, nil
 }
 
-// armRetry schedules the grow's retry at t. The first deferral binds the
-// retry callback; later ones re-arm the same event, so a long retry
-// chain allocates nothing per retry. The retry's event class, 1 + id,
-// fires it after every other event at its instant (arrivals,
+// armRetry schedules the grow's retry at t. The record's first deferral
+// binds the retry callback; later ones re-arm the same event, so a long
+// retry chain allocates nothing per retry. The retry's event class,
+// 1 + id, fires it after every other event at its instant (arrivals,
 // departures, shrinks, repairs), and among retries in cluster-id order,
 // which is commission order: the order never depends on when a retry
-// was armed.
-func (s *Simulator) armRetry(id int, t float64) {
-	st := s.elastic[id]
+// was armed. A reused record re-arms in its new ID's class.
+func (s *Simulator) armRetry(c *cluster, t float64) {
 	var err error
-	if st.retryEv == nil {
-		st.retryEv, err = s.engine.AtClass(t, 1+id, func(at float64) { s.tryGrow(id, at) })
+	if c.retryEv == nil {
+		c.retryEv, err = s.engine.AtClass(t, 1+c.id, func(at float64) { s.tryGrow(c, at) })
 	} else {
-		err = s.engine.Reschedule(st.retryEv, t)
+		err = s.engine.Reschedule(c.retryEv, t, 1+c.id)
 	}
 	if err != nil {
-		s.fail(fmt.Errorf("cloudsim: scheduling grow retry for cluster %d: %w", id, err))
+		s.fail(fmt.Errorf("cloudsim: scheduling grow retry for cluster %d: %w", c.id, err))
 	}
 }
 
 // expireGrow terminates a deferred grow that never served; the cluster
 // carries on at its base size.
-func (s *Simulator) expireGrow(id int, now float64, reason string) {
-	s.unpark(s.elastic[id])
+func (s *Simulator) expireGrow(c *cluster, now float64, reason string) {
+	s.unpark(c)
 	s.metrics.Deferred++
 	s.om.growDeferred.Inc()
 	s.cfg.Obs.Emit("resize_expire", now,
-		obs.F("req", int(s.reqOf[id].ID)),
-		obs.F("cluster", id),
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
 		obs.F("reason", reason))
-	delete(s.elastic, id)
+	s.closeResize(c)
 }
 
 // shrink fires at the map/shuffle boundary of a grown cluster: give back
 // exactly the grow's per-type delta, choosing the DC(C)-minimizing
 // victims from the merged cluster, and offer the freed capacity to the
 // wait queue like a departure would.
-func (s *Simulator) shrink(id int, now float64) {
+func (s *Simulator) shrink(c *cluster, now float64) {
 	if s.failed != nil {
 		return
 	}
-	st := s.elastic[id]
-	st.shrinkEv = nil
-	c := s.running[id]
-	victims, err := placement.ReleaseSubsetSparse(s.topo, c.cells, st.growVec)
+	victims, err := placement.ReleaseSubsetSparse(s.topo, c.cells, c.growVec)
 	if err != nil {
-		s.fail(fmt.Errorf("cloudsim: shrinking cluster %d at t=%v: %w", id, now, err))
+		s.fail(fmt.Errorf("cloudsim: shrinking cluster %d at t=%v: %w", c.id, now, err))
 		return
 	}
 	if err := s.inv.ReleaseList(victims); err != nil {
 		s.om.releaseFailures.Inc()
-		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", id), obs.F("error", err.Error()))
-		s.fail(fmt.Errorf("cloudsim: releasing shrink of cluster %d at t=%v: %w", id, now, err))
+		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", c.id), obs.F("error", err.Error()))
+		s.fail(fmt.Errorf("cloudsim: releasing shrink of cluster %d at t=%v: %w", c.id, now, err))
 		return
 	}
 	removed := c.remove(victims)
@@ -352,11 +364,11 @@ func (s *Simulator) shrink(id int, now float64) {
 	s.om.usedSlots.Set(float64(s.usedSlots))
 	d, _ := s.distance(c)
 	s.cfg.Obs.Emit("resize_shrink", now,
-		obs.F("req", int(s.reqOf[id].ID)),
-		obs.F("cluster", id),
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
 		obs.F("vms", removed),
 		obs.F("dc", d))
-	delete(s.elastic, id)
+	s.closeResize(c)
 	s.drain(now)
 }
 
@@ -364,20 +376,22 @@ func (s *Simulator) shrink(id int, now float64) {
 // itself goes away (departure, or teardown by a fault). A still-deferred
 // grow terminates as Deferred; a pending shrink is simply dropped — the
 // grown VMs are part of the cluster's allocation and leave with it.
-func (s *Simulator) cancelElastic(id int, now float64, reason string) {
-	if s.elastic == nil {
+// Afterwards the record holds no pending resize event.
+func (s *Simulator) cancelElastic(c *cluster, now float64, reason string) {
+	if !c.active {
 		return
 	}
-	st := s.elastic[id]
-	if st == nil {
-		return
+	if s.engine.Cancel(c.retryEv) { // a deferred grow still waiting
+		s.expireGrow(c, now, reason)
 	}
-	if s.engine.Cancel(st.retryEv) { // a deferred grow still waiting
-		s.expireGrow(id, now, reason)
+	s.engine.Cancel(c.shrinkEv)
+	s.closeResize(c)
+}
+
+// closeResize marks a cluster's resize lifecycle resolved.
+func (s *Simulator) closeResize(c *cluster) {
+	if c.active {
+		c.active = false
+		s.resizes--
 	}
-	if st.shrinkEv != nil {
-		s.engine.Cancel(st.shrinkEv)
-		st.shrinkEv = nil
-	}
-	delete(s.elastic, id)
 }

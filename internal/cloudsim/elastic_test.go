@@ -377,15 +377,12 @@ func TestElasticParkWakeZeroAllocs(t *testing.T) {
 		}
 		// One live cluster whose grow has 400 ticks to its boundary, and
 		// one waiting request for it to park behind.
-		const id = 0
-		sim.running[id] = newCluster([]affinity.VMEntry{{Node: 0, Type: 0, Count: 1}})
-		sim.reqOf[id] = timed(0, model.Request{1, 0}, 0, 5000)
-		sim.elastic[id] = &elasticState{growVec: model.Request{1, 0}, deadline: 2000}
+		c := liveCluster(sim, 0, timed(0, model.Request{1, 0}, 0, 5000), 2000)
 		waiting := timed(1, model.Request{1, 0}, 0, 10)
 		if err := sim.queue.Enqueue(waiting); err != nil {
 			t.Fatal(err)
 		}
-		sim.tryGrow(id, 0) // parks, binding the retry callback and its event
+		sim.tryGrow(c, 0) // parks, binding the retry callback and its event
 		avg := testing.AllocsPerRun(200, func() {
 			if err := sim.queue.Cancel(waiting.ID); err != nil {
 				t.Fatal(err)
@@ -412,11 +409,23 @@ func TestElasticParkWakeZeroAllocs(t *testing.T) {
 	}
 }
 
+// liveCluster registers a one-VM cluster serving r whose {1, 0} grow is
+// open with the given deadline, as commission leaves it before the
+// grow's first attempt.
+func liveCluster(sim *Simulator, id int, r model.TimedRequest, deadline float64) *cluster {
+	c := newCluster([]affinity.VMEntry{{Node: 0, Type: 0, Count: 1}})
+	c.id, c.req = id, r
+	c.elasticState = elasticState{active: true, growVec: model.Request{1, 0}, deadline: deadline}
+	sim.running[id] = c
+	sim.resizes++
+	return c
+}
+
 // parkedLen walks the parked list, checking its back links.
 func parkedLen(t *testing.T, sim *Simulator) int {
 	t.Helper()
 	n := 0
-	var prev *elasticState
+	var prev *cluster
 	for st := sim.parked; st != nil; st = st.succ {
 		if st.prev != prev {
 			t.Fatalf("parked list entry %d has a broken back link", n)
@@ -439,15 +448,13 @@ func TestElasticParkedListHoldsOnlyParkedGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < 1000; id++ {
-		sim.running[id] = newCluster([]affinity.VMEntry{{Node: 0, Type: 0, Count: 1}})
-		sim.reqOf[id] = timed(id, model.Request{1, 0}, 0, 100)
-		sim.elastic[id] = &elasticState{growVec: model.Request{1, 0}, deadline: 40}
-		sim.tryGrow(id, 0)
+		c := liveCluster(sim, id, timed(id, model.Request{1, 0}, 0, 100), 40)
+		sim.tryGrow(c, 0)
 		switch {
 		case id%3 == 1: // leaves from the middle of the list
-			sim.cancelElastic(id-1, 0, "departed")
+			sim.cancelElastic(sim.running[id-1], 0, "departed")
 		case id%3 == 2: // leaves from its head
-			sim.cancelElastic(id, 0, "departed")
+			sim.cancelElastic(c, 0, "departed")
 		}
 	}
 	if sim.failed != nil || sim.metrics.Deferred != 666 {

@@ -57,6 +57,9 @@ func (s *Simulator) crash(ev faults.Event, now float64) {
 		obs.F("id", ev.FailureID),
 		obs.F("nodes", nodeInts(ev.Nodes)),
 		obs.F("rack", ev.Rack))
+	// Collect the IDs before recovering any cluster: a torn-down
+	// cluster's record can be reused at once by its own re-placement,
+	// under a new ID this crash must not visit.
 	ids := make([]int, 0, len(s.running))
 	for id := range s.running {
 		ids = append(ids, id)
@@ -66,7 +69,7 @@ func (s *Simulator) crash(ev faults.Event, now float64) {
 		if s.failed != nil {
 			return
 		}
-		s.degrade(id, ev.Nodes, now)
+		s.degrade(s.running[id], ev.Nodes, now)
 	}
 	s.om.usedSlots.Set(float64(s.usedSlots))
 	s.om.running.Set(float64(len(s.running)))
@@ -75,8 +78,7 @@ func (s *Simulator) crash(ev faults.Event, now float64) {
 // degrade strips one cluster's VMs on the dead nodes and recovers it:
 // evacuation when the survivors can be topped up from residual
 // capacity, whole-cluster re-placement otherwise.
-func (s *Simulator) degrade(id int, dead []topology.NodeID, now float64) {
-	c := s.running[id]
+func (s *Simulator) degrade(c *cluster, dead []topology.NodeID, now float64) {
 	lostVec := make(model.Request, s.inv.Types())
 	lostVMs := 0
 	kept := c.cells[:0]
@@ -96,32 +98,31 @@ func (s *Simulator) degrade(id int, dead []topology.NodeID, now float64) {
 	s.usedSlots -= lostVMs
 	s.metrics.LostVMs += lostVMs
 	survivors := c.vms
-	r := s.reqOf[id]
 	s.cfg.Obs.Emit("degraded", now,
-		obs.F("req", int(r.ID)),
-		obs.F("cluster", id),
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
 		obs.F("lost", lostVMs),
 		obs.F("survivors", survivors))
 	if survivors > 0 {
 		repl, err := migration.PlanReplacement(s.topo, s.inv.RemainingView(), c.dense(s.topo.Nodes(), s.inv.Types()), lostVec)
 		if err == nil {
-			s.evacuate(id, c, repl.Sparse(), lostVMs, now)
+			s.evacuate(c, repl.Sparse(), lostVMs, now)
 			return
 		}
 		if !errors.Is(err, migration.ErrNoCapacity) {
-			s.fail(fmt.Errorf("cloudsim: planning evacuation of cluster %d: %w", id, err))
+			s.fail(fmt.Errorf("cloudsim: planning evacuation of cluster %d: %w", c.id, err))
 			return
 		}
 	}
-	s.teardown(id, now)
+	s.teardown(c, now)
 }
 
 // evacuate commits a replacement plan: the new VMs are allocated and
 // merged into the running cluster, which keeps its identity, departure
 // time, and served sample.
-func (s *Simulator) evacuate(id int, c *cluster, repl []affinity.VMEntry, lostVMs int, now float64) {
+func (s *Simulator) evacuate(c *cluster, repl []affinity.VMEntry, lostVMs int, now float64) {
 	if err := s.inv.AllocateList(repl); err != nil {
-		s.fail(fmt.Errorf("cloudsim: allocating evacuation of cluster %d: %w", id, err))
+		s.fail(fmt.Errorf("cloudsim: allocating evacuation of cluster %d: %w", c.id, err))
 		return
 	}
 	c.add(repl)
@@ -130,7 +131,7 @@ func (s *Simulator) evacuate(id int, c *cluster, repl []affinity.VMEntry, lostVM
 	s.om.evacuations.Inc()
 	s.om.recoverySeconds.Observe(0)
 	s.cfg.Obs.Emit("recover", now,
-		obs.F("req", int(s.reqOf[id].ID)),
+		obs.F("req", int(c.req.ID)),
 		obs.F("method", "evacuate"),
 		obs.F("delay", 0.0))
 }
@@ -138,51 +139,47 @@ func (s *Simulator) evacuate(id int, c *cluster, repl []affinity.VMEntry, lostVM
 // teardown removes a cluster that cannot be recovered in place,
 // releases its surviving VMs, rolls back its served sample, and starts
 // whole-cluster re-placement for its original request (which keeps its
-// arrival time, so a re-serve reports the true total wait).
-func (s *Simulator) teardown(id int, now float64) {
-	s.cancelElastic(id, now, "teardown")
-	c := s.running[id]
-	r := s.reqOf[id]
-	s.engine.Cancel(s.departEv[id])
-	delete(s.departEv, id)
-	delete(s.running, id)
-	delete(s.reqOf, id)
+// arrival time, so a re-serve reports the true total wait). The record
+// is retired before the re-placement, which may take it straight back.
+func (s *Simulator) teardown(c *cluster, now float64) {
+	s.cancelElastic(c, now, "teardown")
+	r := c.req
+	s.engine.Cancel(c.departEv)
+	delete(s.running, c.id)
 	s.usedSlots -= c.vms
 	if err := s.inv.ReleaseList(c.cells); err != nil {
 		s.om.releaseFailures.Inc()
-		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", id), obs.F("error", err.Error()))
-		s.fail(fmt.Errorf("cloudsim: release of torn-down cluster %d at t=%v failed: %w", id, now, err))
+		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", c.id), obs.F("error", err.Error()))
+		s.fail(fmt.Errorf("cloudsim: release of torn-down cluster %d at t=%v failed: %w", c.id, now, err))
 		return
 	}
 	// Roll back the served sample: Metrics counts clusters that ran (or
 	// are running) to completion. The obs counters deliberately keep
-	// counting commissions instead. The per-active record carries the
-	// exact floats observed at commission, so the rollback is O(active)
-	// with or without retained slices (and the retained-slice surgery,
-	// which touches every later slot, only runs in retained mode).
-	rec := s.samples[id]
-	delete(s.samples, id)
+	// counting commissions instead. The record carries the exact floats
+	// observed at commission, so the rollback is O(active) with or
+	// without retained slices (and the retained-slice surgery, which
+	// touches every later slot, only runs in retained mode).
 	s.metrics.Served--
-	s.metrics.TotalDistance -= rec.d
-	s.metrics.DistanceSketch.Remove(rec.d)
-	s.metrics.WaitSketch.Remove(rec.wait)
+	s.metrics.TotalDistance -= c.d
+	s.metrics.DistanceSketch.Remove(c.d)
+	s.metrics.WaitSketch.Remove(c.wait)
 	if s.cfg.RetainSamples {
-		idx := s.slot[id]
-		delete(s.slot, id)
+		idx := c.slot
 		s.metrics.Distances = slices.Delete(s.metrics.Distances, idx, idx+1)
 		s.metrics.Waits = slices.Delete(s.metrics.Waits, idx, idx+1)
-		for cid, sl := range s.slot {
-			if sl > idx {
-				s.slot[cid] = sl - 1
+		for _, o := range s.running {
+			if o.slot > idx {
+				o.slot--
 			}
 		}
 	}
 	s.om.running.Set(float64(len(s.running)))
 	s.om.usedSlots.Set(float64(s.usedSlots))
-	s.arrivals[r.ID] = r.Arrival
+	s.unresolved++
 	s.pendingRecovery[r.ID] = now
 	s.metrics.Requeued++
-	s.cfg.Obs.Emit("requeue", now, obs.F("req", int(r.ID)), obs.F("cluster", id))
+	s.cfg.Obs.Emit("requeue", now, obs.F("req", int(r.ID)), obs.F("cluster", c.id))
+	s.retire(c)
 	s.retryPlace(r, 0, now)
 }
 
@@ -210,7 +207,7 @@ func (s *Simulator) retryPlace(r model.TimedRequest, attempt int, now float64) {
 			obs.F("attempts", attempt))
 		if err := s.queue.EnqueueFront(r); err != nil {
 			delete(s.pendingRecovery, r.ID)
-			s.reject(r, now, "requeue_full")
+			s.reject(r, now, "requeue_full", true)
 			return
 		}
 		s.cfg.Obs.Emit("queue_admit", now, obs.F("req", int(r.ID)))

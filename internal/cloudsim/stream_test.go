@@ -2,14 +2,18 @@ package cloudsim
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
+	"weak"
 
 	"affinitycluster/internal/faults"
 	"affinitycluster/internal/inventory"
+	"affinitycluster/internal/mapreduce"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
@@ -213,6 +217,130 @@ func TestRunStreamRejectsContractViolations(t *testing.T) {
 	conserve(t, m, 7)
 	if m.Served != 3 || m.Rejected != 4 {
 		t.Errorf("served=%d rejected=%d, want 3/4", m.Served, m.Rejected)
+	}
+}
+
+// A request rejected for repeating a queued request's ID leaves the
+// queued one's arrival alone: when the queued request is served, its
+// wait runs from its own arrival.
+func TestRunStreamDuplicateOfQueuedRequest(t *testing.T) {
+	tp, inv := plant(t)
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{RetainSamples: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
+		timed(0, model.Request{12, 12}, 1, 10), // fills the plant until t=11
+		timed(1, model.Request{6, 0}, 2, 10),   // waits for it
+		timed(1, model.Request{1, 0}, 3, 10),   // repeats the waiting ID
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conserve(t, m, 3)
+	if m.Rejected != 1 {
+		t.Errorf("rejected %d, want the duplicate alone", m.Rejected)
+	}
+	if len(m.Waits) != 2 || m.Waits[1] != 9 {
+		t.Errorf("waits %v, want request 1 served at t=11 after waiting 9 s", m.Waits)
+	}
+}
+
+// The metrics a run returns are the caller's own: keeping them must not
+// keep the simulator, and with it the inventory, tier index, event heap
+// and queue, alive.
+func TestMetricsDoNotPinSimulator(t *testing.T) {
+	run := func() (*Metrics, weak.Pointer[inventory.Inventory]) {
+		tp, inv := plant(t)
+		sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{2, 1}, 0, 5)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, weak.Make(inv)
+	}
+	m, inv := run()
+	runtime.GC()
+	if inv.Value() != nil {
+		t.Error("the returned metrics keep the run's inventory reachable")
+	}
+	if m.Served != 1 {
+		t.Errorf("served %d, want 1", m.Served)
+	}
+}
+
+// soakSim builds the soak scenario's 256-node plant (experiments.Soak's
+// build: capacity seed, workload seed+1, fault seed+2, a streaming
+// registry) with n open-loop requests ready to replay.
+func soakSim(t *testing.T, seed int64, n int, elastic ElasticConfig) (*Simulator, model.RequestSource) {
+	t.Helper()
+	tp, err := topology.Uniform(2, 8, 16, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := workload.DefaultOpenLoopConfig()
+	gen, err := workload.NewOpenLoop(seed+1, n, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps, err := workload.RandomCapacities(seed, tp.Nodes(), wl.Types, workload.InventoryConfig{MaxPerType: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := inventory.NewFromMatrix(caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewStreamingRegistry(io.Discard)
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, Config{
+		Faults:    faults.Config{MTBF: 7200, MTTR: 900, RackEvery: 6, Horizon: float64(n) / wl.BaseRate},
+		FaultSeed: seed + 2,
+		Recovery:  RecoveryConfig{MaxAttempts: 3, Backoff: 60, Factor: 2},
+		Sketch:    SketchConfig{WaitMax: 14400, Buckets: 720},
+		Elastic:   elastic,
+		Obs:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim, gen
+}
+
+// TestReplayAllocsPerRequest gates the replay's steady-state
+// allocations: beyond the request its source hands it, a soak replay
+// allocates only on rare paths (faults, queue growth), and the elastic
+// soak adds its capacity-poll shortfall errors and shrink victims.
+func TestReplayAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
+	}
+	const n = 20_000
+	for _, tc := range []struct {
+		name    string
+		elastic ElasticConfig
+		max     float64
+	}{
+		{"soak", ElasticConfig{}, 1.5},
+		{"soak-elastic", ElasticConfig{Enabled: true, GrowFactor: 0.5,
+			MapFrac: mapreduce.WordCount("input").PhaseSplit(), MinPayoff: 1, DeferBackoff: 5}, 4},
+	} {
+		sim, src := soakSim(t, 2012, n, tc.elastic)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := sim.RunStream(src)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conserve(t, m, n)
+		per := float64(after.Mallocs-before.Mallocs) / n
+		t.Logf("%s: %.2f allocs/request", tc.name, per)
+		if per > tc.max {
+			t.Errorf("%s replay allocates %.2f times per request, want at most %.1f", tc.name, per, tc.max)
+		}
 	}
 }
 

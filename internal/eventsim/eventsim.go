@@ -77,12 +77,14 @@ func (e *Engine) After(delay float64, fn func(now float64)) (*Event, error) {
 }
 
 // Reschedule re-arms an event that has fired or been cancelled at time
-// t, keeping its callback and class. It takes a fresh FIFO sequence
-// number, so it orders exactly like a new At/AtClass call made at the
-// same moment — but reuses the handle instead of allocating one. Callers
-// that retry the same action many times own one event and re-arm it.
-// Rescheduling a still-pending event is an error; cancel it first.
-func (e *Engine) Reschedule(ev *Event, t float64) error {
+// t in the given tie-break class, keeping its callback. It takes a fresh
+// FIFO sequence number, so it orders exactly like a new AtClass call
+// made at the same moment — but reuses the handle instead of allocating
+// one. Callers that repeat the same action many times own one event and
+// re-arm it; the class is restated because a reused handle may serve an
+// owner whose class differs from the one it was bound for. Rescheduling
+// a still-pending event is an error; cancel it first.
+func (e *Engine) Reschedule(ev *Event, t float64, class int) error {
 	if ev == nil {
 		return errors.New("eventsim: reschedule of nil event")
 	}
@@ -95,7 +97,7 @@ func (e *Engine) Reschedule(ev *Event, t float64) error {
 	if ev.Fn == nil {
 		return errors.New("eventsim: nil callback")
 	}
-	ev.Time = t
+	ev.Time, ev.class = t, class
 	e.schedule(ev)
 	return nil
 }

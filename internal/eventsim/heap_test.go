@@ -121,7 +121,8 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 					continue
 				}
 				r := all[rng.Intn(len(all))]
-				err := e.Reschedule(r.ev, at)
+				class := rng.Intn(3) - 1
+				err := e.Reschedule(r.ev, at, class)
 				if r.idx >= 0 {
 					if err == nil {
 						t.Fatalf("seed %d step %d: Reschedule of a pending event accepted", seed, step)
@@ -131,7 +132,7 @@ func TestHeapMatchesContainerHeap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.time, r.seq = at, seq
+				r.time, r.class, r.seq = at, class, seq
 				seq++
 				heap.Push(&ref, r)
 			default:
@@ -183,14 +184,14 @@ func TestRescheduleErrors(t *testing.T) {
 		{"-Inf", fired, math.Inf(-1)},
 		{"past", fired, 0.5},
 	} {
-		if err := e.Reschedule(c.ev, c.at); err == nil {
+		if err := e.Reschedule(c.ev, c.at, 0); err == nil {
 			t.Errorf("%s: Reschedule accepted", c.name)
 		}
 		if e.Pending() != 1 || e.events[0] != pending || pending.idx != 0 {
 			t.Fatalf("%s: rejected Reschedule disturbed the heap", c.name)
 		}
 	}
-	if err := e.Reschedule(fired, 1); err != nil {
+	if err := e.Reschedule(fired, 1, 0); err != nil {
 		t.Errorf("re-arm at the current clock rejected: %v", err)
 	}
 }
@@ -211,10 +212,10 @@ func TestRescheduleOrdersLikeAt(t *testing.T) {
 	if _, err := e.At(3, log("c")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reschedule(a, 3); err != nil {
+	if err := e.Reschedule(a, 3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reschedule(b, 3); err != nil {
+	if err := e.Reschedule(b, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
@@ -244,7 +245,7 @@ func TestRearmZeroAllocs(t *testing.T) {
 	}
 	var ev *Event
 	ev, err := e.At(0, func(now float64) {
-		if err := e.Reschedule(ev, now+5); err != nil {
+		if err := e.Reschedule(ev, now+5, 0); err != nil {
 			t.Fatal(err)
 		}
 	})

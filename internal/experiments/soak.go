@@ -101,6 +101,13 @@ type SoakResult struct {
 // seed+1, and the fault seed seed+2, mirroring the other scenarios'
 // seed-derivation convention.
 func Soak(seed int64, cfg SoakConfig) (*SoakResult, error) {
+	return soak(seed, cfg, false)
+}
+
+// soak is Soak. With liveHeap set, every heap sample runs a collection
+// first, so PeakHeapBytes is the peak live heap rather than a reading
+// that depends on where the GC's pacing left garbage.
+func soak(seed int64, cfg SoakConfig, liveHeap bool) (*SoakResult, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("experiments: Soak needs a positive request count, got %d", cfg.Requests)
 	}
@@ -154,7 +161,7 @@ func Soak(seed int64, cfg SoakConfig) (*SoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &heapPeakSource{src: gen, every: cfg.MemEvery}
+	src := &heapPeakSource{src: gen, every: cfg.MemEvery, gc: liveHeap}
 	if src.every == 0 {
 		src.every = 4096
 	}
@@ -175,18 +182,23 @@ func Soak(seed int64, cfg SoakConfig) (*SoakResult, error) {
 	}, nil
 }
 
-// heapPeakSource decorates a request source, sampling the live Go heap
-// every `every` pulls. ReadMemStats stops the world, so the stride keeps
-// the overhead negligible while still catching the replay's plateau.
+// heapPeakSource decorates a request source, sampling the Go heap every
+// `every` pulls, after a collection when gc is set. ReadMemStats stops
+// the world, so the stride keeps the overhead negligible while still
+// catching the replay's plateau.
 type heapPeakSource struct {
 	src   model.RequestSource
 	every int
+	gc    bool
 	n     int
 	peak  uint64
 }
 
 func (h *heapPeakSource) Next() (model.TimedRequest, bool, error) {
 	if h.every > 0 && h.n%h.every == 0 {
+		if h.gc {
+			runtime.GC()
+		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		if ms.HeapAlloc > h.peak {

@@ -9,11 +9,17 @@ import (
 // soakAt runs a sized-down soak and returns its result.
 func soakAt(t *testing.T, seed int64, requests int) *SoakResult {
 	t.Helper()
+	return soakSampled(t, seed, requests, false)
+}
+
+// soakSampled is soakAt, sampling the live heap when liveHeap is set.
+func soakSampled(t *testing.T, seed int64, requests int, liveHeap bool) *SoakResult {
+	t.Helper()
 	cfg := DefaultSoakConfig()
 	cfg.Requests = requests
 	// Sample the heap often enough that short runs catch their plateau.
 	cfg.MemEvery = 512
-	res, err := Soak(seed, cfg)
+	res, err := soak(seed, cfg, liveHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +122,17 @@ func TestSoakRejectsBadConfig(t *testing.T) {
 // TestSoakMemoryBounded is the O(active)-memory claim as a test: the
 // peak live heap of a replay must not scale with the trace length. An
 // 8× longer trace is allowed at most ~2× the shorter run's peak — far
-// below the 8× an O(requests) structure would show, while leaving slack
-// for GC pacing noise.
+// below the 8× an O(requests) structure would show. Each sample follows
+// a collection, so the peaks measure live memory, not where GC pacing
+// happened to leave garbage.
 func TestSoakMemoryBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory-scaling soak skipped in -short")
 	}
 	runtime.GC()
-	small := soakAt(t, 2012, 10_000)
+	small := soakSampled(t, 2012, 10_000, true)
 	runtime.GC()
-	large := soakAt(t, 2012, 80_000)
+	large := soakSampled(t, 2012, 80_000, true)
 	if small.PeakHeapBytes == 0 || large.PeakHeapBytes == 0 {
 		t.Fatal("heap peaks not sampled")
 	}

@@ -172,13 +172,6 @@ func (inv *Inventory) Remaining() [][]int {
 	return cloneMatrix(inv.remain)
 }
 
-// CapacityMatrix returns a copy of M.
-func (inv *Inventory) CapacityMatrix() [][]int {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	return cloneMatrix(inv.max)
-}
-
 // AllocatedMatrix returns a copy of C.
 func (inv *Inventory) AllocatedMatrix() [][]int {
 	inv.mu.RLock()
@@ -188,11 +181,26 @@ func (inv *Inventory) AllocatedMatrix() [][]int {
 
 // Available returns a copy of the availability vector A, A_j = Σ_i L_ij.
 func (inv *Inventory) Available() []int {
+	return inv.AppendAvailable(make([]int, 0, inv.types))
+}
+
+// AppendAvailable appends the availability vector A to dst and returns
+// the extended slice: Available for callers that reuse one buffer.
+//
+//lint:hotpath
+func (inv *Inventory) AppendAvailable(dst []int) []int {
 	inv.mu.RLock()
 	defer inv.mu.RUnlock()
-	out := make([]int, inv.types)
-	copy(out, inv.avail)
-	return out
+	dst = append(dst, inv.avail...)
+	return dst
+}
+
+// CapacityTotals returns the per-type capacity totals Σ_i M_ij, which
+// count no failed node.
+func (inv *Inventory) CapacityTotals() []int {
+	inv.mu.RLock()
+	defer inv.mu.RUnlock()
+	return append([]int(nil), inv.capSum...)
 }
 
 // CanSatisfy reports whether the request could be admitted right now, i.e.

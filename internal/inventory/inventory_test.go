@@ -213,10 +213,10 @@ func TestSnapshotsDoNotAlias(t *testing.T) {
 	if inv.RemainingAt(0, 0) == 99 {
 		t.Error("Remaining() aliases internal state")
 	}
-	m := inv.CapacityMatrix()
-	m[0][0] = 99
-	if inv.Capacity(0, 0) == 99 {
-		t.Error("CapacityMatrix() aliases internal state")
+	m := inv.CapacityTotals()
+	m[0] = 99
+	if inv.CapacityTotals()[0] == 99 {
+		t.Error("CapacityTotals() aliases internal state")
 	}
 	c := inv.AllocatedMatrix()
 	c[0][0] = 99

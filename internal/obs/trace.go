@@ -162,7 +162,7 @@ func (r *Registry) SinkErr() error {
 //lint:hotpath
 func appendEvent(b []byte, t float64, kind string, fields []Field) []byte {
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, t, 'g', -1, 64)
+	b = appendFloat(b, t)
 	b = append(b, `,"kind":`...)
 	b = appendQuote(b, kind)
 	for i := range fields {
@@ -181,7 +181,7 @@ func (f *Field) appendValue(b []byte) []byte {
 	case kindInt, kindInt64:
 		b = strconv.AppendInt(b, int64(f.num), 10)
 	case kindFloat:
-		b = strconv.AppendFloat(b, math.Float64frombits(f.num), 'g', -1, 64)
+		b = appendFloat(b, math.Float64frombits(f.num))
 	case kindString:
 		b = appendQuote(b, f.str)
 	case kindBool:
@@ -199,6 +199,22 @@ func (f *Field) appendValue(b []byte) []byte {
 		b = append(b, ']')
 	}
 	return b
+}
+
+// appendFloat is strconv.AppendFloat(b, f, 'g', -1, 64) with an integer
+// fast path. Shortest 'g' formatting switches to an exponent only from
+// 1e6 up in magnitude, so an integer-valued float below that prints as
+// its plain digits, which AppendInt writes without the shortest-digit
+// search. −0 keeps the slow path for its sign.
+//
+//lint:hotpath
+func appendFloat(b []byte, f float64) []byte {
+	if f > -1e6 && f < 1e6 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			return strconv.AppendInt(b, i, 10)
+		}
+	}
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // appendQuote is strconv.AppendQuote with a copy fast path: a string of

@@ -139,6 +139,23 @@ func TestEmitZeroAllocs(t *testing.T) {
 	}
 }
 
+// FuzzAppendFloat checks the encoder's integer fast path against
+// strconv.AppendFloat's shortest 'g' form over arbitrary float bits.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 999999, -999999, 1e6, -1e6, 1e6 - 0.5, 1 << 53,
+		math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		got := appendFloat([]byte("x"), v)
+		want := strconv.AppendFloat([]byte("x"), v, 'g', -1, 64)
+		if !bytes.Equal(got, want) {
+			t.Errorf("appendFloat(%v) = %s, want %s", v, got, want)
+		}
+	})
+}
+
 // FuzzAppendQuote checks the encoder's quoting fast path against
 // strconv.AppendQuote, the byte-level contract of every trace string.
 func FuzzAppendQuote(f *testing.F) {

@@ -54,6 +54,12 @@ type Queue struct {
 	front    int // descending sequence handed to EnqueueFront insertions
 	seqs     map[model.RequestID]int
 
+	// Drain scratch, reused under mu: the running availability, the
+	// policy order as item indices (priority only), and the take marks.
+	remaining []int
+	order     []int
+	taken     []bool
+
 	// obs handles; nil (no-op) unless Instrument was called.
 	mEnqueued  *obs.Counter
 	mRejected  *obs.Counter
@@ -134,16 +140,18 @@ func (q *Queue) EnqueueFront(r model.TimedRequest) error {
 	return nil
 }
 
-// removeAt deletes items[i], dropping its seqs entry and zeroing the
-// vacated tail slot so the backing array does not pin the removed
-// request's vectors alive. Callers hold q.mu.
-func (q *Queue) removeAt(i int) {
-	delete(q.seqs, q.items[i].ID)
+// removeAt deletes and returns items[i], dropping its seqs entry and
+// zeroing the vacated tail slot so the backing array does not pin the
+// removed request's vectors alive. Callers hold q.mu.
+func (q *Queue) removeAt(i int) model.TimedRequest {
+	r := q.items[i]
+	delete(q.seqs, r.ID)
 	last := len(q.items) - 1
 	copy(q.items[i:], q.items[i+1:])
 	q.items[last] = model.TimedRequest{}
 	q.items = q.items[:last]
 	q.mDepth.Set(float64(len(q.items)))
+	return r
 }
 
 // Cancel removes a waiting request — the paper's "users can also cancel
@@ -169,20 +177,18 @@ func (q *Queue) Dequeue() (model.TimedRequest, bool) {
 	if len(q.items) == 0 {
 		return model.TimedRequest{}, false
 	}
-	head := q.ordered()[0]
-	for i, it := range q.items {
-		if it.ID == head.ID {
-			q.removeAt(i)
-			break
-		}
+	i := 0
+	if q.policy == PriorityPolicy {
+		i = q.sortOrder()[0]
 	}
+	head := q.removeAt(i)
 	q.mAdmitted.Inc()
 	return head, true
 }
 
 // Peek returns the waiting requests in policy order without removing them.
 // The returned slice is a fresh copy that never aliases the queue's
-// backing array: removeAt/removeTaken zero vacated tail slots on every
+// backing array: removeAt/take zero vacated tail slots on every
 // Dequeue/Cancel/GetRequests, so a result sharing storage with q.items
 // would see its entries wiped by later queue operations. A caller may
 // hold a Peek result across arbitrary mutations (pinned by
@@ -190,85 +196,63 @@ func (q *Queue) Dequeue() (model.TimedRequest, bool) {
 func (q *Queue) Peek() []model.TimedRequest {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.ordered()
+	if q.policy != PriorityPolicy {
+		return append([]model.TimedRequest(nil), q.items...)
+	}
+	out := make([]model.TimedRequest, 0, len(q.items))
+	for _, i := range q.sortOrder() {
+		out = append(out, q.items[i])
+	}
+	return out
 }
 
-// ordered returns a policy-sorted copy; callers hold q.mu. Returning a
-// copy (never q.items or a reslice of it) is a correctness requirement,
-// not an optimization choice: every public method that hands requests out
-// (Peek, Dequeue, GetRequests, GetRequestsStrict) goes through here, and
-// removeAt/removeTaken zero the vacated tail of the backing array, which
-// would destroy any aliasing result the caller still holds.
-func (q *Queue) ordered() []model.TimedRequest {
-	out := append([]model.TimedRequest(nil), q.items...)
-	if q.policy == PriorityPolicy {
-		// Insertion sort keeps the code dependency-free and the queue is
-		// short by construction.
-		for i := 1; i < len(out); i++ {
-			for j := i; j > 0; j-- {
-				a, b := out[j-1], out[j]
-				if b.Priority > a.Priority ||
-					(b.Priority == a.Priority && q.seqs[b.ID] < q.seqs[a.ID]) {
-					out[j-1], out[j] = out[j], out[j-1]
-				} else {
-					break
-				}
+// sortOrder fills the order scratch with the item indices in priority
+// order: higher Priority first, then admission sequence. FIFO order is
+// the items order itself and needs no scratch. Callers hold q.mu.
+//
+//lint:hotpath
+func (q *Queue) sortOrder() []int {
+	q.order = q.order[:0]
+	for i := range q.items {
+		q.order = append(q.order, i)
+	}
+	// Insertion sort keeps the code dependency-free and the queue is
+	// short by construction.
+	o := q.order
+	for i := 1; i < len(o); i++ {
+		for j := i; j > 0; j-- {
+			a, b := &q.items[o[j-1]], &q.items[o[j]]
+			if b.Priority > a.Priority ||
+				(b.Priority == a.Priority && q.seqs[b.ID] < q.seqs[a.ID]) {
+				o[j-1], o[j] = o[j], o[j-1]
+			} else {
+				break
 			}
 		}
 	}
-	return out
+	return o
 }
 
 // GetRequests implements the paper's getRequests(Q, A): walk the queue in
 // policy order and take every request the running availability can still
 // admit, removing the taken requests from the queue. Requests that do not
 // fit are skipped, not blocked behind (the paper admits any subset the
-// resources can meet). The returned slice is built from ordered()'s copy,
-// so like Peek it stays valid across later queue mutations even though
-// removeTaken zeroes the compacted tail of the backing array.
+// resources can meet). The result is a fresh slice, so like Peek it stays
+// valid across later queue mutations.
 func (q *Queue) GetRequests(avail []int) []model.TimedRequest {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	remaining := append([]int(nil), avail...)
-	var taken []model.TimedRequest
-	takenIDs := make(map[model.RequestID]bool)
-	for _, r := range q.ordered() {
-		if len(r.Vector) != len(remaining) {
-			continue
-		}
-		if model.Covers(remaining, r.Vector) {
-			remaining = model.Sub(remaining, r.Vector)
-			taken = append(taken, r)
-			takenIDs[r.ID] = true
-		}
-	}
-	q.removeTaken(takenIDs)
-	return taken
+	return q.AppendRequests(nil, avail)
 }
 
-// removeTaken compacts the queue, dropping every taken request's item and
-// seqs entry and zeroing the vacated tail of the backing array (stale
-// slots would otherwise pin request vectors alive across long arrival
-// streams). Callers hold q.mu.
-func (q *Queue) removeTaken(takenIDs map[model.RequestID]bool) {
-	if len(takenIDs) == 0 {
-		return
-	}
-	n := len(q.items)
-	kept := q.items[:0]
-	for _, it := range q.items {
-		if !takenIDs[it.ID] {
-			kept = append(kept, it)
-		} else {
-			delete(q.seqs, it.ID)
-		}
-	}
-	for i := len(kept); i < n; i++ {
-		q.items[i] = model.TimedRequest{}
-	}
-	q.items = kept
-	q.mAdmitted.Add(int64(len(takenIDs)))
-	q.mDepth.Set(float64(len(q.items)))
+// AppendRequests is GetRequests appending the taken requests, in policy
+// order, to dst and returning the extended slice. The requests are
+// copied into dst, which never aliases the queue, so a caller that keeps
+// one buffer across drains allocates nothing once it has grown.
+//
+//lint:hotpath
+func (q *Queue) AppendRequests(dst []model.TimedRequest, avail []int) []model.TimedRequest {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.take(dst, avail, false)
 }
 
 // GetRequestsStrict is the head-blocking variant: it stops at the first
@@ -278,17 +262,69 @@ func (q *Queue) removeTaken(takenIDs map[model.RequestID]bool) {
 func (q *Queue) GetRequestsStrict(avail []int) []model.TimedRequest {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	remaining := append([]int(nil), avail...)
-	var taken []model.TimedRequest
-	takenIDs := make(map[model.RequestID]bool)
-	for _, r := range q.ordered() {
-		if len(r.Vector) != len(remaining) || !model.Covers(remaining, r.Vector) {
-			break
-		}
-		remaining = model.Sub(remaining, r.Vector)
-		taken = append(taken, r)
-		takenIDs[r.ID] = true
+	return q.take(nil, avail, true)
+}
+
+// take is the getRequests walk shared by GetRequests, AppendRequests and
+// GetRequestsStrict. It runs on queue-owned scratch: the availability is
+// copied and decremented in place, the policy order is the items order
+// (FIFO) or an index sort (priority), and taken items are marked by
+// index, then compacted out of the queue with their seqs entries. A
+// request whose vector width differs from avail never fits. Callers hold
+// q.mu.
+//
+//lint:hotpath
+func (q *Queue) take(dst []model.TimedRequest, avail []int, strict bool) []model.TimedRequest {
+	n := len(q.items)
+	if n == 0 {
+		return dst
 	}
-	q.removeTaken(takenIDs)
-	return taken
+	q.remaining = append(q.remaining[:0], avail...)
+	var order []int
+	if q.policy == PriorityPolicy {
+		order = q.sortOrder()
+	}
+	if len(q.taken) < n {
+		q.taken = make([]bool, n)
+	}
+	taken := q.taken[:n]
+	clear(taken)
+	count := 0
+	for k := 0; k < n; k++ {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		r := &q.items[i]
+		if len(r.Vector) != len(q.remaining) || !model.Covers(q.remaining, r.Vector) {
+			if strict {
+				break
+			}
+			continue
+		}
+		for j, v := range r.Vector {
+			q.remaining[j] -= v
+		}
+		dst = append(dst, *r)
+		taken[i] = true
+		count++
+	}
+	if count == 0 {
+		return dst
+	}
+	kept := q.items[:0]
+	for i, it := range q.items {
+		if taken[i] {
+			delete(q.seqs, it.ID)
+		} else {
+			kept = append(kept, it)
+		}
+	}
+	// Zero the vacated tail: stale slots would otherwise pin request
+	// vectors alive across long arrival streams.
+	clear(q.items[len(kept):n])
+	q.items = kept
+	q.mAdmitted.Add(int64(count))
+	q.mDepth.Set(float64(len(q.items)))
+	return dst
 }

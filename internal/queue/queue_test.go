@@ -2,6 +2,9 @@ package queue
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -425,6 +428,144 @@ func TestGetRequestsSurvivesMutation(t *testing.T) {
 		}
 		if len(r.Vector) != 1 || r.Vector[0] != 1 {
 			t.Fatalf("taken[%d].Vector = %v after churn, want [1]", i, r.Vector)
+		}
+	}
+}
+
+// refTake is getRequests as a plain copy-sort-walk: sort a copy of the
+// waiting requests into policy order, take what the running budget
+// admits (stopping at the first misfit when strict), and keep the rest
+// in queue order.
+func refTake(q *Queue, avail []int, strict bool) (taken, left []model.TimedRequest) {
+	order := append([]model.TimedRequest(nil), q.items...)
+	if q.policy == PriorityPolicy {
+		sort.SliceStable(order, func(i, j int) bool {
+			if order[i].Priority != order[j].Priority {
+				return order[i].Priority > order[j].Priority
+			}
+			return q.seqs[order[i].ID] < q.seqs[order[j].ID]
+		})
+	}
+	remaining := append([]int(nil), avail...)
+	took := make(map[model.RequestID]bool)
+	for _, r := range order {
+		if len(r.Vector) != len(remaining) || !model.Covers(remaining, r.Vector) {
+			if strict {
+				break
+			}
+			continue
+		}
+		remaining = model.Sub(remaining, r.Vector)
+		taken = append(taken, r)
+		took[r.ID] = true
+	}
+	for _, r := range q.items {
+		if !took[r.ID] {
+			left = append(left, r)
+		}
+	}
+	return taken, left
+}
+
+// TestAppendRequestsMatchesReference drives random FIFO and priority
+// queues through Enqueue, EnqueueFront, Cancel and drains with vectors
+// of mismatched widths among them. Every AppendRequests and
+// GetRequestsStrict must take what refTake takes, in the same order,
+// and leave the same queue behind.
+func TestAppendRequestsMatchesReference(t *testing.T) {
+	for _, policy := range []Policy{FIFO, PriorityPolicy} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			q := New(policy, 0)
+			next := 0
+			var dst []model.TimedRequest
+			for step := 0; step < 300; step++ {
+				switch k := rng.Intn(10); {
+				case k < 5:
+					width := 2
+					if rng.Intn(8) == 0 {
+						width = 1 + 2*rng.Intn(2) // 1 or 3: never fits
+					}
+					vec := make(model.Request, width)
+					for j := range vec {
+						vec[j] = rng.Intn(4)
+					}
+					r := req(next, vec, rng.Intn(3))
+					next++
+					var err error
+					if rng.Intn(4) == 0 {
+						err = q.EnqueueFront(r)
+					} else {
+						err = q.Enqueue(r)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				case k < 6:
+					if len(q.items) > 0 {
+						if err := q.Cancel(q.items[rng.Intn(len(q.items))].ID); err != nil {
+							t.Fatal(err)
+						}
+					}
+				default:
+					avail := []int{rng.Intn(8), rng.Intn(8)}
+					strict := k == 9
+					wantTaken, wantLeft := refTake(q, avail, strict)
+					var got []model.TimedRequest
+					if strict {
+						got = q.GetRequestsStrict(avail)
+					} else {
+						dst = q.AppendRequests(dst[:0], avail)
+						got = dst
+					}
+					if !reflect.DeepEqual(ids(got), ids(wantTaken)) {
+						t.Fatalf("%v seed %d step %d (strict %v): took %v, reference %v",
+							policy, seed, step, strict, ids(got), ids(wantTaken))
+					}
+					if !reflect.DeepEqual(ids(q.items), ids(wantLeft)) || len(q.seqs) != len(q.items) {
+						t.Fatalf("%v seed %d step %d: left %v (%d seqs), reference %v",
+							policy, seed, step, ids(q.items), len(q.seqs), ids(wantLeft))
+					}
+				}
+			}
+		}
+	}
+}
+
+func ids(rs []model.TimedRequest) []model.RequestID {
+	out := make([]model.RequestID, len(rs))
+	for i, r := range rs {
+		out[i] = r.ID
+	}
+	return out
+}
+
+// A warm AppendRequests allocates nothing: the budget, the priority
+// order and the take marks are queue-owned scratch, and the taken
+// requests go into the caller's buffer.
+func TestAppendRequestsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
+	}
+	for _, policy := range []Policy{FIFO, PriorityPolicy} {
+		q := New(policy, 0)
+		for i := 0; i < 64; i++ {
+			if err := q.Enqueue(req(i, model.Request{1 + i%3, i % 2}, i%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avail := []int{5, 2}
+		var dst []model.TimedRequest
+		avg := testing.AllocsPerRun(100, func() {
+			dst = q.AppendRequests(dst[:0], avail)
+			for _, r := range dst {
+				if err := q.Enqueue(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if avg != 0 || len(dst) == 0 || q.Len() != 64 {
+			t.Errorf("%v: take and put back allocates %.2f allocs/op (took %d, %d waiting), want 0", policy, avg, len(dst), q.Len())
 		}
 	}
 }

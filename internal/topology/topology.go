@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -170,7 +171,8 @@ func (b *Builder) AddNode(name string) NodeID {
 	}
 	id := NodeID(len(b.nodes))
 	if name == "" {
-		name = fmt.Sprintf("node-%d", id)
+		var buf [24]byte
+		name = string(strconv.AppendInt(append(buf[:0], "node-"...), int64(id), 10))
 	}
 	b.nodes = append(b.nodes, Node{ID: id, Name: name, Rack: b.racks - 1, Cloud: b.clouds - 1})
 	return id
@@ -200,6 +202,16 @@ func (b *Builder) Build() (*Topology, error) {
 		rackOf:    make([]int, len(b.nodes)),
 		cloudOf:   make([]int, len(b.nodes)),
 		rackNodes: make([][]NodeID, b.racks),
+	}
+	// Carve every rack's node list from one array, sized by a counting
+	// pass, so the appends below never grow a slice.
+	perRack := make([]int, b.racks)
+	for _, n := range b.nodes {
+		perRack[n.Rack]++
+	}
+	ids := make([]NodeID, len(b.nodes))
+	for r, k := range perRack {
+		t.rackNodes[r], ids = ids[:0:k], ids[k:]
 	}
 	for i, n := range t.nodes {
 		t.rackOf[i] = n.Rack
@@ -245,6 +257,7 @@ func Uniform(clouds, racksPerCloud, nodesPerRack int, d Distances) (*Topology, e
 		return nil, fmt.Errorf("topology: Uniform(%d, %d, %d) needs positive arguments", clouds, racksPerCloud, nodesPerRack)
 	}
 	b := NewBuilder(d)
+	b.nodes = make([]Node, 0, clouds*racksPerCloud*nodesPerRack)
 	for c := 0; c < clouds; c++ {
 		b.AddCloud()
 		for r := 0; r < racksPerCloud; r++ {
