@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"weak"
 
 	"affinitycluster/internal/faults"
 	"affinitycluster/internal/inventory"
@@ -250,8 +249,10 @@ func TestRunStreamDuplicateOfQueuedRequest(t *testing.T) {
 // keep the simulator, and with it the inventory, tier index, event heap
 // and queue, alive.
 func TestMetricsDoNotPinSimulator(t *testing.T) {
-	run := func() (*Metrics, weak.Pointer[inventory.Inventory]) {
+	collected := make(chan struct{})
+	run := func() *Metrics {
 		tp, inv := plant(t)
+		runtime.SetFinalizer(inv, func(*inventory.Inventory) { close(collected) })
 		sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -260,12 +261,24 @@ func TestMetricsDoNotPinSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, weak.Make(inv)
+		return m
 	}
-	m, inv := run()
-	runtime.GC()
-	if inv.Value() != nil {
-		t.Error("the returned metrics keep the run's inventory reachable")
+	m := run()
+	// A finalizer runs on its own goroutine after the collection that
+	// finds its object unreachable, so collect and yield until it
+	// reports in.
+	finalized := false
+	for i := 0; i < 100 && !finalized; i++ {
+		runtime.GC()
+		runtime.Gosched()
+		select {
+		case <-collected:
+			finalized = true
+		default:
+		}
+	}
+	if !finalized {
+		t.Fatal("the returned metrics keep the run's inventory reachable")
 	}
 	if m.Served != 1 {
 		t.Errorf("served %d, want 1", m.Served)

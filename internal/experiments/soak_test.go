@@ -9,17 +9,11 @@ import (
 // soakAt runs a sized-down soak and returns its result.
 func soakAt(t *testing.T, seed int64, requests int) *SoakResult {
 	t.Helper()
-	return soakSampled(t, seed, requests, false)
-}
-
-// soakSampled is soakAt, sampling the live heap when liveHeap is set.
-func soakSampled(t *testing.T, seed int64, requests int, liveHeap bool) *SoakResult {
-	t.Helper()
 	cfg := DefaultSoakConfig()
 	cfg.Requests = requests
 	// Sample the heap often enough that short runs catch their plateau.
 	cfg.MemEvery = 512
-	res, err := soak(seed, cfg, liveHeap)
+	res, err := Soak(seed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,9 +124,9 @@ func TestSoakMemoryBounded(t *testing.T) {
 		t.Skip("memory-scaling soak skipped in -short")
 	}
 	runtime.GC()
-	small := soakSampled(t, 2012, 10_000, true)
+	small := soakAt(t, 2012, 10_000)
 	runtime.GC()
-	large := soakSampled(t, 2012, 80_000, true)
+	large := soakAt(t, 2012, 80_000)
 	if small.PeakHeapBytes == 0 || large.PeakHeapBytes == 0 {
 		t.Fatal("heap peaks not sampled")
 	}
