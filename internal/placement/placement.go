@@ -437,27 +437,18 @@ func (b *buildBuffer) buildAround(t *topology.Topology, l [][]int, r model.Reque
 			b.cand2 = append(b.cand2, id)
 		}
 	}
-	d := t.Distances()
-	near, far := b.cand, b.cand2
-	switch {
-	case d.CrossCloud < d.CrossRack: // degenerate tiering: far is closer
-		near, far = far, near
-	case d.CrossCloud == d.CrossRack: // one merged tier
-		near = append(near, far...)
-		far = nil
-	}
-	slices.SortFunc(near, b.bySupply)
-	for _, i := range near {
+	// Distances.Validate guarantees CrossRack < CrossCloud, so the
+	// same-cloud bucket always comes first.
+	slices.SortFunc(b.cand, b.bySupply)
+	for _, i := range b.cand {
 		if b.take(l, i) {
 			return true
 		}
 	}
-	if len(far) > 0 {
-		slices.SortFunc(far, b.bySupply)
-		for _, i := range far {
-			if b.take(l, i) {
-				return true
-			}
+	slices.SortFunc(b.cand2, b.bySupply)
+	for _, i := range b.cand2 {
+		if b.take(l, i) {
+			return true
 		}
 	}
 	left := 0

@@ -32,7 +32,8 @@
 // with ubRack_c = min(CloudMaxRackSum, T, cloudTot_c) and ubW_c =
 // min(CloudMaxNodeTotal, ubRack_c) lower-bounds S_probe of every rack
 // in cloud c, so whole clouds are skipped without touching their racks.
-// Pruning always uses strict >, so exact ties are never discarded.
+// scanBound needs only M's value, so it prunes a cloud or rack whose
+// bound merely ties the incumbent (>= M): such a rack cannot lower M.
 //
 // The winner — the lowest-ID center achieving M, matching the
 // exhaustive scan's first-strict-improvement semantics bit for bit —
@@ -43,20 +44,44 @@
 // post-rack-phase residual is); if that misses M and the rack ties
 // S_probe(ρ) == M, later centers of the rack are tested by in-rack
 // fill simulation alone, since out > M is already known. The walk
-// stops as soon as no remaining rack can hold a lower-ID center.
+// stops as soon as no remaining rack can hold a lower-ID center. It
+// prunes only with strict >, since a tie may be the lowest-ID winner.
 //
-// Three further devices keep the walk sub-linear in nodes on a loaded
-// plant. Build simulations never scan the node population: the remote
-// fill drains racks through a bound-ordered heap (drainBucket),
-// expanding a rack to exact per-node supplies only when its aggregate
-// bound could hold the next take, so a build touches O(active racks)
-// instead of O(n). Saturated racks — the common prefix of the walk
-// under churn — share one simulation per cloud: a center whose rack
-// absorbs nothing produces a purely-remote build that is identical for
-// every such center in its cloud, so its DC is memoized. And partially
-// drained racks are skipped without any simulation when closed-form
-// floors prove both their in-rack and out-of-rack hosting prices
-// exceed M (see sweep).
+// Four further devices keep the scan sub-linear in nodes on a loaded
+// plant, none of which changes a placement:
+//
+//   - Node cap. The scan runs only once the fast path has failed, which
+//     proves that no row covers R: every node absorbs at most T−1 VMs
+//     of it. Every upper bound on one node's load (scanBound's cloud
+//     and rack bounds, the sweep's W* and in-rack floors) is clamped to
+//     T−1, so a rack that absorbs anything prices at least one VM off
+//     its best node instead of a vacuous 0.
+//   - Cloud runs. The rack walks (fastCover, sweep) step through
+//     RacksByLowestNode by maximal runs of same-cloud racks
+//     (topology.CloudRunEnd) and jump over a whole run whose cloud
+//     cannot cover R (fastCover) or absorbs nothing of it (sweep). An
+//     imported plant may interleave clouds in that order; it simply has
+//     more runs.
+//   - Shared remote builds. A center whose rack absorbs nothing builds a
+//     purely remote fill that is identical for every such center of its
+//     cloud, so its DC is memoized per cloud. When the whole cloud
+//     absorbs nothing its near bucket is empty too, and the fill is the
+//     same purely-far drain for every such cloud: one memo slot serves
+//     them all, so the saturated prefix of the walk under churn costs
+//     one build.
+//   - Lazy drains and floors. Build simulations never scan the node
+//     population: the remote fill drains racks through a bound-ordered
+//     heap (drainBucket), expanding a rack to exact per-node supplies
+//     only when its aggregate bound could hold the next take, so a build
+//     touches O(active racks) instead of O(n). Partially drained racks
+//     are skipped without any simulation when closed-form floors prove
+//     both their in-rack and out-of-rack hosting prices exceed M (see
+//     sweep).
+//
+// Every bound above leans on TierSum falling as its node, rack or cloud
+// count grows, which holds because topology.Distances.Validate admits only
+// SameNode < SameRack < CrossRack < CrossCloud; the fill's near-before-
+// far bucket order relies on the same check.
 package placement
 
 import (
@@ -139,8 +164,11 @@ func (h *OnlineHeuristic) placeSparseCore(idx *affinity.TierIndex, r model.Reque
 		return float64(T) * d.SameNode, id, true, nil
 	}
 
-	M := s.scanBound(idx, r, T)
-	winner := s.sweep(idx, r, T, M)
+	// The fast path failed, so no node covers R and none absorbs more
+	// than T−1 VMs of it (T ≥ 1 here: a zero request is covered).
+	wCap := T - 1
+	M := s.scanBound(idx, r, T, wCap)
+	winner := s.sweep(idx, r, T, wCap, M)
 	if winner < 0 {
 		return 0, -1, false, fmt.Errorf("placement: internal error — no center achieves bound %g for request %v", M, r)
 	}
@@ -177,9 +205,12 @@ type scanScratch struct {
 	lnodes    []topology.NodeID // nodes with nodeLoad > 0
 	seedUniq  []topology.NodeID // distinct nodes of the seeded entries
 
-	cloudDC0  []float64 // clouds: memoized DC of the purely-remote build
-	cloudMemo []bool    // clouds: cloudDC0 valid for the current sweep
-	memoList  []int     // clouds with cloudMemo set, for O(set) reset
+	// cloudDC0 memoizes the DC of a purely remote build, one slot per
+	// cloud plus a last slot shared by every cloud that absorbs
+	// nothing of the request; cloudMemo marks the slots valid this sweep.
+	cloudDC0  []float64
+	cloudMemo []bool
+	memoList  []int // slots with cloudMemo set, for O(set) reset
 }
 
 func newScanScratch(t *topology.Topology, m int) *scanScratch {
@@ -195,9 +226,9 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 		touched:   make([]int, 0, 16),
 		cloudTake: make([]int, t.Clouds()),
 		tclouds:   make([]int, 0, t.Clouds()),
-		cloudDC0:  make([]float64, t.Clouds()),
-		cloudMemo: make([]bool, t.Clouds()),
-		memoList:  make([]int, 0, t.Clouds()),
+		cloudDC0:  make([]float64, t.Clouds()+1),
+		cloudMemo: make([]bool, t.Clouds()+1),
+		memoList:  make([]int, 0, t.Clouds()+1),
 	}
 }
 
@@ -241,17 +272,28 @@ func (s *scanScratch) load() []int {
 
 // fastCover finds the lowest-ID node whose row covers r, scanning racks
 // in ascending lowest-node order and descending into a rack only when
-// its per-type column maxima pass the covering test.
+// its per-type column maxima pass the covering test. A cloud whose
+// remain misses some R_j holds no covering node, so the walk jumps over
+// each run of its racks after one test.
 //
 //lint:hotpath
 func (s *scanScratch) fastCover(idx *affinity.TierIndex, r model.Request) (topology.NodeID, bool) {
 	t := s.t
 	l := idx.Matrix()
+	order := t.RacksByLowestNode()
 	best := topology.NodeID(-1)
-	for _, rr := range t.RacksByLowestNode() {
+	for p, runEnd := 0, 0; p < len(order); p++ {
+		rr := order[p]
 		nodes := t.RackNodes(rr)
 		if best >= 0 && nodes[0] > best {
 			break
+		}
+		if p == runEnd {
+			runEnd = t.CloudRunEnd(p)
+			if !model.Covers(idx.CloudRemain(t.CloudOfRack(rr)), r) {
+				p = runEnd - 1
+				continue
+			}
 		}
 		mc := idx.RackMaxCol(rr)
 		ok := true
@@ -360,11 +402,12 @@ func cloudTotOf(idx *affinity.TierIndex, r model.Request, c int) int {
 
 // scanBound computes M, the exact optimum DC, from the index alone:
 // cloud-tier bounds first, rack-tier bounds inside surviving clouds,
-// exact S_probe only for racks whose bound still ties or beats the
-// incumbent. Strict-> pruning keeps exact ties alive.
+// exact S_probe only for racks whose bound still beats the incumbent.
+// Only M's value is needed, so a bound that ties M prunes too. wCap
+// bounds any one node's share of r (T−1 once the fast path has failed).
 //
 //lint:hotpath
-func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T int) float64 {
+func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCap int) float64 {
 	t := s.t
 	d := t.Distances()
 	M := math.Inf(1)
@@ -373,18 +416,9 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T int)
 		if ct == 0 {
 			continue
 		}
-		ubRack := idx.CloudMaxRackSum(c)
-		if ubRack > T {
-			ubRack = T
-		}
-		if ubRack > ct {
-			ubRack = ct
-		}
-		ubW := idx.CloudMaxNodeTotal(c)
-		if ubW > ubRack {
-			ubW = ubRack
-		}
-		if affinity.TierSum(d, ubW, ubRack, ct, T) > M {
+		ubRack := min(idx.CloudMaxRackSum(c), T, ct)
+		ubW := min(idx.CloudMaxNodeTotal(c), ubRack, wCap)
+		if affinity.TierSum(d, ubW, ubRack, ct, T) >= M {
 			continue
 		}
 		for _, rho := range t.CloudRacks(c) {
@@ -407,13 +441,8 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T int)
 			if rackTot == 0 {
 				continue
 			}
-			if v := idx.RackMaxTotal(rho); v < wUb {
-				wUb = v
-			}
-			if wUb > rackTot {
-				wUb = rackTot
-			}
-			if affinity.TierSum(d, wUb, rackTot, ct, T) > M {
+			wUb = min(wUb, idx.RackMaxTotal(rho), rackTot, wCap)
+			if affinity.TierSum(d, wUb, rackTot, ct, T) >= M {
 				continue
 			}
 			_, w := s.rackProbe(idx, r, rho)
@@ -433,113 +462,91 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T int)
 //
 // Racks that absorb nothing of R — common under churn, where the walk
 // crosses a prefix of saturated racks before reaching free capacity —
-// collapse to one simulation per cloud: such a center takes nothing at
-// home (per-type rack remain and R meet in no column, so every node row
+// cost no simulation of their own: such a center takes nothing at home
+// (per-type rack remain and R meet in no column, so every node row
 // meets R in no column either), its rack contributes only zero-supply
-// candidates to everyone else, and the purely-remote fill that results
-// is therefore identical for every empty-rack center of the cloud. Its
-// DC is memoized per cloud for the duration of one sweep.
+// candidates to everyone else, and the purely remote fill that results
+// is identical for every empty-rack center of the cloud (remoteDC). A
+// run of racks whose whole cloud absorbs nothing is settled at its
+// first, lowest node and then jumped: all such clouds share one build.
 // A rack that absorbs some of R but prices S_probe above M can still
 // host the winner only through an out-of-rack hosting node, and that
 // node's price has a closed-form floor: it loads at most W* (the
-// largest request-clamped node capacity anywhere), its rack takes at
-// most amax = min(R*, T−h) VMs (R* the largest rack absorption
-// anywhere; h = rackTot_ρ VMs stay home), and its cloud at most T. By
-// TierSum's monotonicity — valid under the validated tier ordering —
-// TierSum(min(W*, amax), amax, T, T) > M proves no remote host reaches
-// M either, and the rack is skipped without simulating.
+// largest request-clamped node capacity anywhere, capped at wCap), its
+// rack takes at most amax = min(R*, T−h) VMs (R* the largest rack
+// absorption anywhere; h = rackTot_ρ VMs stay home), and its cloud at
+// most T. TierSum(min(W*, amax), amax, T, T) > M proves no remote host
+// reaches M either, and the rack is skipped without simulating.
 //
 //lint:hotpath
-func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T int, M float64) topology.NodeID {
+func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap int, M float64) topology.NodeID {
 	t := s.t
 	d := t.Distances()
 	l := idx.Matrix()
+	order := t.RacksByLowestNode()
 	for _, c := range s.memoList {
 		s.cloudMemo[c] = false
 	}
 	s.memoList = s.memoList[:0]
-	mono := d.SameNode <= d.SameRack && d.SameRack <= d.CrossRack && d.CrossRack <= d.CrossCloud
 	wStar, rStar := 0, 0
-	if mono {
-		for rho := 0; rho < t.Racks(); rho++ {
-			mc := idx.RackMaxCol(rho)
-			rr := idx.RackRemain(rho)
-			wv, rv := 0, 0
-			for j, need := range r {
-				if v := mc[j]; v < need {
-					wv += v
-				} else {
-					wv += need
-				}
-				if v := rr[j]; v < need {
-					rv += v
-				} else {
-					rv += need
-				}
-			}
-			if wv > wStar {
-				wStar = wv
-			}
-			if rv > rStar {
-				rStar = rv
+	for p, runEnd := 0, 0; p < len(order); p++ {
+		rho := order[p]
+		if p == runEnd {
+			runEnd = t.CloudRunEnd(p)
+			if cloudTotOf(idx, r, t.CloudOfRack(rho)) == 0 {
+				p = runEnd - 1 // its racks contribute 0 to both maxima
+				continue
 			}
 		}
+		mc := idx.RackMaxCol(rho)
+		rr := idx.RackRemain(rho)
+		wv, rv := 0, 0
+		for j, need := range r {
+			wv += min(mc[j], need)
+			rv += min(rr[j], need)
+		}
+		wStar = max(wStar, wv)
+		rStar = max(rStar, rv)
 	}
+	wStar = min(wStar, wCap)
 	winner := topology.NodeID(-1)
-	for _, rho := range t.RacksByLowestNode() {
+	ct := 0
+	for p, runEnd := 0, 0; p < len(order); p++ {
+		rho := order[p]
 		nodes := t.RackNodes(rho)
 		if winner >= 0 && nodes[0] > winner {
 			break
 		}
+		if p == runEnd {
+			runEnd = t.CloudRunEnd(p)
+			if ct = cloudTotOf(idx, r, t.CloudOfRack(rho)); ct == 0 {
+				if s.remoteDC(idx, r, nodes[0], t.Clouds(), T) == M {
+					winner = nodes[0]
+				}
+				p = runEnd - 1
+				continue
+			}
+		}
 		h := rackTotOf(idx, r, rho)
 		if h == 0 {
-			cl := t.CloudOfRack(rho)
-			if !s.cloudMemo[cl] {
-				dc0 := math.Inf(1)
-				if s.buildSim(idx, r, nodes[0], nil, false) {
-					dc0, _ = s.score(t, d, T)
-				}
-				s.cloudDC0[cl] = dc0
-				s.cloudMemo[cl] = true
-				s.memoList = append(s.memoList, cl)
-			}
-			if s.cloudDC0[cl] == M {
+			if s.remoteDC(idx, r, nodes[0], t.CloudOfRack(rho), T) == M {
 				winner = nodes[0]
 			}
 			continue
 		}
-		if mono {
-			// In-rack floor first: wUb ≥ w_ρ makes the TierSum a lower
-			// bound on S_probe, so Slb > M certifies every in-rack host
-			// prices above M without the exact max-capacity scan.
-			mc := idx.RackMaxCol(rho)
-			wUb := 0
-			for j, need := range r {
-				if v := mc[j]; v < need {
-					wUb += v
-				} else {
-					wUb += need
-				}
-			}
-			if v := idx.RackMaxTotal(rho); v < wUb {
-				wUb = v
-			}
-			if wUb > h {
-				wUb = h
-			}
-			ct := cloudTotOf(idx, r, t.CloudOfRack(rho))
-			if affinity.TierSum(d, wUb, h, ct, T) > M {
-				amax := T - h
-				if rStar < amax {
-					amax = rStar
-				}
-				wb := wStar
-				if wb > amax {
-					wb = amax
-				}
-				if affinity.TierSum(d, wb, amax, T, T) > M {
-					continue
-				}
+		// In-rack floor first: wUb ≥ w_ρ makes the TierSum a lower bound
+		// on S_probe, so Slb > M certifies every in-rack host prices above
+		// M without the exact max-capacity scan.
+		mc := idx.RackMaxCol(rho)
+		wUb := 0
+		for j, need := range r {
+			wUb += min(mc[j], need)
+		}
+		wUb = min(wUb, idx.RackMaxTotal(rho), h, wCap)
+		if affinity.TierSum(d, wUb, h, ct, T) > M {
+			amax := min(rStar, T-h)
+			if affinity.TierSum(d, min(wStar, amax), amax, T, T) > M {
+				continue
 			}
 		}
 		if !s.buildSim(idx, r, nodes[0], nil, false) {
@@ -550,7 +557,6 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T int, M f
 			continue
 		}
 		rackTot, w := s.rackProbe(idx, r, rho)
-		ct := cloudTotOf(idx, r, t.CloudOfRack(rho))
 		if affinity.TierSum(d, w, rackTot, ct, T) != M {
 			continue
 		}
@@ -574,6 +580,26 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T int, M f
 		}
 	}
 	return winner
+}
+
+// remoteDC returns the DC of the purely remote build around center,
+// whose rack absorbs nothing of r, memoized in slot for the rest of the
+// sweep. The slot is the center's cloud, or the shared last slot when
+// the whole cloud absorbs nothing: such a center's near bucket is empty
+// as well, so its build is the same far drain from every such cloud.
+//
+//lint:hotpath
+func (s *scanScratch) remoteDC(idx *affinity.TierIndex, r model.Request, center topology.NodeID, slot, T int) float64 {
+	if !s.cloudMemo[slot] {
+		dc0 := math.Inf(1)
+		if s.buildSim(idx, r, center, nil, false) {
+			dc0, _ = s.score(s.t, s.t.Distances(), T)
+		}
+		s.cloudDC0[slot] = dc0
+		s.cloudMemo[slot] = true
+		s.memoList = append(s.memoList, slot)
+	}
+	return s.cloudDC0[slot]
 }
 
 // resetTallies clears only the cells the previous simulation touched.
@@ -718,35 +744,15 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 	// first remote take), so snapshot it and drain the distance buckets
 	// lazily: racks enter a bucket with a supply upper bound from the
 	// index and are only expanded to exact per-node supplies when that
-	// bound could beat the best opened node.
+	// bound could beat the best opened node. The same-cloud bucket
+	// drains first: Distances.Validate guarantees CrossRack < CrossCloud.
 	s.resid0 = append(s.resid0[:0], s.resid...)
 	cCloud := t.CloudOf(center)
-	d := t.Distances()
-	switch {
-	case d.CrossCloud < d.CrossRack: // degenerate tiering: far is closer
-		if s.gatherFar(idx, cCloud); s.drainBucket(idx, l, dst) {
-			return true
-		}
-		if s.gatherNear(idx, cCloud, cRack); s.drainBucket(idx, l, dst) {
-			return true
-		}
-	case d.CrossCloud == d.CrossRack: // one merged tier
-		s.rkHeap = s.rkHeap[:0]
-		for rho := 0; rho < t.Racks(); rho++ {
-			if rho != cRack {
-				s.pushRackUb(idx, rho)
-			}
-		}
-		if s.drainBucket(idx, l, dst) {
-			return true
-		}
-	default:
-		if s.gatherNear(idx, cCloud, cRack); s.drainBucket(idx, l, dst) {
-			return true
-		}
-		if s.gatherFar(idx, cCloud); s.drainBucket(idx, l, dst) {
-			return true
-		}
+	if s.gatherNear(idx, cCloud, cRack); s.drainBucket(idx, l, dst) {
+		return true
+	}
+	if s.gatherFar(idx, cCloud); s.drainBucket(idx, l, dst) {
+		return true
 	}
 	for _, need := range s.resid {
 		if need > 0 {

@@ -79,6 +79,10 @@ type Topology struct {
 	// center scan, which walks clouds then racks instead of nodes.
 	cloudRacks [][]int
 	racksByLow []int
+	// lowRunEnd[p] is the position in racksByLow one past the maximal run
+	// of same-cloud racks holding position p, so the scan can step over a
+	// whole cloud's stretch of its walk at once.
+	lowRunEnd []int
 	// flat holds the row-major n×n distance table, so the Distance and
 	// DistanceRow paths are array loads instead of rack/cloud branch
 	// logic. The table is filled on the first such call: the placement
@@ -247,6 +251,15 @@ func (t *Topology) buildRackCloud() {
 	sort.Slice(t.racksByLow, func(a, b int) bool {
 		return t.rackNodes[t.racksByLow[a]][0] < t.rackNodes[t.racksByLow[b]][0]
 	})
+	order := t.racksByLow
+	t.lowRunEnd = make([]int, len(order))
+	for p := len(order) - 1; p >= 0; p-- {
+		if p+1 < len(order) && t.rackCloud[order[p+1]] == t.rackCloud[order[p]] {
+			t.lowRunEnd[p] = t.lowRunEnd[p+1]
+		} else {
+			t.lowRunEnd[p] = p + 1
+		}
+	}
 }
 
 // Uniform builds the symmetric topology used throughout the paper's
@@ -329,6 +342,12 @@ func (t *Topology) CloudRacks(c int) []int { return t.cloudRacks[c] }
 //
 //lint:shared documented read-only view; the topology is immutable after construction
 func (t *Topology) RacksByLowestNode() []int { return t.racksByLow }
+
+// CloudRunEnd returns the position in RacksByLowestNode one past the
+// maximal run of consecutive same-cloud racks that holds position p.
+// Builder and Uniform plants have one run per cloud; an imported plant
+// whose clouds interleave in lowest-node order has several.
+func (t *Topology) CloudRunEnd(p int) int { return t.lowRunEnd[p] }
 
 // Distances returns the tier constants of the topology.
 func (t *Topology) Distances() Distances { return t.dist }
