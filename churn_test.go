@@ -8,10 +8,13 @@
 package bench
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"affinitycluster/internal/affinity"
@@ -207,11 +210,14 @@ func TestChurnSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// churnPlant builds a small random multi-cloud plant.
-func churnPlant(t *testing.T, rng *rand.Rand) *topology.Topology {
+// churnPlant builds a small random plant of minClouds to minClouds+2
+// clouds. Every other plant is re-imported scrambled (scramblePlant), so
+// the scan also meets racks whose node IDs are not consecutive and
+// clouds that interleave.
+func churnPlant(t *testing.T, rng *rand.Rand, minClouds int) *topology.Topology {
 	t.Helper()
 	bld := topology.NewBuilder(topology.DefaultDistances())
-	clouds := 1 + rng.Intn(3)
+	clouds := minClouds + rng.Intn(3)
 	for c := 0; c < clouds; c++ {
 		bld.AddCloud()
 		racks := 1 + rng.Intn(4)
@@ -224,18 +230,226 @@ func churnPlant(t *testing.T, rng *rand.Rand) *topology.Topology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return topo
+	if rng.Intn(2) == 0 {
+		return topo
+	}
+	return scramblePlant(t, rng, topo)
+}
+
+// scramblePlant re-imports tp through JSON with its node IDs and rack
+// indices permuted at random. A rack's node IDs are then no longer
+// consecutive, racks of one cloud are no longer adjacent indices, and
+// clouds interleave in the scan's lowest-node rack order: plant shapes
+// only Topology.UnmarshalJSON admits.
+func scramblePlant(t testing.TB, rng *rand.Rand, tp *topology.Topology) *topology.Topology {
+	t.Helper()
+	nodePerm, rackPerm := rng.Perm(tp.Nodes()), rng.Perm(tp.Racks())
+	nodes := make([]topology.Node, tp.Nodes())
+	for i, id := range nodePerm {
+		old := topology.NodeID(i)
+		nodes[id] = topology.Node{ID: topology.NodeID(id), Rack: rackPerm[tp.RackOf(old)], Cloud: tp.CloudOf(old)}
+	}
+	data, err := json.Marshal(map[string]any{
+		"distances": tp.Distances(), "nodes": nodes, "racks": tp.Racks(), "clouds": tp.Clouds(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(topology.Topology)
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// lockstep holds two parallel worlds over one plant: the incremental one
+// (an inventory with an attached tier index, placements through the
+// pruned PlaceSparse scan and sparse commits) and the oracle one (a
+// plain inventory, placements through the exhaustive-center reference
+// path on a cloned snapshot).
+type lockstep struct {
+	t          *testing.T
+	name       string
+	step       int
+	topo       *topology.Topology
+	invA, invB *inventory.Inventory
+	idx        *affinity.TierIndex
+	pruned     *placement.OnlineHeuristic
+	exhaustive *placement.OnlineHeuristic
+	sp         affinity.SparseAlloc
+	live       []lockCluster
+	failed     []topology.NodeID // failed nodes, oldest first
+}
+
+type lockCluster struct {
+	ents  []affinity.VMEntry
+	dense affinity.Allocation
+}
+
+func newLockstep(t *testing.T, name string, topo *topology.Topology, caps [][]int) *lockstep {
+	t.Helper()
+	invA, err := inventory.NewFromMatrix(caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := invA.AttachTierIndex(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invB, err := inventory.NewFromMatrix(caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &lockstep{
+		t: t, name: name, topo: topo, invA: invA, invB: invB, idx: idx,
+		pruned:     &placement.OnlineHeuristic{Policy: placement.ScanAllCenters},
+		exhaustive: &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters},
+	}
+}
+
+// place places req in both worlds, requires the same feasibility,
+// allocation and DC from both, and commits it. It reports whether req
+// was placed.
+func (w *lockstep) place(req model.Request) bool {
+	t := w.t
+	t.Helper()
+	dA, _, errA := w.pruned.PlaceSparse(w.idx, req, &w.sp)
+	dense, errB := w.exhaustive.Place(w.topo, w.invB.Remaining(), req)
+	if (errA == nil) != (errB == nil) {
+		t.Fatalf("%s step %d: pruned err %v, exhaustive err %v", w.name, w.step, errA, errB)
+	}
+	if errA != nil {
+		if !errors.Is(errA, placement.ErrInsufficient) {
+			t.Fatalf("%s step %d: %v", w.name, w.step, errA)
+		}
+		return false
+	}
+	if got := w.sp.ToDense(); !reflect.DeepEqual(got, dense) {
+		t.Fatalf("%s step %d: allocations differ for %v\npruned:     %v\nexhaustive: %v", w.name, w.step, req, got, dense)
+	}
+	dB, _ := dense.Distance(w.topo)
+	if dA != dB {
+		t.Fatalf("%s step %d: DC %v != %v", w.name, w.step, dA, dB)
+	}
+	if err := w.invA.AllocateList(w.sp.Entries); err != nil {
+		t.Fatalf("%s step %d: AllocateList: %v", w.name, w.step, err)
+	}
+	if err := w.invB.Allocate([][]int(dense)); err != nil {
+		t.Fatalf("%s step %d: Allocate: %v", w.name, w.step, err)
+	}
+	w.live = append(w.live, lockCluster{
+		ents:  append([]affinity.VMEntry(nil), w.sp.Entries...),
+		dense: dense,
+	})
+	return true
+}
+
+// churn runs steps random place / release / fail / restore operations,
+// placing next() requests, and checks both worlds after each.
+func (w *lockstep) churn(rng *rand.Rand, steps int, next func() model.Request) {
+	t := w.t
+	t.Helper()
+	n := w.topo.Nodes()
+	for s := 0; s < steps; s++ {
+		switch op := rng.Intn(6); {
+		case op <= 2:
+			w.place(next())
+		case op == 3 && len(w.live) > 0: // release
+			k := rng.Intn(len(w.live))
+			c := w.live[k]
+			if err := w.invA.ReleaseList(c.ents); err != nil {
+				t.Fatalf("%s step %d: ReleaseList: %v", w.name, w.step, err)
+			}
+			if err := w.invB.Release([][]int(c.dense)); err != nil {
+				t.Fatalf("%s step %d: Release: %v", w.name, w.step, err)
+			}
+			w.live = append(w.live[:k], w.live[k+1:]...)
+		case op == 4: // fail a node, dropping its VMs from live clusters
+			v := topology.NodeID(rng.Intn(n))
+			if slices.Contains(w.failed, v) {
+				break
+			}
+			lostA, errA := w.invA.FailNode(v)
+			lostB, errB := w.invB.FailNode(v)
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("%s step %d: FailNode err %v vs %v", w.name, w.step, errA, errB)
+			}
+			if errA != nil {
+				break
+			}
+			if !reflect.DeepEqual(lostA, lostB) {
+				t.Fatalf("%s step %d: lost %v vs %v", w.name, w.step, lostA, lostB)
+			}
+			w.failed = append(w.failed, v)
+			for k := range w.live {
+				kept := w.live[k].ents[:0]
+				for _, e := range w.live[k].ents {
+					if e.Node != v {
+						kept = append(kept, e)
+					}
+				}
+				w.live[k].ents = kept
+				for j := range w.live[k].dense[v] {
+					w.live[k].dense[v][j] = 0
+				}
+			}
+		default: // restore the longest-failed node
+			if len(w.failed) == 0 {
+				break
+			}
+			v := w.failed[0]
+			if err := w.invA.RestoreNode(v); err != nil {
+				t.Fatalf("%s step %d: RestoreNode: %v", w.name, w.step, err)
+			}
+			if err := w.invB.RestoreNode(v); err != nil {
+				t.Fatalf("%s step %d: RestoreNode oracle: %v", w.name, w.step, err)
+			}
+			w.failed = w.failed[1:]
+		}
+		w.check()
+	}
+}
+
+// check requires the attached index to match a fresh rebuild and the
+// two inventories to agree cell for cell.
+func (w *lockstep) check() {
+	t := w.t
+	t.Helper()
+	if err := w.idx.CheckConsistent(); err != nil {
+		t.Fatalf("%s step %d: %v", w.name, w.step, err)
+	}
+	if err := w.invA.CheckInvariants(); err != nil {
+		t.Fatalf("%s step %d: %v", w.name, w.step, err)
+	}
+	if w.idx.Version() != w.invA.Version() {
+		t.Fatalf("%s step %d: index version %d != inventory %d", w.name, w.step, w.idx.Version(), w.invA.Version())
+	}
+	if !reflect.DeepEqual(w.invA.Remaining(), w.invB.Remaining()) {
+		t.Fatalf("%s step %d: remaining matrices diverged", w.name, w.step)
+	}
+	w.step++
+}
+
+// saturated reports whether some cloud has no capacity left of any type.
+func (w *lockstep) saturated() bool {
+	for c := 0; c < w.topo.Clouds(); c++ {
+		if model.Sum(w.idx.CloudRemain(c)) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestChurnIncrementalLockstep drives random place / release / fail /
-// restore sequences through two parallel worlds: the incremental one (an
-// inventory with an attached tier index, placements through the pruned
-// PlaceSparse scan and sparse commits) and the oracle one (a plain
-// inventory, placements through the exhaustive-center reference path on a
-// cloned snapshot). After every step the attached index must match a fresh
-// rebuild, the two inventories must agree cell for cell, and every
-// placement must be identical — allocation, DC, feasibility — between the
-// pruned and exhaustive paths.
+// restore sequences through the two lockstep worlds. After every step the
+// attached index must match a fresh rebuild, the two inventories must
+// agree cell for cell, and every placement must be identical —
+// allocation, DC, feasibility — between the pruned and exhaustive paths.
+// Three kinds of plant run: random plants churned with small requests;
+// multi-cloud plants first filled through the scan until a whole cloud
+// saturates (the regime where the scan jumps saturated clouds and shares
+// their purely remote build) and then churned with open-loop-sized
+// requests; and a fixed plant where that shared build wins at node 0.
 func TestChurnIncrementalLockstep(t *testing.T) {
 	trials := 20
 	steps := 50
@@ -243,139 +457,76 @@ func TestChurnIncrementalLockstep(t *testing.T) {
 		trials, steps = 6, 30
 	}
 	rng := rand.New(rand.NewSource(2012))
-	for trial := 0; trial < trials; trial++ {
-		topo := churnPlant(t, rng)
-		n := topo.Nodes()
-		types := 1 + rng.Intn(3)
+	randomCaps := func(n, types, maxPerType int) [][]int {
 		caps := make([][]int, n)
 		for i := range caps {
 			caps[i] = make([]int, types)
 			for j := range caps[i] {
-				caps[i][j] = rng.Intn(5)
+				caps[i][j] = rng.Intn(maxPerType + 1)
 			}
 		}
-		invA, err := inventory.NewFromMatrix(caps)
+		return caps
+	}
+	for trial := 0; trial < trials; trial++ {
+		topo := churnPlant(t, rng, 1)
+		types := 1 + rng.Intn(3)
+		w := newLockstep(t, fmt.Sprintf("trial %d", trial), topo, randomCaps(topo.Nodes(), types, 4))
+		w.churn(rng, steps, func() model.Request {
+			req := make(model.Request, types)
+			for j := range req {
+				req[j] = rng.Intn(4)
+			}
+			return req
+		})
+	}
+
+	// Pre-filled plants hold at most 2 VMs per type per node, as the
+	// 16k-node service benchmark's plant does, so open-loop requests miss
+	// the single-node fast path often enough to reach the sweep.
+	for trial := 0; trial < trials; trial++ {
+		topo := churnPlant(t, rng, 2)
+		types := 1 + rng.Intn(3)
+		w := newLockstep(t, fmt.Sprintf("pre-filled trial %d", trial), topo, randomCaps(topo.Nodes(), types, 2))
+		cfg := workload.DefaultOpenLoopConfig()
+		cfg.Types = types
+		gen, err := workload.NewOpenLoop(int64(trial), 1<<20, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := invA.AttachTierIndex(topo)
-		if err != nil {
-			t.Fatal(err)
+		next := func() model.Request {
+			tr, ok, err := gen.Next()
+			if err != nil || !ok {
+				t.Fatalf("open-loop generator: %v, %v", ok, err)
+			}
+			return tr.Vector
 		}
-		invB, err := inventory.NewFromMatrix(caps)
-		if err != nil {
-			t.Fatal(err)
+		for tries := 0; !w.saturated(); tries++ {
+			if tries == 10*topo.Nodes()*types {
+				t.Fatalf("%s: no cloud saturated after %d fill requests", w.name, tries)
+			}
+			w.place(next())
+			w.check()
 		}
-		pruned := &placement.OnlineHeuristic{Policy: placement.ScanAllCenters}
-		exhaustive := &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}
-		var sp affinity.SparseAlloc
-		type cluster struct {
-			ents  []affinity.VMEntry
-			dense affinity.Allocation
+		w.churn(rng, 2*steps, next)
+	}
+
+	// Cloud 0 (nodes 0–3) is filled by two requests; the third request's
+	// winner is the purely remote build around node 0, shared by every
+	// saturated cloud, which packs the two largest remote nodes — not the
+	// build around node 4, the first center the scan reaches outside
+	// cloud 0.
+	topo, err := topology.Uniform(2, 1, 4, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newLockstep(t, "saturated cloud 0", topo, [][]int{{1}, {1}, {2}, {2}, {1}, {1}, {2}, {2}})
+	for k := 0; k < 3; k++ {
+		if !w.place(model.Request{3}) {
+			t.Fatalf("%s: request %d not placed", w.name, k)
 		}
-		var live []cluster
-		failed := map[int]bool{}
-		for step := 0; step < steps; step++ {
-			switch op := rng.Intn(6); {
-			case op <= 2: // place
-				req := make(model.Request, types)
-				for j := range req {
-					req[j] = rng.Intn(4)
-				}
-				dA, _, errA := pruned.PlaceSparse(idx, req, &sp)
-				dense, errB := exhaustive.Place(topo, invB.Remaining(), req)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("trial %d step %d: pruned err %v, exhaustive err %v", trial, step, errA, errB)
-				}
-				if errA != nil {
-					if !errors.Is(errA, placement.ErrInsufficient) {
-						t.Fatalf("trial %d step %d: %v", trial, step, errA)
-					}
-					break
-				}
-				if got := sp.ToDense(); !reflect.DeepEqual(got, dense) {
-					t.Fatalf("trial %d step %d: allocations differ\npruned:     %v\nexhaustive: %v", trial, step, got, dense)
-				}
-				dB, _ := dense.Distance(topo)
-				if dA != dB {
-					t.Fatalf("trial %d step %d: DC %v != %v", trial, step, dA, dB)
-				}
-				if err := invA.AllocateList(sp.Entries); err != nil {
-					t.Fatalf("trial %d step %d: AllocateList: %v", trial, step, err)
-				}
-				if err := invB.Allocate([][]int(dense)); err != nil {
-					t.Fatalf("trial %d step %d: Allocate: %v", trial, step, err)
-				}
-				live = append(live, cluster{
-					ents:  append([]affinity.VMEntry(nil), sp.Entries...),
-					dense: dense,
-				})
-			case op == 3 && len(live) > 0: // release
-				k := rng.Intn(len(live))
-				c := live[k]
-				if err := invA.ReleaseList(c.ents); err != nil {
-					t.Fatalf("trial %d step %d: ReleaseList: %v", trial, step, err)
-				}
-				if err := invB.Release([][]int(c.dense)); err != nil {
-					t.Fatalf("trial %d step %d: Release: %v", trial, step, err)
-				}
-				live = append(live[:k], live[k+1:]...)
-			case op == 4: // fail a node, dropping its VMs from live clusters
-				v := rng.Intn(n)
-				if failed[v] {
-					break
-				}
-				lostA, errA := invA.FailNode(topology.NodeID(v))
-				lostB, errB := invB.FailNode(topology.NodeID(v))
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("trial %d step %d: FailNode err %v vs %v", trial, step, errA, errB)
-				}
-				if errA != nil {
-					break
-				}
-				if !reflect.DeepEqual(lostA, lostB) {
-					t.Fatalf("trial %d step %d: lost %v vs %v", trial, step, lostA, lostB)
-				}
-				failed[v] = true
-				for k := range live {
-					kept := live[k].ents[:0]
-					for _, e := range live[k].ents {
-						if int(e.Node) != v {
-							kept = append(kept, e)
-						}
-					}
-					live[k].ents = kept
-					for j := range live[k].dense[v] {
-						live[k].dense[v][j] = 0
-					}
-				}
-			default: // restore
-				for v := range failed {
-					if !failed[v] {
-						continue
-					}
-					if err := invA.RestoreNode(topology.NodeID(v)); err != nil {
-						t.Fatalf("trial %d step %d: RestoreNode: %v", trial, step, err)
-					}
-					if err := invB.RestoreNode(topology.NodeID(v)); err != nil {
-						t.Fatalf("trial %d step %d: RestoreNode oracle: %v", trial, step, err)
-					}
-					delete(failed, v)
-					break
-				}
-			}
-			if err := idx.CheckConsistent(); err != nil {
-				t.Fatalf("trial %d step %d: %v", trial, step, err)
-			}
-			if err := invA.CheckInvariants(); err != nil {
-				t.Fatalf("trial %d step %d: %v", trial, step, err)
-			}
-			if idx.Version() != invA.Version() {
-				t.Fatalf("trial %d step %d: index version %d != inventory %d", trial, step, idx.Version(), invA.Version())
-			}
-			if !reflect.DeepEqual(invA.Remaining(), invB.Remaining()) {
-				t.Fatalf("trial %d step %d: remaining matrices diverged", trial, step)
-			}
-		}
+		w.check()
+	}
+	if !w.saturated() || !reflect.DeepEqual(w.live[2].dense, affinity.Allocation{{0}, {0}, {0}, {0}, {0}, {0}, {2}, {1}}) {
+		t.Fatalf("%s: third allocation %v, want nodes 6 and 7 with cloud 0 saturated", w.name, w.live[2].dense)
 	}
 }

@@ -2,7 +2,9 @@ package placement
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"affinitycluster/internal/affinity"
@@ -12,28 +14,40 @@ import (
 
 // FuzzPlaceRequest drives Algorithm 1 with arbitrary plant shapes,
 // capacity matrices, and requests. The matrix width is drawn apart from
-// the request's, so malformed shapes are fuzzed too. Invariants
-// (DESIGN.md §10): Place never panics, never mutates the capacity
-// snapshot L, rejects a width mismatch with an error, and every
-// successful allocation (a) satisfies the request within L, and (b) has
-// a DC(C) on which the tier-aggregated DistanceEvaluator and the plain
-// row-scan oracle Allocation.DistanceFrom agree exactly, including the
-// lowest-ID center tie-break.
+// the request's, so malformed shapes are fuzzed too; zeroCloud empties
+// one cloud's capacity (0 leaves every cloud as drawn), and scramble
+// re-imports the plant with permuted node and rack IDs (scramblePlant).
+// Invariants (DESIGN.md §10): Place never panics, never mutates the
+// capacity snapshot L, rejects a width mismatch with an error, and every
+// successful allocation (a) satisfies the request within L, (b) equals
+// the ExhaustiveCenters reference allocation, with PlaceSparse on a tier
+// index returning that allocation's exact DC bits and center, and (c)
+// has a DC(C) on which the tier-aggregated DistanceEvaluator and the
+// plain row-scan oracle Allocation.DistanceFrom agree exactly, including
+// the lowest-ID center tie-break.
 func FuzzPlaceRequest(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(3), uint8(10), uint8(4), uint8(1), []byte{3, 2})
-	f.Add(int64(7), uint8(2), uint8(2), uint8(3), uint8(6), uint8(2), []byte{1, 0, 5})
-	f.Add(int64(42), uint8(3), uint8(4), uint8(5), uint8(1), uint8(0), []byte{9})
-	f.Add(int64(0), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), []byte{0, 0})
-	f.Add(int64(3), uint8(1), uint8(2), uint8(2), uint8(5), uint8(2), []byte{1, 1})
-	f.Add(int64(5), uint8(2), uint8(1), uint8(3), uint8(5), uint8(0), []byte{2, 1})
+	f.Add(int64(1), uint8(1), uint8(3), uint8(10), uint8(4), uint8(1), uint8(0), false, []byte{3, 2})
+	f.Add(int64(7), uint8(2), uint8(2), uint8(3), uint8(6), uint8(2), uint8(0), false, []byte{1, 0, 5})
+	f.Add(int64(42), uint8(3), uint8(4), uint8(5), uint8(1), uint8(0), uint8(0), false, []byte{9})
+	f.Add(int64(0), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(0), false, []byte{0, 0})
+	f.Add(int64(3), uint8(1), uint8(2), uint8(2), uint8(5), uint8(2), uint8(0), false, []byte{1, 1})
+	f.Add(int64(5), uint8(2), uint8(1), uint8(3), uint8(5), uint8(0), uint8(0), false, []byte{2, 1})
+	// Cloud 0 holds no capacity: the sweep settles it with the shared
+	// purely remote build.
+	f.Add(int64(11), uint8(2), uint8(3), uint8(4), uint8(4), uint8(1), uint8(1), false, []byte{6, 5})
+	f.Add(int64(13), uint8(2), uint8(3), uint8(4), uint8(4), uint8(1), uint8(1), true, []byte{6, 5})
 
-	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, capMax, width uint8, reqBytes []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, capMax, width, zeroCloud uint8, scramble bool, reqBytes []byte) {
 		nc := 1 + int(clouds)%3
 		nr := 1 + int(racksPer)%4
 		nn := 1 + int(nodesPer)%5
 		tp, err := topology.Uniform(nc, nr, nn, topology.DefaultDistances())
 		if err != nil {
 			t.Fatalf("Uniform(%d,%d,%d): %v", nc, nr, nn, err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		if scramble {
+			tp = scramblePlant(t, rng, tp)
 		}
 		n := tp.Nodes()
 		if len(reqBytes) == 0 {
@@ -47,14 +61,16 @@ func FuzzPlaceRequest(f *testing.F) {
 			r[j] = int(b % 11)
 		}
 		m := 1 + int(width)%4
-		rng := rand.New(rand.NewSource(seed))
+		empty := int(zeroCloud)%(nc+1) - 1 // -1: no cloud emptied
 		l := make([][]int, n)
 		snapshot := make([][]int, n)
 		for i := range l {
 			l[i] = make([]int, m)
 			snapshot[i] = make([]int, m)
 			for j := range l[i] {
-				l[i][j] = rng.Intn(1 + int(capMax)%8)
+				if v := rng.Intn(1 + int(capMax)%8); tp.CloudOf(topology.NodeID(i)) != empty {
+					l[i][j] = v
+				}
 				snapshot[i][j] = l[i][j]
 			}
 		}
@@ -85,7 +101,29 @@ func FuzzPlaceRequest(f *testing.F) {
 		if verr := alloc.Validate(r, l); verr != nil {
 			t.Fatalf("accepted allocation violates capacity/request: %v\nalloc %v\nreq %v", verr, alloc, r)
 		}
-		// (b) Tier-aggregated evaluator vs row-scan oracle. The DC(C)
+		// (b) The pruned scan places exactly as the exhaustive reference,
+		// and the indexed entry point reports the reference's DC and center.
+		want, werr := (&OnlineHeuristic{Policy: ExhaustiveCenters}).Place(tp, l, r)
+		if werr != nil {
+			t.Fatalf("exhaustive reference failed where the scan placed: %v", werr)
+		}
+		if !reflect.DeepEqual(alloc, want) {
+			t.Fatalf("scan and exhaustive allocations differ\nscan       %v\nexhaustive %v\nreq %v", alloc, want, r)
+		}
+		idx, err := affinity.NewTierIndex(tp, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sp affinity.SparseAlloc
+		gotDC, gotCenter, err := (&OnlineHeuristic{}).PlaceSparse(idx, r, &sp)
+		if err != nil {
+			t.Fatalf("PlaceSparse failed where Place succeeded: %v", err)
+		}
+		wantDC, wantCenter := want.Distance(tp)
+		if !reflect.DeepEqual(sp.ToDense(), want) || math.Float64bits(gotDC) != math.Float64bits(wantDC) || gotCenter != wantCenter {
+			t.Fatalf("PlaceSparse = (%v, %d, %v), exhaustive (%v, %d, %v)\nreq %v", gotDC, gotCenter, sp.ToDense(), wantDC, wantCenter, want, r)
+		}
+		// (c) Tier-aggregated evaluator vs row-scan oracle. The DC(C)
 		// value is Definition 1's minimum over every candidate center;
 		// the reported center tie-breaks toward the lowest ID among
 		// hosting nodes (where the minimum is always attained).

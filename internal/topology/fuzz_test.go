@@ -11,7 +11,8 @@ import (
 // error or produces a validated plant that round-trips byte-identically —
 // no input may panic, and no accepted plant may violate the
 // single-cloud-per-rack containment the placement fast paths price
-// Definition 1 from.
+// Definition 1 from, or carry cloud runs (CloudRunEnd) that do not
+// partition its rack order into maximal same-cloud stretches.
 func FuzzTopologyImportJSON(f *testing.F) {
 	if valid, err := json.Marshal(PaperSimPlant()); err == nil {
 		f.Add(valid)
@@ -50,6 +51,25 @@ func FuzzTopologyImportJSON(f *testing.F) {
 			if d := tp.Distance(id, id); d != tp.Distances().SameNode {
 				t.Fatalf("self-distance of node %d = %v, want %v", i, d, tp.Distances().SameNode)
 			}
+		}
+		// The scan's cloud runs partition its rack order into maximal
+		// same-cloud stretches, however the import interleaves clouds.
+		order := tp.RacksByLowestNode()
+		for p := 0; p < len(order); {
+			end := tp.CloudRunEnd(p)
+			if end <= p || end > len(order) {
+				t.Fatalf("CloudRunEnd(%d) = %d outside (%d, %d]", p, end, p, len(order))
+			}
+			c := tp.CloudOfRack(order[p])
+			for q := p; q < end; q++ {
+				if tp.CloudOfRack(order[q]) != c || tp.CloudRunEnd(q) != end {
+					t.Fatalf("run [%d,%d) of cloud %d: position %d in cloud %d, run end %d", p, end, c, q, tp.CloudOfRack(order[q]), tp.CloudRunEnd(q))
+				}
+			}
+			if end < len(order) && tp.CloudOfRack(order[end]) == c {
+				t.Fatalf("run [%d,%d) of cloud %d is not maximal", p, end, c)
+			}
+			p = end
 		}
 		// …and round-trip byte-identically.
 		out, err := json.Marshal(&tp)
