@@ -70,8 +70,9 @@ lint-json:
 
 # Native fuzz targets, ~10s each: topology JSON import (reject or
 # round-trip, never panic), Algorithm 1 placement (capacity respected,
-# mismatched matrix widths rejected, evaluator DC(C) matches the
-# row-scan oracle), and the trace encoder's
+# mismatched matrix widths rejected, the pruned scan places exactly as
+# ExhaustiveCenters, evaluator DC(C) matches the row-scan oracle), and
+# the trace encoder's
 # quoting and integer-float fast paths (byte-equal to strconv.AppendQuote
 # and strconv.AppendFloat).
 fuzz-smoke:
