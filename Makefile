@@ -90,12 +90,11 @@ faults-race:
 
 # Placement-service gate: the concurrency-sensitive service tests (the
 # 64-client determinism property, the place/release and grow/shrink
-# hammers, Close against in-flight callers) ten times over under the race
-# detector, since lock order varies run to run, plus the cloudsim
-# serve-parity check.
+# hammers, Close against in-flight callers) and the differential test
+# against direct sparse calls, ten times over under the race detector,
+# since lock order varies run to run.
 service-race:
 	$(GO) test -race -count=10 ./internal/service -run 'Service|Ordered'
-	$(GO) test -race ./internal/cloudsim -run 'Service|Serve'
 
 # Streaming-replay gate: the soak scenario and the stream/retained
 # parity tests under the race detector, plus one seeded soak figure at a

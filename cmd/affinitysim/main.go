@@ -6,11 +6,11 @@
 //
 // Usage:
 //
-//	affinitysim [-seed N] [-fig 2|3|4|5|6|ops|faults|service|soak|elastic|all]
+//	affinitysim [-seed N] [-fig 2|3|4|5|6|ops|faults|soak|elastic|all]
 //	            [-mtbf N] [-mttr N] [-requests N]
 //	            [-metrics out.json] [-trace out.jsonl] [-pprof addr]
 //
-// The faults, service, soak, and elastic figures are their own
+// The faults, soak, and elastic figures are their own
 // -metrics/-trace producers; the soak figure streams its trace to the
 // -trace file event by event instead of retaining it.
 package main
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 2012, "random seed for capacities and requests")
-	fig := flag.String("fig", "all", "figure to run: 2, 3, 4, 5, 6, ops, faults, service, soak, elastic, or all")
+	fig := flag.String("fig", "all", "figure to run: 2, 3, 4, 5, 6, ops, faults, soak, elastic, or all")
 	mtbf := flag.Float64("mtbf", 0, "faults figure: mean time between failures (0 = scenario default)")
 	mttr := flag.Float64("mttr", 0, "faults figure: mean time to repair (0 = scenario default)")
 	requests := flag.Int("requests", 0, "soak figure: open-loop request count (0 = scenario default)")
@@ -93,7 +93,7 @@ func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr
 	// The ops scenario is the metrics/trace producer; force it when an
 	// export was requested even if -fig selects only classic figures
 	// (the faults figure is its own producer and takes over the exports).
-	if want("ops") || (fig != "faults" && fig != "service" && fig != "soak" && fig != "elastic" && (metricsPath != "" || tracePath != "")) {
+	if want("ops") || (fig != "faults" && fig != "soak" && fig != "elastic" && (metricsPath != "" || tracePath != "")) {
 		res, err := experiments.Ops(seed, experiments.DefaultOpsConfig(seed))
 		if err != nil {
 			return err
@@ -137,29 +137,9 @@ func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr
 			}
 		}
 	}
-	// The service figure, like faults, is NOT part of -fig all: existing
-	// figure output stays byte-identical and served runs are an explicit
+	// The soak figure, like faults, is NOT part of -fig all: it is the
+	// streaming endurance scenario, sized for long runs, and an explicit
 	// opt-in.
-	if fig == "service" {
-		res, err := experiments.Serving(seed, experiments.DefaultServingConfig())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-		if metricsPath != "" {
-			if err := writeFile(metricsPath, res.WriteMetrics); err != nil {
-				return fmt.Errorf("writing metrics: %w", err)
-			}
-		}
-		if tracePath != "" {
-			if err := writeFile(tracePath, res.WriteTrace); err != nil {
-				return fmt.Errorf("writing trace: %w", err)
-			}
-		}
-	}
-	// The soak figure, like faults and service, is NOT part of -fig all:
-	// it is the streaming endurance scenario, sized for long runs, and an
-	// explicit opt-in.
 	if fig == "soak" {
 		cfg := experiments.DefaultSoakConfig()
 		if requests > 0 {
@@ -218,7 +198,7 @@ func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr
 			}
 		}
 	}
-	if fig != "all" && !contains([]string{"2", "3", "4", "5", "6", "ops", "faults", "service", "soak", "elastic"}, fig) {
+	if fig != "all" && !contains([]string{"2", "3", "4", "5", "6", "ops", "faults", "soak", "elastic"}, fig) {
 		return fmt.Errorf("unknown figure %q", fig)
 	}
 	return nil

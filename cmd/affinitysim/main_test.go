@@ -25,8 +25,10 @@ func TestRunSingleFigure(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if err := run(io.Discard, 7, "9", "", "", 0, 0, 0); err == nil {
-		t.Error("unknown figure accepted")
+	for _, fig := range []string{"9", "service"} {
+		if err := run(io.Discard, 7, fig, "", "", 0, 0, 0); err == nil {
+			t.Errorf("unknown figure %q accepted", fig)
+		}
 	}
 }
 

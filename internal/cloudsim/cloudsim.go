@@ -2,8 +2,10 @@
 // requests over time — the paper's operational setting where "requests
 // will arrive and their job will finish randomly" (Section V.A). Arrivals
 // try to provision immediately through a pluggable placement strategy;
-// requests that do not fit wait in the queue of package queue and are
-// re-examined whenever a departing cluster releases resources.
+// requests that do not fit wait in the FIFO queue of package queue, and
+// whenever a departing cluster releases resources, the paper's
+// take-what-fits getRequests (Section III.C) re-examines them in queue
+// order.
 //
 // Two service modes are supported: per-request (each admitted request is
 // placed alone, the paper's online setting) and batch (all admissible
@@ -27,7 +29,6 @@ import (
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/queue"
-	"affinitycluster/internal/service"
 	"affinitycluster/internal/stats"
 	"affinitycluster/internal/topology"
 )
@@ -40,14 +41,12 @@ const arrivalClass = -1
 
 // Config selects queueing and service behaviour.
 type Config struct {
-	// Policy orders the wait queue.
+	// Policy orders the wait queue; FIFO, the zero value, is the only
+	// policy.
 	Policy queue.Policy
 	// QueueCap bounds the wait queue (0 = unbounded); arrivals beyond it
 	// are rejected.
 	QueueCap int
-	// Strict uses head-blocking admission (strict fairness) instead of
-	// the paper's take-what-fits getRequests.
-	Strict bool
 	// Batch places drained queue batches with the global sub-optimization
 	// algorithm instead of one-by-one online placement.
 	Batch bool
@@ -57,13 +56,6 @@ type Config struct {
 	Migrate bool
 	// Migration tunes the planner when Migrate is set.
 	Migration migration.Config
-	// BatchWindow > 0 delays admission: arrivals queue, and a drain fires
-	// BatchWindow seconds after the first queued request, trading wait
-	// time for larger batches — the paper notes global optimization
-	// becomes possible when users reserve ("tell the cloud provider how
-	// long the resources will be occupied") instead of demanding
-	// immediate service. Usually combined with Batch.
-	BatchWindow float64
 	// Faults, when enabled, injects the deterministic crash/repair
 	// schedule of package faults into the run: failed nodes lose their
 	// capacity and the VMs they host, and affected clusters are
@@ -76,16 +68,6 @@ type Config struct {
 	// Recovery tunes the requeue-with-backoff policy for clusters that
 	// cannot be evacuated after a failure.
 	Recovery RecoveryConfig
-	// Serve routes every placement commit and release through a
-	// placement service (internal/service) instead of mutating the
-	// inventory directly: the service becomes the inventory's single
-	// writer. Only per-request mode is supported (no Batch, Migrate,
-	// BatchWindow, Faults, or Elastic), the placer must be the indexed
-	// online heuristic, and the simulator keeps its own wait queue, so
-	// the service runs with its queue disabled and without telemetry. A
-	// served run is byte-identical to a direct one: metrics, registry
-	// snapshot, and event trace all match (pinned by TestServeParity).
-	Serve bool
 	// Elastic, when enabled, resizes every served cluster across its
 	// map/shuffle boundary: grow for the map phase, shrink into the
 	// shuffle, with deadline-aware admission (see
@@ -260,10 +242,6 @@ type Simulator struct {
 	resizes int
 	parked  *cluster
 
-	// serve, when Config.Serve is set, owns the inventory: place and
-	// depart go through it and never touch inv's mutators directly.
-	serve *service.Service
-
 	running map[int]*cluster // live clusters by registry ID
 	free    []*cluster       // retired records, reused by commission
 	nextRun int
@@ -291,8 +269,6 @@ type Simulator struct {
 	// time-to-recovery can be observed.
 	faultPlan       []faults.Event
 	pendingRecovery map[model.RequestID]float64
-
-	drainPending bool // a BatchWindow drain is already scheduled
 
 	// failed aborts the event loop: a release failure means the simulator
 	// corrupted its own bookkeeping, so Run stops and surfaces the error
@@ -400,25 +376,6 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 	if s.totalSlots == 0 {
 		return nil, errors.New("cloudsim: inventory has zero capacity")
 	}
-	if cfg.Serve {
-		if cfg.Batch || cfg.Migrate || cfg.BatchWindow > 0 || cfg.Faults.Enabled() || cfg.Elastic.Enabled {
-			return nil, errors.New("cloudsim: Serve supports per-request mode only (no Batch, Migrate, BatchWindow, Faults, or Elastic)")
-		}
-		oh, ok := placer.(*placement.OnlineHeuristic)
-		if !ok || oh.Policy != placement.ScanAllCenters {
-			return nil, fmt.Errorf("cloudsim: Serve requires the indexed online heuristic, got %q", placer.Name())
-		}
-		// The simulator's own queue does the waiting (its drain is driven
-		// by virtual time); the service answers non-fitting placements
-		// immediately. Telemetry stays with the simulator so a served run's
-		// registry matches a direct run's byte for byte.
-		svc, err := service.New(service.Config{Topology: tp, Inventory: inv, Online: oh, QueueCap: -1})
-		if err != nil {
-			return nil, fmt.Errorf("cloudsim: starting placement service: %w", err)
-		}
-		s.serve = svc
-		return s, nil
-	}
 	if oh, ok := placer.(*placement.OnlineHeuristic); ok && oh.Policy == placement.ScanAllCenters {
 		idx, err := inv.AttachTierIndex(tp)
 		if err != nil {
@@ -427,8 +384,8 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 		s.online, s.tidx = oh, idx
 	}
 	if cfg.Elastic.Enabled {
-		if cfg.Batch || cfg.Migrate || cfg.BatchWindow > 0 {
-			return nil, errors.New("cloudsim: Elastic supports direct per-request mode only (no Batch, Migrate, or BatchWindow)")
+		if cfg.Batch || cfg.Migrate {
+			return nil, errors.New("cloudsim: Elastic supports direct per-request mode only (no Batch or Migrate)")
 		}
 		if err := cfg.Elastic.validate(); err != nil {
 			return nil, err
@@ -439,16 +396,6 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 		s.ecfg = cfg.Elastic.withDefaults()
 	}
 	return s, nil
-}
-
-// ServiceStats returns the placement service's activity counters and
-// whether Serve mode is active. The counters are valid during and after
-// Run.
-func (s *Simulator) ServiceStats() (service.Stats, bool) {
-	if s.serve == nil {
-		return service.Stats{}, false
-	}
-	return s.serve.Stats(), true
 }
 
 // Run feeds the timed requests through the simulated cloud and returns
@@ -521,17 +468,7 @@ func (c *contractSource) Next() (model.TimedRequest, bool, error) {
 // replay is the event loop shared by Run and RunStream: faults are
 // scheduled up front, arrivals one at a time, each pulled from src as
 // its predecessor fires.
-func (s *Simulator) replay(src model.RequestSource) (m *Metrics, err error) {
-	if s.serve != nil {
-		// The simulator owns the service's lifetime: close it on every
-		// exit path. A Close failure on an otherwise clean run is
-		// surfaced; ErrClosed just means a prior run already closed it.
-		defer func() {
-			if cerr := s.serve.Close(); cerr != nil && !errors.Is(cerr, service.ErrClosed) && err == nil {
-				m, err = nil, fmt.Errorf("cloudsim: closing placement service: %w", cerr)
-			}
-		}()
-	}
+func (s *Simulator) replay(src model.RequestSource) (*Metrics, error) {
 	if err := s.scheduleFaults(); err != nil {
 		return nil, err
 	}
@@ -671,25 +608,6 @@ func (s *Simulator) arrive(r model.TimedRequest, now float64) {
 		s.reject(r, now, "oversized", true)
 		return
 	}
-	if s.cfg.BatchWindow > 0 {
-		// Reservation-style admission: accumulate a batch, drain later.
-		if err := s.queue.Enqueue(r); err != nil {
-			s.reject(r, now, "queue_full", true)
-			return
-		}
-		s.cfg.Obs.Emit("queue_admit", now, obs.F("req", int(r.ID)))
-		if !s.drainPending {
-			s.drainPending = true
-			_, err := s.engine.After(s.cfg.BatchWindow, func(at float64) {
-				s.drainPending = false
-				s.drain(at)
-			})
-			if err != nil {
-				s.fail(fmt.Errorf("cloudsim: scheduling batch-window drain: %w", err))
-			}
-		}
-		return
-	}
 	if s.inv.CanSatisfy(r.Vector) && s.queue.Len() == 0 {
 		if s.place(r, now) {
 			return
@@ -728,17 +646,6 @@ func (s *Simulator) reject(r model.TimedRequest, now float64, reason string, arr
 // inventory error is a bug and aborts the run instead of being
 // misread as a full cloud.
 func (s *Simulator) place(r model.TimedRequest, now float64) bool {
-	if s.serve != nil {
-		pl, err := s.serve.Place(r.Vector)
-		if err != nil {
-			if !errors.Is(err, placement.ErrInsufficient) {
-				s.fail(fmt.Errorf("cloudsim: service placement of request %d: %w", r.ID, err))
-			}
-			return false
-		}
-		s.commission(r, pl.Entries, pl.DC, pl.Center, now)
-		return true
-	}
 	if s.tidx != nil && len(r.Vector) == s.tidx.Types() {
 		d, center, err := s.online.PlaceSparse(s.tidx, r.Vector, &s.sp)
 		if err != nil {
@@ -846,13 +753,7 @@ func (s *Simulator) depart(c *cluster, now float64) {
 	s.om.running.Set(float64(len(s.running)))
 	s.om.usedSlots.Set(float64(s.usedSlots))
 	s.cfg.Obs.Emit("depart", now, obs.F("req", int(c.req.ID)), obs.F("dc", d))
-	var err error
-	if s.serve != nil {
-		err = s.serve.Release(c.cells)
-	} else {
-		err = s.inv.ReleaseList(c.cells)
-	}
-	if err != nil {
+	if err := s.inv.ReleaseList(c.cells); err != nil {
 		// A release failure means the simulator corrupted its own
 		// bookkeeping. Surface it through Run's error return (and the
 		// obs counter) instead of panicking the whole process; Run's
@@ -945,11 +846,7 @@ func (s *Simulator) drain(now float64) {
 		return
 	}
 	s.avail = s.inv.AppendAvailable(s.avail[:0])
-	if s.cfg.Strict {
-		s.taken = append(s.taken[:0], s.queue.GetRequestsStrict(s.avail)...)
-	} else {
-		s.taken = s.queue.AppendRequests(s.taken[:0], s.avail)
-	}
+	s.taken = s.queue.AppendRequests(s.taken[:0], s.avail)
 	if len(s.taken) == 0 {
 		return
 	}

@@ -2,7 +2,6 @@ package cloudsim
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"affinitycluster/internal/inventory"
@@ -174,33 +173,6 @@ func TestBatchModeServesBacklog(t *testing.T) {
 	}
 }
 
-func TestStrictModeHeadBlocks(t *testing.T) {
-	tp, inv := plant(t)
-	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{Strict: true, RetainSamples: true})
-	// After the big request departs at t=11 only 12+12 slots exist; the
-	// queued head wants everything, the small one behind it must wait
-	// despite fitting — strict mode blocks it until the head is served.
-	m, err := sim.Run([]model.TimedRequest{
-		timed(0, model.Request{12, 12}, 1, 10),
-		timed(1, model.Request{12, 12}, 2, 5),
-		timed(2, model.Request{1, 0}, 3, 5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conserve(t, m, 3)
-	if m.Served != 3 {
-		t.Fatalf("metrics = %+v", m)
-	}
-	// Head served at 11 (wait 9); small at 11 too? No: strict lets both
-	// pass once the head fits. Head departs at 16, but small fit at 11
-	// right after the head? Budget: head took everything at 11, so small
-	// waits until 16.
-	if m.Waits[2] != 13 { // 16 − 3
-		t.Errorf("strict wait = %v, want 13", m.Waits[2])
-	}
-}
-
 func TestEndToEndRandomWorkload(t *testing.T) {
 	tp := topology.PaperSimPlant()
 	caps, err := workload.RandomCapacities(3, tp.Nodes(), 3, workload.DefaultInventoryConfig())
@@ -238,61 +210,6 @@ func TestEndToEndRandomWorkload(t *testing.T) {
 	}
 	if m.UtilizationAvg < 0 || m.UtilizationAvg > 1 {
 		t.Errorf("utilization = %v", m.UtilizationAvg)
-	}
-}
-
-func TestBatchWindowTradesWaitForDistance(t *testing.T) {
-	tp, _ := plant(t)
-	// Contended fine-grained capacity like the global sub-opt examples:
-	// nodes 0/1 in rack 0 offer 0 and 1 slot, rack 1 offers 3+3.
-	caps := [][]int{
-		{0, 0}, {1, 0}, {0, 0},
-		{3, 0}, {3, 0}, {0, 0},
-	}
-	reqs := []model.TimedRequest{
-		timed(0, model.Request{4, 0}, 1, 50),
-		timed(1, model.Request{3, 0}, 1.5, 50),
-	}
-	run := func(window float64) *Metrics {
-		inv, err := inventory.NewFromMatrix(caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Batch: true, BatchWindow: window, RetainSamples: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sim.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Served != 2 {
-			t.Fatalf("served = %d", m.Served)
-		}
-		return m
-	}
-	immediate := run(0)
-	windowed := run(5)
-	// The windowed run serves both requests as one batch: the exchange
-	// phase untangles them (total 2 vs 3 — same instance as the
-	// GlobalSubOpt example).
-	if windowed.TotalDistance >= immediate.TotalDistance {
-		t.Errorf("window did not improve distance: %v vs %v",
-			windowed.TotalDistance, immediate.TotalDistance)
-	}
-	// The price is waiting: windowed requests wait ≥ 0 with at least one
-	// strictly positive wait; the immediate run serves request 0 at once.
-	if immediate.Waits[0] != 0 {
-		t.Errorf("immediate wait = %v", immediate.Waits[0])
-	}
-	maxWait := 0.0
-	for _, w := range windowed.Waits {
-		if w > maxWait {
-			maxWait = w
-		}
-	}
-	if maxWait <= 0 {
-		t.Error("windowed run shows no waiting")
 	}
 }
 
@@ -349,7 +266,7 @@ func TestMigrationTightensRunningClusters(t *testing.T) {
 }
 
 // TestSoakLongHorizon runs a long, heavily loaded scenario through every
-// feature at once — batching, migration, priorities — and checks global
+// feature at once — batching and migration — and checks global
 // accounting invariants at the end.
 func TestSoakLongHorizon(t *testing.T) {
 	topo := topology.PaperSimPlant()
@@ -361,7 +278,6 @@ func TestSoakLongHorizon(t *testing.T) {
 	arrivals := workload.DefaultArrivalConfig()
 	arrivals.MeanInterarrival = 4
 	arrivals.MeanHold = 250
-	arrivals.PriorityLevels = 3
 	timed, err := workload.TimedRequests(72, reqs, arrivals)
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +291,7 @@ func TestSoakLongHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim, err := New(topo, inv, &placement.OnlineHeuristic{}, Config{
-		Policy:        queue.PriorityPolicy,
+		Policy:        queue.FIFO,
 		Batch:         true,
 		Migrate:       true,
 		RetainSamples: true,
@@ -541,87 +457,5 @@ func TestAffinityPlacerYieldsShorterDistancesThanRandom(t *testing.T) {
 	striped := run(placement.RoundRobinStripe{})
 	if affine >= striped {
 		t.Errorf("affinity-aware mean distance %.2f not below round-robin %.2f", affine, striped)
-	}
-}
-
-// TestServeParity pins the Serve wiring's byte-identity guarantee: the
-// same seeded workload run directly and through the placement service
-// must produce equal Metrics and byte-identical registry snapshots and
-// event traces — the service changes who commits, never what is
-// committed.
-func TestServeParity(t *testing.T) {
-	tp := topology.PaperSimPlant()
-	caps, err := workload.RandomCapacities(3, tp.Nodes(), 3, workload.DefaultInventoryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs, err := workload.RandomRequests(4, 40, 3, workload.Normal, workload.DefaultRequestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := workload.DefaultArrivalConfig()
-	arr.MeanInterarrival = 4 // saturate the plant so the queue and drain work too
-	timedReqs, err := workload.TimedRequests(5, reqs, arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(serve bool) (*Metrics, []byte) {
-		inv, err := inventory.NewFromMatrix(caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		sim, err := New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, Config{
-			Policy: queue.FIFO,
-			Serve:  serve,
-			Obs:    reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sim.Run(timedReqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inv.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := reg.WriteMetricsJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.WriteTraceJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return m, buf.Bytes()
-	}
-	direct, directReg := run(false)
-	served, servedReg := run(true)
-	if direct.Served == 0 || direct.Served+direct.Rejected+direct.Unplaced != 40 {
-		t.Fatalf("degenerate workload: %+v", direct)
-	}
-	if !reflect.DeepEqual(direct, served) {
-		t.Errorf("metrics diverge:\ndirect: %+v\nserved: %+v", direct, served)
-	}
-	if !bytes.Equal(directReg, servedReg) {
-		t.Errorf("registry diverges between direct and served runs")
-	}
-}
-
-// TestServeModeRestrictions pins the Serve validation: batch, migration,
-// batch-window, and fault modes are refused, as are non-indexed placers.
-func TestServeModeRestrictions(t *testing.T) {
-	tp, inv := plant(t)
-	for name, cfg := range map[string]Config{
-		"batch":   {Serve: true, Batch: true},
-		"migrate": {Serve: true, Migrate: true},
-		"window":  {Serve: true, BatchWindow: 10},
-	} {
-		if _, err := New(tp, inv, &placement.OnlineHeuristic{}, cfg); err == nil {
-			t.Errorf("New with Serve+%s succeeded", name)
-		}
-	}
-	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}, Config{Serve: true}); err == nil {
-		t.Errorf("New with Serve and exhaustive placer succeeded")
 	}
 }

@@ -5,17 +5,17 @@
 //
 // Every commission requests a grow of ceil(GrowFactor·v_j) VMs per
 // requested type, placed near the cluster's current center with
-// placement.PlaceDelta so the merged DC(C) stays tight. Admission is
-// deadline-aware: the grown VMs must serve at least MinPayoff seconds
+// placement.PlaceDeltaSparse so the merged DC(C) stays tight. Admission
+// is deadline-aware: the grown VMs must serve at least MinPayoff seconds
 // before the shrink boundary at arrival + MapFrac·Hold, or the grow is
 // rejected outright. A deferred grow retries on a ladder of ticks
 // DeferBackoff apart and expires once no tick can still pay off. A grow
 // that does not fit polls every tick. A grow that would jump requests
 // waiting in the queue parks off the event heap instead: no tick can
 // serve it until the queue empties, and when it does, the grow rejoins
-// its ladder at the first tick not yet passed. A served grow
-// schedules the shrink at the boundary: placement.ReleaseSubset picks
-// the DC-minimizing victims (not necessarily the VMs the grow added),
+// its ladder at the first tick not yet passed. A served grow schedules
+// the shrink at the boundary: placement.ReleaseSubsetSparse picks the
+// DC-minimizing victims (not necessarily the VMs the grow added),
 // returns them to the inventory, and offers the freed capacity to the
 // wait queue like any departure.
 //
@@ -39,8 +39,8 @@ import (
 
 // ElasticConfig enables map/shuffle-driven resizing of every served
 // cluster. Elastic mode requires the indexed online heuristic and
-// per-request service (no Serve, Batch, Migrate, or BatchWindow); fault
-// injection composes with it.
+// per-request service (no Batch or Migrate); fault injection composes
+// with it.
 type ElasticConfig struct {
 	// Enabled turns elastic resizing on; the zero value leaves every
 	// code path of the static simulation untouched.

@@ -42,7 +42,6 @@ func TestElasticValidation(t *testing.T) {
 		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5, MapFrac: 1}}, // boundary at departure
 		{Elastic: elasticCfg(), Batch: true},                                 // per-request only
 		{Elastic: elasticCfg(), Migrate: true},                               // per-request only
-		{Elastic: elasticCfg(), BatchWindow: 3},                              // per-request only
 	}
 	for i, cfg := range bad {
 		if _, err := New(tp, inv, &placement.OnlineHeuristic{}, cfg); err == nil {

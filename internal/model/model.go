@@ -224,11 +224,10 @@ type RequestID int
 // TimedRequest couples a request vector with queueing metadata used by the
 // wait queue and the cloud simulator.
 type TimedRequest struct {
-	ID       RequestID
-	Vector   Request
-	Arrival  float64 // arrival time, simulation seconds
-	Hold     float64 // service duration once provisioned, simulation seconds
-	Priority int     // larger is more urgent; used by the priority queue policy
+	ID      RequestID
+	Vector  Request
+	Arrival float64 // arrival time, simulation seconds
+	Hold    float64 // service duration once provisioned, simulation seconds
 }
 
 // RequestSource streams timed requests one at a time, so multi-million

@@ -10,8 +10,8 @@
 // by repeatedly removing the VM whose departure minimizes the resulting
 // DC(C), probed through the evaluator's RemovePreview.
 //
-// Both grow forms reuse the pooled scanScratch of the tier-aggregated
-// scan, so the sparse path stays allocation-free in steady state.
+// The grow reuses the pooled scanScratch of the tier-aggregated scan, so
+// it stays allocation-free in steady state.
 package placement
 
 import (
@@ -24,45 +24,17 @@ import (
 	"affinitycluster/internal/topology"
 )
 
-// PlaceDelta extends the cluster alloc by delta against free capacity l,
-// filling greedily around the cluster's current central node. The new
-// VMs are added to alloc in place and returned as sparse entries (a
-// fresh slice, aliasing nothing), together with the merged cluster's
-// DC and central node. l is read, never written: committing the delta
-// against an inventory is the caller's step, exactly as with Place. An
-// empty alloc degenerates to a full placement (center chosen by the
-// scan), bit-identical to Place.
-func (h *OnlineHeuristic) PlaceDelta(t *topology.Topology, l [][]int, alloc affinity.Allocation, delta model.Request) ([]affinity.VMEntry, float64, topology.NodeID, error) {
-	if h.Policy != ScanAllCenters {
-		return nil, 0, -1, fmt.Errorf("placement: PlaceDelta requires ScanAllCenters, placer uses %q", h.Name())
-	}
-	if len(l) != t.Nodes() {
-		return nil, 0, -1, fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
-	}
-	ds, err := h.getDense(t, l)
-	if err != nil {
-		return nil, 0, -1, err
-	}
-	defer h.putDense(ds)
-	cur := alloc.Sparse()
-	dc, center, err := h.PlaceDeltaSparse(ds.idx, cur, delta, &ds.sp)
-	if err != nil {
-		return nil, 0, -1, err
-	}
-	entries := append([]affinity.VMEntry(nil), ds.sp.Entries...)
-	for _, e := range entries {
-		alloc[e.Node][e.Type] += e.Count
-	}
-	return entries, dc, center, nil
-}
-
-// PlaceDeltaSparse is PlaceDelta against a persistent tier index: cur
-// holds the existing cluster's non-zero cells (it must describe VMs
-// already committed against the inventory the index aliases, so they are
-// absent from L), dst receives the delta's entries in take order, and
-// the returned DC/center price the merged cluster. Steady-state calls
-// are allocation-free once dst and the pooled scratch have grown to
-// their working sizes. cur is only read.
+// PlaceDeltaSparse extends an existing cluster by delta against the free
+// capacity L of a persistent tier index, filling greedily around the
+// cluster's current central node. cur holds the cluster's non-zero cells
+// (it must describe VMs already committed against the inventory the
+// index aliases, so they are absent from L), dst receives the delta's
+// entries in take order, and the returned DC/center price the merged
+// cluster. An empty cur degenerates to a full placement (center chosen
+// by the scan), bit-identical to PlaceSparse. Committing the delta
+// against the inventory is the caller's step, exactly as with
+// PlaceSparse. Steady-state calls are allocation-free once dst and the
+// pooled scratch have grown to their working sizes. cur is only read.
 func (h *OnlineHeuristic) PlaceDeltaSparse(idx *affinity.TierIndex, cur []affinity.VMEntry, delta model.Request, dst *affinity.SparseAlloc) (float64, topology.NodeID, error) {
 	if h.Policy != ScanAllCenters {
 		return 0, -1, fmt.Errorf("placement: PlaceDeltaSparse requires ScanAllCenters, placer uses %q", h.Name())

@@ -36,7 +36,8 @@ func randomRequest(rng *rand.Rand, m, scale int) model.Request {
 }
 
 // TestPlaceDeltaEmptyEqualsPlace: growing an empty cluster IS placing —
-// PlaceDelta must reproduce Place bit for bit, center scan included.
+// PlaceDeltaSparse must reproduce Place bit for bit, center scan
+// included.
 func TestPlaceDeltaEmptyEqualsPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -53,23 +54,27 @@ func TestPlaceDeltaEmptyEqualsPlace(t *testing.T) {
 		h := &OnlineHeuristic{Policy: ScanAllCenters}
 		r := randomRequest(rng, m, n)
 		want, wantErr := h.Place(tp, work, r)
-		empty := affinity.NewAllocation(n, m)
-		entries, _, _, gotErr := h.PlaceDelta(tp, work, empty, r)
+		idx, err := affinity.NewTierIndex(tp, work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sp affinity.SparseAlloc
+		dc, center, gotErr := h.PlaceDeltaSparse(idx, nil, r, &sp)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("trial %d: PlaceDelta err %v, Place err %v", trial, gotErr, wantErr)
+			t.Fatalf("trial %d: PlaceDeltaSparse err %v, Place err %v", trial, gotErr, wantErr)
 		}
 		if gotErr != nil {
 			continue
 		}
 		got := affinity.NewAllocation(n, m)
-		for _, e := range entries {
+		for _, e := range sp.Entries {
 			got[e.Node][e.Type] += e.Count
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: empty-cluster PlaceDelta differs from Place\ngot  %v\nwant %v", trial, got, want)
+			t.Fatalf("trial %d: empty-cluster PlaceDeltaSparse differs from Place\ngot  %v\nwant %v", trial, got, want)
 		}
-		if !reflect.DeepEqual(empty, want) {
-			t.Fatalf("trial %d: PlaceDelta did not extend alloc in place", trial)
+		if wantDC, wantCenter := want.Distance(tp); dc != wantDC || center != wantCenter {
+			t.Fatalf("trial %d: empty-cluster score (%v, %d), placed cluster (%v, %d)", trial, dc, center, wantDC, wantCenter)
 		}
 	}
 }
@@ -80,7 +85,8 @@ func TestPlaceDeltaEmptyEqualsPlace(t *testing.T) {
 // current central node, with the merged DC/center recomputed from
 // scratch. Entries, DC and center must match exactly — the
 // tier-aggregated delta path must be invisible next to a full dense
-// re-placement of the delta.
+// re-placement of the delta. The tier index aliases work, so every
+// commit to work is reported to it.
 func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
@@ -106,6 +112,11 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 				work[i][j] -= k
 			}
 		}
+		idx, err := affinity.NewTierIndex(tp, work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sp affinity.SparseAlloc
 		for step := 0; step < 8; step++ {
 			delta := randomRequest(rng, m, 4)
 			// Oracle: fill delta around the cluster's current center on a
@@ -122,19 +133,20 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 			}
 			wantDC, wantK := merged.Distance(tp)
 
-			before := cluster.Clone()
-			entries, dc, k, err := h.PlaceDelta(tp, work, cluster, delta)
+			cur := cluster.Sparse()
+			before := append([]affinity.VMEntry(nil), cur...)
+			dc, k, err := h.PlaceDeltaSparse(idx, cur, delta, &sp)
+			if !reflect.DeepEqual(cur, before) {
+				t.Fatalf("trial %d step %d: PlaceDeltaSparse mutated the cluster's cells", trial, step)
+			}
 			if err != nil {
 				if okOracle {
-					t.Fatalf("trial %d step %d: PlaceDelta failed (%v) where oracle built", trial, step, err)
-				}
-				if !reflect.DeepEqual(cluster, before) {
-					t.Fatalf("trial %d step %d: failed PlaceDelta mutated the cluster", trial, step)
+					t.Fatalf("trial %d step %d: PlaceDeltaSparse failed (%v) where oracle built", trial, step, err)
 				}
 				break
 			}
 			gotDelta := affinity.NewAllocation(n, m)
-			for _, e := range entries {
+			for _, e := range sp.Entries {
 				gotDelta[e.Node][e.Type] += e.Count
 			}
 			if !reflect.DeepEqual(gotDelta, oracleDelta) {
@@ -144,11 +156,17 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 			if dc != wantDC || k != wantK {
 				t.Fatalf("trial %d step %d: merged score (%v, %d), scratch (%v, %d)", trial, step, dc, k, wantDC, wantK)
 			}
-			if !reflect.DeepEqual(cluster, merged) {
-				t.Fatalf("trial %d step %d: in-place extension diverged from merge", trial, step)
-			}
-			for _, e := range entries {
+			// Commit: extend the cluster and take the delta out of work.
+			for _, e := range sp.Entries {
+				cluster[e.Node][e.Type] += e.Count
 				work[e.Node][e.Type] -= e.Count
+				idx.Apply(e.Node, int(e.Type), -e.Count)
+			}
+			if err := idx.CheckConsistent(); err != nil {
+				t.Fatalf("trial %d step %d: tier index after commit: %v", trial, step, err)
+			}
+			if !reflect.DeepEqual(cluster, merged) {
+				t.Fatalf("trial %d step %d: extension diverged from merge", trial, step)
 			}
 		}
 	}

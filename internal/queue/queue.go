@@ -1,9 +1,9 @@
 // Package queue implements the request wait queue of the paper's Section
 // III.C: requests that cannot be admitted immediately wait until resources
-// free up, are served by a configurable policy (FIFO or priority), and can
-// be cancelled by their owner. GetRequests implements the paper's
-// getRequests(Q, A): the maximal policy-ordered prefix of requests the
-// current availability can admit together.
+// free up, are served in arrival (FIFO) order, and can be cancelled by
+// their owner. GetRequests implements the paper's getRequests(Q, A): walk
+// the queue in order and take every request the running availability can
+// still admit.
 package queue
 
 import (
@@ -15,26 +15,12 @@ import (
 	"affinitycluster/internal/obs"
 )
 
-// Policy orders the wait queue.
+// Policy orders the wait queue. FIFO is its only value.
 type Policy int
 
-const (
-	// FIFO serves requests in arrival order.
-	FIFO Policy = iota
-	// PriorityPolicy serves higher Priority first, FIFO within a level.
-	PriorityPolicy
-)
-
-func (p Policy) String() string {
-	switch p {
-	case FIFO:
-		return "fifo"
-	case PriorityPolicy:
-		return "priority"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
+// FIFO serves requests in arrival order, with EnqueueFront insertions
+// ahead of every waiting request.
+const FIFO Policy = 0
 
 // ErrNotFound is returned by Cancel for an unknown request ID.
 var ErrNotFound = errors.New("queue: request not found")
@@ -47,17 +33,13 @@ var ErrFull = errors.New("queue: full")
 // for concurrent use.
 type Queue struct {
 	mu       sync.Mutex
-	policy   Policy
 	capacity int // 0 = unbounded
 	items    []model.TimedRequest
-	seq      int // admission sequence for stable FIFO within priorities
-	front    int // descending sequence handed to EnqueueFront insertions
-	seqs     map[model.RequestID]int
+	ids      map[model.RequestID]struct{} // the waiting IDs, to refuse duplicates
 
-	// Drain scratch, reused under mu: the running availability, the
-	// policy order as item indices (priority only), and the take marks.
+	// Drain scratch, reused under mu: the running availability and the
+	// take marks.
 	remaining []int
-	order     []int
 	taken     []bool
 
 	// obs handles; nil (no-op) unless Instrument was called.
@@ -68,9 +50,10 @@ type Queue struct {
 	mDepth     *obs.Gauge
 }
 
-// New creates a queue with the given policy. capacity 0 means unbounded.
+// New creates a queue; policy must be FIFO, the only Policy. capacity 0
+// means unbounded.
 func New(policy Policy, capacity int) *Queue {
-	return &Queue{policy: policy, capacity: capacity, seqs: make(map[model.RequestID]int)}
+	return &Queue{capacity: capacity, ids: make(map[model.RequestID]struct{})}
 }
 
 // Instrument resolves the queue's metric handles against a registry. A
@@ -93,59 +76,58 @@ func (q *Queue) Len() int {
 	return len(q.items)
 }
 
-// Enqueue adds a request to the queue.
+// Enqueue adds a request at the tail of the queue.
 func (q *Queue) Enqueue(r model.TimedRequest) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.capacity > 0 && len(q.items) >= q.capacity {
-		q.mRejected.Inc()
-		return ErrFull
-	}
-	if _, dup := q.seqs[r.ID]; dup {
-		q.mRejected.Inc()
-		return fmt.Errorf("queue: duplicate request ID %d", r.ID)
+	if err := q.accept(r); err != nil {
+		return err
 	}
 	q.items = append(q.items, r)
-	q.seqs[r.ID] = q.seq
-	q.seq++
-	q.mEnqueued.Inc()
 	q.mDepth.Set(float64(len(q.items)))
 	return nil
 }
 
-// EnqueueFront inserts a request at the head of the policy order (first
-// in FIFO order, first within its priority level). Fault recovery uses
-// it to requeue a cluster torn down by a node failure: the victim keeps
-// its original arrival time and gets first claim on repaired capacity
-// instead of waiting behind requests that arrived after it was already
-// being served.
+// EnqueueFront inserts a request at the head of the queue. Fault recovery
+// uses it to requeue a cluster torn down by a node failure: the victim
+// keeps its original arrival time and gets first claim on repaired
+// capacity instead of waiting behind requests that arrived after it was
+// already being served.
 func (q *Queue) EnqueueFront(r model.TimedRequest) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.capacity > 0 && len(q.items) >= q.capacity {
-		q.mRejected.Inc()
-		return ErrFull
-	}
-	if _, dup := q.seqs[r.ID]; dup {
-		q.mRejected.Inc()
-		return fmt.Errorf("queue: duplicate request ID %d", r.ID)
+	if err := q.accept(r); err != nil {
+		return err
 	}
 	q.items = append(q.items, model.TimedRequest{})
 	copy(q.items[1:], q.items)
 	q.items[0] = r
-	q.front--
-	q.seqs[r.ID] = q.front
-	q.mEnqueued.Inc()
 	q.mDepth.Set(float64(len(q.items)))
 	return nil
 }
 
-// removeAt deletes and returns items[i], dropping its seqs entry and
+// accept checks the capacity bound and the duplicate-ID rule for a new
+// request and records its ID. Callers hold q.mu.
+func (q *Queue) accept(r model.TimedRequest) error {
+	if q.capacity > 0 && len(q.items) >= q.capacity {
+		q.mRejected.Inc()
+		return ErrFull
+	}
+	if _, dup := q.ids[r.ID]; dup {
+		q.mRejected.Inc()
+		return fmt.Errorf("queue: duplicate request ID %d", r.ID)
+	}
+	q.ids[r.ID] = struct{}{}
+	q.mEnqueued.Inc()
+	return nil
+}
+
+// removeAt deletes and returns items[i], dropping its ID entry and
 // zeroing the vacated tail slot so the backing array does not pin the
 // removed request's vectors alive. Callers hold q.mu.
 func (q *Queue) removeAt(i int) model.TimedRequest {
 	r := q.items[i]
-	delete(q.seqs, r.ID)
+	delete(q.ids, r.ID)
 	last := len(q.items) - 1
 	copy(q.items[i:], q.items[i+1:])
 	q.items[last] = model.TimedRequest{}
@@ -169,24 +151,19 @@ func (q *Queue) Cancel(id model.RequestID) error {
 	return ErrNotFound
 }
 
-// Dequeue pops the first request in policy order, or reports false on an
-// empty queue.
+// Dequeue pops the head of the queue, or reports false on an empty queue.
 func (q *Queue) Dequeue() (model.TimedRequest, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if len(q.items) == 0 {
 		return model.TimedRequest{}, false
 	}
-	i := 0
-	if q.policy == PriorityPolicy {
-		i = q.sortOrder()[0]
-	}
-	head := q.removeAt(i)
+	head := q.removeAt(0)
 	q.mAdmitted.Inc()
 	return head, true
 }
 
-// Peek returns the waiting requests in policy order without removing them.
+// Peek returns the waiting requests in queue order without removing them.
 // The returned slice is a fresh copy that never aliases the queue's
 // backing array: removeAt/take zero vacated tail slots on every
 // Dequeue/Cancel/GetRequests, so a result sharing storage with q.items
@@ -196,45 +173,11 @@ func (q *Queue) Dequeue() (model.TimedRequest, bool) {
 func (q *Queue) Peek() []model.TimedRequest {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.policy != PriorityPolicy {
-		return append([]model.TimedRequest(nil), q.items...)
-	}
-	out := make([]model.TimedRequest, 0, len(q.items))
-	for _, i := range q.sortOrder() {
-		out = append(out, q.items[i])
-	}
-	return out
-}
-
-// sortOrder fills the order scratch with the item indices in priority
-// order: higher Priority first, then admission sequence. FIFO order is
-// the items order itself and needs no scratch. Callers hold q.mu.
-//
-//lint:hotpath
-func (q *Queue) sortOrder() []int {
-	q.order = q.order[:0]
-	for i := range q.items {
-		q.order = append(q.order, i)
-	}
-	// Insertion sort keeps the code dependency-free and the queue is
-	// short by construction.
-	o := q.order
-	for i := 1; i < len(o); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &q.items[o[j-1]], &q.items[o[j]]
-			if b.Priority > a.Priority ||
-				(b.Priority == a.Priority && q.seqs[b.ID] < q.seqs[a.ID]) {
-				o[j-1], o[j] = o[j], o[j-1]
-			} else {
-				break
-			}
-		}
-	}
-	return o
+	return append([]model.TimedRequest(nil), q.items...)
 }
 
 // GetRequests implements the paper's getRequests(Q, A): walk the queue in
-// policy order and take every request the running availability can still
+// order and take every request the running availability can still
 // admit, removing the taken requests from the queue. Requests that do not
 // fit are skipped, not blocked behind (the paper admits any subset the
 // resources can meet). The result is a fresh slice, so like Peek it stays
@@ -243,7 +186,7 @@ func (q *Queue) GetRequests(avail []int) []model.TimedRequest {
 	return q.AppendRequests(nil, avail)
 }
 
-// AppendRequests is GetRequests appending the taken requests, in policy
+// AppendRequests is GetRequests appending the taken requests, in queue
 // order, to dst and returning the extended slice. The requests are
 // copied into dst, which never aliases the queue, so a caller that keeps
 // one buffer across drains allocates nothing once it has grown.
@@ -252,54 +195,31 @@ func (q *Queue) GetRequests(avail []int) []model.TimedRequest {
 func (q *Queue) AppendRequests(dst []model.TimedRequest, avail []int) []model.TimedRequest {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.take(dst, avail, false)
+	return q.take(dst, avail)
 }
 
-// GetRequestsStrict is the head-blocking variant: it stops at the first
-// request in policy order that does not fit. Strict FIFO fairness avoids
-// starving large requests at the cost of utilization; the cloud simulator
-// exposes both for comparison.
-func (q *Queue) GetRequestsStrict(avail []int) []model.TimedRequest {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.take(nil, avail, true)
-}
-
-// take is the getRequests walk shared by GetRequests, AppendRequests and
-// GetRequestsStrict. It runs on queue-owned scratch: the availability is
-// copied and decremented in place, the policy order is the items order
-// (FIFO) or an index sort (priority), and taken items are marked by
-// index, then compacted out of the queue with their seqs entries. A
-// request whose vector width differs from avail never fits. Callers hold
-// q.mu.
+// take is the getRequests walk behind GetRequests and AppendRequests. It
+// runs on queue-owned scratch: the availability is copied and decremented
+// in place, and taken items are marked by index, then compacted out of
+// the queue with their ID entries. A request whose vector width differs
+// from avail never fits. Callers hold q.mu.
 //
 //lint:hotpath
-func (q *Queue) take(dst []model.TimedRequest, avail []int, strict bool) []model.TimedRequest {
+func (q *Queue) take(dst []model.TimedRequest, avail []int) []model.TimedRequest {
 	n := len(q.items)
 	if n == 0 {
 		return dst
 	}
 	q.remaining = append(q.remaining[:0], avail...)
-	var order []int
-	if q.policy == PriorityPolicy {
-		order = q.sortOrder()
-	}
 	if len(q.taken) < n {
 		q.taken = make([]bool, n)
 	}
 	taken := q.taken[:n]
 	clear(taken)
 	count := 0
-	for k := 0; k < n; k++ {
-		i := k
-		if order != nil {
-			i = order[k]
-		}
+	for i := range q.items {
 		r := &q.items[i]
 		if len(r.Vector) != len(q.remaining) || !model.Covers(q.remaining, r.Vector) {
-			if strict {
-				break
-			}
 			continue
 		}
 		for j, v := range r.Vector {
@@ -315,7 +235,7 @@ func (q *Queue) take(dst []model.TimedRequest, avail []int, strict bool) []model
 	kept := q.items[:0]
 	for i, it := range q.items {
 		if taken[i] {
-			delete(q.seqs, it.ID)
+			delete(q.ids, it.ID)
 		} else {
 			kept = append(kept, it)
 		}

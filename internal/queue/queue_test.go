@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -12,14 +11,14 @@ import (
 	"affinitycluster/internal/obs"
 )
 
-func req(id int, vec model.Request, prio int) model.TimedRequest {
-	return model.TimedRequest{ID: model.RequestID(id), Vector: vec, Priority: prio}
+func req(id int, vec model.Request) model.TimedRequest {
+	return model.TimedRequest{ID: model.RequestID(id), Vector: vec}
 }
 
 func TestFIFOOrder(t *testing.T) {
 	q := New(FIFO, 0)
 	for i := 0; i < 3; i++ {
-		if err := q.Enqueue(req(i, model.Request{1}, 0)); err != nil {
+		if err := q.Enqueue(req(i, model.Request{1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,42 +33,27 @@ func TestFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestPriorityOrder(t *testing.T) {
-	q := New(PriorityPolicy, 0)
-	_ = q.Enqueue(req(0, model.Request{1}, 1))
-	_ = q.Enqueue(req(1, model.Request{1}, 5))
-	_ = q.Enqueue(req(2, model.Request{1}, 5))
-	_ = q.Enqueue(req(3, model.Request{1}, 3))
-	got := q.Peek()
-	wantIDs := []model.RequestID{1, 2, 3, 0} // 5,5 FIFO within level, 3, 1
-	for i, w := range wantIDs {
-		if got[i].ID != w {
-			t.Errorf("position %d: ID %d, want %d", i, got[i].ID, w)
-		}
-	}
-}
-
 func TestCapacityLimit(t *testing.T) {
 	q := New(FIFO, 2)
-	_ = q.Enqueue(req(0, model.Request{1}, 0))
-	_ = q.Enqueue(req(1, model.Request{1}, 0))
-	if err := q.Enqueue(req(2, model.Request{1}, 0)); !errors.Is(err, ErrFull) {
+	_ = q.Enqueue(req(0, model.Request{1}))
+	_ = q.Enqueue(req(1, model.Request{1}))
+	if err := q.Enqueue(req(2, model.Request{1})); !errors.Is(err, ErrFull) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
 }
 
 func TestDuplicateID(t *testing.T) {
 	q := New(FIFO, 0)
-	_ = q.Enqueue(req(7, model.Request{1}, 0))
-	if err := q.Enqueue(req(7, model.Request{2}, 0)); err == nil {
+	_ = q.Enqueue(req(7, model.Request{1}))
+	if err := q.Enqueue(req(7, model.Request{2})); err == nil {
 		t.Error("duplicate ID accepted")
 	}
 }
 
 func TestCancel(t *testing.T) {
 	q := New(FIFO, 0)
-	_ = q.Enqueue(req(0, model.Request{1}, 0))
-	_ = q.Enqueue(req(1, model.Request{1}, 0))
+	_ = q.Enqueue(req(0, model.Request{1}))
+	_ = q.Enqueue(req(1, model.Request{1}))
 	if err := q.Cancel(0); err != nil {
 		t.Fatal(err)
 	}
@@ -80,16 +64,16 @@ func TestCancel(t *testing.T) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
 	// Cancelled ID can be reused.
-	if err := q.Enqueue(req(0, model.Request{3}, 0)); err != nil {
+	if err := q.Enqueue(req(0, model.Request{3})); err != nil {
 		t.Errorf("re-enqueue after cancel: %v", err)
 	}
 }
 
 func TestGetRequestsSkipsOversized(t *testing.T) {
 	q := New(FIFO, 0)
-	_ = q.Enqueue(req(0, model.Request{5}, 0)) // too big
-	_ = q.Enqueue(req(1, model.Request{2}, 0))
-	_ = q.Enqueue(req(2, model.Request{2}, 0))
+	_ = q.Enqueue(req(0, model.Request{5})) // too big
+	_ = q.Enqueue(req(1, model.Request{2}))
+	_ = q.Enqueue(req(2, model.Request{2}))
 	taken := q.GetRequests([]int{4})
 	if len(taken) != 2 || taken[0].ID != 1 || taken[1].ID != 2 {
 		t.Fatalf("taken = %v", taken)
@@ -101,8 +85,8 @@ func TestGetRequestsSkipsOversized(t *testing.T) {
 
 func TestGetRequestsRunningBudget(t *testing.T) {
 	q := New(FIFO, 0)
-	_ = q.Enqueue(req(0, model.Request{3}, 0))
-	_ = q.Enqueue(req(1, model.Request{3}, 0))
+	_ = q.Enqueue(req(0, model.Request{3}))
+	_ = q.Enqueue(req(1, model.Request{3}))
 	taken := q.GetRequests([]int{4})
 	// Only the first fits within the running budget of 4.
 	if len(taken) != 1 || taken[0].ID != 0 {
@@ -113,55 +97,22 @@ func TestGetRequestsRunningBudget(t *testing.T) {
 	}
 }
 
-func TestGetRequestsStrictBlocksAtHead(t *testing.T) {
-	q := New(FIFO, 0)
-	_ = q.Enqueue(req(0, model.Request{5}, 0)) // head does not fit
-	_ = q.Enqueue(req(1, model.Request{1}, 0))
-	taken := q.GetRequestsStrict([]int{4})
-	if len(taken) != 0 {
-		t.Fatalf("strict took %v despite blocked head", taken)
-	}
-	if q.Len() != 2 {
-		t.Error("strict variant must not remove anything")
-	}
-	taken = q.GetRequestsStrict([]int{6})
-	if len(taken) != 2 {
-		t.Fatalf("strict with budget 6 took %d", len(taken))
-	}
-}
-
 func TestGetRequestsWrongLengthVectorSkipped(t *testing.T) {
 	q := New(FIFO, 0)
-	_ = q.Enqueue(req(0, model.Request{1, 1}, 0)) // 2 types vs avail of 1
-	_ = q.Enqueue(req(1, model.Request{1}, 0))
+	_ = q.Enqueue(req(0, model.Request{1, 1})) // 2 types vs avail of 1
+	_ = q.Enqueue(req(1, model.Request{1}))
 	taken := q.GetRequests([]int{4})
 	if len(taken) != 1 || taken[0].ID != 1 {
 		t.Fatalf("taken = %v", taken)
 	}
 }
 
-func TestGetRequestsPriorityOrdering(t *testing.T) {
-	q := New(PriorityPolicy, 0)
-	_ = q.Enqueue(req(0, model.Request{3}, 0))
-	_ = q.Enqueue(req(1, model.Request{3}, 9))
-	taken := q.GetRequests([]int{3})
-	if len(taken) != 1 || taken[0].ID != 1 {
-		t.Fatalf("priority queue served %v first", taken)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if FIFO.String() != "fifo" || PriorityPolicy.String() != "priority" || Policy(9).String() != "Policy(9)" {
-		t.Error("Policy strings wrong")
-	}
-}
-
 func TestDequeuePolicyOrder(t *testing.T) {
-	q := New(PriorityPolicy, 0)
-	_ = q.Enqueue(req(0, model.Request{1}, 1))
-	_ = q.Enqueue(req(1, model.Request{1}, 5))
-	_ = q.Enqueue(req(2, model.Request{1}, 5))
-	wantIDs := []model.RequestID{1, 2, 0}
+	q := New(FIFO, 0)
+	_ = q.Enqueue(req(0, model.Request{1}))
+	_ = q.Enqueue(req(1, model.Request{1}))
+	_ = q.EnqueueFront(req(2, model.Request{1}))
+	wantIDs := []model.RequestID{2, 0, 1}
 	for _, w := range wantIDs {
 		got, ok := q.Dequeue()
 		if !ok || got.ID != w {
@@ -172,34 +123,34 @@ func TestDequeuePolicyOrder(t *testing.T) {
 		t.Error("Dequeue on empty queue reported ok")
 	}
 	// Dequeued IDs can be reused — their bookkeeping is gone.
-	if err := q.Enqueue(req(1, model.Request{1}, 0)); err != nil {
+	if err := q.Enqueue(req(1, model.Request{1})); err != nil {
 		t.Errorf("re-enqueue after dequeue: %v", err)
 	}
 }
 
-// seqsLen exposes the size of the internal sequence map to the leak test.
-func (q *Queue) seqsLen() int {
+// idsLen exposes the size of the internal ID set to the leak test.
+func (q *Queue) idsLen() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.seqs)
+	return len(q.ids)
 }
 
 // TestSeqsMapShrinksWithQueue churns requests through every exit path —
-// Dequeue, Cancel, GetRequests, GetRequestsStrict — and asserts the
-// internal seqs map always matches the queue length, so long arrival
+// Dequeue, Cancel, GetRequests, AppendRequests — and asserts the
+// internal ID set always matches the queue length, so long arrival
 // streams cannot leak bookkeeping entries.
 func TestSeqsMapShrinksWithQueue(t *testing.T) {
 	q := New(FIFO, 0)
 	check := func(when string) {
 		t.Helper()
-		if got, want := q.seqsLen(), q.Len(); got != want {
-			t.Fatalf("%s: seqs has %d entries, queue has %d items", when, got, want)
+		if got, want := q.idsLen(), q.Len(); got != want {
+			t.Fatalf("%s: ID set has %d entries, queue has %d items", when, got, want)
 		}
 	}
 	id := 0
 	for round := 0; round < 50; round++ {
 		for k := 0; k < 4; k++ {
-			if err := q.Enqueue(req(id, model.Request{1}, 0)); err != nil {
+			if err := q.Enqueue(req(id, model.Request{1})); err != nil {
 				t.Fatal(err)
 			}
 			id++
@@ -219,8 +170,8 @@ func TestSeqsMapShrinksWithQueue(t *testing.T) {
 				t.Fatalf("GetRequests took %d", len(taken))
 			}
 		case 3:
-			if taken := q.GetRequestsStrict([]int{3}); len(taken) != 3 {
-				t.Fatalf("GetRequestsStrict took %d", len(taken))
+			if taken := q.AppendRequests(nil, []int{3}); len(taken) != 3 {
+				t.Fatalf("AppendRequests took %d", len(taken))
 			}
 		}
 		check("after removal")
@@ -231,8 +182,8 @@ func TestSeqsMapShrinksWithQueue(t *testing.T) {
 			break
 		}
 	}
-	if q.Len() != 0 || q.seqsLen() != 0 {
-		t.Fatalf("drained queue still holds %d items / %d seqs", q.Len(), q.seqsLen())
+	if q.Len() != 0 || q.idsLen() != 0 {
+		t.Fatalf("drained queue still holds %d items / %d IDs", q.Len(), q.idsLen())
 	}
 	// The vacated backing array must not pin request vectors alive.
 	for i := 0; i < cap(q.items); i++ {
@@ -247,14 +198,14 @@ func TestQueueInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	q := New(FIFO, 1)
 	q.Instrument(reg)
-	_ = q.Enqueue(req(0, model.Request{1}, 0))
-	_ = q.Enqueue(req(1, model.Request{1}, 0)) // full → rejected
+	_ = q.Enqueue(req(0, model.Request{1}))
+	_ = q.Enqueue(req(1, model.Request{1})) // full → rejected
 	if _, ok := q.Dequeue(); !ok {
 		t.Fatal("dequeue failed")
 	}
-	_ = q.Enqueue(req(2, model.Request{1}, 0))
+	_ = q.Enqueue(req(2, model.Request{1}))
 	_ = q.Cancel(2)
-	_ = q.Enqueue(req(3, model.Request{1}, 0))
+	_ = q.Enqueue(req(3, model.Request{1}))
 	q.GetRequests([]int{1})
 	snap := reg.Snapshot()
 	want := map[string]int64{
@@ -282,7 +233,7 @@ func TestConcurrentEnqueueCancel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				id := base*1000 + i
-				if err := q.Enqueue(req(id, model.Request{1}, 0)); err != nil {
+				if err := q.Enqueue(req(id, model.Request{1})); err != nil {
 					t.Error(err)
 					return
 				}
@@ -304,11 +255,11 @@ func TestConcurrentEnqueueCancel(t *testing.T) {
 func TestEnqueueFrontOrdersAheadOfFIFO(t *testing.T) {
 	q := New(FIFO, 0)
 	for i := 0; i < 3; i++ {
-		if err := q.Enqueue(req(i, model.Request{1}, 0)); err != nil {
+		if err := q.Enqueue(req(i, model.Request{1})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := q.EnqueueFront(req(9, model.Request{1}, 0)); err != nil {
+	if err := q.EnqueueFront(req(9, model.Request{1})); err != nil {
 		t.Fatal(err)
 	}
 	got := q.Peek()
@@ -321,7 +272,7 @@ func TestEnqueueFrontOrdersAheadOfFIFO(t *testing.T) {
 		}
 	}
 	// A second front insert outranks the first.
-	if err := q.EnqueueFront(req(8, model.Request{1}, 0)); err != nil {
+	if err := q.EnqueueFront(req(8, model.Request{1})); err != nil {
 		t.Fatal(err)
 	}
 	if head, ok := q.Dequeue(); !ok || head.ID != 8 {
@@ -330,29 +281,28 @@ func TestEnqueueFrontOrdersAheadOfFIFO(t *testing.T) {
 }
 
 func TestEnqueueFrontPriorityAndLimits(t *testing.T) {
-	q := New(PriorityPolicy, 2)
-	if err := q.Enqueue(req(0, model.Request{1}, 5)); err != nil {
+	q := New(FIFO, 2)
+	if err := q.Enqueue(req(0, model.Request{1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.EnqueueFront(req(1, model.Request{1}, 1)); err != nil {
+	if err := q.EnqueueFront(req(1, model.Request{1})); err != nil {
 		t.Fatal(err)
 	}
-	// Priority still dominates; within a level the front insert leads.
 	got := q.Peek()
-	if got[0].ID != 0 || got[1].ID != 1 {
-		t.Errorf("order = %v,%v, want 0,1", got[0].ID, got[1].ID)
+	if got[0].ID != 1 || got[1].ID != 0 {
+		t.Errorf("order = %v,%v, want 1,0", got[0].ID, got[1].ID)
 	}
-	if err := q.EnqueueFront(req(2, model.Request{1}, 0)); !errors.Is(err, ErrFull) {
+	if err := q.EnqueueFront(req(2, model.Request{1})); !errors.Is(err, ErrFull) {
 		t.Errorf("over-capacity front insert: %v", err)
 	}
-	if err := q.EnqueueFront(req(1, model.Request{1}, 0)); err == nil {
+	if err := q.EnqueueFront(req(1, model.Request{1})); err == nil {
 		t.Error("duplicate front insert accepted")
 	}
-	// Taken requests clear their seqs so the ID can requeue later.
-	if _, ok := q.Dequeue(); !ok {
-		t.Fatal("dequeue failed")
+	// Taken requests clear their IDs so the ID can requeue later.
+	if head, ok := q.Dequeue(); !ok || head.ID != 1 {
+		t.Fatalf("Dequeue = (%v, %v), want ID 1", head.ID, ok)
 	}
-	if err := q.EnqueueFront(req(0, model.Request{1}, 5)); err != nil {
+	if err := q.EnqueueFront(req(1, model.Request{1})); err != nil {
 		t.Errorf("re-insert after dequeue: %v", err)
 	}
 }
@@ -365,7 +315,7 @@ func TestEnqueueFrontPriorityAndLimits(t *testing.T) {
 func TestPeekSurvivesMutation(t *testing.T) {
 	q := New(FIFO, 0)
 	for i := 0; i < 4; i++ {
-		if err := q.Enqueue(req(i, model.Request{i + 1, 2 * i}, 0)); err != nil {
+		if err := q.Enqueue(req(i, model.Request{i + 1, 2 * i})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,13 +344,13 @@ func TestPeekSurvivesMutation(t *testing.T) {
 // the taken slice must stay intact across later enqueues, takes, and
 // cancels (removeTaken zeroes the compacted tail in place).
 func TestGetRequestsSurvivesMutation(t *testing.T) {
-	q := New(PriorityPolicy, 0)
+	q := New(FIFO, 0)
 	for i := 0; i < 6; i++ {
-		if err := q.Enqueue(req(i, model.Request{1}, i%3)); err != nil {
+		if err := q.Enqueue(req(i, model.Request{1})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	taken := q.GetRequests([]int{3}) // admits the first three in priority order
+	taken := q.GetRequests([]int{3}) // admits the first three in queue order
 	if len(taken) != 3 {
 		t.Fatalf("took %d requests, want 3", len(taken))
 	}
@@ -411,7 +361,7 @@ func TestGetRequestsSurvivesMutation(t *testing.T) {
 
 	// Churn the queue hard: re-add, take again, cancel, drain.
 	for i := 6; i < 10; i++ {
-		if err := q.Enqueue(req(i, model.Request{1}, 1)); err != nil {
+		if err := q.Enqueue(req(i, model.Request{1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,27 +382,14 @@ func TestGetRequestsSurvivesMutation(t *testing.T) {
 	}
 }
 
-// refTake is getRequests as a plain copy-sort-walk: sort a copy of the
-// waiting requests into policy order, take what the running budget
-// admits (stopping at the first misfit when strict), and keep the rest
-// in queue order.
-func refTake(q *Queue, avail []int, strict bool) (taken, left []model.TimedRequest) {
-	order := append([]model.TimedRequest(nil), q.items...)
-	if q.policy == PriorityPolicy {
-		sort.SliceStable(order, func(i, j int) bool {
-			if order[i].Priority != order[j].Priority {
-				return order[i].Priority > order[j].Priority
-			}
-			return q.seqs[order[i].ID] < q.seqs[order[j].ID]
-		})
-	}
+// refTake is getRequests as a plain walk over a copy of the waiting
+// requests: take what the running budget admits, and keep the rest in
+// queue order.
+func refTake(q *Queue, avail []int) (taken, left []model.TimedRequest) {
 	remaining := append([]int(nil), avail...)
 	took := make(map[model.RequestID]bool)
-	for _, r := range order {
+	for _, r := range append([]model.TimedRequest(nil), q.items...) {
 		if len(r.Vector) != len(remaining) || !model.Covers(remaining, r.Vector) {
-			if strict {
-				break
-			}
 			continue
 		}
 		remaining = model.Sub(remaining, r.Vector)
@@ -467,65 +404,62 @@ func refTake(q *Queue, avail []int, strict bool) (taken, left []model.TimedReque
 	return taken, left
 }
 
-// TestAppendRequestsMatchesReference drives random FIFO and priority
-// queues through Enqueue, EnqueueFront, Cancel and drains with vectors
-// of mismatched widths among them. Every AppendRequests and
-// GetRequestsStrict must take what refTake takes, in the same order,
-// and leave the same queue behind.
+// TestAppendRequestsMatchesReference drives random queues through
+// Enqueue, EnqueueFront, Cancel and drains with vectors of mismatched
+// widths among them. Every AppendRequests and GetRequests must take what
+// refTake takes, in the same order, and leave the same queue behind.
 func TestAppendRequestsMatchesReference(t *testing.T) {
-	for _, policy := range []Policy{FIFO, PriorityPolicy} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			q := New(policy, 0)
-			next := 0
-			var dst []model.TimedRequest
-			for step := 0; step < 300; step++ {
-				switch k := rng.Intn(10); {
-				case k < 5:
-					width := 2
-					if rng.Intn(8) == 0 {
-						width = 1 + 2*rng.Intn(2) // 1 or 3: never fits
-					}
-					vec := make(model.Request, width)
-					for j := range vec {
-						vec[j] = rng.Intn(4)
-					}
-					r := req(next, vec, rng.Intn(3))
-					next++
-					var err error
-					if rng.Intn(4) == 0 {
-						err = q.EnqueueFront(r)
-					} else {
-						err = q.Enqueue(r)
-					}
-					if err != nil {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := New(FIFO, 0)
+		next := 0
+		var dst []model.TimedRequest
+		for step := 0; step < 300; step++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				width := 2
+				if rng.Intn(8) == 0 {
+					width = 1 + 2*rng.Intn(2) // 1 or 3: never fits
+				}
+				vec := make(model.Request, width)
+				for j := range vec {
+					vec[j] = rng.Intn(4)
+				}
+				r := req(next, vec)
+				next++
+				var err error
+				if rng.Intn(4) == 0 {
+					err = q.EnqueueFront(r)
+				} else {
+					err = q.Enqueue(r)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			case k < 6:
+				if len(q.items) > 0 {
+					if err := q.Cancel(q.items[rng.Intn(len(q.items))].ID); err != nil {
 						t.Fatal(err)
 					}
-				case k < 6:
-					if len(q.items) > 0 {
-						if err := q.Cancel(q.items[rng.Intn(len(q.items))].ID); err != nil {
-							t.Fatal(err)
-						}
-					}
-				default:
-					avail := []int{rng.Intn(8), rng.Intn(8)}
-					strict := k == 9
-					wantTaken, wantLeft := refTake(q, avail, strict)
-					var got []model.TimedRequest
-					if strict {
-						got = q.GetRequestsStrict(avail)
-					} else {
-						dst = q.AppendRequests(dst[:0], avail)
-						got = dst
-					}
-					if !reflect.DeepEqual(ids(got), ids(wantTaken)) {
-						t.Fatalf("%v seed %d step %d (strict %v): took %v, reference %v",
-							policy, seed, step, strict, ids(got), ids(wantTaken))
-					}
-					if !reflect.DeepEqual(ids(q.items), ids(wantLeft)) || len(q.seqs) != len(q.items) {
-						t.Fatalf("%v seed %d step %d: left %v (%d seqs), reference %v",
-							policy, seed, step, ids(q.items), len(q.seqs), ids(wantLeft))
-					}
+				}
+			default:
+				avail := []int{rng.Intn(8), rng.Intn(8)}
+				fresh := k == 9
+				wantTaken, wantLeft := refTake(q, avail)
+				var got []model.TimedRequest
+				if fresh {
+					got = q.GetRequests(avail)
+				} else {
+					dst = q.AppendRequests(dst[:0], avail)
+					got = dst
+				}
+				if !reflect.DeepEqual(ids(got), ids(wantTaken)) {
+					t.Fatalf("seed %d step %d (GetRequests %v): took %v, reference %v",
+						seed, step, fresh, ids(got), ids(wantTaken))
+				}
+				if !reflect.DeepEqual(ids(q.items), ids(wantLeft)) || len(q.ids) != len(q.items) {
+					t.Fatalf("seed %d step %d: left %v (%d IDs), reference %v",
+						seed, step, ids(q.items), len(q.ids), ids(wantLeft))
 				}
 			}
 		}
@@ -540,32 +474,30 @@ func ids(rs []model.TimedRequest) []model.RequestID {
 	return out
 }
 
-// A warm AppendRequests allocates nothing: the budget, the priority
-// order and the take marks are queue-owned scratch, and the taken
-// requests go into the caller's buffer.
+// A warm AppendRequests allocates nothing: the budget and the take
+// marks are queue-owned scratch, and the taken requests go into the
+// caller's buffer.
 func TestAppendRequestsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
 	}
-	for _, policy := range []Policy{FIFO, PriorityPolicy} {
-		q := New(policy, 0)
-		for i := 0; i < 64; i++ {
-			if err := q.Enqueue(req(i, model.Request{1 + i%3, i % 2}, i%3)); err != nil {
+	q := New(FIFO, 0)
+	for i := 0; i < 64; i++ {
+		if err := q.Enqueue(req(i, model.Request{1 + i%3, i % 2})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avail := []int{5, 2}
+	var dst []model.TimedRequest
+	avg := testing.AllocsPerRun(100, func() {
+		dst = q.AppendRequests(dst[:0], avail)
+		for _, r := range dst {
+			if err := q.Enqueue(r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		avail := []int{5, 2}
-		var dst []model.TimedRequest
-		avg := testing.AllocsPerRun(100, func() {
-			dst = q.AppendRequests(dst[:0], avail)
-			for _, r := range dst {
-				if err := q.Enqueue(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-		if avg != 0 || len(dst) == 0 || q.Len() != 64 {
-			t.Errorf("%v: take and put back allocates %.2f allocs/op (took %d, %d waiting), want 0", policy, avg, len(dst), q.Len())
-		}
+	})
+	if avg != 0 || len(dst) == 0 || q.Len() != 64 {
+		t.Errorf("take and put back allocates %.2f allocs/op (took %d, %d waiting), want 0", avg, len(dst), q.Len())
 	}
 }

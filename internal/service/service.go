@@ -65,8 +65,6 @@ type Config struct {
 	// placements fail immediately with ErrInsufficient). A waiting
 	// placement blocks its caller until a release frees enough capacity.
 	QueueCap int
-	// Policy orders the wait queue.
-	Policy queue.Policy
 	// Ordered switches to caller-assigned sequence numbers (PlaceAt /
 	// ReleaseAt) with strict in-order apply; see the package comment.
 	Ordered bool
@@ -202,7 +200,7 @@ func New(cfg Config) (*Service, error) {
 		park:    make(map[uint64]*waiter),
 	}
 	if cfg.QueueCap >= 0 {
-		s.wait = queue.New(cfg.Policy, cfg.QueueCap)
+		s.wait = queue.New(queue.FIFO, cfg.QueueCap)
 		s.wait.Instrument(cfg.Obs)
 	}
 	s.mPlaced = cfg.Obs.Counter("service.placed")
@@ -260,8 +258,8 @@ func (s *Service) ReleaseAt(seq uint64, entries []affinity.VMEntry) error {
 
 // Grow extends a previously committed cluster by delta VMs per type,
 // placed near the cluster's current center under the same writer lock as
-// Place (placement.PlaceDelta semantics: the merged DC and center are
-// returned, and the returned Entries cover only the added VMs — keep
+// Place (placement.PlaceDeltaSparse semantics: the merged DC and center
+// are returned, and the returned Entries cover only the added VMs — keep
 // them, or fold them into the cluster's own entries, for the eventual
 // Release). entries must describe VMs the service committed and still
 // holds; the slice is only read and must not be mutated until the call
@@ -277,8 +275,8 @@ func (s *Service) Grow(entries []affinity.VMEntry, delta model.Request) (Placeme
 
 // Shrink gives back delta VMs per type from a previously committed
 // cluster, picking the DC(C)-minimizing victims
-// (placement.ReleaseSubset), and wakes whatever queued placements the
-// freed capacity now fits. It returns the victim entries — the caller
+// (placement.ReleaseSubsetSparse), and wakes whatever queued placements
+// the freed capacity now fits. It returns the victim entries — the caller
 // must subtract them from its record of the cluster. entries is only
 // read and must not be mutated until the call returns.
 func (s *Service) Shrink(entries []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {

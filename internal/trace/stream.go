@@ -38,11 +38,10 @@ type streamHeader struct {
 // streamRecord is one request line. Field tags keep lines compact and the
 // schema explicit rather than tied to model.TimedRequest's field names.
 type streamRecord struct {
-	ID       model.RequestID `json:"id"`
-	Vector   model.Request   `json:"vec"`
-	Arrival  float64         `json:"at"`
-	Hold     float64         `json:"hold"`
-	Priority int             `json:"prio,omitempty"`
+	ID      model.RequestID `json:"id"`
+	Vector  model.Request   `json:"vec"`
+	Arrival float64         `json:"at"`
+	Hold    float64         `json:"hold"`
 }
 
 // validateStreamed checks one request against the stream invariants:
@@ -129,11 +128,10 @@ func (w *Writer) Write(r model.TimedRequest) error {
 		return err
 	}
 	line, err := json.Marshal(streamRecord{
-		ID:       r.ID,
-		Vector:   r.Vector,
-		Arrival:  r.Arrival,
-		Hold:     r.Hold,
-		Priority: r.Priority,
+		ID:      r.ID,
+		Vector:  r.Vector,
+		Arrival: r.Arrival,
+		Hold:    r.Hold,
 	})
 	if err != nil {
 		return err
@@ -235,11 +233,10 @@ func (r *Reader) Next() (model.TimedRequest, bool, error) {
 			return model.TimedRequest{}, false, fmt.Errorf("trace: line %d: %w", r.line, err)
 		}
 		req := model.TimedRequest{
-			ID:       rec.ID,
-			Vector:   rec.Vector,
-			Arrival:  rec.Arrival,
-			Hold:     rec.Hold,
-			Priority: rec.Priority,
+			ID:      rec.ID,
+			Vector:  rec.Vector,
+			Arrival: rec.Arrival,
+			Hold:    rec.Hold,
 		}
 		if err := validateStreamed(req, r.hdr.Types, r.prevID, r.prevArrival); err != nil {
 			return model.TimedRequest{}, false, fmt.Errorf("trace: line %d: %w", r.line, err)

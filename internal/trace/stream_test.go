@@ -12,7 +12,7 @@ import (
 func streamReqs() []model.TimedRequest {
 	return []model.TimedRequest{
 		{ID: 0, Vector: model.Request{1, 0, 2}, Arrival: 1.5, Hold: 10},
-		{ID: 1, Vector: model.Request{0, 3, 0}, Arrival: 1.5, Hold: 5, Priority: 2},
+		{ID: 1, Vector: model.Request{0, 3, 0}, Arrival: 1.5, Hold: 5},
 		{ID: 5, Vector: model.Request{2, 2, 2}, Arrival: 9, Hold: 0},
 	}
 }
@@ -57,7 +57,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 	for i := range want {
 		if got[i].ID != want[i].ID || got[i].Arrival != want[i].Arrival ||
-			got[i].Hold != want[i].Hold || got[i].Priority != want[i].Priority {
+			got[i].Hold != want[i].Hold {
 			t.Errorf("request %d: got %+v, want %+v", i, got[i], want[i])
 		}
 		for j := range want[i].Vector {
@@ -65,6 +65,22 @@ func TestStreamRoundTrip(t *testing.T) {
 				t.Errorf("request %d vector: got %v, want %v", i, got[i].Vector, want[i].Vector)
 			}
 		}
+	}
+}
+
+// TestStreamReaderIgnoresPriority: traces written while requests carried
+// a "prio" field still replay; the field is ignored.
+func TestStreamReaderIgnoresPriority(t *testing.T) {
+	in := `{"version":1,"format":"jsonl","types":2}
+{"id":0,"vec":[1,2],"at":1,"hold":3,"prio":2}
+`
+	rd, err := NewReader(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok, err := rd.Next()
+	if err != nil || !ok || r.ID != 0 || r.Arrival != 1 || r.Hold != 3 || len(r.Vector) != 2 || r.Vector[1] != 2 {
+		t.Fatalf("Next = %+v, %v, %v", r, ok, err)
 	}
 }
 

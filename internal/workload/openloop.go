@@ -53,9 +53,6 @@ type OpenLoopConfig struct {
 	// HoldMax truncates lifetimes (default 20× the diurnal period, so a
 	// single draw cannot pin VMs for the whole run).
 	HoldMax float64
-
-	// PriorityLevels > 1 draws uniform priorities in [0, PriorityLevels).
-	PriorityLevels int
 }
 
 // DefaultOpenLoopConfig is the soak scenario's workload: ~0.5 requests/s
@@ -73,7 +70,6 @@ func DefaultOpenLoopConfig() OpenLoopConfig {
 		SizeMax:          64,
 		HoldMedian:       300,
 		HoldSigma:        1.2,
-		PriorityLevels:   1,
 	}
 }
 
@@ -100,9 +96,6 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 	if c.HoldMax == 0 {
 		c.HoldMax = 20 * c.DiurnalPeriod
 	}
-	if c.PriorityLevels == 0 {
-		c.PriorityLevels = 1
-	}
 	return c
 }
 
@@ -123,8 +116,6 @@ func (c OpenLoopConfig) validate() error {
 		return fmt.Errorf("workload: need 1 ≤ SizeMin ≤ SizeMax, got [%d, %d]", c.SizeMin, c.SizeMax)
 	case !(c.HoldMedian > 0) || !(c.HoldSigma >= 0) || !(c.HoldMax > 0):
 		return fmt.Errorf("workload: hold distribution invalid: median %v, sigma %v, max %v", c.HoldMedian, c.HoldSigma, c.HoldMax)
-	case c.PriorityLevels < 1:
-		return fmt.Errorf("workload: PriorityLevels must be ≥ 1, got %d", c.PriorityLevels)
 	}
 	return nil
 }
@@ -242,16 +233,11 @@ func (g *OpenLoop) Next() (model.TimedRequest, bool, error) {
 	for v, n := 0, g.drawSize(); v < n; v++ {
 		req[g.r.Intn(g.cfg.Types)]++
 	}
-	prio := 0
-	if g.cfg.PriorityLevels > 1 {
-		prio = g.r.Intn(g.cfg.PriorityLevels)
-	}
 	r := model.TimedRequest{
-		ID:       g.nextID,
-		Vector:   req,
-		Arrival:  g.clock,
-		Hold:     g.drawHold(),
-		Priority: prio,
+		ID:      g.nextID,
+		Vector:  req,
+		Arrival: g.clock,
+		Hold:    g.drawHold(),
 	}
 	g.nextID++
 	return r, true, nil

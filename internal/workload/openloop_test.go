@@ -31,7 +31,6 @@ func drainOpenLoop(t *testing.T, seed int64, count int, cfg OpenLoopConfig) []mo
 // bounds (size truncation, hold truncation, vector shape).
 func TestOpenLoopStreamInvariants(t *testing.T) {
 	cfg := DefaultOpenLoopConfig()
-	cfg.PriorityLevels = 3
 	reqs := drainOpenLoop(t, 11, 5000, cfg)
 	if len(reqs) != 5000 {
 		t.Fatalf("emitted %d requests, want 5000", len(reqs))
@@ -52,9 +51,6 @@ func TestOpenLoopStreamInvariants(t *testing.T) {
 		}
 		if r.Hold <= 0 || r.Hold > cfg.withDefaults().HoldMax {
 			t.Fatalf("request %d holds %v", i, r.Hold)
-		}
-		if r.Priority < 0 || r.Priority >= cfg.PriorityLevels {
-			t.Fatalf("request %d priority %d", i, r.Priority)
 		}
 		prev = r
 	}

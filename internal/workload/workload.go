@@ -83,10 +83,17 @@ func DefaultRequestConfig() RequestConfig {
 }
 
 // RandomRequests draws count random non-empty requests over the given
-// number of types.
+// number of types. The selected scenario's bound must allow one VM:
+// SmallMaxTotal for Small, MaxPerType for Normal.
 func RandomRequests(seed int64, count, types int, sc Scenario, cfg RequestConfig) ([]model.Request, error) {
 	if count <= 0 || types <= 0 {
 		return nil, fmt.Errorf("workload: RandomRequests(%d, %d) needs positive arguments", count, types)
+	}
+	if sc == Small && cfg.SmallMaxTotal < 1 {
+		return nil, fmt.Errorf("workload: Small requests need SmallMaxTotal ≥ 1, got %d", cfg.SmallMaxTotal)
+	}
+	if sc != Small && cfg.MaxPerType < 1 {
+		return nil, fmt.Errorf("workload: %v requests need MaxPerType ≥ 1, got %d", sc, cfg.MaxPerType)
 	}
 	r := rand.New(rand.NewSource(seed))
 	out := make([]model.Request, count)
@@ -119,40 +126,32 @@ type ArrivalConfig struct {
 	MeanInterarrival float64
 	// MeanHold is the mean exponential service duration.
 	MeanHold float64
-	// PriorityLevels > 1 draws uniform priorities in [0, PriorityLevels).
-	PriorityLevels int
 }
 
 // DefaultArrivalConfig sizes arrivals so the paper's 20-request run keeps
 // several clusters concurrently resident.
 func DefaultArrivalConfig() ArrivalConfig {
-	return ArrivalConfig{MeanInterarrival: 30, MeanHold: 300, PriorityLevels: 1}
+	return ArrivalConfig{MeanInterarrival: 30, MeanHold: 300}
 }
 
 // TimedRequests attaches Poisson arrivals and exponential holds to a
 // request sequence.
 func TimedRequests(seed int64, reqs []model.Request, cfg ArrivalConfig) ([]model.TimedRequest, error) {
-	if cfg.MeanInterarrival <= 0 || cfg.MeanHold <= 0 {
-		return nil, fmt.Errorf("workload: arrival means must be positive: %+v", cfg)
-	}
-	if cfg.PriorityLevels < 1 {
-		return nil, fmt.Errorf("workload: PriorityLevels must be ≥ 1")
+	for _, x := range []float64{cfg.MeanInterarrival, cfg.MeanHold} {
+		if !(x > 0) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("workload: arrival means must be positive and finite: %+v", cfg)
+		}
 	}
 	r := rand.New(rand.NewSource(seed))
 	out := make([]model.TimedRequest, len(reqs))
 	clock := 0.0
 	for i, req := range reqs {
 		clock += exponential(r, cfg.MeanInterarrival)
-		prio := 0
-		if cfg.PriorityLevels > 1 {
-			prio = r.Intn(cfg.PriorityLevels)
-		}
 		out[i] = model.TimedRequest{
-			ID:       model.RequestID(i),
-			Vector:   req.Clone(),
-			Arrival:  clock,
-			Hold:     exponential(r, cfg.MeanHold),
-			Priority: prio,
+			ID:      model.RequestID(i),
+			Vector:  req.Clone(),
+			Arrival: clock,
+			Hold:    exponential(r, cfg.MeanHold),
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"affinitycluster/internal/model"
@@ -107,6 +108,33 @@ func TestRandomRequestsErrors(t *testing.T) {
 	if _, err := RandomRequests(1, 3, 0, Normal, DefaultRequestConfig()); err == nil {
 		t.Error("zero types accepted")
 	}
+	// Each scenario's own bound must allow one VM; the other scenario's
+	// bound is not read.
+	for _, c := range []struct {
+		name string
+		sc   Scenario
+		cfg  RequestConfig
+		ok   bool
+	}{
+		{"normal, zero config", Normal, RequestConfig{}, false},
+		{"normal, MaxPerType 0", Normal, RequestConfig{MaxPerType: 0, SmallMaxTotal: 3}, false},
+		{"normal, negative MaxPerType", Normal, RequestConfig{MaxPerType: -1, SmallMaxTotal: 3}, false},
+		{"normal, MaxPerType 1", Normal, RequestConfig{MaxPerType: 1}, true},
+		{"small, zero config", Small, RequestConfig{}, false},
+		{"small, SmallMaxTotal 0", Small, RequestConfig{MaxPerType: 4, SmallMaxTotal: 0}, false},
+		{"small, negative SmallMaxTotal", Small, RequestConfig{MaxPerType: 4, SmallMaxTotal: -2}, false},
+		{"small, SmallMaxTotal 1", Small, RequestConfig{SmallMaxTotal: 1}, true},
+	} {
+		reqs, err := RandomRequests(1, 3, 3, c.sc, c.cfg)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok %v", c.name, err, c.ok)
+		}
+		for _, r := range reqs {
+			if r.IsZero() {
+				t.Errorf("%s: empty request %v", c.name, r)
+			}
+		}
+	}
 }
 
 func TestTimedRequests(t *testing.T) {
@@ -137,36 +165,21 @@ func TestTimedRequests(t *testing.T) {
 	}
 }
 
-func TestTimedRequestsPriorities(t *testing.T) {
-	reqs, _ := RandomRequests(2, 50, 3, Normal, DefaultRequestConfig())
-	cfg := DefaultArrivalConfig()
-	cfg.PriorityLevels = 4
-	timed, err := TimedRequests(3, reqs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, tr := range timed {
-		if tr.Priority < 0 || tr.Priority >= 4 {
-			t.Fatalf("priority %d out of range", tr.Priority)
-		}
-		seen[tr.Priority] = true
-	}
-	if len(seen) < 2 {
-		t.Error("priorities not diverse")
-	}
-}
-
 func TestTimedRequestsErrors(t *testing.T) {
 	reqs, _ := RandomRequests(2, 3, 3, Normal, DefaultRequestConfig())
-	if _, err := TimedRequests(1, reqs, ArrivalConfig{MeanInterarrival: 0, MeanHold: 1, PriorityLevels: 1}); err == nil {
+	if _, err := TimedRequests(1, reqs, ArrivalConfig{MeanInterarrival: 0, MeanHold: 1}); err == nil {
 		t.Error("zero interarrival accepted")
 	}
-	if _, err := TimedRequests(1, reqs, ArrivalConfig{MeanInterarrival: 1, MeanHold: 0, PriorityLevels: 1}); err == nil {
+	if _, err := TimedRequests(1, reqs, ArrivalConfig{MeanInterarrival: 1, MeanHold: 0}); err == nil {
 		t.Error("zero hold accepted")
 	}
-	if _, err := TimedRequests(1, reqs, ArrivalConfig{MeanInterarrival: 1, MeanHold: 1, PriorityLevels: 0}); err == nil {
-		t.Error("zero priority levels accepted")
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if timed, err := TimedRequests(1, reqs, ArrivalConfig{MeanInterarrival: bad, MeanHold: 1}); err == nil {
+			t.Errorf("interarrival %v accepted: %+v", bad, timed)
+		}
+		if timed, err := TimedRequests(1, reqs, ArrivalConfig{MeanInterarrival: 1, MeanHold: bad}); err == nil {
+			t.Errorf("hold %v accepted: %+v", bad, timed)
+		}
 	}
 }
 
