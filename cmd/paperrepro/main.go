@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"affinitycluster/internal/experiments"
@@ -30,9 +31,9 @@ func main() {
 
 	var err error
 	if *jsonOut {
-		err = runJSON(*seed)
+		err = runJSON(os.Stdout, *seed)
 	} else {
-		err = run(*seed, *seeds)
+		err = run(os.Stdout, *seed, *seeds)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperrepro:", err)
@@ -40,56 +41,56 @@ func main() {
 	}
 }
 
-func runJSON(seed int64) error {
+func runJSON(w io.Writer, seed int64) error {
 	r, err := report.Collect(seed, 100)
 	if err != nil {
 		return err
 	}
-	return r.WriteJSON(os.Stdout)
+	return r.WriteJSON(w)
 }
 
-func run(seed int64, seeds int) error {
-	fmt.Println("=== Table I — instance catalog ===")
-	fmt.Println(experiments.TableI())
-	fmt.Println("=== Table II — capacity relationship example ===")
-	fmt.Println(experiments.TableII())
+func run(w io.Writer, seed int64, seeds int) error {
+	fmt.Fprintln(w, "=== Table I — instance catalog ===")
+	fmt.Fprintln(w, experiments.TableI())
+	fmt.Fprintln(w, "=== Table II — capacity relationship example ===")
+	fmt.Fprintln(w, experiments.TableII())
 
 	f2, err := experiments.Fig2(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(f2.Render())
+	fmt.Fprintln(w, f2.Render())
 
 	f3, err := experiments.Fig3(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(f3.Render())
+	fmt.Fprintln(w, f3.Render())
 
 	f4, err := experiments.Fig4(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(f4.Render())
+	fmt.Fprintln(w, f4.Render())
 
 	f5, err := experiments.Fig5(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(f5.Render())
+	fmt.Fprintln(w, f5.Render())
 
 	f6, err := experiments.Fig6(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println(f6.Render())
+	fmt.Fprintln(w, f6.Render())
 
 	if seeds > 1 {
 		normal, small, err := experiments.Fig56Averages(seed, seeds)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Fig 5/6 averages over %d seeds: normal −%.1f%%, small −%.1f%%\n\n",
+		fmt.Fprintf(w, "Fig 5/6 averages over %d seeds: normal −%.1f%%, small −%.1f%%\n\n",
 			seeds, normal, small)
 	}
 
@@ -97,38 +98,38 @@ func run(seed int64, seeds int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(f78.RenderFig7())
-	fmt.Println(f78.RenderFig8())
+	fmt.Fprintln(w, f78.RenderFig7())
+	fmt.Fprintln(w, f78.RenderFig8())
 
 	skew, err := experiments.Fig7and8Skewed(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("--- skewed-input variant (reproduces the paper's Fig 7 anomaly) ---")
-	fmt.Println(skew.RenderFig7())
-	fmt.Println(skew.RenderFig8())
+	fmt.Fprintln(w, "--- skewed-input variant (reproduces the paper's Fig 7 anomaly) ---")
+	fmt.Fprintln(w, skew.RenderFig7())
+	fmt.Fprintln(w, skew.RenderFig8())
 	if inv, slower, faster := skew.HasInversion(); inv {
-		fmt.Printf("anomaly present: %s ran slower than %s despite its shorter distance\n\n", slower, faster)
+		fmt.Fprintf(w, "anomaly present: %s ran slower than %s despite its shorter distance\n\n", slower, faster)
 	}
 
 	gap, err := experiments.ExactGap(seed, 100)
 	if err != nil {
 		return err
 	}
-	fmt.Println("=== Supplementary: Algorithm 1 vs exact SD optimum ===")
-	fmt.Println(gap.Render())
+	fmt.Fprintln(w, "=== Supplementary: Algorithm 1 vs exact SD optimum ===")
+	fmt.Fprintln(w, gap.Render())
 
 	base, err := experiments.BaselineComparison(seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("=== Supplementary: strategy comparison ===")
-	fmt.Println(base.Render())
+	fmt.Fprintln(w, "=== Supplementary: strategy comparison ===")
+	fmt.Fprintln(w, base.Render())
 
 	sweep, err := experiments.SelectivitySweep(seed, nil)
 	if err != nil {
 		return err
 	}
-	fmt.Println(sweep.Render())
+	fmt.Fprintln(w, sweep.Render())
 	return nil
 }
