@@ -365,39 +365,6 @@ func BenchmarkAblationMigration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSpeculation compares straggler-afflicted WordCount
-// with and without speculative execution.
-func BenchmarkAblationSpeculation(b *testing.B) {
-	tops, err := experiments.MRTopologies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		spec bool
-	}{
-		{"no-speculation", false},
-		{"speculation", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := experiments.DefaultMRExperimentConfig(benchSeed)
-			cfg.Sim.StragglerProb = 0.2
-			cfg.Sim.StragglerFactor = 8
-			cfg.Sim.Speculative = tc.spec
-			cfg.Sim.Seed = benchSeed
-			var runtime float64
-			for i := 0; i < b.N; i++ {
-				row, err := experiments.RunMRCluster(tops[0].Name, tops[0].Alloc, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runtime = row.RuntimeSec
-			}
-			b.ReportMetric(runtime, "runtime-s")
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Micro-benchmarks of the hot paths
 // ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"affinitycluster/internal/dfs"
 	"affinitycluster/internal/eventsim"
@@ -52,22 +51,6 @@ type SimConfig struct {
 	// passes up to DelaySkips heartbeats before accepting a non-local
 	// task. 0 disables the delay (plain locality preference).
 	DelaySkips int
-	// StragglerProb is the per-attempt probability that a map attempt
-	// runs StragglerFactor× slower (a slow disk, a noisy neighbor). 0
-	// disables stragglers.
-	StragglerProb float64
-	// StragglerFactor multiplies a straggling attempt's compute time
-	// (default 5 when stragglers are enabled).
-	StragglerFactor float64
-	// Speculative enables Hadoop-style backup tasks: near the end of the
-	// map phase, attempts running far beyond the mean completed-map time
-	// get a duplicate on a free slot; the first finisher wins.
-	Speculative bool
-	// SpeculativeSlack is how many times the mean completed-map duration
-	// an attempt must exceed before a backup launches (default 1.5).
-	SpeculativeSlack float64
-	// Seed drives straggler randomness.
-	Seed int64
 }
 
 // DefaultSimConfig mirrors a small 2012 Hadoop deployment.
@@ -93,15 +76,6 @@ func (c SimConfig) Validate() error {
 	}
 	if c.DelaySkips < 0 {
 		return fmt.Errorf("mapreduce: negative DelaySkips")
-	}
-	if c.StragglerProb < 0 || c.StragglerProb > 1 {
-		return fmt.Errorf("mapreduce: StragglerProb %v outside [0, 1]", c.StragglerProb)
-	}
-	if c.StragglerFactor < 0 {
-		return fmt.Errorf("mapreduce: negative StragglerFactor")
-	}
-	if c.SpeculativeSlack < 0 {
-		return fmt.Errorf("mapreduce: negative SpeculativeSlack")
 	}
 	return nil
 }
@@ -161,10 +135,6 @@ type Counters struct {
 	ShuffleEnd    float64 // time the last shuffle fetch landed
 	OutputMB      float64
 	ClusterSpread float64 // pairwise-affinity of the cluster (Fig 7 x-axis)
-
-	Stragglers          int // attempts that drew the straggler slowdown
-	SpeculativeLaunched int // backup attempts started
-	SpeculativeWon      int // tasks whose backup finished first
 }
 
 // NonDataLocalMaps is the paper's Fig. 8 counter: maps that had to read
@@ -189,20 +159,7 @@ type mapTask struct {
 	block  dfs.BlockID
 	sizeMB float64
 	state  taskState
-	vm     vcluster.VMID // VM of the winning attempt once done
-
-	attempts  []*mapAttempt
-	hasBackup bool
-}
-
-// mapAttempt is one execution of a map task; speculative execution can
-// run two attempts of one task concurrently.
-type mapAttempt struct {
-	task     *mapTask
-	vm       vcluster.VMID
-	started  float64
-	straggle bool
-	done     bool
+	vm     vcluster.VMID // VM the task runs on once launched
 }
 
 type reducer struct {
@@ -238,9 +195,6 @@ type mrMetrics struct {
 	mapsRemote      *obs.Counter
 	shuffleFlows    *obs.Counter
 	shuffleRemote   *obs.Counter
-	stragglers      *obs.Counter
-	specLaunched    *obs.Counter
-	specWon         *obs.Counter
 	jobRuntime      *obs.Histogram
 	mapPhaseSeconds *obs.Histogram
 	shuffleMB       *obs.Histogram
@@ -264,9 +218,6 @@ func (s *Simulator) Instrument(r *obs.Registry) {
 		mapsRemote:      r.Counter("mapreduce.maps_remote"),
 		shuffleFlows:    r.Counter("mapreduce.shuffle_transfers"),
 		shuffleRemote:   r.Counter("mapreduce.shuffle_remote"),
-		stragglers:      r.Counter("mapreduce.stragglers"),
-		specLaunched:    r.Counter("mapreduce.speculative_launched"),
-		specWon:         r.Counter("mapreduce.speculative_won"),
 		jobRuntime:      r.Histogram("mapreduce.job_runtime_seconds", 0, 3600, 36),
 		mapPhaseSeconds: r.Histogram("mapreduce.map_phase_seconds", 0, 3600, 36),
 		shuffleMB:       r.Histogram("mapreduce.shuffle_mb", 0, 16384, 16),
@@ -289,18 +240,16 @@ type run struct {
 	tasks    []*mapTask
 	reducers []*reducer
 	counters Counters
-	rng      *rand.Rand
 
 	mapFreeSlots    []int // per VM
 	reduceFreeSlots []int
 	delaySkips      []int // per VM, consecutive heartbeats without local work
 
-	mapsDone     int
-	doneDuration float64 // summed durations of completed maps (for speculation)
-	reducersDue  int
-	startedAt    float64
-	finished     bool
-	finishedAt   float64
+	mapsDone    int
+	reducersDue int
+	startedAt   float64
+	finished    bool
+	finishedAt  float64
 }
 
 // JobHandle tracks a launched job; its Counters become valid once Done
@@ -350,7 +299,7 @@ func (s *Simulator) Launch(job JobSpec) (*JobHandle, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("mapreduce: input file %q has no blocks", job.InputFile)
 	}
-	r := &run{sim: s, job: job, rng: rand.New(rand.NewSource(s.cfg.Seed + 1))}
+	r := &run{sim: s, job: job}
 	for i, b := range blocks {
 		blk, err := s.fs.Block(b)
 		if err != nil {
@@ -420,9 +369,7 @@ func (r *run) placeReducers() {
 
 // schedule fills free map slots with pending tasks, preferring node-local
 // then rack-local then remote inputs; delay scheduling optionally defers
-// non-local assignments for a few heartbeats. With speculation enabled,
-// leftover slots at the tail of the map phase run backup attempts for
-// slow tasks.
+// non-local assignments for a few heartbeats.
 func (r *run) schedule() {
 	if r.finished {
 		return
@@ -444,64 +391,6 @@ func (r *run) schedule() {
 			r.launchMap(task, vcluster.VMID(v), loc)
 		}
 	}
-	if r.sim.cfg.Speculative {
-		r.speculate()
-	}
-}
-
-// speculate launches backup attempts for laggard maps once no pending
-// task remains and slots sit idle — the Hadoop heuristic.
-func (r *run) speculate() {
-	if r.mapsDone == 0 || r.mapsDone == len(r.tasks) {
-		return // no baseline yet, or map phase over
-	}
-	for _, t := range r.tasks {
-		if t.state == taskPending {
-			return // real work outranks speculation
-		}
-	}
-	slack := r.sim.cfg.SpeculativeSlack
-	if slack <= 0 {
-		slack = 1.5
-	}
-	mean := r.doneDuration / float64(r.mapsDone)
-	now := r.sim.engine.Now()
-	for _, t := range r.tasks {
-		if t.state != taskRunning || t.hasBackup || len(t.attempts) == 0 {
-			continue
-		}
-		if now-t.attempts[0].started < slack*mean {
-			continue
-		}
-		// Find a free slot, preferring locality for the backup too.
-		vm, _ := r.freeSlotFor(t)
-		if vm < 0 {
-			return // no slots anywhere
-		}
-		t.hasBackup = true
-		r.counters.SpeculativeLaunched++
-		r.launchAttempt(t, vcluster.VMID(vm))
-	}
-}
-
-// freeSlotFor returns a VM with a free map slot, best locality first, or
-// -1 when none exists.
-func (r *run) freeSlotFor(t *mapTask) (int, dfs.Locality) {
-	best := -1
-	bestLoc := dfs.Remote + 1
-	for v := 0; v < r.sim.cluster.Size(); v++ {
-		if r.mapFreeSlots[v] == 0 {
-			continue
-		}
-		_, loc, err := r.sim.fs.NearestReplica(t.block, vcluster.VMID(v))
-		if err != nil {
-			continue
-		}
-		if loc < bestLoc {
-			best, bestLoc = v, loc
-		}
-	}
-	return best, bestLoc
 }
 
 // anyPendingNodeLocalSomewhere reports whether some pending task would be
@@ -544,9 +433,11 @@ func (r *run) pickTask(vm vcluster.VMID) (*mapTask, dfs.Locality) {
 	return best, bestLoc
 }
 
-// launchMap starts a task's first attempt, counting its locality class.
+// launchMap runs a task on vm, counting its locality class: the DFS
+// read, then the compute, then completion.
 func (r *run) launchMap(t *mapTask, vm vcluster.VMID, loc dfs.Locality) {
 	t.state = taskRunning
+	t.vm = vm
 	switch loc {
 	case dfs.NodeLocal:
 		r.counters.MapsNodeLocal++
@@ -555,18 +446,6 @@ func (r *run) launchMap(t *mapTask, vm vcluster.VMID, loc dfs.Locality) {
 	default:
 		r.counters.MapsRemote++
 	}
-	r.launchAttempt(t, vm)
-}
-
-// launchAttempt runs the DFS read, then compute, then completion, for one
-// attempt of a task (first or speculative backup).
-func (r *run) launchAttempt(t *mapTask, vm vcluster.VMID) {
-	at := &mapAttempt{task: t, vm: vm, started: r.sim.engine.Now()}
-	if p := r.sim.cfg.StragglerProb; p > 0 && r.rng.Float64() < p {
-		at.straggle = true
-		r.counters.Stragglers++
-	}
-	t.attempts = append(t.attempts, at)
 	r.mapFreeSlots[vm]--
 	replica, _, err := r.sim.fs.NearestReplica(t.block, vm)
 	if err != nil {
@@ -576,41 +455,21 @@ func (r *run) launchAttempt(t *mapTask, vm vcluster.VMID) {
 	dst := r.sim.cluster.NodeOf(vm)
 	_, _ = r.sim.net.StartFlow(src, dst, t.sizeMB, func(float64) {
 		compute := t.sizeMB * r.job.MapSecPerMB
-		if at.straggle {
-			factor := r.sim.cfg.StragglerFactor
-			if factor <= 0 {
-				factor = 5
-			}
-			compute *= factor
-		}
-		_, _ = r.sim.engine.After(compute, func(now float64) { r.attemptFinished(at, now) })
+		_, _ = r.sim.engine.After(compute, func(now float64) { r.mapFinished(t, now) })
 	})
 }
 
-// attemptFinished resolves one attempt: the first finisher wins its task;
-// a loser just frees its slot.
-func (r *run) attemptFinished(at *mapAttempt, now float64) {
-	at.done = true
-	r.mapFreeSlots[at.vm]++
-	t := at.task
-	if t.state == taskDone {
-		// The other attempt already won; this one is discarded.
-		r.schedule()
-		return
-	}
+// mapFinished frees the task's slot and offers its output to every
+// reducer.
+func (r *run) mapFinished(t *mapTask, now float64) {
+	r.mapFreeSlots[t.vm]++
 	t.state = taskDone
-	t.vm = at.vm
-	if len(t.attempts) > 1 && t.attempts[0] != at {
-		r.counters.SpeculativeWon++
-	}
 	r.mapsDone++
-	r.doneDuration += now - at.started
 	if r.mapsDone == len(r.tasks) {
 		r.counters.MapPhaseEnd = now
 		r.sim.obsReg.Emit("mr_map_phase_end", now,
 			obs.F("job", r.job.Name), obs.F("non_local_maps", r.counters.NonDataLocalMaps()))
 	}
-	// Offer the output to every reducer.
 	for _, red := range r.reducers {
 		red.pending = append(red.pending, t.id)
 		r.pumpFetches(red)
@@ -749,9 +608,6 @@ func (r *run) flushObs(now float64) {
 	m.mapsRemote.Add(int64(c.MapsRemote))
 	m.shuffleFlows.Add(int64(c.ShuffleTransfers))
 	m.shuffleRemote.Add(int64(c.ShuffleRemote))
-	m.stragglers.Add(int64(c.Stragglers))
-	m.specLaunched.Add(int64(c.SpeculativeLaunched))
-	m.specWon.Add(int64(c.SpeculativeWon))
 	m.jobRuntime.Observe(c.Runtime)
 	m.mapPhaseSeconds.Observe(c.MapPhaseEnd - r.startedAt)
 	m.shuffleMB.Observe(c.ShuffleMB)

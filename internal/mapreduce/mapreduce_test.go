@@ -284,102 +284,6 @@ func TestDelaySchedulingImprovesLocality(t *testing.T) {
 	}
 }
 
-func TestStragglerConfigValidation(t *testing.T) {
-	bad := DefaultSimConfig()
-	bad.StragglerProb = 1.5
-	if err := bad.Validate(); err == nil {
-		t.Error("StragglerProb > 1 accepted")
-	}
-	bad = DefaultSimConfig()
-	bad.StragglerFactor = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative StragglerFactor accepted")
-	}
-	bad = DefaultSimConfig()
-	bad.SpeculativeSlack = -1
-	if err := bad.Validate(); err == nil {
-		t.Error("negative SpeculativeSlack accepted")
-	}
-}
-
-func TestStragglersSlowTheJob(t *testing.T) {
-	tp, a := spreadPlant(t)
-	clean := DefaultSimConfig()
-	rigClean := newRig(t, tp, a, 512, clean)
-	cClean, err := rigClean.sim.Run(WordCount("input"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := DefaultSimConfig()
-	slow.StragglerProb = 0.3
-	slow.StragglerFactor = 6
-	slow.Seed = 7
-	rigSlow := newRig(t, tp, a, 512, slow)
-	cSlow, err := rigSlow.sim.Run(WordCount("input"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cSlow.Stragglers == 0 {
-		t.Fatal("no stragglers drawn at p=0.3 over 8 attempts — seed problem")
-	}
-	if cSlow.Runtime <= cClean.Runtime {
-		t.Errorf("stragglers did not slow the job: %v vs %v", cSlow.Runtime, cClean.Runtime)
-	}
-}
-
-func TestSpeculationRecoversStragglers(t *testing.T) {
-	tp, a := spreadPlant(t)
-	base := DefaultSimConfig()
-	base.StragglerProb = 0.25
-	base.StragglerFactor = 10
-	base.Seed = 11
-	rigOff := newRig(t, tp, a, 1024, base)
-	cOff, err := rigOff.sim.Run(WordCount("input"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := base
-	spec.Speculative = true
-	rigOn := newRig(t, tp, a, 1024, spec)
-	cOn, err := rigOn.sim.Run(WordCount("input"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cOff.Stragglers == 0 {
-		t.Fatal("no stragglers drawn — test is vacuous")
-	}
-	if cOn.SpeculativeLaunched == 0 {
-		t.Fatal("speculation never launched a backup")
-	}
-	if cOn.Runtime > cOff.Runtime {
-		t.Errorf("speculation made the job slower: %v vs %v", cOn.Runtime, cOff.Runtime)
-	}
-	if cOn.SpeculativeWon > cOn.SpeculativeLaunched {
-		t.Errorf("won %d > launched %d", cOn.SpeculativeWon, cOn.SpeculativeLaunched)
-	}
-}
-
-func TestStragglerDeterminism(t *testing.T) {
-	run := func() *Counters {
-		tp, a := spreadPlant(t)
-		cfg := DefaultSimConfig()
-		cfg.StragglerProb = 0.3
-		cfg.Speculative = true
-		cfg.Seed = 99
-		r := newRig(t, tp, a, 512, cfg)
-		c, err := r.sim.Run(WordCount("input"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c1, c2 := run(), run()
-	if c1.Runtime != c2.Runtime || c1.Stragglers != c2.Stragglers ||
-		c1.SpeculativeLaunched != c2.SpeculativeLaunched || c1.SpeculativeWon != c2.SpeculativeWon {
-		t.Errorf("straggler runs diverge: %+v vs %+v", c1, c2)
-	}
-}
-
 func TestCountersDerivedMetrics(t *testing.T) {
 	c := Counters{MapsRackLocal: 2, MapsRemote: 3, ShuffleRackLocal: 1, ShuffleRemote: 4}
 	if c.NonDataLocalMaps() != 5 {

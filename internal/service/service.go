@@ -8,23 +8,16 @@
 // the only reader of RemainingView and the attached TierIndex, which is
 // what makes their lock-free aliasing safe (see the inventory package
 // comment; the race-mode hammer test pins this). A call returns as soon
-// as its operation is applied. Only an operation that must wait gets a
-// waiter record with a reply channel: a placement parked in the wait
-// queue until a release frees capacity, or an Ordered operation that
-// arrives before its turn. A caller that releases the lock while another
+// as its operation is applied. Only a placement that must wait gets a
+// waiter record with a reply channel: one parked in the wait queue until
+// a release frees capacity. A caller that releases the lock while another
 // waits to run hands it the processor (see unlock), so contended callers
 // share the wait instead of one running on while the other stalls.
 //
-// Two orderings are offered. In the default (unordered) mode operations
-// are stamped with arrival sequence numbers in lock order and applied in
-// that order — the production mode, deterministic within a run but
-// dependent on caller scheduling. In Ordered mode callers assign the
-// sequence numbers themselves (contiguous from zero, each exactly once)
-// and an operation that arrives early waits in a reorder buffer until
-// its turn: the same request trace then yields byte-identical
-// allocations, metrics, and traces at any client concurrency, because
-// per-request placement depends only on inventory state, which depends
-// only on the seq-ordered prefix of operations.
+// Operations are stamped with arrival sequence numbers in lock order and
+// applied in that order, the paper's online setting. A run is
+// deterministic given that order, but the order itself depends on how
+// the callers are scheduled.
 package service
 
 import (
@@ -57,30 +50,19 @@ type Config struct {
 	// from other goroutines.
 	Topology  *topology.Topology
 	Inventory *inventory.Inventory
-	// Online is the per-request placer; it must use ScanAllCenters (the
-	// indexed scan). Nil gets a fresh default placer wired to Obs.
-	Online *placement.OnlineHeuristic
 	// QueueCap configures the wait queue for placements that do not
 	// currently fit: 0 = unbounded, > 0 = bounded, -1 = disabled (such
 	// placements fail immediately with ErrInsufficient). A waiting
 	// placement blocks its caller until a release frees enough capacity.
 	QueueCap int
-	// Ordered switches to caller-assigned sequence numbers (PlaceAt /
-	// ReleaseAt) with strict in-order apply; see the package comment.
-	Ordered bool
-	// Obs, when non-nil, receives service telemetry. Events are stamped
-	// with the operation's sequence number as virtual time, so Ordered
-	// traces are reproducible; how many operations each lock pass
-	// applied depends on caller timing, so it stays out of the registry
-	// and is reported via Stats instead.
+	// Obs, when non-nil, receives service telemetry, and the service's
+	// placer its placement metrics. Events are stamped with the
+	// operation's arrival sequence number as virtual time.
 	Obs *obs.Registry
 }
 
 // Placement is one committed placement, returned to the caller.
 type Placement struct {
-	// Seq is the operation's sequence number (caller-assigned in Ordered
-	// mode, arrival order otherwise).
-	Seq uint64
 	// Entries is the committed sparse allocation — the caller passes it
 	// back to Release. The slice is the caller's to keep.
 	Entries []affinity.VMEntry
@@ -90,9 +72,10 @@ type Placement struct {
 	Center topology.NodeID
 }
 
-// Stats is a point-in-time snapshot of service activity. The batch
-// figures live here rather than in the obs registry because they depend
-// on caller timing, which would break trace determinism.
+// Stats is a point-in-time snapshot of service activity. Batches and
+// MaxBatch are kept only because the benchmark under benchmark/ reads
+// them: every lock pass applies one operation, so Batches equals Ops and
+// MaxBatch is 1 once any operation has applied.
 type Stats struct {
 	Ops      uint64 // operations applied
 	Batches  uint64 // lock passes that applied operations
@@ -115,7 +98,8 @@ const (
 )
 
 // op is one request. A caller's op lives on its own stack and nothing
-// retains a pointer to it; an op that must wait is copied into a waiter.
+// retains a pointer to it; a placement that must wait is copied into a
+// waiter.
 type op struct {
 	kind    opKind
 	seq     uint64
@@ -123,10 +107,9 @@ type op struct {
 	entries []affinity.VMEntry
 }
 
-// waiter is an op that must wait for a later lock holder to apply or
-// answer it: a placement parked in the wait queue, or an Ordered op that
-// arrived before its turn. Its caller blocks on done, which has room for
-// the one answer it ever receives, so the lock holder's send never
+// waiter is a placement parked in the wait queue until a later lock
+// holder places or refuses it. Its caller blocks on done, which has room
+// for the one answer it ever receives, so the lock holder's send never
 // blocks.
 type waiter struct {
 	op
@@ -153,15 +136,13 @@ type Service struct {
 	// mu is the writer lock, taken through lock and unlock. Its holder is
 	// the inventory's single writer and the tier index's only reader; it
 	// guards every field below.
-	mu       sync.Mutex
-	sp       affinity.SparseAlloc // placement scratch
-	closed   bool
-	arrSeq   uint64             // unordered mode: next arrival seq
-	wait     *queue.Queue       // nil when the queue is disabled
-	waiters  map[uint64]*waiter // seq → placement parked in the wait queue
-	park     map[uint64]*waiter // Ordered mode reorder buffer: seq → early op
-	applySeq uint64             // Ordered mode: next seq to apply
-	st       Stats
+	mu      sync.Mutex
+	sp      affinity.SparseAlloc // placement scratch
+	closed  bool
+	arrSeq  uint64             // next arrival seq
+	wait    *queue.Queue       // nil when the queue is disabled
+	waiters map[uint64]*waiter // seq → placement parked in the wait queue
+	st      Stats
 
 	mPlaced, mReleased, mQueued, mRejected *obs.Counter
 	mDC                                    *obs.Histogram
@@ -179,13 +160,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Topology == nil || cfg.Inventory == nil {
 		return nil, errors.New("service: Topology and Inventory are required")
 	}
-	online := cfg.Online
-	if online == nil {
-		online = &placement.OnlineHeuristic{Obs: cfg.Obs}
-	}
-	if online.Policy != placement.ScanAllCenters {
-		return nil, fmt.Errorf("service: placer %q is not the indexed scan (ScanAllCenters)", online.Name())
-	}
 	tidx, err := cfg.Inventory.AttachTierIndex(cfg.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("service: attaching tier index: %w", err)
@@ -194,10 +168,9 @@ func New(cfg Config) (*Service, error) {
 		cfg:     cfg,
 		topo:    cfg.Topology,
 		inv:     cfg.Inventory,
-		online:  online,
+		online:  &placement.OnlineHeuristic{Obs: cfg.Obs},
 		tidx:    tidx,
 		waiters: make(map[uint64]*waiter),
-		park:    make(map[uint64]*waiter),
 	}
 	if cfg.QueueCap >= 0 {
 		s.wait = queue.New(queue.FIFO, cfg.QueueCap)
@@ -218,9 +191,6 @@ func New(cfg Config) (*Service, error) {
 // capacity; with the queue disabled or full it fails with
 // placement.ErrInsufficient (test with errors.Is).
 func (s *Service) Place(r model.Request) (Placement, error) {
-	if s.cfg.Ordered {
-		return Placement{}, errors.New("service: ordered service requires PlaceAt")
-	}
 	return s.do(op{kind: opPlace, req: r})
 }
 
@@ -228,31 +198,7 @@ func (s *Service) Place(r model.Request) (Placement, error) {
 // queued placements now fit. Entries must be exactly the slice of a prior
 // Placement (or its ToDense-equivalent sparse form).
 func (s *Service) Release(entries []affinity.VMEntry) error {
-	if s.cfg.Ordered {
-		return errors.New("service: ordered service requires ReleaseAt")
-	}
 	_, err := s.do(op{kind: opRelease, entries: entries})
-	return err
-}
-
-// PlaceAt is Place with a caller-assigned sequence number (Ordered mode).
-// Seqs must cover 0,1,2,... with each value submitted exactly once across
-// Place and Release operations; the op is held until every lower seq has
-// applied, so a gap stalls the service until Close.
-func (s *Service) PlaceAt(seq uint64, r model.Request) (Placement, error) {
-	if !s.cfg.Ordered {
-		return Placement{}, errors.New("service: PlaceAt requires Ordered mode")
-	}
-	return s.do(op{kind: opPlace, seq: seq, req: r})
-}
-
-// ReleaseAt is Release with a caller-assigned sequence number (Ordered
-// mode).
-func (s *Service) ReleaseAt(seq uint64, entries []affinity.VMEntry) error {
-	if !s.cfg.Ordered {
-		return errors.New("service: ReleaseAt requires Ordered mode")
-	}
-	_, err := s.do(op{kind: opRelease, seq: seq, entries: entries})
 	return err
 }
 
@@ -267,9 +213,6 @@ func (s *Service) ReleaseAt(seq uint64, entries []affinity.VMEntry) error {
 // placement.ErrInsufficient — deadline-driven callers defer and retry
 // rather than park in the wait queue.
 func (s *Service) Grow(entries []affinity.VMEntry, delta model.Request) (Placement, error) {
-	if s.cfg.Ordered {
-		return Placement{}, errors.New("service: ordered service does not support Grow")
-	}
 	return s.do(op{kind: opGrow, entries: entries, req: delta})
 }
 
@@ -280,9 +223,6 @@ func (s *Service) Grow(entries []affinity.VMEntry, delta model.Request) (Placeme
 // must subtract them from its record of the cluster. entries is only
 // read and must not be mutated until the call returns.
 func (s *Service) Shrink(entries []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
-	if s.cfg.Ordered {
-		return nil, errors.New("service: ordered service does not support Shrink")
-	}
 	p, err := s.do(op{kind: opShrink, entries: entries, req: delta})
 	return p.Entries, err
 }
@@ -294,10 +234,10 @@ func (s *Service) Stats() Stats {
 	return s.st
 }
 
-// Close stops the service: it fails every op still waiting with
-// ErrClosed — the reorder buffer first, then the wait queue, each in
-// ascending seq order — and every later call with ErrClosed. Closing
-// twice returns ErrClosed.
+// Close stops the service: it fails every placement still parked in the
+// wait queue with ErrClosed, in ascending seq order so shutdown is
+// reproducible, and every later call with ErrClosed. Closing twice
+// returns ErrClosed.
 func (s *Service) Close() error {
 	s.lock()
 	defer s.unlock()
@@ -305,23 +245,16 @@ func (s *Service) Close() error {
 		return ErrClosed
 	}
 	s.closed = true
-	failAll(s.park)
-	failAll(s.waiters)
-	return nil
-}
-
-// failAll answers every waiter in m with ErrClosed, in ascending seq
-// order so shutdown behaviour is reproducible.
-func failAll(m map[uint64]*waiter) {
-	seqs := make([]uint64, 0, len(m))
-	for seq := range m {
+	seqs := make([]uint64, 0, len(s.waiters))
+	for seq := range s.waiters {
 		seqs = append(seqs, seq)
 	}
 	slices.Sort(seqs)
 	for _, seq := range seqs {
-		m[seq].done <- result{err: ErrClosed}
-		delete(m, seq)
+		s.waiters[seq].done <- result{err: ErrClosed}
+		delete(s.waiters, seq)
 	}
+	return nil
 }
 
 // lock takes the writer lock, counting the caller in blocked while it
@@ -356,8 +289,8 @@ func (s *Service) unlock() {
 	}
 }
 
-// do applies o and returns its answer, first waiting for it when o must
-// wait.
+// do applies o and returns its answer, first waiting for it when o is a
+// placement parked in the wait queue.
 func (s *Service) do(o op) (Placement, error) {
 	r, w := s.apply(o)
 	if w != nil {
@@ -366,10 +299,9 @@ func (s *Service) do(o op) (Placement, error) {
 	return r.p, r.err
 }
 
-// apply takes the writer lock and applies o on the caller's goroutine,
-// followed in Ordered mode by every early op o's turn released. It
-// returns o's answer, or o's waiter when o must wait for a later lock
-// holder.
+// apply takes the writer lock, stamps o with the next arrival seq and
+// applies it on the caller's goroutine. It returns o's answer, or o's
+// waiter when o is a placement parked in the wait queue.
 //
 //lint:owner singlewriter
 func (s *Service) apply(o op) (result, *waiter) {
@@ -378,79 +310,31 @@ func (s *Service) apply(o op) (result, *waiter) {
 	if s.closed {
 		return result{err: ErrClosed}, nil
 	}
-	switch {
-	case !s.cfg.Ordered:
-		o.seq = s.arrSeq
-		s.arrSeq++
-	case o.seq == s.applySeq:
-		s.applySeq++
-	case o.seq < s.applySeq || s.park[o.seq] != nil:
-		return result{err: fmt.Errorf("service: seq %d submitted twice", o.seq)}, nil
-	default:
-		w := newWaiter(&o)
-		s.park[o.seq] = w
-		return result{}, w
-	}
-	r, w := s.applyOp(&o, nil)
-	n := uint64(1)
-	if s.cfg.Ordered {
-		n += s.applyReady()
-	}
-	s.st.Ops += n
+	o.seq = s.arrSeq
+	s.arrSeq++
+	s.st.Ops++
 	s.st.Batches++
-	s.st.MaxBatch = max(s.st.MaxBatch, n)
-	return r, w
-}
-
-// applyReady applies, in seq order, every early op whose turn has come,
-// answering each that does not park in the wait queue, and returns how
-// many it applied.
-func (s *Service) applyReady() uint64 {
-	n := uint64(0)
-	for {
-		w := s.park[s.applySeq]
-		if w == nil {
-			return n
-		}
-		delete(s.park, s.applySeq)
-		s.applySeq++
-		n++
-		if r, queued := s.applyOp(&w.op, w); queued == nil {
-			w.done <- r
-		}
-	}
-}
-
-// newWaiter copies o into a heap waiter record; it is the only place the
-// service makes a reply channel.
-func newWaiter(o *op) *waiter {
-	return &waiter{op: *o, done: make(chan result, 1)}
-}
-
-// applyOp applies o, whose waiter record is w (nil for an op its caller
-// is applying itself). It returns o's answer, or, when o is a placement
-// admitted to the wait queue, its waiter.
-func (s *Service) applyOp(o *op, w *waiter) (result, *waiter) {
+	s.st.MaxBatch = 1
 	switch o.kind {
 	case opRelease:
-		return s.applyRelease(o), nil
+		return s.applyRelease(&o), nil
 	case opGrow:
-		return s.applyGrow(o), nil
+		return s.applyGrow(&o), nil
 	case opShrink:
-		return s.applyShrink(o), nil
+		return s.applyShrink(&o), nil
 	default:
-		return s.applyPlace(o, w)
+		return s.applyPlace(&o)
 	}
 }
 
 // applyPlace runs the allocation-free hot path: indexed sparse placement,
 // then an O(entries) commit. Only ErrInsufficient means "does not fit";
 // anything else is reported to the caller as a hard error.
-func (s *Service) applyPlace(o *op, w *waiter) (result, *waiter) {
+func (s *Service) applyPlace(o *op) (result, *waiter) {
 	dc, center, err := s.online.PlaceSparse(s.tidx, o.req, &s.sp)
 	if err != nil {
 		if errors.Is(err, placement.ErrInsufficient) {
-			return s.parkWaiter(o, w)
+			return s.parkWaiter(o)
 		}
 		return result{err: err}, nil
 	}
@@ -483,7 +367,7 @@ func (s *Service) applyGrow(o *op) result {
 		obs.F("req", int(o.seq)),
 		obs.F("center", int(center)),
 		obs.F("dc", dc))
-	return result{p: Placement{Seq: o.seq, Entries: append([]affinity.VMEntry(nil), s.sp.Entries...), DC: dc, Center: center}}
+	return result{p: Placement{Entries: append([]affinity.VMEntry(nil), s.sp.Entries...), DC: dc, Center: center}}
 }
 
 // applyShrink releases the DC-minimizing victims of a live cluster and
@@ -503,13 +387,13 @@ func (s *Service) applyShrink(o *op) result {
 	s.mShrunk.Inc()
 	s.cfg.Obs.Emit("shrink", float64(o.seq), obs.F("req", int(o.seq)))
 	s.drainWaiters()
-	return result{p: Placement{Seq: o.seq, Entries: victims}}
+	return result{p: Placement{Entries: victims}}
 }
 
 // parkWaiter queues a placement that does not currently fit, or refuses it
-// when the queue is disabled or full. A queued placement keeps its waiter
-// record w, or gets one when it has none.
-func (s *Service) parkWaiter(o *op, w *waiter) (result, *waiter) {
+// when the queue is disabled or full. A queued placement gets a waiter
+// record, the only place the service makes a reply channel.
+func (s *Service) parkWaiter(o *op) (result, *waiter) {
 	if s.wait == nil {
 		s.st.Rejected++
 		s.mRejected.Inc()
@@ -521,9 +405,7 @@ func (s *Service) parkWaiter(o *op, w *waiter) (result, *waiter) {
 		s.mRejected.Inc()
 		return result{err: fmt.Errorf("service: request %d refused: %w (%v)", o.seq, placement.ErrInsufficient, err)}, nil
 	}
-	if w == nil {
-		w = newWaiter(o)
-	}
+	w := &waiter{op: *o, done: make(chan result, 1)}
 	s.waiters[o.seq] = w
 	s.st.Queued++
 	s.mQueued.Inc()
@@ -570,9 +452,8 @@ func (s *Service) drainWaiters() {
 	}
 }
 
-// finishPlace records a committed placement and returns its answer. The
-// event timestamp is the op's seq — virtual time, so Ordered traces are
-// byte-reproducible at any concurrency.
+// finishPlace records a committed placement and returns its answer,
+// stamping its event with the op's seq as virtual time.
 func (s *Service) finishPlace(seq uint64, entries []affinity.VMEntry, dc float64, center topology.NodeID) result {
 	s.st.Placed++
 	s.mPlaced.Inc()
@@ -581,5 +462,5 @@ func (s *Service) finishPlace(seq uint64, entries []affinity.VMEntry, dc float64
 		obs.F("req", int(seq)),
 		obs.F("center", int(center)),
 		obs.F("dc", dc))
-	return result{p: Placement{Seq: seq, Entries: entries, DC: dc, Center: center}}
+	return result{p: Placement{Entries: entries, DC: dc, Center: center}}
 }

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -13,7 +11,6 @@ import (
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
-	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/topology"
 )
@@ -90,36 +87,8 @@ func TestServiceConfigErrors(t *testing.T) {
 	if _, err := New(Config{Topology: topo}); err == nil {
 		t.Fatalf("New without inventory succeeded")
 	}
-	bad := &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}
-	if _, err := New(Config{Topology: topo, Inventory: inv, Online: bad}); err == nil {
-		t.Fatalf("New with non-indexed placer succeeded")
-	}
-	svc, err := New(Config{Topology: topo, Inventory: inv})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer func() {
-		if err := svc.Close(); err != nil {
-			t.Errorf("Close: %v", err)
-		}
-	}()
-	if _, err := svc.PlaceAt(0, model.Request{1, 1}); err == nil {
-		t.Fatalf("PlaceAt on unordered service succeeded")
-	}
-	if err := svc.ReleaseAt(0, nil); err == nil {
-		t.Fatalf("ReleaseAt on unordered service succeeded")
-	}
-	_, inv = plant(t, 2, 2)
-	ordered, err := New(Config{Topology: topo, Inventory: inv, Ordered: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer func() { _ = ordered.Close() }()
-	if _, err := ordered.PlaceAt(0, model.Request{1, 1}); err != nil {
-		t.Fatalf("PlaceAt(0): %v", err)
-	}
-	if _, err := ordered.PlaceAt(0, model.Request{1, 1}); err == nil {
-		t.Fatalf("second PlaceAt(0) succeeded")
+	if _, err := New(Config{Inventory: inv}); err == nil {
+		t.Fatalf("New without topology succeeded")
 	}
 }
 
@@ -358,158 +327,6 @@ func TestServiceCloseInFlight(t *testing.T) {
 	if err := inv.TierIndex().CheckConsistent(); err != nil {
 		t.Fatalf("tier index: %v", err)
 	}
-}
-
-// TestOrderedCloseFailsEarlyOp: an Ordered op parked in the reorder buffer
-// ahead of its turn is answered with ErrClosed when the service closes,
-// and a second op under its seq is refused rather than left waiting.
-func TestOrderedCloseFailsEarlyOp(t *testing.T) {
-	topo, inv := plant(t, 1, 2)
-	svc, err := New(Config{Topology: topo, Inventory: inv, Ordered: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	errC := make(chan error, 1)
-	go func() {
-		_, err := svc.PlaceAt(1, model.Request{1})
-		errC <- err
-	}()
-	for parked := 0; parked == 0; {
-		time.Sleep(time.Millisecond)
-		svc.mu.Lock()
-		parked = len(svc.park)
-		svc.mu.Unlock()
-	}
-	if _, err := svc.PlaceAt(1, model.Request{1}); err == nil {
-		t.Fatal("second PlaceAt(1) accepted")
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := <-errC; !errors.Is(err, ErrClosed) {
-		t.Fatalf("early PlaceAt(1) err = %v, want ErrClosed", err)
-	}
-	if _, err := svc.PlaceAt(0, model.Request{1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("PlaceAt(0) after Close err = %v, want ErrClosed", err)
-	}
-	if st := svc.Stats(); st.Ops != 0 || st.Placed != 0 {
-		t.Fatalf("stats = %+v, want nothing applied", st)
-	}
-}
-
-// runOrderedTrace serves one seeded trace in Ordered mode with the given
-// number of client goroutines and returns a byte serialization of every
-// outcome plus the full metrics and trace registries. Phase one places
-// seqs [0,n); after a barrier, phase two releases each placement at seq
-// n+i. The queue is disabled and the plant sized so every op answers
-// immediately — Ordered mode would otherwise let a parked waiter deadlock
-// a client that still owes later seqs.
-func runOrderedTrace(t *testing.T, workers int, reqs []model.Request) []byte {
-	t.Helper()
-	topo, inv := plant(t, 3, 8)
-	reg := obs.NewRegistry()
-	svc, err := New(Config{
-		Topology: topo, Inventory: inv,
-		Ordered:  true,
-		QueueCap: -1,
-		Obs:      reg,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	n := uint64(len(reqs))
-	results := make([]Placement, n)
-	resErrs := make([]error, n)
-	run := func(phase func(seq uint64)) {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for seq := uint64(w); seq < n; seq += uint64(workers) {
-					phase(seq)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	run(func(seq uint64) {
-		results[seq], resErrs[seq] = svc.PlaceAt(seq, reqs[seq])
-	})
-	run(func(seq uint64) {
-		if resErrs[seq] != nil {
-			// A refused placement still owes its release seq so the
-			// stream stays contiguous; release nothing under it.
-			if err := svc.ReleaseAt(n+seq, nil); err != nil {
-				t.Errorf("empty release %d: %v", seq, err)
-			}
-			return
-		}
-		if err := svc.ReleaseAt(n+seq, results[seq].Entries); err != nil {
-			t.Errorf("release %d: %v", seq, err)
-		}
-	})
-	if err := svc.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	for j, a := range inv.Available() {
-		if a != 30*8 {
-			t.Fatalf("Available[%d] = %d after full release, want 240", j, a)
-		}
-	}
-	var buf bytes.Buffer
-	for seq := uint64(0); seq < n; seq++ {
-		fmt.Fprintf(&buf, "%d err=%v dc=%g center=%d entries=%v\n",
-			seq, resErrs[seq], results[seq].DC, results[seq].Center, results[seq].Entries)
-	}
-	if err := reg.WriteMetricsJSON(&buf); err != nil {
-		t.Fatalf("WriteMetricsJSON: %v", err)
-	}
-	if err := reg.WriteTraceJSONL(&buf); err != nil {
-		t.Fatalf("WriteTraceJSONL: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// TestOrderedDeterminism is Ordered mode's property test: the same seeded
-// request trace served at 1, 8, and 64 client goroutines must produce
-// byte-identical allocations, metrics, and event traces. Sequential
-// per-request placement depends only on inventory state, which depends
-// only on the seq-ordered operation prefix — so lock order, which caller
-// applies which parked op, and client scheduling must all be invisible
-// in the output.
-func TestOrderedDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(4711))
-	reqs := make([]model.Request, 96)
-	for i := range reqs {
-		reqs[i] = model.Request{rng.Intn(3), rng.Intn(3), rng.Intn(3)}
-	}
-	base := runOrderedTrace(t, 1, reqs)
-	for _, workers := range []int{8, 64} {
-		got := runOrderedTrace(t, workers, reqs)
-		if !bytes.Equal(got, base) {
-			t.Fatalf("%d-client run diverged from single-client run:\n--- 1 client ---\n%s\n--- %d clients ---\n%s",
-				workers, firstDiff(base, got), workers, firstDiff(got, base))
-		}
-	}
-}
-
-// firstDiff trims two byte serializations to the region around their first
-// difference, keeping failure output readable.
-func firstDiff(a, b []byte) []byte {
-	i := 0
-	for i < len(a) && i < len(b) && a[i] == b[i] {
-		i++
-	}
-	lo := i - 80
-	if lo < 0 {
-		lo = 0
-	}
-	hi := i + 160
-	if hi > len(a) {
-		hi = len(a)
-	}
-	return a[lo:hi]
 }
 
 // TestServiceRaceHammer hammers concurrent Place/Release through the wait
