@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"affinitycluster/internal/placement"
 )
 
 func writeProblem(t *testing.T, content string) string {
@@ -66,18 +69,21 @@ func TestRunErrors(t *testing.T) {
 	if err := run(tooBig, false, "online"); err == nil {
 		t.Error("infeasible request accepted")
 	}
-	// Capacity rows whose width differs from the request's are errors
-	// under every strategy, with or without the exact solver — not panics.
+	// Capacity rows whose width differs from the request's, negative
+	// demands and negative capacities are errors under every strategy,
+	// with or without the exact solver — not panics, and not placements.
 	for _, tc := range []struct{ name, content string }{
 		{"wide request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1,1,1]}`},
 		{"ragged row", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1]],"request":[1,1]}`},
 		{"narrow request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1]}`},
+		{"negative demand", `{"racksPerCloud":1,"nodesPerRack":2,"request":[-1]}`},
+		{"negative capacity", `{"racksPerCloud":1,"nodesPerRack":3,"capacities":[[-1],[1],[1]],"request":[2]}`},
 	} {
 		path := writeProblem(t, tc.content)
 		for _, strategy := range []string{"online", "firstfit", "roundrobin", "pack"} {
 			for _, exact := range []bool{false, true} {
-				if err := run(path, exact, strategy); err == nil {
-					t.Errorf("%s accepted by %s (exact %v)", tc.name, strategy, exact)
+				if err := run(path, exact, strategy); err == nil || errors.Is(err, placement.ErrInsufficient) {
+					t.Errorf("%s: %s (exact %v) err = %v, want a malformed-input error", tc.name, strategy, exact, err)
 				}
 			}
 		}

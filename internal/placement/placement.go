@@ -33,38 +33,41 @@ type Placer interface {
 	Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error)
 }
 
-// available computes A_j = Σ_i L_ij.
-func available(l [][]int, m int) []int {
-	a := make([]int, m)
-	for i := range l {
-		for j := 0; j < m; j++ {
-			a[j] += l[i][j]
-		}
-	}
-	return a
-}
-
 // admit implements the paper's first check, every R_j ≤ A_j, against a
 // fresh scan of L — the one-shot form every dense placer runs. A matrix
-// that is not n×len(r) on t is a shape error, which does not wrap
-// ErrInsufficient: callers treat it as a hard error rather than as
-// "does not fit".
+// that is not n×len(r) on t, or that holds a negative cell, is malformed
+// input; that error does not wrap ErrInsufficient, so callers treat it
+// as a hard error rather than as "does not fit".
 func admit(t *topology.Topology, l [][]int, r model.Request) error {
 	if len(l) != t.Nodes() {
 		return fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
 	}
+	avail := make([]int, len(r))
 	for i, row := range l {
 		if len(row) != len(r) {
 			return fmt.Errorf("placement: capacity row %d has %d types, request has %d", i, len(row), len(r))
 		}
+		for j, c := range row {
+			if c < 0 {
+				return fmt.Errorf("placement: node %d has negative capacity %d of type %d", i, c, j)
+			}
+			avail[j] += c
+		}
 	}
-	return admitAvail(available(l, len(r)), r)
+	return admitAvail(avail, r)
 }
 
 // admitAvail is admit against precomputed column totals — a tier
 // index's availability vector, kept across requests instead of
-// rescanning the full L matrix per admission.
+// rescanning the full L matrix per admission. A negative demand is
+// malformed input, refused with an error that does not wrap
+// ErrInsufficient wherever it sits in r.
 func admitAvail(avail []int, r model.Request) error {
+	for j, v := range r {
+		if v < 0 {
+			return fmt.Errorf("placement: request has negative demand %d of type %d", v, j)
+		}
+	}
 	for j := range r {
 		if r[j] > avail[j] {
 			return &shortfall{typ: j, need: r[j], avail: avail[j]}

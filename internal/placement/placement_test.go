@@ -535,3 +535,52 @@ func TestShortfallError(t *testing.T) {
 		t.Errorf("fitting request rejected: %v", err)
 	}
 }
+
+// TestAdmissionRejectsNegatives: a negative demand or a negative
+// capacity cell is malformed input. Admission refuses it, for every
+// placer, with an error that does not wrap ErrInsufficient, instead of
+// ignoring the negative demand or netting the negative cell against the
+// rest of its column. The sparse paths read capacity from a tier index,
+// so only the demand cases reach them.
+func TestAdmissionRejectsNegatives(t *testing.T) {
+	tp, err := topology.Uniform(1, 1, 3, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := [][]int{{2, 2}, {2, 2}, {2, 2}}
+	idx, err := affinity.NewTierIndex(tp, fits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := []affinity.VMEntry{{Node: 0, Type: 0, Count: 1}}
+	for _, tc := range []struct {
+		name string
+		l    [][]int
+		r    model.Request
+	}{
+		{"negative demand beside a fitting one", fits, model.Request{-1, 2}},
+		{"negative demand only", fits, model.Request{-3, 0}},
+		{"negative demand after a shortfall", fits, model.Request{100, -1}},
+		{"negative capacity cell", [][]int{{-1, 0}, {1, 0}, {1, 0}}, model.Request{2, 0}},
+	} {
+		check := func(placer string, err error) {
+			t.Helper()
+			if err == nil || errors.Is(err, ErrInsufficient) {
+				t.Errorf("%s, %s: err = %v, want a malformed-input error", placer, tc.name, err)
+			}
+		}
+		h := &OnlineHeuristic{}
+		_, err := h.Place(tp, tc.l, tc.r)
+		check("Place", err)
+		_, err = FirstFit{}.Place(tp, tc.l, tc.r)
+		check("FirstFit", err)
+		if tc.l[0][0] < 0 {
+			continue
+		}
+		var sp affinity.SparseAlloc
+		_, _, err = h.PlaceSparse(idx, tc.r, &sp)
+		check("PlaceSparse", err)
+		_, _, err = h.PlaceDeltaSparse(idx, cur, tc.r, &sp)
+		check("PlaceDeltaSparse", err)
+	}
+}

@@ -64,9 +64,29 @@ func TestServiceBasic(t *testing.T) {
 	if err := svc.Release([]affinity.VMEntry{{Node: 0, Type: 0, Count: 1}}); err == nil {
 		t.Fatalf("release of unplaced VMs succeeded")
 	}
+	// A negative demand is malformed, not a shortfall: neither a place nor
+	// a grow may ignore it.
+	for _, r := range []model.Request{{-1, 2}, {-3, 0}} {
+		if _, err := svc.Place(r); err == nil || errors.Is(err, placement.ErrInsufficient) {
+			t.Fatalf("Place(%v) err = %v, want a malformed-request error", r, err)
+		}
+	}
+	q, err := svc.Place(model.Request{1, 1})
+	if err != nil {
+		t.Fatalf("Place: %v", err)
+	}
+	if _, err := svc.Grow(q.Entries, model.Request{-1, 0}); err == nil || errors.Is(err, placement.ErrInsufficient) {
+		t.Fatalf("Grow by -1 err = %v, want a malformed-request error", err)
+	}
+	if err := svc.Release(q.Entries); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
 	st := svc.Stats()
-	if st.Placed != 1 || st.Released != 1 || st.Rejected != 1 {
-		t.Fatalf("stats = %+v, want Placed=1 Released=1 Rejected=1", st)
+	if st.Placed != 2 || st.Released != 2 || st.Rejected != 1 || st.Grown != 0 {
+		t.Fatalf("stats = %+v, want Placed=2 Released=2 Rejected=1 Grown=0", st)
+	}
+	if avail := inv.Available(); avail[0] != 60 || avail[1] != 60 {
+		t.Fatalf("Available = %v after the refused ops, want [60 60]", avail)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
