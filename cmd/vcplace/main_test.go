@@ -78,6 +78,8 @@ func TestRunErrors(t *testing.T) {
 		{"narrow request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1]}`},
 		{"negative demand", `{"racksPerCloud":1,"nodesPerRack":2,"request":[-1]}`},
 		{"negative capacity", `{"racksPerCloud":1,"nodesPerRack":3,"capacities":[[-1],[1],[1]],"request":[2]}`},
+		{"node count overflows int", `{"clouds":3037000500,"racksPerCloud":3037000500,"nodesPerRack":1,"request":[1]}`},
+		{"plant too large to build", `{"racksPerCloud":100000,"nodesPerRack":100000,"request":[1]}`},
 	} {
 		path := writeProblem(t, tc.content)
 		for _, strategy := range []string{"online", "firstfit", "roundrobin", "pack"} {

@@ -262,12 +262,25 @@ func (t *Topology) buildRackCloud() {
 	}
 }
 
+// maxUniformNodes bounds the plants Uniform builds. Plant sizes reach
+// Uniform from outside the program (vcplace reads them from JSON), and a
+// topology costs about 80 bytes per node before any capacity matrix or
+// tier index is built over it, so a mistyped size would exhaust memory
+// instead of failing, and a node count that overflows int would panic.
+// The largest plants the benchmarks build have 1M nodes (100×100×100);
+// the bound leaves four times that.
+const maxUniformNodes = 1 << 22
+
 // Uniform builds the symmetric topology used throughout the paper's
 // simulations: clouds × racksPerCloud racks, each rack holding nodesPerRack
 // nodes.
 func Uniform(clouds, racksPerCloud, nodesPerRack int, d Distances) (*Topology, error) {
 	if clouds <= 0 || racksPerCloud <= 0 || nodesPerRack <= 0 {
 		return nil, fmt.Errorf("topology: Uniform(%d, %d, %d) needs positive arguments", clouds, racksPerCloud, nodesPerRack)
+	}
+	// Divide rather than multiply, so the check itself cannot overflow.
+	if racksPerCloud > maxUniformNodes/clouds || nodesPerRack > maxUniformNodes/(clouds*racksPerCloud) {
+		return nil, fmt.Errorf("topology: Uniform(%d, %d, %d) has more than %d nodes", clouds, racksPerCloud, nodesPerRack, maxUniformNodes)
 	}
 	b := NewBuilder(d)
 	b.nodes = make([]Node, 0, clouds*racksPerCloud*nodesPerRack)

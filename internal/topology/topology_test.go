@@ -56,6 +56,26 @@ func TestUniformRejectsNonPositive(t *testing.T) {
 	}
 }
 
+// TestUniformRejectsOversizedPlants: a node count that overflows int, or
+// that passes maxUniformNodes, is an error, not a makeslice panic or an
+// out-of-memory crash. The bound sits above the benchmarks' 1M-node
+// plants.
+func TestUniformRejectsOversizedPlants(t *testing.T) {
+	if maxUniformNodes < 100*100*100 {
+		t.Fatalf("maxUniformNodes = %d refuses the benchmarks' 100x100x100 plant", maxUniformNodes)
+	}
+	for _, args := range [][3]int{
+		{3037000500, 3037000500, 1}, // the product overflows int
+		{1, 100000, 100000},
+		{1, 1, maxUniformNodes + 1},
+		{maxUniformNodes + 1, 1, 1},
+	} {
+		if _, err := Uniform(args[0], args[1], args[2], DefaultDistances()); err == nil {
+			t.Errorf("Uniform(%v) accepted", args)
+		}
+	}
+}
+
 func TestPaperSimPlant(t *testing.T) {
 	tp := PaperSimPlant()
 	if tp.Racks() != 3 || tp.Nodes() != 30 {
