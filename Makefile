@@ -89,12 +89,12 @@ faults-race:
 	$(GO) run -race ./cmd/affinitysim -fig faults > /dev/null
 
 # Placement-service gate: the concurrency-sensitive service tests (the
-# 64-client determinism property, the place/release and grow/shrink
-# hammers, Close against in-flight callers) and the differential test
-# against direct sparse calls, ten times over under the race detector,
-# since lock order varies run to run.
+# place/release and grow/shrink hammers, Close against in-flight
+# callers) and the differential test against direct sparse calls, ten
+# times over under the race detector, since lock order varies run to
+# run.
 service-race:
-	$(GO) test -race -count=10 ./internal/service -run 'Service|Ordered'
+	$(GO) test -race -count=10 ./internal/service -run 'Service'
 
 # Streaming-replay gate: the soak scenario and the stream/retained
 # parity tests under the race detector, plus one seeded soak figure at a
