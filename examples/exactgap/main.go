@@ -1,7 +1,8 @@
 // Exactgap: quantify the optimality gap of the paper's heuristics against
 // the exact solvers — Algorithm 1 vs the SD optimum (solved both by the
-// specialized transportation argument and by the general branch-and-bound
-// ILP), and Algorithm 2 vs the exact GSD optimum on small batches.
+// specialized transportation argument and by the paper's program with the
+// simplex, one center at a time), and Algorithm 2 vs the exact GSD optimum
+// on small batches.
 package main
 
 import (
@@ -26,12 +27,14 @@ func main() {
 	}
 	fmt.Print("[Algorithm 1 vs exact SD]\n" + gap.Render() + "\n")
 
-	// Part 2: cross-check the two exact solvers on a small instance.
+	// Part 2: cross-check the two exact solvers on a small instance. At
+	// most two VMs of each type per node force the request to spread, so
+	// the optimum is positive rather than one node's trivial 0.
 	topo, err := topology.Uniform(1, 2, 3, topology.DefaultDistances())
 	if err != nil {
 		log.Fatal(err)
 	}
-	caps, err := workload.RandomCapacities(3, topo.Nodes(), 2, workload.DefaultInventoryConfig())
+	caps, err := workload.RandomCapacities(3, topo.Nodes(), 2, workload.InventoryConfig{MaxPerType: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,11 +43,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	slow, err := sdexact.SolveSDMIP(topo, caps, req)
+	slow, err := sdexact.SolveSDLP(topo, caps, req)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("[exact solver cross-check] greedy-transportation: %.1f, branch-and-bound ILP: %.1f\n\n",
+	if fast.Distance <= 0 || fast.Distance != slow.Distance {
+		log.Fatalf("exact solvers: greedy-transportation %v, transportation simplex %v; want one positive optimum",
+			fast.Distance, slow.Distance)
+	}
+	fmt.Printf("[exact solver cross-check] greedy-transportation: %.1f, transportation simplex: %.1f\n\n",
 		fast.Distance, slow.Distance)
 
 	// Part 3: Algorithm 2 vs the exact GSD optimum on small batches.

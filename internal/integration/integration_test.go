@@ -162,10 +162,12 @@ func TestTraceRecordReplay(t *testing.T) {
 }
 
 // TestExactSolverAgreementAtScale cross-checks the exact SD solver
-// against the paper's ILP formulation on the full paper plant.
+// against the paper's program, solved per center by the simplex, on the
+// full paper plant. At most one VM of each type per node forces the
+// request to spread, so the optimum the two agree on is positive.
 func TestExactSolverAgreementAtScale(t *testing.T) {
 	topo := topology.PaperSimPlant()
-	caps, err := workload.RandomCapacities(61, topo.Nodes(), 3, workload.DefaultInventoryConfig())
+	caps, err := workload.RandomCapacities(61, topo.Nodes(), 3, workload.InventoryConfig{MaxPerType: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +176,15 @@ func TestExactSolverAgreementAtScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ilp, err := sdexact.SolveSDMIP(topo, caps, req)
+	if greedy.Distance <= 0 {
+		t.Fatalf("optimum %v: the instance no longer forces a spread", greedy.Distance)
+	}
+	simplex, err := sdexact.SolveSDLP(topo, caps, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(greedy.Distance-ilp.Distance) > 1e-9 {
-		t.Errorf("greedy %v != ilp %v", greedy.Distance, ilp.Distance)
+	if math.Abs(greedy.Distance-simplex.Distance) > 1e-9 {
+		t.Errorf("greedy %v != simplex %v", greedy.Distance, simplex.Distance)
 	}
 	// The heuristic on the same instance is bounded below by the optimum.
 	h := &placement.OnlineHeuristic{}

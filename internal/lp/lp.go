@@ -7,8 +7,10 @@
 //
 // It exists because the paper formulates the shortest-distance (SD) and
 // global shortest-distance (GSD) provisioning problems as integer linear
-// programs, and the Go ecosystem offers no stdlib LP/ILP solver. Package
-// mip builds a branch-and-bound integer solver on top of this one.
+// programs, and the Go standard library offers no LP solver. With their
+// central nodes fixed both are transportation problems, whose LP
+// relaxations have integral vertices, so package sdexact solves them here
+// without branching: SolveSDLP and the oracle of SolveGSD's leaf solver.
 //
 // The implementation is a textbook dense tableau simplex with Bland's rule
 // (guaranteeing termination in the presence of degeneracy) and a Phase I
@@ -93,14 +95,8 @@ func NewProblem(n int) *Problem {
 	return &Problem{numVars: n, objective: make([]float64, n)}
 }
 
-// NumVars returns the number of decision variables.
-func (p *Problem) NumVars() int { return p.numVars }
-
-// NumConstraints returns the number of constraint rows.
-func (p *Problem) NumConstraints() int { return len(p.constraints) }
-
 // SetObjective installs the minimization objective c·x. The slice is
-// copied; its length must equal NumVars.
+// copied; its length must equal the problem's variable count.
 func (p *Problem) SetObjective(c []float64) error {
 	if len(c) != p.numVars {
 		return fmt.Errorf("lp: objective has %d coefficients, want %d", len(c), p.numVars)

@@ -6,10 +6,9 @@
 // the heart of the paper's provisioning formulations: for a fixed central
 // node, the SD problem is a transportation problem (supplies = remaining
 // node capacities, demands = the request vector), and so is the
-// fixed-centers GSD subproblem. The general LP/MIP route (packages lp and
-// mip) solves the same instances and cross-checks this one; mcmf is
-// asymptotically and practically faster and exactly integral by
-// construction.
+// fixed-centers GSD subproblem. The general LP route (package lp) solves
+// the same instances and cross-checks this one; mcmf is asymptotically and
+// practically faster and exactly integral by construction.
 package mcmf
 
 import (

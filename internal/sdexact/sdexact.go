@@ -13,20 +13,22 @@
 // SolveSD scans every candidate center and takes the minimum, which equals
 // the ILP optimum: min_C min_k = min_k min_C.
 //
-// SolveSDMIP solves the same instance through the general branch-and-bound
-// ILP of package mip, one model per candidate center, exactly mirroring the
-// paper's formulation. It exists to cross-validate SolveSD and to
-// demonstrate the ILP path; it is orders of magnitude slower.
+// SolveSDLP solves the same per-center programs with the simplex of
+// package lp: each is the one-request case of the fixed-centers GSD
+// transportation LP below, and its integral vertices make branching
+// unnecessary. It exists to cross-validate SolveSD; it is orders of
+// magnitude slower.
 //
 // # GSD
 //
 // With the central node of every request fixed, GSD also decomposes per VM
 // type into transportation problems (requests demand, nodes supply, cost
-// D_i,center(req)), solved exactly via LP with integral vertices. SolveGSD
-// searches the space of center tuples by depth-first branch and bound with
-// admissible per-request lower bounds. It is exponential in the number of
-// requests in the worst case and intended for the small instances used to
-// validate the heuristics.
+// D_i,center(req)), solved exactly by min-cost flow (package mcmf), with
+// the LP as the tests' oracle. SolveGSD searches the space of center
+// tuples by depth-first branch and bound with admissible per-request
+// lower bounds. It is exponential in the number of requests in the worst
+// case and intended for the small instances used to validate the
+// heuristics.
 package sdexact
 
 import (
@@ -38,7 +40,6 @@ import (
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/lp"
 	"affinitycluster/internal/mcmf"
-	"affinitycluster/internal/mip"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
 )
@@ -54,23 +55,42 @@ type SDResult struct {
 	Center   topology.NodeID // minimizing central node
 }
 
-// feasible checks that l is an n×len(r) matrix on t — a shape error
-// otherwise — and then that R_j ≤ Σ_i L_ij for all j (ErrInfeasible).
-func feasible(t *topology.Topology, l [][]int, r model.Request) error {
+// feasible checks that the requests share one width m, that l is an n×m
+// matrix on t, and that no demand and no cell of l is negative: malformed
+// input, refused with errors that do not wrap ErrInfeasible. Each request
+// is checked on its own before the demands are summed, since a sum can
+// hide a negative demand. Then it checks Σ_q R^q_j ≤ Σ_i L_ij for all j
+// (ErrInfeasible).
+func feasible(t *topology.Topology, l [][]int, reqs ...model.Request) error {
+	m := len(reqs[0])
+	short := make([]int, m) // demand minus capacity, per type
+	for q, r := range reqs {
+		if len(r) != m {
+			return fmt.Errorf("sdexact: request %d has %d types, request 0 has %d", q, len(r), m)
+		}
+		for j, v := range r {
+			if v < 0 {
+				return fmt.Errorf("sdexact: request %d has negative demand %d of type %d", q, v, j)
+			}
+			short[j] += v
+		}
+	}
 	if len(l) != t.Nodes() {
 		return fmt.Errorf("sdexact: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
 	}
 	for i, row := range l {
-		if len(row) != len(r) {
-			return fmt.Errorf("sdexact: capacity row %d has %d types, request has %d", i, len(row), len(r))
+		if len(row) != m {
+			return fmt.Errorf("sdexact: capacity row %d has %d types, request has %d", i, len(row), m)
+		}
+		for j, c := range row {
+			if c < 0 {
+				return fmt.Errorf("sdexact: node %d has negative capacity %d of type %d", i, c, j)
+			}
+			short[j] -= c
 		}
 	}
-	for j := range r {
-		total := 0
-		for i := range l {
-			total += l[i][j]
-		}
-		if r[j] > total {
+	for _, v := range short {
+		if v > 0 {
 			return ErrInfeasible
 		}
 	}
@@ -80,138 +100,97 @@ func feasible(t *topology.Topology, l [][]int, r model.Request) error {
 // SolveSD returns the exact shortest-distance allocation for request r
 // against remaining capacity l on topology t.
 func SolveSD(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
-	n := t.Nodes()
 	if err := feasible(t, l, r); err != nil {
 		return nil, err
 	}
-	m := len(r)
 	var best *SDResult
-	// Node order by ascending distance from each center is recomputed per
-	// center; ties resolve to lower IDs for determinism.
-	for k := 0; k < n; k++ {
+	for k := 0; k < t.Nodes(); k++ {
 		center := topology.NodeID(k)
-		order := make([]topology.NodeID, n)
-		for i := range order {
-			order[i] = topology.NodeID(i)
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			da := t.Distance(order[a], center)
-			db := t.Distance(order[b], center)
-			if da != db {
-				return da < db
-			}
-			return order[a] < order[b]
-		})
-		alloc := affinity.NewAllocation(n, m)
-		cost := 0.0
-		ok := true
-		for j := 0; j < m && ok; j++ {
-			need := r[j]
-			for _, i := range order {
-				if need == 0 {
-					break
-				}
-				take := l[i][j]
-				if take > need {
-					take = need
-				}
-				if take > 0 {
-					alloc[i][model.VMTypeID(j)] += take
-					cost += float64(take) * t.Distance(i, center)
-					need -= take
-				}
-			}
-			if need > 0 {
-				ok = false // cannot happen when feasible() held, defensive
-			}
-		}
+		alloc := affinity.NewAllocation(t.Nodes(), len(r))
+		cost, ok := fill(t, l, r, center, alloc)
 		if !ok {
-			continue
+			continue // cannot happen when feasible() held, defensive
 		}
 		if best == nil || cost < best.Distance {
 			best = &SDResult{Alloc: alloc, Distance: cost, Center: center}
 		}
 	}
-	if best == nil {
-		return nil, ErrInfeasible
-	}
-	// The DC of the chosen allocation can only equal the scanned minimum
-	// (see package comment); recompute for the canonical tie-broken center.
-	d, ctr := best.Alloc.Distance(t)
-	best.Distance = d
-	best.Center = ctr
-	return best, nil
+	return canonical(t, best)
 }
 
-// SolveSDMIP solves SD through the paper's integer-programming formulation
-// using the branch-and-bound solver, one model per candidate central node.
-// Exposed for cross-validation and for the exactness ablation benchmark.
-func SolveSDMIP(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
-	n := t.Nodes()
+// SolveSDLP solves SD through the paper's integer program (Section III.B)
+// with the simplex of package lp, one model per candidate central node.
+// With the center fixed the program is a transportation problem, the
+// one-request case of solveTransportationLP, and its LP relaxation has
+// integral vertices, so no branching is needed. It is SolveSD's test
+// oracle and the slow arm of the exact-solver ablation.
+func SolveSDLP(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
 	if err := feasible(t, l, r); err != nil {
 		return nil, err
 	}
-	m := len(r)
+	reqs := []model.Request{r}
 	var best *SDResult
-	for k := 0; k < n; k++ {
+	for k := 0; k < t.Nodes(); k++ {
 		center := topology.NodeID(k)
-		mod := mip.NewModel(n * m)
-		obj := make([]float64, n*m)
-		for i := 0; i < n; i++ {
-			d := t.Distance(topology.NodeID(i), center)
-			for j := 0; j < m; j++ {
-				v := i*m + j
-				obj[v] = d
-				if err := mod.SetUpperBound(v, float64(l[i][j])); err != nil {
-					return nil, err
-				}
-				if err := mod.SetInteger(v); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if err := mod.SetObjective(obj); err != nil {
-			return nil, err
-		}
-		for j := 0; j < m; j++ {
-			vars := make([]int, n)
-			coef := make([]float64, n)
-			for i := 0; i < n; i++ {
-				vars[i] = i*m + j
-				coef[i] = 1
-			}
-			if err := mod.AddSparseConstraint(vars, coef, lp.EQ, float64(r[j])); err != nil {
-				return nil, err
-			}
-		}
-		sol, err := mod.Solve()
-		if err != nil {
-			return nil, err
-		}
-		if sol.Status != mip.Optimal {
+		allocs, dc, ok := solveTransportationLP(t, l, reqs, []topology.NodeID{center})
+		if !ok {
 			continue
 		}
-		if best == nil || sol.Objective < best.Distance-1e-9 {
-			alloc := affinity.NewAllocation(n, m)
-			for i := 0; i < n; i++ {
-				for j := 0; j < m; j++ {
-					x, err := sol.IntValue(i*m + j)
-					if err != nil {
-						return nil, err
-					}
-					alloc[i][j] = x
-				}
-			}
-			best = &SDResult{Alloc: alloc, Distance: sol.Objective, Center: center}
+		if best == nil || dc < best.Distance-1e-9 {
+			best = &SDResult{Alloc: allocs[0], Distance: dc, Center: center}
 		}
 	}
+	return canonical(t, best)
+}
+
+// canonical reports the DC of the chosen allocation with its tie-broken
+// central node. The DC can only equal the scanned minimum (see package
+// comment); a nil best means no center could serve the request.
+func canonical(t *topology.Topology, best *SDResult) (*SDResult, error) {
 	if best == nil {
 		return nil, ErrInfeasible
 	}
-	d, ctr := best.Alloc.Distance(t)
-	best.Distance = d
-	best.Center = ctr
+	best.Distance, best.Center = best.Alloc.Distance(t)
 	return best, nil
+}
+
+// fill places r on the nodes nearest center — ascending D_i,center, ties
+// toward lower IDs — and returns the cost Σ_ij x_ij·D_i,center, the
+// optimum of the transportation problem with that center fixed (see
+// package comment). It records the placement in alloc unless alloc is
+// nil. ok is false when l cannot hold r.
+func fill(t *topology.Topology, l [][]int, r model.Request, center topology.NodeID, alloc affinity.Allocation) (cost float64, ok bool) {
+	order := make([]topology.NodeID, t.Nodes())
+	for i := range order {
+		order[i] = topology.NodeID(i)
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		da, db := t.Distance(order[a], center), t.Distance(order[b], center)
+		if da != db {
+			return da < db
+		}
+		return order[a] < order[b]
+	})
+	for j := range r {
+		need := r[j]
+		for _, i := range order {
+			if need == 0 {
+				break
+			}
+			take := min(l[i][j], need)
+			if take > 0 {
+				if alloc != nil {
+					alloc[i][j] += take
+				}
+				cost += float64(take) * t.Distance(i, center)
+				need -= take
+			}
+		}
+		if need > 0 {
+			return 0, false
+		}
+	}
+	return cost, true
 }
 
 // GSDResult is an exact answer to the global shortest-distance problem.
@@ -219,7 +198,6 @@ type GSDResult struct {
 	Allocs  []affinity.Allocation
 	Centers []topology.NodeID
 	Total   float64 // Σ DC over all requests — the GSD optimum
-	Leaves  int     // complete center tuples evaluated
 }
 
 // GSDOptions tunes the exponential center-tuple search.
@@ -242,19 +220,10 @@ func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request, opt GSDOpti
 	if len(reqs) == 0 {
 		return &GSDResult{}, nil
 	}
-	n := t.Nodes()
-	m := len(reqs[0])
-	// Aggregate feasibility.
-	agg := make(model.Request, m)
-	for _, r := range reqs {
-		if len(r) != m {
-			return nil, fmt.Errorf("sdexact: inconsistent request lengths")
-		}
-		agg = model.Request(model.Add(agg, r))
-	}
-	if err := feasible(t, l, agg); err != nil {
+	if err := feasible(t, l, reqs...); err != nil {
 		return nil, err
 	}
+	n := t.Nodes()
 	maxLeaves := opt.MaxLeaves
 	if maxLeaves <= 0 {
 		maxLeaves = 100000
@@ -269,7 +238,7 @@ func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request, opt GSDOpti
 		lb[q] = make([]float64, n)
 		lbBest[q] = math.Inf(1)
 		for k := 0; k < n; k++ {
-			cost, ok := relaxedCost(t, l, r, topology.NodeID(k))
+			cost, ok := fill(t, l, r, topology.NodeID(k), nil)
 			if !ok {
 				lb[q][k] = math.Inf(1)
 				continue
@@ -336,47 +305,10 @@ func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request, opt GSDOpti
 		}
 		return nil, ErrInfeasible
 	}
-	best.Leaves = leaves
 	if truncated {
 		return best, ErrTruncated
 	}
 	return best, nil
-}
-
-// relaxedCost is the optimal single-request cost from a fixed center on
-// the full capacity matrix (greedy over the transportation polytope).
-func relaxedCost(t *topology.Topology, l [][]int, r model.Request, center topology.NodeID) (float64, bool) {
-	n := t.Nodes()
-	order := make([]topology.NodeID, n)
-	for i := range order {
-		order[i] = topology.NodeID(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := t.Distance(order[a], center), t.Distance(order[b], center)
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-	cost := 0.0
-	for j := range r {
-		need := r[j]
-		for _, i := range order {
-			if need == 0 {
-				break
-			}
-			take := l[i][j]
-			if take > need {
-				take = need
-			}
-			cost += float64(take) * t.Distance(i, center)
-			need -= take
-		}
-		if need > 0 {
-			return 0, false
-		}
-	}
-	return cost, true
 }
 
 // solveTransportation solves the fixed-centers GSD exactly: per VM type,

@@ -93,14 +93,14 @@ func TestSolveSDInfeasible(t *testing.T) {
 	if _, err := SolveSD(tp, l, model.Request{2, 0}); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("SolveSD err = %v, want ErrInfeasible", err)
 	}
-	if _, err := SolveSDMIP(tp, l, model.Request{2, 0}); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("SolveSDMIP err = %v, want ErrInfeasible", err)
+	if _, err := SolveSDLP(tp, l, model.Request{2, 0}); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("SolveSDLP err = %v, want ErrInfeasible", err)
 	}
 }
 
 // TestSolveSDBadShape: a capacity matrix that does not match the plant
 // or the request's width is a shape error from every solver (SolveSD,
-// SolveSDMIP, SolveGSD) — never a panic, and never ErrInfeasible, which
+// SolveSDLP, SolveGSD) — never a panic, and never ErrInfeasible, which
 // callers read as "does not fit".
 func TestSolveSDBadShape(t *testing.T) {
 	tp := twoRacks(t)
@@ -117,14 +117,68 @@ func TestSolveSDBadShape(t *testing.T) {
 	}
 	for _, tc := range cases {
 		_, errSD := SolveSD(tp, tc.l, tc.r)
-		_, errMIP := SolveSDMIP(tp, tc.l, tc.r)
+		_, errLP := SolveSDLP(tp, tc.l, tc.r)
 		_, errGSD := SolveGSD(tp, tc.l, []model.Request{tc.r}, GSDOptions{})
-		for i, err := range []error{errSD, errMIP, errGSD} {
+		for i, err := range []error{errSD, errLP, errGSD} {
 			if err == nil || errors.Is(err, ErrInfeasible) {
 				t.Errorf("%s, solver %d: err = %v, want a shape error", tc.name, i, err)
 			}
 		}
 	}
+}
+
+// TestExactSolversRejectNegatives: a negative demand or capacity cell is
+// malformed input for every solver, refused with an error that does not
+// wrap ErrInfeasible, even where a sum hides it. The batch {-1, 2} +
+// {1, 0} sums to {0, 2}, and a -1 cell cuts its column's total to 1
+// where two nodes hold one VM each. The SD solvers run on the
+// single-request cases only.
+func TestExactSolversRejectNegatives(t *testing.T) {
+	tp, err := topology.Uniform(1, 1, 3, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones := [][]int{{1, 1}, {1, 1}, {1, 1}}
+	cases := []struct {
+		name  string
+		l     [][]int
+		batch []model.Request
+	}{
+		{"negative demand", ones, []model.Request{{-1, 2}}},
+		{"negative demand netted in a batch", ones, []model.Request{{-1, 2}, {1, 0}}},
+		{"negative demand in a later request", ones, []model.Request{{1, 0}, {-1, 2}}},
+		{"negative cell", [][]int{{-1}, {1}, {1}}, []model.Request{{2}}},
+	}
+	for _, tc := range cases {
+		var errs []error
+		if len(tc.batch) == 1 {
+			_, errSD := SolveSD(tp, tc.l, tc.batch[0])
+			_, errLP := SolveSDLP(tp, tc.l, tc.batch[0])
+			errs = append(errs, errSD, errLP)
+		}
+		_, errGSD := SolveGSD(tp, tc.l, tc.batch, GSDOptions{})
+		errs = append(errs, errGSD)
+		for i, err := range errs {
+			if err == nil || errors.Is(err, ErrInfeasible) {
+				t.Errorf("%s, solver %d of %d: err = %v, want a malformed-input error", tc.name, i, len(errs), err)
+			}
+		}
+	}
+}
+
+// exactPlants are the plants the exact cross-checks run on: one cloud,
+// and two clouds, where CrossCloud must rank behind CrossRack.
+func exactPlants(t *testing.T, racks, nodes int) []*topology.Topology {
+	t.Helper()
+	var plants []*topology.Topology
+	for clouds := 1; clouds <= 2; clouds++ {
+		tp, err := topology.Uniform(clouds, racks, nodes, topology.DefaultDistances())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plants = append(plants, tp)
+	}
+	return plants
 }
 
 func randInstance(r *rand.Rand, tp *topology.Topology, m int) ([][]int, model.Request) {
@@ -222,92 +276,88 @@ func TestQuickSolveSDMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Property: the specialized solver agrees with the paper-faithful MIP
-// formulation.
-func TestQuickSolveSDMatchesMIP(t *testing.T) {
-	tp, err := topology.Uniform(1, 2, 3, topology.DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		l, req := randInstance(r, tp, 2)
-		if model.Sum(req) == 0 {
-			return true
+// Property: the specialized solver agrees with the paper's program
+// solved per center by the simplex, on one cloud and on two.
+func TestQuickSolveSDMatchesLP(t *testing.T) {
+	for _, tp := range exactPlants(t, 2, 3) {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			l, req := randInstance(r, tp, 2)
+			if model.Sum(req) == 0 {
+				return true
+			}
+			fast, errFast := SolveSD(tp, l, req)
+			slow, errSlow := SolveSDLP(tp, l, req)
+			if errFast != nil || errSlow != nil {
+				return errors.Is(errFast, ErrInfeasible) && errors.Is(errSlow, ErrInfeasible)
+			}
+			if fast.Alloc.Validate(req, l) != nil || slow.Alloc.Validate(req, l) != nil {
+				return false
+			}
+			return math.Abs(fast.Distance-slow.Distance) < 1e-6
 		}
-		fast, errFast := SolveSD(tp, l, req)
-		slow, errSlow := SolveSDMIP(tp, l, req)
-		if errFast != nil || errSlow != nil {
-			return errors.Is(errFast, ErrInfeasible) && errors.Is(errSlow, ErrInfeasible)
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Errorf("%d clouds: %v", tp.Clouds(), err)
 		}
-		if err := slow.Alloc.Validate(req, l); err != nil {
-			return false
-		}
-		return math.Abs(fast.Distance-slow.Distance) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }
 
 // Property: the min-cost-flow and LP transportation backends of the GSD
-// leaf solver produce the same total.
+// leaf solver produce the same total, on one cloud and on two.
 func TestQuickGSDTransportationBackendsAgree(t *testing.T) {
-	tp, err := topology.Uniform(1, 2, 2, topology.DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := tp.Nodes()
-		l := make([][]int, n)
-		totalCap := 0
-		for i := range l {
-			l[i] = []int{1 + r.Intn(3)}
-			totalCap += l[i][0]
-		}
-		reqs := []model.Request{{1 + r.Intn(3)}, {1 + r.Intn(3)}}
-		if reqs[0][0]+reqs[1][0] > totalCap {
-			return true
-		}
-		centers := []topology.NodeID{
-			topology.NodeID(r.Intn(n)),
-			topology.NodeID(r.Intn(n)),
-		}
-		a1, t1, ok1 := solveTransportation(tp, l, reqs, centers)
-		a2, t2, ok2 := solveTransportationLP(tp, l, reqs, centers)
-		if ok1 != ok2 {
-			return false
-		}
-		if !ok1 {
-			return true
-		}
-		// Alternative optima can differ in their re-minimized DC totals,
-		// but the fixed-center transportation objective must agree.
-		fixedCost := func(allocs []affinity.Allocation) float64 {
-			total := 0.0
-			for q, a := range allocs {
-				total += a.DistanceFrom(tp, centers[q])
+	for _, tp := range exactPlants(t, 2, 2) {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			n := tp.Nodes()
+			l := make([][]int, n)
+			totalCap := 0
+			for i := range l {
+				l[i] = []int{1 + r.Intn(3)}
+				totalCap += l[i][0]
 			}
-			return total
-		}
-		if math.Abs(fixedCost(a1)-fixedCost(a2)) > 1e-6 {
-			return false
-		}
-		// And each backend's reported DC total must not exceed its own
-		// fixed-center cost.
-		if t1 > fixedCost(a1)+1e-9 || t2 > fixedCost(a2)+1e-9 {
-			return false
-		}
-		for q := range a1 {
-			if !a1[q].Satisfies(reqs[q]) || !a2[q].Satisfies(reqs[q]) {
+			reqs := []model.Request{{1 + r.Intn(3)}, {1 + r.Intn(3)}}
+			if reqs[0][0]+reqs[1][0] > totalCap {
+				return true
+			}
+			centers := []topology.NodeID{
+				topology.NodeID(r.Intn(n)),
+				topology.NodeID(r.Intn(n)),
+			}
+			a1, t1, ok1 := solveTransportation(tp, l, reqs, centers)
+			a2, t2, ok2 := solveTransportationLP(tp, l, reqs, centers)
+			if ok1 != ok2 {
 				return false
 			}
+			if !ok1 {
+				return true
+			}
+			// Alternative optima can differ in their re-minimized DC totals,
+			// but the fixed-center transportation objective must agree.
+			fixedCost := func(allocs []affinity.Allocation) float64 {
+				total := 0.0
+				for q, a := range allocs {
+					total += a.DistanceFrom(tp, centers[q])
+				}
+				return total
+			}
+			if math.Abs(fixedCost(a1)-fixedCost(a2)) > 1e-6 {
+				return false
+			}
+			// And each backend's reported DC total must not exceed its own
+			// fixed-center cost.
+			if t1 > fixedCost(a1)+1e-9 || t2 > fixedCost(a2)+1e-9 {
+				return false
+			}
+			for q := range a1 {
+				if !a1[q].Satisfies(reqs[q]) || !a2[q].Satisfies(reqs[q]) {
+					return false
+				}
+			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%d clouds: %v", tp.Clouds(), err)
+		}
 	}
 }
 
