@@ -71,13 +71,15 @@ lint-json:
 # Native fuzz targets, ~10s each: topology JSON import (reject or
 # round-trip, never panic), Algorithm 1 placement (capacity respected,
 # mismatched matrix widths rejected, the pruned scan places exactly as
-# ExhaustiveCenters, evaluator DC(C) matches the row-scan oracle), and
-# the trace encoder's
+# ExhaustiveCenters, evaluator DC(C) matches the row-scan oracle), the
+# exact SD solvers (SolveSD and SolveSDLP agree on solved, infeasible or
+# malformed input, and on the optimum), and the trace encoder's
 # quoting and integer-float fast paths (byte-equal to strconv.AppendQuote
 # and strconv.AppendFloat).
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
+	$(GO) test ./internal/sdexact -run '^$$' -fuzz '^FuzzSolveSD$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendQuote$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 10s
 
