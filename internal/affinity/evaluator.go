@@ -52,12 +52,6 @@ type DistanceEvaluator struct {
 	active    []int               // racks with rackW > 0, unordered
 	rackPos   []int               // index of rack in active, -1 when inactive
 
-	// Sums of squared totals at each aggregation level, kept incrementally
-	// for the O(1) pairwise-affinity closed form.
-	ssNode  int // Σ_i w_i²
-	ssRack  int // Σ_r rackW_r²
-	ssCloud int // Σ_c cloudW_c²
-
 	// Scan scratch, reused across Distance/MovePreview calls.
 	scanRacks []int
 	scanLB    []float64
@@ -107,7 +101,6 @@ func (e *DistanceEvaluator) Reset(a Allocation) {
 	e.hosts = e.hosts[:0]
 	e.active = e.active[:0]
 	e.total = 0
-	e.ssNode, e.ssRack, e.ssCloud = 0, 0, 0
 	for i := range a {
 		if v := model.Sum(a[i]); v > 0 {
 			e.AddVMs(topology.NodeID(i), v)
@@ -139,9 +132,6 @@ func (e *DistanceEvaluator) AddVMs(i topology.NodeID, count int) {
 	}
 	r := e.t.RackOf(i)
 	c := e.t.CloudOf(i)
-	e.ssNode += count * (2*e.w[i] + count)
-	e.ssRack += count * (2*e.rackW[r] + count)
-	e.ssCloud += count * (2*e.cloudW[c] + count)
 	if e.w[i] == 0 {
 		insertSorted(&e.hosts, i)
 		insertSorted(&e.rackHosts[r], i)
@@ -164,9 +154,6 @@ func (e *DistanceEvaluator) Remove(i topology.NodeID) {
 	}
 	r := e.t.RackOf(i)
 	c := e.t.CloudOf(i)
-	e.ssNode -= 2*e.w[i] - 1
-	e.ssRack -= 2*e.rackW[r] - 1
-	e.ssCloud -= 2*e.cloudW[c] - 1
 	e.w[i]--
 	e.rackW[r]--
 	e.cloudW[c]--
@@ -233,9 +220,6 @@ func (e *DistanceEvaluator) DistanceFrom(k topology.NodeID) float64 {
 // racks) plus a hosting-node scan of the racks whose aggregate lower bound
 // survives pruning.
 func (e *DistanceEvaluator) Distance() (float64, topology.NodeID) {
-	if e.total == 0 {
-		return 0, -1
-	}
 	return e.bestCenter(-1, -1)
 }
 
@@ -247,9 +231,6 @@ func (e *DistanceEvaluator) MovePreview(p, q topology.NodeID) (float64, topology
 	if e.w[p] <= 0 {
 		panic(fmt.Sprintf("affinity: MovePreview(%d, %d) from empty node", p, q))
 	}
-	if p == q {
-		return e.Distance()
-	}
 	return e.bestCenter(p, q)
 }
 
@@ -257,77 +238,9 @@ func (e *DistanceEvaluator) MovePreview(p, q topology.NodeID) (float64, topology
 // exact DC(C) and central node the cluster would have with the extra VM,
 // computed without mutating the evaluator. It is the evacuation planner's
 // candidate probe (PlanReplacement tries every feasible host for each
-// replacement VM); like bestCenter it scans hosting nodes only, in racks
-// whose aggregate lower bound survives pruning, with the same tie-break
-// as Allocation.Distance.
+// replacement VM).
 func (e *DistanceEvaluator) AddPreview(q topology.NodeID) (float64, topology.NodeID) {
-	d := e.t.Distances()
-	total := e.total + 1
-	rq, cq := e.t.RackOf(q), e.t.CloudOf(q)
-	racks := append(e.scanRacks[:0], e.active...)
-	if e.rackW[rq] == 0 {
-		racks = append(racks, rq)
-	}
-	lbs := e.scanLB[:0]
-	rws := e.scanRW[:0]
-	cws := e.scanCW[:0]
-	seed := -1
-	for idx, r := range racks {
-		rw := e.rackW[r]
-		cl := e.t.CloudOfRack(r)
-		cw := e.cloudW[cl]
-		if r == rq {
-			rw++
-		}
-		if cl == cq {
-			cw++
-		}
-		rws = append(rws, rw)
-		cws = append(cws, cw)
-		lb := TierSum(d, rw, rw, cw, total)
-		lbs = append(lbs, lb)
-		if seed < 0 || lb < lbs[seed] {
-			seed = idx
-		}
-	}
-	e.scanRacks, e.scanLB, e.scanRW, e.scanCW = racks, lbs, rws, cws
-
-	best := math.Inf(1)
-	bestK := topology.NodeID(-1)
-	scan := func(idx int) {
-		r := racks[idx]
-		maxW := 0
-		maxID := topology.NodeID(-1)
-		for _, h := range e.rackHosts[r] {
-			wh := e.w[h]
-			if h == q {
-				wh++
-			}
-			if wh > maxW || (wh == maxW && h < maxID) {
-				maxW, maxID = wh, h
-			}
-		}
-		if r == rq && e.w[q] == 0 {
-			// q becomes a hosting node only with the added VM.
-			if 1 > maxW || (1 == maxW && q < maxID) {
-				maxW, maxID = 1, q
-			}
-		}
-		if maxW == 0 {
-			return
-		}
-		if s := TierSum(d, maxW, rws[idx], cws[idx], total); s < best || (s == best && maxID < bestK) {
-			best, bestK = s, maxID
-		}
-	}
-	scan(seed)
-	for idx := range racks {
-		if idx == seed || lbs[idx] > best {
-			continue
-		}
-		scan(idx)
-	}
-	return best, bestK
+	return e.bestCenter(-1, q)
 }
 
 // RemovePreview prices the hypothetical removal of one VM from node p:
@@ -341,13 +254,41 @@ func (e *DistanceEvaluator) RemovePreview(p topology.NodeID) (float64, topology.
 	if e.w[p] <= 0 {
 		panic(fmt.Sprintf("affinity: RemovePreview(%d) from empty node", p))
 	}
-	if e.total == 1 {
+	return e.bestCenter(p, -1)
+}
+
+// bestCenter minimizes S_k over the cluster's hosting nodes after a
+// hypothetical removal of one VM from p and addition of one VM at q; p < 0
+// means no VM is removed and q < 0 means none is added, so
+// bestCenter(-1, -1) is the current DC(C). The minimum over all n
+// candidate centers is always attained at a hosting node (Theorem 1's
+// exchange argument), so only hosting nodes are scanned. A cluster left
+// empty has distance 0 and central node -1.
+//
+// Pass 1 prices each candidate rack's lower bound (its whole rack total
+// concentrated on one node); pass 2 scans hosting nodes only in racks whose
+// bound ties or beats the incumbent, seeded from the tightest rack. The
+// bound is computed by the same expression as the exact sum, so pruning on
+// lb > best never discards an exact tie.
+func (e *DistanceEvaluator) bestCenter(p, q topology.NodeID) (float64, topology.NodeID) {
+	d := e.t.Distances()
+	total := e.total
+	rp, rq, cp, cq := -1, -1, -1, -1
+	racks := append(e.scanRacks[:0], e.active...)
+	if p >= 0 {
+		rp, cp = e.t.RackOf(p), e.t.CloudOf(p)
+		total--
+	}
+	if q >= 0 {
+		rq, cq = e.t.RackOf(q), e.t.CloudOf(q)
+		total++
+		if e.rackW[rq] == 0 {
+			racks = append(racks, rq)
+		}
+	}
+	if total == 0 {
 		return 0, -1
 	}
-	d := e.t.Distances()
-	total := e.total - 1
-	rp, cp := e.t.RackOf(p), e.t.CloudOf(p)
-	racks := append(e.scanRacks[:0], e.active...)
 	lbs := e.scanLB[:0]
 	rws := e.scanRW[:0]
 	cws := e.scanCW[:0]
@@ -359,8 +300,14 @@ func (e *DistanceEvaluator) RemovePreview(p topology.NodeID) (float64, topology.
 		if r == rp {
 			rw--
 		}
+		if r == rq {
+			rw++
+		}
 		if cl == cp {
 			cw--
+		}
+		if cl == cq {
+			cw++
 		}
 		rws = append(rws, rw)
 		cws = append(cws, cw)
@@ -387,11 +334,20 @@ func (e *DistanceEvaluator) RemovePreview(p topology.NodeID) (float64, topology.
 			if h == p {
 				wh--
 			}
+			if h == q {
+				wh++
+			}
 			if wh == 0 {
 				continue
 			}
 			if wh > maxW || (wh == maxW && h < maxID) {
 				maxW, maxID = wh, h
+			}
+		}
+		if r == rq && e.w[q] == 0 {
+			// q becomes a hosting node only with the added VM.
+			if 1 > maxW || (1 == maxW && q < maxID) {
+				maxW, maxID = 1, q
 			}
 		}
 		if maxW == 0 {
@@ -409,157 +365,6 @@ func (e *DistanceEvaluator) RemovePreview(p topology.NodeID) (float64, topology.
 		scan(idx)
 	}
 	return best, bestK
-}
-
-// bestCenter minimizes S_k over the cluster's hosting nodes — the current
-// ones when p < 0, or those after a hypothetical single-VM move p→q. The
-// minimum over all n candidate centers is always attained at a hosting node
-// (Theorem 1's exchange argument), so only hosting nodes are scanned.
-//
-// Pass 1 prices each candidate rack's lower bound (its whole rack total
-// concentrated on one node); pass 2 scans hosting nodes only in racks whose
-// bound ties or beats the incumbent, seeded from the tightest rack. The
-// bound is computed by the same expression as the exact sum, so pruning on
-// lb > best never discards an exact tie.
-func (e *DistanceEvaluator) bestCenter(p, q topology.NodeID) (float64, topology.NodeID) {
-	d := e.t.Distances()
-	adj := p >= 0
-	rp, rq, cp, cq := -1, -1, -1, -1
-	racks := append(e.scanRacks[:0], e.active...)
-	if adj {
-		rp, rq = e.t.RackOf(p), e.t.RackOf(q)
-		cp, cq = e.t.CloudOf(p), e.t.CloudOf(q)
-		if e.rackW[rq] == 0 {
-			racks = append(racks, rq)
-		}
-	}
-	lbs := e.scanLB[:0]
-	rws := e.scanRW[:0]
-	cws := e.scanCW[:0]
-	seed := -1
-	for idx, r := range racks {
-		rw := e.rackW[r]
-		cl := e.t.CloudOfRack(r)
-		cw := e.cloudW[cl]
-		if adj {
-			if r == rp {
-				rw--
-			}
-			if r == rq {
-				rw++
-			}
-			if cl == cp {
-				cw--
-			}
-			if cl == cq {
-				cw++
-			}
-		}
-		rws = append(rws, rw)
-		cws = append(cws, cw)
-		if rw == 0 { // the move drains this rack entirely
-			lbs = append(lbs, math.Inf(1))
-			continue
-		}
-		lb := TierSum(d, rw, rw, cw, e.total)
-		lbs = append(lbs, lb)
-		if seed < 0 || lb < lbs[seed] {
-			seed = idx
-		}
-	}
-	e.scanRacks, e.scanLB, e.scanRW, e.scanCW = racks, lbs, rws, cws
-
-	best := math.Inf(1)
-	bestK := topology.NodeID(-1)
-	scan := func(idx int) {
-		r := racks[idx]
-		maxW := 0
-		maxID := topology.NodeID(-1)
-		for _, h := range e.rackHosts[r] {
-			wh := e.w[h]
-			if adj {
-				if h == p {
-					wh--
-				}
-				if h == q {
-					wh++
-				}
-			}
-			if wh == 0 {
-				continue
-			}
-			if wh > maxW || (wh == maxW && h < maxID) {
-				maxW, maxID = wh, h
-			}
-		}
-		if adj && r == rq && e.w[q] == 0 {
-			// q becomes a hosting node only after the move.
-			if 1 > maxW || (1 == maxW && q < maxID) {
-				maxW, maxID = 1, q
-			}
-		}
-		if maxW == 0 {
-			return
-		}
-		if s := TierSum(d, maxW, rws[idx], cws[idx], e.total); s < best || (s == best && maxID < bestK) {
-			best, bestK = s, maxID
-		}
-	}
-	scan(seed)
-	for idx := range racks {
-		if idx == seed || lbs[idx] > best {
-			continue
-		}
-		scan(idx)
-	}
-	return best, bestK
-}
-
-// MoveDelta returns the exact change in DC(C) a single-VM relocation p→q
-// would cause, without mutating. Negative means the move improves the
-// cluster.
-func (e *DistanceEvaluator) MoveDelta(p, q topology.NodeID) float64 {
-	after, _ := e.MovePreview(p, q)
-	before, _ := e.Distance()
-	return after - before
-}
-
-// PairwiseAffinity computes the all-pairs distance metric of the paper's
-// experimental section in O(1) from the aggregate square sums: the number
-// of unordered VM pairs at each tier is a difference of squared totals.
-func (e *DistanceEvaluator) PairwiseAffinity() float64 {
-	d := e.t.Distances()
-	tot := e.total
-	return d.SameNode*float64(e.ssNode-tot)/2 +
-		d.SameRack*float64(e.ssRack-e.ssNode)/2 +
-		d.CrossRack*float64(e.ssCloud-e.ssRack)/2 +
-		d.CrossCloud*float64(tot*tot-e.ssCloud)/2
-}
-
-// PairwiseMoveDelta returns the exact change in PairwiseAffinity caused by
-// relocating one VM from p to q, in O(1) and without mutating: only the
-// square sums of the touched node/rack/cloud totals shift.
-func (e *DistanceEvaluator) PairwiseMoveDelta(p, q topology.NodeID) float64 {
-	if e.w[p] <= 0 {
-		panic(fmt.Sprintf("affinity: PairwiseMoveDelta(%d, %d) from empty node", p, q))
-	}
-	if p == q {
-		return 0
-	}
-	d := e.t.Distances()
-	// (x−1)²−x² = 1−2x and (x+1)²−x² = 2x+1 at each aggregation level.
-	dNode := 2*(e.w[q]-e.w[p]) + 2
-	dRack, dCloud := 0, 0
-	if rp, rq := e.t.RackOf(p), e.t.RackOf(q); rp != rq {
-		dRack = 2*(e.rackW[rq]-e.rackW[rp]) + 2
-	}
-	if cp, cq := e.t.CloudOf(p), e.t.CloudOf(q); cp != cq {
-		dCloud = 2*(e.cloudW[cq]-e.cloudW[cp]) + 2
-	}
-	return d.SameNode*float64(dNode)/2 +
-		d.SameRack*float64(dRack-dNode)/2 +
-		d.CrossRack*float64(dCloud-dRack)/2 +
-		d.CrossCloud*float64(-dCloud)/2
 }
 
 // DistanceOf computes Definition 1 once for per-node VM totals w restricted

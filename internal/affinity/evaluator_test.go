@@ -30,9 +30,6 @@ func checkAgainstScratch(t *testing.T, tp *topology.Topology, e *DistanceEvaluat
 	if got, want := e.TotalVMs(), a.TotalVMs(); got != want {
 		t.Fatalf("step %d: total %d != %d", step, got, want)
 	}
-	if got, want := e.PairwiseAffinity(), a.PairwiseAffinity(tp); got != want {
-		t.Fatalf("step %d: pairwise %v != %v", step, got, want)
-	}
 }
 
 // TestEvaluatorEquivalenceRandomWalk applies long random Add/Remove/Move
@@ -89,8 +86,8 @@ func anyTypeOn(a Allocation, i topology.NodeID) model.VMTypeID {
 	panic("no VM on node")
 }
 
-// TestEvaluatorPreviewDoesNotMutate prices many moves and verifies the
-// evaluator state is untouched.
+// TestEvaluatorPreviewDoesNotMutate prices many moves, additions and
+// removals and verifies the evaluator state is untouched.
 func TestEvaluatorPreviewDoesNotMutate(t *testing.T) {
 	tp := evalPlant(t)
 	rng := rand.New(rand.NewSource(42))
@@ -107,45 +104,13 @@ func TestEvaluatorPreviewDoesNotMutate(t *testing.T) {
 		p := hosts[rng.Intn(len(hosts))]
 		q := topology.NodeID(rng.Intn(tp.Nodes()))
 		e.MovePreview(p, q)
-		e.MoveDelta(p, q)
-		e.PairwiseMoveDelta(p, q)
+		e.AddPreview(q)
+		e.RemovePreview(p)
 	}
 	if d1, k1 := e.Distance(); d1 != d0 || k1 != k0 {
 		t.Fatalf("preview mutated evaluator: (%v, %d) → (%v, %d)", d0, k0, d1, k1)
 	}
 	checkAgainstScratch(t, tp, e, a, 0)
-}
-
-// TestEvaluatorPairwiseMoveDelta checks the closed-form pairwise delta
-// against from-scratch recomputation over random moves, including a
-// non-zero SameNode tier to exercise the co-location term.
-func TestEvaluatorPairwiseMoveDelta(t *testing.T) {
-	tp, err := topology.Uniform(2, 2, 4, topology.Distances{SameNode: 0.5, SameRack: 1, CrossRack: 2, CrossCloud: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	a := NewAllocation(tp.Nodes(), 1)
-	e := NewDistanceEvaluator(tp, nil)
-	for i := 0; i < 10; i++ {
-		node := topology.NodeID(rng.Intn(tp.Nodes()))
-		a.Add(node, 0)
-		e.Add(node)
-	}
-	for trial := 0; trial < 300; trial++ {
-		hosts := a.HostingNodes()
-		p := hosts[rng.Intn(len(hosts))]
-		q := topology.NodeID(rng.Intn(tp.Nodes()))
-		before := a.PairwiseAffinity(tp)
-		delta := e.PairwiseMoveDelta(p, q)
-		a.Remove(p, 0)
-		a.Add(q, 0)
-		e.Move(p, q)
-		after := a.PairwiseAffinity(tp)
-		if math.Abs((after-before)-delta) > 1e-9 {
-			t.Fatalf("trial %d: move %d→%d delta %v, scratch %v", trial, p, q, delta, after-before)
-		}
-	}
 }
 
 // TestEvaluatorFractionalDistances exercises non-integer tiers, where
