@@ -169,13 +169,6 @@ func (a Allocation) Distance(t *topology.Topology) (float64, topology.NodeID) {
 	return DistanceOf(t, hosts, w)
 }
 
-// DistanceValue is Distance without the central node, for call sites that
-// only need the metric.
-func (a Allocation) DistanceValue(t *topology.Topology) float64 {
-	d, _ := a.Distance(t)
-	return d
-}
-
 // CentralNode returns the minimizing central node of Definition 1, or -1
 // for an empty allocation.
 func (a Allocation) CentralNode(t *topology.Topology) topology.NodeID {

@@ -88,9 +88,6 @@ func (c Catalog) Validate() error {
 // virtual cluster.
 type Request []int
 
-// NewRequest returns an all-zero request for a catalog with m types.
-func NewRequest(m int) Request { return make(Request, m) }
-
 // Clone returns an independent copy of the request.
 func (r Request) Clone() Request {
 	out := make(Request, len(r))

@@ -340,9 +340,6 @@ func (t *Topology) RackNodes(r int) []NodeID { return t.rackNodes[r] }
 // aggregation layer to price Definition 1 from per-rack totals.
 func (t *Topology) CloudOfRack(r int) int { return t.rackCloud[r] }
 
-// RackSize returns the number of nodes in rack r.
-func (t *Topology) RackSize(r int) int { return len(t.rackNodes[r]) }
-
 // CloudRacks returns the non-empty racks of cloud c in ascending rack
 // index. The returned slice must not be modified.
 //
