@@ -29,7 +29,10 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt -l: these files need gofmt -w:"; echo "$$out"; exit 1; fi
 
 # Examples smoke: run every examples/* main to completion. They have no
-# tests of their own, and each finishes in well under a second.
+# tests of their own, and each finishes in well under a second. Two
+# check their own results and exit non-zero when a check fails:
+# exactgap when its two exact solvers disagree or the optimum is not
+# positive, and batchqueue when either arm serves without queueing.
 examples:
 	@for d in examples/*/; do \
 		echo "$(GO) run ./$${d%/}"; \

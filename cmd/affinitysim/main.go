@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -54,6 +55,14 @@ func main() {
 }
 
 func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr float64, requests int) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"mtbf", mtbf}, {"mttr", mttr}, {"requests", float64(requests)}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("-%s must be finite and non-negative (0 = scenario default), got %v", f.name, f.v)
+		}
+	}
 	want := func(f string) bool { return fig == "all" || fig == f }
 	if want("2") {
 		res, err := experiments.Fig2(seed)

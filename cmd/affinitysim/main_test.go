@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunAllFigures(t *testing.T) {
@@ -28,6 +30,37 @@ func TestRunUnknownFigure(t *testing.T) {
 	for _, fig := range []string{"9", "service"} {
 		if err := run(io.Discard, 7, fig, "", "", 0, 0, 0); err == nil {
 			t.Errorf("unknown figure %q accepted", fig)
+		}
+	}
+}
+
+// TestRunRejectsBadFlagValues: a negative or non-finite -mtbf, -mttr or
+// -requests is an error, not a silent fall-back to the scenario default,
+// and an -mtbf so small that the fault schedule could never be drawn is
+// refused instead of hanging. Each case runs under a timeout.
+func TestRunRejectsBadFlagValues(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		fig        string
+		mtbf, mttr float64
+		requests   int
+	}{
+		{"negative requests", "soak", 0, 0, -5},
+		{"negative mtbf", "faults", -1, 0, 0},
+		{"negative mttr", "faults", 0, -3, 0},
+		{"NaN mtbf", "faults", math.NaN(), 0, 0},
+		{"infinite mttr", "faults", 0, math.Inf(1), 0},
+		{"tiny mtbf", "faults", 1e-300, 0, 0},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run(io.Discard, 2012, tc.fig, "", "", tc.mtbf, tc.mttr, tc.requests) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: still running after 10s", tc.name)
 		}
 	}
 }

@@ -133,11 +133,10 @@ func (a Allocation) Validate(r model.Request, l [][]int) error {
 // DistanceFrom returns Σ_i (Σ_j C_ij) · D_ik for a fixed central node k:
 // the inner sum of Definition 1 before minimization.
 func (a Allocation) DistanceFrom(t *topology.Topology, k topology.NodeID) float64 {
-	row := t.DistanceRow(k)
 	var sum float64
 	for i := range a {
 		if v := model.Sum(a[i]); v > 0 {
-			sum += float64(v) * row[i]
+			sum += float64(v) * t.Distance(k, topology.NodeID(i))
 		}
 	}
 	return sum

@@ -1,8 +1,9 @@
 // Package cloudsim simulates a cloud serving a stream of virtual-cluster
 // requests over time — the paper's operational setting where "requests
 // will arrive and their job will finish randomly" (Section V.A). Arrivals
-// try to provision immediately through a pluggable placement strategy;
-// requests that do not fit wait in the FIFO queue of package queue, and
+// try to provision immediately with the online heuristic (Algorithm 1)
+// over a tier index the simulator keeps on its inventory; requests that
+// do not fit wait in the FIFO queue of package queue, and
 // whenever a departing cluster releases resources, the paper's
 // take-what-fits getRequests (Section III.C) re-examines them in queue
 // order.
@@ -54,8 +55,6 @@ type Config struct {
 	// clusters after every departure, tightening them into freed
 	// capacity.
 	Migrate bool
-	// Migration tunes the planner when Migrate is set.
-	Migration migration.Config
 	// Faults, when enabled, injects the deterministic crash/repair
 	// schedule of package faults into the run: failed nodes lose their
 	// capacity and the VMs they host, and affected clusters are
@@ -71,9 +70,9 @@ type Config struct {
 	// Elastic, when enabled, resizes every served cluster across its
 	// map/shuffle boundary: grow for the map phase, shrink into the
 	// shuffle, with deadline-aware admission (see
-	// internal/cloudsim/elastic.go). Requires the indexed online
-	// heuristic in direct per-request mode; composes with Faults. The
-	// zero value leaves the static simulation untouched.
+	// internal/cloudsim/elastic.go). Requires direct per-request mode;
+	// composes with Faults. The zero value leaves the static simulation
+	// untouched.
 	Elastic ElasticConfig
 	// RetainSamples keeps the exact per-request Distances and Waits
 	// slices on Metrics — O(served requests) memory, required for exact
@@ -209,21 +208,18 @@ type Metrics struct {
 
 // Simulator runs one scenario.
 type Simulator struct {
-	topo   *topology.Topology
-	inv    *inventory.Inventory
-	placer placement.Placer
-	cfg    Config
+	topo *topology.Topology
+	inv  *inventory.Inventory
+	cfg  Config
 
 	engine *eventsim.Engine
 	queue  *queue.Queue
 	global *placement.GlobalSubOpt
 	mig    *migration.Planner
 
-	// Sparse fast path: when the placer is the online heuristic with the
-	// pruned-scan policy, a persistent tier index is attached to the
-	// inventory at construction and each placement goes through
-	// PlaceSparse + AllocateList instead of clone-plan-commit. The results
-	// are bitwise identical; only the per-request O(n·m) copies disappear.
+	// The online heuristic and the persistent tier index attached to the
+	// inventory at construction: each placement goes through PlaceSparse
+	// + AllocateList, with no per-request O(n·m) copy of the plant.
 	online *placement.OnlineHeuristic
 	tidx   *affinity.TierIndex
 	sp     affinity.SparseAlloc
@@ -306,26 +302,31 @@ type simMetrics struct {
 	recoverySeconds  *obs.Histogram
 }
 
-// New builds a simulator over a topology, a live inventory, and a
-// placement strategy.
+// New builds a simulator over a topology, a live inventory, and the
+// online heuristic that places its requests. The heuristic must use the
+// ScanAllCenters policy: New attaches a tier index to the inventory and
+// places through PlaceSparse.
 //
 //lint:owner singlewriter
-func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Placer, cfg Config) (*Simulator, error) {
+func New(tp *topology.Topology, inv *inventory.Inventory, online *placement.OnlineHeuristic, cfg Config) (*Simulator, error) {
 	if tp.Nodes() != inv.Nodes() {
 		return nil, fmt.Errorf("cloudsim: topology has %d nodes, inventory %d", tp.Nodes(), inv.Nodes())
 	}
-	if placer == nil {
-		return nil, errors.New("cloudsim: nil placer")
+	if online == nil {
+		return nil, errors.New("cloudsim: nil online heuristic")
+	}
+	if online.Policy != placement.ScanAllCenters {
+		return nil, fmt.Errorf("cloudsim: the online heuristic must use ScanAllCenters, got %q", online.Name())
 	}
 	s := &Simulator{
 		topo:            tp,
 		inv:             inv,
-		placer:          placer,
+		online:          online,
 		cfg:             cfg,
 		engine:          eventsim.New(),
 		queue:           queue.New(cfg.Policy, cfg.QueueCap),
 		global:          &placement.GlobalSubOpt{Obs: cfg.Obs},
-		mig:             &migration.Planner{Config: cfg.Migration, Obs: cfg.Obs},
+		mig:             &migration.Planner{Obs: cfg.Obs},
 		running:         make(map[int]*cluster),
 		pendingRecovery: make(map[model.RequestID]float64),
 		dcW:             make([]int, tp.Nodes()),
@@ -376,22 +377,17 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 	if s.totalSlots == 0 {
 		return nil, errors.New("cloudsim: inventory has zero capacity")
 	}
-	if oh, ok := placer.(*placement.OnlineHeuristic); ok && oh.Policy == placement.ScanAllCenters {
-		idx, err := inv.AttachTierIndex(tp)
-		if err != nil {
-			return nil, fmt.Errorf("cloudsim: attaching tier index: %w", err)
-		}
-		s.online, s.tidx = oh, idx
+	idx, err := inv.AttachTierIndex(tp)
+	if err != nil {
+		return nil, fmt.Errorf("cloudsim: attaching tier index: %w", err)
 	}
+	s.tidx = idx
 	if cfg.Elastic.Enabled {
 		if cfg.Batch || cfg.Migrate {
 			return nil, errors.New("cloudsim: Elastic supports direct per-request mode only (no Batch or Migrate)")
 		}
 		if err := cfg.Elastic.validate(); err != nil {
 			return nil, err
-		}
-		if s.tidx == nil {
-			return nil, fmt.Errorf("cloudsim: Elastic requires the indexed online heuristic, got %q", placer.Name())
 		}
 		s.ecfg = cfg.Elastic.withDefaults()
 	}
@@ -411,7 +407,7 @@ func (s *Simulator) Run(reqs []model.TimedRequest) (*Metrics, error) {
 	seen := make(map[model.RequestID]bool, len(reqs))
 	valid := make([]model.TimedRequest, 0, len(reqs))
 	for _, r := range reqs {
-		if !validRequest(r) || seen[r.ID] {
+		if !s.validRequest(r) || seen[r.ID] {
 			// Malformed or duplicate input is accounted for, not silently
 			// dropped, so conservation still holds over the input slice.
 			s.reject(r, 0, "invalid", false)
@@ -456,7 +452,7 @@ func (c *contractSource) Next() (model.TimedRequest, bool, error) {
 		if err != nil || !ok {
 			return r, ok, err
 		}
-		if !validRequest(r) || r.ID <= c.lastID || r.Arrival < c.lastAt {
+		if !c.sim.validRequest(r) || r.ID <= c.lastID || r.Arrival < c.lastAt {
 			c.sim.reject(r, c.sim.engine.Now(), "invalid", false)
 			continue
 		}
@@ -576,8 +572,12 @@ func (s *Simulator) finish() (*Metrics, error) {
 }
 
 // validRequest filters inputs the engine or the accounting cannot
-// represent: non-finite or negative times and negative demand entries.
-func validRequest(r model.TimedRequest) bool {
+// represent: non-finite or negative times, a demand vector whose width is
+// not the inventory's type count, and negative demand entries.
+func (s *Simulator) validRequest(r model.TimedRequest) bool {
+	if len(r.Vector) != s.inv.Types() {
+		return false
+	}
 	for _, t := range []float64{r.Arrival, r.Hold} {
 		if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
 			return false
@@ -641,43 +641,25 @@ func (s *Simulator) reject(r model.TimedRequest, now float64, reason string, arr
 }
 
 // place provisions a single request right now; returns false if the
-// placer could not fit it (so it should queue instead). Only the
-// ErrInsufficient sentinels mean "does not fit" — any other placer or
-// inventory error is a bug and aborts the run instead of being
-// misread as a full cloud.
+// online heuristic could not fit it (so it should queue instead). Only
+// the ErrInsufficient sentinels mean "does not fit" — any other
+// placement or inventory error is a bug and aborts the run instead of
+// being misread as a full cloud.
 func (s *Simulator) place(r model.TimedRequest, now float64) bool {
-	if s.tidx != nil && len(r.Vector) == s.tidx.Types() {
-		d, center, err := s.online.PlaceSparse(s.tidx, r.Vector, &s.sp)
-		if err != nil {
-			if !errors.Is(err, placement.ErrInsufficient) {
-				s.fail(fmt.Errorf("cloudsim: placer %s on request %d: %w", s.placer.Name(), r.ID, err))
-			}
-			return false
-		}
-		if err := s.inv.AllocateList(s.sp.Entries); err != nil {
-			if !errors.Is(err, inventory.ErrInsufficient) {
-				s.fail(fmt.Errorf("cloudsim: allocating request %d: %w", r.ID, err))
-			}
-			return false
-		}
-		s.commission(r, s.sp.Entries, d, center, now)
-		return true
-	}
-	alloc, err := s.placer.Place(s.topo, s.inv.Remaining(), r.Vector)
+	d, center, err := s.online.PlaceSparse(s.tidx, r.Vector, &s.sp)
 	if err != nil {
 		if !errors.Is(err, placement.ErrInsufficient) {
-			s.fail(fmt.Errorf("cloudsim: placer %s on request %d: %w", s.placer.Name(), r.ID, err))
+			s.fail(fmt.Errorf("cloudsim: placing request %d: %w", r.ID, err))
 		}
 		return false
 	}
-	if err := s.inv.Allocate([][]int(alloc)); err != nil {
+	if err := s.inv.AllocateList(s.sp.Entries); err != nil {
 		if !errors.Is(err, inventory.ErrInsufficient) {
 			s.fail(fmt.Errorf("cloudsim: allocating request %d: %w", r.ID, err))
 		}
 		return false
 	}
-	d, center := alloc.Distance(s.topo)
-	s.commission(r, alloc.Sparse(), d, center, now)
+	s.commission(r, s.sp.Entries, d, center, now)
 	return true
 }
 

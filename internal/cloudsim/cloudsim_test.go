@@ -37,7 +37,10 @@ func timed(id int, vec model.Request, at, hold float64) model.TimedRequest {
 func TestNewValidation(t *testing.T) {
 	tp, inv := plant(t)
 	if _, err := New(tp, inv, nil, Config{}); err == nil {
-		t.Error("nil placer accepted")
+		t.Error("nil online heuristic accepted")
+	}
+	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}, Config{}); err == nil {
+		t.Error("ExhaustiveCenters heuristic accepted")
 	}
 	smallInv, _ := inventory.NewFromMatrix([][]int{{1, 1}})
 	if _, err := New(tp, smallInv, &placement.OnlineHeuristic{}, Config{}); err == nil {
@@ -430,32 +433,5 @@ func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
 	}
 	if !bytes.Equal(one.Bytes(), two.Bytes()) {
 		t.Error("instrumented snapshots differ across identical runs")
-	}
-}
-
-func TestAffinityPlacerYieldsShorterDistancesThanRandom(t *testing.T) {
-	run := func(p placement.Placer) float64 {
-		tp := topology.PaperSimPlant()
-		caps, _ := workload.RandomCapacities(3, tp.Nodes(), 3, workload.DefaultInventoryConfig())
-		inv, _ := inventory.NewFromMatrix(caps)
-		reqs, _ := workload.RandomRequests(4, 20, 3, workload.Normal, workload.DefaultRequestConfig())
-		timedReqs, _ := workload.TimedRequests(5, reqs, workload.DefaultArrivalConfig())
-		sim, err := New(tp, inv, p, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sim.Run(timedReqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Served == 0 {
-			t.Fatal("nothing served")
-		}
-		return m.TotalDistance / float64(m.Served)
-	}
-	affine := run(&placement.OnlineHeuristic{})
-	striped := run(placement.RoundRobinStripe{})
-	if affine >= striped {
-		t.Errorf("affinity-aware mean distance %.2f not below round-robin %.2f", affine, striped)
 	}
 }

@@ -38,9 +38,8 @@ import (
 )
 
 // ElasticConfig enables map/shuffle-driven resizing of every served
-// cluster. Elastic mode requires the indexed online heuristic and
-// per-request service (no Batch or Migrate); fault injection composes
-// with it.
+// cluster. Elastic mode requires per-request service (no Batch or
+// Migrate); fault injection composes with it.
 type ElasticConfig struct {
 	// Enabled turns elastic resizing on; the zero value leaves every
 	// code path of the static simulation untouched.

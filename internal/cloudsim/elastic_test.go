@@ -48,9 +48,6 @@ func TestElasticValidation(t *testing.T) {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
-	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}, Config{Elastic: elasticCfg()}); err == nil {
-		t.Error("elastic with non-indexed placer accepted")
-	}
 }
 
 // One request on a half-empty plant: the grow is served at commission,

@@ -2,12 +2,12 @@ package cloudsim
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
-	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/faults"
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
@@ -176,7 +176,8 @@ func TestTeardownVictimRejectedWhenQueueFull(t *testing.T) {
 // Malformed requests are rejected up front and still counted.
 func TestInvalidRequestsRejectedUpFront(t *testing.T) {
 	tp, inv := plant(t)
-	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,37 +188,44 @@ func TestInvalidRequestsRejectedUpFront(t *testing.T) {
 		timed(3, model.Request{-1, 0}, 3, 10),
 		timed(0, model.Request{1, 0}, 4, 10), // duplicate ID
 		timed(4, model.Request{1, 0}, math.Inf(1), 10),
+		timed(5, model.Request{1}, 5, 10),       // too few types
+		timed(6, model.Request{1, 0, 0}, 6, 10), // too many types
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conserve(t, m, 6)
-	if m.Served != 1 || m.Rejected != 5 {
-		t.Errorf("served=%d rejected=%d, want 1/5", m.Served, m.Rejected)
+	conserve(t, m, 8)
+	if m.Served != 1 || m.Rejected != 7 {
+		t.Errorf("served=%d rejected=%d, want 1/7", m.Served, m.Rejected)
+	}
+	// Malformed input is refused at t=0, before any arrival: a request
+	// of the wrong width is invalid, not larger than the plant.
+	want := []string{"1 invalid @0", "2 invalid @0", "3 invalid @0", "0 invalid @0",
+		"4 invalid @0", "5 invalid @0", "6 invalid @0"}
+	if got := rejectLog(reg); !slices.Equal(got, want) {
+		t.Errorf("rejects = %q, want %q", got, want)
 	}
 }
 
-// A placer returning a non-sentinel error must abort the run instead of
-// being misread as "does not fit".
-type brokenPlacer struct{}
-
-func (brokenPlacer) Name() string { return "broken" }
-func (brokenPlacer) Place(*topology.Topology, [][]int, model.Request) (affinity.Allocation, error) {
-	return nil, errTestBroken
-}
-
-var errTestBroken = errors.New("placer exploded")
-
-func TestHardPlacerErrorAbortsRun(t *testing.T) {
-	tp, inv := plant(t)
-	sim, err := New(tp, inv, brokenPlacer{}, Config{})
-	if err != nil {
-		t.Fatal(err)
+// rejectLog lists the registry's queue_reject events as "req reason @t".
+func rejectLog(reg *obs.Registry) []string {
+	var out []string
+	for _, e := range reg.Events() {
+		if e.Kind != "queue_reject" {
+			continue
+		}
+		var req, reason any
+		for _, f := range e.Fields {
+			switch f.Key {
+			case "req":
+				req = f.Val()
+			case "reason":
+				reason = f.Val()
+			}
+		}
+		out = append(out, fmt.Sprintf("%v %v @%v", req, reason, e.Time))
 	}
-	_, err = sim.Run([]model.TimedRequest{timed(0, model.Request{1, 0}, 1, 10)})
-	if !errors.Is(err, errTestBroken) {
-		t.Fatalf("err = %v, want wrapped placer error", err)
-	}
+	return out
 }
 
 // Full seeded fault pipeline: same seed and config twice must produce

@@ -2,11 +2,13 @@ package cloudsim
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -197,7 +199,8 @@ func TestStreamingMetricsParity(t *testing.T) {
 // stream.
 func TestRunStreamRejectsContractViolations(t *testing.T) {
 	tp, inv := plant(t)
-	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +212,23 @@ func TestRunStreamRejectsContractViolations(t *testing.T) {
 		timed(3, model.Request{1, 0}, math.NaN(), 10), // invalid time
 		timed(4, model.Request{-1, 0}, 3, 10),         // negative demand
 		timed(5, model.Request{1, 0}, 3, 10),          // OK
+		timed(6, model.Request{1}, 4, 10),             // too few types
+		timed(7, model.Request{1, 0, 0}, 5, 10),       // too many types
+		timed(8, model.Request{1, 0}, 6, 10),          // OK
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	conserve(t, m, 7)
-	if m.Served != 3 || m.Rejected != 4 {
-		t.Errorf("served=%d rejected=%d, want 3/4", m.Served, m.Rejected)
+	conserve(t, m, 10)
+	if m.Served != 4 || m.Rejected != 6 {
+		t.Errorf("served=%d rejected=%d, want 4/6", m.Served, m.Rejected)
+	}
+	// Each violation is rejected when it is pulled: right after the
+	// arrival before it fires.
+	want := []string{"0 invalid @1", "2 invalid @1.5", "3 invalid @1.5", "4 invalid @1.5",
+		"6 invalid @3", "7 invalid @3"}
+	if got := rejectLog(reg); !slices.Equal(got, want) {
+		t.Errorf("rejects = %q, want %q", got, want)
 	}
 }
 
@@ -372,6 +385,8 @@ func TestRunStreamSourceErrorAborts(t *testing.T) {
 
 type failingSource struct{}
 
+var errSourceBroken = errors.New("source exploded")
+
 func (failingSource) Next() (model.TimedRequest, bool, error) {
-	return model.TimedRequest{}, false, errTestBroken
+	return model.TimedRequest{}, false, errSourceBroken
 }

@@ -89,6 +89,13 @@ type Config struct {
 	RackEvery int
 }
 
+// maxExpectedFailures bounds Horizon/MTBF, the expected number of
+// inter-failure gaps Plan draws. Both values reach Plan from outside the
+// program (affinitysim's -mtbf flag), and a tiny MTBF would keep Plan
+// drawing gaps for hours instead of failing. Every schedule in the repo
+// expects fewer than 1,000 draws.
+const maxExpectedFailures = 1 << 20
+
 // Enabled reports whether the configuration injects any faults.
 func (c Config) Enabled() bool { return c.MTBF > 0 }
 
@@ -105,6 +112,9 @@ func (c Config) Validate() error {
 	}
 	if !(c.Horizon > 0) || math.IsInf(c.Horizon, 0) {
 		return fmt.Errorf("faults: Horizon must be positive and finite, got %v", c.Horizon)
+	}
+	if c.Horizon/c.MTBF > maxExpectedFailures {
+		return fmt.Errorf("faults: Horizon/MTBF = %v/%v expects more than %d failures", c.Horizon, c.MTBF, maxExpectedFailures)
 	}
 	if c.MaxFailures < 0 {
 		return fmt.Errorf("faults: negative MaxFailures %d", c.MaxFailures)

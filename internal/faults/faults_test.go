@@ -30,11 +30,16 @@ func TestValidate(t *testing.T) {
 		{MTBF: 10, MTTR: 5},               // no horizon
 		{MTBF: 10, MTTR: 5, Horizon: 10, RackEvery: -1},
 		{MTBF: 10, MTTR: 5, Horizon: 10, MaxFailures: -2},
+		{MTBF: 1e-300, MTTR: 5, Horizon: 250},                // ~2.5e302 expected draws
+		{MTBF: 1, MTTR: 5, Horizon: maxExpectedFailures + 1}, // just over the cap
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, c)
 		}
+	}
+	if err := (Config{MTBF: 1, MTTR: 5, Horizon: maxExpectedFailures}).Validate(); err != nil {
+		t.Errorf("config at the cap rejected: %v", err)
 	}
 }
 

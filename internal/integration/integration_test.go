@@ -8,6 +8,7 @@ package integration
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"affinitycluster/internal/affinity"
@@ -195,5 +196,86 @@ func TestExactSolverAgreementAtScale(t *testing.T) {
 	d, _ := alloc.Distance(topo)
 	if d < greedy.Distance-1e-9 {
 		t.Errorf("heuristic %v below optimum %v", d, greedy.Distance)
+	}
+}
+
+// TestGlobalSubOptAgainstGSDOptimum pins Algorithm 2 (sequential
+// Algorithm 1, then Theorem-2 exchanges) against the exact GSD optimum
+// over a fixed set of three-request batches on the paper plant. At most
+// one VM of each type per node makes every optimum positive. The
+// heuristic's summed total is a ceiling that refactors must not exceed;
+// skipping the exchange step raises it.
+func TestGlobalSubOptAgainstGSDOptimum(t *testing.T) {
+	const (
+		seeds      = 40
+		optSum     = 506 // Σ of the exact optima over the seed set
+		heurCeil   = 513 // Σ of Algorithm 2's totals when this was pinned
+		batchTypes = 3
+	)
+	topo := topology.PaperSimPlant()
+	var heur, opt float64
+	above := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		caps, err := workload.RandomCapacities(seed, topo.Nodes(), batchTypes, workload.InventoryConfig{MaxPerType: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		reqs := make([]model.Request, 3)
+		for i := range reqs {
+			reqs[i] = make(model.Request, batchTypes)
+			for j := range reqs[i] {
+				reqs[i][j] = 1 + rng.Intn(4)
+			}
+		}
+		exact, err := sdexact.SolveGSD(topo, caps, reqs, sdexact.GSDOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: SolveGSD: %v", seed, err)
+		}
+		if exact.Total <= 0 {
+			t.Fatalf("seed %d: optimum %v: the batch no longer forces a spread", seed, exact.Total)
+		}
+		res, err := (&placement.GlobalSubOpt{}).PlaceBatch(topo, caps, reqs)
+		if err != nil {
+			t.Fatalf("seed %d: PlaceBatch: %v", seed, err)
+		}
+		if res.Failed != 0 {
+			t.Fatalf("seed %d: %d requests failed on a feasible batch", seed, res.Failed)
+		}
+		used := affinity.NewAllocation(topo.Nodes(), batchTypes)
+		total := 0.0
+		for qi, a := range res.Allocs {
+			if !a.Satisfies(reqs[qi]) {
+				t.Fatalf("seed %d: request %d got %v, want %v", seed, qi, a.Vector(), reqs[qi])
+			}
+			for i := range a {
+				for j, k := range a[i] {
+					used[i][j] += k
+				}
+			}
+			d, _ := a.Distance(topo)
+			total += d
+		}
+		if !used.Fits(caps) {
+			t.Fatalf("seed %d: the batch's combined allocation exceeds L", seed)
+		}
+		if math.Abs(total-res.Total) > 1e-9 {
+			t.Errorf("seed %d: Total %v, allocations sum to %v", seed, res.Total, total)
+		}
+		if res.Total < exact.Total-1e-9 {
+			t.Errorf("seed %d: heuristic %v below the optimum %v", seed, res.Total, exact.Total)
+		}
+		if res.Total > exact.Total+1e-9 {
+			above++
+		}
+		heur += res.Total
+		opt += exact.Total
+	}
+	t.Logf("%d batches: Algorithm 2 %v, optimum %v, above the optimum on %d", seeds, heur, opt, above)
+	if opt != optSum {
+		t.Errorf("optima sum to %v, want %v: the batch set changed", opt, optSum)
+	}
+	if heur > heurCeil {
+		t.Errorf("Algorithm 2's totals sum to %v, above the pinned ceiling %v", heur, heurCeil)
 	}
 }

@@ -10,8 +10,8 @@
 // plant capacity and produces an ordered list of single-VM moves — each
 // relocating one VM into free capacity (or trading same-type VMs between
 // two clusters, which is capacity-neutral) so that the owning clusters'
-// DC strictly decreases. Moves carry a traffic cost (the VM's memory
-// image) so operators can bound disruption.
+// DC strictly decreases. Moves carry a traffic cost, the VM's memory
+// image, which cloudsim reports as migration traffic.
 package migration
 
 import (
@@ -66,24 +66,11 @@ type Plan struct {
 	TotalCost float64
 }
 
-// Config tunes the planner.
-type Config struct {
-	// MaxMoves caps the total number of moves in a plan (0 = 64).
-	MaxMoves int
-	// MinGain discards moves whose DC reduction is below this threshold;
-	// 0 accepts any strict improvement.
-	MinGain float64
-	// Catalog supplies per-type memory sizes for the traffic cost; nil
-	// uses model.DefaultCatalog() when the type count matches, else a
-	// flat 1 GB per VM.
-	Catalog model.Catalog
-	// MaxCostMB bounds the plan's total migration traffic (0 = unbounded).
-	MaxCostMB float64
-}
+// maxMoves caps the number of moves in one plan.
+const maxMoves = 64
 
 // Planner computes migration plans. The zero value is usable.
 type Planner struct {
-	Config Config
 	// Obs, when non-nil, receives planner metrics (plan counts, planned
 	// moves, gain and traffic histograms). Nil stays a strict no-op.
 	Obs *obs.Registry
@@ -115,24 +102,19 @@ func (p *Planner) obsHandles() *plannerMetrics {
 	return &p.metrics
 }
 
-// memoryMB returns the migration traffic of one VM of the given type.
-func (p *Planner) memoryMB(types int, vt model.VMTypeID) float64 {
-	cat := p.Config.Catalog
-	if cat == nil {
-		def := model.DefaultCatalog()
-		if def.Types() == types {
-			cat = def
-		}
-	}
-	if cat != nil && int(vt) < cat.Types() {
-		return cat[vt].MemoryGB * 1024
+// memoryMB returns the migration traffic of one VM of the given type:
+// its memory size in model.DefaultCatalog() when the plant has that
+// catalog's type count, else a flat 1 GB.
+func memoryMB(types int, vt model.VMTypeID) float64 {
+	if def := model.DefaultCatalog(); def.Types() == types {
+		return def[vt].MemoryGB * 1024
 	}
 	return 1024
 }
 
 // Plan computes an improving migration plan for the running clusters
-// against the residual capacity matrix. Neither input is mutated; use
-// Apply to realize a plan.
+// against the residual capacity matrix: up to 64 moves, each strictly
+// lowering the total DC. Neither input is mutated.
 func (p *Planner) Plan(t *topology.Topology, residual [][]int, clusters []affinity.Allocation) (*Plan, error) {
 	if t == nil {
 		return nil, errors.New("migration: nil topology")
@@ -157,20 +139,13 @@ func (p *Planner) Plan(t *topology.Topology, residual [][]int, clusters []affini
 		free[i] = append([]int(nil), residual[i]...)
 	}
 
-	maxMoves := p.Config.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = 64
-	}
 	plan := &Plan{}
 	for len(plan.Moves) < maxMoves {
-		mv, ok := p.bestMove(t, free, work, evs)
-		if !ok || mv.Gain <= p.Config.MinGain {
+		mv, ok := bestMove(t, free, work, evs)
+		if !ok {
 			break
 		}
-		if p.Config.MaxCostMB > 0 && plan.TotalCost+mv.CostMB > p.Config.MaxCostMB {
-			break
-		}
-		p.applyTo(work, free, mv)
+		applyTo(work, free, mv)
 		evs[mv.Cluster].Move(mv.From, mv.To)
 		if mv.Kind == Swap {
 			evs[mv.Peer].Move(mv.To, mv.From)
@@ -194,7 +169,7 @@ func (p *Planner) Plan(t *topology.Topology, residual [][]int, clusters []affini
 // evaluators (MovePreview) instead of mutate-and-revert full recomputation;
 // the scan order, strict-improvement threshold, and first-wins tie handling
 // are unchanged, so the chosen move is identical.
-func (p *Planner) bestMove(t *topology.Topology, free [][]int, clusters []affinity.Allocation, evs []*affinity.DistanceEvaluator) (Move, bool) {
+func bestMove(t *topology.Topology, free [][]int, clusters []affinity.Allocation, evs []*affinity.DistanceEvaluator) (Move, bool) {
 	var best Move
 	found := false
 	consider := func(mv Move) {
@@ -230,7 +205,7 @@ func (p *Planner) bestMove(t *topology.Topology, free [][]int, clusters []affini
 							From:    topology.NodeID(from),
 							To:      topology.NodeID(to),
 							Gain:    gain,
-							CostMB:  p.memoryMB(m, model.VMTypeID(j)),
+							CostMB:  memoryMB(m, model.VMTypeID(j)),
 						})
 					}
 				}
@@ -271,7 +246,7 @@ func (p *Planner) bestMove(t *topology.Topology, free [][]int, clusters []affini
 								From:    topology.NodeID(pN),
 								To:      topology.NodeID(qN),
 								Gain:    gain,
-								CostMB:  2 * p.memoryMB(m, model.VMTypeID(j)),
+								CostMB:  2 * memoryMB(m, model.VMTypeID(j)),
 							})
 						}
 					}
@@ -283,7 +258,7 @@ func (p *Planner) bestMove(t *topology.Topology, free [][]int, clusters []affini
 }
 
 // applyTo realizes one move on working state.
-func (p *Planner) applyTo(clusters []affinity.Allocation, free [][]int, mv Move) {
+func applyTo(clusters []affinity.Allocation, free [][]int, mv Move) {
 	c := clusters[mv.Cluster]
 	switch mv.Kind {
 	case Relocate:
@@ -298,33 +273,6 @@ func (p *Planner) applyTo(clusters []affinity.Allocation, free [][]int, mv Move)
 		peer.Remove(mv.To, mv.Type)
 		peer.Add(mv.From, mv.Type)
 	}
-}
-
-// Apply realizes a plan in place on the caller's clusters and residual
-// matrix. The plan must have been produced for exactly these inputs (or
-// equivalent state); a move that no longer fits aborts with an error,
-// leaving earlier moves applied — callers wanting atomicity should apply
-// to clones.
-func (p *Planner) Apply(plan *Plan, clusters []affinity.Allocation, residual [][]int) error {
-	for i, mv := range plan.Moves {
-		c := clusters[mv.Cluster]
-		if c == nil || c[mv.From][mv.Type] == 0 {
-			return fmt.Errorf("migration: move %d no longer applicable", i)
-		}
-		switch mv.Kind {
-		case Relocate:
-			if residual[mv.To][mv.Type] == 0 {
-				return fmt.Errorf("migration: move %d target capacity gone", i)
-			}
-		case Swap:
-			peer := clusters[mv.Peer]
-			if peer == nil || peer[mv.To][mv.Type] == 0 {
-				return fmt.Errorf("migration: move %d swap peer changed", i)
-			}
-		}
-		p.applyTo(clusters, residual, mv)
-	}
-	return nil
 }
 
 // ErrNoCapacity is returned by PlanReplacement when some lost VM cannot
@@ -379,17 +327,4 @@ func PlanReplacement(t *topology.Topology, residual [][]int, cluster affinity.Al
 		}
 	}
 	return repl, nil
-}
-
-// TotalDistance sums DC over non-nil clusters — the quantity migrations
-// shrink.
-func TotalDistance(t *topology.Topology, clusters []affinity.Allocation) float64 {
-	total := 0.0
-	for _, c := range clusters {
-		if c != nil {
-			d, _ := c.Distance(t)
-			total += d
-		}
-	}
-	return total
 }

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,42 @@ func twoRacks(t *testing.T) *topology.Topology {
 		t.Fatal(err)
 	}
 	return tp
+}
+
+// applyPlan realizes a plan in place through applyTo, first checking
+// that each move still applies: its VM is where the move takes it from,
+// and its target has room (a relocation) or holds the peer's VM (a swap).
+func applyPlan(plan *Plan, clusters []affinity.Allocation, residual [][]int) error {
+	for i, mv := range plan.Moves {
+		c := clusters[mv.Cluster]
+		if c == nil || c[mv.From][mv.Type] == 0 {
+			return fmt.Errorf("move %d no longer applicable", i)
+		}
+		switch mv.Kind {
+		case Relocate:
+			if residual[mv.To][mv.Type] == 0 {
+				return fmt.Errorf("move %d target capacity gone", i)
+			}
+		case Swap:
+			if peer := clusters[mv.Peer]; peer == nil || peer[mv.To][mv.Type] == 0 {
+				return fmt.Errorf("move %d swap peer changed", i)
+			}
+		}
+		applyTo(clusters, residual, mv)
+	}
+	return nil
+}
+
+// totalDistance sums DC over the non-nil clusters.
+func totalDistance(t *topology.Topology, clusters []affinity.Allocation) float64 {
+	total := 0.0
+	for _, c := range clusters {
+		if c != nil {
+			d, _ := c.Distance(t)
+			total += d
+		}
+	}
+	return total
 }
 
 func TestPlanValidation(t *testing.T) {
@@ -70,6 +107,16 @@ func TestRelocationIntoFreedCapacity(t *testing.T) {
 	if cluster[3][0] != 1 || residual[1][0] != 1 {
 		t.Error("Plan mutated its inputs")
 	}
+	// Two strays, plenty of free capacity: the plan makes 2 moves.
+	cluster = affinity.Allocation{{3}, {0}, {0}, {1}, {1}, {0}}
+	residual = [][]int{{0}, {2}, {2}, {0}, {0}, {0}}
+	plan, err = p.Plan(tp, residual, []affinity.Allocation{cluster})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Moves) != 2 {
+		t.Fatalf("two-stray moves = %d, want 2", len(plan.Moves))
+	}
 }
 
 func TestApplyRealizesPlan(t *testing.T) {
@@ -82,11 +129,11 @@ func TestApplyRealizesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := TotalDistance(tp, clusters)
-	if err := p.Apply(plan, clusters, residual); err != nil {
+	before := totalDistance(tp, clusters)
+	if err := applyPlan(plan, clusters, residual); err != nil {
 		t.Fatal(err)
 	}
-	after := TotalDistance(tp, clusters)
+	after := totalDistance(tp, clusters)
 	if before-after != plan.TotalGain {
 		t.Errorf("gain mismatch: %v vs %v", before-after, plan.TotalGain)
 	}
@@ -95,22 +142,6 @@ func TestApplyRealizesPlan(t *testing.T) {
 	}
 	if residual[1][0] != 0 || residual[3][0] != 1 {
 		t.Errorf("residual wrong: %v", residual)
-	}
-}
-
-func TestApplyDetectsStaleness(t *testing.T) {
-	tp := twoRacks(t)
-	cluster := affinity.Allocation{{3}, {0}, {0}, {1}, {0}, {0}}
-	residual := [][]int{{0}, {1}, {0}, {0}, {0}, {0}}
-	p := &Planner{}
-	plan, err := p.Plan(tp, residual, []affinity.Allocation{cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Steal the free slot before applying.
-	residual[1][0] = 0
-	if err := p.Apply(plan, []affinity.Allocation{cluster}, residual); err == nil {
-		t.Error("stale plan applied")
 	}
 }
 
@@ -137,56 +168,13 @@ func TestSwapBetweenClusters(t *testing.T) {
 	if plan.Moves[0].Kind != Swap {
 		t.Fatalf("move = %+v", plan.Moves[0])
 	}
-	if err := p.Apply(plan, clusters, residual); err != nil {
+	if err := applyPlan(plan, clusters, residual); err != nil {
 		t.Fatal(err)
 	}
 	// After the swap A = {2 on node 0, 1 on node 1} (DC = d1 = 1) and
 	// B = {3 on node 3} (DC = 0): total 1, down from 4.
-	if got := TotalDistance(tp, clusters); got != 1 {
+	if got := totalDistance(tp, clusters); got != 1 {
 		t.Errorf("total distance after swap = %v, want 1", got)
-	}
-}
-
-func TestMaxMovesAndCostCaps(t *testing.T) {
-	tp := twoRacks(t)
-	// Two strays, plenty of free capacity: an unbounded plan has 2 moves.
-	cluster := affinity.Allocation{{3}, {0}, {0}, {1}, {1}, {0}}
-	residual := [][]int{{0}, {2}, {2}, {0}, {0}, {0}}
-	unbounded, err := (&Planner{}).Plan(tp, residual, []affinity.Allocation{cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unbounded.Moves) != 2 {
-		t.Fatalf("unbounded moves = %d", len(unbounded.Moves))
-	}
-	one, err := (&Planner{Config: Config{MaxMoves: 1}}).Plan(tp, residual, []affinity.Allocation{cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one.Moves) != 1 {
-		t.Fatalf("capped moves = %d", len(one.Moves))
-	}
-	// Cost cap below one VM's memory forbids everything.
-	none, err := (&Planner{Config: Config{MaxCostMB: 1}}).Plan(tp, residual, []affinity.Allocation{cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none.Moves) != 0 {
-		t.Fatalf("cost-capped moves = %d", len(none.Moves))
-	}
-}
-
-func TestMinGainFilters(t *testing.T) {
-	tp := twoRacks(t)
-	// The only improving move gains exactly 1 (cross-rack → same-rack).
-	cluster := affinity.Allocation{{3}, {0}, {0}, {1}, {0}, {0}}
-	residual := [][]int{{0}, {1}, {0}, {0}, {0}, {0}}
-	plan, err := (&Planner{Config: Config{MinGain: 1.5}}).Plan(tp, residual, []affinity.Allocation{cluster})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Moves) != 0 {
-		t.Fatalf("low-gain move not filtered: %+v", plan.Moves)
 	}
 }
 
@@ -259,16 +247,15 @@ func TestQuickPlanSoundness(t *testing.T) {
 		for ci, c := range clusters {
 			vecsBefore[ci] = c.Vector()
 		}
-		before := TotalDistance(tp, clusters)
-		p := &Planner{}
-		plan, err := p.Plan(tp, residual, clusters)
+		before := totalDistance(tp, clusters)
+		plan, err := (&Planner{}).Plan(tp, residual, clusters)
 		if err != nil {
 			return false
 		}
-		if err := p.Apply(plan, clusters, residual); err != nil {
+		if err := applyPlan(plan, clusters, residual); err != nil {
 			return false
 		}
-		after := TotalDistance(tp, clusters)
+		after := totalDistance(tp, clusters)
 		if before-after < plan.TotalGain-1e-9 || before-after > plan.TotalGain+1e-9 {
 			return false
 		}

@@ -210,8 +210,7 @@ func (h *OnlineHeuristic) Name() string {
 
 // Place implements Placer with the paper's Algorithm 1. ScanAllCenters
 // runs the tier-aggregated scan over a transient index rebuilt over l;
-// batch drivers and the inventory keep persistent indexes and call the
-// indexed core directly.
+// cloudsim and the service keep persistent indexes and call PlaceSparse.
 func (h *OnlineHeuristic) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
 	om := h.obsHandles()
 	om.calls.Inc()
@@ -474,15 +473,12 @@ type BatchResult struct {
 // with the online heuristic, then run a Theorem-2 exchange local search
 // across allocation pairs to shrink the summed distance.
 type GlobalSubOpt struct {
-	// Online is the per-request placer of step 2; a zero-value
-	// OnlineHeuristic is used when nil.
-	Online *OnlineHeuristic
 	// MaxPasses caps local-search sweeps (0 = run to fixpoint, bounded by
 	// a safety limit). The paper performs a single pass; run-to-fixpoint
 	// is the ablation variant.
 	MaxPasses int
-	// Obs, when non-nil, receives batch metrics (and is handed to the
-	// implicit OnlineHeuristic when Online is nil).
+	// Obs, when non-nil, receives batch metrics, and step 2's
+	// OnlineHeuristic receives its placement metrics.
 	Obs *obs.Registry
 
 	obsOnce sync.Once
@@ -520,39 +516,11 @@ func (g *GlobalSubOpt) Name() string { return "global-subopt" }
 // snapshot l (not mutated). Requests that no longer fit as capacity
 // depletes get a nil allocation and count in Failed.
 func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.Request) (*BatchResult, error) {
-	online := g.Online
-	if online == nil {
-		online = &OnlineHeuristic{Obs: g.Obs}
-	}
-	n := t.Nodes()
-	if len(l) != n {
-		return nil, fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), n)
-	}
-	work := cloneMatrix(l)
-	res := &BatchResult{Allocs: make([]affinity.Allocation, len(reqs))}
-
-	// Step 2: sequential online placement, depleting the working capacity.
-	// One tier index is maintained across the batch, so each accepted
-	// allocation folds back in O(affected tiers) and admission reads the
-	// index's availability vector.
-	idx, err := affinity.NewTierIndex(t, work)
+	// Step 2: Algorithm 1 on each request in turn, depleting a working
+	// copy of the capacity.
+	res, work, err := placeSequential(t, l, reqs, &OnlineHeuristic{Obs: g.Obs})
 	if err != nil {
 		return nil, err
-	}
-	var sp affinity.SparseAlloc
-	for qi, r := range reqs {
-		if _, _, err := online.placeSparseMetered(idx, r, &sp); err != nil {
-			if errors.Is(err, ErrInsufficient) {
-				res.Failed++
-				continue
-			}
-			return nil, err
-		}
-		res.Allocs[qi] = sp.ToDense()
-		for _, e := range sp.Entries {
-			work[e.Node][e.Type] -= e.Count
-			idx.Apply(e.Node, int(e.Type), -e.Count)
-		}
 	}
 
 	// Step 3: Theorem-2 exchange local search. Two exchange kinds keep
@@ -729,8 +697,16 @@ func (g *GlobalSubOpt) swapPair(a, b affinity.Allocation, evA, evB *affinity.Dis
 // PlaceSequential places a batch with any single-request placer, depleting
 // capacity between requests — the "online" arm of Figs. 5 and 6.
 func PlaceSequential(t *topology.Topology, l [][]int, reqs []model.Request, p Placer) (*BatchResult, error) {
-	if oh, ok := p.(*OnlineHeuristic); ok && oh.Policy == ScanAllCenters {
-		return placeSequentialIndexed(t, l, reqs, oh)
+	res, _, err := placeSequential(t, l, reqs, p)
+	return res, err
+}
+
+// placeSequential is PlaceSequential that also returns the depleted
+// working copy of l, the residual capacity Algorithm 2's exchange step
+// moves VMs into.
+func placeSequential(t *topology.Topology, l [][]int, reqs []model.Request, p Placer) (*BatchResult, [][]int, error) {
+	if len(l) != t.Nodes() {
+		return nil, nil, fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
 	}
 	work := cloneMatrix(l)
 	res := &BatchResult{Allocs: make([]affinity.Allocation, len(reqs))}
@@ -741,7 +717,7 @@ func PlaceSequential(t *topology.Topology, l [][]int, reqs []model.Request, p Pl
 				res.Failed++
 				continue
 			}
-			return nil, err
+			return nil, nil, err
 		}
 		res.Allocs[qi] = alloc
 		d, _ := alloc.Distance(t)
@@ -752,41 +728,7 @@ func PlaceSequential(t *topology.Topology, l [][]int, reqs []model.Request, p Pl
 			}
 		}
 	}
-	return res, nil
-}
-
-// placeSequentialIndexed is PlaceSequential's arm for the default
-// scan: one tier index over the working matrix, updated incrementally
-// per accepted allocation, so no request after the first pays an
-// aggregate rebuild. Results — allocations, totals, failure counts,
-// metric accounting — are identical to a Place loop; the dc the scan
-// returns is bitwise the Allocation.Distance of the dense form, so Total
-// needs no rescan.
-func placeSequentialIndexed(t *topology.Topology, l [][]int, reqs []model.Request, oh *OnlineHeuristic) (*BatchResult, error) {
-	work := cloneMatrix(l)
-	res := &BatchResult{Allocs: make([]affinity.Allocation, len(reqs))}
-	idx, err := affinity.NewTierIndex(t, work)
-	if err != nil {
-		return nil, err
-	}
-	var sp affinity.SparseAlloc
-	for qi, r := range reqs {
-		dc, _, err := oh.placeSparseMetered(idx, r, &sp)
-		if err != nil {
-			if errors.Is(err, ErrInsufficient) {
-				res.Failed++
-				continue
-			}
-			return nil, err
-		}
-		res.Allocs[qi] = sp.ToDense()
-		res.Total += dc
-		for _, e := range sp.Entries {
-			work[e.Node][e.Type] -= e.Count
-			idx.Apply(e.Node, int(e.Type), -e.Count)
-		}
-	}
-	return res, nil
+	return res, work, nil
 }
 
 func cloneMatrix(src [][]int) [][]int {

@@ -105,12 +105,6 @@ func (h *OnlineHeuristic) PlaceSparse(idx *affinity.TierIndex, r model.Request, 
 	if h.Policy != ScanAllCenters {
 		return 0, -1, fmt.Errorf("placement: PlaceSparse requires ScanAllCenters, placer uses %q", h.Name())
 	}
-	return h.placeSparseMetered(idx, r, dst)
-}
-
-// placeSparseMetered runs the indexed core and maps the outcome onto
-// the placer's metrics, mirroring Place's accounting.
-func (h *OnlineHeuristic) placeSparseMetered(idx *affinity.TierIndex, r model.Request, dst *affinity.SparseAlloc) (float64, topology.NodeID, error) {
 	om := h.obsHandles()
 	om.calls.Inc()
 	dc, center, fast, err := h.placeSparseCore(idx, r, dst)

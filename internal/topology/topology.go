@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // NodeID indexes a physical node within a Topology. IDs are dense in
@@ -83,54 +82,6 @@ type Topology struct {
 	// of same-cloud racks holding position p, so the scan can step over a
 	// whole cloud's stretch of its walk at once.
 	lowRunEnd []int
-	// flat holds the row-major n×n distance table, so the Distance and
-	// DistanceRow paths are array loads instead of rack/cloud branch
-	// logic. The table is filled on the first such call: the placement
-	// and replay hot paths price clusters from tier aggregates and never
-	// read it, so plants that only serve them skip the O(n²) fill. It is
-	// nil above flatTableMaxNodes, where the O(n²) memory would outweigh
-	// the lookup savings. The pointer keeps the sync.Once out of the
-	// Topology value, which UnmarshalJSON copies.
-	flat *flatTable
-}
-
-// flatTable is the lazily filled distance table of one topology.
-type flatTable struct {
-	once sync.Once
-	d    []float64
-}
-
-// flatTableMaxNodes caps the plant size for which the flattened distance
-// table is materialized (4096² float64 = 128 MiB). Larger plants fall back
-// to the tiered branch computation.
-const flatTableMaxNodes = 4096
-
-// initFlat arms the lazy distance table for plants small enough to
-// materialize it.
-func (t *Topology) initFlat() {
-	if len(t.nodes) <= flatTableMaxNodes {
-		t.flat = &flatTable{}
-	}
-}
-
-// flatDistances returns the filled distance table, building it on first
-// use, or nil when the plant is too large to materialize one.
-func (t *Topology) flatDistances() []float64 {
-	if t.flat == nil {
-		return nil
-	}
-	t.flat.once.Do(func() {
-		n := len(t.nodes)
-		d := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			row := d[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				row[j] = t.tierDistance(NodeID(i), NodeID(j))
-			}
-		}
-		t.flat.d = d
-	})
-	return t.flat.d
 }
 
 // Builder accumulates racks and nodes, then produces a Topology.
@@ -223,7 +174,6 @@ func (b *Builder) Build() (*Topology, error) {
 		t.rackNodes[n.Rack] = append(t.rackNodes[n.Rack], n.ID)
 	}
 	t.buildRackCloud()
-	t.initFlat()
 	return t, nil
 }
 
@@ -365,15 +315,6 @@ func (t *Topology) Distances() Distances { return t.dist }
 // Distance returns D[a][b], the distance between two nodes. It is symmetric
 // and Distance(a, a) equals the SameNode tier (0 in the paper).
 func (t *Topology) Distance(a, b NodeID) float64 {
-	if flat := t.flatDistances(); flat != nil {
-		return flat[int(a)*len(t.nodes)+int(b)]
-	}
-	return t.tierDistance(a, b)
-}
-
-// tierDistance computes D[a][b] from the rack/cloud tiers without
-// consulting the flattened table.
-func (t *Topology) tierDistance(a, b NodeID) float64 {
 	switch {
 	case a == b:
 		return t.dist.SameNode
@@ -384,67 +325,6 @@ func (t *Topology) tierDistance(a, b NodeID) float64 {
 	default:
 		return t.dist.SameRack
 	}
-}
-
-// DistanceRow returns the row D[a][·] of the distance matrix. For plants
-// with a materialized flat table the returned slice aliases it and must not
-// be modified; larger plants get a freshly computed row.
-//
-//lint:shared documented read-only view of the immutable flat table
-func (t *Topology) DistanceRow(a NodeID) []float64 {
-	n := len(t.nodes)
-	if flat := t.flatDistances(); flat != nil {
-		return flat[int(a)*n : (int(a)+1)*n]
-	}
-	row := make([]float64, n)
-	for j := range row {
-		row[j] = t.tierDistance(a, NodeID(j))
-	}
-	return row
-}
-
-// DistanceMatrix materializes the full n×n matrix D. Placement algorithms
-// normally call Distance directly; the matrix form exists for the ILP
-// encodings and for export.
-func (t *Topology) DistanceMatrix() [][]float64 {
-	n := t.Nodes()
-	d := make([][]float64, n)
-	flat := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		d[i] = flat[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			d[i][j] = t.Distance(NodeID(i), NodeID(j))
-		}
-	}
-	return d
-}
-
-// NodesSortedByDistance returns all node IDs ordered by ascending distance
-// from the given node; the node itself comes first. Ties keep ID order, so
-// the result is deterministic.
-func (t *Topology) NodesSortedByDistance(from NodeID) []NodeID {
-	n := t.Nodes()
-	out := make([]NodeID, 0, n)
-	out = append(out, from)
-	// Same rack first, then same cloud other racks, then other clouds.
-	for _, id := range t.rackNodes[t.rackOf[from]] {
-		if id != from {
-			out = append(out, id)
-		}
-	}
-	for i := 0; i < n; i++ {
-		id := NodeID(i)
-		if t.rackOf[id] != t.rackOf[from] && t.cloudOf[id] == t.cloudOf[from] {
-			out = append(out, id)
-		}
-	}
-	for i := 0; i < n; i++ {
-		id := NodeID(i)
-		if t.cloudOf[id] != t.cloudOf[from] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // topologyJSON is the serialized form of a Topology.
@@ -520,7 +400,6 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 				i, n.Rack, n.Cloud, built.rackCloud[n.Rack])
 		}
 	}
-	built.initFlat()
 	*t = *built
 	return nil
 }

@@ -3,7 +3,6 @@ package topology
 import (
 	"encoding/json"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -106,21 +105,6 @@ func TestDistanceTiers(t *testing.T) {
 	}
 }
 
-func TestDistanceMatrixAgreesWithDistance(t *testing.T) {
-	tp, err := Uniform(2, 3, 3, DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := tp.DistanceMatrix()
-	for i := 0; i < tp.Nodes(); i++ {
-		for j := 0; j < tp.Nodes(); j++ {
-			if m[i][j] != tp.Distance(NodeID(i), NodeID(j)) {
-				t.Fatalf("matrix[%d][%d] disagrees", i, j)
-			}
-		}
-	}
-}
-
 // Property: distance is symmetric, non-negative, zero-diagonal (with
 // SameNode = 0) and satisfies the triangle inequality on tiered topologies.
 func TestQuickDistanceMetricProperties(t *testing.T) {
@@ -142,35 +126,6 @@ func TestQuickDistanceMetricProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNodesSortedByDistance(t *testing.T) {
-	tp, err := Uniform(2, 2, 3, DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for from := 0; from < tp.Nodes(); from++ {
-		order := tp.NodesSortedByDistance(NodeID(from))
-		if len(order) != tp.Nodes() {
-			t.Fatalf("order from %d has %d entries", from, len(order))
-		}
-		if order[0] != NodeID(from) {
-			t.Fatalf("order from %d does not start with itself", from)
-		}
-		seen := make(map[NodeID]bool)
-		prev := -1.0
-		for _, id := range order {
-			if seen[id] {
-				t.Fatalf("duplicate node %d in order from %d", id, from)
-			}
-			seen[id] = true
-			d := tp.Distance(NodeID(from), id)
-			if d < prev {
-				t.Fatalf("order from %d not ascending: %v then %v", from, prev, d)
-			}
-			prev = d
-		}
 	}
 }
 
@@ -278,103 +233,5 @@ func TestDistanceConcurrentReads(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
-	}
-}
-
-func TestFlatTableMatchesTierDistance(t *testing.T) {
-	tp, err := Uniform(2, 3, 5, DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.flat == nil {
-		t.Fatal("flat table not armed for a 30-node plant")
-	}
-	if tp.flat.d != nil {
-		t.Fatal("flat table filled at Build; it must wait for the first lookup")
-	}
-	for i := 0; i < tp.Nodes(); i++ {
-		row := tp.DistanceRow(NodeID(i))
-		if len(row) != tp.Nodes() {
-			t.Fatalf("row %d has length %d", i, len(row))
-		}
-		for j := 0; j < tp.Nodes(); j++ {
-			want := tp.tierDistance(NodeID(i), NodeID(j))
-			if got := tp.Distance(NodeID(i), NodeID(j)); got != want {
-				t.Errorf("Distance(%d,%d) = %v, want %v", i, j, got, want)
-			}
-			if row[j] != want {
-				t.Errorf("DistanceRow(%d)[%d] = %v, want %v", i, j, row[j], want)
-			}
-		}
-	}
-	if len(tp.flat.d) != tp.Nodes()*tp.Nodes() {
-		t.Fatalf("flat table has %d cells after lookups, want %d", len(tp.flat.d), tp.Nodes()*tp.Nodes())
-	}
-}
-
-// TestFlatTableConcurrentFirstUse races the lazy fill: 8 goroutines
-// look up distances on a freshly built topology at once. Under -race
-// this pins that the fill is published safely to every reader.
-func TestFlatTableConcurrentFirstUse(t *testing.T) {
-	tp, err := Uniform(2, 4, 8, DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			n := tp.Nodes()
-			for k := 0; k < n*n; k++ {
-				a, b := NodeID((k+g)%n), NodeID(k/n)
-				if got, want := tp.Distance(a, b), tp.tierDistance(a, b); got != want {
-					t.Errorf("goroutine %d: Distance(%d,%d) = %v, want %v", g, a, b, got, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-func TestFlatTableSurvivesJSONRoundTrip(t *testing.T) {
-	tp, err := Uniform(1, 2, 3, DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Topology
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.flat == nil {
-		t.Fatal("decoded topology lost the flat distance table")
-	}
-	if back.flat == tp.flat {
-		t.Fatal("decoded topology shares the source's flat table")
-	}
-	for i := 0; i < tp.Nodes(); i++ {
-		for j := 0; j < tp.Nodes(); j++ {
-			if back.Distance(NodeID(i), NodeID(j)) != tp.Distance(NodeID(i), NodeID(j)) {
-				t.Fatalf("distance (%d,%d) changed across round trip", i, j)
-			}
-		}
-	}
-}
-
-func TestDistanceRowWithoutFlatTable(t *testing.T) {
-	tp := PaperSimPlant()
-	saved := tp.flat
-	tp.flat = nil // simulate a plant above flatTableMaxNodes
-	defer func() { tp.flat = saved }()
-	row := tp.DistanceRow(3)
-	for j := range row {
-		if row[j] != tp.tierDistance(3, NodeID(j)) {
-			t.Fatalf("fallback row entry %d = %v", j, row[j])
-		}
 	}
 }
