@@ -216,6 +216,17 @@ func TestChurnSteadyStateZeroAllocs(t *testing.T) {
 // clouds that interleave.
 func churnPlant(t *testing.T, rng *rand.Rand, minClouds int) *topology.Topology {
 	t.Helper()
+	topo := builderPlant(t, rng, minClouds)
+	if rng.Intn(2) == 0 {
+		return topo
+	}
+	return scramblePlant(t, rng, topo)
+}
+
+// builderPlant builds a random Builder plant of minClouds to minClouds+2
+// clouds, each of 1–4 racks of 1–5 nodes.
+func builderPlant(t *testing.T, rng *rand.Rand, minClouds int) *topology.Topology {
+	t.Helper()
 	bld := topology.NewBuilder(topology.DefaultDistances())
 	clouds := minClouds + rng.Intn(3)
 	for c := 0; c < clouds; c++ {
@@ -230,10 +241,7 @@ func churnPlant(t *testing.T, rng *rand.Rand, minClouds int) *topology.Topology 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rng.Intn(2) == 0 {
-		return topo
-	}
-	return scramblePlant(t, rng, topo)
+	return topo
 }
 
 // scramblePlant re-imports tp through JSON with its node IDs and rack
@@ -449,7 +457,9 @@ func (w *lockstep) saturated() bool {
 // multi-cloud plants first filled through the scan until a whole cloud
 // saturates (the regime where the scan jumps saturated clouds and shares
 // their purely remote build) and then churned with open-loop-sized
-// requests; and a fixed plant where that shared build wins at node 0.
+// requests, among them plants of 4–6 clouds, plain and scrambled, whose
+// far drain ranks several clouds by their bounds before it opens their
+// racks; and a fixed plant where that shared build wins at node 0.
 func TestChurnIncrementalLockstep(t *testing.T) {
 	trials := 20
 	steps := 50
@@ -483,10 +493,9 @@ func TestChurnIncrementalLockstep(t *testing.T) {
 	// Pre-filled plants hold at most 2 VMs per type per node, as the
 	// 16k-node service benchmark's plant does, so open-loop requests miss
 	// the single-node fast path often enough to reach the sweep.
-	for trial := 0; trial < trials; trial++ {
-		topo := churnPlant(t, rng, 2)
+	prefilled := func(name string, trial int, topo *topology.Topology) {
 		types := 1 + rng.Intn(3)
-		w := newLockstep(t, fmt.Sprintf("pre-filled trial %d", trial), topo, randomCaps(topo.Nodes(), types, 2))
+		w := newLockstep(t, name, topo, randomCaps(topo.Nodes(), types, 2))
 		cfg := workload.DefaultOpenLoopConfig()
 		cfg.Types = types
 		gen, err := workload.NewOpenLoop(int64(trial), 1<<20, cfg)
@@ -508,6 +517,18 @@ func TestChurnIncrementalLockstep(t *testing.T) {
 			w.check()
 		}
 		w.churn(rng, 2*steps, next)
+	}
+	for trial := 0; trial < trials; trial++ {
+		prefilled(fmt.Sprintf("pre-filled trial %d", trial), trial, churnPlant(t, rng, 2))
+	}
+	for trial := 0; trial < trials; trial++ {
+		topo := builderPlant(t, rng, 4)
+		name := fmt.Sprintf("pre-filled %d-cloud trial %d", topo.Clouds(), trial)
+		if trial%2 == 1 {
+			topo = scramblePlant(t, rng, topo)
+			name += " (scrambled)"
+		}
+		prefilled(name, trial, topo)
 	}
 
 	// Cloud 0 (nodes 0–3) is filled by two requests; the third request's

@@ -26,9 +26,11 @@ func readReport(r io.Reader) (*Report, error) {
 // compare writes one line per arm of cur: its ns/op and allocs/op
 // against base, or a note that base lacks it; then a line per arm only
 // base has. It returns the names of the arms present in both whose
-// allocs/op exceeds the base's by more than allocSlack. ns/op is only
-// reported, never judged: it depends on the machine.
-func compare(w io.Writer, base, cur *Report) (regressed []string) {
+// allocs/op exceeds the base's by more than allocSlack, and the names of
+// the base's arms cur lacks: a renamed or skipped arm would otherwise
+// leave the gate unseen. ns/op is only reported, never judged: it
+// depends on the machine.
+func compare(w io.Writer, base, cur *Report) (regressed, missing []string) {
 	baseArms := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
 		baseArms[r.Name] = r
@@ -53,10 +55,11 @@ func compare(w io.Writer, base, cur *Report) (regressed []string) {
 	}
 	for _, b := range base.Results {
 		if !seen[b.Name] {
-			fmt.Fprintf(w, "%s: missing, only in the base\n", b.Name)
+			missing = append(missing, b.Name)
+			fmt.Fprintf(w, "%s: missing, only in the base  FAIL\n", b.Name)
 		}
 	}
-	return regressed
+	return regressed, missing
 }
 
 // delta renders one metric's base → current change, or "n/a" when
@@ -76,7 +79,8 @@ func delta(base, cur map[string]float64, unit string) string {
 
 // runCompare is the -compare mode: the new report on stdin judged
 // against the base report in basePath. It returns the process exit
-// code: 1 when an arm's allocs/op regressed or a report is unreadable.
+// code: 1 when an arm's allocs/op regressed, an arm of the base is
+// missing, or a report is unreadable.
 func runCompare(basePath string, stdin io.Reader, stdout, stderr io.Writer) int {
 	f, err := os.Open(basePath)
 	if err != nil {
@@ -94,9 +98,15 @@ func runCompare(basePath string, stdin io.Reader, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stderr, "stdin: %v\n", err)
 		return 1
 	}
-	if bad := compare(stdout, base, cur); len(bad) > 0 {
+	bad, missing := compare(stdout, base, cur)
+	code := 0
+	if len(bad) > 0 {
 		fmt.Fprintf(stderr, "benchjson: allocs/op rose by more than %d against %s in %d arm(s): %v\n", allocSlack, basePath, len(bad), bad)
-		return 1
+		code = 1
 	}
-	return 0
+	if len(missing) > 0 {
+		fmt.Fprintf(stderr, "benchjson: %d arm(s) of %s missing from the new report: %v\n", len(missing), basePath, missing)
+		code = 1
+	}
+	return code
 }

@@ -42,8 +42,8 @@ func TestCompareAllocSlack(t *testing.T) {
 		{"both arms fail", report(arm{"BenchmarkA", 5}, arm{"BenchmarkB", 2}), []string{"BenchmarkA", "BenchmarkB"}},
 	} {
 		var out bytes.Buffer
-		if got := compare(&out, base, tc.cur); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: regressed %v, want %v\n%s", tc.name, got, tc.want, out.String())
+		if got, missing := compare(&out, base, tc.cur); !reflect.DeepEqual(got, tc.want) || missing != nil {
+			t.Errorf("%s: regressed %v, missing %v, want %v and none missing\n%s", tc.name, got, missing, tc.want, out.String())
 		}
 	}
 }
@@ -52,8 +52,12 @@ func TestCompareReportsAddedAndMissingArms(t *testing.T) {
 	base := report(arm{"BenchmarkKept", 2}, arm{"BenchmarkGone", 1})
 	cur := report(arm{"BenchmarkKept", 2}, arm{"BenchmarkAdded", 50})
 	var out bytes.Buffer
-	if got := compare(&out, base, cur); got != nil {
-		t.Fatalf("regressed %v, want none: added and missing arms are not failures", got)
+	got, missing := compare(&out, base, cur)
+	if got != nil {
+		t.Fatalf("regressed %v, want none: an added arm is not a regression", got)
+	}
+	if !reflect.DeepEqual(missing, []string{"BenchmarkGone"}) {
+		t.Fatalf("missing %v, want [BenchmarkGone]", missing)
 	}
 	for _, want := range []string{
 		"BenchmarkKept: ns/op 1000 → 1000 (+0, +0.0%), allocs/op 2 → 2 (+0, +0.0%)",
@@ -78,8 +82,8 @@ func TestCompareIgnoresTime(t *testing.T) {
 		{Name: "BenchmarkNoMem", Metrics: map[string]float64{"ns/op": 100, "allocs/op": 7}},
 	}}
 	var out bytes.Buffer
-	if got := compare(&out, base, cur); got != nil {
-		t.Fatalf("regressed %v, want none\n%s", got, out.String())
+	if got, missing := compare(&out, base, cur); got != nil || missing != nil {
+		t.Fatalf("regressed %v, missing %v, want none\n%s", got, missing, out.String())
 	}
 	if !strings.Contains(out.String(), "BenchmarkSlow: ns/op 100 → 900 (+800, +800.0%)") {
 		t.Errorf("ns/op delta missing:\n%s", out.String())
@@ -99,6 +103,10 @@ func TestRunCompareExitCode(t *testing.T) {
 	}{
 		{`{"results":[{"name":"BenchmarkService/clients=1","iterations":20000,"metrics":{"allocs/op":3,"ns/op":9000}}]}`, 0},
 		{`{"results":[{"name":"BenchmarkService/clients=1","iterations":20000,"metrics":{"allocs/op":10,"ns/op":3000}}]}`, 1},
+		// A renamed arm: the base's arm is missing, and the new one is not
+		// judged, so the gate must fail rather than pass unseen.
+		{`{"results":[{"name":"BenchmarkService/clients=01","iterations":20000,"metrics":{"allocs/op":2,"ns/op":3000}}]}`, 1},
+		{`{"results":[]}`, 1},
 		{`not json`, 1},
 	} {
 		var out, errOut bytes.Buffer
@@ -109,5 +117,35 @@ func TestRunCompareExitCode(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if got := runCompare(filepath.Join(dir, "absent.json"), strings.NewReader(baseJSON), &out, &errOut); got != 1 {
 		t.Errorf("runCompare with a missing base = %d, want 1", got)
+	}
+}
+
+// TestRunCompareFailsOnMissingArm: an arm that drops out of the new
+// report fails the gate and is named on stderr, while an arm only the
+// new report has passes.
+func TestRunCompareFailsOnMissingArm(t *testing.T) {
+	basePath := filepath.Join(t.TempDir(), "base.json")
+	baseJSON := `{"results":[` +
+		`{"name":"BenchmarkPlaceScale/pruned/2x20x20","iterations":100,"metrics":{"allocs/op":0,"ns/op":3000}},` +
+		`{"name":"BenchmarkPlaceScale/spill/pruned/2x20x20","iterations":100,"metrics":{"allocs/op":0,"ns/op":9000}}]}`
+	if err := os.WriteFile(basePath, []byte(baseJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	skipped := `{"results":[{"name":"BenchmarkPlaceScale/pruned/2x20x20","iterations":100,"metrics":{"allocs/op":0,"ns/op":3000}}]}`
+	if got := runCompare(basePath, strings.NewReader(skipped), &out, &errOut); got != 1 {
+		t.Fatalf("runCompare with a skipped arm = %d, want 1\nstdout: %s", got, out.String())
+	}
+	if !strings.Contains(errOut.String(), "BenchmarkPlaceScale/spill/pruned/2x20x20") {
+		t.Errorf("stderr does not name the missing arm: %s", errOut.String())
+	}
+	out.Reset()
+	errOut.Reset()
+	added := `{"results":[` +
+		`{"name":"BenchmarkPlaceScale/pruned/2x20x20","iterations":100,"metrics":{"allocs/op":0,"ns/op":3000}},` +
+		`{"name":"BenchmarkPlaceScale/spill/pruned/2x20x20","iterations":100,"metrics":{"allocs/op":0,"ns/op":9000}},` +
+		`{"name":"BenchmarkPlaceScale/spill/pruned/10x40x40","iterations":100,"metrics":{"allocs/op":0,"ns/op":30000}}]}`
+	if got := runCompare(basePath, strings.NewReader(added), &out, &errOut); got != 0 {
+		t.Errorf("runCompare with an added arm = %d, want 0\nstderr: %s", got, errOut.String())
 	}
 }

@@ -8,8 +8,10 @@
 // With -compare it gates a new JSON report on stdin against a base
 // report instead: it prints every arm's ns/op and allocs/op change and
 // exits 1 when an arm present in both reports allocates more than one
-// allocation per op above the base. Arms only one report has are
-// listed, not failed, and ns/op never fails the gate.
+// allocation per op above the base, or when an arm of the base is
+// missing from the new report (a renamed or skipped arm would otherwise
+// drop out of the gate unseen). Arms only the new report has are listed,
+// not failed, and ns/op never fails the gate.
 //
 //	benchjson -compare base/BENCH_service.json < BENCH_service.json
 package main

@@ -8,11 +8,12 @@
 //
 // The index aliases the matrix it was built over: callers mutate L and
 // then report each changed cell through Apply. Maxima are repaired by
-// rescanning only the owning rack (and, when a rack-level maximum was
-// the cloud's, the owning cloud's rack list), so a k-cell commit costs
-// O(k·rackSize) worst case and O(k) typically. All methods that return
-// slices return views into the index's storage; they are read-only and
-// valid until the next Apply/Rebuild.
+// rescanning only the owning rack (and, when a rack-level maximum that
+// dropped was the cloud's, the owning cloud's rack list), so a k-cell
+// commit costs O(k·(rackSize + racksPerCloud)) worst case and O(k)
+// typically. All methods that return slices return views into the
+// index's storage; they are read-only and valid until the next
+// Apply/Rebuild.
 //
 // A TierIndex is not safe for concurrent mutation. The inventory owns
 // one under its own lock (see inventory.AttachTierIndex); batch drivers
@@ -39,6 +40,7 @@ type TierIndex struct {
 	nodeTot     []int // n: Σ_j L_ij
 	rackTotSum  []int // racks: Σ_j rackRemain[r][j]
 	rackMaxCol  []int // racks×m: max_{i∈rack} L_ij
+	cloudMaxCol []int // clouds×m: max_{i∈cloud} L_ij
 	rackMaxTot  []int // racks: max_{i∈rack} nodeTot[i]
 	cloudMaxTot []int // clouds: max over the cloud's racks of rackMaxTot
 	cloudMaxSum []int // clouds: max over the cloud's racks of rackTotSum
@@ -75,6 +77,7 @@ func NewTierIndex(t *topology.Topology, l [][]int) (*TierIndex, error) {
 		nodeTot:     make([]int, n),
 		rackTotSum:  make([]int, t.Racks()),
 		rackMaxCol:  make([]int, t.Racks()*m),
+		cloudMaxCol: make([]int, t.Clouds()*m),
 		rackMaxTot:  make([]int, t.Racks()),
 		cloudMaxTot: make([]int, t.Clouds()),
 		cloudMaxSum: make([]int, t.Clouds()),
@@ -126,6 +129,14 @@ func (x *TierIndex) CloudRemain(c int) []int { return x.cloudRemain[c*x.m : (c+1
 //lint:shared zero-copy aggregate view; coherent only between Apply calls
 func (x *TierIndex) RackMaxCol(r int) []int { return x.rackMaxCol[r*x.m : (r+1)*x.m] }
 
+// CloudMaxCol returns cloud c's per-type maximum single-node remaining
+// capacity as a view: the largest RackMaxCol of its racks, per type. It
+// bounds the supply of any one node in the cloud, which lets the scan's
+// far drain rank whole clouds before it opens their racks.
+//
+//lint:shared zero-copy aggregate view; coherent only between Apply calls
+func (x *TierIndex) CloudMaxCol(c int) []int { return x.cloudMaxCol[c*x.m : (c+1)*x.m] }
+
 // NodeTotal returns Σ_j L_ij for node i.
 func (x *TierIndex) NodeTotal(i topology.NodeID) int { return x.nodeTot[i] }
 
@@ -172,6 +183,7 @@ func (x *TierIndex) Rebuild() {
 	}
 	for k := range x.cloudRemain {
 		x.cloudRemain[k] = 0
+		x.cloudMaxCol[k] = 0
 	}
 	for j := range x.avail {
 		x.avail[j] = 0
@@ -215,6 +227,11 @@ func (x *TierIndex) Rebuild() {
 		if x.rackTotSum[r] > x.cloudMaxSum[c] {
 			x.cloudMaxSum[c] = x.rackTotSum[r]
 		}
+		for j, v := range x.rackMaxCol[r*m : (r+1)*m] {
+			if v > x.cloudMaxCol[c*m+j] {
+				x.cloudMaxCol[c*m+j] = v
+			}
+		}
 	}
 }
 
@@ -241,19 +258,33 @@ func (x *TierIndex) Apply(i topology.NodeID, j int, delta int) {
 	x.nodeTot[i] = newTot
 	x.rackTotSum[r] += delta
 
-	// Per-rack per-type max.
+	// Per-rack per-type max, and the cloud max it may carry.
 	if delta > 0 {
 		if v > x.rackMaxCol[r*m+j] {
 			x.rackMaxCol[r*m+j] = v
+			if v > x.cloudMaxCol[c*m+j] {
+				x.cloudMaxCol[c*m+j] = v
+			}
 		}
-	} else if v-delta == x.rackMaxCol[r*m+j] {
+	} else if was := v - delta; was == x.rackMaxCol[r*m+j] {
 		mc := 0
 		for _, id := range x.t.RackNodes(r) {
 			if w := x.l[id][j]; w > mc {
 				mc = w
 			}
 		}
-		x.rackMaxCol[r*m+j] = mc
+		if mc != was {
+			x.rackMaxCol[r*m+j] = mc
+			if was == x.cloudMaxCol[c*m+j] {
+				cm := 0
+				for _, rr := range x.t.CloudRacks(c) {
+					if w := x.rackMaxCol[rr*m+j]; w > cm {
+						cm = w
+					}
+				}
+				x.cloudMaxCol[c*m+j] = cm
+			}
+		}
 	}
 
 	// Per-rack max node total, and the cloud max it may carry.
@@ -338,6 +369,9 @@ func (x *TierIndex) CheckConsistent() error {
 	}
 	if !intsEqual(x.rackMaxCol, fresh.rackMaxCol) {
 		return fmt.Errorf("affinity: tier index rackMaxCol diverged from rebuild")
+	}
+	if !intsEqual(x.cloudMaxCol, fresh.cloudMaxCol) {
+		return fmt.Errorf("affinity: tier index cloudMaxCol diverged from rebuild")
 	}
 	if !intsEqual(x.rackMaxTot, fresh.rackMaxTot) {
 		return fmt.Errorf("affinity: tier index rackMaxTot diverged from rebuild")

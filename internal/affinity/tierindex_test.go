@@ -97,6 +97,48 @@ func TestTierIndexApplyMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestTierIndexCloudMaxColTracksMaxRack walks one column of cloud 0
+// through the cases Apply repairs differently: a decrease at one of two
+// racks holding the cloud's maximum (no rescan), a decrease at the last
+// one (the cloud's racks are rescanned), and rises at a rack that then
+// carries the maximum. Cloud 1 must not move.
+func TestTierIndexCloudMaxColTracksMaxRack(t *testing.T) {
+	topo := buildPlant(t, [][]int{{2, 2, 2}, {1}})
+	l := [][]int{{4}, {1}, {4}, {0}, {2}, {3}, {9}}
+	idx, err := NewTierIndex(topo, l)
+	if err != nil {
+		t.Fatalf("NewTierIndex: %v", err)
+	}
+	if got := idx.CloudMaxCol(0)[0]; got != 4 {
+		t.Fatalf("CloudMaxCol(0) = %d, want 4", got)
+	}
+	for k, step := range []struct {
+		node topology.NodeID
+		v    int
+		want int
+	}{
+		{0, 1, 4}, // rack 0 drops; rack 1 still holds 4
+		{2, 0, 3}, // rack 1, the last holder, drops: rack 2's 3 carries it
+		{4, 0, 3}, // a non-maximal node of rack 2 drops
+		{3, 5, 5}, // rack 1 rises above every rack
+		{5, 6, 6}, // rack 2 rises above rack 1
+		{5, 0, 5}, // and drops back below it
+	} {
+		d := step.v - l[step.node][0]
+		l[step.node][0] = step.v
+		idx.Apply(step.node, 0, d)
+		if err := idx.CheckConsistent(); err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		if got := idx.CloudMaxCol(0)[0]; got != step.want {
+			t.Fatalf("step %d: CloudMaxCol(0) = %d, want %d", k, got, step.want)
+		}
+		if got := idx.CloudMaxCol(1)[0]; got != 9 {
+			t.Fatalf("step %d: CloudMaxCol(1) = %d, want 9", k, got)
+		}
+	}
+}
+
 // TestTierIndexViews spot-checks the accessor views against direct
 // recomputation on a fixed plant.
 func TestTierIndexViews(t *testing.T) {
@@ -133,6 +175,12 @@ func TestTierIndexViews(t *testing.T) {
 	}
 	if got := idx.CloudMaxRackSum(0); got != 8 {
 		t.Fatalf("CloudMaxRackSum(0) = %d", got)
+	}
+	if got := idx.CloudMaxCol(0); got[0] != 3 || got[1] != 5 {
+		t.Fatalf("CloudMaxCol(0) = %v", got)
+	}
+	if got := idx.CloudMaxCol(1); got[0] != 7 || got[1] != 7 {
+		t.Fatalf("CloudMaxCol(1) = %v", got)
 	}
 	if got := idx.NodeTotal(4); got != 2 {
 		t.Fatalf("NodeTotal(4) = %d", got)

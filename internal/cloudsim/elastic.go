@@ -60,7 +60,7 @@ type ElasticConfig struct {
 	// DeferBackoff spaces a deferred grow's retry ladder, in simulation
 	// seconds: a grow the plant cannot fit retries every DeferBackoff,
 	// and one parked behind the wait queue rejoins the ladder when the
-	// queue empties. 0 = 5.
+	// queue empties. 0 = 5; a positive value below 1e-3 is refused.
 	DeferBackoff float64
 }
 
@@ -86,8 +86,20 @@ func (c ElasticConfig) validate() error {
 			return fmt.Errorf("cloudsim: Elastic.MinPayoff/DeferBackoff must be finite and non-negative")
 		}
 	}
+	if c.DeferBackoff != 0 && c.DeferBackoff < minDeferBackoff {
+		return fmt.Errorf("cloudsim: Elastic.DeferBackoff %v is below the %v s floor", c.DeferBackoff, minDeferBackoff)
+	}
 	return nil
 }
+
+// minDeferBackoff is the finest retry ladder New accepts, in simulation
+// seconds. A blocked grow polls once per tick through its map phase, so
+// a 100-second hold at MapFrac 0.4 polls 4e4 times at this floor and 4e7
+// at 1e-6. A backoff below half the float spacing of t (about
+// 1.1e-16·t) does not move `t += DeferBackoff` at all, so at 1e-300 the
+// ladder never advances and the grow never expires. Every configuration in the
+// repo uses 5.
+const minDeferBackoff = 1e-3
 
 // elasticState is one cluster's resize lifecycle, embedded in its
 // record. A lifecycle is open (active) from the grow request at

@@ -7,9 +7,12 @@ package integration
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/cloudsim"
@@ -277,5 +280,44 @@ func TestGlobalSubOptAgainstGSDOptimum(t *testing.T) {
 	}
 	if heur > heurCeil {
 		t.Errorf("Algorithm 2's totals sum to %v, above the pinned ceiling %v", heur, heurCeil)
+	}
+}
+
+// TestElasticRefusesTinyDeferBackoff runs an elastic simulation whose
+// one grow can only poll: a 1×1×2 plant with one VM slot per node, full
+// once its single request lands. At a DeferBackoff of 1e-300 the retry
+// ladder's `t += DeferBackoff` never moves a tick, and at 1e-6 the grow
+// polls 4e7 times in its 40-second map phase; both ran for as long as
+// they were let. cloudsim.New must refuse both with an error naming
+// DeferBackoff, well inside the timeout.
+func TestElasticRefusesTinyDeferBackoff(t *testing.T) {
+	for _, backoff := range []float64{1e-300, 1e-6} {
+		tp, err := topology.Uniform(1, 1, 2, topology.DefaultDistances())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := inventory.NewFromMatrix([][]int{{1}, {1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := cloudsim.Config{Elastic: cloudsim.ElasticConfig{Enabled: true, GrowFactor: 0.5, MapFrac: 0.4, DeferBackoff: backoff}}
+		done := make(chan error, 1)
+		go func() {
+			sim, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{}, cfg)
+			if err != nil {
+				done <- err
+				return
+			}
+			_, err = sim.Run([]model.TimedRequest{{ID: 0, Vector: model.Request{2}, Arrival: 0, Hold: 100}})
+			done <- fmt.Errorf("run accepted and ended with %v", err)
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "DeferBackoff") {
+				t.Errorf("DeferBackoff %g: got %v, want New's error naming DeferBackoff", backoff, err)
+			}
+		case <-time.After(8 * time.Second):
+			t.Fatalf("DeferBackoff %g: still running after 8 s", backoff)
+		}
 	}
 }

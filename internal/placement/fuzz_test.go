@@ -38,7 +38,7 @@ func FuzzPlaceRequest(f *testing.F) {
 	f.Add(int64(13), uint8(2), uint8(3), uint8(4), uint8(4), uint8(1), uint8(1), true, []byte{6, 5})
 
 	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, capMax, width, zeroCloud uint8, scramble bool, reqBytes []byte) {
-		nc := 1 + int(clouds)%3
+		nc := 1 + int(clouds)%5
 		nr := 1 + int(racksPer)%4
 		nn := 1 + int(nodesPer)%5
 		tp, err := topology.Uniform(nc, nr, nn, topology.DefaultDistances())

@@ -47,8 +47,8 @@
 // stops as soon as no remaining rack can hold a lower-ID center. It
 // prunes only with strict >, since a tie may be the lowest-ID winner.
 //
-// Four further devices keep the scan sub-linear in nodes on a loaded
-// plant, none of which changes a placement:
+// Further devices keep the scan sub-linear in nodes on a loaded plant,
+// none of which changes a placement:
 //
 //   - Node cap. The scan runs only once the fast path has failed, which
 //     proves that no row covers R: every node absorbs at most T−1 VMs
@@ -70,13 +70,24 @@
 //     them all, so the saturated prefix of the walk under churn costs
 //     one build.
 //   - Lazy drains and floors. Build simulations never scan the node
-//     population: the remote fill drains racks through a bound-ordered
-//     heap (drainBucket), expanding a rack to exact per-node supplies
-//     only when its aggregate bound could hold the next take, so a build
-//     touches O(active racks) instead of O(n). Partially drained racks
-//     are skipped without any simulation when closed-form floors prove
-//     both their in-rack and out-of-rack hosting prices exceed M (see
-//     sweep).
+//     population: the remote fill drains a bound-ordered heap of
+//     containers (drainBucket). The same-cloud bucket enters as racks
+//     and the far bucket as whole clouds, bounded by Σ_j
+//     min(CloudMaxCol_j, resid0_j) and the cloud's largest node total;
+//     a cloud opens into its racks, and a rack, bounded by Σ_j
+//     min(RackMaxCol_j, resid0_j) and its largest node total, into exact
+//     per-node supplies, each only when its bound could hold the next
+//     take. So a build touches the clouds and racks that supply it, not
+//     every rack of the plant. Partially drained racks are skipped
+//     without any simulation when closed-form floors prove both their
+//     in-rack and out-of-rack hosting prices exceed M (see sweep).
+//   - Lazy rack phase. The center's rack peers enter a heap only with a
+//     positive supply and leave it only while the residual lasts, so a
+//     build whose first one or two peers cover the residual does not
+//     sort the rest.
+//   - Winner reuse. The sweep's full builds write into the caller's
+//     allocation, and the scratch records whose build it holds. The
+//     winner's build is replayed only when an in-rack test settled it.
 //
 // Every bound above leans on TierSum falling as its node, rack or cloud
 // count grows, which holds because topology.Distances.Validate admits only
@@ -143,6 +154,7 @@ func (h *OnlineHeuristic) placeSparseCore(idx *affinity.TierIndex, r model.Reque
 	d := t.Distances()
 	s := h.getScan(t, m)
 	defer h.putScan(s)
+	s.dst = dst
 
 	// Fast path (Algorithm 1, lines 9–14): the lowest-ID node covering R
 	// outright, found rack-by-rack through the per-rack column maxima.
@@ -166,7 +178,9 @@ func (h *OnlineHeuristic) placeSparseCore(idx *affinity.TierIndex, r model.Reque
 	if winner < 0 {
 		return 0, -1, false, fmt.Errorf("placement: internal error — no center achieves bound %g for request %v", M, r)
 	}
-	if !s.buildSim(idx, r, winner, dst, false) {
+	// A winner the sweep settled by a full build left that build in dst
+	// and the tallies; only an in-rack winner needs its build replayed.
+	if s.built != winner && !s.buildFull(idx, r, winner) {
 		return 0, -1, false, fmt.Errorf("placement: internal error — no allocation built for feasible request %v", r)
 	}
 	dc, center := s.score(t, d, T)
@@ -182,11 +196,21 @@ type scanScratch struct {
 	resid   []int             // m: working residual of the current sim
 	resid0  []int             // m: residual snapshot as the remote phase began
 	nodeSup []int             // n, lazy: per-candidate supply (written before read)
-	peers   []topology.NodeID // rack peers of the current center
+	peers   []topology.NodeID // node max-heap of the center's positive-supply rack peers
 
-	rkHeap []int             // rack max-heap of the current remote bucket
-	rkUb   []int             // racks: supply upper bound keyed to resid0
+	// The remote bucket's containers are racks ρ and clouds c, the latter
+	// keyed Racks()+c, in one max-heap ordered by supply bound, then by
+	// lowest node ID.
+	ctHeap []int             // container max-heap of the current remote bucket
+	ctUb   []int             // racks+clouds: supply upper bound keyed to resid0
+	ctLow  []topology.NodeID // racks+clouds: lowest node ID, fixed per topology
 	ndHeap []topology.NodeID // node max-heap of opened racks
+
+	// dst is the caller's allocation during a PlaceSparse call, nil in the
+	// pool. The sweep's full builds write into it, and built names the
+	// center whose full build dst and the tallies hold (-1: none).
+	dst   *affinity.SparseAlloc
+	built topology.NodeID
 
 	total     int               // VMs taken by the current sim
 	rackTake  []int             // racks: VMs taken per rack
@@ -208,12 +232,23 @@ type scanScratch struct {
 }
 
 func newScanScratch(t *topology.Topology, m int) *scanScratch {
+	nr := t.Racks()
+	low := make([]topology.NodeID, nr+t.Clouds())
+	for c := range t.Clouds() {
+		low[nr+c] = math.MaxInt
+		for _, rho := range t.CloudRacks(c) {
+			low[rho] = t.RackNodes(rho)[0]
+			low[nr+c] = min(low[nr+c], low[rho])
+		}
+	}
 	return &scanScratch{
 		t:         t,
 		m:         m,
 		resid:     make([]int, 0, m),
 		resid0:    make([]int, 0, m),
-		rkUb:      make([]int, t.Racks()),
+		ctUb:      make([]int, nr+t.Clouds()),
+		ctLow:     low,
+		built:     -1,
 		rackTake:  make([]int, t.Racks()),
 		rackMaxW:  make([]int, t.Racks()),
 		rackBest:  make([]topology.NodeID, t.Racks()),
@@ -236,7 +271,11 @@ func (h *OnlineHeuristic) getScan(t *topology.Topology, m int) *scanScratch {
 	return newScanScratch(t, m)
 }
 
-func (h *OnlineHeuristic) putScan(s *scanScratch) { h.scanPool.Put(s) }
+// putScan returns s to the pool without the caller's allocation.
+func (h *OnlineHeuristic) putScan(s *scanScratch) {
+	s.dst = nil
+	h.scanPool.Put(s)
+}
 
 // sup returns the lazily-sized per-node supply scratch. It is only
 // needed once a build leaves the fast path, so plants that never spill
@@ -543,7 +582,7 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 				continue
 			}
 		}
-		if !s.buildSim(idx, r, nodes[0], nil, false) {
+		if !s.buildFull(idx, r, nodes[0]) {
 			continue
 		}
 		if dc0, _ := s.score(t, d, T); dc0 == M {
@@ -586,7 +625,7 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 func (s *scanScratch) remoteDC(idx *affinity.TierIndex, r model.Request, center topology.NodeID, slot, T int) float64 {
 	if !s.cloudMemo[slot] {
 		dc0 := math.Inf(1)
-		if s.buildSim(idx, r, center, nil, false) {
+		if s.buildFull(idx, r, center) {
 			dc0, _ = s.score(s.t, s.t.Distances(), T)
 		}
 		s.cloudDC0[slot] = dc0
@@ -613,6 +652,7 @@ func (s *scanScratch) resetTallies() {
 	s.tclouds = s.tclouds[:0]
 	s.lnodes = s.lnodes[:0]
 	s.total = 0
+	s.built = -1
 }
 
 // credit folds w VMs on node i into the rack/cloud/node tallies. The
@@ -703,6 +743,19 @@ func (s *scanScratch) buildSim(idx *affinity.TierIndex, r model.Request, center 
 	return s.fillFrom(idx, center, dst, rackOnly)
 }
 
+// buildFull runs the full build around center into the caller's dst,
+// reset first, and records center as built when it covers r.
+//
+//lint:hotpath
+func (s *scanScratch) buildFull(idx *affinity.TierIndex, r model.Request, center topology.NodeID) bool {
+	s.dst.Reset(s.t.Nodes(), s.m)
+	if !s.buildSim(idx, r, center, s.dst, false) {
+		return false
+	}
+	s.built = center
+	return true
+}
+
 // fillFrom runs the greedy fill of the current residual around center on
 // top of whatever the tallies already hold — nothing for buildSim, the
 // existing cluster for placeDeltaCore, whose merged profile the fill
@@ -715,18 +768,27 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 	if s.take(l, center, dst) {
 		return true
 	}
+	// Rack phase: peers in the node heap's order, supplies keyed to the
+	// residual the center left. A zero-supply peer would take nothing, so
+	// only positive ones enter the heap, and a peer is popped only while
+	// the residual lasts.
 	cRack := t.RackOf(center)
 	sup := s.sup()
 	s.peers = s.peers[:0]
 	for _, id := range t.RackNodes(cRack) {
-		if id != center {
-			sup[id] = s.supplyOf(l[id])
+		if id == center {
+			continue
+		}
+		if v := s.supplyOf(l[id]); v > 0 {
+			sup[id] = v
 			s.peers = append(s.peers, id)
 		}
 	}
-	sortBySupply(s.peers, sup)
-	for _, id := range s.peers {
-		if s.take(l, id, dst) {
+	for root := len(s.peers)/2 - 1; root >= 0; root-- {
+		s.siftNode(s.peers, root)
+	}
+	for len(s.peers) > 0 {
+		if s.take(l, s.popNode(&s.peers), dst) {
 			return true
 		}
 	}
@@ -736,10 +798,11 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 	// Remote phase. All candidate supplies are keyed to the residual as
 	// this phase begins (buildAround computes every supply before the
 	// first remote take), so snapshot it and drain the distance buckets
-	// lazily: racks enter a bucket with a supply upper bound from the
-	// index and are only expanded to exact per-node supplies when that
-	// bound could beat the best opened node. The same-cloud bucket
-	// drains first: Distances.Validate guarantees CrossRack < CrossCloud.
+	// lazily: racks (same cloud) or clouds (far) enter a bucket with a
+	// supply upper bound from the index and are only expanded, a cloud to
+	// its racks and a rack to exact per-node supplies, when that bound
+	// could beat the best opened node. The same-cloud bucket drains
+	// first: Distances.Validate guarantees CrossRack < CrossCloud.
 	s.resid0 = append(s.resid0[:0], s.resid...)
 	cCloud := t.CloudOf(center)
 	if s.gatherNear(idx, cCloud, cRack); s.drainBucket(idx, l, dst) {
@@ -757,15 +820,14 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 }
 
 // gatherNear loads the same-cloud bucket (minus the center's rack) into
-// the rack heap; gatherFar loads every other cloud's racks, skipping
-// clouds whose aggregate remain cannot supply anything. Bounds key to
-// resid0, so a rack with ub == 0 holds only zero-supply nodes — the
-// greedy never takes from those, so dropping them leaves the take
-// sequence unchanged.
+// the container heap as racks; gatherFar loads every other cloud as one
+// container. Bounds key to resid0, so a container with ub == 0 holds
+// only zero-supply nodes — the greedy never takes from those, so
+// dropping them leaves the take sequence unchanged.
 //
 //lint:hotpath
 func (s *scanScratch) gatherNear(idx *affinity.TierIndex, cCloud, cRack int) {
-	s.rkHeap = s.rkHeap[:0]
+	s.ctHeap = s.ctHeap[:0]
 	for _, rho := range s.t.CloudRacks(cCloud) {
 		if rho != cRack {
 			s.pushRackUb(idx, rho)
@@ -773,77 +835,69 @@ func (s *scanScratch) gatherNear(idx *affinity.TierIndex, cCloud, cRack int) {
 	}
 }
 
+// gatherFar bounds each other cloud's node supplies by Σ_j
+// min(CloudMaxCol_j, resid0_j), clamped by its largest node total.
+//
 //lint:hotpath
 func (s *scanScratch) gatherFar(idx *affinity.TierIndex, cCloud int) {
-	s.rkHeap = s.rkHeap[:0]
+	s.ctHeap = s.ctHeap[:0]
 	for c := 0; c < s.t.Clouds(); c++ {
 		if c == cCloud {
 			continue
 		}
-		cr := idx.CloudRemain(c)
-		sup := 0
+		mc := idx.CloudMaxCol(c)
+		ub := 0
 		for j, need := range s.resid0 {
-			if v := cr[j]; v < need {
-				sup += v
-			} else {
-				sup += need
-			}
+			ub += min(mc[j], need)
 		}
-		if sup == 0 {
-			continue
-		}
-		for _, rho := range s.t.CloudRacks(c) {
-			s.pushRackUb(idx, rho)
-		}
+		s.pushCt(s.t.Racks()+c, min(ub, idx.CloudMaxNodeTotal(c)))
 	}
 }
 
-// pushRackUb appends rho to the rack heap (unordered; drainBucket
-// heapifies) with its supply upper bound Σ_j min(RackMaxCol_j, resid0_j)
-// unless that bound is zero.
+// pushRackUb adds rho to the container heap with its supply upper bound
+// Σ_j min(RackMaxCol_j, resid0_j), clamped by its largest node total.
 //
 //lint:hotpath
 func (s *scanScratch) pushRackUb(idx *affinity.TierIndex, rho int) {
 	mc := idx.RackMaxCol(rho)
 	ub := 0
 	for j, need := range s.resid0 {
-		if v := mc[j]; v < need {
-			ub += v
-		} else {
-			ub += need
-		}
+		ub += min(mc[j], need)
 	}
-	if ub > 0 {
-		s.rkUb[rho] = ub
-		s.rkHeap = append(s.rkHeap, rho)
-	}
+	s.pushCt(rho, min(ub, idx.RackMaxTotal(rho)))
 }
 
-// drainBucket takes from the gathered racks in exactly the order the
-// eager scan's global sort produces — supply descending, node ID
-// ascending, supplies keyed to resid0 — expanding a rack only when its
-// bound says it may hold the next node: any node in an unopened rack
-// has supply ≤ ub < the open maximum, or ties it with a strictly higher
-// ID (rack node IDs are contiguous and start at the rack's lowest), and
-// so sorts after it. Reports whether the residual reached zero.
+// drainBucket takes from the gathered containers in exactly the order
+// the eager scan's global sort produces — supply descending, node ID
+// ascending, supplies keyed to resid0 — expanding the first container
+// (cloud or rack) only when its bound says it may hold the next node:
+// any node in an unopened container has supply ≤ ub < the open maximum,
+// or ties it with a strictly higher ID (ctLow is the container's lowest
+// node), and so sorts after it; so does every node of a container that
+// sorts after the first. A cloud opens into its racks, a rack into its
+// positive-supply nodes. Reports whether the residual reached zero.
 //
 //lint:hotpath
 func (s *scanScratch) drainBucket(idx *affinity.TierIndex, l [][]int, dst *affinity.SparseAlloc) bool {
-	for root := len(s.rkHeap)/2 - 1; root >= 0; root-- {
-		s.siftRack(root)
-	}
 	s.ndHeap = s.ndHeap[:0]
 	sup := s.sup()
+	nr := s.t.Racks()
 	for {
-		for len(s.rkHeap) > 0 {
-			top := s.rkHeap[0]
+		for len(s.ctHeap) > 0 {
+			top := s.ctHeap[0]
 			if len(s.ndHeap) > 0 {
 				h := s.ndHeap[0]
-				if s.rkUb[top] < sup[h] || (s.rkUb[top] == sup[h] && s.t.RackNodes(top)[0] > h) {
+				if s.ctUb[top] < sup[h] || (s.ctUb[top] == sup[h] && s.ctLow[top] > h) {
 					break
 				}
 			}
-			s.popRack()
+			s.popCt()
+			if top >= nr {
+				for _, rho := range s.t.CloudRacks(top - nr) {
+					s.pushRackUb(idx, rho)
+				}
+				continue
+			}
 			for _, id := range s.t.RackNodes(top) {
 				if v := s.supply0(l[id]); v > 0 {
 					sup[id] = v
@@ -854,7 +908,7 @@ func (s *scanScratch) drainBucket(idx *affinity.TierIndex, l [][]int, dst *affin
 		if len(s.ndHeap) == 0 {
 			return false
 		}
-		if s.take(l, s.popNode(), dst) {
+		if s.take(l, s.popNode(&s.ndHeap), dst) {
 			return true
 		}
 	}
@@ -876,31 +930,54 @@ func (s *scanScratch) supply0(li []int) int {
 	return v
 }
 
-// rackBefore orders the rack heap: supply bound descending, ties by
-// ascending lowest node ID (so a tied rack that could still supply a
-// lower-ID node is opened before that node is taken).
+// ctBefore orders the container heap: supply bound descending, ties by
+// ascending lowest node ID (so a tied container that could still supply
+// a lower-ID node is opened before that node is taken).
 //
 //lint:hotpath
-func (s *scanScratch) rackBefore(a, b int) bool {
-	if s.rkUb[a] != s.rkUb[b] {
-		return s.rkUb[a] > s.rkUb[b]
+func (s *scanScratch) ctBefore(a, b int) bool {
+	if s.ctUb[a] != s.ctUb[b] {
+		return s.ctUb[a] > s.ctUb[b]
 	}
-	return s.t.RackNodes(a)[0] < s.t.RackNodes(b)[0]
+	return s.ctLow[a] < s.ctLow[b]
+}
+
+// pushCt adds container k with bound ub to the heap unless ub is zero.
+//
+//lint:hotpath
+func (s *scanScratch) pushCt(k, ub int) {
+	if ub <= 0 {
+		return
+	}
+	s.ctUb[k] = ub
+	s.ctHeap = append(s.ctHeap, k)
+	h := s.ctHeap
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.ctBefore(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
 }
 
 //lint:hotpath
-func (s *scanScratch) siftRack(root int) {
-	h := s.rkHeap
-	n := len(h)
-	for {
+func (s *scanScratch) popCt() {
+	h := s.ctHeap
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	s.ctHeap = h
+	for root := 0; ; {
 		c := 2*root + 1
-		if c >= n {
+		if c >= last {
 			return
 		}
-		if c+1 < n && s.rackBefore(h[c+1], h[c]) {
+		if c+1 < last && s.ctBefore(h[c+1], h[c]) {
 			c++
 		}
-		if !s.rackBefore(h[c], h[root]) {
+		if !s.ctBefore(h[c], h[root]) {
 			return
 		}
 		h[root], h[c] = h[c], h[root]
@@ -908,19 +985,8 @@ func (s *scanScratch) siftRack(root int) {
 	}
 }
 
-//lint:hotpath
-func (s *scanScratch) popRack() int {
-	h := s.rkHeap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	s.rkHeap = h[:last]
-	s.siftRack(0)
-	return top
-}
-
-// nodeBefore orders the node heap: exact supply descending, ties by
-// ascending node ID — the same strict total order sortBySupply uses.
+// nodeBefore orders the node heaps: exact supply descending, ties by
+// ascending node ID — the strict total order of buildBuffer.bySupply.
 //
 //lint:hotpath
 func (s *scanScratch) nodeBefore(a, b topology.NodeID) bool {
@@ -944,28 +1010,37 @@ func (s *scanScratch) pushNode(id topology.NodeID) {
 	}
 }
 
+// siftNode restores the node-heap order below root.
+//
 //lint:hotpath
-func (s *scanScratch) popNode() topology.NodeID {
-	h := s.ndHeap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	s.ndHeap = h
-	for root := 0; ; {
+func (s *scanScratch) siftNode(h []topology.NodeID, root int) {
+	n := len(h)
+	for {
 		c := 2*root + 1
-		if c >= last {
-			break
+		if c >= n {
+			return
 		}
-		if c+1 < last && s.nodeBefore(h[c+1], h[c]) {
+		if c+1 < n && s.nodeBefore(h[c+1], h[c]) {
 			c++
 		}
 		if !s.nodeBefore(h[c], h[root]) {
-			break
+			return
 		}
 		h[root], h[c] = h[c], h[root]
 		root = c
 	}
+}
+
+// popNode removes and returns the first node of the heap *hp.
+//
+//lint:hotpath
+func (s *scanScratch) popNode(hp *[]topology.NodeID) topology.NodeID {
+	h := *hp
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	*hp = h[:last]
+	s.siftNode(h[:last], 0)
 	return top
 }
 
@@ -984,50 +1059,4 @@ func (s *scanScratch) score(t *topology.Topology, d topology.Distances, total in
 		}
 	}
 	return best, bestK
-}
-
-// sortBySupply orders ids by supply descending, ties by ascending ID —
-// the same strict total order buildBuffer.bySupply defines, so any
-// correct sort yields the same sequence. Heapsort keeps the scan
-// allocation-free without leaning on closure escape analysis.
-//
-//lint:hotpath
-func sortBySupply(ids []topology.NodeID, sup []int) {
-	n := len(ids)
-	for root := n/2 - 1; root >= 0; root-- {
-		siftSupply(ids, sup, root, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		ids[0], ids[end] = ids[end], ids[0]
-		siftSupply(ids, sup, 0, end)
-	}
-}
-
-// supplyAfter reports whether a sorts after b: lower supply last, ties
-// broken by higher ID last.
-//
-//lint:hotpath
-func supplyAfter(sup []int, a, b topology.NodeID) bool {
-	if sup[a] != sup[b] {
-		return sup[a] < sup[b]
-	}
-	return a > b
-}
-
-//lint:hotpath
-func siftSupply(ids []topology.NodeID, sup []int, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && supplyAfter(sup, ids[child+1], ids[child]) {
-			child++
-		}
-		if !supplyAfter(sup, ids[child], ids[root]) {
-			return
-		}
-		ids[root], ids[child] = ids[child], ids[root]
-		root = child
-	}
 }
