@@ -6,7 +6,7 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet fmt-check examples lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic verify clean
+.PHONY: all build test race vet fmt-check examples lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic bench-obs verify clean
 
 all: build
 
@@ -76,15 +76,18 @@ lint-json:
 # mismatched matrix widths rejected, the pruned scan places exactly as
 # ExhaustiveCenters, evaluator DC(C) matches the row-scan oracle), the
 # exact SD solvers (SolveSD and SolveSDLP agree on solved, infeasible or
-# malformed input, and on the optimum), and the trace encoder's
-# quoting and integer-float fast paths (byte-equal to strconv.AppendQuote
-# and strconv.AppendFloat).
+# malformed input, and on the optimum), and the trace encoder's quoting
+# fast path and float encoder (its integer path and shortest-digit
+# kernel), byte-equal to strconv.AppendQuote and strconv.AppendFloat.
+# The float target gets 40s: replaying its ~16k seeds (every power of
+# two and ten with neighbours, both signs) takes ~20s of it on two cores
+# before mutation starts.
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
 	$(GO) test ./internal/sdexact -run '^$$' -fuzz '^FuzzSolveSD$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendQuote$$' -fuzztime 10s
-	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 10s
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 40s
 
 # Fault-injection gate: the fault/recovery tests under the race detector
 # plus one seeded end-to-end faults figure, so every recovery path runs
@@ -173,6 +176,14 @@ bench-soak:
 bench-elastic:
 	$(GO) test -run '^$$' -bench 'BenchmarkPlaceDelta|BenchmarkReleaseSubset' -benchmem -benchtime=100x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_elastic.json
 	@cat BENCH_elastic.json
+
+# Trace encoding (one Emit of each of three soak-elastic event shapes into
+# a discarding streaming registry) recorded as machine-readable JSON. A
+# fixed 1M-iteration benchtime averages each arm over well under a
+# second.
+bench-obs:
+	$(GO) test -run '^$$' -bench 'BenchmarkEmit' -benchmem -benchtime=1000000x ./internal/obs | $(GO) run ./cmd/benchjson > BENCH_obs.json
+	@cat BENCH_obs.json
 
 # CI's short arm: only the 100k-request soak (the 1M arm skips under
 # -short), same JSON artifact shape.

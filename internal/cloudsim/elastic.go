@@ -217,10 +217,11 @@ func (s *Simulator) tryGrow(c *cluster, now float64) {
 
 // nextTick returns the retry ladder's tick after now, or expires the
 // grow and reports false when that tick can no longer serve MinPayoff
-// seconds before the boundary.
+// seconds before the boundary, or does not come after now at all: from
+// t ≈ 2^56 on, now + DeferBackoff (5 by default) rounds back to now.
 func (s *Simulator) nextTick(c *cluster, now float64) (float64, bool) {
 	next := now + s.ecfg.DeferBackoff
-	if next+s.ecfg.MinPayoff > c.deadline {
+	if next <= now || next+s.ecfg.MinPayoff > c.deadline {
 		s.expireGrow(c, now, "deadline")
 		return 0, false
 	}
@@ -260,9 +261,10 @@ func (s *Simulator) parkGrow(c *cluster, now float64) {
 		// Every attempt after the commission one runs on a ladder tick,
 		// so all parks of one grow op share one last tick: compute it at
 		// the first park, by the same float additions as polling, so it
-		// is exactly the tick a polled grow would expire at.
+		// is exactly the tick a polled grow would expire at. A step that
+		// does not advance ends the ladder, as it does in nextTick.
 		last := next
-		for t := last + s.ecfg.DeferBackoff; t+s.ecfg.MinPayoff <= c.deadline; t += s.ecfg.DeferBackoff {
+		for t := last + s.ecfg.DeferBackoff; t > last && t+s.ecfg.MinPayoff <= c.deadline; t += s.ecfg.DeferBackoff {
 			last = t
 		}
 		c.last = last
@@ -288,8 +290,15 @@ func (s *Simulator) wakeGrows(now float64) {
 	for s.parked != nil {
 		c := s.parked
 		s.unpark(c)
+		// The catch-up retraces parkGrow's ladder, which reached c.last
+		// >= now; a step that does not advance stops it anyway, and
+		// Reschedule then refuses the past tick instead of hanging.
 		for c.next < now {
-			c.next += s.ecfg.DeferBackoff
+			t := c.next + s.ecfg.DeferBackoff
+			if t <= c.next {
+				break
+			}
+			c.next = t
 		}
 		s.engine.Cancel(c.retryEv)
 		if err := s.engine.Reschedule(c.retryEv, c.next, 1+c.id); err != nil {

@@ -321,3 +321,64 @@ func TestElasticRefusesTinyDeferBackoff(t *testing.T) {
 		}
 	}
 }
+
+// TestElasticLateGrowExpires runs the one-grow plant of
+// TestElasticRefusesTinyDeferBackoff at the default DeferBackoff of 5 s
+// at times where that step rounds away: float spacing is 16 from 2^56
+// on. In "poll" the {2} request arrives at 1e17 and its grow cannot
+// fit; now + 5 is now, so a poll re-armed there would fire at the same
+// instant forever. In "park" it arrives at 2^56 − 16, a {1} request
+// queued behind it parks the grow one tick before 2^56, and a search
+// for the ladder's last tick that kept adding 5 to 2^56 would never
+// end. Each run must end within the timeout with that grow counted as
+// Deferred (in "park" the queued request's own grow fits once the
+// first request departs).
+func TestElasticLateGrowExpires(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reqs  []model.TimedRequest
+		grows int
+	}{
+		{"poll", []model.TimedRequest{{ID: 0, Vector: model.Request{2}, Arrival: 1e17, Hold: 100}}, 0},
+		{"park", []model.TimedRequest{
+			{ID: 0, Vector: model.Request{2}, Arrival: 0x1p56 - 16, Hold: 100},
+			{ID: 1, Vector: model.Request{1}, Arrival: 0x1p56 - 16, Hold: 100},
+		}, 1},
+	} {
+		tp, err := topology.Uniform(1, 1, 2, topology.DefaultDistances())
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := inventory.NewFromMatrix([][]int{{1}, {1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := cloudsim.Config{Elastic: cloudsim.ElasticConfig{Enabled: true, GrowFactor: 0.5, MapFrac: 0.4, DeferBackoff: 5}}
+		type result struct {
+			m   *cloudsim.Metrics
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			sim, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{}, cfg)
+			if err != nil {
+				done <- result{nil, err}
+				return
+			}
+			m, err := sim.Run(tc.reqs)
+			done <- result{m, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("%s: %v", tc.name, r.err)
+			}
+			if m := r.m; m.Deferred != 1 || m.Grows != tc.grows || m.Served != len(tc.reqs) {
+				t.Errorf("%s: %d deferred, %d grown, %d served; want 1, %d, %d",
+					tc.name, m.Deferred, m.Grows, m.Served, tc.grows, len(tc.reqs))
+			}
+		case <-time.After(8 * time.Second):
+			t.Fatalf("%s: still running after 8 s", tc.name)
+		}
+	}
+}

@@ -166,9 +166,7 @@ func appendEvent(b []byte, t float64, kind string, fields []Field) []byte {
 	b = append(b, `,"kind":`...)
 	b = appendQuote(b, kind)
 	for i := range fields {
-		b = append(b, ',')
-		b = appendQuote(b, fields[i].Key)
-		b = append(b, ':')
+		b = appendKey(b, fields[i].Key)
 		b = fields[i].appendValue(b)
 	}
 	b = append(b, '}')
@@ -201,38 +199,49 @@ func (f *Field) appendValue(b []byte) []byte {
 	return b
 }
 
-// appendFloat is strconv.AppendFloat(b, f, 'g', -1, 64) with an integer
-// fast path. Shortest 'g' formatting switches to an exponent only from
-// 1e6 up in magnitude, so an integer-valued float below that prints as
-// its plain digits, which AppendInt writes without the shortest-digit
-// search. −0 keeps the slow path for its sign.
-//
-//lint:hotpath
-func appendFloat(b []byte, f float64) []byte {
-	if f > -1e6 && f < 1e6 {
-		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
-			return strconv.AppendInt(b, i, 10)
-		}
-	}
-	return strconv.AppendFloat(b, f, 'g', -1, 64)
-}
-
 // appendQuote is strconv.AppendQuote with a copy fast path: a string of
 // printable ASCII needing no escapes quotes to itself, which covers
 // every key and kind and nearly every string value.
 //
 //lint:hotpath
 func appendQuote(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			b = strconv.AppendQuote(b, s)
-			return b
-		}
+	if !plainASCII(s) {
+		b = strconv.AppendQuote(b, s)
+		return b
 	}
 	b = append(b, '"')
 	b = append(b, s...)
 	b = append(b, '"')
 	return b
+}
+
+// appendKey writes a field's `,"key":`, quoting key as appendQuote does.
+//
+//lint:hotpath
+func appendKey(b []byte, key string) []byte {
+	if !plainASCII(key) {
+		b = append(b, ',')
+		b = strconv.AppendQuote(b, key)
+		b = append(b, ':')
+		return b
+	}
+	b = append(b, ',', '"')
+	b = append(b, key...)
+	b = append(b, '"', ':')
+	return b
+}
+
+// plainASCII reports whether s is printable ASCII without '"' or '\\',
+// the strings strconv.AppendQuote quotes to themselves.
+//
+//lint:hotpath
+func plainASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteTraceJSONL streams the trace as one JSON object per line. A

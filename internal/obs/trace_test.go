@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"testing"
@@ -139,20 +140,53 @@ func TestEmitZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzAppendFloat checks the encoder's integer fast path against
-// strconv.AppendFloat's shortest 'g' form over arbitrary float bits.
+// BenchmarkEmit streams three event shapes of the soak-elastic trace
+// into a discarding sink: a place (time and wait are non-integer
+// floats), a capacity-blocked resize_defer (time and retry) and a
+// queue-parked resize_defer (time alone). Times cycle through 256
+// open-loop arrival instants, whose shortest forms run to 16 or 17
+// digits like the trace's, so no branch learns one value.
+func BenchmarkEmit(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var times, waits [256]float64
+	now := 0.0
+	for i := range times {
+		now += rng.ExpFloat64() * 7
+		times[i], waits[i] = now, rng.ExpFloat64()*60
+	}
+	for _, shape := range []struct {
+		name string
+		emit func(r *Registry, i int)
+	}{
+		{"place", func(r *Registry, i int) {
+			r.Emit("place", times[i], F("req", i), F("center", 22), F("dc", 2.0), F("vms", 3), F("wait", waits[i]))
+		}},
+		{"resize_defer/capacity", func(r *Registry, i int) {
+			r.Emit("resize_defer", times[i], F("req", i), F("cluster", i), F("retry", times[i]+5),
+				F("reason", "capacity"), F("type", 0), F("need", 2), F("avail", 0))
+		}},
+		{"resize_defer/queue", func(r *Registry, i int) {
+			r.Emit("resize_defer", times[i], F("req", i), F("cluster", i), F("reason", "queue"))
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			r := NewStreamingRegistry(io.Discard)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shape.emit(r, i%len(times))
+			}
+		})
+	}
+}
+
+// FuzzAppendFloat checks the float encoder against strconv.AppendFloat's
+// shortest 'g' form over arbitrary float bits, seeded with floatEdges.
 func FuzzAppendFloat(f *testing.F) {
-	for _, v := range []float64{0, math.Copysign(0, -1), 999999, -999999, 1e6, -1e6, 1e6 - 0.5, 1 << 53,
-		math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, v := range floatEdges() {
 		f.Add(math.Float64bits(v))
 	}
 	f.Fuzz(func(t *testing.T, bits uint64) {
-		v := math.Float64frombits(bits)
-		got := appendFloat([]byte("x"), v)
-		want := strconv.AppendFloat([]byte("x"), v, 'g', -1, 64)
-		if !bytes.Equal(got, want) {
-			t.Errorf("appendFloat(%v) = %s, want %s", v, got, want)
-		}
+		checkAppendFloat(t, math.Float64frombits(bits))
 	})
 }
 
