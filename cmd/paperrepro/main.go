@@ -9,8 +9,8 @@
 //
 //	paperrepro [-seed N] [-seeds M] [-json]
 //
-// -json emits a machine-readable report (schema in internal/report)
-// instead of the human-readable figures.
+// -seeds takes 1 to 2^20 seeds. -json emits a machine-readable report
+// (schema in internal/report) instead of the human-readable figures.
 package main
 
 import (
@@ -23,16 +23,22 @@ import (
 	"affinitycluster/internal/report"
 )
 
+// maxSeeds caps -seeds at 2^20, the cap the fault schedule puts on its
+// draws: Fig56Averages allocates its per-seed results up front and runs
+// Figs. 5 and 6 once per seed, so a larger count runs out of memory or
+// time instead of failing.
+const maxSeeds = 1 << 20
+
 func main() {
 	seed := flag.Int64("seed", 2012, "base random seed")
-	seeds := flag.Int("seeds", 10, "number of seeds for the Fig 5/6 averages")
+	seeds := flag.Int("seeds", 10, fmt.Sprintf("number of seeds for the Fig 5/6 averages, 1 to %d", maxSeeds))
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report")
 	flag.Parse()
 
-	var err error
-	if *jsonOut {
+	err := checkSeeds(*seeds)
+	if err == nil && *jsonOut {
 		err = runJSON(os.Stdout, *seed)
-	} else {
+	} else if err == nil {
 		err = run(os.Stdout, *seed, *seeds)
 	}
 	if err != nil {
@@ -49,7 +55,18 @@ func runJSON(w io.Writer, seed int64) error {
 	return r.WriteJSON(w)
 }
 
+// checkSeeds refuses a -seeds count outside 1…maxSeeds.
+func checkSeeds(seeds int) error {
+	if seeds < 1 || seeds > maxSeeds {
+		return fmt.Errorf("-seeds %d outside 1…%d", seeds, maxSeeds)
+	}
+	return nil
+}
+
 func run(w io.Writer, seed int64, seeds int) error {
+	if err := checkSeeds(seeds); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "=== Table I — instance catalog ===")
 	fmt.Fprintln(w, experiments.TableI())
 	fmt.Fprintln(w, "=== Table II — capacity relationship example ===")

@@ -22,6 +22,23 @@ func TestFullReproductionRuns(t *testing.T) {
 	}
 }
 
+// TestSeedsRange: a -seeds count below 1 or above 2^20 is refused before
+// anything is printed, and before Fig56Averages sizes its buffers by it
+// (3e9 seeds ran that allocation out of memory).
+func TestSeedsRange(t *testing.T) {
+	for _, n := range []int{0, -1, maxSeeds + 1, 3000000000} {
+		var out bytes.Buffer
+		if err := run(&out, 2012, n); err == nil || out.Len() > 0 {
+			t.Errorf("run with -seeds %d: err = %v after %d bytes, want an error before any output", n, err, out.Len())
+		}
+	}
+	for _, n := range []int{1, 10, maxSeeds} {
+		if err := checkSeeds(n); err != nil {
+			t.Errorf("checkSeeds(%d) = %v, want nil", n, err)
+		}
+	}
+}
+
 // TestGolden pins the default report, text and -json. A change meant to
 // alter either regenerates the digests with
 //

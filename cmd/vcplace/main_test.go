@@ -70,7 +70,8 @@ func TestRunErrors(t *testing.T) {
 		t.Error("infeasible request accepted")
 	}
 	// Capacity rows whose width differs from the request's, negative
-	// demands and negative capacities are errors under every strategy,
+	// demands, negative capacities and capacities whose sum overflows int
+	// are errors under every strategy,
 	// with or without the exact solver — not panics, and not placements.
 	for _, tc := range []struct{ name, content string }{
 		{"wide request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1,1,1]}`},
@@ -78,6 +79,7 @@ func TestRunErrors(t *testing.T) {
 		{"narrow request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1]}`},
 		{"negative demand", `{"racksPerCloud":1,"nodesPerRack":2,"request":[-1]}`},
 		{"negative capacity", `{"racksPerCloud":1,"nodesPerRack":3,"capacities":[[-1],[1],[1]],"request":[2]}`},
+		{"capacities overflow int", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[9000000000000000000],[9000000000000000000]],"request":[5]}`},
 		{"node count overflows int", `{"clouds":3037000500,"racksPerCloud":3037000500,"nodesPerRack":1,"request":[1]}`},
 		{"plant too large to build", `{"racksPerCloud":100000,"nodesPerRack":100000,"request":[1]}`},
 	} {

@@ -23,6 +23,7 @@ package affinity
 import (
 	"fmt"
 
+	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
 )
 
@@ -61,10 +62,8 @@ func NewTierIndex(t *topology.Topology, l [][]int) (*TierIndex, error) {
 		return nil, fmt.Errorf("affinity: tier index over empty plant")
 	}
 	m := len(l[0])
-	for i, row := range l {
-		if len(row) != m {
-			return nil, fmt.Errorf("affinity: tier index matrix ragged at row %d", i)
-		}
+	if err := checkMatrix(l, m); err != nil {
+		return nil, err
 	}
 	x := &TierIndex{
 		t:           t,
@@ -84,6 +83,25 @@ func NewTierIndex(t *topology.Topology, l [][]int) (*TierIndex, error) {
 	}
 	x.Rebuild()
 	return x, nil
+}
+
+// checkMatrix refuses a matrix with a row that is not m wide, or whose
+// cells sum past int (model.AddCapacity): the index's rack, cloud and
+// availability totals would wrap.
+func checkMatrix(l [][]int, m int) error {
+	total := 0
+	for i, row := range l {
+		if len(row) != m {
+			return fmt.Errorf("affinity: tier index matrix ragged at row %d", i)
+		}
+		for j, v := range row {
+			var err error
+			if total, err = model.AddCapacity(total, v); err != nil {
+				return fmt.Errorf("affinity: tier index matrix cell [%d][%d] = %d: %w", i, j, v, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Topology returns the plant the index is built over.
@@ -162,10 +180,8 @@ func (x *TierIndex) Rebind(l [][]int) error {
 	if len(l) != x.n {
 		return fmt.Errorf("affinity: tier index rebind with %d rows, index has %d", len(l), x.n)
 	}
-	for i, row := range l {
-		if len(row) != x.m {
-			return fmt.Errorf("affinity: tier index rebind ragged at row %d", i)
-		}
+	if err := checkMatrix(l, x.m); err != nil {
+		return err
 	}
 	x.l = l
 	x.version = 0

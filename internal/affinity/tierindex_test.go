@@ -1,9 +1,12 @@
 package affinity
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
+	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
 )
 
@@ -216,5 +219,30 @@ func TestSparseAllocRoundTrip(t *testing.T) {
 	s.Reset(4, 2)
 	if len(s.Entries) != 0 || s.NumNodes != 4 {
 		t.Fatalf("Reset left %d entries", len(s.Entries))
+	}
+}
+
+// TestTierIndexRefusesOverflow: the index sums its matrix into node,
+// rack, cloud and availability totals, so NewTierIndex and Rebind refuse
+// a matrix whose cells sum past int instead of wrapping those totals
+// negative. A total of exactly MaxInt fits.
+func TestTierIndexRefusesOverflow(t *testing.T) {
+	tp, err := topology.Uniform(1, 2, 1, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := [][]int{{9000000000000000000}, {9000000000000000000}}
+	if _, err := NewTierIndex(tp, over); !errors.Is(err, model.ErrCapacityOverflow) {
+		t.Fatalf("NewTierIndex: err = %v, want ErrCapacityOverflow", err)
+	}
+	x, err := NewTierIndex(tp, [][]int{{math.MaxInt - 1}, {1}})
+	if err != nil {
+		t.Fatalf("NewTierIndex summing to MaxInt: %v", err)
+	}
+	if err := x.Rebind(over); !errors.Is(err, model.ErrCapacityOverflow) {
+		t.Fatalf("Rebind: err = %v, want ErrCapacityOverflow", err)
+	}
+	if got := x.Avail(); got[0] != math.MaxInt {
+		t.Fatalf("Avail() = %v after a refused Rebind, want [%d]", got, math.MaxInt)
 	}
 }

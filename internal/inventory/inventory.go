@@ -65,12 +65,14 @@ func New(nodes, types int) *Inventory {
 }
 
 // NewFromMatrix creates an inventory whose capacity matrix M is a copy of
-// max. Every entry must be non-negative.
+// max. Every entry must be non-negative, and all of them must sum within
+// int (model.AddCapacity).
 func NewFromMatrix(max [][]int) (*Inventory, error) {
 	if len(max) == 0 || len(max[0]) == 0 {
 		return nil, errors.New("inventory: empty capacity matrix")
 	}
 	inv := New(len(max), len(max[0]))
+	total := 0
 	for i, row := range max {
 		if len(row) != inv.types {
 			return nil, fmt.Errorf("inventory: ragged capacity matrix at row %d", i)
@@ -78,6 +80,10 @@ func NewFromMatrix(max [][]int) (*Inventory, error) {
 		for j, k := range row {
 			if k < 0 {
 				return nil, fmt.Errorf("inventory: negative capacity M[%d][%d] = %d", i, j, k)
+			}
+			var err error
+			if total, err = model.AddCapacity(total, k); err != nil {
+				return nil, fmt.Errorf("inventory: capacity M[%d][%d] = %d: %w", i, j, k, err)
 			}
 			inv.max[i][j] = k
 			inv.remain[i][j] = k
@@ -132,6 +138,15 @@ func (inv *Inventory) SetCapacity(node topology.NodeID, vt model.VMTypeID, k int
 		// the zeroed live row would be silently undone — and would corrupt
 		// the availability vector — when RestoreNode reinstates it.
 		return fmt.Errorf("inventory: node %d is failed, restore it before resizing", i)
+	}
+	// The plant's capacity total, failed nodes' saved rows included, must
+	// still fit once this cell changes.
+	total := model.Sum(inv.capSum)
+	for _, saved := range inv.failed {
+		total += model.Sum(saved)
+	}
+	if _, err := model.AddCapacity(total-inv.max[i][j], k); err != nil {
+		return fmt.Errorf("inventory: SetCapacity(%d, %d, %d): %w", i, j, k, err)
 	}
 	old := inv.max[i][j]
 	inv.max[i][j] = k

@@ -2,6 +2,7 @@ package inventory
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -526,5 +527,53 @@ func TestCapacityTotalsTrackMutators(t *testing.T) {
 	inv.capSum[0]++
 	if err := inv.CheckInvariants(); err == nil {
 		t.Error("CheckInvariants missed a drifted capacity total")
+	}
+}
+
+// TestCapacityOverflowRefused: a capacity matrix whose cells sum past int
+// would wrap the availability vector negative (two cells of 9e18 read as
+// −446744073709551616 available), so NewFromMatrix refuses it, and
+// SetCapacity refuses a change that would push the plant's total past
+// int — failed nodes' saved rows included, since RestoreNode adds them
+// back — leaving the inventory as it was. A total of exactly MaxInt fits.
+func TestCapacityOverflowRefused(t *testing.T) {
+	const big = 9000000000000000000
+	if _, err := NewFromMatrix([][]int{{big}, {big}}); !errors.Is(err, model.ErrCapacityOverflow) {
+		t.Fatalf("NewFromMatrix over two %d cells: err = %v, want ErrCapacityOverflow", big, err)
+	}
+	if _, err := NewFromMatrix([][]int{{1, big}, {0, big}}); !errors.Is(err, model.ErrCapacityOverflow) {
+		t.Fatalf("NewFromMatrix with one %d cell per column: err = %v, want ErrCapacityOverflow", big, err)
+	}
+	inv, err := NewFromMatrix([][]int{{math.MaxInt - 3, 1}, {1, 1}})
+	if err != nil {
+		t.Fatalf("NewFromMatrix summing to MaxInt: %v", err)
+	}
+	v := inv.Version()
+	if err := inv.SetCapacity(1, 1, 2); !errors.Is(err, model.ErrCapacityOverflow) {
+		t.Fatalf("SetCapacity past MaxInt: err = %v, want ErrCapacityOverflow", err)
+	}
+	if err := inv.SetCapacity(1, 0, 0); err != nil {
+		t.Fatalf("shrinking a cell: %v", err)
+	}
+	if err := inv.SetCapacity(1, 1, 2); err != nil {
+		t.Fatalf("SetCapacity back to a MaxInt total: %v", err)
+	}
+	if _, err := inv.FailNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := inv.SetCapacity(1, 0, 1); !errors.Is(err, model.ErrCapacityOverflow) {
+		t.Fatalf("SetCapacity past MaxInt with the large node failed: err = %v, want ErrCapacityOverflow", err)
+	}
+	if err := inv.RestoreNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := inv.Available(); got[0] != math.MaxInt-3 || got[1] != 3 {
+		t.Fatalf("Available() = %v after refused resizes, want [%d 3]", got, math.MaxInt-3)
+	}
+	if inv.Version() != v+4 {
+		t.Fatalf("version %d, want %d: a refused SetCapacity must not bump it", inv.Version(), v+4)
+	}
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

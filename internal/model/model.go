@@ -10,6 +10,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -213,6 +214,24 @@ func Sum(v []int) int {
 		n += x
 	}
 	return n
+}
+
+// ErrCapacityOverflow marks a capacity matrix, or a change to one, whose
+// cells sum past math.MaxInt.
+var ErrCapacityOverflow = errors.New("model: capacity total overflows int")
+
+// AddCapacity adds one capacity cell k to a running total of cells,
+// refusing with ErrCapacityOverflow a sum past math.MaxInt. Every entry
+// point that accepts a capacity matrix sums its cells through it: each
+// row, column, rack, cloud and availability total over the matrix is a
+// partial sum of the same non-negative cells, so a matrix that passes
+// cannot wrap any of them negative. Negative cells are the caller's to
+// refuse; they never overflow.
+func AddCapacity(total, k int) (int, error) {
+	if k > 0 && total > math.MaxInt-k {
+		return 0, ErrCapacityOverflow
+	}
+	return total + k, nil
 }
 
 // RequestID identifies a request within a batch, queue, or simulation run.

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -192,5 +194,35 @@ func TestQuickAddSubInverse(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAddCapacity pins the shared overflow check every capacity entry
+// point sums through: a total may reach math.MaxInt but not pass it, and
+// a zero or negative cell never overflows.
+func TestAddCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		total, k, want int
+		overflow       bool
+	}{
+		{0, 5, 5, false},
+		{math.MaxInt - 1, 1, math.MaxInt, false},
+		{math.MaxInt, 0, math.MaxInt, false},
+		{math.MaxInt, 1, 0, true},
+		{math.MaxInt / 2, math.MaxInt/2 + 2, 0, true},
+		{9000000000000000000, 9000000000000000000, 0, true},
+		{5, -3, 2, false},
+		{-1, math.MaxInt, math.MaxInt - 1, false},
+	} {
+		got, err := AddCapacity(tc.total, tc.k)
+		if tc.overflow {
+			if !errors.Is(err, ErrCapacityOverflow) {
+				t.Errorf("AddCapacity(%d, %d) = (%d, %v), want ErrCapacityOverflow", tc.total, tc.k, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("AddCapacity(%d, %d) = (%d, %v), want %d", tc.total, tc.k, got, err, tc.want)
+		}
 	}
 }

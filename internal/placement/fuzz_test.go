@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"affinitycluster/internal/affinity"
+	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
 )
@@ -15,29 +16,44 @@ import (
 // FuzzPlaceRequest drives Algorithm 1 with arbitrary plant shapes,
 // capacity matrices, and requests. The matrix width is drawn apart from
 // the request's, so malformed shapes are fuzzed too; zeroCloud empties
-// one cloud's capacity (0 leaves every cloud as drawn), and scramble
-// re-imports the plant with permuted node and rack IDs (scramblePlant).
+// one cloud's capacity (0 leaves every cloud as drawn), prefill places
+// up to 15 requests through PlaceSparse and AllocateList before the
+// checked one (prefillPlant), and scramble re-imports the plant with
+// permuted node and rack IDs (scramblePlant).
 // Invariants (DESIGN.md §10): Place never panics, never mutates the
 // capacity snapshot L, rejects a width mismatch with an error, and every
 // successful allocation (a) satisfies the request within L, (b) equals
 // the ExhaustiveCenters reference allocation, with PlaceSparse on a tier
-// index returning that allocation's exact DC bits and center, and (c)
-// has a DC(C) on which the tier-aggregated DistanceEvaluator and the
-// plain row-scan oracle Allocation.DistanceFrom agree exactly, including
-// the lowest-ID center tie-break.
+// index returning that allocation's exact DC bits and center, (c) has a
+// DC(C) on which the tier-aggregated DistanceEvaluator and the plain
+// row-scan oracle Allocation.DistanceFrom agree exactly, including the
+// lowest-ID center tie-break, and (d) comes from a scan whose bounded
+// builds never abandon a build that reaches its bound
+// (checkBoundedBuilds).
 func FuzzPlaceRequest(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(3), uint8(10), uint8(4), uint8(1), uint8(0), false, []byte{3, 2})
-	f.Add(int64(7), uint8(2), uint8(2), uint8(3), uint8(6), uint8(2), uint8(0), false, []byte{1, 0, 5})
-	f.Add(int64(42), uint8(3), uint8(4), uint8(5), uint8(1), uint8(0), uint8(0), false, []byte{9})
-	f.Add(int64(0), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(0), false, []byte{0, 0})
-	f.Add(int64(3), uint8(1), uint8(2), uint8(2), uint8(5), uint8(2), uint8(0), false, []byte{1, 1})
-	f.Add(int64(5), uint8(2), uint8(1), uint8(3), uint8(5), uint8(0), uint8(0), false, []byte{2, 1})
+	f.Add(int64(1), uint8(1), uint8(3), uint8(10), uint8(4), uint8(1), uint8(0), uint8(0), false, []byte{3, 2})
+	f.Add(int64(7), uint8(2), uint8(2), uint8(3), uint8(6), uint8(2), uint8(0), uint8(0), false, []byte{1, 0, 5})
+	f.Add(int64(42), uint8(3), uint8(4), uint8(5), uint8(1), uint8(0), uint8(0), uint8(0), false, []byte{9})
+	f.Add(int64(0), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(0), uint8(0), false, []byte{0, 0})
+	f.Add(int64(3), uint8(1), uint8(2), uint8(2), uint8(5), uint8(2), uint8(0), uint8(0), false, []byte{1, 1})
+	f.Add(int64(5), uint8(2), uint8(1), uint8(3), uint8(5), uint8(0), uint8(0), uint8(0), false, []byte{2, 1})
 	// Cloud 0 holds no capacity: the sweep settles it with the shared
 	// purely remote build.
-	f.Add(int64(11), uint8(2), uint8(3), uint8(4), uint8(4), uint8(1), uint8(1), false, []byte{6, 5})
-	f.Add(int64(13), uint8(2), uint8(3), uint8(4), uint8(4), uint8(1), uint8(1), true, []byte{6, 5})
+	f.Add(int64(11), uint8(2), uint8(3), uint8(4), uint8(4), uint8(1), uint8(1), uint8(0), false, []byte{6, 5})
+	f.Add(int64(13), uint8(2), uint8(3), uint8(4), uint8(4), uint8(1), uint8(1), uint8(0), true, []byte{6, 5})
+	// Pre-filled plants whose sweep abandons test builds. In the first,
+	// an abandoned lowest-node build leaves its rack to the in-rack tie
+	// test, which finds the winner; the second is scrambled, with cloud 0
+	// empty, and holds builds whose floor meets their own DC exactly. In
+	// the last two, some build reaches its DC only through later takes in
+	// a rack it already touched: one larger than the rack's first take
+	// (4, 9, 0, 0), or any at all (4, 4, 4, 4).
+	f.Add(int64(-65), uint8(4), uint8(3), uint8(4), uint8(2), uint8(3), uint8(2), uint8(12), false, []byte{1, 5, 4, 4})
+	f.Add(int64(13), uint8(4), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(13), true, []byte{4, 4})
+	f.Add(int64(-134), uint8(3), uint8(2), uint8(3), uint8(5), uint8(3), uint8(0), uint8(13), false, []byte{4, 9, 0, 0})
+	f.Add(int64(-170), uint8(3), uint8(2), uint8(1), uint8(6), uint8(3), uint8(0), uint8(8), false, []byte{4, 4, 4, 4})
 
-	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, capMax, width, zeroCloud uint8, scramble bool, reqBytes []byte) {
+	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, capMax, width, zeroCloud, prefill uint8, scramble bool, reqBytes []byte) {
 		nc := 1 + int(clouds)%5
 		nr := 1 + int(racksPer)%4
 		nn := 1 + int(nodesPer)%5
@@ -63,16 +79,18 @@ func FuzzPlaceRequest(f *testing.F) {
 		m := 1 + int(width)%4
 		empty := int(zeroCloud)%(nc+1) - 1 // -1: no cloud emptied
 		l := make([][]int, n)
-		snapshot := make([][]int, n)
 		for i := range l {
 			l[i] = make([]int, m)
-			snapshot[i] = make([]int, m)
 			for j := range l[i] {
 				if v := rng.Intn(1 + int(capMax)%8); tp.CloudOf(topology.NodeID(i)) != empty {
 					l[i][j] = v
 				}
-				snapshot[i][j] = l[i][j]
 			}
+		}
+		l = prefillPlant(t, rng, tp, l, int(prefill)%16, nn)
+		snapshot := make([][]int, n)
+		for i := range l {
+			snapshot[i] = append([]int(nil), l[i]...)
 		}
 
 		alloc, err := (&OnlineHeuristic{}).Place(tp, l, r)
@@ -153,5 +171,81 @@ func FuzzPlaceRequest(f *testing.F) {
 		if gotD != bestD || gotK != bestK {
 			t.Fatalf("Distance() = (%v, %d), oracle (%v, %d)\nalloc %v", gotD, gotK, bestD, bestK, alloc)
 		}
+		// (d) The floors that abandon the sweep's test builds hold.
+		checkBoundedBuilds(t, idx, r)
 	})
+}
+
+// prefillPlant places k requests of l's width through PlaceSparse on an
+// inventory over l and commits each with AllocateList, as cloudsim and
+// the service do, then returns what remains. Each request asks for up
+// to two racks' worth of every type at the plant's mean free capacity,
+// so a few of them saturate racks and whole clouds: the prefixes where
+// the sweep shares remote builds and its test builds are abandoned. A
+// request that does not fit is skipped.
+func prefillPlant(t *testing.T, rng *rand.Rand, tp *topology.Topology, l [][]int, k, nodesPerRack int) [][]int {
+	t.Helper()
+	if k == 0 {
+		return l
+	}
+	inv, err := inventory.NewFromMatrix(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := inv.AttachTierIndex(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &OnlineHeuristic{}
+	var sp affinity.SparseAlloc
+	for range k {
+		req := make(model.Request, len(l[0]))
+		for j := range req {
+			req[j] = rng.Intn(1 + 2*nodesPerRack*model.Sum(idx.Avail())/max(1, tp.Nodes()*len(req)))
+		}
+		if _, _, err := h.PlaceSparse(idx, req, &sp); err != nil {
+			if errors.Is(err, ErrInsufficient) {
+				continue
+			}
+			t.Fatalf("prefill %v: %v", req, err)
+		}
+		if err := inv.AllocateList(sp.Entries); err != nil {
+			t.Fatalf("prefill %v: commit: %v", req, err)
+		}
+	}
+	return inv.Remaining()
+}
+
+// checkBoundedBuilds tests the bound the sweep's test builds run under
+// directly, on every center rather than only on the optimum M: with the
+// sweep's caps set for r, the build around each node, bounded by its own
+// unbounded DC, must run to completion and leave the same allocation. A
+// floor that overestimates any hosting node's final price abandons one
+// of these builds. The floors hold only once the fast path has failed,
+// so a request some node covers is not checked.
+func checkBoundedBuilds(t *testing.T, idx *affinity.TierIndex, r model.Request) {
+	t.Helper()
+	tp := idx.Topology()
+	T := model.Sum(r)
+	s := newScanScratch(tp, idx.Types())
+	if _, ok := s.fastCover(idx, r); ok || T == 0 {
+		return
+	}
+	s.setCaps(idx, r, T, T-1)
+	var free, bounded affinity.SparseAlloc
+	for c := range tp.Nodes() {
+		center := topology.NodeID(c)
+		s.dst = &free
+		if !s.buildFull(idx, r, center, math.Inf(1)) {
+			t.Fatalf("unbounded build around %d did not cover %v", center, r)
+		}
+		dc, _ := s.score(tp, tp.Distances(), T)
+		s.dst = &bounded
+		if !s.buildFull(idx, r, center, dc) {
+			t.Fatalf("build around %d abandoned under its own DC %v\nreq %v\nL %v", center, dc, r, idx.Matrix())
+		}
+		if !reflect.DeepEqual(free.ToDense(), bounded.ToDense()) {
+			t.Fatalf("build around %d under bound %v = %v, unbounded %v", center, dc, bounded.ToDense(), free.ToDense())
+		}
+	}
 }

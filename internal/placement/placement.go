@@ -35,14 +35,16 @@ type Placer interface {
 
 // admit implements the paper's first check, every R_j ≤ A_j, against a
 // fresh scan of L — the one-shot form every dense placer runs. A matrix
-// that is not n×len(r) on t, or that holds a negative cell, is malformed
-// input; that error does not wrap ErrInsufficient, so callers treat it
-// as a hard error rather than as "does not fit".
+// that is not n×len(r) on t, that holds a negative cell, or whose cells
+// sum past int (model.AddCapacity) is malformed input; that error does
+// not wrap ErrInsufficient, so callers treat it as a hard error rather
+// than as "does not fit".
 func admit(t *topology.Topology, l [][]int, r model.Request) error {
 	if len(l) != t.Nodes() {
 		return fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
 	}
 	avail := make([]int, len(r))
+	total := 0
 	for i, row := range l {
 		if len(row) != len(r) {
 			return fmt.Errorf("placement: capacity row %d has %d types, request has %d", i, len(row), len(r))
@@ -50,6 +52,10 @@ func admit(t *topology.Topology, l [][]int, r model.Request) error {
 		for j, c := range row {
 			if c < 0 {
 				return fmt.Errorf("placement: node %d has negative capacity %d of type %d", i, c, j)
+			}
+			var err error
+			if total, err = model.AddCapacity(total, c); err != nil {
+				return fmt.Errorf("placement: node %d capacity %d of type %d: %w", i, c, j, err)
 			}
 			avail[j] += c
 		}

@@ -584,3 +584,27 @@ func TestAdmissionRejectsNegatives(t *testing.T) {
 		check("PlaceDeltaSparse", err)
 	}
 }
+
+// TestAdmissionRejectsCapacityOverflow: a dense capacity matrix whose
+// cells sum past int would wrap A_j negative and turn a fitting request
+// into a shortfall. Every dense placer refuses it with a malformed-input
+// error that wraps model.ErrCapacityOverflow, not ErrInsufficient.
+func TestAdmissionRejectsCapacityOverflow(t *testing.T) {
+	tp, err := topology.Uniform(1, 1, 2, topology.DefaultDistances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range [][][]int{
+		{{9000000000000000000}, {9000000000000000000}},
+		{{math.MaxInt, 0}, {0, 1}},
+	} {
+		r := make(model.Request, len(l[0]))
+		r[0] = 5
+		for _, p := range []Placer{&OnlineHeuristic{}, &OnlineHeuristic{Policy: ExhaustiveCenters}, FirstFit{}, RoundRobinStripe{}, PackBestFit{}} {
+			_, err := p.Place(tp, l, r)
+			if !errors.Is(err, model.ErrCapacityOverflow) || errors.Is(err, ErrInsufficient) {
+				t.Errorf("%s on %v: err = %v, want ErrCapacityOverflow and not ErrInsufficient", p.Name(), l, err)
+			}
+		}
+	}
+}

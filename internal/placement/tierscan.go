@@ -88,6 +88,12 @@
 //   - Winner reuse. The sweep's full builds write into the caller's
 //     allocation, and the scratch records whose build it holds. The
 //     winner's build is replayed only when an in-rack test settled it.
+//   - Abandoned test builds. The sweep's full builds carry M. Before the
+//     drain opens another container, reachable floors the final price
+//     of every touched rack, of each touched cloud's untouched racks and
+//     of the untouched clouds from the VMs still to place, and the build
+//     stops once every floor exceeds M: it counts as DC > M. A build
+//     that reaches M never stops, and the winner's replay is unbounded.
 //
 // Every bound above leans on TierSum falling as its node, rack or cloud
 // count grows, which holds because topology.Distances.Validate admits only
@@ -180,7 +186,7 @@ func (h *OnlineHeuristic) placeSparseCore(idx *affinity.TierIndex, r model.Reque
 	}
 	// A winner the sweep settled by a full build left that build in dst
 	// and the tallies; only an in-rack winner needs its build replayed.
-	if s.built != winner && !s.buildFull(idx, r, winner) {
+	if s.built != winner && !s.buildFull(idx, r, winner, math.Inf(1)) {
 		return 0, -1, false, fmt.Errorf("placement: internal error — no allocation built for feasible request %v", r)
 	}
 	dc, center := s.score(t, d, T)
@@ -229,10 +235,26 @@ type scanScratch struct {
 	cloudDC0  []float64
 	cloudMemo []bool
 	memoList  []int // slots with cloudMemo set, for O(set) reset
+
+	// The sweep's test builds are bounded: bound is the optimum M they
+	// must reach (+Inf for every other build), and reachable abandons a
+	// build, setting aborted, once no hosting node can still price at M.
+	// rackCap and cloudCap hold what each rack and cloud of an absorbing
+	// cloud can take of the request, wStar and rStar the largest node and
+	// rack shares, reqT its total; all are the sweep's, fixed per request.
+	// deadFar, deadClouds and deadRacks mark the floors already proven
+	// above the bound in the current build.
+	bound                 float64
+	aborted               bool
+	rackCap               []int // racks
+	cloudCap              []int // clouds
+	wStar, rStar, reqT    int
+	deadFar               bool
+	deadClouds, deadRacks int
 }
 
 func newScanScratch(t *topology.Topology, m int) *scanScratch {
-	nr := t.Racks()
+	nr, nc := t.Racks(), t.Clouds()
 	low := make([]topology.NodeID, nr+t.Clouds())
 	for c := range t.Clouds() {
 		low[nr+c] = math.MaxInt
@@ -241,6 +263,10 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 			low[nr+c] = min(low[nr+c], low[rho])
 		}
 	}
+	// rackCap and cloudCap share backing arrays with rackTake and
+	// cloudTake, which keeps down the allocations of each scratch the
+	// pool rebuilds after a collection.
+	racks, clouds := make([]int, 2*nr), make([]int, 2*nc)
 	return &scanScratch{
 		t:         t,
 		m:         m,
@@ -249,15 +275,18 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 		ctUb:      make([]int, nr+t.Clouds()),
 		ctLow:     low,
 		built:     -1,
-		rackTake:  make([]int, t.Racks()),
+		rackTake:  racks[:nr:nr],
 		rackMaxW:  make([]int, t.Racks()),
 		rackBest:  make([]topology.NodeID, t.Racks()),
 		touched:   make([]int, 0, 16),
-		cloudTake: make([]int, t.Clouds()),
+		cloudTake: clouds[:nc:nc],
 		tclouds:   make([]int, 0, t.Clouds()),
 		cloudDC0:  make([]float64, t.Clouds()+1),
 		cloudMemo: make([]bool, t.Clouds()+1),
 		memoList:  make([]int, 0, t.Clouds()+1),
+		bound:     math.Inf(1),
+		rackCap:   racks[nr:],
+		cloudCap:  clouds[nc:],
 	}
 }
 
@@ -400,23 +429,6 @@ func nodeCapOf(li []int, r model.Request) int {
 	return c
 }
 
-// rackTotOf is Σ_j min(Σ_{i∈ρ} L_ij, R_j) — rackProbe's rackTot without
-// the exact max-capacity scan.
-//
-//lint:hotpath
-func rackTotOf(idx *affinity.TierIndex, r model.Request, rho int) int {
-	rr := idx.RackRemain(rho)
-	tot := 0
-	for j, need := range r {
-		if v := rr[j]; v < need {
-			tot += v
-		} else {
-			tot += need
-		}
-	}
-	return tot
-}
-
 // cloudTot is Σ_j min(Σ_{i∈cloud} L_ij, R_j).
 //
 //lint:hotpath
@@ -510,6 +522,9 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCa
 // absorption anywhere; h = rackTot_ρ VMs stay home), and its cloud at
 // most T. TierSum(min(W*, amax), amax, T, T) > M proves no remote host
 // reaches M either, and the rack is skipped without simulating.
+// Every full build the sweep runs is bounded by M (buildFull), and an
+// abandoned lowest-node build still leaves its rack to the in-rack tie
+// test.
 //
 //lint:hotpath
 func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap int, M float64) topology.NodeID {
@@ -521,27 +536,7 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 		s.cloudMemo[c] = false
 	}
 	s.memoList = s.memoList[:0]
-	wStar, rStar := 0, 0
-	for p, runEnd := 0, 0; p < len(order); p++ {
-		rho := order[p]
-		if p == runEnd {
-			runEnd = t.CloudRunEnd(p)
-			if cloudTotOf(idx, r, t.CloudOfRack(rho)) == 0 {
-				p = runEnd - 1 // its racks contribute 0 to both maxima
-				continue
-			}
-		}
-		mc := idx.RackMaxCol(rho)
-		rr := idx.RackRemain(rho)
-		wv, rv := 0, 0
-		for j, need := range r {
-			wv += min(mc[j], need)
-			rv += min(rr[j], need)
-		}
-		wStar = max(wStar, wv)
-		rStar = max(rStar, rv)
-	}
-	wStar = min(wStar, wCap)
+	s.setCaps(idx, r, T, wCap)
 	winner := topology.NodeID(-1)
 	ct := 0
 	for p, runEnd := 0, 0; p < len(order); p++ {
@@ -552,17 +547,17 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 		}
 		if p == runEnd {
 			runEnd = t.CloudRunEnd(p)
-			if ct = cloudTotOf(idx, r, t.CloudOfRack(rho)); ct == 0 {
-				if s.remoteDC(idx, r, nodes[0], t.Clouds(), T) == M {
+			if ct = s.cloudCap[t.CloudOfRack(rho)]; ct == 0 {
+				if s.remoteDC(idx, r, nodes[0], t.Clouds(), M) == M {
 					winner = nodes[0]
 				}
 				p = runEnd - 1
 				continue
 			}
 		}
-		h := rackTotOf(idx, r, rho)
+		h := s.rackCap[rho]
 		if h == 0 {
-			if s.remoteDC(idx, r, nodes[0], t.CloudOfRack(rho), T) == M {
+			if s.remoteDC(idx, r, nodes[0], t.CloudOfRack(rho), M) == M {
 				winner = nodes[0]
 			}
 			continue
@@ -577,18 +572,19 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 		}
 		wUb = min(wUb, idx.RackMaxTotal(rho), h, wCap)
 		if affinity.TierSum(d, wUb, h, ct, T) > M {
-			amax := min(rStar, T-h)
-			if affinity.TierSum(d, min(wStar, amax), amax, T, T) > M {
+			amax := min(s.rStar, T-h)
+			if affinity.TierSum(d, min(s.wStar, amax), amax, T, T) > M {
 				continue
 			}
 		}
-		if !s.buildFull(idx, r, nodes[0]) {
-			continue
+		if s.buildFull(idx, r, nodes[0], M) {
+			if dc0, _ := s.score(t, d, T); dc0 == M {
+				winner = nodes[0]
+				continue
+			}
 		}
-		if dc0, _ := s.score(t, d, T); dc0 == M {
-			winner = nodes[0]
-			continue
-		}
+		// The build missed M, or was abandoned once it provably could not
+		// reach it: either way the lowest node prices above M.
 		rackTot, w := s.rackProbe(idx, r, rho)
 		if affinity.TierSum(d, w, rackTot, ct, T) != M {
 			continue
@@ -615,18 +611,56 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 	return winner
 }
 
+// setCaps records what the index lets each rack and cloud absorb of r
+// (rackCap, cloudCap), the largest node share W* = min(max_ρ Σ_j
+// min(RackMaxCol_j, R_j), wCap) and rack share R* = max_ρ rackCap, and
+// the total T: the sweep's skip floors and every bounded build read
+// them. A run of racks whose cloud absorbs nothing is jumped; such racks
+// take nothing in any build, so their rackCap is never read.
+//
+//lint:hotpath
+func (s *scanScratch) setCaps(idx *affinity.TierIndex, r model.Request, T, wCap int) {
+	t := s.t
+	order := t.RacksByLowestNode()
+	wStar, rStar := 0, 0
+	for p, runEnd := 0, 0; p < len(order); p++ {
+		rho := order[p]
+		if p == runEnd {
+			runEnd = t.CloudRunEnd(p)
+			c := t.CloudOfRack(rho)
+			if s.cloudCap[c] = cloudTotOf(idx, r, c); s.cloudCap[c] == 0 {
+				p = runEnd - 1
+				continue
+			}
+		}
+		mc := idx.RackMaxCol(rho)
+		rr := idx.RackRemain(rho)
+		wv, rv := 0, 0
+		for j, need := range r {
+			wv += min(mc[j], need)
+			rv += min(rr[j], need)
+		}
+		s.rackCap[rho] = rv
+		wStar = max(wStar, wv)
+		rStar = max(rStar, rv)
+	}
+	s.wStar, s.rStar, s.reqT = min(wStar, wCap), rStar, T
+}
+
 // remoteDC returns the DC of the purely remote build around center,
 // whose rack absorbs nothing of r, memoized in slot for the rest of the
 // sweep. The slot is the center's cloud, or the shared last slot when
 // the whole cloud absorbs nothing: such a center's near bucket is empty
 // as well, so its build is the same far drain from every such cloud.
+// The build is bounded by M; an abandoned one memoizes +Inf, since only
+// a DC equal to M is ever asked for.
 //
 //lint:hotpath
-func (s *scanScratch) remoteDC(idx *affinity.TierIndex, r model.Request, center topology.NodeID, slot, T int) float64 {
+func (s *scanScratch) remoteDC(idx *affinity.TierIndex, r model.Request, center topology.NodeID, slot int, M float64) float64 {
 	if !s.cloudMemo[slot] {
 		dc0 := math.Inf(1)
-		if s.buildFull(idx, r, center) {
-			dc0, _ = s.score(s.t, s.t.Distances(), T)
+		if s.buildFull(idx, r, center, M) {
+			dc0, _ = s.score(s.t, s.t.Distances(), s.reqT)
 		}
 		s.cloudDC0[slot] = dc0
 		s.cloudMemo[slot] = true
@@ -653,6 +687,8 @@ func (s *scanScratch) resetTallies() {
 	s.lnodes = s.lnodes[:0]
 	s.total = 0
 	s.built = -1
+	s.aborted, s.deadFar = false, false
+	s.deadClouds, s.deadRacks = 0, 0
 }
 
 // credit folds w VMs on node i into the rack/cloud/node tallies. The
@@ -744,16 +780,66 @@ func (s *scanScratch) buildSim(idx *affinity.TierIndex, r model.Request, center 
 }
 
 // buildFull runs the full build around center into the caller's dst,
-// reset first, and records center as built when it covers r.
+// reset first, and records center as built when it covers r. A finite
+// M makes it one of the sweep's test builds, which reports false as soon
+// as reachable proves its DC exceeds M; the sweep sets the caps
+// reachable reads before its first test build.
 //
 //lint:hotpath
-func (s *scanScratch) buildFull(idx *affinity.TierIndex, r model.Request, center topology.NodeID) bool {
+func (s *scanScratch) buildFull(idx *affinity.TierIndex, r model.Request, center topology.NodeID, M float64) bool {
 	s.dst.Reset(s.t.Nodes(), s.m)
-	if !s.buildSim(idx, r, center, s.dst, false) {
+	s.bound = M
+	ok := s.buildSim(idx, r, center, s.dst, false)
+	s.bound = math.Inf(1)
+	if !ok {
 		return false
 	}
 	s.built = center
 	return true
+}
+
+// reachable reports whether some hosting node of the bounded build in
+// progress may still price at or below s.bound. A fresh build takes each
+// node at most once and has rem = T − total VMs left to place, so each
+// node still to be taken loads at most min(rem, W*). A touched rack
+// therefore ends with max load ≤ max(load, min(rem, W*)), rack take ≤
+// min(take+rem, rackTot) and cloud take ≤ min(cloudTake+rem, cloudTot);
+// the untouched racks of a touched cloud with at most min(rem, W*),
+// min(rem, R*) and min(cloudTake+rem, cloudTot); the untouched clouds
+// with at most min(rem, W*), min(rem, R*) and rem. TierSum of those caps
+// floors the best price in each group. No cap rises as the build goes
+// on, so a floor once above the bound stays there: the check resumes
+// after the floors already proven dead and returns at the first one
+// that is not, paying O(1) per call on a build that can still reach.
+//
+//lint:hotpath
+func (s *scanScratch) reachable() bool {
+	t := s.t
+	d := t.Distances()
+	T := s.reqT
+	rem := T - s.total
+	w, rk := min(rem, s.wStar), min(rem, s.rStar)
+	if !s.deadFar && len(s.tclouds) < t.Clouds() {
+		if affinity.TierSum(d, w, rk, rem, T) <= s.bound {
+			return true
+		}
+		s.deadFar = true
+	}
+	for ; s.deadClouds < len(s.tclouds); s.deadClouds++ {
+		c := s.tclouds[s.deadClouds]
+		if affinity.TierSum(d, w, rk, min(s.cloudTake[c]+rem, s.cloudCap[c]), T) <= s.bound {
+			return true
+		}
+	}
+	for ; s.deadRacks < len(s.touched); s.deadRacks++ {
+		rho := s.touched[s.deadRacks]
+		c := t.CloudOfRack(rho)
+		if affinity.TierSum(d, max(s.rackMaxW[rho], w), min(s.rackTake[rho]+rem, s.rackCap[rho]),
+			min(s.cloudTake[c]+rem, s.cloudCap[c]), T) <= s.bound {
+			return true
+		}
+	}
+	return false
 }
 
 // fillFrom runs the greedy fill of the current residual around center on
@@ -807,6 +893,9 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 	cCloud := t.CloudOf(center)
 	if s.gatherNear(idx, cCloud, cRack); s.drainBucket(idx, l, dst) {
 		return true
+	}
+	if s.aborted {
+		return false
 	}
 	if s.gatherFar(idx, cCloud); s.drainBucket(idx, l, dst) {
 		return true
@@ -875,13 +964,16 @@ func (s *scanScratch) pushRackUb(idx *affinity.TierIndex, rho int) {
 // or ties it with a strictly higher ID (ctLow is the container's lowest
 // node), and so sorts after it; so does every node of a container that
 // sorts after the first. A cloud opens into its racks, a rack into its
-// positive-supply nodes. Reports whether the residual reached zero.
+// positive-supply nodes. Reports whether the residual reached zero. A
+// bounded build checks reachable before each container it opens and
+// stops, setting aborted, once the check fails.
 //
 //lint:hotpath
 func (s *scanScratch) drainBucket(idx *affinity.TierIndex, l [][]int, dst *affinity.SparseAlloc) bool {
 	s.ndHeap = s.ndHeap[:0]
 	sup := s.sup()
 	nr := s.t.Racks()
+	bounded := !math.IsInf(s.bound, 1)
 	for {
 		for len(s.ctHeap) > 0 {
 			top := s.ctHeap[0]
@@ -890,6 +982,10 @@ func (s *scanScratch) drainBucket(idx *affinity.TierIndex, l [][]int, dst *affin
 				if s.ctUb[top] < sup[h] || (s.ctUb[top] == sup[h] && s.ctLow[top] > h) {
 					break
 				}
+			}
+			if bounded && !s.reachable() {
+				s.aborted = true
+				return false
 			}
 			s.popCt()
 			if top >= nr {
