@@ -227,10 +227,10 @@ func BenchmarkAblationTransferFixpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationExactSolvers compares the specialized exact SD solver
-// (per-center transportation greedy) against the paper's program solved
-// per center by the simplex on the same instance — identical objective
-// values, very different cost.
+// BenchmarkAblationExactSolvers compares Algorithm 1, which solves SD
+// exactly (DESIGN.md §9), against the paper's program solved per center
+// by the simplex on the same instance — identical objective values, very
+// different cost.
 func BenchmarkAblationExactSolvers(b *testing.B) {
 	topo, err := topology.Uniform(1, 2, 3, topology.DefaultDistances())
 	if err != nil {
@@ -241,9 +241,10 @@ func BenchmarkAblationExactSolvers(b *testing.B) {
 		b.Fatal(err)
 	}
 	req := model.Request{4, 2}
-	b.Run("transportation-greedy", func(b *testing.B) {
+	b.Run("algorithm-1", func(b *testing.B) {
+		h := &placement.OnlineHeuristic{}
 		for i := 0; i < b.N; i++ {
-			if _, err := sdexact.SolveSD(topo, caps, req); err != nil {
+			if _, err := h.Place(topo, caps, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -468,17 +469,6 @@ func BenchmarkOnlinePlace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := h.Place(topo, caps, reqs[i%len(reqs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExactSD measures the exact solver on the paper plant.
-func BenchmarkExactSD(b *testing.B) {
-	topo, caps, reqs := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sdexact.SolveSD(topo, caps, reqs[i%len(reqs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func main() {
 }
 
 func runJSON(w io.Writer, seed int64) error {
-	r, err := report.Collect(seed, 100)
+	r, err := report.Collect(seed)
 	if err != nil {
 		return err
 	}

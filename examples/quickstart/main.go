@@ -1,7 +1,7 @@
 // Quickstart: build a cloud, provision an affinity-aware virtual cluster
 // for a MapReduce-style request through the placement service, inspect
-// its distance and central node, compare it with the exact optimum, and
-// release it.
+// its distance — the shortest-distance optimum under the current load —
+// and central node, and release it.
 package main
 
 import (
@@ -11,7 +11,6 @@ import (
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
-	"affinitycluster/internal/sdexact"
 	"affinitycluster/internal/service"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
@@ -31,7 +30,8 @@ func main() {
 	}
 
 	// The service owns the inventory until Close: placements and
-	// releases go through it, and it places with Algorithm 1.
+	// releases go through it, and it places with Algorithm 1, which
+	// returns the shortest-distance optimum (DESIGN.md §9).
 	svc, err := service.New(service.Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		log.Fatal(err)
@@ -52,14 +52,6 @@ func main() {
 	for _, node := range alloc.HostingNodes() {
 		fmt.Printf("  node %2d (rack %d): %v\n", node, topo.RackOf(node), alloc[node])
 	}
-
-	// Compare against the provable optimum under the current load; the
-	// exact solver only reads the capacity snapshot.
-	exact, err := sdexact.SolveSD(topo, inv.Remaining(), req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("exact SD optimum for the same request under current load: %.1f\n", exact.Distance)
 
 	if err := svc.Release(pl.Entries); err != nil {
 		log.Fatal(err)

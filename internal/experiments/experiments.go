@@ -605,7 +605,8 @@ func (r *Fig78Result) RenderFig8() string {
 // Supplementary: heuristic-vs-exact optimality gap
 // ---------------------------------------------------------------------------
 
-// ExactGapResult quantifies how far Algorithm 1 lands from the SD optimum.
+// ExactGapResult quantifies how far Algorithm 1 lands from the SD
+// optimum. Algorithm 1 is exact (DESIGN.md §9), so every instance hits.
 type ExactGapResult struct {
 	Instances  int
 	OptimalHit int     // instances where the heuristic matched the optimum
@@ -613,8 +614,9 @@ type ExactGapResult struct {
 	MaxGapPct  float64
 }
 
-// ExactGap samples random instances on a small plant and compares the
-// online heuristic against the exact SD solver.
+// ExactGap samples random instances on a small plant and compares
+// Algorithm 1 against the paper's SD program solved per center by the
+// simplex (sdexact.SolveSDLP).
 func ExactGap(seed int64, instances int) (*ExactGapResult, error) {
 	if instances <= 0 {
 		return nil, fmt.Errorf("experiments: ExactGap needs positive instance count")
@@ -634,7 +636,7 @@ func ExactGap(seed int64, instances int) (*ExactGapResult, error) {
 			return nil, err
 		}
 		req := model.Request{1 + rng.Intn(6), rng.Intn(4)}
-		exact, errE := sdexact.SolveSD(tp, caps, req)
+		exact, errE := sdexact.SolveSDLP(tp, caps, req)
 		if errE != nil {
 			continue // infeasible draw
 		}

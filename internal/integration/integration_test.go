@@ -165,10 +165,10 @@ func TestTraceRecordReplay(t *testing.T) {
 	}
 }
 
-// TestExactSolverAgreementAtScale cross-checks the exact SD solver
-// against the paper's program, solved per center by the simplex, on the
-// full paper plant. At most one VM of each type per node forces the
-// request to spread, so the optimum the two agree on is positive.
+// TestExactSolverAgreementAtScale cross-checks Algorithm 1 against the
+// paper's program, solved per center by the simplex, on the full paper
+// plant. At most one VM of each type per node forces the request to
+// spread, so the optimum the two agree on is positive.
 func TestExactSolverAgreementAtScale(t *testing.T) {
 	topo := topology.PaperSimPlant()
 	caps, err := workload.RandomCapacities(61, topo.Nodes(), 3, workload.InventoryConfig{MaxPerType: 1})
@@ -176,29 +176,19 @@ func TestExactSolverAgreementAtScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := model.Request{4, 3, 2}
-	greedy, err := sdexact.SolveSD(topo, caps, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if greedy.Distance <= 0 {
-		t.Fatalf("optimum %v: the instance no longer forces a spread", greedy.Distance)
-	}
 	simplex, err := sdexact.SolveSDLP(topo, caps, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(greedy.Distance-simplex.Distance) > 1e-9 {
-		t.Errorf("greedy %v != simplex %v", greedy.Distance, simplex.Distance)
+	if simplex.Distance <= 0 {
+		t.Fatalf("optimum %v: the instance no longer forces a spread", simplex.Distance)
 	}
-	// The heuristic on the same instance is bounded below by the optimum.
-	h := &placement.OnlineHeuristic{}
-	alloc, err := h.Place(topo, caps, req)
+	alloc, err := (&placement.OnlineHeuristic{}).Place(topo, caps, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := alloc.Distance(topo)
-	if d < greedy.Distance-1e-9 {
-		t.Errorf("heuristic %v below optimum %v", d, greedy.Distance)
+	if d, _ := alloc.Distance(topo); d != simplex.Distance {
+		t.Errorf("Algorithm 1 %v != simplex %v", d, simplex.Distance)
 	}
 }
 
@@ -231,7 +221,7 @@ func TestGlobalSubOptAgainstGSDOptimum(t *testing.T) {
 				reqs[i][j] = 1 + rng.Intn(4)
 			}
 		}
-		exact, err := sdexact.SolveGSD(topo, caps, reqs, sdexact.GSDOptions{})
+		exact, err := sdexact.SolveGSD(topo, caps, reqs)
 		if err != nil {
 			t.Fatalf("seed %d: SolveGSD: %v", seed, err)
 		}

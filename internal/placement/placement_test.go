@@ -175,29 +175,42 @@ func TestOnlineHeuristicValidAllocations(t *testing.T) {
 	}
 }
 
-// Property: the heuristic's distance is never better than the exact SD
-// optimum, and never catastrophically worse on feasible instances (the
-// greedy around the best-scanned center is within the worst single-tier
-// factor).
-func TestQuickHeuristicBoundedByExact(t *testing.T) {
-	tp, err := topology.Uniform(1, 2, 3, topology.DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &OnlineHeuristic{}
+// Property: Algorithm 1 returns the SD optimum. With the center k fixed,
+// its build fills each type nearest-first, which costs the optimum with
+// k fixed, so the scan's minimum over centers is SD* (DESIGN.md §9). Both
+// center policies must equal SolveSDLP's optimum, and agree with it on
+// which draws are infeasible, on plants of 1–5 clouds × 1–4 racks × 1–4
+// nodes with 1–3 types, cells of 0–2 and demands of 0–6.
+func TestQuickAlgorithm1MatchesSDOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		l := randCapacity(r, tp.Nodes(), 2, 3)
-		req := model.Request{1 + r.Intn(6), r.Intn(4)}
-		exact, errEx := sdexact.SolveSD(tp, l, req)
-		alloc, errH := h.Place(tp, l, req)
-		if errEx != nil || errH != nil {
-			return errors.Is(errEx, sdexact.ErrInfeasible) == errors.Is(errH, ErrInsufficient)
+		tp, err := topology.Uniform(1+r.Intn(5), 1+r.Intn(4), 1+r.Intn(4), topology.DefaultDistances())
+		if err != nil {
+			t.Fatal(err)
 		}
-		d, _ := alloc.Distance(tp)
-		return d >= exact.Distance-1e-9
+		l := randCapacity(r, tp.Nodes(), 1+r.Intn(3), 2)
+		req := make(model.Request, len(l[0]))
+		for j := range req {
+			req[j] = r.Intn(7)
+		}
+		exact, errEx := sdexact.SolveSDLP(tp, l, req)
+		for _, h := range []*OnlineHeuristic{{}, {Policy: ExhaustiveCenters}} {
+			alloc, errH := h.Place(tp, l, req)
+			if errEx != nil || errH != nil {
+				if !errors.Is(errEx, sdexact.ErrInfeasible) || !errors.Is(errH, ErrInsufficient) {
+					t.Logf("seed %d, %s: %v; SolveSDLP: %v", seed, h.Name(), errH, errEx)
+					return false
+				}
+				continue
+			}
+			if d, _ := alloc.Distance(tp); d != exact.Distance || alloc.Validate(req, l) != nil {
+				t.Logf("seed %d, %s: distance %v, optimum %v\nL %v\nR %v", seed, h.Name(), d, exact.Distance, l, req)
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
@@ -290,7 +303,7 @@ func TestGlobalSubOptImprovesContendedBatch(t *testing.T) {
 	}
 	// Exact optimum for reference: A in rack 0 (3+1 → d1), B in rack 1
 	// (2+2 → 2·d1) → 3.
-	exact, err := sdexact.SolveGSD(tp, l, reqs, sdexact.GSDOptions{})
+	exact, err := sdexact.SolveGSD(tp, l, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +330,7 @@ func TestQuickGlobalSandwich(t *testing.T) {
 		if reqs[0][0]+reqs[1][0] > total {
 			return true
 		}
-		exact, errE := sdexact.SolveGSD(tp, l, reqs, sdexact.GSDOptions{})
+		exact, errE := sdexact.SolveGSD(tp, l, reqs)
 		if errE != nil {
 			return false
 		}

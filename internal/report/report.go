@@ -57,11 +57,8 @@ type ExactGapSummary struct {
 }
 
 // Collect runs every experiment at the given seed and assembles the
-// report. gapInstances sizes the optimality study (0 = 100).
-func Collect(seed int64, gapInstances int) (*Report, error) {
-	if gapInstances <= 0 {
-		gapInstances = 100
-	}
+// report; the optimality study draws 100 instances.
+func Collect(seed int64) (*Report, error) {
 	r := &Report{
 		Schema: SchemaVersion,
 		Paper:  "Yan et al., Affinity-aware Virtual Cluster Optimization for MapReduce Applications, CLUSTER 2012",
@@ -105,7 +102,7 @@ func Collect(seed int64, gapInstances int) (*Report, error) {
 	if inv, slower, faster := skew.HasInversion(); inv {
 		r.Anomaly = &AnomalyNote{Slower: slower, Faster: faster}
 	}
-	gap, err := experiments.ExactGap(seed, gapInstances)
+	gap, err := experiments.ExactGap(seed, 100)
 	if err != nil {
 		return nil, fmt.Errorf("report: exact gap: %w", err)
 	}

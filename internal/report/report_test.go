@@ -7,7 +7,7 @@ import (
 )
 
 func TestCollectAndRoundTrip(t *testing.T) {
-	r, err := Collect(2012, 10)
+	r, err := Collect(2012)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestCollectAndRoundTrip(t *testing.T) {
 	if r.Anomaly == nil {
 		t.Error("skewed anomaly not recorded at seed 2012")
 	}
-	if r.ExactGap == nil || r.ExactGap.Instances != 10 {
+	if r.ExactGap == nil || r.ExactGap.Instances != 100 {
 		t.Error("exact gap missing")
 	}
 

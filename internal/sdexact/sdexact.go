@@ -10,14 +10,15 @@
 // VMs on nodes in ascending order of D_ik is therefore exactly optimal (an
 // exchange argument — Theorem 1 of the paper — shows any other allocation
 // can be improved by moving a VM to a closer node with spare capacity).
-// SolveSD scans every candidate center and takes the minimum, which equals
-// the ILP optimum: min_C min_k = min_k min_C.
+// Algorithm 1's build around a center is such a fill, so its scan over
+// every candidate center (package placement) returns the ILP optimum:
+// min_C min_k = min_k min_C (DESIGN.md §9).
 //
 // SolveSDLP solves the same per-center programs with the simplex of
 // package lp: each is the one-request case of the fixed-centers GSD
 // transportation LP below, and its integral vertices make branching
-// unnecessary. It exists to cross-validate SolveSD; it is orders of
-// magnitude slower.
+// unnecessary. It is the oracle Algorithm 1 is tested against, orders of
+// magnitude slower than the scan.
 //
 // # GSD
 //
@@ -56,7 +57,8 @@ type SDResult struct {
 }
 
 // feasible checks that the requests share one width m, that l is an n×m
-// matrix on t, and that no demand and no cell of l is negative: malformed
+// matrix on t, that no demand and no cell of l is negative, and that the
+// cells of l sum to no more than math.MaxInt (model.AddCapacity): malformed
 // input, refused with errors that do not wrap ErrInfeasible. Each request
 // is checked on its own before the demands are summed, since a sum can
 // hide a negative demand. Then it checks Σ_q R^q_j ≤ Σ_i L_ij for all j
@@ -78,6 +80,7 @@ func feasible(t *topology.Topology, l [][]int, reqs ...model.Request) error {
 	if len(l) != t.Nodes() {
 		return fmt.Errorf("sdexact: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
 	}
+	total := 0
 	for i, row := range l {
 		if len(row) != m {
 			return fmt.Errorf("sdexact: capacity row %d has %d types, request has %d", i, len(row), m)
@@ -85,6 +88,10 @@ func feasible(t *topology.Topology, l [][]int, reqs ...model.Request) error {
 		for j, c := range row {
 			if c < 0 {
 				return fmt.Errorf("sdexact: node %d has negative capacity %d of type %d", i, c, j)
+			}
+			var err error
+			if total, err = model.AddCapacity(total, c); err != nil {
+				return fmt.Errorf("sdexact: node %d capacity %d of type %d: %w", i, c, j, err)
 			}
 			short[j] -= c
 		}
@@ -97,32 +104,11 @@ func feasible(t *topology.Topology, l [][]int, reqs ...model.Request) error {
 	return nil
 }
 
-// SolveSD returns the exact shortest-distance allocation for request r
-// against remaining capacity l on topology t.
-func SolveSD(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
-	if err := feasible(t, l, r); err != nil {
-		return nil, err
-	}
-	var best *SDResult
-	for k := 0; k < t.Nodes(); k++ {
-		center := topology.NodeID(k)
-		alloc := affinity.NewAllocation(t.Nodes(), len(r))
-		cost, ok := fill(t, l, r, center, alloc)
-		if !ok {
-			continue // cannot happen when feasible() held, defensive
-		}
-		if best == nil || cost < best.Distance {
-			best = &SDResult{Alloc: alloc, Distance: cost, Center: center}
-		}
-	}
-	return canonical(t, best)
-}
-
 // SolveSDLP solves SD through the paper's integer program (Section III.B)
 // with the simplex of package lp, one model per candidate central node.
 // With the center fixed the program is a transportation problem, the
 // one-request case of solveTransportationLP, and its LP relaxation has
-// integral vertices, so no branching is needed. It is SolveSD's test
+// integral vertices, so no branching is needed. It is Algorithm 1's test
 // oracle and the slow arm of the exact-solver ablation.
 func SolveSDLP(t *topology.Topology, l [][]int, r model.Request) (*SDResult, error) {
 	if err := feasible(t, l, r); err != nil {
@@ -140,16 +126,11 @@ func SolveSDLP(t *topology.Topology, l [][]int, r model.Request) (*SDResult, err
 			best = &SDResult{Alloc: allocs[0], Distance: dc, Center: center}
 		}
 	}
-	return canonical(t, best)
-}
-
-// canonical reports the DC of the chosen allocation with its tie-broken
-// central node. The DC can only equal the scanned minimum (see package
-// comment); a nil best means no center could serve the request.
-func canonical(t *topology.Topology, best *SDResult) (*SDResult, error) {
 	if best == nil {
 		return nil, ErrInfeasible
 	}
+	// Report the DC of the chosen allocation with its tie-broken central
+	// node; the DC can only equal the scanned minimum (see package comment).
 	best.Distance, best.Center = best.Alloc.Distance(t)
 	return best, nil
 }
@@ -157,9 +138,8 @@ func canonical(t *topology.Topology, best *SDResult) (*SDResult, error) {
 // fill places r on the nodes nearest center — ascending D_i,center, ties
 // toward lower IDs — and returns the cost Σ_ij x_ij·D_i,center, the
 // optimum of the transportation problem with that center fixed (see
-// package comment). It records the placement in alloc unless alloc is
-// nil. ok is false when l cannot hold r.
-func fill(t *topology.Topology, l [][]int, r model.Request, center topology.NodeID, alloc affinity.Allocation) (cost float64, ok bool) {
+// package comment). ok is false when l cannot hold r.
+func fill(t *topology.Topology, l [][]int, r model.Request, center topology.NodeID) (cost float64, ok bool) {
 	order := make([]topology.NodeID, t.Nodes())
 	for i := range order {
 		order[i] = topology.NodeID(i)
@@ -178,13 +158,8 @@ func fill(t *topology.Topology, l [][]int, r model.Request, center topology.Node
 				break
 			}
 			take := min(l[i][j], need)
-			if take > 0 {
-				if alloc != nil {
-					alloc[i][j] += take
-				}
-				cost += float64(take) * t.Distance(i, center)
-				need -= take
-			}
+			cost += float64(take) * t.Distance(i, center)
+			need -= take
 		}
 		if need > 0 {
 			return 0, false
@@ -200,23 +175,24 @@ type GSDResult struct {
 	Total   float64 // Σ DC over all requests — the GSD optimum
 }
 
-// GSDOptions tunes the exponential center-tuple search.
-type GSDOptions struct {
-	// MaxLeaves caps the number of complete center assignments evaluated
-	// (0 = 100000). If exceeded, SolveGSD returns the best found so far
-	// with Truncated set in the error — callers validating heuristics on
-	// small instances never hit it.
-	MaxLeaves int
-}
-
 // ErrTruncated reports that the GSD search hit its leaf budget; the
 // returned result is the best incumbent, not a proven optimum.
 var ErrTruncated = errors.New("sdexact: GSD search truncated")
 
+// gsdLeaves caps the complete center assignments SolveGSD evaluates.
+// Past it, SolveGSD returns the best found so far with ErrTruncated;
+// callers validating heuristics on small instances never hit it.
+const gsdLeaves = 100000
+
 // SolveGSD computes the exact global optimum for a batch of requests
 // sharing the capacity matrix l. Exponential in len(reqs); intended for
 // validation-sized instances.
-func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request, opt GSDOptions) (*GSDResult, error) {
+func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request) (*GSDResult, error) {
+	return solveGSD(t, l, reqs, gsdLeaves)
+}
+
+// solveGSD is SolveGSD with a leaf budget of maxLeaves.
+func solveGSD(t *topology.Topology, l [][]int, reqs []model.Request, maxLeaves int) (*GSDResult, error) {
 	if len(reqs) == 0 {
 		return &GSDResult{}, nil
 	}
@@ -224,10 +200,6 @@ func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request, opt GSDOpti
 		return nil, err
 	}
 	n := t.Nodes()
-	maxLeaves := opt.MaxLeaves
-	if maxLeaves <= 0 {
-		maxLeaves = 100000
-	}
 
 	// Per-request, per-center relaxed lower bound: optimal cost of serving
 	// the request alone from center k on the full capacity matrix.
@@ -238,7 +210,7 @@ func SolveGSD(t *topology.Topology, l [][]int, reqs []model.Request, opt GSDOpti
 		lb[q] = make([]float64, n)
 		lbBest[q] = math.Inf(1)
 		for k := 0; k < n; k++ {
-			cost, ok := fill(t, l, r, topology.NodeID(k), nil)
+			cost, ok := fill(t, l, r, topology.NodeID(k))
 			if !ok {
 				lb[q][k] = math.Inf(1)
 				continue
