@@ -31,7 +31,8 @@ fmt-check:
 # Examples smoke: run every examples/* main to completion. They have no
 # tests of their own, and each finishes in well under a second. Two
 # check their own results and exit non-zero when a check fails:
-# exactgap when its two exact solvers disagree or the optimum is not
+# exactgap when Algorithm 1 misses the simplex's SD optimum on any of
+# its 200 instances or on its spread instance, whose optimum must be
 # positive, and batchqueue when either arm serves without queueing.
 examples:
 	@for d in examples/*/; do \
@@ -74,11 +75,12 @@ lint-json:
 # Native fuzz targets, ~10s each: topology JSON import (reject or
 # round-trip, never panic), Algorithm 1 placement (capacity respected,
 # mismatched matrix widths rejected, the pruned scan places exactly as
-# ExhaustiveCenters, evaluator DC(C) matches the row-scan oracle), the
-# exact SD solvers (SolveSD and SolveSDLP agree on solved, infeasible or
-# malformed input, and on the optimum), and the trace encoder's quoting
-# fast path and float encoder (its integer path and shortest-digit
-# kernel), byte-equal to strconv.AppendQuote and strconv.AppendFloat.
+# ExhaustiveCenters, evaluator DC(C) matches the row-scan oracle),
+# Algorithm 1 against the SD oracle (dense Place and SolveSDLP agree on
+# solved, infeasible, malformed or overflowing input, and on the
+# optimum), and the trace encoder's quoting fast path and float encoder
+# (its integer path and shortest-digit kernel), byte-equal to
+# strconv.AppendQuote and strconv.AppendFloat.
 # The float target gets 40s: replaying its ~16k seeds (every power of
 # two and ten with neighbours, both signs) takes ~20s of it on two cores
 # before mutation starts.
