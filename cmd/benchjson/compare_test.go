@@ -48,6 +48,37 @@ func TestCompareAllocSlack(t *testing.T) {
 	}
 }
 
+// TestCompareWholeReplaySlack: an arm whose base ran one iteration is a
+// whole replay, judged by replaySlack. BenchmarkSoak/1M read 1,134,706
+// allocs/op against a checked-in 1,134,185 on unchanged code, which must
+// pass; one more allocation for each of its 1M requests must fail. An
+// arm of many iterations keeps the +1 slack.
+func TestCompareWholeReplaySlack(t *testing.T) {
+	replay := func(allocs float64) *Report {
+		return &Report{Results: []Result{{Name: "BenchmarkSoak/1M", Iterations: 1, Metrics: map[string]float64{"allocs/op": allocs}}}}
+	}
+	for _, tc := range []struct {
+		name string
+		cur  float64
+		want []string
+	}{
+		{"run-to-run spread", 1134706, nil},
+		{"fewer allocations", 1134158, nil},
+		{"one more per request", 1134185 + 1000000, []string{"BenchmarkSoak/1M"}},
+	} {
+		var out bytes.Buffer
+		if got, missing := compare(&out, replay(1134185), replay(tc.cur)); !reflect.DeepEqual(got, tc.want) || missing != nil {
+			t.Errorf("%s: regressed %v, missing %v, want %v\n%s", tc.name, got, missing, tc.want, out.String())
+		}
+	}
+	many := &Report{Results: []Result{{Name: "BenchmarkChurn/x", Iterations: 100, Metrics: map[string]float64{"allocs/op": 1134185}}}}
+	cur := &Report{Results: []Result{{Name: "BenchmarkChurn/x", Iterations: 100, Metrics: map[string]float64{"allocs/op": 1134187}}}}
+	var out bytes.Buffer
+	if got, _ := compare(&out, many, cur); !reflect.DeepEqual(got, []string{"BenchmarkChurn/x"}) {
+		t.Errorf("a 100-iteration arm rising by 2 allocs/op: regressed %v, want it named\n%s", got, out.String())
+	}
+}
+
 func TestCompareReportsAddedAndMissingArms(t *testing.T) {
 	base := report(arm{"BenchmarkKept", 2}, arm{"BenchmarkGone", 1})
 	cur := report(arm{"BenchmarkKept", 2}, arm{"BenchmarkAdded", 50})

@@ -15,6 +15,18 @@
 // index's storage; they are read-only and valid until the next
 // Apply/Rebuild.
 //
+// Beside the tier aggregates the index keeps a cover index for
+// Algorithm 1's single-node fast path (FirstCover): a max tree whose
+// leaves hold the per-type column maxima of blocks of coverBlock
+// consecutive node IDs, and whose inner nodes hold the per-type maxima
+// of their children. It holds 2·L·m ints for L leaves, L the least
+// power of two ≥ n/coverBlock: O(n/coverBlock·m). Apply touches it only
+// when a cell moves its block's maximum: a rise climbs until an
+// ancestor already holds the new value, a fall that removes the maximum
+// rescans the block's coverBlock rows and climbs until an ancestor's
+// maximum is unchanged, so a cell change costs O(1) typically and
+// O(coverBlock + log n) worst case.
+//
 // A TierIndex is not safe for concurrent mutation. The inventory owns
 // one under its own lock (see inventory.AttachTierIndex); batch drivers
 // own private ones over their working matrices.
@@ -28,7 +40,7 @@ import (
 )
 
 // TierIndex holds tier-aggregated views of one remaining-capacity
-// matrix L.
+// matrix L, and the cover index over its rows.
 type TierIndex struct {
 	t *topology.Topology
 	l [][]int // the aliased matrix; rows must stay stable
@@ -46,8 +58,23 @@ type TierIndex struct {
 	cloudMaxTot []int // clouds: max over the cloud's racks of rackMaxTot
 	cloudMaxSum []int // clouds: max over the cloud's racks of rackTotSum
 
+	// cover is the cover index, heap-ordered with m columns per tree node:
+	// root 1, children 2k and 2k+1, and the leaf of node block b at
+	// coverLeaves+b. Leaves past the last block stay zero.
+	cover       []int
+	coverLeaves int // a power of two ≥ ⌈n/coverBlock⌉
+
 	version uint64 // owner-keyed (e.g. Inventory.Version); 0 until synced
 }
+
+// coverBlock is the number of consecutive node IDs under one leaf of the
+// cover index (1<<coverShift). A larger block shrinks the tree and
+// lengthens the row scan that settles a query and repairs a falling
+// maximum.
+const (
+	coverShift = 4
+	coverBlock = 1 << coverShift
+)
 
 // NewTierIndex builds an index over matrix l on topology t. The index
 // keeps l by reference: every row must remain the same slice for the
@@ -65,6 +92,10 @@ func NewTierIndex(t *topology.Topology, l [][]int) (*TierIndex, error) {
 	if err := checkMatrix(l, m); err != nil {
 		return nil, err
 	}
+	leaves := 1
+	for leaves<<coverShift < n {
+		leaves *= 2
+	}
 	x := &TierIndex{
 		t:           t,
 		l:           l,
@@ -80,6 +111,8 @@ func NewTierIndex(t *topology.Topology, l [][]int) (*TierIndex, error) {
 		rackMaxTot:  make([]int, t.Racks()),
 		cloudMaxTot: make([]int, t.Clouds()),
 		cloudMaxSum: make([]int, t.Clouds()),
+		cover:       make([]int, 2*leaves*m),
+		coverLeaves: leaves,
 	}
 	x.Rebuild()
 	return x, nil
@@ -173,6 +206,54 @@ func (x *TierIndex) CloudMaxNodeTotal(c int) int { return x.cloudMaxTot[c] }
 // capacity in cloud c.
 func (x *TierIndex) CloudMaxRackSum(c int) int { return x.cloudMaxSum[c] }
 
+// FirstCover returns the lowest node ID whose row covers r (L_ij ≥ R_j
+// for every j), or -1 when no row does: Algorithm 1's single-node fast
+// path, whatever the plant's node numbering. A subtree of the cover index
+// whose column maxima miss some R_j holds no covering row, so the query
+// descends into the leftmost subtree that passes, scans the leaf's rows,
+// and moves right only past a block whose maxima pass while none of its
+// rows covers r. r must have the index's width m.
+//
+//lint:hotpath
+func (x *TierIndex) FirstCover(r model.Request) topology.NodeID {
+	m := x.m
+	for k := 1; ; {
+		if covers(x.cover[k*m:(k+1)*m], r) {
+			if k < x.coverLeaves {
+				k *= 2
+				continue
+			}
+			lo := (k - x.coverLeaves) << coverShift
+			for i := lo; i < min(lo+coverBlock, x.n); i++ {
+				if covers(x.l[i], r) {
+					return topology.NodeID(i)
+				}
+			}
+		}
+		// The next subtree in ID order: climb past right children, then
+		// step to the right sibling; climbing off the root ends the query.
+		for k&1 == 1 {
+			k >>= 1
+		}
+		if k == 0 {
+			return -1
+		}
+		k++
+	}
+}
+
+// covers is model.Covers for a row at least as wide as r. Without the
+// width check it inlines into FirstCover's descent, which tests up to
+// ~2·log2(n/coverBlock) tree nodes and coverBlock rows per query.
+func covers(row []int, r model.Request) bool {
+	for j, need := range r {
+		if row[j] < need {
+			return false
+		}
+	}
+	return true
+}
+
 // Rebind points the index at a different matrix of the same shape and
 // rebuilds, clearing the version stamp. It exists so transient per-call
 // indexes can be pooled instead of reallocated.
@@ -191,8 +272,12 @@ func (x *TierIndex) Rebind(l [][]int) error {
 
 // Rebuild recomputes every aggregate from the matrix — O(n·m). Apply
 // keeps them incrementally; Rebuild exists for construction and for the
-// churn property tests' fresh-rebuild comparisons.
+// churn property tests' fresh-rebuild comparisons. The cover index's
+// leaves fill in the same row loop as the rack and cloud aggregates.
 func (x *TierIndex) Rebuild() {
+	for k := range x.cover {
+		x.cover[k] = 0
+	}
 	for k := range x.rackRemain {
 		x.rackRemain[k] = 0
 		x.rackMaxCol[k] = 0
@@ -216,6 +301,7 @@ func (x *TierIndex) Rebuild() {
 	for i, row := range x.l {
 		r := x.t.RackOf(topology.NodeID(i))
 		c := x.t.CloudOf(topology.NodeID(i))
+		leaf := x.cover[(x.coverLeaves+i>>coverShift)*m:][:m]
 		tot := 0
 		for j, v := range row {
 			tot += v
@@ -224,6 +310,9 @@ func (x *TierIndex) Rebuild() {
 			x.cloudRemain[c*m+j] += v
 			if v > x.rackMaxCol[r*m+j] {
 				x.rackMaxCol[r*m+j] = v
+			}
+			if v > leaf[j] {
+				leaf[j] = v
 			}
 		}
 		x.nodeTot[i] = tot
@@ -247,6 +336,11 @@ func (x *TierIndex) Rebuild() {
 			if v > x.cloudMaxCol[c*m+j] {
 				x.cloudMaxCol[c*m+j] = v
 			}
+		}
+	}
+	for k := x.coverLeaves - 1; k > 0; k-- {
+		for j := range m {
+			x.cover[k*m+j] = max(x.cover[2*k*m+j], x.cover[(2*k+1)*m+j])
 		}
 	}
 }
@@ -273,6 +367,26 @@ func (x *TierIndex) Apply(i topology.NodeID, j int, delta int) {
 	newTot := oldTot + delta
 	x.nodeTot[i] = newTot
 	x.rackTotSum[r] += delta
+
+	// Cover index: the leaf of i's block and the ancestors whose maximum
+	// it carries.
+	k := x.coverLeaves + int(i)>>coverShift
+	if delta > 0 {
+		for ; k > 0 && x.cover[k*m+j] < v; k >>= 1 {
+			x.cover[k*m+j] = v
+		}
+	} else if v-delta == x.cover[k*m+j] {
+		lo := int(i) &^ (coverBlock - 1)
+		mc := 0
+		for _, row := range x.l[lo:min(lo+coverBlock, x.n)] {
+			mc = max(mc, row[j])
+		}
+		for k > 0 && x.cover[k*m+j] != mc {
+			x.cover[k*m+j] = mc
+			k >>= 1
+			mc = max(x.cover[2*k*m+j], x.cover[(2*k+1)*m+j])
+		}
+	}
 
 	// Per-rack per-type max, and the cloud max it may carry.
 	if delta > 0 {
@@ -397,6 +511,9 @@ func (x *TierIndex) CheckConsistent() error {
 	}
 	if !intsEqual(x.cloudMaxSum, fresh.cloudMaxSum) {
 		return fmt.Errorf("affinity: tier index cloudMaxSum diverged from rebuild")
+	}
+	if !intsEqual(x.cover, fresh.cover) {
+		return fmt.Errorf("affinity: tier index cover tree diverged from rebuild")
 	}
 	return nil
 }

@@ -248,11 +248,15 @@ func (r *Fig4Result) Render() string {
 // Figs. 5 and 6 — online heuristic vs global sub-optimization
 // ---------------------------------------------------------------------------
 
-// Fig56Row is one request's distance under each algorithm.
+// Fig56Row is one request's distance under each algorithm. An arm that
+// could not place the request reports distance 0 and sets its Unplaced
+// flag, which tells it apart from a request placed on one node.
 type Fig56Row struct {
-	Request    int
-	OnlineDist float64
-	GlobalDist float64
+	Request        int
+	OnlineDist     float64
+	GlobalDist     float64
+	OnlineUnplaced bool `json:",omitempty"`
+	GlobalUnplaced bool `json:",omitempty"`
 }
 
 // Fig56Result carries per-request distances plus the totals the paper
@@ -288,14 +292,14 @@ func fig56(seed int64, sc workload.Scenario) (*Fig56Result, error) {
 	}
 	out := &Fig56Result{Scenario: sc}
 	for qi := range setup.Requests {
-		var od, gd float64
-		if online.Allocs[qi] != nil {
-			od, _ = online.Allocs[qi].Distance(setup.Topo)
+		row := Fig56Row{Request: qi, OnlineUnplaced: online.Allocs[qi] == nil, GlobalUnplaced: global.Allocs[qi] == nil}
+		if !row.OnlineUnplaced {
+			row.OnlineDist, _ = online.Allocs[qi].Distance(setup.Topo)
 		}
-		if global.Allocs[qi] != nil {
-			gd, _ = global.Allocs[qi].Distance(setup.Topo)
+		if !row.GlobalUnplaced {
+			row.GlobalDist, _ = global.Allocs[qi].Distance(setup.Topo)
 		}
-		out.Rows = append(out.Rows, Fig56Row{Request: qi, OnlineDist: od, GlobalDist: gd})
+		out.Rows = append(out.Rows, row)
 	}
 	out.OnlineTotal = online.Total
 	out.GlobalTotal = global.Total
@@ -305,21 +309,25 @@ func fig56(seed int64, sc workload.Scenario) (*Fig56Result, error) {
 	return out, nil
 }
 
-// Render prints both series and the totals.
+// Render prints both series and the totals, with "-" for a request an
+// arm did not place.
 func (r *Fig56Result) Render() string {
 	fig := "Fig 5"
 	if r.Scenario == workload.Small {
 		fig = "Fig 6"
 	}
-	online := &stats.Series{Name: "online heuristic"}
-	global := &stats.Series{Name: "global sub-opt"}
+	cell := func(d float64, unplaced bool) any {
+		if unplaced {
+			return "-"
+		}
+		return d
+	}
+	t := &stats.Table{Header: []string{"request", "online heuristic", "global sub-opt"}}
 	for _, row := range r.Rows {
-		online.Append(float64(row.Request), row.OnlineDist)
-		global.Append(float64(row.Request), row.GlobalDist)
+		t.Add(float64(row.Request), cell(row.OnlineDist, row.OnlineUnplaced), cell(row.GlobalDist, row.GlobalUnplaced))
 	}
 	return fmt.Sprintf("%s. Online vs global sub-optimization (%s scenario)\n%stotal: online %.1f, global %.1f (−%.1f%%)\n",
-		fig, r.Scenario, stats.RenderSeries("request", online, global),
-		r.OnlineTotal, r.GlobalTotal, r.ImprovementPct)
+		fig, r.Scenario, t.String(), r.OnlineTotal, r.GlobalTotal, r.ImprovementPct)
 }
 
 // Fig56Averages runs Figs. 5 and 6 over n consecutive seeds and returns

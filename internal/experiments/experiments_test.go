@@ -145,6 +145,29 @@ func TestFig6SmallScenarioImprovesMore(t *testing.T) {
 	_ = f5 // cross-scenario comparison is seed-dependent; asserted in the bench harness
 }
 
+// TestFig56MarksUnplaced: at seed 2013 neither arm of Fig 6 places
+// requests 5, 7, 13 and 17. Each row must say so for both arms, and
+// Render must print "-" there, not the 0.00 of a one-node placement.
+// Every other row is placed by both arms.
+func TestFig56MarksUnplaced(t *testing.T) {
+	f6, err := Fig6(2013)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unplaced := map[int]bool{5: true, 7: true, 13: true, 17: true}
+	lines := strings.Split(f6.Render(), "\n")
+	for _, row := range f6.Rows {
+		want := unplaced[row.Request]
+		if row.OnlineUnplaced != want || row.GlobalUnplaced != want {
+			t.Errorf("request %d: unplaced online %v, global %v; want %v for both", row.Request, row.OnlineUnplaced, row.GlobalUnplaced, want)
+		}
+		cells := strings.Fields(lines[3+row.Request])
+		if got := cells[1] == "-" && cells[2] == "-"; got != want {
+			t.Errorf("request %d renders as %q", row.Request, lines[3+row.Request])
+		}
+	}
+}
+
 // TestFig56ContentionFloor explains Figs 5/6 by contention. Algorithm 1
 // places each request optimally on the plant it sees, so SD_q(L), the
 // request's optimum alone on the batch's plant L, is a floor on its

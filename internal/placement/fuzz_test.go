@@ -218,7 +218,7 @@ func prefillPlant(t *testing.T, rng *rand.Rand, tp *topology.Topology, l [][]int
 
 // checkBoundedBuilds tests the bound the sweep's test builds run under
 // directly, on every center rather than only on the optimum M: with the
-// sweep's caps set for r, the build around each node, bounded by its own
+// caps scanBound sets for r, the build around each node, bounded by its own
 // unbounded DC, must run to completion and leave the same allocation. A
 // floor that overestimates any hosting node's final price abandons one
 // of these builds. The floors hold only once the fast path has failed,
@@ -228,10 +228,10 @@ func checkBoundedBuilds(t *testing.T, idx *affinity.TierIndex, r model.Request) 
 	tp := idx.Topology()
 	T := model.Sum(r)
 	s := newScanScratch(tp, idx.Types())
-	if _, ok := s.fastCover(idx, r); ok || T == 0 {
+	if idx.FirstCover(r) >= 0 || T == 0 {
 		return
 	}
-	s.setCaps(idx, r, T, T-1)
+	s.scanBound(idx, r, T, T-1)
 	var free, bounded affinity.SparseAlloc
 	for c := range tp.Nodes() {
 		center := topology.NodeID(c)

@@ -31,9 +31,12 @@
 // tier bound checked first: TierSum(ubW_c, ubRack_c, cloudTot_c, T)
 // with ubRack_c = min(CloudMaxRackSum, T, cloudTot_c) and ubW_c =
 // min(CloudMaxNodeTotal, ubRack_c) lower-bounds S_probe of every rack
-// in cloud c, so whole clouds are skipped without touching their racks.
-// scanBound needs only M's value, so it prunes a cloud or rack whose
-// bound merely ties the incumbent (>= M): such a rack cannot lower M.
+// in cloud c, so no rack of a pruned cloud is probed. scanBound needs
+// only M's value, so it prunes a cloud or rack whose bound merely ties
+// the incumbent (>= M): such a rack cannot lower M. It is the slow
+// path's one pass over the racks before the sweep: the same loop
+// records each rack's and cloud's absorbable share of R and the largest
+// node and rack shares, which the sweep's floors and bounded builds read.
 //
 // The winner — the lowest-ID center achieving M, matching the
 // exhaustive scan's first-strict-improvement semantics bit for bit —
@@ -50,18 +53,21 @@
 // Further devices keep the scan sub-linear in nodes on a loaded plant,
 // none of which changes a placement:
 //
+//   - Fast path as an index query. The single-node fast path is
+//     TierIndex.FirstCover: one descent of the index's cover tree, whose
+//     leaves hold the column maxima of 16 consecutive node IDs, and a
+//     scan of one leaf's rows. It returns the lowest covering node ID
+//     whatever the plant's numbering, without walking racks.
 //   - Node cap. The scan runs only once the fast path has failed, which
 //     proves that no row covers R: every node absorbs at most T−1 VMs
 //     of it. Every upper bound on one node's load (scanBound's cloud
-//     and rack bounds, the sweep's W* and in-rack floors) is clamped to
+//     and rack bounds, W* and the sweep's in-rack floors) is clamped to
 //     T−1, so a rack that absorbs anything prices at least one VM off
 //     its best node instead of a vacuous 0.
-//   - Cloud runs. The rack walks (fastCover, sweep) step through
-//     RacksByLowestNode by maximal runs of same-cloud racks
-//     (topology.CloudRunEnd) and jump over a whole run whose cloud
-//     cannot cover R (fastCover) or absorbs nothing of it (sweep). An
-//     imported plant may interleave clouds in that order; it simply has
-//     more runs.
+//   - Cloud runs. The sweep steps through RacksByLowestNode by maximal
+//     runs of same-cloud racks (topology.CloudRunEnd) and jumps over a
+//     whole run whose cloud absorbs nothing of R. An imported plant may
+//     interleave clouds in that order; it simply has more runs.
 //   - Shared remote builds. A center whose rack absorbs nothing builds a
 //     purely remote fill that is identical for every such center of its
 //     cloud, so its DC is memoized per cloud. When the whole cloud
@@ -163,8 +169,8 @@ func (h *OnlineHeuristic) placeSparseCore(idx *affinity.TierIndex, r model.Reque
 	s.dst = dst
 
 	// Fast path (Algorithm 1, lines 9–14): the lowest-ID node covering R
-	// outright, found rack-by-rack through the per-rack column maxima.
-	if id, ok := s.fastCover(idx, r); ok {
+	// outright, one query of the index's cover tree.
+	if id := idx.FirstCover(r); id >= 0 {
 		for j, v := range r {
 			if v > 0 {
 				dst.Add(id, model.VMTypeID(j), v)
@@ -241,7 +247,7 @@ type scanScratch struct {
 	// build, setting aborted, once no hosting node can still price at M.
 	// rackCap and cloudCap hold what each rack and cloud of an absorbing
 	// cloud can take of the request, wStar and rStar the largest node and
-	// rack shares, reqT its total; all are the sweep's, fixed per request.
+	// rack shares, reqT its total; scanBound sets them once per request.
 	// deadFar, deadClouds and deadRacks mark the floors already proven
 	// above the bound in the current build.
 	bound                 float64
@@ -332,55 +338,6 @@ func (s *scanScratch) load() []int {
 	return s.nodeLoad
 }
 
-// fastCover finds the lowest-ID node whose row covers r, scanning racks
-// in ascending lowest-node order and descending into a rack only when
-// its per-type column maxima pass the covering test. A cloud whose
-// remain misses some R_j holds no covering node, so the walk jumps over
-// each run of its racks after one test.
-//
-//lint:hotpath
-func (s *scanScratch) fastCover(idx *affinity.TierIndex, r model.Request) (topology.NodeID, bool) {
-	t := s.t
-	l := idx.Matrix()
-	order := t.RacksByLowestNode()
-	best := topology.NodeID(-1)
-	for p, runEnd := 0, 0; p < len(order); p++ {
-		rr := order[p]
-		nodes := t.RackNodes(rr)
-		if best >= 0 && nodes[0] > best {
-			break
-		}
-		if p == runEnd {
-			runEnd = t.CloudRunEnd(p)
-			if !model.Covers(idx.CloudRemain(t.CloudOfRack(rr)), r) {
-				p = runEnd - 1
-				continue
-			}
-		}
-		mc := idx.RackMaxCol(rr)
-		ok := true
-		for j, need := range r {
-			if mc[j] < need {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for _, id := range nodes {
-			if best >= 0 && id > best {
-				break
-			}
-			if model.Covers(l[id], r) {
-				best = id
-				break
-			}
-		}
-	}
-	return best, best >= 0
-}
-
 // rackProbe returns rack ρ's absorbed total rackTot = Σ_j min(Σ_{i∈ρ}
 // L_ij, R_j) and exact max single-node capacity w_ρ = max_{i∈ρ} Σ_j
 // min(L_ij, R_j). When no column maximum exceeds its R_j the per-node
@@ -451,42 +408,42 @@ func cloudTotOf(idx *affinity.TierIndex, r model.Request, c int) int {
 // Only M's value is needed, so a bound that ties M prunes too. wCap
 // bounds any one node's share of r (T−1 once the fast path has failed).
 //
+// The same pass records what the sweep's skip floors and every bounded
+// build read: what each cloud and each rack of an absorbing cloud can
+// take of r (cloudCap, rackCap, also for the racks of a pruned cloud),
+// the largest node share W* = min(max_ρ Σ_j min(RackMaxCol_j, R_j),
+// wCap), the largest rack share R* = max_ρ rackCap, and the total T. The
+// racks of a cloud that absorbs nothing take nothing in any build, so
+// their rackCap is never read.
+//
 //lint:hotpath
 func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCap int) float64 {
 	t := s.t
 	d := t.Distances()
 	M := math.Inf(1)
+	wStar, rStar := 0, 0
 	for c := 0; c < t.Clouds(); c++ {
 		ct := cloudTotOf(idx, r, c)
-		if ct == 0 {
+		if s.cloudCap[c] = ct; ct == 0 {
 			continue
 		}
 		ubRack := min(idx.CloudMaxRackSum(c), T, ct)
 		ubW := min(idx.CloudMaxNodeTotal(c), ubRack, wCap)
-		if affinity.TierSum(d, ubW, ubRack, ct, T) >= M {
-			continue
-		}
+		pruned := affinity.TierSum(d, ubW, ubRack, ct, T) >= M
 		for _, rho := range t.CloudRacks(c) {
 			rr := idx.RackRemain(rho)
 			mc := idx.RackMaxCol(rho)
-			rackTot := 0
-			wUb := 0
+			rackTot, wv := 0, 0
 			for j, need := range r {
-				if v := rr[j]; v < need {
-					rackTot += v
-				} else {
-					rackTot += need
-				}
-				if v := mc[j]; v < need {
-					wUb += v
-				} else {
-					wUb += need
-				}
+				rackTot += min(rr[j], need)
+				wv += min(mc[j], need)
 			}
-			if rackTot == 0 {
+			s.rackCap[rho] = rackTot
+			wStar, rStar = max(wStar, wv), max(rStar, rackTot)
+			if pruned || rackTot == 0 {
 				continue
 			}
-			wUb = min(wUb, idx.RackMaxTotal(rho), rackTot, wCap)
+			wUb := min(wv, idx.RackMaxTotal(rho), rackTot, wCap)
 			if affinity.TierSum(d, wUb, rackTot, ct, T) >= M {
 				continue
 			}
@@ -496,6 +453,7 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCa
 			}
 		}
 	}
+	s.wStar, s.rStar, s.reqT = min(wStar, wCap), rStar, T
 	return M
 }
 
@@ -524,7 +482,7 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCa
 // reaches M either, and the rack is skipped without simulating.
 // Every full build the sweep runs is bounded by M (buildFull), and an
 // abandoned lowest-node build still leaves its rack to the in-rack tie
-// test.
+// test. The caps, W* and R* are the ones scanBound recorded for r.
 //
 //lint:hotpath
 func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap int, M float64) topology.NodeID {
@@ -536,7 +494,6 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 		s.cloudMemo[c] = false
 	}
 	s.memoList = s.memoList[:0]
-	s.setCaps(idx, r, T, wCap)
 	winner := topology.NodeID(-1)
 	ct := 0
 	for p, runEnd := 0, 0; p < len(order); p++ {
@@ -609,42 +566,6 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 		}
 	}
 	return winner
-}
-
-// setCaps records what the index lets each rack and cloud absorb of r
-// (rackCap, cloudCap), the largest node share W* = min(max_ρ Σ_j
-// min(RackMaxCol_j, R_j), wCap) and rack share R* = max_ρ rackCap, and
-// the total T: the sweep's skip floors and every bounded build read
-// them. A run of racks whose cloud absorbs nothing is jumped; such racks
-// take nothing in any build, so their rackCap is never read.
-//
-//lint:hotpath
-func (s *scanScratch) setCaps(idx *affinity.TierIndex, r model.Request, T, wCap int) {
-	t := s.t
-	order := t.RacksByLowestNode()
-	wStar, rStar := 0, 0
-	for p, runEnd := 0, 0; p < len(order); p++ {
-		rho := order[p]
-		if p == runEnd {
-			runEnd = t.CloudRunEnd(p)
-			c := t.CloudOfRack(rho)
-			if s.cloudCap[c] = cloudTotOf(idx, r, c); s.cloudCap[c] == 0 {
-				p = runEnd - 1
-				continue
-			}
-		}
-		mc := idx.RackMaxCol(rho)
-		rr := idx.RackRemain(rho)
-		wv, rv := 0, 0
-		for j, need := range r {
-			wv += min(mc[j], need)
-			rv += min(rr[j], need)
-		}
-		s.rackCap[rho] = rv
-		wStar = max(wStar, wv)
-		rStar = max(rStar, rv)
-	}
-	s.wStar, s.rStar, s.reqT = min(wStar, wCap), rStar, T
 }
 
 // remoteDC returns the DC of the purely remote build around center,
@@ -782,8 +703,8 @@ func (s *scanScratch) buildSim(idx *affinity.TierIndex, r model.Request, center 
 // buildFull runs the full build around center into the caller's dst,
 // reset first, and records center as built when it covers r. A finite
 // M makes it one of the sweep's test builds, which reports false as soon
-// as reachable proves its DC exceeds M; the sweep sets the caps
-// reachable reads before its first test build.
+// as reachable proves its DC exceeds M, and reads the caps scanBound
+// recorded for r.
 //
 //lint:hotpath
 func (s *scanScratch) buildFull(idx *affinity.TierIndex, r model.Request, center topology.NodeID, M float64) bool {
