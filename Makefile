@@ -29,13 +29,15 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt -l: these files need gofmt -w:"; echo "$$out"; exit 1; fi
 
 # Examples smoke: run every examples/* main to completion. They have no
-# tests of their own, and each finishes in well under a second. Two
+# tests of their own, and each finishes in well under a second. Three
 # check their own results and exit non-zero when a check fails:
 # exactgap when Algorithm 1 misses the simplex's SD optimum on any of
 # its 200 instances or on its spread instance, whose optimum must be
 # positive, or when its Algorithm 2 batches (at most one VM per node)
-# have a zero exact GSD optimum or a heuristic total below it; and
-# batchqueue when either arm serves without queueing.
+# have a zero exact GSD optimum or a heuristic total below it;
+# batchqueue when either arm serves without queueing; and migration
+# when its migrating arm applies no move or does not end below its
+# distance at placement.
 examples:
 	@for d in examples/*/; do \
 		echo "$(GO) run ./$${d%/}"; \
@@ -142,12 +144,13 @@ bench-hot:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistance(Scratch|Incremental)$$|BenchmarkOnlinePlace$$|BenchmarkAblationTransferFixpoint' .
 
 # Scale benchmarks (1×3×10 → 100×100×100 plants, pruned vs exhaustive
-# center scan) recorded as machine-readable JSON. A fixed 100-iteration
+# center scan; Algorithm 2 and the migration planner from 1×3×10 to
+# 4×16×16) recorded as machine-readable JSON. A fixed 100-iteration
 # benchtime keeps the run deterministic in length while averaging enough
 # iterations to hold timer noise down; benchjson rejects any
 # single-iteration result, so -benchtime=1x can't sneak back in.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlaceScale' -benchmem -benchtime=100x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_placement.json
+	$(GO) test -run '^$$' -bench 'BenchmarkPlaceScale|BenchmarkExchangeScale' -benchmem -benchtime=100x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_placement.json
 	@cat BENCH_placement.json
 
 # Steady-state churn benchmarks (release oldest / place identical /

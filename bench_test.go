@@ -18,6 +18,7 @@ import (
 	"affinitycluster/internal/experiments"
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/lp"
+	"affinitycluster/internal/migration"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/sdexact"
@@ -458,6 +459,81 @@ func BenchmarkPlaceScale(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkExchangeScale times Algorithm 2 and the migration planner from
+// the paper's 1×3×10 plant to 1,024 nodes: PlaceBatch (to fixpoint) on a
+// 20-request Normal batch, and Plan on that batch's online result
+// (PlaceSequential), on capacities of at most one VM per type and node.
+// Both walk the exchange neighbourhood from the clusters' hosting nodes,
+// so the swap search costs hosts(a)·hosts(b)·m per cluster pair, not
+// n²·m. total-distance and plan-gain must not move with a change that
+// only touches speed.
+func BenchmarkExchangeScale(b *testing.B) {
+	for _, tc := range []struct {
+		name                        string
+		clouds, racks, nodesPerRack int
+	}{
+		{"1x3x10", 1, 3, 10},
+		{"2x8x16", 2, 8, 16},
+		{"4x16x16", 4, 16, 16},
+	} {
+		topo, err := topology.Uniform(tc.clouds, tc.racks, tc.nodesPerRack, topology.DefaultDistances())
+		if err != nil {
+			b.Fatal(err)
+		}
+		const types = 3
+		caps, err := workload.RandomCapacities(benchSeed, topo.Nodes(), types, workload.InventoryConfig{MaxPerType: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs, err := workload.RandomRequests(benchSeed, 20, types, workload.Normal, workload.DefaultRequestConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/place-batch", func(b *testing.B) {
+			g := &placement.GlobalSubOpt{}
+			var total float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := g.PlaceBatch(topo, caps, reqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total = res.Total
+			}
+			b.ReportMetric(total, "total-distance")
+		})
+		b.Run(tc.name+"/plan", func(b *testing.B) {
+			online, err := placement.PlaceSequential(topo, caps, reqs, &placement.OnlineHeuristic{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			residual := make([][]int, len(caps))
+			for i := range caps {
+				residual[i] = append([]int(nil), caps[i]...)
+			}
+			for _, a := range online.Allocs {
+				for i := range a {
+					for j, k := range a[i] {
+						residual[i][j] -= k
+					}
+				}
+			}
+			p := &migration.Planner{}
+			var gain float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan, err := p.Plan(topo, residual, online.Allocs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gain = plan.TotalGain
+			}
+			b.ReportMetric(gain, "plan-gain")
+		})
 	}
 }
 

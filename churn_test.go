@@ -8,7 +8,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,6 +21,7 @@ import (
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/topology"
+	"affinitycluster/internal/topology/topotest"
 	"affinitycluster/internal/workload"
 )
 
@@ -211,7 +211,7 @@ func TestChurnSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // churnPlant builds a small random plant of minClouds to minClouds+2
-// clouds. Every other plant is re-imported scrambled (scramblePlant), so
+// clouds. Every other plant is re-imported scrambled (topotest.Scramble), so
 // the scan also meets racks whose node IDs are not consecutive and
 // clouds that interleave.
 func churnPlant(t *testing.T, rng *rand.Rand, minClouds int) *topology.Topology {
@@ -220,7 +220,7 @@ func churnPlant(t *testing.T, rng *rand.Rand, minClouds int) *topology.Topology 
 	if rng.Intn(2) == 0 {
 		return topo
 	}
-	return scramblePlant(t, rng, topo)
+	return topotest.Scramble(t, rng, topo)
 }
 
 // builderPlant builds a random Builder plant of minClouds to minClouds+2
@@ -242,32 +242,6 @@ func builderPlant(t *testing.T, rng *rand.Rand, minClouds int) *topology.Topolog
 		t.Fatal(err)
 	}
 	return topo
-}
-
-// scramblePlant re-imports tp through JSON with its node IDs and rack
-// indices permuted at random. A rack's node IDs are then no longer
-// consecutive, racks of one cloud are no longer adjacent indices, and
-// clouds interleave in the scan's lowest-node rack order: plant shapes
-// only Topology.UnmarshalJSON admits.
-func scramblePlant(t testing.TB, rng *rand.Rand, tp *topology.Topology) *topology.Topology {
-	t.Helper()
-	nodePerm, rackPerm := rng.Perm(tp.Nodes()), rng.Perm(tp.Racks())
-	nodes := make([]topology.Node, tp.Nodes())
-	for i, id := range nodePerm {
-		old := topology.NodeID(i)
-		nodes[id] = topology.Node{ID: topology.NodeID(id), Rack: rackPerm[tp.RackOf(old)], Cloud: tp.CloudOf(old)}
-	}
-	data, err := json.Marshal(map[string]any{
-		"distances": tp.Distances(), "nodes": nodes, "racks": tp.Racks(), "clouds": tp.Clouds(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := new(topology.Topology)
-	if err := json.Unmarshal(data, out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // lockstep holds two parallel worlds over one plant: the incremental one
@@ -525,7 +499,7 @@ func TestChurnIncrementalLockstep(t *testing.T) {
 		topo := builderPlant(t, rng, 4)
 		name := fmt.Sprintf("pre-filled %d-cloud trial %d", topo.Clouds(), trial)
 		if trial%2 == 1 {
-			topo = scramblePlant(t, rng, topo)
+			topo = topotest.Scramble(t, rng, topo)
 			name += " (scrambled)"
 		}
 		prefilled(name, trial, topo)

@@ -1,6 +1,8 @@
 // Migration: run a busy cloud twice — with and without affinity-aware
 // live migration — and compare how tight the running clusters stay as
-// earlier tenants depart and free up attractive capacity.
+// earlier tenants depart and free up attractive capacity. It exits
+// non-zero unless the migrating run applies at least one move and ends
+// below its distance at placement.
 package main
 
 import (
@@ -55,5 +57,9 @@ func main() {
 		fmt.Printf("%s  served %d  distance at placement %6.1f  at departure %6.1f  (%d moves, %.1f GB traffic, gain %.1f)\n",
 			mode, m.Served, m.TotalDistance, m.FinalDistanceSum,
 			m.Migrations, m.MigrationMB/1024, m.MigrationGain)
+		if migrate && (m.Migrations == 0 || m.FinalDistanceSum >= m.TotalDistance) {
+			log.Fatalf("migration applied %d moves and ended at %.1f from %.1f at placement; want a move and a lower distance",
+				m.Migrations, m.FinalDistanceSum, m.TotalDistance)
+		}
 	}
 }

@@ -1,19 +1,19 @@
 package affinity
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
 
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
+	"affinitycluster/internal/topology/topotest"
 )
 
 // FuzzFirstCover holds the cover index to a linear lowest-ID scan. It
 // draws a plant whose node count may or may not be a multiple of
 // coverBlock, re-imported with permuted node and rack IDs when scramble
-// is set (scramblePlant), and a capacity matrix, one cell of which is
+// is set (topotest.Scramble), and a capacity matrix, one cell of which is
 // raised to MaxInt/2 when capMax's top bit is set. Each op byte then
 // changes the matrix and reports the change: one cell taken from or
 // given back through Apply, or a row zeroed and restored to its drawn
@@ -36,7 +36,7 @@ func FuzzFirstCover(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		if scramble {
-			tp = scramblePlant(t, rng, tp)
+			tp = topotest.Scramble(t, rng, tp)
 		}
 		n, m, hi := tp.Nodes(), 1+int(width)%3, 1+int(capMax&0x7f)%8
 		capRow := make([][]int, n)
@@ -125,28 +125,4 @@ func checkFirstCover(t *testing.T, rng *rand.Rand, idx *TierIndex, step int) {
 	if err := idx.CheckConsistent(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}
-}
-
-// scramblePlant re-imports tp through its JSON form with node and rack
-// IDs permuted, so racks hold scattered node IDs and clouds interleave
-// in ID order: a block of the cover index then spans racks and clouds.
-func scramblePlant(t testing.TB, rng *rand.Rand, tp *topology.Topology) *topology.Topology {
-	t.Helper()
-	nodePerm, rackPerm := rng.Perm(tp.Nodes()), rng.Perm(tp.Racks())
-	nodes := make([]topology.Node, tp.Nodes())
-	for i, id := range nodePerm {
-		old := topology.NodeID(i)
-		nodes[id] = topology.Node{ID: topology.NodeID(id), Rack: rackPerm[tp.RackOf(old)], Cloud: tp.CloudOf(old)}
-	}
-	data, err := json.Marshal(map[string]any{
-		"distances": tp.Distances(), "nodes": nodes, "racks": tp.Racks(), "clouds": tp.Clouds(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := new(topology.Topology)
-	if err := json.Unmarshal(data, out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }

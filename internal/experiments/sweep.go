@@ -3,13 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"affinitycluster/internal/affinity"
-	"affinitycluster/internal/dfs"
-	"affinitycluster/internal/eventsim"
 	"affinitycluster/internal/mapreduce"
-	"affinitycluster/internal/netmodel"
 	"affinitycluster/internal/stats"
-	"affinitycluster/internal/vcluster"
 )
 
 // SweepRow is one point of the shuffle-selectivity sweep: how much a
@@ -58,22 +53,22 @@ func SelectivitySweep(seed int64, selectivities []float64) (*SweepResult, error)
 		job.Name = fmt.Sprintf("sweep-%.2f", sel)
 		job.MapSelectivity = sel
 		job.NumReduces = 4
-		cSec, _, err := runSweepJob(compact.Alloc, cfg, job)
+		c, err := runMRClusterJob(compact.Name, compact.Alloc, cfg, job)
 		if err != nil {
 			return err
 		}
-		sSec, remote, err := runSweepJob(spread.Alloc, cfg, job)
+		sp, err := runMRClusterJob(spread.Name, spread.Alloc, cfg, job)
 		if err != nil {
 			return err
 		}
 		row := SweepRow{
 			Selectivity:   sel,
-			CompactSec:    cSec,
-			SpreadSec:     sSec,
-			RemoteShuffle: remote,
+			CompactSec:    c.RuntimeSec,
+			SpreadSec:     sp.RuntimeSec,
+			RemoteShuffle: sp.ShuffleRemoteMB,
 		}
-		if cSec > 0 {
-			row.SpeedupPct = (sSec - cSec) / cSec * 100
+		if c.RuntimeSec > 0 {
+			row.SpeedupPct = (sp.RuntimeSec - c.RuntimeSec) / c.RuntimeSec * 100
 		}
 		out.Rows[i] = row
 		return nil
@@ -82,38 +77,6 @@ func SelectivitySweep(seed int64, selectivities []float64) (*SweepResult, error)
 		return nil, err
 	}
 	return out, nil
-}
-
-func runSweepJob(alloc affinity.Allocation, cfg MRExperimentConfig, job mapreduce.JobSpec) (runtime, remoteMB float64, err error) {
-	tp, err := mrPlant()
-	if err != nil {
-		return 0, 0, err
-	}
-	cluster, err := vcluster.FromAllocation(tp, alloc)
-	if err != nil {
-		return 0, 0, err
-	}
-	engine := eventsim.New()
-	net, err := netmodel.NewFlowSim(engine, tp, cfg.Net)
-	if err != nil {
-		return 0, 0, err
-	}
-	fsys, err := dfs.New(cluster, cfg.DFS)
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := fsys.WriteRotating("input", cfg.InputMB); err != nil {
-		return 0, 0, err
-	}
-	sim, err := mapreduce.New(engine, net, cluster, fsys, cfg.Sim)
-	if err != nil {
-		return 0, 0, err
-	}
-	counters, err := sim.Run(job)
-	if err != nil {
-		return 0, 0, err
-	}
-	return counters.Runtime, counters.ShuffleRemoteMB, nil
 }
 
 // Render prints the sweep as a table.

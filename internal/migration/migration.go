@@ -141,14 +141,13 @@ func (p *Planner) Plan(t *topology.Topology, residual [][]int, clusters []affini
 
 	plan := &Plan{}
 	for len(plan.Moves) < maxMoves {
-		mv, ok := bestMove(t, free, work, evs)
+		mv, ok := bestMove(free, work, evs)
 		if !ok {
 			break
 		}
-		applyTo(work, free, mv)
-		evs[mv.Cluster].Move(mv.From, mv.To)
+		affinity.MoveVM(work[mv.Cluster], evs[mv.Cluster], free, mv.Type, mv.From, mv.To)
 		if mv.Kind == Swap {
-			evs[mv.Peer].Move(mv.To, mv.From)
+			affinity.MoveVM(work[mv.Peer], evs[mv.Peer], free, mv.Type, mv.To, mv.From)
 		}
 		plan.Moves = append(plan.Moves, mv)
 		plan.TotalGain += mv.Gain
@@ -164,12 +163,11 @@ func (p *Planner) Plan(t *topology.Topology, residual [][]int, clusters []affini
 	return plan, nil
 }
 
-// bestMove scans all relocations and swaps for the single largest gain.
-// Candidates are priced through the clusters' maintained distance
-// evaluators (MovePreview) instead of mutate-and-revert full recomputation;
-// the scan order, strict-improvement threshold, and first-wins tie handling
-// are unchanged, so the chosen move is identical.
-func bestMove(t *topology.Topology, free [][]int, clusters []affinity.Allocation, evs []*affinity.DistanceEvaluator) (Move, bool) {
+// bestMove walks the exchange neighbourhood (every relocation into free
+// capacity, then every swap between cluster pairs) for the single
+// largest strict gain. Candidates are priced through the clusters'
+// evaluators (MovePreview), and the first candidate walked wins a tie.
+func bestMove(free [][]int, clusters []affinity.Allocation, evs []*affinity.DistanceEvaluator) (Move, bool) {
 	var best Move
 	found := false
 	consider := func(mv Move) {
@@ -178,43 +176,20 @@ func bestMove(t *topology.Topology, free [][]int, clusters []affinity.Allocation
 			found = true
 		}
 	}
-	n := t.Nodes()
-	// Relocations into free capacity.
 	for ci, c := range clusters {
 		if c == nil {
 			continue
 		}
-		d0, _ := evs[ci].Distance()
-		m := len(c[0])
-		for from := 0; from < n; from++ {
-			for j := 0; j < m; j++ {
-				if c[from][j] == 0 {
-					continue
-				}
-				for to := 0; to < n; to++ {
-					if to == from || free[to][j] == 0 {
-						continue
-					}
-					d1, _ := evs[ci].MovePreview(topology.NodeID(from), topology.NodeID(to))
-					if gain := d0 - d1; gain > 1e-12 {
-						consider(Move{
-							Kind:    Relocate,
-							Cluster: ci,
-							Peer:    -1,
-							Type:    model.VMTypeID(j),
-							From:    topology.NodeID(from),
-							To:      topology.NodeID(to),
-							Gain:    gain,
-							CostMB:  memoryMB(m, model.VMTypeID(j)),
-						})
-					}
-				}
+		ev := evs[ci]
+		d0, _ := ev.Distance()
+		affinity.Relocations(c, ev, free, func(from topology.NodeID, vt model.VMTypeID, to topology.NodeID) {
+			d1, _ := ev.MovePreview(from, to)
+			if gain := d0 - d1; gain > 1e-12 {
+				consider(Move{Kind: Relocate, Cluster: ci, Peer: -1, Type: vt, From: from, To: to, Gain: gain, CostMB: memoryMB(len(c[0]), vt)})
 			}
-		}
+		})
 	}
-	// Capacity-neutral swaps between cluster pairs (Theorem 2 exchanges).
-	for ai := 0; ai < len(clusters); ai++ {
-		a := clusters[ai]
+	for ai, a := range clusters {
 		if a == nil {
 			continue
 		}
@@ -223,56 +198,20 @@ func bestMove(t *topology.Topology, free [][]int, clusters []affinity.Allocation
 			if b == nil {
 				continue
 			}
-			da0, _ := evs[ai].Distance()
-			db0, _ := evs[bi].Distance()
-			m := len(a[0])
-			for pN := 0; pN < n; pN++ {
-				for qN := 0; qN < n; qN++ {
-					if pN == qN {
-						continue
-					}
-					for j := 0; j < m; j++ {
-						if a[pN][j] == 0 || b[qN][j] == 0 {
-							continue
-						}
-						da1, _ := evs[ai].MovePreview(topology.NodeID(pN), topology.NodeID(qN))
-						db1, _ := evs[bi].MovePreview(topology.NodeID(qN), topology.NodeID(pN))
-						if gain := (da0 + db0) - (da1 + db1); gain > 1e-12 {
-							consider(Move{
-								Kind:    Swap,
-								Cluster: ai,
-								Peer:    bi,
-								Type:    model.VMTypeID(j),
-								From:    topology.NodeID(pN),
-								To:      topology.NodeID(qN),
-								Gain:    gain,
-								CostMB:  2 * memoryMB(m, model.VMTypeID(j)),
-							})
-						}
-					}
+			evA, evB := evs[ai], evs[bi]
+			da0, _ := evA.Distance()
+			db0, _ := evB.Distance()
+			affinity.Swaps(a, b, evA, evB, func(p, q topology.NodeID, vt model.VMTypeID) bool {
+				da1, _ := evA.MovePreview(p, q)
+				db1, _ := evB.MovePreview(q, p)
+				if gain := (da0 + db0) - (da1 + db1); gain > 1e-12 {
+					consider(Move{Kind: Swap, Cluster: ai, Peer: bi, Type: vt, From: p, To: q, Gain: gain, CostMB: 2 * memoryMB(len(a[0]), vt)})
 				}
-			}
+				return false
+			})
 		}
 	}
 	return best, found
-}
-
-// applyTo realizes one move on working state.
-func applyTo(clusters []affinity.Allocation, free [][]int, mv Move) {
-	c := clusters[mv.Cluster]
-	switch mv.Kind {
-	case Relocate:
-		c.Remove(mv.From, mv.Type)
-		c.Add(mv.To, mv.Type)
-		free[mv.From][mv.Type]++
-		free[mv.To][mv.Type]--
-	case Swap:
-		peer := clusters[mv.Peer]
-		c.Remove(mv.From, mv.Type)
-		c.Add(mv.To, mv.Type)
-		peer.Remove(mv.To, mv.Type)
-		peer.Add(mv.From, mv.Type)
-	}
 }
 
 // ErrNoCapacity is returned by PlanReplacement when some lost VM cannot

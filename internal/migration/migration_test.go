@@ -21,9 +21,9 @@ func twoRacks(t *testing.T) *topology.Topology {
 	return tp
 }
 
-// applyPlan realizes a plan in place through applyTo, first checking
-// that each move still applies: its VM is where the move takes it from,
-// and its target has room (a relocation) or holds the peer's VM (a swap).
+// applyPlan realizes a plan in place, first checking that each move
+// still applies: its VM is where the move takes it from, and its target
+// has room (a relocation) or holds the peer's VM (a swap).
 func applyPlan(plan *Plan, clusters []affinity.Allocation, residual [][]int) error {
 	for i, mv := range plan.Moves {
 		c := clusters[mv.Cluster]
@@ -35,12 +35,18 @@ func applyPlan(plan *Plan, clusters []affinity.Allocation, residual [][]int) err
 			if residual[mv.To][mv.Type] == 0 {
 				return fmt.Errorf("move %d target capacity gone", i)
 			}
+			residual[mv.From][mv.Type]++
+			residual[mv.To][mv.Type]--
 		case Swap:
-			if peer := clusters[mv.Peer]; peer == nil || peer[mv.To][mv.Type] == 0 {
+			peer := clusters[mv.Peer]
+			if peer == nil || peer[mv.To][mv.Type] == 0 {
 				return fmt.Errorf("move %d swap peer changed", i)
 			}
+			peer.Remove(mv.To, mv.Type)
+			peer.Add(mv.From, mv.Type)
 		}
-		applyTo(clusters, residual, mv)
+		c.Remove(mv.From, mv.Type)
+		c.Add(mv.To, mv.Type)
 	}
 	return nil
 }

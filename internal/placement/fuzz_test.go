@@ -11,6 +11,7 @@ import (
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
+	"affinitycluster/internal/topology/topotest"
 )
 
 // FuzzPlaceRequest drives Algorithm 1 with arbitrary plant shapes,
@@ -19,7 +20,7 @@ import (
 // one cloud's capacity (0 leaves every cloud as drawn), prefill places
 // up to 15 requests through PlaceSparse and AllocateList before the
 // checked one (prefillPlant), and scramble re-imports the plant with
-// permuted node and rack IDs (scramblePlant).
+// permuted node and rack IDs (topotest.Scramble).
 // Invariants (DESIGN.md §10): Place never panics, never mutates the
 // capacity snapshot L, rejects a width mismatch with an error, and every
 // successful allocation (a) satisfies the request within L, (b) equals
@@ -63,7 +64,7 @@ func FuzzPlaceRequest(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		if scramble {
-			tp = scramblePlant(t, rng, tp)
+			tp = topotest.Scramble(t, rng, tp)
 		}
 		n := tp.Nodes()
 		if len(reqBytes) == 0 {

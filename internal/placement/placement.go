@@ -529,14 +529,28 @@ func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.
 		return nil, err
 	}
 
-	// Step 3: Theorem-2 exchange local search. Two exchange kinds keep
-	// per-node-per-type occupancy feasible:
-	//   swap — clusters a and b trade one VM of the same type across two
-	//          nodes (capacity neutral);
-	//   move — cluster a shifts one VM into residual capacity.
-	// One incremental evaluator per placed cluster carries DC(C) across
-	// all passes; candidate exchanges are priced through O(hosts) previews
-	// and allocations are only touched on accept.
+	g.exchange(t, res, work)
+	om := g.obsHandles()
+	om.batches.Inc()
+	om.failed.Add(int64(res.Failed))
+	om.swaps.Add(int64(res.Swaps))
+	om.passes.Add(int64(res.Passes))
+	return res, nil
+}
+
+// exchange is step 3, the Theorem-2 exchange local search over res's
+// placed clusters, with residual the capacity they leave free. Two
+// exchange kinds keep per-node-per-type occupancy feasible:
+//
+//	swap — clusters a and b trade one VM of the same type across two
+//	       nodes (capacity neutral);
+//	move — cluster a shifts one VM into residual capacity.
+//
+// One incremental evaluator per placed cluster carries DC(C) across all
+// passes; candidate exchanges are priced through O(hosts) previews and
+// allocations are only touched on accept. It counts res.Swaps and
+// res.Passes and sets res.Total to the clusters' summed DC.
+func (g *GlobalSubOpt) exchange(t *topology.Topology, res *BatchResult, residual [][]int) {
 	evs := make([]*affinity.DistanceEvaluator, len(res.Allocs))
 	for qi, a := range res.Allocs {
 		if a != nil {
@@ -549,11 +563,8 @@ func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.
 		maxPasses = hardCap
 	}
 	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
-		if g.movePass(t, res, work, evs) {
-			improved = true
-		}
-		if g.swapPass(res, evs) {
+		improved := relocatePass(t, res.Allocs, evs, residual)
+		if swapPass(res, evs, residual) {
 			improved = true
 		}
 		res.Passes++
@@ -572,70 +583,43 @@ func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.
 			res.Total += d
 		}
 	}
-	om := g.obsHandles()
-	om.batches.Inc()
-	om.failed.Add(int64(res.Failed))
-	om.swaps.Add(int64(res.Swaps))
-	om.passes.Add(int64(res.Passes))
-	return res, nil
 }
 
-// movePass relocates single VMs into residual capacity whenever that
-// strictly lowers the owning cluster's DC. Candidate moves are priced via
-// MovePreview; the allocation is only mutated on accept. Returns true if
-// anything moved.
-func (g *GlobalSubOpt) movePass(t *topology.Topology, res *BatchResult, residual [][]int, evs []*affinity.DistanceEvaluator) bool {
-	n := t.Nodes()
+// relocatePass moves single VMs into the residual capacity, taking the
+// first relocation of each cluster's walk that strictly lowers its DC.
+// A target no closer to the current center than the VM's node is
+// screened out before pricing (Theorem 1). Returns true if anything
+// moved.
+func relocatePass(t *topology.Topology, allocs []affinity.Allocation, evs []*affinity.DistanceEvaluator, residual [][]int) bool {
 	improvedAny := false
-	for qi, a := range res.Allocs {
+	for qi, a := range allocs {
 		if a == nil {
 			continue
 		}
 		ev := evs[qi]
 		d0, center := ev.Distance()
-		for i := 0; i < n; i++ {
-			for j := range a[i] {
-				if a[i][j] == 0 {
-					continue
-				}
-				from := topology.NodeID(i)
-				for q := 0; q < n; q++ {
-					to := topology.NodeID(q)
-					if to == from || residual[q][j] == 0 {
-						continue
-					}
-					// Quick screen using the current center (Theorem 1).
-					if affinity.MoveDelta(t, center, from, to) >= 0 {
-						continue
-					}
-					d1, c1 := ev.MovePreview(from, to)
-					if d1 < d0-1e-12 {
-						a.Remove(from, model.VMTypeID(j))
-						a.Add(to, model.VMTypeID(j))
-						ev.Move(from, to)
-						residual[i][j]++
-						residual[q][j]--
-						d0, center = d1, c1
-						improvedAny = true
-					}
-					if a[i][j] == 0 {
-						break
-					}
-				}
+		affinity.Relocations(a, ev, residual, func(from topology.NodeID, vt model.VMTypeID, to topology.NodeID) {
+			if affinity.MoveDelta(t, center, from, to) >= 0 {
+				return
 			}
-		}
+			if d1, c1 := ev.MovePreview(from, to); d1 < d0-1e-12 {
+				affinity.MoveVM(a, ev, residual, vt, from, to)
+				d0, center = d1, c1
+				improvedAny = true
+			}
+		})
 	}
 	return improvedAny
 }
 
 // swapPass applies Theorem 2 across cluster pairs with distinct centers:
 // trading one same-type VM between two nodes is capacity neutral and is
-// kept whenever it shrinks DC(a)+DC(b).
-func (g *GlobalSubOpt) swapPass(res *BatchResult, evs []*affinity.DistanceEvaluator) bool {
+// kept whenever it shrinks DC(a)+DC(b). After each trade the pair's walk
+// starts over, until no trade improves it.
+func swapPass(res *BatchResult, evs []*affinity.DistanceEvaluator, residual [][]int) bool {
 	improvedAny := false
 	allocs := res.Allocs
-	for ai := 0; ai < len(allocs); ai++ {
-		a := allocs[ai]
+	for ai, a := range allocs {
 		if a == nil {
 			continue
 		}
@@ -644,60 +628,36 @@ func (g *GlobalSubOpt) swapPass(res *BatchResult, evs []*affinity.DistanceEvalua
 			if b == nil {
 				continue
 			}
-			da, ca := evs[ai].Distance()
-			db, cb := evs[bi].Distance()
+			evA, evB := evs[ai], evs[bi]
+			da, ca := evA.Distance()
+			db, cb := evB.Distance()
 			if ca == cb {
 				continue // Theorem 2 precondition: distinct centers
 			}
-			if g.swapPair(a, b, evs[ai], evs[bi], da+db) {
+			sum0 := da + db
+			trade := func(p, q topology.NodeID, vt model.VMTypeID) bool {
+				// Trade: a's VM p→q, b's VM q→p.
+				da1, _ := evA.MovePreview(p, q)
+				db1, _ := evB.MovePreview(q, p)
+				if da1+db1 >= sum0-1e-12 {
+					return false
+				}
+				affinity.MoveVM(a, evA, residual, vt, p, q)
+				affinity.MoveVM(b, evB, residual, vt, q, p)
+				sum0 = da1 + db1
+				return true
+			}
+			traded := false
+			for affinity.Swaps(a, b, evA, evB, trade) {
+				traded = true
+			}
+			if traded {
 				res.Swaps++
 				improvedAny = true
 			}
 		}
 	}
 	return improvedAny
-}
-
-// swapPair greedily applies improving single-VM swaps between two
-// allocations until none remains, pricing each trade with two move
-// previews (no mutate-and-revert). Returns true if at least one applied.
-func (g *GlobalSubOpt) swapPair(a, b affinity.Allocation, evA, evB *affinity.DistanceEvaluator, sum0 float64) bool {
-	n := len(a)
-	m := len(a[0])
-	improved := false
-	for {
-		found := false
-		for p := 0; p < n && !found; p++ {
-			for q := 0; q < n && !found; q++ {
-				if p == q {
-					continue
-				}
-				for j := 0; j < m; j++ {
-					if a[p][j] == 0 || b[q][j] == 0 {
-						continue
-					}
-					// Trade: a's VM p→q, b's VM q→p.
-					da, _ := evA.MovePreview(topology.NodeID(p), topology.NodeID(q))
-					db, _ := evB.MovePreview(topology.NodeID(q), topology.NodeID(p))
-					if da+db < sum0-1e-12 {
-						a.Remove(topology.NodeID(p), model.VMTypeID(j))
-						a.Add(topology.NodeID(q), model.VMTypeID(j))
-						evA.Move(topology.NodeID(p), topology.NodeID(q))
-						b.Remove(topology.NodeID(q), model.VMTypeID(j))
-						b.Add(topology.NodeID(p), model.VMTypeID(j))
-						evB.Move(topology.NodeID(q), topology.NodeID(p))
-						sum0 = da + db
-						improved = true
-						found = true
-						break
-					}
-				}
-			}
-		}
-		if !found {
-			return improved
-		}
-	}
 }
 
 // PlaceSequential places a batch with any single-request placer, depleting

@@ -513,7 +513,7 @@ func TestTheorem2Inequality(t *testing.T) {
 }
 
 func TestMoveDeltaScreenConsistency(t *testing.T) {
-	// The movePass quick screen relies on MoveDelta agreeing in sign with
+	// The relocation pass's quick screen relies on MoveDelta agreeing in sign with
 	// the true recomputed distance when the center does not change; verify
 	// on a handcrafted case.
 	tp := twoRacks(t)

@@ -1,18 +1,18 @@
 package placement
 
 import (
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"affinitycluster/internal/topology"
+	"affinitycluster/internal/topology/topotest"
 )
 
 // randomPlant builds an irregular topology (1–3 clouds × 1–4 racks × 1–5
 // nodes) so the rack-probe scan faces uneven rack sizes and cloud splits.
-// Every other plant is re-imported scrambled (scramblePlant), so the scan
+// Every other plant is re-imported scrambled (topotest.Scramble), so the scan
 // also meets racks whose node IDs are not consecutive and clouds that
 // interleave.
 func randomPlant(t *testing.T, rng *rand.Rand) *topology.Topology {
@@ -34,33 +34,7 @@ func randomPlant(t *testing.T, rng *rand.Rand) *topology.Topology {
 	if rng.Intn(2) == 0 {
 		return tp
 	}
-	return scramblePlant(t, rng, tp)
-}
-
-// scramblePlant re-imports tp through JSON with its node IDs and rack
-// indices permuted at random. A rack's node IDs are then no longer
-// consecutive, racks of one cloud are no longer adjacent indices, and
-// clouds interleave in the scan's lowest-node rack order: plant shapes
-// only Topology.UnmarshalJSON admits.
-func scramblePlant(t testing.TB, rng *rand.Rand, tp *topology.Topology) *topology.Topology {
-	t.Helper()
-	nodePerm, rackPerm := rng.Perm(tp.Nodes()), rng.Perm(tp.Racks())
-	nodes := make([]topology.Node, tp.Nodes())
-	for i, id := range nodePerm {
-		old := topology.NodeID(i)
-		nodes[id] = topology.Node{ID: topology.NodeID(id), Rack: rackPerm[tp.RackOf(old)], Cloud: tp.CloudOf(old)}
-	}
-	data, err := json.Marshal(map[string]any{
-		"distances": tp.Distances(), "nodes": nodes, "racks": tp.Racks(), "clouds": tp.Clouds(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := new(topology.Topology)
-	if err := json.Unmarshal(data, out); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return topotest.Scramble(t, rng, tp)
 }
 
 // TestRackProbeMatchesExhaustiveProperty drives the pruned ScanAllCenters

@@ -13,7 +13,7 @@ import (
 )
 
 // SchemaVersion identifies the report layout.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Report is the consolidated result of one full reproduction run.
 type Report struct {
@@ -50,10 +50,8 @@ type AnomalyNote struct {
 
 // ExactGapSummary condenses the optimality study.
 type ExactGapSummary struct {
-	Instances  int     `json:"instances"`
-	OptimalHit int     `json:"optimalHit"`
-	MeanGapPct float64 `json:"meanGapPct"`
-	MaxGapPct  float64 `json:"maxGapPct"`
+	Instances  int `json:"instances"`
+	OptimalHit int `json:"optimalHit"`
 }
 
 // Collect runs every experiment at the given seed and assembles the
@@ -106,12 +104,7 @@ func Collect(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("report: exact gap: %w", err)
 	}
-	r.ExactGap = &ExactGapSummary{
-		Instances:  gap.Instances,
-		OptimalHit: gap.OptimalHit,
-		MeanGapPct: gap.MeanGapPct,
-		MaxGapPct:  gap.MaxGapPct,
-	}
+	r.ExactGap = &ExactGapSummary{Instances: gap.Instances, OptimalHit: gap.OptimalHit}
 	return r, nil
 }
 
