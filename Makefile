@@ -6,7 +6,7 @@ GOFMT ?= gofmt
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet fmt-check examples lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic bench-obs verify clean
+.PHONY: all build test race vet fmt-check examples lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-elastic bench-obs verify clean
 
 all: build
 
@@ -197,12 +197,6 @@ bench-elastic:
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkEmit' -benchmem -benchtime=1000000x ./internal/obs | $(GO) run ./cmd/benchjson > BENCH_obs.json
 	@cat BENCH_obs.json
-
-# CI's short arm: only the 100k-request soak (the 1M arm skips under
-# -short), same JSON artifact shape.
-bench-soak-short:
-	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchmem -benchtime=1x -short -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
-	@cat BENCH_soak.json
 
 # The pre-merge gate: build, vet, gofmt, lint, full tests, the examples
 # smoke, and the race detector.

@@ -5,9 +5,9 @@
 // is -benchtime=1x: the interesting figures are the custom req/s and
 // peak-heap-bytes metrics, not ns/op. BenchmarkSoak feeds
 // BENCH_soak.json (make bench-soak); the 1M arm is the paper-scale
-// endurance run and is skipped under -short. The elastic arm replays the
-// same plant with map/shuffle resizing, the benchmark's soak-elastic
-// policy, whose deferred grows make it the slowest replay.
+// endurance run. The elastic arm replays the same plant with map/shuffle
+// resizing, the benchmark's soak-elastic policy, whose deferred grows
+// make it the slowest replay.
 package bench
 
 import (
@@ -24,17 +24,13 @@ func BenchmarkSoak(b *testing.B) {
 		name     string
 		requests int
 		elastic  bool
-		long     bool
 	}{
-		{"100k", 100_000, false, false},
-		{"1M", 1_000_000, false, true},
-		{"elastic-20k", 20_000, true, false},
+		{"100k", 100_000, false},
+		{"1M", 1_000_000, false},
+		{"elastic-20k", 20_000, true},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {
-			if arm.long && testing.Short() {
-				b.Skip("1M-request soak skipped in -short")
-			}
 			cfg := experiments.DefaultSoakConfig()
 			cfg.Requests = arm.requests
 			if arm.elastic {

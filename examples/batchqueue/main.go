@@ -12,7 +12,6 @@ import (
 	"affinitycluster/internal/cloudsim"
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/placement"
-	"affinitycluster/internal/stats"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
 )
@@ -30,14 +29,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// RetainSamples: the report reads the exact Distances/Waits samples —
-	// fine at 60 requests (soak-scale runs use the streaming sketches).
 	arms := []struct {
 		name string
 		cfg  cloudsim.Config
 	}{
-		{"online (per request)", cloudsim.Config{RetainSamples: true}},
-		{"global (batched)", cloudsim.Config{Batch: true, RetainSamples: true}},
+		{"online (per request)", cloudsim.Config{}},
+		{"global (batched)", cloudsim.Config{Batch: true}},
 	}
 
 	fmt.Printf("%-22s %7s %9s %9s %9s %7s\n", "strategy", "served", "meanDist", "meanWait", "util", "queue")
@@ -58,9 +55,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		wait := stats.Mean(m.Waits)
+		wait := m.WaitSketch.Mean()
 		fmt.Printf("%-22s %7d %9.2f %9.1f %8.1f%% %7d\n",
-			a.name, m.Served, stats.Mean(m.Distances), wait,
+			a.name, m.Served, m.DistanceSketch.Mean(), wait,
 			m.UtilizationAvg*100, m.Unplaced)
 		if !(wait > 0) {
 			log.Fatalf("%s: mean wait %.1f s, want requests that queue", a.name, wait)

@@ -168,13 +168,6 @@ func (a Allocation) Distance(t *topology.Topology) (float64, topology.NodeID) {
 	return DistanceOf(t, hosts, w)
 }
 
-// CentralNode returns the minimizing central node of Definition 1, or -1
-// for an empty allocation.
-func (a Allocation) CentralNode(t *topology.Topology) topology.NodeID {
-	_, k := a.Distance(t)
-	return k
-}
-
 // PairwiseAffinity computes the cluster-affinity metric of the paper's
 // experimental section: the sum of distances over all unordered VM pairs of
 // the cluster. Two VMs on the same node contribute the SameNode tier (0),

@@ -108,9 +108,6 @@ func (e *DistanceEvaluator) Reset(a Allocation) {
 	}
 }
 
-// VMsOnNode returns the tracked VM total of node i.
-func (e *DistanceEvaluator) VMsOnNode(i topology.NodeID) int { return e.w[i] }
-
 // TotalVMs returns the tracked cluster size.
 func (e *DistanceEvaluator) TotalVMs() int { return e.total }
 

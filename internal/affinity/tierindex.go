@@ -188,15 +188,9 @@ func (x *TierIndex) RackMaxCol(r int) []int { return x.rackMaxCol[r*x.m : (r+1)*
 //lint:shared zero-copy aggregate view; coherent only between Apply calls
 func (x *TierIndex) CloudMaxCol(c int) []int { return x.cloudMaxCol[c*x.m : (c+1)*x.m] }
 
-// NodeTotal returns Σ_j L_ij for node i.
-func (x *TierIndex) NodeTotal(i topology.NodeID) int { return x.nodeTot[i] }
-
 // RackMaxTotal returns the largest per-node total remaining capacity in
 // rack r.
 func (x *TierIndex) RackMaxTotal(r int) int { return x.rackMaxTot[r] }
-
-// RackTotalSum returns Σ_j Σ_{i∈rack} L_ij for rack r.
-func (x *TierIndex) RackTotalSum(r int) int { return x.rackTotSum[r] }
 
 // CloudMaxNodeTotal returns the largest per-node total remaining
 // capacity in cloud c.
@@ -218,14 +212,14 @@ func (x *TierIndex) CloudMaxRackSum(c int) int { return x.cloudMaxSum[c] }
 func (x *TierIndex) FirstCover(r model.Request) topology.NodeID {
 	m := x.m
 	for k := 1; ; {
-		if covers(x.cover[k*m:(k+1)*m], r) {
+		if model.Covers(x.cover[k*m:(k+1)*m], r) {
 			if k < x.coverLeaves {
 				k *= 2
 				continue
 			}
 			lo := (k - x.coverLeaves) << coverShift
 			for i := lo; i < min(lo+coverBlock, x.n); i++ {
-				if covers(x.l[i], r) {
+				if model.Covers(x.l[i], r) {
 					return topology.NodeID(i)
 				}
 			}
@@ -240,18 +234,6 @@ func (x *TierIndex) FirstCover(r model.Request) topology.NodeID {
 		}
 		k++
 	}
-}
-
-// covers is model.Covers for a row at least as wide as r. Without the
-// width check it inlines into FirstCover's descent, which tests up to
-// ~2·log2(n/coverBlock) tree nodes and coverBlock rows per query.
-func covers(row []int, r model.Request) bool {
-	for j, need := range r {
-		if row[j] < need {
-			return false
-		}
-	}
-	return true
 }
 
 // Rebind points the index at a different matrix of the same shape and

@@ -170,9 +170,6 @@ func TestTierIndexViews(t *testing.T) {
 	if got := idx.RackMaxTotal(2); got != 14 {
 		t.Fatalf("RackMaxTotal(2) = %d", got)
 	}
-	if got := idx.RackTotalSum(2); got != 24 {
-		t.Fatalf("RackTotalSum(2) = %d", got)
-	}
 	if got := idx.CloudMaxNodeTotal(0); got != 7 {
 		t.Fatalf("CloudMaxNodeTotal(0) = %d", got)
 	}
@@ -184,9 +181,6 @@ func TestTierIndexViews(t *testing.T) {
 	}
 	if got := idx.CloudMaxCol(1); got[0] != 7 || got[1] != 7 {
 		t.Fatalf("CloudMaxCol(1) = %v", got)
-	}
-	if got := idx.NodeTotal(4); got != 2 {
-		t.Fatalf("NodeTotal(4) = %d", got)
 	}
 	idx.SetVersion(9)
 	if idx.Version() != 9 {

@@ -74,12 +74,6 @@ type Config struct {
 	// composes with Faults. The zero value leaves the static simulation
 	// untouched.
 	Elastic ElasticConfig
-	// RetainSamples keeps the exact per-request Distances and Waits
-	// slices on Metrics — O(served requests) memory, required for exact
-	// percentiles and the paper figures' byte-identical sample order. The
-	// default (false) populates only the constant-memory streaming
-	// sketches, which is what multi-million-request soak replays need.
-	RetainSamples bool
 	// Sketch bounds the streaming quantile sketches (zero fields take
 	// defaults; see SketchConfig).
 	Sketch SketchConfig
@@ -91,14 +85,12 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// SketchConfig bounds the streaming distance/wait quantile sketches.
-// Samples beyond a max are clamped to the top bucket (counted, with the
-// quantile pinned at the bound); the bounds only need to cover the range
-// where quantile resolution matters.
+// SketchConfig bounds the streaming wait quantile sketch and sets the
+// bucket count of both sketches; the DC sketch spans [0, 200]. Samples
+// beyond a max are clamped to the top bucket (counted, with the quantile
+// pinned at the bound); the bounds only need to cover the range where
+// quantile resolution matters.
 type SketchConfig struct {
-	// DistanceMax is the upper bound of the DC sketch (0 = 200, matching
-	// the obs placement histogram's range).
-	DistanceMax float64
 	// WaitMax is the upper bound of the wait sketch, seconds (0 = 3600).
 	WaitMax float64
 	// Buckets is the bucket count of both sketches (0 = 400); the
@@ -106,10 +98,11 @@ type SketchConfig struct {
 	Buckets int
 }
 
+// distanceMax is the upper bound of the DC sketch, the obs placement
+// histogram's range.
+const distanceMax = 200
+
 func (c SketchConfig) withDefaults() SketchConfig {
-	if c.DistanceMax <= 0 {
-		c.DistanceMax = 200
-	}
 	if c.WaitMax <= 0 {
 		c.WaitMax = 3600
 	}
@@ -153,21 +146,17 @@ type Metrics struct {
 	Served   int
 	Rejected int // exceeded total plant capacity or queue full
 	Unplaced int // admitted but never placed before the run ended
-	// Distances and Waits are the exact per-request samples in service
-	// order — populated only with Config.RetainSamples (they are
-	// O(served) memory).
-	Distances []float64 // DC of each served cluster, in service order
-	Waits     []float64 // queueing delay of each served request
-	// DistanceSketch and WaitSketch summarize the same samples in O(1)
-	// memory (fixed-bucket streaming quantiles, always populated); their
-	// Value(p) is within ErrorBound of the exact percentile for in-range
-	// samples.
+	// DistanceSketch and WaitSketch summarize the DC of each served
+	// cluster and the queueing delay of each served request in O(1)
+	// memory (fixed-bucket streaming quantiles); their Value(p) is within
+	// ErrorBound of the exact percentile for in-range samples. The exact
+	// samples are the dc and wait fields of the trace's place events.
 	DistanceSketch *stats.Quantile
 	WaitSketch     *stats.Quantile
 	// UtilizationAvg is the time-weighted mean fraction of plant VM slots
 	// occupied between the first arrival and the last departure.
 	UtilizationAvg float64
-	// TotalDistance sums Distances.
+	// TotalDistance sums the served clusters' DC.
 	TotalDistance float64
 	// MakeSpan is the virtual time of the last departure.
 	MakeSpan float64
@@ -332,7 +321,7 @@ func New(tp *topology.Topology, inv *inventory.Inventory, online *placement.Onli
 		dcW:             make([]int, tp.Nodes()),
 	}
 	sk := cfg.Sketch.withDefaults()
-	s.metrics.DistanceSketch = stats.NewQuantile(0, sk.DistanceMax, sk.Buckets)
+	s.metrics.DistanceSketch = stats.NewQuantile(0, distanceMax, sk.Buckets)
 	s.metrics.WaitSketch = stats.NewQuantile(0, sk.WaitMax, sk.Buckets)
 	if cfg.Faults.Enabled() {
 		plan, err := faults.Plan(cfg.FaultSeed, tp, cfg.Faults)
@@ -681,11 +670,6 @@ func (s *Simulator) commission(r model.TimedRequest, entries []affinity.VMEntry,
 	s.running[c.id] = c
 	s.metrics.DistanceSketch.Observe(d)
 	s.metrics.WaitSketch.Observe(wait)
-	if s.cfg.RetainSamples {
-		c.slot = len(s.metrics.Distances)
-		s.metrics.Distances = append(s.metrics.Distances, d)
-		s.metrics.Waits = append(s.metrics.Waits, wait)
-	}
 	s.metrics.TotalDistance += d
 	s.om.served.Inc()
 	s.om.waitSeconds.Observe(wait)

@@ -34,6 +34,27 @@ func timed(id int, vec model.Request, at, hold float64) model.TimedRequest {
 	return model.TimedRequest{ID: model.RequestID(id), Vector: vec, Arrival: at, Hold: hold}
 }
 
+// placeSamples reads the exact per-request samples behind Metrics'
+// sketches off a retaining registry's trace: the dc and wait fields of
+// each place event, in service order. A cluster a fault tears down keeps
+// its place event, though its sample leaves the sketches.
+func placeSamples(reg *obs.Registry) (dcs, waits []float64) {
+	for _, e := range reg.Events() {
+		if e.Kind != "place" {
+			continue
+		}
+		for _, f := range e.Fields {
+			switch f.Key {
+			case "dc":
+				dcs = append(dcs, f.Val().(float64))
+			case "wait":
+				waits = append(waits, f.Val().(float64))
+			}
+		}
+	}
+	return dcs, waits
+}
+
 func TestNewValidation(t *testing.T) {
 	tp, inv := plant(t)
 	if _, err := New(tp, inv, nil, Config{}); err == nil {
@@ -46,7 +67,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(tp, smallInv, &placement.OnlineHeuristic{}, Config{}); err == nil {
 		t.Error("mismatched inventory accepted")
 	}
-	zeroInv := inventory.New(tp.Nodes(), 2)
+	zero := make([][]int, tp.Nodes())
+	for i := range zero {
+		zero[i] = make([]int, 2)
+	}
+	zeroInv, err := inventory.NewFromMatrix(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New(tp, zeroInv, &placement.OnlineHeuristic{}, Config{}); err == nil {
 		t.Error("zero-capacity inventory accepted")
 	}
@@ -54,7 +82,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestImmediateServiceAndRelease(t *testing.T) {
 	tp, inv := plant(t)
-	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{RetainSamples: true})
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +98,8 @@ func TestImmediateServiceAndRelease(t *testing.T) {
 	if m.Served != 2 || m.Rejected != 0 || m.Unplaced != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if m.Waits[0] != 0 || m.Waits[1] != 0 {
-		t.Errorf("waits = %v, want zeros", m.Waits)
+	if _, waits := placeSamples(reg); len(waits) != 2 || waits[0] != 0 || waits[1] != 0 {
+		t.Errorf("waits = %v, want zeros", waits)
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -100,7 +129,8 @@ func TestOversizedRequestRejected(t *testing.T) {
 
 func TestQueueingAndDrain(t *testing.T) {
 	tp, inv := plant(t)
-	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{RetainSamples: true})
+	reg := obs.NewRegistry()
+	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	// Request 0 takes the whole plant for 10s; request 1 arrives at t=2
 	// and must wait until t=11.
 	m, err := sim.Run([]model.TimedRequest{
@@ -114,8 +144,8 @@ func TestQueueingAndDrain(t *testing.T) {
 	if m.Served != 2 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if m.Waits[1] != 9 { // 11 − 2
-		t.Errorf("wait = %v, want 9", m.Waits[1])
+	if _, waits := placeSamples(reg); len(waits) != 2 || waits[1] != 9 { // 11 − 2
+		t.Errorf("waits = %v, want the second 9", waits)
 	}
 	if m.MakeSpan != 16 {
 		t.Errorf("makespan = %v, want 16", m.MakeSpan)
@@ -194,7 +224,8 @@ func TestEndToEndRandomWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Policy: queue.FIFO, RetainSamples: true})
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Policy: queue.FIFO, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +239,8 @@ func TestEndToEndRandomWorkload(t *testing.T) {
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Served > 0 && len(m.Distances) != m.Served {
-		t.Error("distance sample count mismatch")
+	if dcs, _ := placeSamples(reg); len(dcs) != m.Served {
+		t.Errorf("%d place events, want one per served request (%d)", len(dcs), m.Served)
 	}
 	if m.UtilizationAvg < 0 || m.UtilizationAvg > 1 {
 		t.Errorf("utilization = %v", m.UtilizationAvg)
@@ -293,11 +324,12 @@ func TestSoakLongHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	sim, err := New(topo, inv, &placement.OnlineHeuristic{}, Config{
-		Policy:        queue.FIFO,
-		Batch:         true,
-		Migrate:       true,
-		RetainSamples: true,
+		Policy:  queue.FIFO,
+		Batch:   true,
+		Migrate: true,
+		Obs:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -325,10 +357,11 @@ func TestSoakLongHorizon(t *testing.T) {
 			}
 		}
 	}
-	if len(m.Distances) != m.Served || len(m.Waits) != m.Served {
+	dcs, waits := placeSamples(reg)
+	if len(dcs) != m.Served || len(waits) != m.Served {
 		t.Error("metric sample counts inconsistent")
 	}
-	for _, w := range m.Waits {
+	for _, w := range waits {
 		if w < 0 {
 			t.Fatal("negative wait")
 		}

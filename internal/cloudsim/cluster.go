@@ -34,10 +34,8 @@ type cluster struct {
 	vms   int
 
 	// The served sample, rolled back out of the metrics if a fault tears
-	// the cluster down, and its index into Metrics.Distances/Waits
-	// (RetainSamples only).
+	// the cluster down.
 	d, wait float64
-	slot    int
 
 	// departEv fires depart; bound at the record's first commission and
 	// re-armed by every later one.

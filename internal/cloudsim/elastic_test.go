@@ -156,7 +156,8 @@ func TestElasticDeferExpires(t *testing.T) {
 // queue like a departure would.
 func TestElasticDeferredGrowServedAfterDeparture(t *testing.T) {
 	tp, inv := plant(t)
-	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), RetainSamples: true})
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +178,8 @@ func TestElasticDeferredGrowServedAfterDeparture(t *testing.T) {
 	if m.Served != 2 || m.GrowRequests != 2 || m.Grows != 2 || m.Shrinks != 2 || m.Deferred != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if len(m.Waits) != 2 || m.Waits[1] != 0.6000000000000001 { // 1.6 − 1
-		t.Errorf("waits = %v, want second ≈ 0.6", m.Waits)
+	if _, waits := placeSamples(reg); len(waits) != 2 || waits[1] != 0.6000000000000001 { // 1.6 − 1
+		t.Errorf("waits = %v, want second ≈ 0.6", waits)
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -156,23 +156,11 @@ func (s *Simulator) teardown(c *cluster, now float64) {
 	// Roll back the served sample: Metrics counts clusters that ran (or
 	// are running) to completion. The obs counters deliberately keep
 	// counting commissions instead. The record carries the exact floats
-	// observed at commission, so the rollback is O(active) with or
-	// without retained slices (and the retained-slice surgery, which
-	// touches every later slot, only runs in retained mode).
+	// observed at commission, so the rollback is O(1).
 	s.metrics.Served--
 	s.metrics.TotalDistance -= c.d
 	s.metrics.DistanceSketch.Remove(c.d)
 	s.metrics.WaitSketch.Remove(c.wait)
-	if s.cfg.RetainSamples {
-		idx := c.slot
-		s.metrics.Distances = slices.Delete(s.metrics.Distances, idx, idx+1)
-		s.metrics.Waits = slices.Delete(s.metrics.Waits, idx, idx+1)
-		for _, o := range s.running {
-			if o.slot > idx {
-				o.slot--
-			}
-		}
-	}
 	s.om.running.Set(float64(len(s.running)))
 	s.om.usedSlots.Set(float64(s.usedSlots))
 	s.unresolved++

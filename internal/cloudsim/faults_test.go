@@ -95,9 +95,8 @@ func TestCrashTeardownRequeueServedAfterRepair(t *testing.T) {
 	tp, inv := plant(t)
 	reg := obs.NewRegistry()
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{
-		Obs:           reg,
-		Recovery:      RecoveryConfig{MaxAttempts: 2, Backoff: 1, Factor: 2},
-		RetainSamples: true,
+		Obs:      reg,
+		Recovery: RecoveryConfig{MaxAttempts: 2, Backoff: 1, Factor: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +118,13 @@ func TestCrashTeardownRequeueServedAfterRepair(t *testing.T) {
 	if m.Served != 1 || m.Unplaced != 0 {
 		t.Errorf("served=%d unplaced=%d", m.Served, m.Unplaced)
 	}
-	if len(m.Waits) != 1 || m.Waits[0] != 29 { // re-served at the t=30 repair, arrived at 1
-		t.Errorf("waits = %v, want [29]", m.Waits)
+	// Placed on arrival, then re-served at the t=30 repair, arrived at 1;
+	// the teardown rolled the first sample back out of the sketch.
+	if _, waits := placeSamples(reg); !slices.Equal(waits, []float64{0, 29}) {
+		t.Errorf("place waits = %v, want [0 29]", waits)
+	}
+	if m.WaitSketch.Count() != 1 || m.WaitSketch.Sum() != 29 {
+		t.Errorf("wait sketch holds %d samples summing to %v, want the one 29", m.WaitSketch.Count(), m.WaitSketch.Sum())
 	}
 	if m.MakeSpan != 50 {
 		t.Errorf("makespan = %v, want 50", m.MakeSpan)

@@ -32,8 +32,9 @@ var update = flag.Bool("update", false, "rewrite testdata/elastic_golden.txt fro
 const goldenPath = "testdata/elastic_golden.txt"
 
 // The elastic golden differential pins everything an elastic run
-// reports except its resize_defer lines: cloudsim.Metrics with retained
-// samples, the registry's metric snapshot, and the JSONL trace. How a
+// reports except its resize_defer lines: cloudsim.Metrics with its
+// sketches' contents, the registry's metric snapshot, and the JSONL
+// trace, whose place events carry every served sample. How a
 // deferred grow waits (polling a retry ladder, or parking behind the
 // wait queue) may change how many resize_defer lines a run writes, and
 // nothing else. Two corpora: continuous-time soak plants, where equal
@@ -157,8 +158,8 @@ func tiesDigest(t *testing.T, seed int64) string {
 	return runDigest(t, tp, caps, cfg, model.NewSliceSource(reqs))
 }
 
-// runDigest runs one elastic scenario with retained samples and a
-// streaming registry, and hashes its metrics, metric snapshot and trace.
+// runDigest runs one elastic scenario with a streaming registry, and
+// hashes its metrics, metric snapshot and trace.
 func runDigest(t *testing.T, tp *topology.Topology, caps [][]int, cfg cloudsim.Config, src model.RequestSource) string {
 	t.Helper()
 	inv, err := inventory.NewFromMatrix(caps)
@@ -169,7 +170,6 @@ func runDigest(t *testing.T, tp *topology.Topology, caps [][]int, cfg cloudsim.C
 	f := &dropDefers{w: h}
 	reg := obs.NewStreamingRegistry(f)
 	cfg.Obs = reg
-	cfg.RetainSamples = true
 	sim, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, cfg)
 	if err != nil {
 		t.Fatal(err)

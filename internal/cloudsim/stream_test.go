@@ -73,13 +73,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		sim, err := New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, Config{
-			Policy:        queue.FIFO,
-			Batch:         true,
-			Migrate:       true,
-			Faults:        faults.Config{MTBF: 40, MTTR: 60, Horizon: 250, RackEvery: 2},
-			FaultSeed:     14,
-			Obs:           reg,
-			RetainSamples: true,
+			Policy:    queue.FIFO,
+			Batch:     true,
+			Migrate:   true,
+			Faults:    faults.Config{MTBF: 40, MTTR: 60, Horizon: 250, RackEvery: 2},
+			FaultSeed: 14,
+			Obs:       reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -118,15 +117,16 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 }
 
-// TestStreamingMetricsParity compares the default streaming-sketch mode
-// against retained mode on the same workload: every counter is
-// identical, the retained slices exist only when asked for, and the
-// sketch quantiles land within the documented ErrorBound of the exact
-// retained percentiles.
+// TestStreamingMetricsParity checks the streaming sketches against the
+// exact samples of the same run, the dc and wait fields of its place
+// events: each sketch holds one sample per served request, and its
+// quantiles land within the documented ErrorBound of the exact
+// percentiles. The instrumented run's metrics equal an uninstrumented
+// run's.
 func TestStreamingMetricsParity(t *testing.T) {
 	tp := topology.PaperSimPlant()
 	timedReqs := streamWorkload(t, 40)
-	run := func(retain bool) *Metrics {
+	run := func(reg *obs.Registry) *Metrics {
 		caps, err := workload.RandomCapacities(11, tp.Nodes(), 3, workload.DefaultInventoryConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +135,7 @@ func TestStreamingMetricsParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{RetainSamples: retain})
+		sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,40 +145,26 @@ func TestStreamingMetricsParity(t *testing.T) {
 		}
 		return m
 	}
-	retained := run(true)
-	streaming := run(false)
-	if retained.Served == 0 {
+	reg := obs.NewRegistry()
+	traced := run(reg)
+	plain := run(nil)
+	if traced.Served == 0 {
 		t.Fatal("nothing served")
 	}
-	if streaming.Distances != nil || streaming.Waits != nil {
-		t.Error("streaming mode retained exact samples")
+	if !reflect.DeepEqual(traced, plain) {
+		t.Errorf("metrics diverge:\ntraced: %+v\nplain:  %+v", traced, plain)
 	}
-	if len(retained.Distances) != retained.Served || len(retained.Waits) != retained.Served {
-		t.Fatalf("retained sample counts: %d distances, %d waits, served %d",
-			len(retained.Distances), len(retained.Waits), retained.Served)
-	}
-	// Counters must not depend on the sample mode.
-	if streaming.Served != retained.Served || streaming.Rejected != retained.Rejected ||
-		streaming.Unplaced != retained.Unplaced || streaming.TotalDistance != retained.TotalDistance ||
-		streaming.MakeSpan != retained.MakeSpan || streaming.UtilizationAvg != retained.UtilizationAvg {
-		t.Errorf("counters diverge:\nretained:  %+v\nstreaming: %+v", retained, streaming)
-	}
-	// Both modes carry the same sketches...
-	if !reflect.DeepEqual(retained.DistanceSketch, streaming.DistanceSketch) ||
-		!reflect.DeepEqual(retained.WaitSketch, streaming.WaitSketch) {
-		t.Error("sketches diverge between modes")
-	}
-	// ...and the sketches agree with the exact samples within ErrorBound.
+	dcs, waits := placeSamples(reg)
 	for _, tc := range []struct {
 		name    string
 		sketch  *stats.Quantile
 		samples []float64
 	}{
-		{"distance", streaming.DistanceSketch, retained.Distances},
-		{"wait", streaming.WaitSketch, retained.Waits},
+		{"distance", traced.DistanceSketch, dcs},
+		{"wait", traced.WaitSketch, waits},
 	} {
-		if got, want := tc.sketch.Count(), int64(len(tc.samples)); got != want {
-			t.Errorf("%s sketch holds %d samples, want %d", tc.name, got, want)
+		if got, want := tc.sketch.Count(), int64(len(tc.samples)); got != want || got != int64(traced.Served) {
+			t.Errorf("%s sketch holds %d samples, want %d (served %d)", tc.name, got, want, traced.Served)
 		}
 		sorted := append([]float64(nil), tc.samples...)
 		sort.Float64s(sorted)
@@ -237,7 +223,8 @@ func TestRunStreamRejectsContractViolations(t *testing.T) {
 // wait runs from its own arrival.
 func TestRunStreamDuplicateOfQueuedRequest(t *testing.T) {
 	tp, inv := plant(t)
-	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{RetainSamples: true})
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +240,8 @@ func TestRunStreamDuplicateOfQueuedRequest(t *testing.T) {
 	if m.Rejected != 1 {
 		t.Errorf("rejected %d, want the duplicate alone", m.Rejected)
 	}
-	if len(m.Waits) != 2 || m.Waits[1] != 9 {
-		t.Errorf("waits %v, want request 1 served at t=11 after waiting 9 s", m.Waits)
+	if _, waits := placeSamples(reg); len(waits) != 2 || waits[1] != 9 {
+		t.Errorf("waits %v, want request 1 served at t=11 after waiting 9 s", waits)
 	}
 }
 

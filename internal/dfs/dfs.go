@@ -93,9 +93,6 @@ func New(c *vcluster.Cluster, cfg Config) (*FS, error) {
 	}, nil
 }
 
-// BlockMB returns the configured block size.
-func (fs *FS) BlockMB() float64 { return fs.blockMB }
-
 // Write stores a file of the given size, splitting it into blocks and
 // placing replicas with the rack-aware policy. writer is the VM producing
 // the data (its node receives the first replica, modelling HDFS's

@@ -36,11 +36,9 @@ type ElasticExperimentConfig struct {
 	// Job is the representative MapReduce job whose per-MB cost profile
 	// places the map/shuffle boundary (MapFrac = Job.PhaseSplit()).
 	Job mapreduce.JobSpec
-	// GrowFactor, MinPayoff, and DeferBackoff tune the resize policy;
-	// see cloudsim.ElasticConfig.
-	GrowFactor   float64
-	MinPayoff    float64
-	DeferBackoff float64
+	// GrowFactor sizes the map-phase grow; see cloudsim.ElasticConfig,
+	// whose MinPayoff and DeferBackoff defaults the run takes.
+	GrowFactor float64
 }
 
 // DefaultElasticConfig pairs the ops-style workload with a map-heavy
@@ -50,13 +48,11 @@ func DefaultElasticConfig() ElasticExperimentConfig {
 	arr := workload.DefaultArrivalConfig()
 	arr.MeanInterarrival = 5
 	return ElasticExperimentConfig{
-		Requests:     60,
-		QueueCap:     0,
-		Arrival:      arr,
-		Job:          mapreduce.WordCount("input"),
-		GrowFactor:   0.5,
-		MinPayoff:    1,
-		DeferBackoff: 5,
+		Requests:   60,
+		QueueCap:   0,
+		Arrival:    arr,
+		Job:        mapreduce.WordCount("input"),
+		GrowFactor: 0.5,
 	}
 }
 
@@ -123,11 +119,9 @@ func Elastic(seed int64, cfg ElasticExperimentConfig) (*ElasticResult, error) {
 	}
 	reg := obs.NewRegistry()
 	elastic, err := run(reg, cloudsim.ElasticConfig{
-		Enabled:      true,
-		GrowFactor:   cfg.GrowFactor,
-		MapFrac:      mapFrac,
-		MinPayoff:    cfg.MinPayoff,
-		DeferBackoff: cfg.DeferBackoff,
+		Enabled:    true,
+		GrowFactor: cfg.GrowFactor,
+		MapFrac:    mapFrac,
 	})
 	if err != nil {
 		return nil, err

@@ -81,9 +81,6 @@ type Config struct {
 	// (repairs may). Required > 0 when MTBF > 0, so a fault-enabled run
 	// always terminates.
 	Horizon float64
-	// MaxFailures caps the number of injected failures (0 = bounded only
-	// by Horizon).
-	MaxFailures int
 	// RackEvery promotes every k-th failure to a rack outage of the
 	// victim's rack (0 = node crashes only).
 	RackEvery int
@@ -116,9 +113,6 @@ func (c Config) Validate() error {
 	if c.Horizon/c.MTBF > maxExpectedFailures {
 		return fmt.Errorf("faults: Horizon/MTBF = %v/%v expects more than %d failures", c.Horizon, c.MTBF, maxExpectedFailures)
 	}
-	if c.MaxFailures < 0 {
-		return fmt.Errorf("faults: negative MaxFailures %d", c.MaxFailures)
-	}
 	if c.RackEvery < 0 {
 		return fmt.Errorf("faults: negative RackEvery %d", c.RackEvery)
 	}
@@ -147,9 +141,6 @@ func Plan(seed int64, tp *topology.Topology, cfg Config) ([]Event, error) {
 	for draws := 0; ; draws++ {
 		t += exponential(rng, cfg.MTBF)
 		if t > cfg.Horizon {
-			break
-		}
-		if cfg.MaxFailures > 0 && failures >= cfg.MaxFailures {
 			break
 		}
 		victim := topology.NodeID(rng.Intn(tp.Nodes()))

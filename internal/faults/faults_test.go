@@ -29,7 +29,6 @@ func TestValidate(t *testing.T) {
 		{MTBF: 10, MTTR: -1, Horizon: 10}, // negative MTTR
 		{MTBF: 10, MTTR: 5},               // no horizon
 		{MTBF: 10, MTTR: 5, Horizon: 10, RackEvery: -1},
-		{MTBF: 10, MTTR: 5, Horizon: 10, MaxFailures: -2},
 		{MTBF: 1e-300, MTTR: 5, Horizon: 250},                // ~2.5e302 expected draws
 		{MTBF: 1, MTTR: 5, Horizon: maxExpectedFailures + 1}, // just over the cap
 	}
@@ -169,16 +168,12 @@ func TestPlanRackOutagesStayInOneRack(t *testing.T) {
 	}
 }
 
-func TestPlanHorizonAndCap(t *testing.T) {
+func TestPlanHorizon(t *testing.T) {
 	tp := testPlant(t)
 	c := cfg()
-	c.MaxFailures = 2
 	plan, err := Plan(5, tp, c)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := Failures(plan); got > 2 {
-		t.Errorf("MaxFailures=2 but %d failures planned", got)
 	}
 	for _, ev := range plan {
 		if ev.Kind != Repair && ev.Time > c.Horizon {

@@ -3,9 +3,10 @@
 // allocation matrix C (currently placed VMs), the remaining matrix
 // L = M − C, and the availability vector A with A_j = Σ_i L_ij.
 //
-// An Inventory is safe for concurrent use; the placement algorithms take
-// snapshots (Remaining, Available) and commit allocations atomically with
-// Allocate.
+// NewFromMatrix builds an Inventory from M; afterwards M changes only
+// through FailNode and RestoreNode. An Inventory is safe for concurrent
+// use; the placement algorithms take snapshots (Remaining, Available) and
+// commit allocations atomically with Allocate.
 package inventory
 
 import (
@@ -46,24 +47,6 @@ type Inventory struct {
 	tixDeltas []int
 }
 
-// New creates an inventory for nodes × types with zero capacity everywhere.
-// Use SetCapacity or NewFromMatrix to install capacities.
-func New(nodes, types int) *Inventory {
-	if nodes <= 0 || types <= 0 {
-		panic(fmt.Sprintf("inventory: New(%d, %d) needs positive dimensions", nodes, types))
-	}
-	inv := &Inventory{
-		nodes:  nodes,
-		types:  types,
-		max:    newMatrix(nodes, types),
-		alloc:  newMatrix(nodes, types),
-		remain: newMatrix(nodes, types),
-		avail:  make([]int, types),
-		capSum: make([]int, types),
-	}
-	return inv
-}
-
 // NewFromMatrix creates an inventory whose capacity matrix M is a copy of
 // max. Every entry must be non-negative, and all of them must sum within
 // int (model.AddCapacity).
@@ -71,7 +54,16 @@ func NewFromMatrix(max [][]int) (*Inventory, error) {
 	if len(max) == 0 || len(max[0]) == 0 {
 		return nil, errors.New("inventory: empty capacity matrix")
 	}
-	inv := New(len(max), len(max[0]))
+	n, m := len(max), len(max[0])
+	inv := &Inventory{
+		nodes:  n,
+		types:  m,
+		max:    newMatrix(n, m),
+		alloc:  newMatrix(n, m),
+		remain: newMatrix(n, m),
+		avail:  make([]int, m),
+		capSum: make([]int, m),
+	}
 	total := 0
 	for i, row := range max {
 		if len(row) != inv.types {
@@ -116,47 +108,6 @@ func (inv *Inventory) Nodes() int { return inv.nodes }
 
 // Types returns the VM type dimension m.
 func (inv *Inventory) Types() int { return inv.types }
-
-// SetCapacity sets M[node][vt] = k (k ≥ 0) for an empty node. It fails if
-// VMs are currently allocated on the node for that type beyond k.
-func (inv *Inventory) SetCapacity(node topology.NodeID, vt model.VMTypeID, k int) error {
-	if k < 0 {
-		return fmt.Errorf("inventory: negative capacity %d", k)
-	}
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	i, j := int(node), int(vt)
-	if i < 0 || i >= inv.nodes || j < 0 || j >= inv.types {
-		return fmt.Errorf("inventory: SetCapacity(%d, %d) out of range %dx%d", i, j, inv.nodes, inv.types)
-	}
-	if inv.alloc[i][j] > k {
-		return fmt.Errorf("inventory: node %d already has %d allocated VMs of type %d, cannot shrink capacity to %d",
-			i, inv.alloc[i][j], j, k)
-	}
-	if _, down := inv.failed[i]; down {
-		// The node's real capacity is the row saved by FailNode; resizing
-		// the zeroed live row would be silently undone — and would corrupt
-		// the availability vector — when RestoreNode reinstates it.
-		return fmt.Errorf("inventory: node %d is failed, restore it before resizing", i)
-	}
-	// The plant's capacity total, failed nodes' saved rows included, must
-	// still fit once this cell changes.
-	total := model.Sum(inv.capSum)
-	for _, saved := range inv.failed {
-		total += model.Sum(saved)
-	}
-	if _, err := model.AddCapacity(total-inv.max[i][j], k); err != nil {
-		return fmt.Errorf("inventory: SetCapacity(%d, %d, %d): %w", i, j, k, err)
-	}
-	old := inv.max[i][j]
-	inv.max[i][j] = k
-	inv.remain[i][j] = k - inv.alloc[i][j]
-	inv.avail[j] += k - old
-	inv.capSum[j] += k - old
-	inv.tixApply(node, vt, k-old)
-	inv.bumpLocked()
-	return nil
-}
 
 // Capacity returns M[node][vt].
 func (inv *Inventory) Capacity(node topology.NodeID, vt model.VMTypeID) int {
@@ -476,49 +427,4 @@ func (inv *Inventory) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the inventory, useful for what-if planning
-// (the global sub-optimization algorithm plans on a clone before
-// committing). When the source has an attached tier index, the clone gets
-// its own fresh index over its own remaining matrix: what-if mutations on
-// the clone keep the sparse fast paths, and neither inventory can observe
-// the other's index going stale.
-func (inv *Inventory) Clone() *Inventory {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	out := &Inventory{
-		nodes:   inv.nodes,
-		types:   inv.types,
-		max:     cloneMatrix(inv.max),
-		alloc:   cloneMatrix(inv.alloc),
-		remain:  cloneMatrix(inv.remain),
-		avail:   append([]int(nil), inv.avail...),
-		capSum:  append([]int(nil), inv.capSum...),
-		version: inv.version,
-	}
-	if len(inv.failed) > 0 {
-		out.failed = make(map[int][]int, len(inv.failed))
-		keys := make([]int, 0, len(inv.failed))
-		for i := range inv.failed {
-			keys = append(keys, i)
-		}
-		sort.Ints(keys)
-		for _, i := range keys {
-			out.failed[i] = append([]int(nil), inv.failed[i]...)
-		}
-	}
-	if inv.tidx != nil {
-		// The source index aliases the source's remain matrix, so it cannot
-		// be shared; rebuild one over the clone's own rows. The source index
-		// attached against this topology and shape, so the rebuild cannot
-		// fail; if it somehow does the clone falls back to no index, which
-		// is the pre-fix behavior rather than a corrupt attachment.
-		if idx, err := affinity.NewTierIndex(inv.tidx.Topology(), out.remain); err == nil {
-			idx.SetVersion(out.version)
-			out.tidx = idx
-			out.tixDeltas = make([]int, out.types)
-		}
-	}
-	return out
 }

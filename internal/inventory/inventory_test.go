@@ -60,15 +60,6 @@ func TestNewFromMatrixRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestNewPanicsOnBadDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(0, 3) did not panic")
-		}
-	}()
-	New(0, 3)
-}
-
 func TestAllocateReleaseRoundTrip(t *testing.T) {
 	inv := tableII(t)
 	alloc := [][]int{
@@ -176,31 +167,24 @@ func TestCanSatisfy(t *testing.T) {
 	}
 }
 
-func TestSetCapacity(t *testing.T) {
-	inv := New(2, 2)
-	if err := inv.SetCapacity(0, 0, 4); err != nil {
+// TestNewFromMatrixCopiesInput: the inventory owns its capacity matrix,
+// so the caller's rows neither steer it after construction nor see its
+// allocations.
+func TestNewFromMatrixCopiesInput(t *testing.T) {
+	max := [][]int{{2, 3, 0}, {3, 0, 1}, {0, 2, 1}}
+	inv := mustInv(t, max)
+	max[0][0] = 9
+	if got := inv.Capacity(0, 0); got != 2 {
+		t.Errorf("M[0][0] = %d after the caller's write, want 2", got)
+	}
+	if err := inv.Allocate([][]int{{2, 0, 0}, {1, 0, 0}, {0, 0, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := inv.Available()[0]; got != 4 {
-		t.Errorf("A[0] = %d, want 4", got)
+	if max[0][0] != 9 || max[1][0] != 3 {
+		t.Errorf("caller's matrix = %v after Allocate", max)
 	}
-	if err := inv.SetCapacity(0, 0, -1); err == nil {
-		t.Error("negative capacity accepted")
-	}
-	if err := inv.SetCapacity(5, 0, 1); err == nil {
-		t.Error("out-of-range node accepted")
-	}
-	if err := inv.Allocate([][]int{{3, 0}, {0, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := inv.SetCapacity(0, 0, 2); err == nil {
-		t.Error("capacity shrink below allocation accepted")
-	}
-	if err := inv.SetCapacity(0, 0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if got := inv.RemainingAt(0, 0); got != 2 {
-		t.Errorf("L[0][0] = %d after grow, want 2", got)
+	if got := inv.Available()[0]; got != 2 {
+		t.Errorf("A[0] = %d, want 2", got)
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -228,20 +212,6 @@ func TestSnapshotsDoNotAlias(t *testing.T) {
 	a[0] = 99
 	if inv.Available()[0] == 99 {
 		t.Error("Available() aliases internal state")
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	inv := tableII(t)
-	cl := inv.Clone()
-	if err := cl.Allocate([][]int{{2, 0, 0}, {0, 0, 0}, {0, 0, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if inv.Allocated(0, 0) != 0 {
-		t.Error("Clone shares state with original")
-	}
-	if err := cl.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -439,7 +409,7 @@ func TestFailAndRestoreNode(t *testing.T) {
 	}
 }
 
-func TestFailNodeRangeAndClone(t *testing.T) {
+func TestFailNodeRange(t *testing.T) {
 	inv := mustInv(t, [][]int{{2, 2}, {2, 2}})
 	if _, err := inv.FailNode(-1); err == nil {
 		t.Error("negative node accepted")
@@ -447,38 +417,20 @@ func TestFailNodeRangeAndClone(t *testing.T) {
 	if _, err := inv.FailNode(2); err == nil {
 		t.Error("out-of-range node accepted")
 	}
-	if _, err := inv.FailNode(1); err != nil {
-		t.Fatal(err)
-	}
-	// A clone carries the failure state independently.
-	c := inv.Clone()
-	if err := c.RestoreNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(inv.FailedNodes()) != 1 {
-		t.Error("restore on clone leaked into original")
-	}
-	if err := inv.RestoreNode(1); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestCapacityTotalsTrackMutators checks the kept per-type capacity
 // totals behind CanEverSatisfy against a brute-force column sum of M
 // after every capacity mutator, and that CheckInvariants agrees.
 func TestCapacityTotalsTrackMutators(t *testing.T) {
-	inv := mustInv(t, [][]int{{3, 2}, {1, 0}, {0, 4}})
-	var clone *Inventory
+	inv := mustInv(t, [][]int{{3, 2}, {1, 5}, {0, 4}})
 	steps := []struct {
 		name string
 		do   func() error
 	}{
 		{"NewFromMatrix", func() error { return nil }},
-		{"SetCapacity grow", func() error { return inv.SetCapacity(1, 1, 5) }},
-		{"SetCapacity shrink", func() error { return inv.SetCapacity(0, 0, 1) }},
 		{"Allocate", func() error { return inv.Allocate([][]int{{1, 1}, {0, 2}, {0, 0}}) }},
 		{"FailNode", func() error { _, err := inv.FailNode(1); return err }},
-		{"Clone", func() error { clone = inv.Clone(); return nil }},
 		{"RestoreNode", func() error { return inv.RestoreNode(1) }},
 		{"FailNode again", func() error { _, err := inv.FailNode(2); return err }},
 	}
@@ -495,34 +447,24 @@ func TestCapacityTotalsTrackMutators(t *testing.T) {
 		if err := st.do(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		for _, x := range []*Inventory{inv, clone} {
-			if x == nil {
-				continue
+		want := colSum(inv)
+		for j := range want {
+			if inv.capSum[j] != want[j] {
+				t.Fatalf("after %s: capSum = %v, want %v", st.name, inv.capSum, want)
 			}
-			want := colSum(x)
-			for j := range want {
-				if x.capSum[j] != want[j] {
-					t.Fatalf("after %s: capSum = %v, want %v", st.name, x.capSum, want)
-				}
-				r := make(model.Request, x.types)
-				r[j] = want[j]
-				if !x.CanEverSatisfy(r) {
-					t.Errorf("after %s: CanEverSatisfy rejects %v at the column total", st.name, r)
-				}
-				r[j]++
-				if x.CanEverSatisfy(r) {
-					t.Errorf("after %s: CanEverSatisfy accepts %v above the column total", st.name, r)
-				}
+			r := make(model.Request, inv.types)
+			r[j] = want[j]
+			if !inv.CanEverSatisfy(r) {
+				t.Errorf("after %s: CanEverSatisfy rejects %v at the column total", st.name, r)
 			}
-			if err := x.CheckInvariants(); err != nil {
-				t.Fatalf("after %s: %v", st.name, err)
+			r[j]++
+			if inv.CanEverSatisfy(r) {
+				t.Errorf("after %s: CanEverSatisfy accepts %v above the column total", st.name, r)
 			}
 		}
-	}
-	// The clone keeps its own totals: the original's later restore and
-	// failure must not have reached it.
-	if got, want := clone.capSum, []int{1, 6}; got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("clone capSum = %v, want %v", got, want)
+		if err := inv.CheckInvariants(); err != nil {
+			t.Fatalf("after %s: %v", st.name, err)
+		}
 	}
 	inv.capSum[0]++
 	if err := inv.CheckInvariants(); err == nil {
@@ -532,10 +474,8 @@ func TestCapacityTotalsTrackMutators(t *testing.T) {
 
 // TestCapacityOverflowRefused: a capacity matrix whose cells sum past int
 // would wrap the availability vector negative (two cells of 9e18 read as
-// −446744073709551616 available), so NewFromMatrix refuses it, and
-// SetCapacity refuses a change that would push the plant's total past
-// int — failed nodes' saved rows included, since RestoreNode adds them
-// back — leaving the inventory as it was. A total of exactly MaxInt fits.
+// −446744073709551616 available), so NewFromMatrix refuses it. A total of
+// exactly MaxInt fits, and survives a node's failure and restore.
 func TestCapacityOverflowRefused(t *testing.T) {
 	const big = 9000000000000000000
 	if _, err := NewFromMatrix([][]int{{big}, {big}}); !errors.Is(err, model.ErrCapacityOverflow) {
@@ -548,30 +488,14 @@ func TestCapacityOverflowRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFromMatrix summing to MaxInt: %v", err)
 	}
-	v := inv.Version()
-	if err := inv.SetCapacity(1, 1, 2); !errors.Is(err, model.ErrCapacityOverflow) {
-		t.Fatalf("SetCapacity past MaxInt: err = %v, want ErrCapacityOverflow", err)
-	}
-	if err := inv.SetCapacity(1, 0, 0); err != nil {
-		t.Fatalf("shrinking a cell: %v", err)
-	}
-	if err := inv.SetCapacity(1, 1, 2); err != nil {
-		t.Fatalf("SetCapacity back to a MaxInt total: %v", err)
-	}
 	if _, err := inv.FailNode(0); err != nil {
 		t.Fatal(err)
-	}
-	if err := inv.SetCapacity(1, 0, 1); !errors.Is(err, model.ErrCapacityOverflow) {
-		t.Fatalf("SetCapacity past MaxInt with the large node failed: err = %v, want ErrCapacityOverflow", err)
 	}
 	if err := inv.RestoreNode(0); err != nil {
 		t.Fatal(err)
 	}
-	if got := inv.Available(); got[0] != math.MaxInt-3 || got[1] != 3 {
-		t.Fatalf("Available() = %v after refused resizes, want [%d 3]", got, math.MaxInt-3)
-	}
-	if inv.Version() != v+4 {
-		t.Fatalf("version %d, want %d: a refused SetCapacity must not bump it", inv.Version(), v+4)
+	if got := inv.Available(); got[0] != math.MaxInt-2 || got[1] != 2 {
+		t.Fatalf("Available() = %v, want [%d 2]", got, math.MaxInt-2)
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ import (
 
 // AttachTierIndex builds a persistent tier-aggregate index over the live
 // remaining matrix L and registers it for incremental maintenance: every
-// subsequent successful mutation (SetCapacity, Allocate, Release, Move,
+// subsequent successful mutation (Allocate, Release, Move,
 // FailNode, RestoreNode, and the sparse List forms) updates the index and
 // stamps it with the inventory's new Version, so a reader can detect a
 // stale index by comparing idx.Version() against inv.Version(). Attaching

@@ -30,7 +30,7 @@ func tierTestPlant(t *testing.T, rng *rand.Rand) *topology.Topology {
 }
 
 // TestAttachedIndexTracksMutators drives every inventory mutator —
-// SetCapacity, Allocate, Release, Move, FailNode, RestoreNode, and the
+// Allocate, Release, Move, FailNode, RestoreNode, and the
 // sparse list forms — and checks after each step that the attached index's
 // aggregates match a fresh rebuild and that its version tracks the
 // inventory's.
@@ -63,20 +63,18 @@ func TestAttachedIndexTracksMutators(t *testing.T) {
 		for step := 0; step < 80; step++ {
 			i := topology.NodeID(rng.Intn(n))
 			j := model.VMTypeID(rng.Intn(m))
-			switch rng.Intn(7) {
+			switch rng.Intn(6) {
 			case 0:
-				_ = inv.SetCapacity(i, j, rng.Intn(5))
-			case 1:
 				a := newMatrix(n, m)
 				a[i][j] = rng.Intn(3)
 				_ = inv.Allocate(a)
-			case 2:
+			case 1:
 				a := newMatrix(n, m)
 				a[i][j] = rng.Intn(3)
 				_ = inv.Release(a)
-			case 3:
+			case 2:
 				_ = inv.Move(i, topology.NodeID(rng.Intn(n)), j)
-			case 4:
+			case 3:
 				if !failed[int(i)] {
 					if _, err := inv.FailNode(i); err == nil {
 						failed[int(i)] = true
@@ -84,10 +82,10 @@ func TestAttachedIndexTracksMutators(t *testing.T) {
 				} else if err := inv.RestoreNode(i); err == nil {
 					failed[int(i)] = false
 				}
-			case 5:
+			case 4:
 				ents = append(ents[:0], affinity.VMEntry{Node: i, Type: j, Count: rng.Intn(3)})
 				_ = inv.AllocateList(ents)
-			case 6:
+			case 5:
 				ents = append(ents[:0], affinity.VMEntry{Node: i, Type: j, Count: rng.Intn(3)})
 				_ = inv.ReleaseList(ents)
 			}
@@ -105,11 +103,12 @@ func TestAttachedIndexTracksMutators(t *testing.T) {
 	}
 }
 
-// TestCloneMidChurnKeepsTierIndex pins the Clone bugfix: cloning an
-// inventory with an attached tier index mid-churn must hand the clone its
-// own consistent index (not drop it, and not alias the source's), and
-// further churn on either side must leave the other's index untouched.
-func TestCloneMidChurnKeepsTierIndex(t *testing.T) {
+// TestAttachTierIndexMidChurn attaches an index to a plant that already
+// carries allocations and failed nodes: the index must start consistent
+// with the live L and the inventory's version, keep tracking later churn,
+// and a second attach must replace the first, which then stops being
+// stamped.
+func TestAttachTierIndexMidChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(1208))
 	topo := topology.PaperSimPlant()
 	n := topo.Nodes()
@@ -125,81 +124,67 @@ func TestCloneMidChurnKeepsTierIndex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFromMatrix: %v", err)
 	}
-	srcIdx, err := inv.AttachTierIndex(topo)
-	if err != nil {
-		t.Fatalf("AttachTierIndex: %v", err)
-	}
-
-	churn := func(target *Inventory, steps int) {
+	churn := func(steps int) {
 		for s := 0; s < steps; s++ {
 			i := topology.NodeID(rng.Intn(n))
 			j := model.VMTypeID(rng.Intn(m))
 			switch rng.Intn(3) {
 			case 0:
-				_ = target.AllocateList([]affinity.VMEntry{{Node: i, Type: j, Count: 1 + rng.Intn(2)}})
+				_ = inv.AllocateList([]affinity.VMEntry{{Node: i, Type: j, Count: 1 + rng.Intn(2)}})
 			case 1:
-				_ = target.ReleaseList([]affinity.VMEntry{{Node: i, Type: j, Count: 1}})
+				_ = inv.ReleaseList([]affinity.VMEntry{{Node: i, Type: j, Count: 1}})
 			case 2:
-				if _, err := target.FailNode(i); err == nil {
-					if rng.Intn(2) == 0 {
-						_ = target.RestoreNode(i)
-					}
+				if _, err := inv.FailNode(i); err == nil && rng.Intn(2) == 0 {
+					_ = inv.RestoreNode(i)
 				}
 			}
 		}
 	}
-
-	// Clone in the middle of live churn, not from a pristine inventory.
-	churn(inv, 40)
-	clone := inv.Clone()
-	cloneIdx := clone.TierIndex()
-	if cloneIdx == nil {
-		t.Fatalf("Clone dropped the attached tier index")
-	}
-	if cloneIdx == srcIdx {
-		t.Fatalf("Clone shares the source's tier index")
-	}
-	if cloneIdx.Version() != clone.Version() {
-		t.Fatalf("clone index version %d, inventory %d", cloneIdx.Version(), clone.Version())
-	}
-	if err := cloneIdx.CheckConsistent(); err != nil {
-		t.Fatalf("clone index inconsistent right after Clone: %v", err)
+	check := func(stage string, idx *affinity.TierIndex) {
+		t.Helper()
+		if idx.Version() != inv.Version() {
+			t.Fatalf("%s: index version %d, inventory %d", stage, idx.Version(), inv.Version())
+		}
+		if err := idx.CheckConsistent(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if err := inv.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
 	}
 
-	// Independent churn on both sides: each index must keep tracking its
-	// own inventory and never observe the other's mutations.
-	srcSnap := inv.Version()
-	churn(clone, 40)
-	if err := cloneIdx.CheckConsistent(); err != nil {
-		t.Fatalf("clone index inconsistent after clone churn: %v", err)
+	churn(40)
+	allocated := 0
+	for _, row := range inv.AllocatedMatrix() {
+		allocated += model.Sum(row)
 	}
-	if inv.Version() != srcSnap {
-		t.Fatalf("clone churn mutated the source inventory")
+	if len(inv.FailedNodes()) == 0 || allocated == 0 {
+		t.Fatalf("churn left %d failed nodes and %d allocated VMs; the attach must meet both",
+			len(inv.FailedNodes()), allocated)
 	}
-	if err := srcIdx.CheckConsistent(); err != nil {
-		t.Fatalf("source index broken by clone churn: %v", err)
-	}
-	churn(inv, 40)
-	if err := srcIdx.CheckConsistent(); err != nil {
-		t.Fatalf("source index inconsistent after source churn: %v", err)
-	}
-	if err := cloneIdx.CheckConsistent(); err != nil {
-		t.Fatalf("clone index broken by source churn: %v", err)
-	}
-	if err := inv.CheckInvariants(); err != nil {
-		t.Fatalf("source invariants: %v", err)
-	}
-	if err := clone.CheckInvariants(); err != nil {
-		t.Fatalf("clone invariants: %v", err)
-	}
-
-	// A source without an index still clones to one without an index.
-	bare, err := NewFromMatrix(max)
+	first, err := inv.AttachTierIndex(topo)
 	if err != nil {
-		t.Fatalf("NewFromMatrix: %v", err)
+		t.Fatalf("AttachTierIndex: %v", err)
 	}
-	if bare.Clone().TierIndex() != nil {
-		t.Fatalf("clone of an index-less inventory grew an index")
+	check("attached mid-churn", first)
+	churn(40)
+	check("churn after the attach", first)
+
+	second, err := inv.AttachTierIndex(topo)
+	if err != nil {
+		t.Fatalf("AttachTierIndex: %v", err)
+	}
+	if second == first || inv.TierIndex() != second {
+		t.Fatal("a second attach did not replace the first index")
+	}
+	v := first.Version()
+	churn(40)
+	if inv.Version() == v {
+		t.Fatal("churn after the second attach mutated nothing")
+	}
+	check("churn after the second attach", second)
+	if first.Version() != v {
+		t.Errorf("replaced index stamped with version %d after churn, was %d", first.Version(), v)
 	}
 }
 

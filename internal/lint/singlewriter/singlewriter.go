@@ -1,7 +1,7 @@
 // Package singlewriter enforces the inventory mutation-ownership
 // discipline structurally: the mutating methods of inventory.Inventory
 // (Allocate, AllocateList, Release, ReleaseList, Move, FailNode,
-// RestoreNode, AttachTierIndex, SetCapacity) may only be called from
+// RestoreNode, AttachTierIndex) may only be called from
 // functions reachable from an audited mutation root — a function
 // annotated `//lint:owner singlewriter`.
 //
@@ -42,7 +42,6 @@ var Mutators = map[string]bool{
 	"FailNode":        true,
 	"RestoreNode":     true,
 	"AttachTierIndex": true,
-	"SetCapacity":     true,
 }
 
 // Analyzer is the singlewriter rule.
@@ -53,7 +52,7 @@ var Analyzer = &analysis.Analyzer{
 	Explain: `singlewriter — all inventory mutation flows through audited roots.
 
 Inventory's mutating methods (Allocate*, Release*, Move, FailNode,
-RestoreNode, AttachTierIndex, SetCapacity) update the live capacity
+RestoreNode, AttachTierIndex) update the live capacity
 matrices and, when a TierIndex is attached, the aggregates that
 RemainingView and the index expose zero-copy. That sharing is only
 coherent on the goroutine that mutates — the single-writer discipline
@@ -69,7 +68,7 @@ provisioner API that commits under the inventory's own lock — not every
 helper on the path; reachability covers the helpers.
 
 Exempt: _test.go files, and Inventory's own methods (intra-type
-plumbing such as Clone rebuilding an attached index).`,
+plumbing).`,
 	Run: run,
 }
 

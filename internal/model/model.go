@@ -170,13 +170,12 @@ func Min(a, b []int) []int {
 }
 
 // Covers reports whether vector a dominates vector b element-wise, i.e.
-// com(a, b) == b in the paper's notation: a can satisfy all of b.
+// com(a, b) == b in the paper's notation: a can satisfy all of b. a must
+// be at least as wide as b; a shorter a panics on the index. It has no
+// width check of its own so that it inlines into the placement scans.
 func Covers(a, b []int) bool {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("model: Covers on vectors of different lengths %d and %d", len(a), len(b)))
-	}
-	for i := range a {
-		if a[i] < b[i] {
+	for i, need := range b {
+		if a[i] < need {
 			return false
 		}
 	}

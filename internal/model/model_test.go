@@ -126,6 +126,20 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
+// TestCoversWiderRow: a may be wider than b, as a node's row is against a
+// request over fewer types; Covers reads only b's width of a.
+func TestCoversWiderRow(t *testing.T) {
+	if !Covers([]int{2, 1, 0}, []int{2, 1}) {
+		t.Error("Covers([2 1 0], [2 1]) = false, want true")
+	}
+	if Covers([]int{2, 0, 9}, []int{2, 1}) {
+		t.Error("Covers([2 0 9], [2 1]) = true: a surplus past b's width counted")
+	}
+	if !Covers([]int{0}, nil) {
+		t.Error("Covers(a, nil) = false, want true")
+	}
+}
+
 func TestVectorHelpersPanicOnLengthMismatch(t *testing.T) {
 	fns := map[string]func(){
 		"Min":    func() { Min([]int{1}, []int{1, 2}) },

@@ -62,26 +62,6 @@ func (r *Registry) RenderSummary() string {
 	return out
 }
 
-// RenderHistogram draws one histogram as an ASCII bar chart through the
-// stats toolkit ("" for unknown names).
-func (r *Registry) RenderHistogram(name string) string {
-	if r == nil {
-		return ""
-	}
-	snap := r.Snapshot()
-	h, ok := snap.Histograms[name]
-	if !ok || len(h.Counts) == 0 {
-		return ""
-	}
-	sh := stats.NewHistogram(h.Min, h.Max, len(h.Counts))
-	for i, c := range h.Counts {
-		sh.Counts[i] = int(c)
-	}
-	sh.Under = int(h.Under)
-	sh.Over = int(h.Over)
-	return name + "\n" + sh.String()
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

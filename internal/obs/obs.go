@@ -30,6 +30,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"affinitycluster/internal/stats"
 )
 
 // Counter is a monotonically increasing metric.
@@ -92,17 +94,13 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram counts observations into fixed equal-width buckets over
-// [Min, Max], tracking out-of-range samples and the running sum/count so
-// a mean survives even when samples escape the range.
+// [Min, Max] through a stats.Quantile, which also tracks out-of-range
+// samples and the running sum/count so a mean survives even when samples
+// escape the range.
 type Histogram struct {
-	mu     sync.Mutex
-	min    float64
-	max    float64
-	counts []int64
-	under  int64
-	over   int64
-	sum    float64
-	n      int64
+	mu       sync.Mutex
+	min, max float64
+	q        *stats.Quantile
 }
 
 // Observe adds one sample. No-op on a nil receiver.
@@ -111,21 +109,8 @@ func (h *Histogram) Observe(x float64) {
 		return
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sum += x
-	h.n++
-	switch {
-	case x < h.min:
-		h.under++
-	case x > h.max:
-		h.over++
-	default:
-		i := int((x - h.min) / (h.max - h.min) * float64(len(h.counts)))
-		if i == len(h.counts) { // x == max lands in the last bucket
-			i--
-		}
-		h.counts[i]++
-	}
+	h.q.Observe(x)
+	h.mu.Unlock()
 }
 
 // HistogramSnapshot is the exported state of one histogram.
@@ -153,11 +138,11 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return HistogramSnapshot{
 		Min:    h.min,
 		Max:    h.max,
-		Counts: append([]int64(nil), h.counts...),
-		Under:  h.under,
-		Over:   h.over,
-		Sum:    h.sum,
-		N:      h.n,
+		Counts: h.q.Counts(),
+		Under:  h.q.Under(),
+		Over:   h.q.Over(),
+		Sum:    h.q.Sum(),
+		N:      h.q.Count(),
 	}
 }
 
@@ -250,7 +235,7 @@ func (r *Registry) Histogram(name string, min, max float64, buckets int) *Histog
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{min: min, max: max, counts: make([]int64, buckets)}
+		h = &Histogram{min: min, max: max, q: stats.NewQuantile(min, max, buckets)}
 		r.hists[name] = h
 	}
 	return h

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +86,41 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramIgnoresNaN: a NaN sample belongs to no bucket, so it
+// leaves every field of the snapshot, the mean included, as it was.
+func TestHistogramIgnoresNaN(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("dc", 0, 10, 5)
+	h.Observe(3)
+	before := r.Snapshot().Histograms["dc"]
+	h.Observe(math.NaN())
+	after := r.Snapshot().Histograms["dc"]
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("snapshot after NaN = %+v, want %+v", after, before)
+	}
+	if after.Mean() != 3 {
+		t.Errorf("mean = %v, want 3", after.Mean())
+	}
+}
+
+// TestSnapshotDoesNotAliasHistogram: a snapshot's bucket counts are a
+// copy, so later observations do not reach a snapshot already taken and
+// writes to the snapshot do not reach the histogram.
+func TestSnapshotDoesNotAliasHistogram(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("wait", 0, 10, 5)
+	h.Observe(1)
+	first := r.Snapshot().Histograms["wait"]
+	h.Observe(1)
+	if first.Counts[0] != 1 {
+		t.Errorf("earlier snapshot's bucket 0 = %d after a later Observe, want 1", first.Counts[0])
+	}
+	first.Counts[0] = 99
+	if got := r.Snapshot().Histograms["wait"].Counts[0]; got != 2 {
+		t.Errorf("bucket 0 = %d after writing a snapshot, want 2", got)
+	}
+}
+
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	mk := func() *Registry {
 		r := NewRegistry()
@@ -147,12 +184,6 @@ func TestRenderSummary(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}
-	}
-	if hist := r.RenderHistogram("cloudsim.wait_seconds"); !strings.Contains(hist, "#") {
-		t.Errorf("histogram render missing bars:\n%s", hist)
-	}
-	if r.RenderHistogram("nope") != "" {
-		t.Error("unknown histogram rendered")
 	}
 }
 

@@ -74,6 +74,28 @@ func TestExchangeWalksMatchDenseLoops(t *testing.T) {
 	}
 }
 
+// TestFirstRelocationPassIsIdle: Algorithm 1 is exact, and step 2's
+// later requests only take capacity away, so every target still free
+// after step 2 was free when its cluster was placed, and a relocated
+// cluster is one Algorithm 1 could have returned. Algorithm 2's first
+// relocation pass therefore moves nothing on step 2's output.
+func TestFirstRelocationPassIsIdle(t *testing.T) {
+	const instances = 2000
+	for inst := 0; inst < instances; inst++ {
+		rng := rand.New(rand.NewSource(int64(inst)))
+		tp, caps, reqs := exchangeInstance(t, rng, inst)
+		res, work, err := placeSequential(tp, caps, reqs, &OnlineHeuristic{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed := cloneAllocs(res.Allocs)
+		if relocatePass(tp, res.Allocs, newEvaluators(tp, res.Allocs), work) || !reflect.DeepEqual(res.Allocs, placed) {
+			t.Fatalf("instance %d (%d nodes, %d requests): the first relocation pass moved a VM of step 2's output",
+				inst, tp.Nodes(), len(reqs))
+		}
+	}
+}
+
 // checkBatch compares an exchange step's outcome with the reference's.
 func checkBatch(t *testing.T, name string, got, want *BatchResult) {
 	t.Helper()

@@ -479,9 +479,10 @@ type BatchResult struct {
 // with the online heuristic, then run a Theorem-2 exchange local search
 // across allocation pairs to shrink the summed distance.
 type GlobalSubOpt struct {
-	// MaxPasses caps local-search sweeps (0 = run to fixpoint, bounded by
-	// a safety limit). The paper performs a single pass; run-to-fixpoint
-	// is the ablation variant.
+	// MaxPasses caps local-search sweeps (0 = run to fixpoint, at most 64
+	// passes). Figs 5/6, cloudsim's batch mode and examples/batchqueue run
+	// to fixpoint; MaxPasses 1 is the paper's single pass, which tests and
+	// BenchmarkAblationTransferFixpoint run.
 	MaxPasses int
 	// Obs, when non-nil, receives batch metrics, and step 2's
 	// OnlineHeuristic receives its placement metrics.
@@ -569,9 +570,6 @@ func (g *GlobalSubOpt) exchange(t *topology.Topology, res *BatchResult, residual
 		}
 		res.Passes++
 		if !improved {
-			break
-		}
-		if g.MaxPasses == 1 {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -373,6 +374,45 @@ func TestGlobalSubOptSinglePassAblation(t *testing.T) {
 	}
 	if r1.Passes != 1 {
 		t.Errorf("single pass executed %d passes", r1.Passes)
+	}
+}
+
+// TestGlobalSubOptPassCap: MaxPasses k stops the exchange after k
+// passes, the total never rises with k, and a cap at or above the
+// fixpoint's pass count returns the fixpoint itself. Some instances must
+// need three or more passes, or a cap of 2 shows nothing.
+func TestGlobalSubOptPassCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(2013))
+	deep := 0
+	for inst := 0; inst < 200; inst++ {
+		tp, caps, reqs := exchangeInstance(t, rng, inst)
+		fix, err := (&GlobalSubOpt{}).PlaceBatch(tp, caps, reqs)
+		if err != nil {
+			t.Fatalf("instance %d: PlaceBatch: %v", inst, err)
+		}
+		if fix.Passes >= 3 {
+			deep++
+		}
+		prev := math.Inf(1)
+		for k := 1; k <= 4; k++ {
+			got, err := (&GlobalSubOpt{MaxPasses: k}).PlaceBatch(tp, caps, reqs)
+			if err != nil {
+				t.Fatalf("instance %d: PlaceBatch: %v", inst, err)
+			}
+			name := fmt.Sprintf("instance %d, MaxPasses %d", inst, k)
+			if k >= fix.Passes {
+				checkBatch(t, name, got, fix)
+			} else if got.Passes != k {
+				t.Fatalf("%s: %d passes, the fixpoint takes %d", name, got.Passes, fix.Passes)
+			}
+			if got.Total > prev {
+				t.Fatalf("%s: total %v above %v with one pass fewer", name, got.Total, prev)
+			}
+			prev = got.Total
+		}
+	}
+	if deep == 0 {
+		t.Fatal("no instance needs three passes to reach its fixpoint")
 	}
 }
 

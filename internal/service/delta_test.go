@@ -98,10 +98,7 @@ func TestServiceGrowShrink(t *testing.T) {
 }
 
 func TestServiceGrowInsufficientAndShrinkInfeasible(t *testing.T) {
-	topo, inv := plant(t, 1, 0)
-	if err := inv.SetCapacity(0, 0, 4); err != nil {
-		t.Fatalf("SetCapacity: %v", err)
-	}
+	topo, inv := headPlant(t, 4)
 	svc, err := New(Config{Topology: topo, Inventory: inv, QueueCap: -1})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -165,13 +162,7 @@ func TestServiceShrinkRejectsBadEntry(t *testing.T) {
 // A shrink's freed capacity must wake queued placements, exactly like a
 // release does.
 func TestServiceShrinkWakesWaiters(t *testing.T) {
-	topo, inv := plant(t, 1, 0)
-	if err := inv.SetCapacity(0, 0, 2); err != nil {
-		t.Fatalf("SetCapacity: %v", err)
-	}
-	if err := inv.SetCapacity(1, 0, 2); err != nil {
-		t.Fatalf("SetCapacity: %v", err)
-	}
+	topo, inv := headPlant(t, 2, 2)
 	svc, err := New(Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -33,6 +33,25 @@ func plant(t *testing.T, types, perType int) (*topology.Topology, *inventory.Inv
 	return topo, inv
 }
 
+// headPlant is the paper plant with one VM type whose capacity sits on
+// its first nodes alone: node i holds caps[i] VMs.
+func headPlant(t *testing.T, caps ...int) (*topology.Topology, *inventory.Inventory) {
+	t.Helper()
+	topo := topology.PaperSimPlant()
+	max := make([][]int, topo.Nodes())
+	for i := range max {
+		max[i] = []int{0}
+		if i < len(caps) {
+			max[i][0] = caps[i]
+		}
+	}
+	inv, err := inventory.NewFromMatrix(max)
+	if err != nil {
+		t.Fatalf("NewFromMatrix: %v", err)
+	}
+	return topo, inv
+}
+
 func TestServiceBasic(t *testing.T) {
 	topo, inv := plant(t, 2, 2)
 	svc, err := New(Config{Topology: topo, Inventory: inv, QueueCap: -1})
@@ -116,11 +135,8 @@ func TestServiceConfigErrors(t *testing.T) {
 // does not fit blocks its caller until a release frees capacity, then
 // completes with the freed VMs.
 func TestServiceQueueWaits(t *testing.T) {
-	topo, inv := plant(t, 1, 0)
 	// Give only node 0 any capacity so the second cluster cannot fit.
-	if err := inv.SetCapacity(0, 0, 4); err != nil {
-		t.Fatalf("SetCapacity: %v", err)
-	}
+	topo, inv := headPlant(t, 4)
 	svc, err := New(Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -165,10 +181,7 @@ func TestServiceQueueWaits(t *testing.T) {
 // TestServiceCloseFailsWaiters pins shutdown: a placement parked in the
 // wait queue is answered with ErrClosed, not leaked.
 func TestServiceCloseFailsWaiters(t *testing.T) {
-	topo, inv := plant(t, 1, 0)
-	if err := inv.SetCapacity(0, 0, 1); err != nil {
-		t.Fatalf("SetCapacity: %v", err)
-	}
+	topo, inv := headPlant(t, 1)
 	svc, err := New(Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -205,16 +218,10 @@ func TestServiceRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
 	}
-	topo, inv := plant(t, 1, 0)
 	// Node 0 holds a 4-VM cluster whole; node 1 takes its 2-VM grow, so
 	// the shrink's DC-minimizing victims are exactly the grow's VMs and
 	// every Grow+Shrink pair returns the plant to the same state.
-	if err := inv.SetCapacity(0, 0, 4); err != nil {
-		t.Fatalf("SetCapacity: %v", err)
-	}
-	if err := inv.SetCapacity(1, 0, 2); err != nil {
-		t.Fatalf("SetCapacity: %v", err)
-	}
+	topo, inv := headPlant(t, 4, 2)
 	svc, err := New(Config{Topology: topo, Inventory: inv})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -23,9 +23,10 @@ import (
 // the clamped mass are only bounded by the range itself; size the range
 // to the data (Under/Over report how much escaped).
 //
-// Unlike obs.Histogram this sketch also supports Remove, the exact
-// inverse of Observe — the cloud simulator needs it to roll back the
-// served sample of a cluster torn down by a failure.
+// The sketch also supports Remove, the exact inverse of Observe — the
+// cloud simulator needs it to roll back the served sample of a cluster
+// torn down by a failure. obs.Histogram counts through a Quantile under
+// its mutex.
 type Quantile struct {
 	min, max float64
 	width    float64
@@ -37,8 +38,7 @@ type Quantile struct {
 }
 
 // NewQuantile creates a sketch with the given bucket count; it panics on
-// a non-positive count or an empty range, which are programming errors
-// (mirroring NewHistogram).
+// a non-positive count or an empty range, which are programming errors.
 func NewQuantile(min, max float64, buckets int) *Quantile {
 	if buckets <= 0 || !(max > min) {
 		panic(fmt.Sprintf("stats: NewQuantile(%v, %v, %d) invalid", min, max, buckets))
@@ -115,6 +115,10 @@ func (q *Quantile) Mean() float64 {
 	}
 	return q.sum / float64(q.n)
 }
+
+// Counts returns a copy of the per-bucket counts of in-range
+// observations, lowest bucket first.
+func (q *Quantile) Counts() []int64 { return append([]int64(nil), q.counts...) }
 
 // Under and Over report the clamped out-of-range mass.
 func (q *Quantile) Under() int64 { return q.under }

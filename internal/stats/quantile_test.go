@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // TestQuantileErrorBound is the sketch's contract: over seeded draws from
@@ -145,5 +146,51 @@ func TestQuantileMeanTracksExactly(t *testing.T) {
 	}
 	if got, want := q.Mean(), sum/float64(len(xs)); math.Abs(got-want) > 1e-12 {
 		t.Errorf("mean = %v, want %v", got, want)
+	}
+}
+
+// TestQuantileBuckets pins the bucket arithmetic: equal-width buckets
+// over [Min, Max], with x == Max in the last bucket and out-of-range
+// samples counted apart.
+func TestQuantileBuckets(t *testing.T) {
+	q := NewQuantile(0, 10, 5)
+	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 11} {
+		q.Observe(x)
+	}
+	if q.Under() != 1 || q.Over() != 1 {
+		t.Errorf("under/over = %d/%d", q.Under(), q.Over())
+	}
+	// Buckets of width 2: [0,2)→{0,1.9}, [2,4)→{2}, [4,6)→{5}, [8,10]→{9.9,10}.
+	want := []int64{2, 1, 1, 0, 2}
+	got := q.Counts()
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("bucket %d = %d, want %d", i, got[i], w)
+		}
+	}
+	got[0] = 99
+	if q.Counts()[0] != 2 {
+		t.Error("Counts aliases the sketch's buckets")
+	}
+}
+
+// Property: every sample lands in exactly one bucket or out of range.
+func TestQuickQuantileConservation(t *testing.T) {
+	f := func(raw [20]float64) bool {
+		q := NewQuantile(0, 1, 7)
+		for _, x := range raw {
+			if math.IsNaN(x) {
+				x = 0
+			}
+			q.Observe(math.Abs(math.Mod(x, 2))) // spread over [0, 2): half out of range
+		}
+		n := q.Under() + q.Over()
+		for _, c := range q.Counts() {
+			n += c
+		}
+		return n == int64(len(raw)) && n == q.Count()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,59 +1,19 @@
 // Package stats provides the small statistics and rendering toolkit used
-// by the experiment runners: summary statistics, histograms, and ASCII
-// tables / bar charts for printing figure-shaped output in a terminal.
+// by the experiment runners: exact percentiles, a streaming quantile
+// sketch (which also counts obs histograms), and ASCII tables / bar
+// charts for printing figure-shaped output in a terminal.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
-// Summary describes a sample.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	Stddev         float64
-	P50, P90, P99  float64
-}
-
-// Summarize computes a Summary; an empty sample yields the zero value.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.Stddev = math.Sqrt(ss / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = Percentile(sorted, 50)
-	s.P90 = Percentile(sorted, 90)
-	s.P99 = Percentile(sorted, 99)
-	return s
-}
-
 // Percentile returns the p-th percentile (0–100) of an ascending-sorted
 // sample using nearest-rank with linear interpolation. An empty sample
-// has no percentiles: it returns NaN, mirroring Summarize's zero-value
-// behaviour — empty samples are legitimate (e.g. a simulation that
-// served zero requests) and must not crash the caller.
+// has no percentiles: it returns NaN — empty samples are legitimate (e.g.
+// a simulation that served zero requests) and must not crash the caller.
 func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
@@ -72,78 +32,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Sum adds a sample.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Mean averages a sample (0 for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
-// Histogram counts samples into equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Under    int // samples below Min
-	Over     int // samples above Max
-}
-
-// NewHistogram creates a histogram with the given bucket count; it panics
-// on a non-positive count or an empty range, which are programming
-// errors.
-func NewHistogram(min, max float64, buckets int) *Histogram {
-	if buckets <= 0 || !(max > min) {
-		panic(fmt.Sprintf("stats: NewHistogram(%v, %v, %d) invalid", min, max, buckets))
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, buckets)}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(x float64) {
-	switch {
-	case x < h.Min:
-		h.Under++
-	case x > h.Max:
-		h.Over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // x == Max lands in the last bucket
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observed samples, including out-of-range.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// String renders the histogram as a bar chart with bucket-range labels.
-func (h *Histogram) String() string {
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	labels := make([]string, len(h.Counts))
-	values := make([]float64, len(h.Counts))
-	for i, c := range h.Counts {
-		labels[i] = fmt.Sprintf("[%.1f, %.1f)", h.Min+float64(i)*width, h.Min+float64(i+1)*width)
-		values[i] = float64(c)
-	}
-	return BarChart(labels, values, 30)
 }
 
 // Table renders rows as an aligned ASCII table.

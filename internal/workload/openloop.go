@@ -48,12 +48,14 @@ type OpenLoopConfig struct {
 	// lognormal's e^μ, default 300).
 	HoldMedian float64
 	// HoldSigma is the lognormal's σ (default 1.2 — a long tail of
-	// clusters living far past the median).
+	// clusters living far past the median). Lifetimes are truncated at
+	// holdMaxPeriods diurnal periods.
 	HoldSigma float64
-	// HoldMax truncates lifetimes (default 20× the diurnal period, so a
-	// single draw cannot pin VMs for the whole run).
-	HoldMax float64
 }
+
+// holdMaxPeriods truncates lifetimes at this many diurnal periods, so a
+// single draw cannot pin VMs for the whole run.
+const holdMaxPeriods = 20
 
 // DefaultOpenLoopConfig is the soak scenario's workload: ~0.5 requests/s
 // on average with a pronounced day/night swing, mostly-small clusters
@@ -93,9 +95,6 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 	if c.HoldSigma == 0 {
 		c.HoldSigma = 1.2
 	}
-	if c.HoldMax == 0 {
-		c.HoldMax = 20 * c.DiurnalPeriod
-	}
 	return c
 }
 
@@ -114,8 +113,8 @@ func (c OpenLoopConfig) validate() error {
 		return fmt.Errorf("workload: SizeShape must exceed 1 (finite mean), got %v", c.SizeShape)
 	case c.SizeMin < 1 || c.SizeMax < c.SizeMin:
 		return fmt.Errorf("workload: need 1 ≤ SizeMin ≤ SizeMax, got [%d, %d]", c.SizeMin, c.SizeMax)
-	case !(c.HoldMedian > 0) || !(c.HoldSigma >= 0) || !(c.HoldMax > 0):
-		return fmt.Errorf("workload: hold distribution invalid: median %v, sigma %v, max %v", c.HoldMedian, c.HoldSigma, c.HoldMax)
+	case !(c.HoldMedian > 0) || !(c.HoldSigma >= 0):
+		return fmt.Errorf("workload: hold distribution invalid: median %v, sigma %v", c.HoldMedian, c.HoldSigma)
 	}
 	return nil
 }
@@ -216,7 +215,7 @@ func (g *OpenLoop) drawHold() float64 {
 	c := g.cfg
 	for {
 		z := math.Sqrt(-2*math.Log(g.uniform01())) * math.Cos(2*math.Pi*g.r.Float64())
-		if h := c.HoldMedian * math.Exp(c.HoldSigma*z); h <= c.HoldMax {
+		if h := c.HoldMedian * math.Exp(c.HoldSigma*z); h <= holdMaxPeriods*c.DiurnalPeriod {
 			return h
 		}
 	}

@@ -49,7 +49,7 @@ func TestOpenLoopStreamInvariants(t *testing.T) {
 		if n := r.Vector.TotalVMs(); n < cfg.SizeMin || n > cfg.SizeMax {
 			t.Fatalf("request %d asks for %d VMs, outside [%d, %d]", i, n, cfg.SizeMin, cfg.SizeMax)
 		}
-		if r.Hold <= 0 || r.Hold > cfg.withDefaults().HoldMax {
+		if r.Hold <= 0 || r.Hold > holdMaxPeriods*cfg.withDefaults().DiurnalPeriod {
 			t.Fatalf("request %d holds %v", i, r.Hold)
 		}
 		prev = r
