@@ -126,10 +126,10 @@ soak-race:
 # grow/shrink service tests under the race detector, plus the event
 # heap's re-arm tests, the elastic golden differential and one seeded
 # end-to-end elastic figure, so every resize path (PlaceDelta,
-# ReleaseSubset, deadline admission, capacity-blocked grows polling
-# their retry ladder, queue-blocked grows parking and waking, teardown
-# cancellation) runs race-checked on each change. The allocation gates
-# among them skip under -race; `make test` runs them.
+# ReleaseSubset, deadline admission, deferred grows parking and waking
+# on freed capacity or an emptied queue, teardown cancellation) runs
+# race-checked on each change. The allocation gates among them skip
+# under -race; `make test` runs them.
 elastic-race:
 	$(GO) test -race ./internal/placement ./internal/cloudsim ./internal/experiments ./internal/service ./internal/eventsim -run 'Elastic|PlaceDelta|ReleaseSubset|DeltaChurn|GrowShrink|ShrinkWakes|GrowInsufficient|Reschedule|Rearm|ContainerHeap'
 	$(GO) run -race ./cmd/affinitysim -fig elastic > /dev/null

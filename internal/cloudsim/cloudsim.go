@@ -221,11 +221,14 @@ type Simulator struct {
 	dcHosts []topology.NodeID
 
 	// Elastic resize state: resolved config, the number of open resize
-	// lifecycles, and the head of the list of clusters whose grows are
-	// parked behind the wait queue.
+	// lifecycles, the head of the list of clusters whose grows are
+	// parked, and whether the current event freed capacity or drained
+	// the queue (set by drain and teardown), after which finish wakes
+	// the parked grows the plant can now serve.
 	ecfg    ElasticConfig
 	resizes int
 	parked  *cluster
+	freed   bool
 
 	running map[int]*cluster // live clusters by registry ID
 	free    []*cluster       // retired records, reused by commission
@@ -520,10 +523,16 @@ func (s *Simulator) scheduleFaults() error {
 // finish drives the event loop to completion and closes out the metrics.
 func (s *Simulator) finish() (*Metrics, error) {
 	for s.failed == nil && s.engine.Step() {
-		// The queue only shrinks in drain, so the end of an event is the
-		// first moment a parked grow's poll could find it empty.
-		if s.parked != nil && s.queue.Len() == 0 {
-			s.wakeGrows(s.engine.Now())
+		// A parked grow can be served only once the queue is empty and
+		// the free totals cover its delta. The queue only shrinks in
+		// drain, and the free totals only grow where drain follows a
+		// release (departure, shrink, repair) or in a crash's teardown,
+		// so only the end of such an event can make that true.
+		if s.freed {
+			s.freed = false
+			if s.parked != nil && s.queue.Len() == 0 {
+				s.wakeGrows(s.engine.Now())
+			}
 		}
 	}
 	if s.failed != nil {
@@ -811,6 +820,7 @@ func (s *Simulator) drain(now float64) {
 		s.fail(errors.New("cloudsim: nested drain"))
 		return
 	}
+	s.freed = true
 	s.avail = s.inv.AppendAvailable(s.avail[:0])
 	s.taken = s.queue.AppendRequests(s.taken[:0], s.avail)
 	if len(s.taken) == 0 {

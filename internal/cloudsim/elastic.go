@@ -9,11 +9,12 @@
 // is deadline-aware: the grown VMs must serve at least MinPayoff seconds
 // before the shrink boundary at arrival + MapFrac·Hold, or the grow is
 // rejected outright. A deferred grow retries on a ladder of ticks
-// DeferBackoff apart and expires once no tick can still pay off. A grow
-// that does not fit polls every tick. A grow that would jump requests
-// waiting in the queue parks off the event heap instead: no tick can
-// serve it until the queue empties, and when it does, the grow rejoins
-// its ladder at the first tick not yet passed. A served grow schedules
+// DeferBackoff apart and expires once no tick can still pay off. While
+// requests wait in the queue, or while the plant's free capacity does
+// not cover the delta, no tick can serve the grow, so it parks off the
+// event heap. An event that frees capacity or drains the queue wakes
+// every parked grow the plant can now take, and each rejoins its ladder
+// at the first tick not yet passed. A served grow schedules
 // the shrink at the boundary: placement.ReleaseSubsetSparse picks the
 // DC-minimizing victims (not necessarily the VMs the grow added),
 // returns them to the inventory, and offers the freed capacity to the
@@ -27,7 +28,6 @@
 package cloudsim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -58,9 +58,9 @@ type ElasticConfig struct {
 	// expire once no retry can meet it. 0 = 1.
 	MinPayoff float64
 	// DeferBackoff spaces a deferred grow's retry ladder, in simulation
-	// seconds: a grow the plant cannot fit retries every DeferBackoff,
-	// and one parked behind the wait queue rejoins the ladder when the
-	// queue empties. 0 = 5; a positive value below 1e-3 is refused.
+	// seconds: a parked grow woken by freed capacity or an emptied queue
+	// retries at the ladder's next tick, and one never woken expires at
+	// its last. 0 = 5; a positive value below 1e-3 is refused.
 	DeferBackoff float64
 }
 
@@ -93,12 +93,12 @@ func (c ElasticConfig) validate() error {
 }
 
 // minDeferBackoff is the finest retry ladder New accepts, in simulation
-// seconds. A blocked grow polls once per tick through its map phase, so
-// a 100-second hold at MapFrac 0.4 polls 4e4 times at this floor and 4e7
-// at 1e-6. A backoff below half the float spacing of t (about
-// 1.1e-16·t) does not move `t += DeferBackoff` at all, so at 1e-300 the
-// ladder never advances and the grow never expires. Every configuration in the
-// repo uses 5.
+// seconds. parkGrow's last-tick loop and wakeGrows' catch-up loop step
+// the ladder one tick at a time, so a 100-second hold at MapFrac 0.4
+// takes 4e4 steps at this floor and 4e7 at 1e-6. A backoff below half
+// the float spacing of t (about 1.1e-16·t) does not move
+// `t += DeferBackoff` at all, so at 1e-300 the ladder never advances.
+// Every configuration in the repo uses 5.
 const minDeferBackoff = 1e-3
 
 // elasticState is one cluster's resize lifecycle, embedded in its
@@ -116,11 +116,11 @@ type elasticState struct {
 	retryEv  *eventsim.Event // deferred-grow retry
 	shrinkEv *eventsim.Event // shrink at the boundary
 
-	// While parked: the ladder tick of the next poll, and the neighbours
-	// in the simulator's parked list. Parking links the record in and
-	// expiry unlinks it, so the list holds exactly the parked grows.
-	// last is the ladder's last tick, computed at the op's first park (0
-	// until then).
+	// While parked: the ladder tick of the next attempt, and the
+	// neighbours in the simulator's parked list. Parking links the record
+	// in, and waking, a retry firing or expiry unlinks it, so the list
+	// holds exactly the parked grows. last is the ladder's last tick,
+	// computed at the op's first park (0 until then).
 	next, last float64
 	prev, succ *cluster
 }
@@ -171,20 +171,21 @@ func (s *Simulator) rejectGrow(c *cluster, now float64, reason string) {
 }
 
 // tryGrow attempts to place the cluster's pending delta near its current
-// center. A grow never jumps the wait queue: while requests are waiting
-// it parks, and while the delta does not fit it polls.
+// center. A grow never jumps the wait queue and never asks the placer
+// for more than the plant has free: in either case it parks. Otherwise
+// PlaceDeltaSparse admits against the same free totals, so it must
+// succeed, and any error from it is a bug that aborts the run. A retry
+// that fires while its grow is parked, at the ladder's last tick, takes
+// the grow off the parked list first.
 func (s *Simulator) tryGrow(c *cluster, now float64) {
-	if s.queue.Len() != 0 {
+	s.unpark(c)
+	if s.queue.Len() != 0 || !model.Covers(s.tidx.Avail(), c.growVec) {
 		s.parkGrow(c, now)
 		return
 	}
 	dc, center, err := s.online.PlaceDeltaSparse(s.tidx, c.cells, c.growVec, &s.spd)
 	if err != nil {
-		if !errors.Is(err, placement.ErrInsufficient) {
-			s.fail(fmt.Errorf("cloudsim: growing cluster %d: %w", c.id, err))
-			return
-		}
-		s.pollGrow(c, now, err)
+		s.fail(fmt.Errorf("cloudsim: growing cluster %d: %w", c.id, err))
 		return
 	}
 	// The tier index admitted the delta, so the inventory must take it.
@@ -228,29 +229,12 @@ func (s *Simulator) nextTick(c *cluster, now float64) (float64, bool) {
 	return next, true
 }
 
-// pollGrow re-arms a grow the plant cannot fit at the ladder's next
-// tick: any event before then may free the capacity it lacks.
-func (s *Simulator) pollGrow(c *cluster, now float64, cause error) {
-	next, ok := s.nextTick(c, now)
-	if !ok {
-		return
-	}
-	typ, need, avail, _ := placement.Shortfall(cause)
-	s.cfg.Obs.Emit("resize_defer", now,
-		obs.F("req", int(c.req.ID)),
-		obs.F("cluster", c.id),
-		obs.F("retry", next),
-		obs.F("reason", "capacity"),
-		obs.F("type", typ),
-		obs.F("need", need),
-		obs.F("avail", avail))
-	s.armRetry(c, next)
-}
-
-// parkGrow takes a grow blocked by the wait queue off the ladder. No
-// poll can serve it while requests wait, so it records the ladder's next
-// tick and arms its retry at the ladder's last one, where it expires if
-// the queue never empties. wakeGrows brings it back earlier.
+// parkGrow takes a grow that cannot be served now off the ladder. It
+// records the ladder's next tick and arms its retry at the ladder's last
+// one, where it expires if nothing wakes it first; wakeGrows brings it
+// back earlier. The op's first park writes its one resize_defer line,
+// which says what blocked it: the wait queue, or the first type whose
+// free total falls short of the delta.
 func (s *Simulator) parkGrow(c *cluster, now float64) {
 	next, ok := s.nextTick(c, now)
 	if !ok {
@@ -260,51 +244,84 @@ func (s *Simulator) parkGrow(c *cluster, now float64) {
 	if c.last == 0 {
 		// Every attempt after the commission one runs on a ladder tick,
 		// so all parks of one grow op share one last tick: compute it at
-		// the first park, by the same float additions as polling, so it
-		// is exactly the tick a polled grow would expire at. A step that
-		// does not advance ends the ladder, as it does in nextTick.
+		// the first park, by the same float additions as the ladder's
+		// ticks, so it is exactly the tick nextTick would expire at. A
+		// step that does not advance ends the ladder, as it does in
+		// nextTick.
 		last := next
 		for t := last + s.ecfg.DeferBackoff; t > last && t+s.ecfg.MinPayoff <= c.deadline; t += s.ecfg.DeferBackoff {
 			last = t
 		}
 		c.last = last
+		s.emitDefer(c, now)
 	}
 	c.succ = s.parked
 	if c.succ != nil {
 		c.succ.prev = c
 	}
 	s.parked = c
-	s.cfg.Obs.Emit("resize_defer", now,
-		obs.F("req", int(c.req.ID)),
-		obs.F("cluster", c.id),
-		obs.F("reason", "queue"))
 	s.armRetry(c, c.last)
 }
 
-// wakeGrows returns every parked grow to its ladder once the wait queue
-// is empty: each retry re-arms at the first tick at or after now, the
-// first poll that would have found the queue empty. The retry class
-// makes this exact on ties: a retry woken at a tick fires after every
-// other event at that tick, where its poll would have fired.
+// emitDefer writes a grow op's resize_defer line. With the queue empty,
+// tryGrow parked the grow because some type of its delta falls short.
+func (s *Simulator) emitDefer(c *cluster, now float64) {
+	if s.queue.Len() != 0 {
+		s.cfg.Obs.Emit("resize_defer", now,
+			obs.F("req", int(c.req.ID)),
+			obs.F("cluster", c.id),
+			obs.F("reason", "queue"))
+		return
+	}
+	avail := s.tidx.Avail()
+	j := 0
+	for c.growVec[j] <= avail[j] {
+		j++
+	}
+	s.cfg.Obs.Emit("resize_defer", now,
+		obs.F("req", int(c.req.ID)),
+		obs.F("cluster", c.id),
+		obs.F("reason", "capacity"),
+		obs.F("type", j),
+		obs.F("need", c.growVec[j]),
+		obs.F("avail", avail[j]))
+}
+
+// wakeGrows returns to the ladder every parked grow the plant can now
+// serve. The caller runs it after an event that freed capacity or
+// drained the queue, once the queue is empty; those are the only events
+// after which a parked grow's attempt can succeed. A grow whose delta
+// the free totals cover re-arms its retry at the first tick at or after
+// now: every tick before now found it blocked, and its attempt at that
+// tick sees the plant exactly as a retry polled at every tick would.
+// The retry class makes this exact on ties: a retry woken at a tick
+// fires after every other event at that tick, where a polled retry
+// would have fired. A woken grow that loses the capacity before its
+// tick parks again at that tick.
 func (s *Simulator) wakeGrows(now float64) {
-	for s.parked != nil {
-		c := s.parked
-		s.unpark(c)
-		// The catch-up retraces parkGrow's ladder, which reached c.last
-		// >= now; a step that does not advance stops it anyway, and
-		// Reschedule then refuses the past tick instead of hanging.
-		for c.next < now {
-			t := c.next + s.ecfg.DeferBackoff
-			if t <= c.next {
-				break
+	avail := s.tidx.Avail()
+	for c := s.parked; c != nil; {
+		succ := c.succ
+		if model.Covers(avail, c.growVec) {
+			s.unpark(c)
+			// The catch-up retraces parkGrow's ladder, which reached
+			// c.last >= now; a step that does not advance stops it
+			// anyway, and Reschedule then refuses the past tick instead
+			// of hanging.
+			for c.next < now {
+				t := c.next + s.ecfg.DeferBackoff
+				if t <= c.next {
+					break
+				}
+				c.next = t
 			}
-			c.next = t
+			s.engine.Cancel(c.retryEv)
+			if err := s.engine.Reschedule(c.retryEv, c.next, 1+c.id); err != nil {
+				s.fail(fmt.Errorf("cloudsim: waking a parked grow's retry: %w", err))
+				return
+			}
 		}
-		s.engine.Cancel(c.retryEv)
-		if err := s.engine.Reschedule(c.retryEv, c.next, 1+c.id); err != nil {
-			s.fail(fmt.Errorf("cloudsim: waking a parked grow's retry: %w", err))
-			return
-		}
+		c = succ
 	}
 }
 

@@ -354,8 +354,9 @@ func TestElasticNeverWorseAdmission(t *testing.T) {
 // TestElasticParkWakeZeroAllocs pins the parked grow's cycle: the
 // queue empties and wakeGrows re-arms the parked retry at its ladder's
 // next tick, a request waits again, and the retry fires, finds it, and
-// parks once more, emitting resize_defer and re-arming the same event.
-// The cycle allocates nothing, with obs off or streaming.
+// parks once more, re-arming the same event. Only the op's first park
+// writes a resize_defer line. The cycle allocates nothing, with obs off
+// or streaming.
 func TestElasticParkWakeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
@@ -400,8 +401,8 @@ func TestElasticParkWakeZeroAllocs(t *testing.T) {
 		if n := parkedLen(t, sim); n != 1 {
 			t.Errorf("%s: %d parked grows, want 1", tc.name, n)
 		}
-		if got := tc.reg.EventCount(); tc.reg != nil && got != 202 {
-			t.Errorf("%s: %d resize_defer events, want 202", tc.name, got)
+		if got := tc.reg.EventCount(); tc.reg != nil && got != 1 {
+			t.Errorf("%s: %d resize_defer events, want 1, from the first park", tc.name, got)
 		}
 	}
 }
@@ -479,7 +480,8 @@ func resizeTrace(reg *obs.Registry) []string {
 		}
 		line := fmt.Sprintf("%g %s", e.Time, e.Kind)
 		for _, f := range e.Fields {
-			if f.Key == "req" || f.Key == "cluster" || f.Key == "reason" || f.Key == "retry" {
+			switch f.Key {
+			case "req", "cluster", "reason", "type", "need", "avail":
 				line += fmt.Sprintf(" %s=%v", f.Key, f.Val())
 			}
 		}
@@ -568,10 +570,11 @@ func TestElasticParkNeverWokenExpires(t *testing.T) {
 }
 
 // Two grows whose integer ladders coincide, parked in the reverse of
-// their cluster order, fire in cluster order at the tick the queue
-// empties, after the departure that emptied it. A's grow polls on
-// capacity until B parks behind C at t=10; A's own poll at t=10 then
-// parks too. Z's departure at t=20 serves C and empties the queue.
+// their cluster order, fire in cluster order at the tick they wake,
+// after the departure that woke them. A's grow parks on capacity at
+// t=0, writing its one line then, and B's parks behind C at t=10. Z's
+// departure at t=20 frees type 0, serves C and empties the queue, so
+// both wake at that tick.
 func TestElasticParkTiedLaddersFireInIDOrder(t *testing.T) {
 	tp, inv := plant(t)
 	reg := obs.NewRegistry()
@@ -599,13 +602,97 @@ func TestElasticParkTiedLaddersFireInIDOrder(t *testing.T) {
 	}
 	checkTrace(t, got, []string{
 		"10 resize_defer req=3 cluster=3 reason=queue",
-		"10 resize_defer req=1 cluster=1 reason=queue",
 		"20 depart req=0",
 		"20 place req=4",
 		"20 resize_grow req=4 cluster=4",
 		"20 resize_grow req=1 cluster=1",
 		"20 resize_grow req=3 cluster=3",
 	})
+}
+
+// runElastic runs reqs, with the given faults, on the 6-node plant with
+// the test resize policy, and returns the simulator and its trace.
+func runElastic(t *testing.T, reqs []model.TimedRequest, evs ...faults.Event) (*Simulator, *obs.Registry) {
+	t.Helper()
+	tp, inv := plant(t)
+	reg := obs.NewRegistry()
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inject(sim, evs...)
+	m, err := sim.Run(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elasticConserve(t, m, len(reqs))
+	if err := inv.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return sim, reg
+}
+
+// X = {4,0} and Y = {4,0} grow by {2,0} at t=0 and fill type 0; X's
+// shrink at 4.8 gives back two slots, which A = {2,0} takes at t=5. A's
+// grow {1,0} parks on capacity, with its ladder at 10, 15, …, 40
+// (deadline 5 + 0.4·100 = 45). X's departure at t=12, between ticks,
+// wakes it, and it runs at the next tick, 15, after its one
+// resize_defer line.
+func TestElasticCapacityWakesAtNextTick(t *testing.T) {
+	_, reg := runElastic(t, []model.TimedRequest{
+		timed(0, model.Request{4, 0}, 0, 12),  // X, cluster 0
+		timed(1, model.Request{4, 0}, 0, 200), // Y, cluster 1
+		timed(2, model.Request{2, 0}, 5, 100), // A, cluster 2
+	})
+	checkTrace(t, clusterTrace(reg, 2), []string{
+		"5 resize_defer req=2 cluster=2 reason=capacity type=0 need=1 avail=0",
+		"15 resize_grow req=2 cluster=2",
+		"45 resize_shrink req=2 cluster=2",
+	})
+}
+
+// capacityBlocked fills the plant's type 0 with X = {4,4}, which grows
+// into all of the first rack, C = {3,0} with its grow {2,0}, and then
+// A = {1,0}, whose grow {1,0} parks on capacity at t=1 with its ladder
+// at 6, 11, …, 36 (deadline 1 + 0.4·100 = 41). X and C hold their
+// slots past A's boundary.
+func capacityBlocked(extra ...model.TimedRequest) []model.TimedRequest {
+	return append([]model.TimedRequest{
+		timed(0, model.Request{4, 4}, 0, 200),   // X, cluster 0
+		timed(1, model.Request{3, 0}, 0.5, 200), // C, cluster 1
+		timed(2, model.Request{1, 0}, 1, 100),   // A, cluster 2
+	}, extra...)
+}
+
+// The crash at t=8 kills nodes 0 and 1, four of X's type-0 VMs among
+// them. Nothing is free to evacuate X, so teardown releases its
+// survivors on node 2, and X's re-placement does not fit the two type-0
+// slots that frees. No drain follows before the repair at t=60: the
+// teardown's release alone wakes A's grow, which runs at the next tick,
+// 11.
+func TestElasticCapacityWakesAfterTeardown(t *testing.T) {
+	_, reg := runElastic(t, capacityBlocked(), pair(8, 60, 0, 0, 1)...)
+	checkTrace(t, clusterTrace(reg, 2), []string{
+		"1 resize_defer req=2 cluster=2 reason=capacity type=0 need=1 avail=0",
+		"11 resize_grow req=2 cluster=2",
+		"41 resize_shrink req=2 cluster=2",
+	})
+}
+
+// B = {0,2}'s shrink and departure free type 1 only, so the wakes they
+// run leave A's grow parked. Its retry fires once, at the ladder's last
+// tick, 36, where the grow expires.
+func TestElasticCapacityNeverFreedExpires(t *testing.T) {
+	sim, reg := runElastic(t, capacityBlocked(timed(3, model.Request{0, 2}, 2, 20)))
+	checkTrace(t, clusterTrace(reg, 2), []string{
+		"1 resize_defer req=2 cluster=2 reason=capacity type=0 need=1 avail=0",
+		"36 resize_expire req=2 cluster=2 reason=deadline",
+	})
+	// Four arrivals, four departures, the shrinks of X, C and B, and
+	// A's one retry: none at the ticks before its last.
+	if got := sim.engine.Processed(); got != 12 {
+		t.Errorf("processed %d events, want 12", got)
+	}
 }
 
 // A parked grow whose cluster a crash tears down expires once, as

@@ -153,6 +153,7 @@ func (s *Simulator) teardown(c *cluster, now float64) {
 		s.fail(fmt.Errorf("cloudsim: release of torn-down cluster %d at t=%v failed: %w", c.id, now, err))
 		return
 	}
+	s.freed = true
 	// Roll back the served sample: Metrics counts clusters that ran (or
 	// are running) to completion. The obs counters deliberately keep
 	// counting commissions instead. The record carries the exact floats

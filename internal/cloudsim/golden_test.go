@@ -35,9 +35,11 @@ const goldenPath = "testdata/elastic_golden.txt"
 // reports except its resize_defer lines: cloudsim.Metrics with its
 // sketches' contents, the registry's metric snapshot, and the JSONL
 // trace, whose place events carry every served sample. How a
-// deferred grow waits (polling a retry ladder, or parking behind the
-// wait queue) may change how many resize_defer lines a run writes, and
-// nothing else. Two corpora: continuous-time soak plants, where equal
+// deferred grow waits (retrying at every tick of its ladder, or parking
+// until a release or an emptied queue wakes it) may change the
+// resize_defer lines a run writes and the two attempt counters,
+// placement.place_calls and placement.infeasible, and nothing else.
+// Two corpora: continuous-time soak plants, where equal
 // timestamps almost never meet, and integer-time traces on the 6-node
 // plant, where arrivals, departures, shrinks and grow retries keep
 // landing on the same instant. Regenerate with

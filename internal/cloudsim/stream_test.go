@@ -325,7 +325,7 @@ func soakSim(t *testing.T, seed int64, n int, elastic ElasticConfig) (*Simulator
 // TestReplayAllocsPerRequest gates the replay's steady-state
 // allocations: beyond the request its source hands it, a soak replay
 // allocates only on rare paths (faults, queue growth), and the elastic
-// soak adds its capacity-poll shortfall errors and shrink victims.
+// soak adds its shrink victims.
 func TestReplayAllocsPerRequest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under -race (instrumentation allocates)")
@@ -338,7 +338,7 @@ func TestReplayAllocsPerRequest(t *testing.T) {
 	}{
 		{"soak", ElasticConfig{}, 1.5},
 		{"soak-elastic", ElasticConfig{Enabled: true, GrowFactor: 0.5,
-			MapFrac: mapreduce.WordCount("input").PhaseSplit(), MinPayoff: 1, DeferBackoff: 5}, 4},
+			MapFrac: mapreduce.WordCount("input").PhaseSplit(), MinPayoff: 1, DeferBackoff: 5}, 2.5},
 	} {
 		sim, src := soakSim(t, 2012, n, tc.elastic)
 		var before, after runtime.MemStats

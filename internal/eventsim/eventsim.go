@@ -161,18 +161,6 @@ func (e *Engine) Run() float64 {
 	return e.now
 }
 
-// RunUntil processes events with Time ≤ deadline, then advances the clock
-// to exactly the deadline (even if idle). Events scheduled later survive.
-func (e *Engine) RunUntil(deadline float64) float64 {
-	for len(e.events) > 0 && e.events[0].Time <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
 // The heap below is container/heap's algorithm specialized to []*Event:
 // the same sift paths, so the heap layout (and every idx) matches what
 // heap.Push/Pop/Remove would produce. Sifts move a hole instead of

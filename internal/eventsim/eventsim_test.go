@@ -187,28 +187,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	var fired []float64
-	for _, at := range []float64{1, 2, 3, 10} {
-		_, _ = e.At(at, func(now float64) { fired = append(fired, now) })
-	}
-	now := e.RunUntil(5)
-	if now != 5 {
-		t.Errorf("clock = %v, want 5", now)
-	}
-	if len(fired) != 3 {
-		t.Errorf("fired = %v", fired)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 4 || e.Now() != 10 {
-		t.Errorf("after full run: fired=%v now=%v", fired, e.Now())
-	}
-}
-
 func TestStepOnEmpty(t *testing.T) {
 	e := New()
 	if e.Step() {

@@ -29,8 +29,6 @@ import (
 type ElasticExperimentConfig struct {
 	// Requests is the number of timed cluster requests.
 	Requests int
-	// QueueCap bounds the wait queue (0 = unbounded).
-	QueueCap int
 	// Arrival shapes the arrival/holding process.
 	Arrival workload.ArrivalConfig
 	// Job is the representative MapReduce job whose per-MB cost profile
@@ -49,7 +47,6 @@ func DefaultElasticConfig() ElasticExperimentConfig {
 	arr.MeanInterarrival = 5
 	return ElasticExperimentConfig{
 		Requests:   60,
-		QueueCap:   0,
 		Arrival:    arr,
 		Job:        mapreduce.WordCount("input"),
 		GrowFactor: 0.5,
@@ -102,10 +99,9 @@ func Elastic(seed int64, cfg ElasticExperimentConfig) (*ElasticResult, error) {
 			return nil, err
 		}
 		cs, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, cloudsim.Config{
-			Policy:   queue.FIFO,
-			QueueCap: cfg.QueueCap,
-			Elastic:  elastic,
-			Obs:      reg,
+			Policy:  queue.FIFO,
+			Elastic: elastic,
+			Obs:     reg,
 		})
 		if err != nil {
 			return nil, err

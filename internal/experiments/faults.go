@@ -26,8 +26,6 @@ import (
 type FaultsConfig struct {
 	// Requests is the number of timed cluster requests.
 	Requests int
-	// QueueCap bounds the wait queue (0 = unbounded).
-	QueueCap int
 	// Arrival shapes the arrival/holding process.
 	Arrival workload.ArrivalConfig
 	// Faults parameterizes the crash/repair schedule (must be enabled).
@@ -47,7 +45,6 @@ func DefaultFaultsConfig(seed int64) FaultsConfig {
 	arr.MeanInterarrival = 5
 	return FaultsConfig{
 		Requests: 40,
-		QueueCap: 0,
 		Arrival:  arr,
 		Faults: faults.Config{
 			MTBF:      40,
@@ -109,7 +106,6 @@ func Faults(seed int64, cfg FaultsConfig) (*FaultsResult, error) {
 	}
 	cs, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, cloudsim.Config{
 		Policy:    queue.FIFO,
-		QueueCap:  cfg.QueueCap,
 		Batch:     true,
 		Migrate:   true,
 		Faults:    cfg.Faults,

@@ -30,8 +30,6 @@ type OpsConfig struct {
 	// Requests is the number of timed cluster requests fed through the
 	// cloud (default 20, the paper's request count).
 	Requests int
-	// QueueCap bounds the wait queue (0 = unbounded).
-	QueueCap int
 	// Arrival shapes the arrival/holding process.
 	Arrival workload.ArrivalConfig
 	// MR configures the MapReduce job run on the first experiment
@@ -48,7 +46,6 @@ func DefaultOpsConfig(seed int64) OpsConfig {
 	arr.MeanInterarrival = 5
 	return OpsConfig{
 		Requests: 40,
-		QueueCap: 0,
 		Arrival:  arr,
 		MR:       DefaultMRExperimentConfig(seed),
 	}
@@ -97,11 +94,10 @@ func Ops(seed int64, cfg OpsConfig) (*OpsResult, error) {
 		return nil, err
 	}
 	cs, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, cloudsim.Config{
-		Policy:   queue.FIFO,
-		QueueCap: cfg.QueueCap,
-		Batch:    true,
-		Migrate:  true,
-		Obs:      reg,
+		Policy:  queue.FIFO,
+		Batch:   true,
+		Migrate: true,
+		Obs:     reg,
 	})
 	if err != nil {
 		return nil, err

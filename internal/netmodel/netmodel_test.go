@@ -246,8 +246,13 @@ func TestActiveCount(t *testing.T) {
 	e, fs := sim(t, tp)
 	_, _ = fs.StartFlow(0, 1, 120, nil)
 	_, _ = fs.StartFlow(1, 2, 120, nil)
-	// Flows activate after latency; run a hair forward.
-	e.RunUntil(0.001)
+	// Flows activate after latency; step up to a marker a hair forward.
+	marked := false
+	if _, err := e.At(0.001, func(float64) { marked = true }); err != nil {
+		t.Fatal(err)
+	}
+	for !marked && e.Step() {
+	}
 	if fs.Active() != 2 {
 		t.Errorf("Active = %d, want 2", fs.Active())
 	}

@@ -142,10 +142,10 @@ func TestEmitZeroAllocs(t *testing.T) {
 
 // BenchmarkEmit streams three event shapes of the soak-elastic trace
 // into a discarding sink: a place (time and wait are non-integer
-// floats), a capacity-blocked resize_defer (time and retry) and a
-// queue-parked resize_defer (time alone). Times cycle through 256
-// open-loop arrival instants, whose shortest forms run to 16 or 17
-// digits like the trace's, so no branch learns one value.
+// floats), a capacity-blocked resize_defer (its shortfall as three
+// ints) and a queue-blocked resize_defer (time alone). Times cycle
+// through 256 open-loop arrival instants, whose shortest forms run to
+// 16 or 17 digits like the trace's, so no branch learns one value.
 func BenchmarkEmit(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var times, waits [256]float64
@@ -162,7 +162,7 @@ func BenchmarkEmit(b *testing.B) {
 			r.Emit("place", times[i], F("req", i), F("center", 22), F("dc", 2.0), F("vms", 3), F("wait", waits[i]))
 		}},
 		{"resize_defer/capacity", func(r *Registry, i int) {
-			r.Emit("resize_defer", times[i], F("req", i), F("cluster", i), F("retry", times[i]+5),
+			r.Emit("resize_defer", times[i], F("req", i), F("cluster", i),
 				F("reason", "capacity"), F("type", 0), F("need", 2), F("avail", 0))
 		}},
 		{"resize_defer/queue", func(r *Registry, i int) {

@@ -82,9 +82,8 @@ func admitAvail(avail []int, r model.Request) error {
 	return nil
 }
 
-// shortfall is admitAvail's ErrInsufficient. Deferred grows hit it on
-// every retry against a full plant, so the message is only formatted if
-// someone reads it.
+// shortfall is admitAvail's ErrInsufficient. Its message is formatted
+// only if someone reads it.
 type shortfall struct {
 	typ, need, avail int
 }
@@ -94,19 +93,6 @@ func (e *shortfall) Error() string {
 }
 
 func (e *shortfall) Unwrap() error { return ErrInsufficient }
-
-// Shortfall reports what an admission failure lacked: the first
-// resource type whose demand need exceeded the avail VMs free. ok is
-// false unless err is admission's ErrInsufficient exactly as PlaceSparse
-// and PlaceDeltaSparse return it, unwrapped. It allocates nothing, so a
-// caller may log every failed retry.
-func Shortfall(err error) (typ, need, avail int, ok bool) {
-	e, ok := err.(*shortfall) // not errors.As: it would allocate the target
-	if !ok {
-		return 0, 0, 0, false
-	}
-	return e.typ, e.need, e.avail, true
-}
 
 // CenterPolicy selects how Algorithm 1 picks candidate central nodes.
 type CenterPolicy int

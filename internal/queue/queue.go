@@ -122,18 +122,16 @@ func (q *Queue) accept(r model.TimedRequest) error {
 	return nil
 }
 
-// removeAt deletes and returns items[i], dropping its ID entry and
-// zeroing the vacated tail slot so the backing array does not pin the
-// removed request's vectors alive. Callers hold q.mu.
-func (q *Queue) removeAt(i int) model.TimedRequest {
-	r := q.items[i]
-	delete(q.ids, r.ID)
+// removeAt deletes items[i], dropping its ID entry and zeroing the
+// vacated tail slot so the backing array does not pin the removed
+// request's vectors alive. Callers hold q.mu.
+func (q *Queue) removeAt(i int) {
+	delete(q.ids, q.items[i].ID)
 	last := len(q.items) - 1
 	copy(q.items[i:], q.items[i+1:])
 	q.items[last] = model.TimedRequest{}
 	q.items = q.items[:last]
 	q.mDepth.Set(float64(len(q.items)))
-	return r
 }
 
 // Cancel removes a waiting request — the paper's "users can also cancel
@@ -151,22 +149,10 @@ func (q *Queue) Cancel(id model.RequestID) error {
 	return ErrNotFound
 }
 
-// Dequeue pops the head of the queue, or reports false on an empty queue.
-func (q *Queue) Dequeue() (model.TimedRequest, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) == 0 {
-		return model.TimedRequest{}, false
-	}
-	head := q.removeAt(0)
-	q.mAdmitted.Inc()
-	return head, true
-}
-
 // Peek returns the waiting requests in queue order without removing them.
 // The returned slice is a fresh copy that never aliases the queue's
 // backing array: removeAt/take zero vacated tail slots on every
-// Dequeue/Cancel/GetRequests, so a result sharing storage with q.items
+// Cancel/GetRequests, so a result sharing storage with q.items
 // would see its entries wiped by later queue operations. A caller may
 // hold a Peek result across arbitrary mutations (pinned by
 // TestPeekSurvivesMutation).

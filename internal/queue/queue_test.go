@@ -107,24 +107,24 @@ func TestGetRequestsWrongLengthVectorSkipped(t *testing.T) {
 	}
 }
 
-func TestDequeuePolicyOrder(t *testing.T) {
+// A take walks the queue in order, EnqueueFront insertions first: with
+// a budget of one, each take serves the head. A taken ID can be enqueued
+// again, since its bookkeeping is gone.
+func TestAppendRequestsTakesFrontFirst(t *testing.T) {
 	q := New(FIFO, 0)
 	_ = q.Enqueue(req(0, model.Request{1}))
 	_ = q.Enqueue(req(1, model.Request{1}))
 	_ = q.EnqueueFront(req(2, model.Request{1}))
-	wantIDs := []model.RequestID{2, 0, 1}
-	for _, w := range wantIDs {
-		got, ok := q.Dequeue()
-		if !ok || got.ID != w {
-			t.Fatalf("Dequeue = (%v, %v), want ID %d", got.ID, ok, w)
+	for _, w := range []model.RequestID{2, 0, 1} {
+		if got := q.AppendRequests(nil, []int{1}); len(got) != 1 || got[0].ID != w {
+			t.Fatalf("took %v, want ID %d", ids(got), w)
 		}
 	}
-	if _, ok := q.Dequeue(); ok {
-		t.Error("Dequeue on empty queue reported ok")
+	if got := q.AppendRequests(nil, []int{1}); len(got) != 0 {
+		t.Errorf("take from an empty queue returned %v", ids(got))
 	}
-	// Dequeued IDs can be reused — their bookkeeping is gone.
 	if err := q.Enqueue(req(1, model.Request{1})); err != nil {
-		t.Errorf("re-enqueue after dequeue: %v", err)
+		t.Errorf("re-enqueue after take: %v", err)
 	}
 }
 
@@ -136,7 +136,8 @@ func (q *Queue) idsLen() int {
 }
 
 // TestSeqsMapShrinksWithQueue churns requests through every exit path —
-// Dequeue, Cancel, GetRequests, AppendRequests — and asserts the
+// Cancel at the head and at the tail, GetRequests, AppendRequests — and
+// asserts the
 // internal ID set always matches the queue length, so long arrival
 // streams cannot leak bookkeeping entries.
 func TestSeqsMapShrinksWithQueue(t *testing.T) {
@@ -158,8 +159,8 @@ func TestSeqsMapShrinksWithQueue(t *testing.T) {
 		check("after enqueue")
 		switch round % 4 {
 		case 0:
-			if _, ok := q.Dequeue(); !ok {
-				t.Fatal("dequeue failed")
+			if err := q.Cancel(q.Peek()[0].ID); err != nil {
+				t.Fatal(err)
 			}
 		case 1:
 			if err := q.Cancel(model.RequestID(id - 1)); err != nil {
@@ -177,11 +178,7 @@ func TestSeqsMapShrinksWithQueue(t *testing.T) {
 		check("after removal")
 	}
 	// Drain completely: every map entry must be gone.
-	for {
-		if _, ok := q.Dequeue(); !ok {
-			break
-		}
-	}
+	q.GetRequests([]int{q.Len()})
 	if q.Len() != 0 || q.idsLen() != 0 {
 		t.Fatalf("drained queue still holds %d items / %d IDs", q.Len(), q.idsLen())
 	}
@@ -200,8 +197,8 @@ func TestQueueInstrumented(t *testing.T) {
 	q.Instrument(reg)
 	_ = q.Enqueue(req(0, model.Request{1}))
 	_ = q.Enqueue(req(1, model.Request{1})) // full → rejected
-	if _, ok := q.Dequeue(); !ok {
-		t.Fatal("dequeue failed")
+	if taken := q.GetRequests([]int{1}); len(taken) != 1 {
+		t.Fatalf("took %d requests, want 1", len(taken))
 	}
 	_ = q.Enqueue(req(2, model.Request{1}))
 	_ = q.Cancel(2)
@@ -212,7 +209,7 @@ func TestQueueInstrumented(t *testing.T) {
 		"queue.enqueued":  3,
 		"queue.rejected":  1,
 		"queue.cancelled": 1,
-		"queue.admitted":  2, // one Dequeue + one GetRequests
+		"queue.admitted":  2, // two GetRequests, one request each
 	}
 	for name, w := range want {
 		if got := snap.Counters[name]; got != w {
@@ -275,8 +272,8 @@ func TestEnqueueFrontOrdersAheadOfFIFO(t *testing.T) {
 	if err := q.EnqueueFront(req(8, model.Request{1})); err != nil {
 		t.Fatal(err)
 	}
-	if head, ok := q.Dequeue(); !ok || head.ID != 8 {
-		t.Errorf("dequeued %v, want 8", head.ID)
+	if head := q.Peek()[0].ID; head != 8 {
+		t.Errorf("head = %d, want 8", head)
 	}
 }
 
@@ -299,16 +296,16 @@ func TestEnqueueFrontPriorityAndLimits(t *testing.T) {
 		t.Error("duplicate front insert accepted")
 	}
 	// Taken requests clear their IDs so the ID can requeue later.
-	if head, ok := q.Dequeue(); !ok || head.ID != 1 {
-		t.Fatalf("Dequeue = (%v, %v), want ID 1", head.ID, ok)
+	if taken := q.AppendRequests(nil, []int{1}); len(taken) != 1 || taken[0].ID != 1 {
+		t.Fatalf("took %v, want ID 1", ids(taken))
 	}
 	if err := q.EnqueueFront(req(1, model.Request{1})); err != nil {
-		t.Errorf("re-insert after dequeue: %v", err)
+		t.Errorf("re-insert after take: %v", err)
 	}
 }
 
 // TestPeekSurvivesMutation pins the copy contract of Peek: a result held
-// across Dequeue/Cancel/GetRequests must keep its values even though
+// across Cancel/GetRequests must keep its values even though
 // removeAt and removeTaken zero the vacated tail slots of the queue's
 // backing array. If ordered() ever returned q.items (or a reslice of it),
 // the held snapshot's entries would be wiped to zero structs here.
@@ -321,10 +318,11 @@ func TestPeekSurvivesMutation(t *testing.T) {
 	}
 	held := q.Peek()
 
-	// Drain the whole queue: every removeAt zeroes a tail slot.
+	// Drain the whole queue from its head: every removeAt zeroes a tail
+	// slot.
 	for i := 0; i < 4; i++ {
-		if _, ok := q.Dequeue(); !ok {
-			t.Fatalf("dequeue %d failed", i)
+		if err := q.Cancel(model.RequestID(i)); err != nil {
+			t.Fatalf("cancel %d: %v", i, err)
 		}
 	}
 	if q.Len() != 0 {
