@@ -45,11 +45,10 @@ examples:
 	done
 
 # Static-analysis gate: the repo's own analyzer suite (aliasret,
-# detrand, errdrop, goexit, hotpath, maporder, scratchpool,
-# singlewriter — see DESIGN.md §10 and §15) plus staticcheck and
-# govulncheck when installed. CI installs the pinned versions via
-# lint-tools; offline checkouts skip the external tools with a notice so
-# `make lint` stays runnable anywhere.
+# detrand, errdrop, maporder, scratchpool — see DESIGN.md §10 and §15)
+# plus staticcheck and govulncheck when installed. CI installs the
+# pinned versions via lint-tools; offline checkouts skip the external
+# tools with a notice so `make lint` stays runnable anywhere.
 lint:
 	$(GO) run ./cmd/affinitylint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -63,9 +62,9 @@ lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
-# The analyzers' own tests: fixture suites (testdata/src + // want),
-# the callgraph/driver unit tests, and the real-package hotpath check.
-# Fast — it skips the whole-repo self-host re-lint that `make test` runs.
+# The analyzers' own tests: fixture suites (testdata/src + // want) and
+# the driver and loader unit tests. Fast — it skips the whole-repo
+# self-host re-lint that `make test` runs.
 lint-fixtures:
 	$(GO) test ./internal/lint/...
 

@@ -171,23 +171,6 @@ func BenchmarkFig8(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Supplementary experiment
-// ---------------------------------------------------------------------------
-
-// BenchmarkExactGap regenerates the heuristic-vs-exact optimality study.
-func BenchmarkExactGap(b *testing.B) {
-	var hitRate float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ExactGap(benchSeed, 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hitRate = float64(res.OptimalHit) / float64(res.Instances) * 100
-	}
-	b.ReportMetric(hitRate, "optimal-hit-%")
-}
-
-// ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §5)
 // ---------------------------------------------------------------------------
 

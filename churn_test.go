@@ -175,38 +175,60 @@ func BenchmarkChurn(b *testing.B) {
 	run("place-release/100x100x100/util30", 100, 100, 100, 30, false)
 }
 
-// TestChurnSteadyStateZeroAllocs gates the allocation-free steady state:
+// TestChurnSteadyStateZeroAllocs gates the steady state's allocations:
 // after warmup, a churn step (ReleaseList + PlaceSparse + AllocateList +
 // ring bookkeeping) must not allocate. GC is disabled around the
-// measurement so pool reclamation cannot flake the gate. The plant is
-// small so the gate also runs in -short mode.
+// measurement so pool reclamation cannot flake the gate. The plants are
+// small so the gate also runs in -short mode. Each arm drives code the
+// others miss: util90 the slow path's container and node heaps, the
+// fail-restore mix TierIndex.ApplyRow (its 2 allocs are the two rows
+// FailNode copies), and the 8-cloud plant of single 3-node racks the
+// far-cloud gather of requests that outgrow their cloud.
 func TestChurnSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in non-race builds")
 	}
 	const types = 3
-	topo, err := topology.Uniform(2, 10, 10, topology.DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	caps, err := workload.RandomCapacities(benchSeed, topo.Nodes(), types, workload.DefaultInventoryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := fillChurnRing(t, topo, caps, 10, 30, benchSeed)
-	for i := 0; i < 3*len(ring.ents); i++ { // warm pools and entry slices
-		if err := ring.step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	avg := testing.AllocsPerRun(100, func() {
-		if err := ring.step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state churn step allocates %.2f times per op, want 0", avg)
+	for _, tc := range []struct {
+		name                        string
+		clouds, racks, nodesPerRack int
+		reqSpan, utilPct            int // reqSpan sizes the ring's requests (fillChurnRing's nodesPerRack)
+		failMix                     bool
+		want                        float64
+	}{
+		{"place-release/2x10x10/util30", 2, 10, 10, 10, 30, false, 0},
+		{"place-release/2x10x10/util90", 2, 10, 10, 10, 90, false, 0},
+		{"fail-restore-mix/2x10x10/util60", 2, 10, 10, 10, 60, true, 2},
+		{"place-release/8x1x3/util75", 8, 1, 3, 6, 75, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := topology.Uniform(tc.clouds, tc.racks, tc.nodesPerRack, topology.DefaultDistances())
+			if err != nil {
+				t.Fatal(err)
+			}
+			caps, err := workload.RandomCapacities(benchSeed, topo.Nodes(), types, workload.DefaultInventoryConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring := fillChurnRing(t, topo, caps, tc.reqSpan, tc.utilPct, benchSeed)
+			step := func() {
+				if err := ring.step(); err != nil {
+					t.Fatal(err)
+				}
+				if tc.failMix {
+					if err := ring.failRestoreEmpty(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 3*len(ring.ents); i++ { // warm pools and entry slices
+				step()
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			if avg := testing.AllocsPerRun(100, step); avg != tc.want {
+				t.Fatalf("steady-state churn step allocates %.2f times per op, want %v", avg, tc.want)
+			}
+		})
 	}
 }
 

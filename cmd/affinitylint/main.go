@@ -2,13 +2,11 @@
 // analyzer suite: detrand (no wall clock / global rand / env reads in
 // simulation packages), maporder (map iteration order must not reach
 // ordered output), errdrop (no silently discarded errors from our own
-// APIs), scratchpool (sync.Pool buffer discipline), aliasret (exported
-// methods must not return views of unexported state uncopied),
-// singlewriter (inventory mutation flows through annotated owners),
-// hotpath (//lint:hotpath functions are statically allocation-free), and
-// goexit (every go statement has a provable shutdown edge). It machine-
-// enforces the same-seed ⇒ byte-identical contract of DESIGN.md §7–§10
-// and the concurrency-era invariants of §12–§15.
+// APIs), scratchpool (sync.Pool buffer discipline), and aliasret
+// (exported methods must not return views of unexported state
+// uncopied). It machine-enforces the same-seed ⇒ byte-identical
+// contract of DESIGN.md §7–§10 and the bug classes of §15 that no test
+// catches.
 //
 // Usage:
 //
@@ -33,12 +31,9 @@ import (
 	"affinitycluster/internal/lint/analysis"
 	"affinitycluster/internal/lint/detrand"
 	"affinitycluster/internal/lint/errdrop"
-	"affinitycluster/internal/lint/goexit"
-	"affinitycluster/internal/lint/hotpath"
 	"affinitycluster/internal/lint/load"
 	"affinitycluster/internal/lint/maporder"
 	"affinitycluster/internal/lint/scratchpool"
-	"affinitycluster/internal/lint/singlewriter"
 )
 
 // Suite is the full analyzer set, in report order.
@@ -46,11 +41,8 @@ var suite = []*analysis.Analyzer{
 	aliasret.Analyzer,
 	detrand.Analyzer,
 	errdrop.Analyzer,
-	goexit.Analyzer,
-	hotpath.Analyzer,
 	maporder.Analyzer,
 	scratchpool.Analyzer,
-	singlewriter.Analyzer,
 }
 
 func main() {

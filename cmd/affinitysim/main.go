@@ -40,7 +40,7 @@ func main() {
 	flag.Parse()
 
 	if *pprofAddr != "" {
-		//lint:allow goexit the pprof server intentionally lives for the process lifetime
+		// The pprof server lives as long as the process, by design.
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "affinitysim: pprof:", err)

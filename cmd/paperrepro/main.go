@@ -1,7 +1,7 @@
 // Command paperrepro runs every experiment of the paper end to end —
 // Tables I/II, Figs. 2–6 (simulation), Figs. 7–8 (MapReduce experiment,
-// balanced and skewed variants), and the supplementary heuristic-vs-exact
-// gap study — and prints a consolidated report. Figs. 5/6 improvements
+// balanced and skewed variants), and the supplementary studies — and
+// prints a consolidated report. Figs. 5/6 improvements
 // are additionally averaged over several seeds, since a single draw of
 // 20 random requests is noisy.
 //
@@ -128,13 +128,6 @@ func run(w io.Writer, seed int64, seeds int) error {
 	if inv, slower, faster := skew.HasInversion(); inv {
 		fmt.Fprintf(w, "anomaly present: %s ran slower than %s despite its shorter distance\n\n", slower, faster)
 	}
-
-	gap, err := experiments.ExactGap(seed, 100)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "=== Supplementary: Algorithm 1 vs exact SD optimum ===")
-	fmt.Fprintln(w, gap.Render())
 
 	base, err := experiments.BaselineComparison(seed)
 	if err != nil {

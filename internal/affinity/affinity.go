@@ -82,9 +82,6 @@ func (a Allocation) HostingNodes() []topology.NodeID {
 	return out
 }
 
-// IsEmpty reports whether no VMs are placed.
-func (a Allocation) IsEmpty() bool { return a.TotalVMs() == 0 }
-
 // Satisfies reports whether the allocation delivers exactly the request r.
 func (a Allocation) Satisfies(r model.Request) bool {
 	v := a.Vector()

@@ -77,7 +77,7 @@ func TestPaperWorkedExample(t *testing.T) {
 func TestEmptyAllocation(t *testing.T) {
 	tp := twoRackPlant(t)
 	a := NewAllocation(4, 3)
-	if !a.IsEmpty() {
+	if a.TotalVMs() != 0 {
 		t.Error("new allocation not empty")
 	}
 	d, k := a.Distance(tp)

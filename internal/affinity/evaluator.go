@@ -390,8 +390,6 @@ type DistanceScratch struct {
 
 // DistanceOf is the package-level DistanceOf over reused storage; once
 // the scratch has grown to the topology, calls allocate nothing.
-//
-//lint:hotpath
 func (s *DistanceScratch) DistanceOf(t *topology.Topology, hosts []topology.NodeID, w []int) (float64, topology.NodeID) {
 	if len(hosts) == 0 {
 		return 0, -1

@@ -32,8 +32,6 @@ type SparseAlloc struct {
 }
 
 // Reset clears the entries (retaining capacity) and records the shape.
-//
-//lint:hotpath
 func (s *SparseAlloc) Reset(nodes, types int) {
 	s.NumNodes = nodes
 	s.NumTypes = types
@@ -41,8 +39,6 @@ func (s *SparseAlloc) Reset(nodes, types int) {
 }
 
 // Add appends one non-zero cell.
-//
-//lint:hotpath
 func (s *SparseAlloc) Add(node topology.NodeID, vt model.VMTypeID, count int) {
 	s.Entries = append(s.Entries, VMEntry{Node: node, Type: vt, Count: count})
 }

@@ -207,8 +207,6 @@ func (x *TierIndex) CloudMaxRackSum(c int) int { return x.cloudMaxSum[c] }
 // descends into the leftmost subtree that passes, scans the leaf's rows,
 // and moves right only past a block whose maxima pass while none of its
 // rows covers r. r must have the index's width m.
-//
-//lint:hotpath
 func (x *TierIndex) FirstCover(r model.Request) topology.NodeID {
 	m := x.m
 	for k := 1; ; {
@@ -332,8 +330,6 @@ func (x *TierIndex) Rebuild() {
 // update in O(1); a maximum that may have dropped is repaired by
 // rescanning the owning rack, and a rack-level maximum that carried its
 // cloud's triggers a rescan of that cloud's rack list.
-//
-//lint:hotpath
 func (x *TierIndex) Apply(i topology.NodeID, j int, delta int) {
 	if delta == 0 {
 		return
@@ -449,8 +445,6 @@ func (x *TierIndex) Apply(i topology.NodeID, j int, delta int) {
 // ApplyRow folds a whole-row change: every cell of node i moved from
 // the values implied by the per-type deltas. It is Apply per type, the
 // form FailNode/RestoreNode use.
-//
-//lint:hotpath
 func (x *TierIndex) ApplyRow(i topology.NodeID, deltas []int) {
 	for j, d := range deltas {
 		x.Apply(i, j, d)

@@ -45,9 +45,6 @@ type Config struct {
 	// Policy orders the wait queue; FIFO, the zero value, is the only
 	// policy.
 	Policy queue.Policy
-	// QueueCap bounds the wait queue (0 = unbounded); arrivals beyond it
-	// are rejected.
-	QueueCap int
 	// Batch places drained queue batches with the global sub-optimization
 	// algorithm instead of one-by-one online placement.
 	Batch bool
@@ -144,7 +141,7 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 // Metrics aggregates one simulation run.
 type Metrics struct {
 	Served   int
-	Rejected int // exceeded total plant capacity or queue full
+	Rejected int // invalid, a duplicate ID, or beyond total plant capacity
 	Unplaced int // admitted but never placed before the run ended
 	// DistanceSketch and WaitSketch summarize the DC of each served
 	// cluster and the queueing delay of each served request in O(1)
@@ -298,8 +295,6 @@ type simMetrics struct {
 // online heuristic that places its requests. The heuristic must use the
 // ScanAllCenters policy: New attaches a tier index to the inventory and
 // places through PlaceSparse.
-//
-//lint:owner singlewriter
 func New(tp *topology.Topology, inv *inventory.Inventory, online *placement.OnlineHeuristic, cfg Config) (*Simulator, error) {
 	if tp.Nodes() != inv.Nodes() {
 		return nil, fmt.Errorf("cloudsim: topology has %d nodes, inventory %d", tp.Nodes(), inv.Nodes())
@@ -316,7 +311,7 @@ func New(tp *topology.Topology, inv *inventory.Inventory, online *placement.Onli
 		online:          online,
 		cfg:             cfg,
 		engine:          eventsim.New(),
-		queue:           queue.New(cfg.Policy, cfg.QueueCap),
+		queue:           queue.New(cfg.Policy, 0),
 		global:          &placement.GlobalSubOpt{Obs: cfg.Obs},
 		mig:             &migration.Planner{Obs: cfg.Obs},
 		running:         make(map[int]*cluster),
@@ -393,8 +388,6 @@ func New(tp *topology.Topology, inv *inventory.Inventory, online *placement.Onli
 // replayed through the same lazy loop as RunStream. A bookkeeping
 // failure (a departure whose release does not fit the inventory) aborts
 // the run and is returned as an error instead of panicking.
-//
-//lint:owner singlewriter
 func (s *Simulator) Run(reqs []model.TimedRequest) (*Metrics, error) {
 	seen := make(map[model.RequestID]bool, len(reqs))
 	valid := make([]model.TimedRequest, 0, len(reqs))
@@ -421,8 +414,6 @@ func (s *Simulator) Run(reqs []model.TimedRequest) (*Metrics, error) {
 // the same accounting Run applies to malformed slice entries. On a valid
 // sorted input, RunStream and Run produce identical metrics (pinned by
 // TestRunStreamMatchesRun).
-//
-//lint:owner singlewriter
 func (s *Simulator) RunStream(src model.RequestSource) (*Metrics, error) {
 	return s.replay(&contractSource{src: src, sim: s, lastID: -1})
 }
@@ -612,7 +603,7 @@ func (s *Simulator) arrive(r model.TimedRequest, now float64) {
 		}
 	}
 	if err := s.queue.Enqueue(r); err != nil {
-		s.reject(r, now, "queue_full", true)
+		s.fail(fmt.Errorf("cloudsim: queueing request %d: %w", r.ID, err))
 		return
 	}
 	s.cfg.Obs.Emit("queue_admit", now, obs.F("req", int(r.ID)))
@@ -846,11 +837,11 @@ func (s *Simulator) admit(taken []model.TimedRequest, now float64) {
 			for i, alloc := range res.Allocs {
 				if alloc == nil {
 					// Lost a race against capacity; requeue.
-					s.requeue(taken[i], now)
+					s.requeue(taken[i])
 					continue
 				}
 				if err := s.inv.Allocate([][]int(alloc)); err != nil {
-					s.requeue(taken[i], now)
+					s.requeue(taken[i])
 					continue
 				}
 				d, center := alloc.Distance(s.topo)
@@ -861,18 +852,16 @@ func (s *Simulator) admit(taken []model.TimedRequest, now float64) {
 	}
 	for _, r := range taken {
 		if !s.place(r, now) {
-			s.requeue(r, now)
+			s.requeue(r)
 		}
 	}
 }
 
-// requeue returns a not-served request to the tail of the wait queue. A
-// bounded queue can refuse it (capacity was consumed between the take
-// and the put-back); that request is then counted as rejected instead
-// of silently vanishing from the accounting.
-func (s *Simulator) requeue(r model.TimedRequest, now float64) {
+// requeue returns a not-served request to the tail of the wait queue.
+// The queue is unbounded and IDs are deduplicated at intake, so a
+// refusal is a bookkeeping bug and aborts the run.
+func (s *Simulator) requeue(r model.TimedRequest) {
 	if err := s.queue.Enqueue(r); err != nil {
-		delete(s.pendingRecovery, r.ID)
-		s.reject(r, now, "requeue_full", true)
+		s.fail(fmt.Errorf("cloudsim: requeueing request %d: %w", r.ID, err))
 	}
 }

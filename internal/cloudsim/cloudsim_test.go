@@ -2,6 +2,8 @@ package cloudsim
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"affinitycluster/internal/inventory"
@@ -152,20 +154,45 @@ func TestQueueingAndDrain(t *testing.T) {
 	}
 }
 
-func TestQueueCapRejects(t *testing.T) {
+// The wait queue is unbounded and Run deduplicates IDs at intake, so a
+// refused Enqueue can only be a bookkeeping bug. Tests stand that bug in
+// with a one-slot queue; the refusal must abort the run with the queue's
+// error instead of being counted as a rejection.
+func boundedQueue(sim *Simulator) { sim.queue = queue.New(queue.FIFO, 1) }
+
+func TestQueueRefusalAbortsArrival(t *testing.T) {
 	tp, inv := plant(t)
-	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{QueueCap: 1})
-	m, err := sim.Run([]model.TimedRequest{
-		timed(0, model.Request{12, 12}, 1, 100),
-		timed(1, model.Request{6, 0}, 2, 5), // queues
-		timed(2, model.Request{6, 0}, 3, 5), // queue full → rejected
-	})
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conserve(t, m, 3)
-	if m.Rejected != 1 || m.Served != 2 {
-		t.Fatalf("metrics = %+v", m)
+	boundedQueue(sim)
+	_, err = sim.Run([]model.TimedRequest{
+		timed(0, model.Request{12, 12}, 1, 100),
+		timed(1, model.Request{6, 0}, 2, 5), // queues
+		timed(2, model.Request{6, 0}, 3, 5), // refused
+	})
+	if !errors.Is(err, queue.ErrFull) || !strings.Contains(err.Error(), "queueing request 2") {
+		t.Fatalf("Run error = %v, want request 2's queue.ErrFull", err)
+	}
+}
+
+func TestQueueRefusalAbortsRequeue(t *testing.T) {
+	tp, inv := plant(t)
+	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundedQueue(sim)
+	if err := sim.queue.Enqueue(timed(0, model.Request{1, 0}, 1, 5)); err != nil {
+		t.Fatal(err)
+	}
+	sim.requeue(timed(1, model.Request{1, 0}, 2, 5))
+	if !errors.Is(sim.failed, queue.ErrFull) || !strings.Contains(sim.failed.Error(), "requeueing request 1") {
+		t.Fatalf("failure = %v, want request 1's queue.ErrFull", sim.failed)
+	}
+	if sim.metrics.Rejected != 0 {
+		t.Errorf("rejected = %d, want the refusal left out of the rejections", sim.metrics.Rejected)
 	}
 }
 

@@ -60,8 +60,6 @@ func (s *Simulator) takeRecord() *cluster {
 
 // retire puts a record whose cluster is gone on the free list. The
 // request is dropped so the idle record pins no request vector.
-//
-//lint:hotpath
 func (s *Simulator) retire(c *cluster) {
 	c.req = model.TimedRequest{}
 	c.cells = c.cells[:0]
@@ -133,8 +131,6 @@ func canonical(cells []affinity.VMEntry) []affinity.VMEntry {
 // cells. The cells are ascending by node, so the hosting nodes come out
 // ascending and the result is bit-identical to Allocation.Distance of
 // the dense form.
-//
-//lint:hotpath
 func (s *Simulator) distance(c *cluster) (float64, topology.NodeID) {
 	s.dcHosts = s.dcHosts[:0]
 	for _, e := range c.cells {

@@ -195,8 +195,7 @@ func (s *Simulator) retryPlace(r model.TimedRequest, attempt int, now float64) {
 			obs.F("req", int(r.ID)),
 			obs.F("attempts", attempt))
 		if err := s.queue.EnqueueFront(r); err != nil {
-			delete(s.pendingRecovery, r.ID)
-			s.reject(r, now, "requeue_full", true)
+			s.fail(fmt.Errorf("cloudsim: requeueing recovered request %d: %w", r.ID, err))
 			return
 		}
 		s.cfg.Obs.Emit("queue_admit", now, obs.F("req", int(r.ID)))

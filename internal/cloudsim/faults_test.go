@@ -2,9 +2,11 @@ package cloudsim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -134,46 +136,25 @@ func TestCrashTeardownRequeueServedAfterRepair(t *testing.T) {
 	}
 }
 
-// When the queue is full, a victim whose retries are exhausted is
-// rejected as requeue_full instead of vanishing.
-func TestTeardownVictimRejectedWhenQueueFull(t *testing.T) {
+// A victim whose retries are exhausted is parked at the head of the
+// queue. A refusal there (a one-slot queue already holding request 1)
+// aborts the run instead of dropping or rejecting the victim.
+func TestTeardownVictimQueueRefusalAbortsRun(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{
-		QueueCap: 1,
-		Obs:      reg,
 		Recovery: RecoveryConfig{MaxAttempts: 1, Backoff: 1, Factor: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	boundedQueue(sim)
 	inject(sim, pair(5, 10, 0, 0)...)
-	m, err := sim.Run([]model.TimedRequest{
+	_, err = sim.Run([]model.TimedRequest{
 		timed(0, model.Request{12, 12}, 1, 100), // whole plant, torn down at t=5
-		timed(1, model.Request{12, 12}, 2, 5),   // fills the 1-slot queue
+		timed(1, model.Request{12, 12}, 2, 5),   // fills the one slot
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conserve(t, m, 2)
-	if m.Rejected != 1 {
-		t.Errorf("rejected = %d, want 1 (requeue_full)", m.Rejected)
-	}
-	found := false
-	for _, e := range reg.Events() {
-		if e.Kind == "queue_reject" {
-			for _, f := range e.Fields {
-				if f.Key == "reason" && f.Val() == "requeue_full" {
-					found = true
-				}
-			}
-		}
-	}
-	if !found {
-		t.Error("no requeue_full rejection in trace")
-	}
-	if err := inv.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, queue.ErrFull) || !strings.Contains(err.Error(), "requeueing recovered request 0") {
+		t.Fatalf("Run error = %v, want request 0's queue.ErrFull", err)
 	}
 }
 

@@ -307,6 +307,3 @@ func (fs *FS) VMsWithReplica(id BlockID) []vcluster.VMID {
 	}
 	return out
 }
-
-// TotalBlocks returns the number of blocks stored.
-func (fs *FS) TotalBlocks() int { return len(fs.blocks) }

@@ -57,9 +57,6 @@ func TestWriteSplitsIntoBlocks(t *testing.T) {
 	if last.SizeMB != 8 {
 		t.Errorf("last block size = %v, want 8", last.SizeMB)
 	}
-	if fs.TotalBlocks() != 4 {
-		t.Errorf("TotalBlocks = %d", fs.TotalBlocks())
-	}
 	got, err := fs.Blocks("input")
 	if err != nil || len(got) != 4 {
 		t.Errorf("Blocks() = %v, %v", got, err)

@@ -116,8 +116,6 @@ func (e *Engine) checkTime(t float64) error {
 }
 
 // schedule stamps ev with the next sequence number and pushes it.
-//
-//lint:hotpath
 func (e *Engine) schedule(ev *Event) {
 	ev.seq = e.seq
 	e.seq++
@@ -167,8 +165,6 @@ func (e *Engine) Run() float64 {
 // swapping, writing the moving event once at its final slot.
 
 // less orders events by (Time, class, seq).
-//
-//lint:hotpath
 func less(a, b *Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
@@ -180,8 +176,6 @@ func less(a, b *Event) bool {
 }
 
 // up sifts h[j] toward the root.
-//
-//lint:hotpath
 func (e *Engine) up(j int) {
 	h := e.events
 	x := h[j]
@@ -200,8 +194,6 @@ func (e *Engine) up(j int) {
 
 // down sifts h[i0] toward the leaves of h[:n] and reports whether it
 // moved.
-//
-//lint:hotpath
 func (e *Engine) down(i0, n int) bool {
 	h := e.events
 	x := h[i0]
@@ -229,8 +221,6 @@ func (e *Engine) down(i0, n int) bool {
 
 // remove takes element i out of the heap (heap.Remove; i == 0 is
 // heap.Pop) and marks it no longer pending.
-//
-//lint:hotpath
 func (e *Engine) remove(i int) *Event {
 	h := e.events
 	n := len(h) - 1

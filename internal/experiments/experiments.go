@@ -23,7 +23,6 @@ import (
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/netmodel"
 	"affinitycluster/internal/placement"
-	"affinitycluster/internal/sdexact"
 	"affinitycluster/internal/stats"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/vcluster"
@@ -607,59 +606,4 @@ func (r *Fig78Result) RenderFig8() string {
 		t.Add(row.Topology, row.Distance, row.NonDataLocalMaps, row.NonLocalShuffles, row.ShuffleRemoteMB)
 	}
 	return "Fig 8. Data and shuffle locality by virtual cluster distance\n" + t.String()
-}
-
-// ---------------------------------------------------------------------------
-// Supplementary: heuristic-vs-exact optimality gap
-// ---------------------------------------------------------------------------
-
-// ExactGapResult counts the instances on which Algorithm 1 reaches the
-// SD optimum. Algorithm 1 is exact (DESIGN.md §9), so every instance
-// hits, and with integer distance tiers a hit means a zero gap.
-type ExactGapResult struct {
-	Instances  int
-	OptimalHit int // instances where the heuristic matched the optimum
-}
-
-// ExactGap samples random instances on a small plant and compares
-// Algorithm 1 against the paper's SD program solved per center by the
-// simplex (sdexact.SolveSDLP).
-func ExactGap(seed int64, instances int) (*ExactGapResult, error) {
-	if instances <= 0 {
-		return nil, fmt.Errorf("experiments: ExactGap needs positive instance count")
-	}
-	tp, err := topology.Uniform(1, 3, 4, topology.DefaultDistances())
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	h := &placement.OnlineHeuristic{}
-	out := &ExactGapResult{}
-	for out.Instances < instances {
-		caps, err := workload.RandomCapacities(rng.Int63(), tp.Nodes(), 2, workload.DefaultInventoryConfig())
-		if err != nil {
-			return nil, err
-		}
-		req := model.Request{1 + rng.Intn(6), rng.Intn(4)}
-		exact, errE := sdexact.SolveSDLP(tp, caps, req)
-		if errE != nil {
-			continue // infeasible draw
-		}
-		alloc, errH := h.Place(tp, caps, req)
-		if errH != nil {
-			continue
-		}
-		out.Instances++
-		d, _ := alloc.Distance(tp)
-		if d <= exact.Distance+1e-9 {
-			out.OptimalHit++
-		}
-	}
-	return out, nil
-}
-
-// Render prints the gap study.
-func (r *ExactGapResult) Render() string {
-	return fmt.Sprintf("Heuristic vs exact SD over %d instances: optimal on %d (%.0f%%)\n",
-		r.Instances, r.OptimalHit, float64(r.OptimalHit)/float64(r.Instances)*100)
 }

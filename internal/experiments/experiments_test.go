@@ -326,25 +326,6 @@ func TestFig7SkewedReproducesAnomaly(t *testing.T) {
 	}
 }
 
-func TestExactGap(t *testing.T) {
-	res, err := ExactGap(testSeed, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Instances != 30 {
-		t.Fatalf("instances = %d", res.Instances)
-	}
-	if res.OptimalHit != res.Instances {
-		t.Errorf("Algorithm 1 missed the SD optimum: %+v", res)
-	}
-	if !strings.Contains(res.Render(), "instances") {
-		t.Error("render missing")
-	}
-	if _, err := ExactGap(testSeed, 0); err == nil {
-		t.Error("zero instances accepted")
-	}
-}
-
 func TestBaselineComparison(t *testing.T) {
 	res, err := BaselineComparison(testSeed)
 	if err != nil {

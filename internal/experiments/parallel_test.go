@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -16,43 +18,95 @@ func withWorkers(t *testing.T, w int, fn func()) {
 	fn()
 }
 
+// settled reports whether the goroutine count falls back to before.
+// Exited goroutines are reaped asynchronously, so it yields the
+// processor for a while before it gives up.
+func settled(before int) bool {
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100_000 {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// joined fails the test unless the goroutine count falls back to
+// before: a worker that outlives forEachIndex leaks.
+func joined(t *testing.T, before int) {
+	t.Helper()
+	if !settled(before) {
+		t.Fatalf("%d goroutines after forEachIndex, %d before", runtime.NumGoroutine(), before)
+	}
+}
+
 // TestForEachIndexCoversAllAndOrdersErrors exercises the pool directly:
-// every index runs exactly once, and the reported error is the
-// lowest-index failure regardless of scheduling.
+// every index runs exactly once, the reported error is the lowest-index
+// failure regardless of scheduling, and no worker outlives the call.
 func TestForEachIndexCoversAllAndOrdersErrors(t *testing.T) {
 	for _, w := range []int{1, 3, 16} {
-		withWorkers(t, w, func() {
-			var calls [40]int32
-			if err := forEachIndex(len(calls), func(i int) error {
-				atomic.AddInt32(&calls[i], 1)
-				return nil
-			}); err != nil {
-				t.Fatalf("workers=%d: %v", w, err)
-			}
-			for i, c := range calls {
-				if c != 1 {
-					t.Fatalf("workers=%d: index %d ran %d times", w, i, c)
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			withWorkers(t, w, func() {
+				var calls [40]int32
+				before := runtime.NumGoroutine()
+				if err := forEachIndex(len(calls), func(i int) error {
+					atomic.AddInt32(&calls[i], 1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
-			}
-			errLow := errors.New("low")
-			errHigh := errors.New("high")
-			err := forEachIndex(len(calls), func(i int) error {
-				switch i {
-				case 7:
-					return errLow
-				case 31:
-					return errHigh
+				joined(t, before)
+				for i, c := range calls {
+					if c != 1 {
+						t.Fatalf("index %d ran %d times", i, c)
+					}
 				}
-				return nil
+				errLow := errors.New("low")
+				errHigh := errors.New("high")
+				err := forEachIndex(len(calls), func(i int) error {
+					switch i {
+					case 7:
+						return errLow
+					case 31:
+						return errHigh
+					}
+					return nil
+				})
+				if err != errLow {
+					t.Fatalf("got %v, want lowest-index error", err)
+				}
+				joined(t, before)
 			})
-			if err != errLow {
-				t.Fatalf("workers=%d: got %v, want lowest-index error", w, err)
-			}
 		})
 	}
 	if err := forEachIndex(0, func(int) error { t.Fatal("fn called for n=0"); return nil }); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSettledCatchesParkedGoroutine: the leak check above is not
+// vacuous. After a forEachIndex call whose fn leaves a goroutine parked,
+// the count does not settle; once that goroutine exits, it does.
+func TestSettledCatchesParkedGoroutine(t *testing.T) {
+	withWorkers(t, 3, func() {
+		stop := make(chan struct{})
+		before := runtime.NumGoroutine()
+		if err := forEachIndex(4, func(i int) error {
+			if i == 0 {
+				go func() { <-stop }()
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if settled(before) {
+			t.Fatal("a goroutine parked by fn went unnoticed")
+		}
+		close(stop)
+		if !settled(before) {
+			t.Fatalf("%d goroutines after the parked one exited, %d before", runtime.NumGoroutine(), before)
+		}
+	})
 }
 
 // TestParallelRunnersDeterministic runs every parallelized experiment

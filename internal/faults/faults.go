@@ -178,17 +178,6 @@ func Plan(seed int64, tp *topology.Topology, cfg Config) ([]Event, error) {
 	return events, nil
 }
 
-// Failures counts the crash/outage events of a plan (repairs excluded).
-func Failures(plan []Event) int {
-	n := 0
-	for _, ev := range plan {
-		if ev.Kind != Repair {
-			n++
-		}
-	}
-	return n
-}
-
 // exponential draws from Exp(mean) by inverse transform, mirroring
 // package workload: explicit rather than rand.ExpFloat64 so seed usage
 // is stable across Go releases of the ziggurat tables.

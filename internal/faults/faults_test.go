@@ -163,9 +163,6 @@ func TestPlanRackOutagesStayInOneRack(t *testing.T) {
 	if !sawRack {
 		t.Error("RackEvery=3 produced no rack outage; tune the test config")
 	}
-	if Failures(plan) == 0 {
-		t.Error("no failures counted")
-	}
 }
 
 func TestPlanHorizon(t *testing.T) {

@@ -152,8 +152,6 @@ func (inv *Inventory) Available() []int {
 
 // AppendAvailable appends the availability vector A to dst and returns
 // the extended slice: Available for callers that reuse one buffer.
-//
-//lint:hotpath
 func (inv *Inventory) AppendAvailable(dst []int) []int {
 	inv.mu.RLock()
 	defer inv.mu.RUnlock()

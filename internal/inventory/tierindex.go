@@ -83,8 +83,6 @@ func (inv *Inventory) RemainingView() [][]int {
 // whole call fails with ErrInsufficient and the inventory is unchanged.
 // Unlike Allocate it touches only the listed cells, so a placement commit
 // is O(entries) rather than O(n·m).
-//
-//lint:hotpath
 func (inv *Inventory) AllocateList(entries []affinity.VMEntry) error {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
@@ -107,8 +105,6 @@ func (inv *Inventory) AllocateList(entries []affinity.VMEntry) error {
 // ReleaseList atomically returns a sparse allocation: C -= entry counts,
 // L += entry counts. It fails, changing nothing, if any cell would go
 // below zero allocated.
-//
-//lint:hotpath
 func (inv *Inventory) ReleaseList(entries []affinity.VMEntry) error {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()

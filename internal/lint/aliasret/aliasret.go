@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	"affinitycluster/internal/lint/analysis"
-	"affinitycluster/internal/lint/directive"
 )
 
 // unparen strips redundant parentheses.
@@ -85,7 +84,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Recv == nil || fd.Body == nil || !fd.Name.IsExported() {
 				continue
 			}
-			if reason, shared := directive.Find(fd.Doc, "shared"); shared {
+			if reason, shared := sharedReason(fd.Doc); shared {
 				if reason == "" {
 					pass.Reportf(fd.Pos(), "//lint:shared needs a reason: //lint:shared <why this view is safe>")
 				}
@@ -95,6 +94,23 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	return nil, nil
+}
+
+// sharedReason returns the reason text of a //lint:shared directive in
+// doc, and whether one is present. Like //go:noinline, the directive
+// binds only inside the doc comment attached to the declaration, and
+// //lint:sharedfoo is not //lint:shared.
+func sharedReason(doc *ast.CommentGroup) (string, bool) {
+	if doc == nil {
+		return "", false
+	}
+	for _, c := range doc.List {
+		rest, found := strings.CutPrefix(c.Text, "//lint:shared")
+		if found && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
+			return strings.TrimSpace(rest), true
+		}
+	}
+	return "", false
 }
 
 // checkMethod runs the taint pass over one exported method.

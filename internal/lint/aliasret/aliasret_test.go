@@ -8,5 +8,5 @@ import (
 )
 
 func TestAliasret(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), aliasret.Analyzer, "aliasret")
+	analysistest.Run(t, analysistest.TestData(t), aliasret.Analyzer, "aliasret", "dfs")
 }

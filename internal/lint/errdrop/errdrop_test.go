@@ -8,5 +8,5 @@ import (
 )
 
 func TestErrdrop(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), errdrop.Analyzer, "errdrop")
+	analysistest.Run(t, analysistest.TestData(t), errdrop.Analyzer, "errdrop", "cloudsim")
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestScratchpool(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), scratchpool.Analyzer, "scratchpool")
+	analysistest.Run(t, analysistest.TestData(t), scratchpool.Analyzer, "scratchpool", "placement")
 }

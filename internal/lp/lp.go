@@ -79,7 +79,7 @@ type constraint struct {
 }
 
 // Problem is a linear program under construction. All variables are
-// implicitly non-negative; use AddConstraint for upper bounds.
+// implicitly non-negative; use AddSparseConstraint for upper bounds.
 type Problem struct {
 	numVars     int
 	objective   []float64
@@ -102,28 +102,6 @@ func (p *Problem) SetObjective(c []float64) error {
 		return fmt.Errorf("lp: objective has %d coefficients, want %d", len(c), p.numVars)
 	}
 	copy(p.objective, c)
-	return nil
-}
-
-// SetObjectiveCoeff sets one objective coefficient.
-func (p *Problem) SetObjectiveCoeff(v int, c float64) error {
-	if v < 0 || v >= p.numVars {
-		return fmt.Errorf("lp: variable %d out of range [0,%d)", v, p.numVars)
-	}
-	p.objective[v] = c
-	return nil
-}
-
-// AddConstraint appends the row coeffs·x (rel) rhs. The slice is copied.
-func (p *Problem) AddConstraint(coeffs []float64, rel Relation, rhs float64) error {
-	if len(coeffs) != p.numVars {
-		return fmt.Errorf("lp: constraint has %d coefficients, want %d", len(coeffs), p.numVars)
-	}
-	p.constraints = append(p.constraints, constraint{
-		coeffs: append([]float64(nil), coeffs...),
-		rel:    rel,
-		rhs:    rhs,
-	})
 	return nil
 }
 

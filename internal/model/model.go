@@ -51,17 +51,6 @@ func DefaultCatalog() Catalog {
 // Types returns the number of VM types in the catalog (the paper's m).
 func (c Catalog) Types() int { return len(c) }
 
-// IndexOf returns the VMTypeID of the type with the given name, or an error
-// if no such type exists.
-func (c Catalog) IndexOf(name string) (VMTypeID, error) {
-	for i, t := range c {
-		if t.Name == name {
-			return VMTypeID(i), nil
-		}
-	}
-	return -1, fmt.Errorf("model: catalog has no VM type %q", name)
-}
-
 // Validate checks that the catalog is well-formed: non-empty, unique
 // non-empty names, and positive resource figures.
 func (c Catalog) Validate() error {

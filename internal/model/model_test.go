@@ -28,20 +28,6 @@ func TestDefaultCatalogMatchesTableI(t *testing.T) {
 	}
 }
 
-func TestCatalogIndexOf(t *testing.T) {
-	c := DefaultCatalog()
-	id, err := c.IndexOf("medium")
-	if err != nil {
-		t.Fatalf("IndexOf(medium): %v", err)
-	}
-	if id != 1 {
-		t.Errorf("IndexOf(medium) = %d, want 1", id)
-	}
-	if _, err := c.IndexOf("xlarge"); err == nil {
-		t.Error("IndexOf(xlarge) succeeded, want error")
-	}
-}
-
 func TestCatalogValidateRejectsBadCatalogs(t *testing.T) {
 	cases := []struct {
 		name string

@@ -333,19 +333,3 @@ func (fs *FlowSim) finish(f *Flow, now float64) {
 		done(now)
 	}
 }
-
-// UncontendedTime estimates a transfer's duration with no competing
-// traffic: latency + size over the path's narrowest link.
-func (fs *FlowSim) UncontendedTime(src, dst topology.NodeID, sizeMB float64) float64 {
-	lat := fs.latency(src, dst)
-	if sizeMB == 0 {
-		return lat
-	}
-	bw := math.Inf(1)
-	for _, l := range fs.path(src, dst) {
-		if c := fs.capacity(l); c < bw {
-			bw = c
-		}
-	}
-	return lat + sizeMB/bw
-}

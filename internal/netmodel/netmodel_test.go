@@ -219,28 +219,6 @@ func TestCrossCloudPath(t *testing.T) {
 	}
 }
 
-func TestUncontendedTime(t *testing.T) {
-	tp := plant(t)
-	_, fs := sim(t, tp)
-	cfg := DefaultConfig()
-	cases := []struct {
-		src, dst topology.NodeID
-		mb       float64
-		want     float64
-	}{
-		{0, 0, 400, 1.0},                                 // local 400 MB/s
-		{0, 1, 120, cfg.LatencySameRack + 1.0},           // access-bound
-		{0, 3, 120, cfg.LatencyCrossRack + 1.0},          // uplink 300 > access 120
-		{0, 6, 150, cfg.LatencyCrossCloud + 150.0/120.0}, // access-bound even cross-cloud
-		{0, 5, 0, cfg.LatencyCrossRack},                  // latency only
-	}
-	for _, c := range cases {
-		if got := fs.UncontendedTime(c.src, c.dst, c.mb); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("UncontendedTime(%d,%d,%v) = %v, want %v", c.src, c.dst, c.mb, got, c.want)
-		}
-	}
-}
-
 func TestActiveCount(t *testing.T) {
 	tp := plant(t)
 	e, fs := sim(t, tp)
@@ -286,7 +264,7 @@ func TestQuickFlowsRespectUncontendedBound(t *testing.T) {
 			src := topology.NodeID(r.Intn(tp.Nodes()))
 			dst := topology.NodeID(r.Intn(tp.Nodes()))
 			size := 1 + r.Float64()*200
-			rc := &rec{bound: fs.UncontendedTime(src, dst, size)}
+			rc := &rec{bound: uncontendedTime(fs, src, dst, size)}
 			recs[i] = rc
 			if _, err := fs.StartFlow(src, dst, size, func(now float64) { rc.done = now }); err != nil {
 				return false
@@ -337,4 +315,56 @@ func TestManyFlowsConservation(t *testing.T) {
 		t.Errorf("last finished at %v, want ≈0.5", last)
 	}
 	_ = totalMB
+}
+
+// TestUncontendedTime pins the bound TestQuickFlowsRespectUncontendedBound
+// checks against: it equals the hand-computed time of each path kind,
+// and a lone flow on an idle network finishes at exactly that time for
+// every node pair, so a bound that under-estimated would fail here
+// instead of leaving that property vacuous.
+func TestUncontendedTime(t *testing.T) {
+	tp := plant(t)
+	_, fs := sim(t, tp)
+	cfg := DefaultConfig()
+	cases := []struct {
+		src, dst topology.NodeID
+		mb       float64
+		want     float64
+	}{
+		{0, 0, 400, 1.0},                                 // local 400 MB/s
+		{0, 1, 120, cfg.LatencySameRack + 1.0},           // access-bound
+		{0, 3, 120, cfg.LatencyCrossRack + 1.0},          // uplink 300 > access 120
+		{0, 6, 150, cfg.LatencyCrossCloud + 150.0/120.0}, // access-bound even cross-cloud
+		{0, 5, 0, cfg.LatencyCrossRack},                  // latency only
+	}
+	for _, c := range cases {
+		if got := uncontendedTime(fs, c.src, c.dst, c.mb); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("uncontendedTime(%d,%d,%v) = %v, want %v", c.src, c.dst, c.mb, got, c.want)
+		}
+	}
+	for src := range tp.Nodes() {
+		for dst := range tp.Nodes() {
+			s, d := topology.NodeID(src), topology.NodeID(dst)
+			mb := float64(60 * ((src + dst) % 4))
+			e, fs := sim(t, tp)
+			finished := -1.0
+			if _, err := fs.StartFlow(s, d, mb, func(now float64) { finished = now }); err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			if want := uncontendedTime(fs, s, d, mb); math.Abs(finished-want) > 1e-9 {
+				t.Errorf("lone %v MB flow %d→%d finished at %v, want %v", mb, s, d, finished, want)
+			}
+		}
+	}
+}
+
+// uncontendedTime is a transfer's duration with no competing traffic:
+// latency plus size over the path's narrowest link.
+func uncontendedTime(fs *FlowSim, src, dst topology.NodeID, sizeMB float64) float64 {
+	bw := math.Inf(1)
+	for _, l := range fs.path(src, dst) {
+		bw = math.Min(bw, fs.capacity(l))
+	}
+	return fs.latency(src, dst) + sizeMB/bw
 }

@@ -27,8 +27,6 @@ const (
 // up). Any other f in the kernel's range takes shortest's digits and
 // appendDecimal's layout. ±0 (−0 keeps its sign there), subnormals,
 // NaN, ±Inf and magnitudes outside the range keep strconv.
-//
-//lint:hotpath
 func appendFloat(b []byte, f float64) []byte {
 	if f > -1e6 && f < 1e6 {
 		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
@@ -64,8 +62,6 @@ func appendFloat(b []byte, f float64) []byte {
 // ends and v, scaled by 4·10^-k, come from three products roundToOdd
 // computes; those are exact in every comparison below, as they are only
 // ever compared with even integers.
-//
-//lint:hotpath
 func shortest(v uint64) (d uint64, e int) {
 	frac := v & (1<<52 - 1)
 	c := frac | 1<<52
@@ -114,8 +110,6 @@ func shortest(v uint64) (d uint64, e int) {
 // [2^-55, 1−2^-55]: it is x·5^-k·2^(q−k) with k−q ≤ 55, or x·2^(q−1)/5
 // at k = 1. So the excess never changes the integer part, and a
 // fraction shows in bits 64…127 as more than 1.
-//
-//lint:hotpath
 func roundToOdd(g *[2]uint64, cp uint64) uint64 {
 	xHi, _ := bits.Mul64(g[1], cp)
 	yHi, yLo := bits.Mul64(g[0], cp)
@@ -132,8 +126,6 @@ func roundToOdd(g *[2]uint64, cp uint64) uint64 {
 // exponent x of the leading digit is in [-4, 5], otherwise as %e with
 // at least two exponent digits (x is in [-8, 16] here). d has 15 to 17
 // digits.
-//
-//lint:hotpath
 func appendDecimal(b []byte, d uint64, e int) []byte {
 	// All 17 digit places, leading zeros included: one digit, then two
 	// words of eight, each stored at once. A word's trailing zeros,
@@ -193,8 +185,6 @@ func appendDecimal(b []byte, d uint64, e int) []byte {
 // into its two digits, dividing every lane at once by a multiply and a
 // shift: ⌊x·10486/2^20⌋ = ⌊x/100⌋ for x < 10^4, and ⌊x·103/2^10⌋ =
 // ⌊x/10⌋ for x < 100, and no lane's product reaches the next lane.
-//
-//lint:hotpath
 func digits8(n uint32) uint64 {
 	x := uint64(n/10000) | uint64(n%10000)<<32
 	q := (x * 10486 >> 20) & 0x0000007f0000007f

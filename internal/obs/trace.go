@@ -158,8 +158,6 @@ func (r *Registry) SinkErr() error {
 
 // appendEvent renders one event as a single JSON object:
 // {"t":12.5,"kind":"place","req":3,"dc":14}.
-//
-//lint:hotpath
 func appendEvent(b []byte, t float64, kind string, fields []Field) []byte {
 	b = append(b, `{"t":`...)
 	b = appendFloat(b, t)
@@ -173,7 +171,6 @@ func appendEvent(b []byte, t float64, kind string, fields []Field) []byte {
 	return b
 }
 
-//lint:hotpath
 func (f *Field) appendValue(b []byte) []byte {
 	switch f.kind {
 	case kindInt, kindInt64:
@@ -202,8 +199,6 @@ func (f *Field) appendValue(b []byte) []byte {
 // appendQuote is strconv.AppendQuote with a copy fast path: a string of
 // printable ASCII needing no escapes quotes to itself, which covers
 // every key and kind and nearly every string value.
-//
-//lint:hotpath
 func appendQuote(b []byte, s string) []byte {
 	if !plainASCII(s) {
 		b = strconv.AppendQuote(b, s)
@@ -216,8 +211,6 @@ func appendQuote(b []byte, s string) []byte {
 }
 
 // appendKey writes a field's `,"key":`, quoting key as appendQuote does.
-//
-//lint:hotpath
 func appendKey(b []byte, key string) []byte {
 	if !plainASCII(key) {
 		b = append(b, ',')
@@ -233,8 +226,6 @@ func appendKey(b []byte, key string) []byte {
 
 // plainASCII reports whether s is printable ASCII without '"' or '\\',
 // the strings strconv.AppendQuote quotes to themselves.
-//
-//lint:hotpath
 func plainASCII(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {

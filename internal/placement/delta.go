@@ -64,7 +64,7 @@ func (h *OnlineHeuristic) PlaceDeltaSparse(idx *affinity.TierIndex, cur []affini
 // affinity.DistanceOf would. fast reports the empty-cluster fall-through
 // to the full placement's fast path. No metrics, mirroring
 // placeSparseCore; the allocation-free tally work lives in the
-// annotated seedEntries/fillFrom/score helpers.
+// seedEntries/fillFrom/score helpers.
 func (h *OnlineHeuristic) placeDeltaCore(idx *affinity.TierIndex, cur []affinity.VMEntry, delta model.Request, dst *affinity.SparseAlloc) (float64, topology.NodeID, bool, error) {
 	t := idx.Topology()
 	m := idx.Types()
@@ -115,8 +115,6 @@ func (h *OnlineHeuristic) placeDeltaCore(idx *affinity.TierIndex, cur []affinity
 // entries (in range, non-negative). Entries may repeat cells; each
 // distinct node is credited once with its summed load, keeping the
 // per-rack max-load tie-breaks order-independent.
-//
-//lint:hotpath
 func (s *scanScratch) seedEntries(cur []affinity.VMEntry) {
 	loads := s.load()
 	s.seedUniq = s.seedUniq[:0]

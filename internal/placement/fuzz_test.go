@@ -165,7 +165,7 @@ func FuzzPlaceRequest(f *testing.F) {
 				break
 			}
 		}
-		if alloc.IsEmpty() {
+		if alloc.TotalVMs() == 0 {
 			bestD, bestK = 0, -1
 		}
 		gotD, gotK := ev.Distance()

@@ -315,8 +315,6 @@ func (h *OnlineHeuristic) putScan(s *scanScratch) {
 // sup returns the lazily-sized per-node supply scratch. It is only
 // needed once a build leaves the fast path, so plants that never spill
 // past their racks stay O(racks) in memory touched per request.
-//
-//lint:hotpath
 func (s *scanScratch) sup() []int {
 	if len(s.nodeSup) < s.t.Nodes() {
 		s.nodeSup = make([]int, s.t.Nodes())
@@ -329,8 +327,6 @@ func (s *scanScratch) sup() []int {
 // take's per-visit amounts; delta builds (placeDeltaCore) seed it with
 // the existing cluster first, so a node both hosting C and taking delta
 // VMs prices at its merged load.
-//
-//lint:hotpath
 func (s *scanScratch) load() []int {
 	if len(s.nodeLoad) < s.t.Nodes() {
 		s.nodeLoad = make([]int, s.t.Nodes())
@@ -343,8 +339,6 @@ func (s *scanScratch) load() []int {
 // min(L_ij, R_j). When no column maximum exceeds its R_j the per-node
 // minima are vacuous and w_ρ is the index's RackMaxTotal; otherwise the
 // rack's nodes are scanned.
-//
-//lint:hotpath
 func (s *scanScratch) rackProbe(idx *affinity.TierIndex, r model.Request, rho int) (rackTot, w int) {
 	rr := idx.RackRemain(rho)
 	mc := idx.RackMaxCol(rho)
@@ -372,8 +366,6 @@ func (s *scanScratch) rackProbe(idx *affinity.TierIndex, r model.Request, rho in
 }
 
 // nodeCapOf is Σ_j min(L_ij, R_j) — how much of R one node can absorb.
-//
-//lint:hotpath
 func nodeCapOf(li []int, r model.Request) int {
 	c := 0
 	for j, need := range r {
@@ -387,8 +379,6 @@ func nodeCapOf(li []int, r model.Request) int {
 }
 
 // cloudTot is Σ_j min(Σ_{i∈cloud} L_ij, R_j).
-//
-//lint:hotpath
 func cloudTotOf(idx *affinity.TierIndex, r model.Request, c int) int {
 	cr := idx.CloudRemain(c)
 	tot := 0
@@ -415,8 +405,6 @@ func cloudTotOf(idx *affinity.TierIndex, r model.Request, c int) int {
 // wCap), the largest rack share R* = max_ρ rackCap, and the total T. The
 // racks of a cloud that absorbs nothing take nothing in any build, so
 // their rackCap is never read.
-//
-//lint:hotpath
 func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCap int) float64 {
 	t := s.t
 	d := t.Distances()
@@ -483,8 +471,6 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCa
 // Every full build the sweep runs is bounded by M (buildFull), and an
 // abandoned lowest-node build still leaves its rack to the in-rack tie
 // test. The caps, W* and R* are the ones scanBound recorded for r.
-//
-//lint:hotpath
 func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap int, M float64) topology.NodeID {
 	t := s.t
 	d := t.Distances()
@@ -575,8 +561,6 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 // as well, so its build is the same far drain from every such cloud.
 // The build is bounded by M; an abandoned one memoizes +Inf, since only
 // a DC equal to M is ever asked for.
-//
-//lint:hotpath
 func (s *scanScratch) remoteDC(idx *affinity.TierIndex, r model.Request, center topology.NodeID, slot int, M float64) float64 {
 	if !s.cloudMemo[slot] {
 		dc0 := math.Inf(1)
@@ -591,8 +575,6 @@ func (s *scanScratch) remoteDC(idx *affinity.TierIndex, r model.Request, center 
 }
 
 // resetTallies clears only the cells the previous simulation touched.
-//
-//lint:hotpath
 func (s *scanScratch) resetTallies() {
 	for _, rr := range s.touched {
 		s.rackTake[rr] = 0
@@ -615,8 +597,6 @@ func (s *scanScratch) resetTallies() {
 // credit folds w VMs on node i into the rack/cloud/node tallies. The
 // rack's max-load compare uses the node's cumulative load, so a second
 // credit to the same node re-ranks it at its merged total.
-//
-//lint:hotpath
 func (s *scanScratch) credit(i topology.NodeID, w int) {
 	loads := s.load()
 	if loads[i] == 0 {
@@ -642,8 +622,6 @@ func (s *scanScratch) credit(i topology.NodeID, w int) {
 
 // take absorbs com(L_i, residual) into the tallies (and dst when
 // non-nil), mirroring buildBuffer.take. Reports full coverage.
-//
-//lint:hotpath
 func (s *scanScratch) take(l [][]int, i topology.NodeID, dst *affinity.SparseAlloc) bool {
 	taken, left := 0, 0
 	li := l[i]
@@ -670,8 +648,6 @@ func (s *scanScratch) take(l [][]int, i topology.NodeID, dst *affinity.SparseAll
 }
 
 // supplyOf is Σ_j min(L_ij, residual_j).
-//
-//lint:hotpath
 func (s *scanScratch) supplyOf(li []int) int {
 	v := 0
 	for j, need := range s.resid {
@@ -692,8 +668,6 @@ func (s *scanScratch) supplyOf(li []int) int {
 // ExhaustiveCenters reference. rackOnly stops after the rack phase (the
 // caller only needs the in-rack load profile). Reports whether the
 // residual was fully covered.
-//
-//lint:hotpath
 func (s *scanScratch) buildSim(idx *affinity.TierIndex, r model.Request, center topology.NodeID, dst *affinity.SparseAlloc, rackOnly bool) bool {
 	s.resetTallies()
 	s.resid = append(s.resid[:0], r...)
@@ -705,8 +679,6 @@ func (s *scanScratch) buildSim(idx *affinity.TierIndex, r model.Request, center 
 // M makes it one of the sweep's test builds, which reports false as soon
 // as reachable proves its DC exceeds M, and reads the caps scanBound
 // recorded for r.
-//
-//lint:hotpath
 func (s *scanScratch) buildFull(idx *affinity.TierIndex, r model.Request, center topology.NodeID, M float64) bool {
 	s.dst.Reset(s.t.Nodes(), s.m)
 	s.bound = M
@@ -732,8 +704,6 @@ func (s *scanScratch) buildFull(idx *affinity.TierIndex, r model.Request, center
 // on, so a floor once above the bound stays there: the check resumes
 // after the floors already proven dead and returns at the first one
 // that is not, paying O(1) per call on a build that can still reach.
-//
-//lint:hotpath
 func (s *scanScratch) reachable() bool {
 	t := s.t
 	d := t.Distances()
@@ -767,8 +737,6 @@ func (s *scanScratch) reachable() bool {
 // top of whatever the tallies already hold — nothing for buildSim, the
 // existing cluster for placeDeltaCore, whose merged profile the fill
 // then extends.
-//
-//lint:hotpath
 func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, dst *affinity.SparseAlloc, rackOnly bool) bool {
 	t := s.t
 	l := idx.Matrix()
@@ -834,8 +802,6 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 // container. Bounds key to resid0, so a container with ub == 0 holds
 // only zero-supply nodes — the greedy never takes from those, so
 // dropping them leaves the take sequence unchanged.
-//
-//lint:hotpath
 func (s *scanScratch) gatherNear(idx *affinity.TierIndex, cCloud, cRack int) {
 	s.ctHeap = s.ctHeap[:0]
 	for _, rho := range s.t.CloudRacks(cCloud) {
@@ -847,8 +813,6 @@ func (s *scanScratch) gatherNear(idx *affinity.TierIndex, cCloud, cRack int) {
 
 // gatherFar bounds each other cloud's node supplies by Σ_j
 // min(CloudMaxCol_j, resid0_j), clamped by its largest node total.
-//
-//lint:hotpath
 func (s *scanScratch) gatherFar(idx *affinity.TierIndex, cCloud int) {
 	s.ctHeap = s.ctHeap[:0]
 	for c := 0; c < s.t.Clouds(); c++ {
@@ -866,8 +830,6 @@ func (s *scanScratch) gatherFar(idx *affinity.TierIndex, cCloud int) {
 
 // pushRackUb adds rho to the container heap with its supply upper bound
 // Σ_j min(RackMaxCol_j, resid0_j), clamped by its largest node total.
-//
-//lint:hotpath
 func (s *scanScratch) pushRackUb(idx *affinity.TierIndex, rho int) {
 	mc := idx.RackMaxCol(rho)
 	ub := 0
@@ -888,8 +850,6 @@ func (s *scanScratch) pushRackUb(idx *affinity.TierIndex, rho int) {
 // positive-supply nodes. Reports whether the residual reached zero. A
 // bounded build checks reachable before each container it opens and
 // stops, setting aborted, once the check fails.
-//
-//lint:hotpath
 func (s *scanScratch) drainBucket(idx *affinity.TierIndex, l [][]int, dst *affinity.SparseAlloc) bool {
 	s.ndHeap = s.ndHeap[:0]
 	sup := s.sup()
@@ -933,8 +893,6 @@ func (s *scanScratch) drainBucket(idx *affinity.TierIndex, l [][]int, dst *affin
 
 // supply0 is Σ_j min(L_ij, resid0_j) — supplyOf against the remote
 // phase's residual snapshot.
-//
-//lint:hotpath
 func (s *scanScratch) supply0(li []int) int {
 	v := 0
 	for j, need := range s.resid0 {
@@ -950,8 +908,6 @@ func (s *scanScratch) supply0(li []int) int {
 // ctBefore orders the container heap: supply bound descending, ties by
 // ascending lowest node ID (so a tied container that could still supply
 // a lower-ID node is opened before that node is taken).
-//
-//lint:hotpath
 func (s *scanScratch) ctBefore(a, b int) bool {
 	if s.ctUb[a] != s.ctUb[b] {
 		return s.ctUb[a] > s.ctUb[b]
@@ -960,8 +916,6 @@ func (s *scanScratch) ctBefore(a, b int) bool {
 }
 
 // pushCt adds container k with bound ub to the heap unless ub is zero.
-//
-//lint:hotpath
 func (s *scanScratch) pushCt(k, ub int) {
 	if ub <= 0 {
 		return
@@ -979,7 +933,6 @@ func (s *scanScratch) pushCt(k, ub int) {
 	}
 }
 
-//lint:hotpath
 func (s *scanScratch) popCt() {
 	h := s.ctHeap
 	last := len(h) - 1
@@ -1004,8 +957,6 @@ func (s *scanScratch) popCt() {
 
 // nodeBefore orders the node heaps: exact supply descending, ties by
 // ascending node ID — the strict total order of buildBuffer.bySupply.
-//
-//lint:hotpath
 func (s *scanScratch) nodeBefore(a, b topology.NodeID) bool {
 	if s.nodeSup[a] != s.nodeSup[b] {
 		return s.nodeSup[a] > s.nodeSup[b]
@@ -1013,7 +964,6 @@ func (s *scanScratch) nodeBefore(a, b topology.NodeID) bool {
 	return a < b
 }
 
-//lint:hotpath
 func (s *scanScratch) pushNode(id topology.NodeID) {
 	s.ndHeap = append(s.ndHeap, id)
 	h := s.ndHeap
@@ -1028,8 +978,6 @@ func (s *scanScratch) pushNode(id topology.NodeID) {
 }
 
 // siftNode restores the node-heap order below root.
-//
-//lint:hotpath
 func (s *scanScratch) siftNode(h []topology.NodeID, root int) {
 	n := len(h)
 	for {
@@ -1049,8 +997,6 @@ func (s *scanScratch) siftNode(h []topology.NodeID, root int) {
 }
 
 // popNode removes and returns the first node of the heap *hp.
-//
-//lint:hotpath
 func (s *scanScratch) popNode(hp *[]topology.NodeID) topology.NodeID {
 	h := *hp
 	top := h[0]
@@ -1064,8 +1010,6 @@ func (s *scanScratch) popNode(hp *[]topology.NodeID) topology.NodeID {
 // score prices the current tallies exactly as affinity.DistanceOf does:
 // per touched rack the max-loaded (lowest-ID) node, min across racks
 // with ties toward the lowest node ID.
-//
-//lint:hotpath
 func (s *scanScratch) score(t *topology.Topology, d topology.Distances, total int) (float64, topology.NodeID) {
 	best := math.Inf(1)
 	bestK := topology.NodeID(-1)

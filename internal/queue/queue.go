@@ -176,8 +176,6 @@ func (q *Queue) GetRequests(avail []int) []model.TimedRequest {
 // order, to dst and returning the extended slice. The requests are
 // copied into dst, which never aliases the queue, so a caller that keeps
 // one buffer across drains allocates nothing once it has grown.
-//
-//lint:hotpath
 func (q *Queue) AppendRequests(dst []model.TimedRequest, avail []int) []model.TimedRequest {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -189,8 +187,6 @@ func (q *Queue) AppendRequests(dst []model.TimedRequest, avail []int) []model.Ti
 // in place, and taken items are marked by index, then compacted out of
 // the queue with their ID entries. A request whose vector width differs
 // from avail never fits. Callers hold q.mu.
-//
-//lint:hotpath
 func (q *Queue) take(dst []model.TimedRequest, avail []int) []model.TimedRequest {
 	n := len(q.items)
 	if n == 0 {

@@ -13,7 +13,7 @@ import (
 )
 
 // SchemaVersion identifies the report layout.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Report is the consolidated result of one full reproduction run.
 type Report struct {
@@ -31,7 +31,6 @@ type Report struct {
 	// when present.
 	Fig7Skewed []experiments.Fig78Row `json:"fig7Skewed"`
 	Anomaly    *AnomalyNote           `json:"anomaly,omitempty"`
-	ExactGap   *ExactGapSummary       `json:"exactGap"`
 }
 
 // Fig56Summary condenses a Fig 5/6 run.
@@ -48,14 +47,8 @@ type AnomalyNote struct {
 	Faster string `json:"faster"`
 }
 
-// ExactGapSummary condenses the optimality study.
-type ExactGapSummary struct {
-	Instances  int `json:"instances"`
-	OptimalHit int `json:"optimalHit"`
-}
-
 // Collect runs every experiment at the given seed and assembles the
-// report; the optimality study draws 100 instances.
+// report.
 func Collect(seed int64) (*Report, error) {
 	r := &Report{
 		Schema: SchemaVersion,
@@ -100,11 +93,6 @@ func Collect(seed int64) (*Report, error) {
 	if inv, slower, faster := skew.HasInversion(); inv {
 		r.Anomaly = &AnomalyNote{Slower: slower, Faster: faster}
 	}
-	gap, err := experiments.ExactGap(seed, 100)
-	if err != nil {
-		return nil, fmt.Errorf("report: exact gap: %w", err)
-	}
-	r.ExactGap = &ExactGapSummary{Instances: gap.Instances, OptimalHit: gap.OptimalHit}
 	return r, nil
 }
 
@@ -113,16 +101,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadJSON parses a report (for regression diffing).
-func ReadJSON(rd io.Reader) (*Report, error) {
-	var r Report
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: decode: %w", err)
-	}
-	if r.Schema != SchemaVersion {
-		return nil, fmt.Errorf("report: unsupported schema %d", r.Schema)
-	}
-	return &r, nil
 }

@@ -154,8 +154,6 @@ type Service struct {
 // New validates the configuration and attaches a tier index to the
 // inventory. The returned service should be Closed, which answers every
 // caller still waiting.
-//
-//lint:owner singlewriter
 func New(cfg Config) (*Service, error) {
 	if cfg.Topology == nil || cfg.Inventory == nil {
 		return nil, errors.New("service: Topology and Inventory are required")
@@ -302,8 +300,6 @@ func (s *Service) do(o op) (Placement, error) {
 // apply takes the writer lock, stamps o with the next arrival seq and
 // applies it on the caller's goroutine. It returns o's answer, or o's
 // waiter when o is a placement parked in the wait queue.
-//
-//lint:owner singlewriter
 func (s *Service) apply(o op) (result, *waiter) {
 	s.lock()
 	defer s.unlock()

@@ -52,8 +52,6 @@ func NewQuantile(min, max float64, buckets int) *Quantile {
 }
 
 // bucket maps an in-range sample to its bucket index.
-//
-//lint:hotpath
 func (q *Quantile) bucket(x float64) int {
 	i := int((x - q.min) / (q.max - q.min) * float64(len(q.counts)))
 	if i == len(q.counts) { // x == max lands in the last bucket
@@ -63,8 +61,6 @@ func (q *Quantile) bucket(x float64) int {
 }
 
 // Observe adds one sample. NaN is ignored (it belongs to no bucket).
-//
-//lint:hotpath
 func (q *Quantile) Observe(x float64) {
 	if math.IsNaN(x) {
 		return
@@ -84,8 +80,6 @@ func (q *Quantile) Observe(x float64) {
 // Remove subtracts one previously observed sample — the exact inverse of
 // Observe(x). Removing a value that was never observed corrupts the
 // sketch; callers own that pairing.
-//
-//lint:hotpath
 func (q *Quantile) Remove(x float64) {
 	if math.IsNaN(x) {
 		return

@@ -96,6 +96,27 @@ func TestQuantileRemoveIsInverse(t *testing.T) {
 	}
 }
 
+// TestQuantileObserveRemoveZeroAllocs: obs.Histogram and cloudsim's
+// served-sample rollback call Observe and Remove once per event, so
+// neither may allocate, in range or clamped.
+func TestQuantileObserveRemoveZeroAllocs(t *testing.T) {
+	q := NewQuantile(0, 100, 50)
+	xs := []float64{-5, 0, 42.5, 100, 150}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, x := range xs {
+			q.Observe(x)
+		}
+		for _, x := range xs {
+			q.Remove(x)
+		}
+	}); avg != 0 {
+		t.Fatalf("Observe+Remove allocates %.2f times per round, want 0", avg)
+	}
+	if q.Count() != 0 {
+		t.Fatalf("count %d after removing every sample, want 0", q.Count())
+	}
+}
+
 // TestQuantileEdgeCases covers the empty sketch, out-of-range clamping,
 // and invalid construction.
 func TestQuantileEdgeCases(t *testing.T) {

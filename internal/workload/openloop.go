@@ -119,32 +119,6 @@ func (c OpenLoopConfig) validate() error {
 	return nil
 }
 
-// MeanVMsPerRequest returns the exact mean cluster size of the sampling
-// procedure (floor of a Pareto draw, redrawn past SizeMax) — the sizing
-// input for picking a plant that keeps the offered load below capacity.
-func (c OpenLoopConfig) MeanVMsPerRequest() float64 {
-	c = c.withDefaults()
-	// drawSize yields n with probability (F(n+1) − F(n)) / F(SizeMax+1),
-	// where F is the Pareto(α, SizeMin) CDF — the redraw renormalizes the
-	// tail mass away. SizeMax is small, so sum directly.
-	cdf := func(x float64) float64 {
-		return 1 - math.Pow(float64(c.SizeMin)/x, c.SizeShape)
-	}
-	var mean float64
-	for n := c.SizeMin; n <= c.SizeMax; n++ {
-		mean += float64(n) * (cdf(float64(n+1)) - cdf(float64(n)))
-	}
-	return mean / cdf(float64(c.SizeMax+1))
-}
-
-// MeanHold returns the truncation-ignoring lognormal mean lifetime,
-// e^(μ+σ²/2) — an upper bound on the true (truncated) mean, which is the
-// safe direction for capacity sizing.
-func (c OpenLoopConfig) MeanHold() float64 {
-	c = c.withDefaults()
-	return c.HoldMedian * math.Exp(c.HoldSigma*c.HoldSigma/2)
-}
-
 // OpenLoop streams requests from the configured process. It implements
 // model.RequestSource: IDs increase by one per request and arrivals are
 // non-decreasing, so it plugs directly into the cloud simulator's

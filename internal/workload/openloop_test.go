@@ -151,9 +151,13 @@ func TestOpenLoopHeavyTailedSizes(t *testing.T) {
 	}
 }
 
-// TestOpenLoopMeanHelpers sanity-checks the capacity-sizing helpers
-// against empirical draws.
-func TestOpenLoopMeanHelpers(t *testing.T) {
+// TestOpenLoopEmpiricalMeans: the mean cluster size matches the exact
+// mean of the sampling procedure, a Pareto(α, SizeMin) floored and
+// redrawn past SizeMax, which yields n with probability
+// (F(n+1) − F(n)) / F(SizeMax+1). Truncation only cuts the lifetime's
+// tail, so the mean lifetime exceeds the untruncated lognormal mean
+// e^(μ+σ²/2) by no more than sampling error.
+func TestOpenLoopEmpiricalMeans(t *testing.T) {
 	cfg := DefaultOpenLoopConfig()
 	reqs := drainOpenLoop(t, 21, 30000, cfg)
 	var vms, hold float64
@@ -163,12 +167,18 @@ func TestOpenLoopMeanHelpers(t *testing.T) {
 	}
 	vms /= float64(len(reqs))
 	hold /= float64(len(reqs))
-	if m := cfg.MeanVMsPerRequest(); math.Abs(vms-m)/m > 0.15 {
-		t.Errorf("empirical mean size %.2f vs analytic %.2f", vms, m)
+
+	cdf := func(x float64) float64 { return 1 - math.Pow(float64(cfg.SizeMin)/x, cfg.SizeShape) }
+	var size float64
+	for n := cfg.SizeMin; n <= cfg.SizeMax; n++ {
+		size += float64(n) * (cdf(float64(n+1)) - cdf(float64(n)))
 	}
-	// MeanHold ignores truncation, so it upper-bounds the empirical mean.
-	if m := cfg.MeanHold(); hold > m*1.05 {
-		t.Errorf("empirical mean hold %.1f exceeds analytic bound %.1f", hold, m)
+	size /= cdf(float64(cfg.SizeMax + 1))
+	if math.Abs(vms-size)/size > 0.05 {
+		t.Errorf("empirical mean size %.3f vs exact %.3f", vms, size)
+	}
+	if bound := cfg.HoldMedian * math.Exp(cfg.HoldSigma*cfg.HoldSigma/2); hold > bound*1.05 {
+		t.Errorf("empirical mean hold %.1f exceeds the lognormal mean %.1f", hold, bound)
 	}
 }
 
