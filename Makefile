@@ -81,7 +81,9 @@ lint-json:
 # each cell change and row zeroing or restore, on scrambled plants too),
 # Algorithm 1 placement (capacity respected, mismatched matrix widths
 # rejected, the pruned scan places exactly as ExhaustiveCenters,
-# evaluator DC(C) matches the row-scan oracle),
+# evaluator DC(C) matches the row-scan oracle), the exact shrink
+# (victims sum to the delta, no cell goes negative, and the DC left is
+# the least of a brute-force enumeration of every removal),
 # Algorithm 1 against the SD oracle (dense Place and SolveSDLP agree on
 # solved, infeasible, malformed or overflowing input, and on the
 # optimum), and the trace encoder's quoting fast path and float encoder
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/affinity -run '^$$' -fuzz '^FuzzFirstCover$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
+	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzReleaseSubset$$' -fuzztime 10s
 	$(GO) test ./internal/sdexact -run '^$$' -fuzz '^FuzzSolveSD$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendQuote$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 40s
@@ -124,10 +127,11 @@ soak-race:
 # Elastic-resize gate: the delta-placement, mid-job resize, and
 # grow/shrink service tests under the race detector, plus the event
 # heap's re-arm tests, the elastic golden differential and one seeded
-# end-to-end elastic figure, so every resize path (PlaceDelta,
-# ReleaseSubset, deadline admission, deferred grows parking and waking
-# on freed capacity or an emptied queue, teardown cancellation) runs
-# race-checked on each change. The allocation gates among them skip
+# end-to-end elastic figure, so every resize path (PlaceDelta, the exact
+# ReleaseSubset shrink and its brute-force property test, deadline
+# admission, deferred grows parking and waking on freed capacity or an
+# emptied queue, teardown cancellation) runs race-checked on each
+# change. The allocation gates among them skip
 # under -race; `make test` runs them.
 elastic-race:
 	$(GO) test -race ./internal/placement ./internal/cloudsim ./internal/experiments ./internal/service ./internal/eventsim -run 'Elastic|PlaceDelta|ReleaseSubset|DeltaChurn|GrowShrink|ShrinkWakes|GrowInsufficient|Reschedule|Rearm|ContainerHeap'

@@ -339,7 +339,7 @@ func BenchmarkAblationMigration(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, err := sim.Run(timed)
+				m, err := sim.RunStream(model.NewSliceSource(timed))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,11 +13,15 @@ import (
 // readJSONL replays a trace file and returns its requests.
 func readJSONL(t *testing.T, path string, wantTypes int) []model.TimedRequest {
 	t.Helper()
-	rd, err := trace.OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = rd.Close() }()
+	defer func() { _ = f.Close() }()
+	rd, err := trace.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rd.Types() != wantTypes {
 		t.Errorf("trace declares %d types, want %d", rd.Types(), wantTypes)
 	}

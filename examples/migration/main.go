@@ -11,6 +11,7 @@ import (
 
 	"affinitycluster/internal/cloudsim"
 	"affinitycluster/internal/inventory"
+	"affinitycluster/internal/model"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
@@ -46,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		m, err := sim.Run(timed)
+		m, err := sim.RunStream(model.NewSliceSource(timed))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -108,16 +108,6 @@ func (e *DistanceEvaluator) Reset(a Allocation) {
 	}
 }
 
-// TotalVMs returns the tracked cluster size.
-func (e *DistanceEvaluator) TotalVMs() int { return e.total }
-
-// HostingNodes returns the ascending IDs of nodes with at least one VM.
-// The returned slice is the evaluator's working storage: read-only, valid
-// until the next mutation.
-//
-//lint:shared documented working-storage view: read-only, valid until the next mutation
-func (e *DistanceEvaluator) HostingNodes() []topology.NodeID { return e.hosts }
-
 // Add registers one more VM on node i in O(hosts) (the aggregate updates
 // are O(1); the cost is keeping the hosting-node lists sorted).
 func (e *DistanceEvaluator) Add(i topology.NodeID) { e.AddVMs(i, 1) }
@@ -238,20 +228,6 @@ func (e *DistanceEvaluator) MovePreview(p, q topology.NodeID) (float64, topology
 // replacement VM).
 func (e *DistanceEvaluator) AddPreview(q topology.NodeID) (float64, topology.NodeID) {
 	return e.bestCenter(-1, q)
-}
-
-// RemovePreview prices the hypothetical removal of one VM from node p:
-// the exact DC(C) and central node the cluster would have without that
-// VM, computed without mutating the evaluator. It is the shrink
-// planner's victim probe (placement.ReleaseSubset tries every hosting
-// node for each VM it must give back); it panics when p hosts no VM.
-// Removing the last VM yields (0, -1), matching Distance on an empty
-// cluster.
-func (e *DistanceEvaluator) RemovePreview(p topology.NodeID) (float64, topology.NodeID) {
-	if e.w[p] <= 0 {
-		panic(fmt.Sprintf("affinity: RemovePreview(%d) from empty node", p))
-	}
-	return e.bestCenter(p, -1)
 }
 
 // bestCenter minimizes S_k over the cluster's hosting nodes after a

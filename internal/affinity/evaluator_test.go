@@ -27,7 +27,7 @@ func checkAgainstScratch(t *testing.T, tp *topology.Topology, e *DistanceEvaluat
 	if gotD != wantD || gotK != wantK {
 		t.Fatalf("step %d: evaluator (%v, %d) != scratch (%v, %d)\nalloc %v", step, gotD, gotK, wantD, wantK, a)
 	}
-	if got, want := e.TotalVMs(), a.TotalVMs(); got != want {
+	if got, want := e.total, a.TotalVMs(); got != want {
 		t.Fatalf("step %d: total %d != %d", step, got, want)
 	}
 }
@@ -86,8 +86,8 @@ func anyTypeOn(a Allocation, i topology.NodeID) model.VMTypeID {
 	panic("no VM on node")
 }
 
-// TestEvaluatorPreviewDoesNotMutate prices many moves, additions and
-// removals and verifies the evaluator state is untouched.
+// TestEvaluatorPreviewDoesNotMutate prices many moves and additions and
+// verifies the evaluator state is untouched.
 func TestEvaluatorPreviewDoesNotMutate(t *testing.T) {
 	tp := evalPlant(t)
 	rng := rand.New(rand.NewSource(42))
@@ -105,7 +105,6 @@ func TestEvaluatorPreviewDoesNotMutate(t *testing.T) {
 		q := topology.NodeID(rng.Intn(tp.Nodes()))
 		e.MovePreview(p, q)
 		e.AddPreview(q)
-		e.RemovePreview(p)
 	}
 	if d1, k1 := e.Distance(); d1 != d0 || k1 != k0 {
 		t.Fatalf("preview mutated evaluator: (%v, %d) → (%v, %d)", d0, k0, d1, k1)
@@ -164,8 +163,8 @@ func TestEvaluatorResetAndEmpty(t *testing.T) {
 	if d, k := e.Distance(); d != 0 || k != -1 {
 		t.Fatalf("drained evaluator: (%v, %d)", d, k)
 	}
-	if len(e.HostingNodes()) != 0 {
-		t.Fatalf("hosts not empty: %v", e.HostingNodes())
+	if len(e.hosts) != 0 {
+		t.Fatalf("hosts not empty: %v", e.hosts)
 	}
 }
 
@@ -236,56 +235,6 @@ func TestEvaluatorAddPreview(t *testing.T) {
 			e.Remove(i)
 		}
 		checkAgainstScratch(t, tp, e, a, step)
-	}
-}
-
-// TestEvaluatorRemovePreview mirrors the AddPreview walk for removals:
-// each preview of a single-VM removal from a hosting node must equal the
-// post-remove from-scratch computation — value AND central node — without
-// mutating the evaluator, down to the last VM (which previews as the
-// empty cluster's (0, -1)).
-func TestEvaluatorRemovePreview(t *testing.T) {
-	tp := evalPlant(t)
-	n := tp.Nodes()
-	const m = 2
-	rng := rand.New(rand.NewSource(11))
-	a := NewAllocation(n, m)
-	e := NewDistanceEvaluator(tp, a)
-	// Seed a cluster to shrink from.
-	for i := 0; i < 40; i++ {
-		q := topology.NodeID(rng.Intn(n))
-		a.Add(q, model.VMTypeID(rng.Intn(m)))
-		e.Add(q)
-	}
-	for step := 0; step < 160; step++ {
-		hosts := a.HostingNodes()
-		p := hosts[rng.Intn(len(hosts))]
-		prevD, prevK := e.RemovePreview(p)
-		d0, k0 := e.Distance()
-		if d1, k1 := e.Distance(); d1 != d0 || k1 != k0 {
-			t.Fatalf("step %d: RemovePreview mutated evaluator", step)
-		}
-		vt := anyTypeOn(a, p)
-		a.Remove(p, vt)
-		wantD, wantK := a.Distance(tp)
-		if prevD != wantD || prevK != wantK {
-			t.Fatalf("step %d: RemovePreview(%d) = (%v, %d), post-remove scratch (%v, %d)",
-				step, p, prevD, prevK, wantD, wantK)
-		}
-		// Walk: mostly commit the removal, sometimes add back, so the
-		// cluster shrinks through rack-draining transitions.
-		if rng.Intn(4) > 0 {
-			e.Remove(p)
-		} else {
-			a.Add(p, vt)
-			q := topology.NodeID(rng.Intn(n))
-			a.Add(q, model.VMTypeID(rng.Intn(m)))
-			e.Add(q)
-		}
-		checkAgainstScratch(t, tp, e, a, step)
-		if a.TotalVMs() == 0 {
-			break
-		}
 	}
 }
 

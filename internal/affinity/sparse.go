@@ -5,7 +5,8 @@
 package affinity
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
@@ -43,15 +44,6 @@ func (s *SparseAlloc) Add(node topology.NodeID, vt model.VMTypeID, count int) {
 	s.Entries = append(s.Entries, VMEntry{Node: node, Type: vt, Count: count})
 }
 
-// TotalVMs sums the entry counts.
-func (s *SparseAlloc) TotalVMs() int {
-	n := 0
-	for _, e := range s.Entries {
-		n += e.Count
-	}
-	return n
-}
-
 // ToDense materializes the equivalent dense Allocation.
 func (s *SparseAlloc) ToDense() Allocation {
 	a := NewAllocation(s.NumNodes, s.NumTypes)
@@ -61,18 +53,27 @@ func (s *SparseAlloc) ToDense() Allocation {
 	return a
 }
 
-// Validate checks shape bounds and entry positivity.
-func (s *SparseAlloc) Validate() error {
-	for _, e := range s.Entries {
-		if int(e.Node) < 0 || int(e.Node) >= s.NumNodes {
-			return fmt.Errorf("affinity: sparse entry node %d outside [0,%d)", e.Node, s.NumNodes)
+// Canonical sorts cells by node then type, sums repeated cells, and
+// drops cells whose sum is zero, reusing cells' backing array.
+func Canonical(cells []VMEntry) []VMEntry {
+	slices.SortFunc(cells, func(a, b VMEntry) int {
+		if a.Node != b.Node {
+			return cmp.Compare(a.Node, b.Node)
 		}
-		if int(e.Type) < 0 || int(e.Type) >= s.NumTypes {
-			return fmt.Errorf("affinity: sparse entry type %d outside [0,%d)", e.Type, s.NumTypes)
+		return cmp.Compare(a.Type, b.Type)
+	})
+	out := cells[:0]
+	for _, e := range cells {
+		if n := len(out); n > 0 && out[n-1].Node == e.Node && out[n-1].Type == e.Type {
+			out[n-1].Count += e.Count
+			if out[n-1].Count == 0 {
+				out = out[:n-1]
+			}
+			continue
 		}
-		if e.Count <= 0 {
-			return fmt.Errorf("affinity: sparse entry count %d at node %d type %d must be positive", e.Count, e.Node, e.Type)
+		if e.Count != 0 {
+			out = append(out, e)
 		}
 	}
-	return nil
+	return out
 }

@@ -63,8 +63,6 @@ type TierIndex struct {
 	// coverLeaves+b. Leaves past the last block stay zero.
 	cover       []int
 	coverLeaves int // a power of two ≥ ⌈n/coverBlock⌉
-
-	version uint64 // owner-keyed (e.g. Inventory.Version); 0 until synced
 }
 
 // coverBlock is the number of consecutive node IDs under one leaf of the
@@ -151,14 +149,6 @@ func (x *TierIndex) Matrix() [][]int { return x.l }
 // Types returns the type dimension m.
 func (x *TierIndex) Types() int { return x.m }
 
-// Version returns the owner-assigned version key (see SetVersion).
-func (x *TierIndex) Version() uint64 { return x.version }
-
-// SetVersion stamps the index with its owner's mutation counter, so
-// readers can detect a stale index by comparing against the owner's
-// current version (Inventory.Version for an attached index).
-func (x *TierIndex) SetVersion(v uint64) { x.version = v }
-
 // Avail returns the availability vector A_j = Σ_i L_ij as a view.
 //
 //lint:shared zero-copy aggregate view; coherent only between Apply calls
@@ -235,7 +225,7 @@ func (x *TierIndex) FirstCover(r model.Request) topology.NodeID {
 }
 
 // Rebind points the index at a different matrix of the same shape and
-// rebuilds, clearing the version stamp. It exists so transient per-call
+// rebuilds. It exists so transient per-call
 // indexes can be pooled instead of reallocated.
 func (x *TierIndex) Rebind(l [][]int) error {
 	if len(l) != x.n {
@@ -245,7 +235,6 @@ func (x *TierIndex) Rebind(l [][]int) error {
 		return err
 	}
 	x.l = l
-	x.version = 0
 	x.Rebuild()
 	return nil
 }

@@ -15,7 +15,6 @@
 package cloudsim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -256,7 +255,7 @@ type Simulator struct {
 	pendingRecovery map[model.RequestID]float64
 
 	// failed aborts the event loop: a release failure means the simulator
-	// corrupted its own bookkeeping, so Run stops and surfaces the error
+	// corrupted its own bookkeeping, so RunStream stops and surfaces the error
 	// instead of panicking mid-callback.
 	failed error
 
@@ -381,39 +380,14 @@ func New(tp *topology.Topology, inv *inventory.Inventory, online *placement.Onli
 	return s, nil
 }
 
-// Run feeds the timed requests through the simulated cloud and returns
-// the aggregate metrics once all work has drained. The slice may be in
-// any order and its IDs need not increase: invalid and duplicate entries
-// are rejected at t=0, and the rest are stable-sorted by arrival and
-// replayed through the same lazy loop as RunStream. A bookkeeping
-// failure (a departure whose release does not fit the inventory) aborts
-// the run and is returned as an error instead of panicking.
-func (s *Simulator) Run(reqs []model.TimedRequest) (*Metrics, error) {
-	seen := make(map[model.RequestID]bool, len(reqs))
-	valid := make([]model.TimedRequest, 0, len(reqs))
-	for _, r := range reqs {
-		if !s.validRequest(r) || seen[r.ID] {
-			// Malformed or duplicate input is accounted for, not silently
-			// dropped, so conservation still holds over the input slice.
-			s.reject(r, 0, "invalid", false)
-			continue
-		}
-		seen[r.ID] = true
-		valid = append(valid, r)
-	}
-	slices.SortStableFunc(valid, func(a, b model.TimedRequest) int { return cmp.Compare(a.Arrival, b.Arrival) })
-	return s.replay(model.NewSliceSource(valid))
-}
-
 // RunStream replays requests pulled lazily from src — a trace.Reader, a
 // workload.OpenLoop, or any model.RequestSource — holding exactly one
 // pending arrival in the event heap instead of all of them, so a
 // multi-million-request replay runs in O(active clusters) memory. The
 // source must honor the RequestSource contract (strictly increasing IDs,
-// non-decreasing arrivals); violating requests are counted as rejected,
-// the same accounting Run applies to malformed slice entries. On a valid
-// sorted input, RunStream and Run produce identical metrics (pinned by
-// TestRunStreamMatchesRun).
+// non-decreasing arrivals); violating and malformed requests are counted
+// as rejected at the virtual time they are pulled. A slice of requests
+// replays through model.NewSliceSource.
 func (s *Simulator) RunStream(src model.RequestSource) (*Metrics, error) {
 	return s.replay(&contractSource{src: src, sim: s, lastID: -1})
 }
@@ -444,9 +418,8 @@ func (c *contractSource) Next() (model.TimedRequest, bool, error) {
 	}
 }
 
-// replay is the event loop shared by Run and RunStream: faults are
-// scheduled up front, arrivals one at a time, each pulled from src as
-// its predecessor fires.
+// replay is RunStream's event loop: faults are scheduled up front,
+// arrivals one at a time, each pulled from src as its predecessor fires.
 func (s *Simulator) replay(src model.RequestSource) (*Metrics, error) {
 	if err := s.scheduleFaults(); err != nil {
 		return nil, err
@@ -619,7 +592,7 @@ func (s *Simulator) fail(err error) {
 
 // reject records one turned-away request. arrived says whether it was
 // admitted first (and so counts as unresolved); contract violations and
-// Run's invalid entries never arrive.
+// invalid requests never arrive.
 func (s *Simulator) reject(r model.TimedRequest, now float64, reason string, arrived bool) {
 	if arrived {
 		s.unresolved--
@@ -721,8 +694,8 @@ func (s *Simulator) depart(c *cluster, now float64) {
 	s.cfg.Obs.Emit("depart", now, obs.F("req", int(c.req.ID)), obs.F("dc", d))
 	if err := s.inv.ReleaseList(c.cells); err != nil {
 		// A release failure means the simulator corrupted its own
-		// bookkeeping. Surface it through Run's error return (and the
-		// obs counter) instead of panicking the whole process; Run's
+		// bookkeeping. Surface it through RunStream's error return (and
+		// the obs counter) instead of panicking the whole process; the
 		// event loop stops at the next step.
 		s.om.releaseFailures.Inc()
 		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", c.id), obs.F("error", err.Error()))

@@ -89,10 +89,10 @@ func TestImmediateServiceAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.Run([]model.TimedRequest{
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{2, 1}, 1, 10),
 		timed(1, model.Request{1, 0}, 2, 5),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +117,9 @@ func TestImmediateServiceAndRelease(t *testing.T) {
 func TestOversizedRequestRejected(t *testing.T) {
 	tp, inv := plant(t)
 	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
-	m, err := sim.Run([]model.TimedRequest{
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{100, 0}, 1, 10),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +135,10 @@ func TestQueueingAndDrain(t *testing.T) {
 	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	// Request 0 takes the whole plant for 10s; request 1 arrives at t=2
 	// and must wait until t=11.
-	m, err := sim.Run([]model.TimedRequest{
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{12, 12}, 1, 10),
 		timed(1, model.Request{6, 0}, 2, 5),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestQueueRefusalAbortsArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	boundedQueue(sim)
-	_, err = sim.Run([]model.TimedRequest{
+	_, err = sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{12, 12}, 1, 100),
 		timed(1, model.Request{6, 0}, 2, 5), // queues
 		timed(2, model.Request{6, 0}, 3, 5), // refused
-	})
+	}))
 	if !errors.Is(err, queue.ErrFull) || !strings.Contains(err.Error(), "queueing request 2") {
 		t.Fatalf("Run error = %v, want request 2's queue.ErrFull", err)
 	}
@@ -199,9 +199,9 @@ func TestQueueRefusalAbortsRequeue(t *testing.T) {
 func TestUtilizationBounds(t *testing.T) {
 	tp, inv := plant(t)
 	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{})
-	m, err := sim.Run([]model.TimedRequest{
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{12, 12}, 0.0001, 10), // whole plant
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,12 +215,12 @@ func TestBatchModeServesBacklog(t *testing.T) {
 	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{Batch: true})
 	// Whole-plant request followed by three small ones that drain as one
 	// batch when it departs.
-	m, err := sim.Run([]model.TimedRequest{
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{12, 12}, 1, 10),
 		timed(1, model.Request{2, 0}, 2, 5),
 		timed(2, model.Request{2, 0}, 3, 5),
 		timed(3, model.Request{0, 2}, 4, 5),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestEndToEndRandomWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.Run(timedReqs)
+	m, err := sim.RunStream(model.NewSliceSource(timedReqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +294,10 @@ func TestMigrationTightensRunningClusters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.Run([]model.TimedRequest{
+		m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 			timed(0, model.Request{1, 0}, 1, 10),
 			timed(1, model.Request{5, 0}, 2, 100),
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +361,7 @@ func TestSoakLongHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.Run(timed)
+	m, err := sim.RunStream(model.NewSliceSource(timed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +422,9 @@ func TestCorruptedReleaseReturnsError(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sim.Run([]model.TimedRequest{
+	_, err = sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{2, 1}, 1, 10),
-	})
+	}))
 	if err == nil {
 		t.Fatal("corrupted release did not surface an error")
 	}
@@ -453,11 +453,11 @@ func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.Run([]model.TimedRequest{
+		if _, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 			timed(0, model.Request{1, 0}, 1, 10),
 			timed(1, model.Request{5, 0}, 2, 100),
 			timed(2, model.Request{6, 0}, 3, 5), // must queue behind 0+1
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		return reg
@@ -466,7 +466,7 @@ func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
 	snap := reg.Snapshot()
 	for _, name := range []string{"cloudsim.served", "queue.enqueued", "placement.place_calls", "migration.plans"} {
 		if _, ok := snap.Counters[name]; !ok {
-			t.Errorf("counter %s missing; have %v", name, reg.MetricNames())
+			t.Errorf("counter %s missing; have %v", name, snap.Counters)
 		}
 	}
 	if snap.Counters["cloudsim.migration_moves"] == 0 {

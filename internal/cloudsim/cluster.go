@@ -14,9 +14,6 @@
 package cloudsim
 
 import (
-	"cmp"
-	"slices"
-
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/eventsim"
 	"affinitycluster/internal/model"
@@ -73,7 +70,7 @@ func (c *cluster) add(entries []affinity.VMEntry) int {
 	for _, e := range entries {
 		added += e.Count
 	}
-	c.cells = canonical(append(c.cells, entries...))
+	c.cells = affinity.Canonical(append(c.cells, entries...))
 	c.vms += added
 	return added
 }
@@ -87,7 +84,7 @@ func (c *cluster) remove(entries []affinity.VMEntry) int {
 		e.Count = -e.Count
 		c.cells = append(c.cells, e)
 	}
-	c.cells = canonical(c.cells)
+	c.cells = affinity.Canonical(c.cells)
 	c.vms -= removed
 	return removed
 }
@@ -100,31 +97,6 @@ func (c *cluster) dense(n, m int) affinity.Allocation {
 		a[e.Node][e.Type] = e.Count
 	}
 	return a
-}
-
-// canonical sorts cells by node then type, sums repeated cells, and
-// drops cells whose sum is zero, reusing cells' backing array.
-func canonical(cells []affinity.VMEntry) []affinity.VMEntry {
-	slices.SortFunc(cells, func(a, b affinity.VMEntry) int {
-		if a.Node != b.Node {
-			return cmp.Compare(a.Node, b.Node)
-		}
-		return cmp.Compare(a.Type, b.Type)
-	})
-	out := cells[:0]
-	for _, e := range cells {
-		if n := len(out); n > 0 && out[n-1].Node == e.Node && out[n-1].Type == e.Type {
-			out[n-1].Count += e.Count
-			if out[n-1].Count == 0 {
-				out = out[:n-1]
-			}
-			continue
-		}
-		if e.Count != 0 {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // distance prices a live cluster's DC(C) and central node from its

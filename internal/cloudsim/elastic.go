@@ -16,9 +16,10 @@
 // every parked grow the plant can now take, and each rejoins its ladder
 // at the first tick not yet passed. A served grow schedules
 // the shrink at the boundary: placement.ReleaseSubsetSparse picks the
-// DC-minimizing victims (not necessarily the VMs the grow added),
-// returns them to the inventory, and offers the freed capacity to the
-// wait queue like any departure.
+// victims that leave the least DC any removal of the delta can leave
+// (not necessarily the VMs the grow added), returns them to the
+// inventory, and offers the freed capacity to the wait queue like any
+// departure.
 //
 // Accounting mirrors the request identity (Served + Rejected + Unplaced
 // == requests): every grow op terminates in exactly one of Grows,
@@ -375,9 +376,9 @@ func (s *Simulator) expireGrow(c *cluster, now float64, reason string) {
 }
 
 // shrink fires at the map/shuffle boundary of a grown cluster: give back
-// exactly the grow's per-type delta, choosing the DC(C)-minimizing
-// victims from the merged cluster, and offer the freed capacity to the
-// wait queue like a departure would.
+// exactly the grow's per-type delta, choosing from the merged cluster
+// the victims that leave the least DC(C), and offer the freed capacity
+// to the wait queue like a departure would.
 func (s *Simulator) shrink(c *cluster, now float64) {
 	if s.failed != nil {
 		return

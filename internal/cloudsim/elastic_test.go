@@ -60,7 +60,7 @@ func TestElasticGrowShrinkLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{4, 2}, 1, 10)})
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{timed(0, model.Request{4, 2}, 1, 10)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestElasticDeadlineRejectsShortJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// MapFrac·Hold = 0.8 < MinPayoff 1.
-	m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{2, 0}, 1, 2)})
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{timed(0, model.Request{2, 0}, 1, 2)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestElasticDeferExpires(t *testing.T) {
 	// {6,6} fills half the plant; its grow {3,3} needs 6 more slots of a
 	// plant whose free half is taken by the second {6,6} at the same
 	// instant... simpler: one request taking the whole plant.
-	m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{12, 12}, 1, 100)})
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{timed(0, model.Request{12, 12}, 1, 100)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +167,10 @@ func TestElasticDeferredGrowServedAfterDeparture(t *testing.T) {
 	// shrink's drain at t=1.6. Its own grow then defers (plant full)
 	// until request 0 departs at t=4 frees capacity; the retry at t=6.6
 	// serves it.
-	m, err := sim.Run([]model.TimedRequest{
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{6, 6}, 0, 4),
 		timed(1, model.Request{6, 6}, 1, 100),
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestElasticTeardownCancelsPendingShrink(t *testing.T) {
 	// peers first); the crash at t=5 kills all three nodes before the
 	// shrink boundary at t=9, so the whole cluster dies and is re-placed
 	// on the surviving rack — where its fresh grow fits again.
-	m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{4, 0}, 1, 20)})
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{timed(0, model.Request{4, 0}, 1, 20)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestElasticRandomizedConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		reqs := elasticWorkload(t, seed*31, 40)
-		m, err := sim.Run(reqs)
+		m, err := sim.RunStream(model.NewSliceSource(reqs))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -283,7 +283,7 @@ func TestElasticSameSeedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.Run(elasticWorkload(t, 17, 60))
+		m, err := sim.RunStream(model.NewSliceSource(elasticWorkload(t, 17, 60)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func TestElasticNeverWorseAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.Run(elasticWorkload(t, 23, 80))
+		m, err := sim.RunStream(model.NewSliceSource(elasticWorkload(t, 23, 80)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,7 +516,7 @@ func parkScenario(t *testing.T, yHold float64) (*Metrics, *obs.Registry) {
 		timed(2, model.Request{2, 1}, 1, 100),    // A, cluster 2
 		timed(3, model.Request{2, 0}, 2, 50),     // C, cluster 3
 	}
-	m, err := sim.Run(reqs)
+	m, err := sim.RunStream(model.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +589,7 @@ func TestElasticParkTiedLaddersFireInIDOrder(t *testing.T) {
 		timed(3, model.Request{0, 1}, 6, 100), // B, cluster 3
 		timed(4, model.Request{3, 0}, 7, 50),  // C, cluster 4
 	}
-	m, err := sim.Run(reqs)
+	m, err := sim.RunStream(model.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -621,7 +621,7 @@ func runElastic(t *testing.T, reqs []model.TimedRequest, evs ...faults.Event) (*
 		t.Fatal(err)
 	}
 	inject(sim, evs...)
-	m, err := sim.Run(reqs)
+	m, err := sim.RunStream(model.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +710,7 @@ func TestElasticParkTeardownCountsOnce(t *testing.T) {
 		timed(2, model.Request{2, 1}, 1, 100),
 		timed(3, model.Request{0, 12}, 2, 50),
 	}
-	m, err := sim.Run(reqs)
+	m, err := sim.RunStream(model.NewSliceSource(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestCrashEvacuatesDegradedCluster(t *testing.T) {
 	}
 	inject(sim, pair(5, 8, 0, 1)...)
 	// {4,0} spreads over two nodes (per-node cap 2); node 1 dies at t=5.
-	m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{4, 0}, 1, 10)})
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{timed(0, model.Request{4, 0}, 1, 10)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCrashTeardownRequeueServedAfterRepair(t *testing.T) {
 	inject(sim, pair(5, 30, 0, 0)...)
 	// The request needs the whole plant, so losing any node forces a
 	// teardown, and no retry can succeed until the repair.
-	m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{12, 12}, 1, 20)})
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{timed(0, model.Request{12, 12}, 1, 20)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,24 +149,24 @@ func TestTeardownVictimQueueRefusalAbortsRun(t *testing.T) {
 	}
 	boundedQueue(sim)
 	inject(sim, pair(5, 10, 0, 0)...)
-	_, err = sim.Run([]model.TimedRequest{
+	_, err = sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{12, 12}, 1, 100), // whole plant, torn down at t=5
 		timed(1, model.Request{12, 12}, 2, 5),   // fills the one slot
-	})
+	}))
 	if !errors.Is(err, queue.ErrFull) || !strings.Contains(err.Error(), "requeueing recovered request 0") {
 		t.Fatalf("Run error = %v, want request 0's queue.ErrFull", err)
 	}
 }
 
-// Malformed requests are rejected up front and still counted.
-func TestInvalidRequestsRejectedUpFront(t *testing.T) {
+// Malformed requests are rejected and still counted.
+func TestInvalidRequestsRejectedAndCounted(t *testing.T) {
 	tp, inv := plant(t)
 	reg := obs.NewRegistry()
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.Run([]model.TimedRequest{
+	m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{
 		timed(0, model.Request{1, 0}, 1, 10),
 		timed(1, model.Request{1, 0}, math.NaN(), 10),
 		timed(2, model.Request{1, 0}, 2, -5),
@@ -175,7 +175,7 @@ func TestInvalidRequestsRejectedUpFront(t *testing.T) {
 		timed(4, model.Request{1, 0}, math.Inf(1), 10),
 		timed(5, model.Request{1}, 5, 10),       // too few types
 		timed(6, model.Request{1, 0, 0}, 6, 10), // too many types
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,11 @@ func TestInvalidRequestsRejectedUpFront(t *testing.T) {
 	if m.Served != 1 || m.Rejected != 7 {
 		t.Errorf("served=%d rejected=%d, want 1/7", m.Served, m.Rejected)
 	}
-	// Malformed input is refused at t=0, before any arrival: a request
-	// of the wrong width is invalid, not larger than the plant.
-	want := []string{"1 invalid @0", "2 invalid @0", "3 invalid @0", "0 invalid @0",
-		"4 invalid @0", "5 invalid @0", "6 invalid @0"}
+	// Malformed input is refused when it is pulled, right after request
+	// 0 arrives at t=1: a request of the wrong width is invalid, not
+	// larger than the plant.
+	want := []string{"1 invalid @1", "2 invalid @1", "3 invalid @1", "0 invalid @1",
+		"4 invalid @1", "5 invalid @1", "6 invalid @1"}
 	if got := rejectLog(reg); !slices.Equal(got, want) {
 		t.Errorf("rejects = %q, want %q", got, want)
 	}
@@ -248,7 +249,7 @@ func TestSeededFaultRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.Run(timedReqs)
+		m, err := sim.RunStream(model.NewSliceSource(timedReqs))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,9 @@
 package cloudsim
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"math"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -18,7 +16,6 @@ import (
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
-	"affinitycluster/internal/queue"
 	"affinitycluster/internal/stats"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
@@ -39,82 +36,6 @@ func streamWorkload(t *testing.T, n int) []model.TimedRequest {
 		t.Fatal(err)
 	}
 	return timedReqs
-}
-
-// TestRunStreamMatchesRun pins Run's any-order contract: a shuffled
-// copy of the workload fed through Run and the sorted workload streamed
-// through RunStream (including an active fault schedule, batching, and
-// migration) must produce equal Metrics and byte-identical registry
-// snapshots and event traces. The workload has no arrival ties, so Run's
-// stable sort restores exactly the streamed order.
-func TestRunStreamMatchesRun(t *testing.T) {
-	tp := topology.PaperSimPlant()
-	timedReqs := streamWorkload(t, 30)
-	for i := 1; i < len(timedReqs); i++ {
-		if timedReqs[i].Arrival <= timedReqs[i-1].Arrival {
-			t.Fatalf("workload arrivals not strictly increasing at %d", i)
-		}
-	}
-	shuffled := append([]model.TimedRequest(nil), timedReqs...)
-	rand.New(rand.NewSource(15)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	if reflect.DeepEqual(shuffled, timedReqs) {
-		t.Fatal("shuffle left the workload sorted")
-	}
-	run := func(stream bool) (*Metrics, []byte) {
-		caps, err := workload.RandomCapacities(11, tp.Nodes(), 3, workload.InventoryConfig{MaxPerType: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv, err := inventory.NewFromMatrix(caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		sim, err := New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, Config{
-			Policy:    queue.FIFO,
-			Batch:     true,
-			Migrate:   true,
-			Faults:    faults.Config{MTBF: 40, MTTR: 60, Horizon: 250, RackEvery: 2},
-			FaultSeed: 14,
-			Obs:       reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m *Metrics
-		if stream {
-			m, err = sim.RunStream(model.NewSliceSource(timedReqs))
-		} else {
-			m, err = sim.Run(shuffled)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inv.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := reg.WriteMetricsJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.WriteTraceJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return m, buf.Bytes()
-	}
-	eager, eagerReg := run(false)
-	lazy, lazyReg := run(true)
-	if eager.Failures == 0 || eager.Served == 0 {
-		t.Fatalf("degenerate scenario: %+v", eager)
-	}
-	if !reflect.DeepEqual(eager, lazy) {
-		t.Errorf("metrics diverge:\neager: %+v\nlazy:  %+v", eager, lazy)
-	}
-	if !bytes.Equal(eagerReg, lazyReg) {
-		t.Error("registry snapshot/trace diverge between Run and RunStream")
-	}
 }
 
 // TestStreamingMetricsParity checks the streaming sketches against the
@@ -257,7 +178,7 @@ func TestMetricsDoNotPinSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.Run([]model.TimedRequest{timed(0, model.Request{2, 1}, 0, 5)})
+		m, err := sim.RunStream(model.NewSliceSource([]model.TimedRequest{timed(0, model.Request{2, 1}, 0, 5)}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func Elastic(seed int64, cfg ElasticExperimentConfig) (*ElasticResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cs.Run(append([]model.TimedRequest(nil), timed...))
+		return cs.RunStream(model.NewSliceSource(timed))
 	}
 
 	static, err := run(obs.NewRegistry(), cloudsim.ElasticConfig{})

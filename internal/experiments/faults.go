@@ -15,6 +15,7 @@ import (
 	"affinitycluster/internal/cloudsim"
 	"affinitycluster/internal/faults"
 	"affinitycluster/internal/inventory"
+	"affinitycluster/internal/model"
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/queue"
@@ -116,7 +117,7 @@ func Faults(seed int64, cfg FaultsConfig) (*FaultsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cloudMetrics, err := cs.Run(timed)
+	cloudMetrics, err := cs.RunStream(model.NewSliceSource(timed))
 	if err != nil {
 		return nil, err
 	}

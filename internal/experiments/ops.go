@@ -17,6 +17,7 @@ import (
 	"affinitycluster/internal/cloudsim"
 	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/mapreduce"
+	"affinitycluster/internal/model"
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/queue"
@@ -102,7 +103,7 @@ func Ops(seed int64, cfg OpsConfig) (*OpsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cloudMetrics, err := cs.Run(timed)
+	cloudMetrics, err := cs.RunStream(model.NewSliceSource(timed))
 	if err != nil {
 		return nil, err
 	}

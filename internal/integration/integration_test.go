@@ -140,7 +140,7 @@ func TestTraceRecordReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sim.Run(requests)
+		m, err := sim.RunStream(model.NewSliceSource(requests))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestElasticRefusesTinyDeferBackoff(t *testing.T) {
 				done <- err
 				return
 			}
-			_, err = sim.Run([]model.TimedRequest{{ID: 0, Vector: model.Request{2}, Arrival: 0, Hold: 100}})
+			_, err = sim.RunStream(model.NewSliceSource([]model.TimedRequest{{ID: 0, Vector: model.Request{2}, Arrival: 0, Hold: 100}}))
 			done <- fmt.Errorf("run accepted and ended with %v", err)
 		}()
 		select {
@@ -355,7 +355,7 @@ func TestElasticLateGrowExpires(t *testing.T) {
 				done <- result{nil, err}
 				return
 			}
-			m, err := sim.Run(tc.reqs)
+			m, err := sim.RunStream(model.NewSliceSource(tc.reqs))
 			done <- result{m, err}
 		}()
 		select {

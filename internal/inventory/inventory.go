@@ -27,15 +27,14 @@ var ErrInsufficient = errors.New("inventory: insufficient remaining capacity")
 
 // Inventory is the mutable resource state of one cloud.
 type Inventory struct {
-	mu      sync.RWMutex
-	nodes   int
-	types   int
-	max     [][]int // M
-	alloc   [][]int // C (aggregate over all tenants)
-	remain  [][]int // L = M − C, kept incrementally
-	avail   []int   // A_j = Σ_i L_ij, kept incrementally
-	capSum  []int   // Σ_i M_ij, kept incrementally for CanEverSatisfy
-	version uint64  // bumps on every successful mutation
+	mu     sync.RWMutex
+	nodes  int
+	types  int
+	max    [][]int // M
+	alloc  [][]int // C (aggregate over all tenants)
+	remain [][]int // L = M − C, kept incrementally
+	avail  []int   // A_j = Σ_i L_ij, kept incrementally
+	capSum []int   // Σ_i M_ij, kept incrementally for CanEverSatisfy
 	// failed maps a failed node to its saved pre-failure capacity row;
 	// FailNode populates it, RestoreNode consumes it.
 	failed map[int][]int
@@ -229,7 +228,6 @@ func (inv *Inventory) Allocate(alloc [][]int) error {
 			inv.tixApply(topology.NodeID(i), model.VMTypeID(j), -k)
 		}
 	}
-	inv.bumpLocked()
 	return nil
 }
 
@@ -261,7 +259,6 @@ func (inv *Inventory) Release(alloc [][]int) error {
 			inv.tixApply(topology.NodeID(i), model.VMTypeID(j), k)
 		}
 	}
-	inv.bumpLocked()
 	return nil
 }
 
@@ -305,7 +302,6 @@ func (inv *Inventory) Move(from, to topology.NodeID, vt model.VMTypeID) error {
 	// avail is unchanged: one slot freed, one consumed.
 	inv.tixApply(from, vt, 1)
 	inv.tixApply(to, vt, -1)
-	inv.bumpLocked()
 	return nil
 }
 
@@ -342,7 +338,6 @@ func (inv *Inventory) FailNode(node topology.NodeID) ([]int, error) {
 	}
 	inv.failed[i] = saved
 	inv.tixApplyRow(node, inv.tixDeltas)
-	inv.bumpLocked()
 	return lost, nil
 }
 
@@ -371,7 +366,6 @@ func (inv *Inventory) RestoreNode(node topology.NodeID) error {
 	}
 	delete(inv.failed, i)
 	inv.tixApplyRow(node, inv.tixDeltas)
-	inv.bumpLocked()
 	return nil
 }
 
@@ -385,14 +379,6 @@ func (inv *Inventory) FailedNodes() []topology.NodeID {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
-}
-
-// Version returns a counter that increases on every successful mutation.
-// Placement algorithms can use it to detect stale snapshots.
-func (inv *Inventory) Version() uint64 {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	return inv.version
 }
 
 // CheckInvariants verifies the bookkeeping identities of Section II:

@@ -215,23 +215,6 @@ func TestSnapshotsDoNotAlias(t *testing.T) {
 	}
 }
 
-func TestVersionBumpsOnMutation(t *testing.T) {
-	inv := tableII(t)
-	v0 := inv.Version()
-	if err := inv.Allocate([][]int{{1, 0, 0}, {0, 0, 0}, {0, 0, 0}}); err != nil {
-		t.Fatal(err)
-	}
-	if inv.Version() == v0 {
-		t.Error("Version did not change after Allocate")
-	}
-	// Failed mutation leaves version unchanged.
-	v1 := inv.Version()
-	_ = inv.Allocate([][]int{{100, 0, 0}, {0, 0, 0}, {0, 0, 0}})
-	if inv.Version() != v1 {
-		t.Error("Version changed after failed Allocate")
-	}
-}
-
 func TestMove(t *testing.T) {
 	inv := tableII(t)
 	if err := inv.Allocate([][]int{{2, 0, 0}, {0, 0, 0}, {0, 0, 0}}); err != nil {

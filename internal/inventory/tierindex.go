@@ -28,10 +28,8 @@ import (
 // AttachTierIndex builds a persistent tier-aggregate index over the live
 // remaining matrix L and registers it for incremental maintenance: every
 // subsequent successful mutation (Allocate, Release, Move,
-// FailNode, RestoreNode, and the sparse List forms) updates the index and
-// stamps it with the inventory's new Version, so a reader can detect a
-// stale index by comparing idx.Version() against inv.Version(). Attaching
-// replaces any previously attached index.
+// FailNode, RestoreNode, and the sparse List forms) updates the index.
+// Attaching replaces any previously attached index.
 //
 //lint:shared the attached index is the shared view by contract; the inventory keeps it current under its own lock
 func (inv *Inventory) AttachTierIndex(t *topology.Topology) (*affinity.TierIndex, error) {
@@ -44,7 +42,6 @@ func (inv *Inventory) AttachTierIndex(t *topology.Topology) (*affinity.TierIndex
 	if err != nil {
 		return nil, err
 	}
-	idx.SetVersion(inv.version)
 	inv.tidx = idx
 	if cap(inv.tixDeltas) < inv.types {
 		inv.tixDeltas = make([]int, inv.types)
@@ -98,7 +95,6 @@ func (inv *Inventory) AllocateList(entries []affinity.VMEntry) error {
 			inv.tidx.Apply(e.Node, j, -e.Count)
 		}
 	}
-	inv.bumpLocked()
 	return nil
 }
 
@@ -120,7 +116,6 @@ func (inv *Inventory) ReleaseList(entries []affinity.VMEntry) error {
 			inv.tidx.Apply(e.Node, j, e.Count)
 		}
 	}
-	inv.bumpLocked()
 	return nil
 }
 
@@ -169,15 +164,6 @@ func (inv *Inventory) checkEntries(entries []affinity.VMEntry, allocating bool) 
 		}
 	}
 	return err
-}
-
-// bumpLocked advances the version and restamps the attached index. Callers
-// hold inv.mu.
-func (inv *Inventory) bumpLocked() {
-	inv.version++
-	if inv.tidx != nil {
-		inv.tidx.SetVersion(inv.version)
-	}
 }
 
 // tixApply forwards one cell delta to the attached index, if any. Callers

@@ -3,6 +3,7 @@ package inventory
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"affinitycluster/internal/affinity"
@@ -32,8 +33,7 @@ func tierTestPlant(t *testing.T, rng *rand.Rand) *topology.Topology {
 // TestAttachedIndexTracksMutators drives every inventory mutator —
 // Allocate, Release, Move, FailNode, RestoreNode, and the
 // sparse list forms — and checks after each step that the attached index's
-// aggregates match a fresh rebuild and that its version tracks the
-// inventory's.
+// aggregates match a fresh rebuild.
 func TestAttachedIndexTracksMutators(t *testing.T) {
 	rng := rand.New(rand.NewSource(1207))
 	for trial := 0; trial < 25; trial++ {
@@ -92,10 +92,6 @@ func TestAttachedIndexTracksMutators(t *testing.T) {
 			if err := idx.CheckConsistent(); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
-			if idx.Version() != inv.Version() {
-				t.Fatalf("trial %d step %d: index version %d, inventory %d",
-					trial, step, idx.Version(), inv.Version())
-			}
 			if err := inv.CheckInvariants(); err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
@@ -105,9 +101,8 @@ func TestAttachedIndexTracksMutators(t *testing.T) {
 
 // TestAttachTierIndexMidChurn attaches an index to a plant that already
 // carries allocations and failed nodes: the index must start consistent
-// with the live L and the inventory's version, keep tracking later churn,
-// and a second attach must replace the first, which then stops being
-// stamped.
+// with the live L, keep tracking later churn, and a second attach must
+// replace the first, which then stops being maintained.
 func TestAttachTierIndexMidChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(1208))
 	topo := topology.PaperSimPlant()
@@ -142,9 +137,6 @@ func TestAttachTierIndexMidChurn(t *testing.T) {
 	}
 	check := func(stage string, idx *affinity.TierIndex) {
 		t.Helper()
-		if idx.Version() != inv.Version() {
-			t.Fatalf("%s: index version %d, inventory %d", stage, idx.Version(), inv.Version())
-		}
 		if err := idx.CheckConsistent(); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
@@ -177,14 +169,14 @@ func TestAttachTierIndexMidChurn(t *testing.T) {
 	if second == first || inv.TierIndex() != second {
 		t.Fatal("a second attach did not replace the first index")
 	}
-	v := first.Version()
+	avail := append([]int(nil), first.Avail()...)
 	churn(40)
-	if inv.Version() == v {
+	if slices.Equal(inv.Available(), avail) {
 		t.Fatal("churn after the second attach mutated nothing")
 	}
 	check("churn after the second attach", second)
-	if first.Version() != v {
-		t.Errorf("replaced index stamped with version %d after churn, was %d", first.Version(), v)
+	if !slices.Equal(first.Avail(), avail) {
+		t.Errorf("replaced index still maintained: availability %v after churn, was %v", first.Avail(), avail)
 	}
 }
 

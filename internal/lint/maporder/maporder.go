@@ -10,8 +10,7 @@
 // variables are tainted, assignments propagate taint, and sinks fire on
 // tainted values. An append sink is forgiven when the destination slice
 // is later passed to a sort.*/slices.* sort call inside the same
-// function (the collect-then-sort idiom of obs.sortedKeys and
-// Registry.MetricNames).
+// function (the collect-then-sort idiom of obs.sortedKeys).
 package maporder
 
 import (

@@ -41,9 +41,6 @@ func NewGraph(n int) *Graph {
 	return &Graph{n: n, heads: make([][]int, n)}
 }
 
-// Nodes returns the node count.
-func (g *Graph) Nodes() int { return g.n }
-
 // AddArc adds a directed arc u→v with the given capacity and per-unit
 // cost, returning its index for later flow inspection.
 func (g *Graph) AddArc(u, v, capacity int, cost float64) (int, error) {

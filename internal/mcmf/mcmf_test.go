@@ -142,9 +142,6 @@ func TestFlowInspection(t *testing.T) {
 	if err != nil || f != 3 {
 		t.Fatalf("Flow = %d, %v", f, err)
 	}
-	if g.Nodes() != 2 {
-		t.Error("Nodes wrong")
-	}
 }
 
 func TestTransportationSmall(t *testing.T) {

@@ -183,18 +183,6 @@ func Sub(a, b []int) []int {
 	return out
 }
 
-// Add returns a+b element-wise. It panics if lengths differ.
-func Add(a, b []int) []int {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("model: Add on vectors of different lengths %d and %d", len(a), len(b)))
-	}
-	out := make([]int, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // Sum returns the sum of the entries of v.
 func Sum(v []int) int {
 	n := 0

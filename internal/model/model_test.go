@@ -104,9 +104,6 @@ func TestVectorHelpers(t *testing.T) {
 	if got := Sub(a, []int{1, 1, 1}); got[0] != 2 || got[1] != 0 || got[2] != 4 {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := Add(a, b); got[0] != 5 || got[1] != 5 || got[2] != 10 {
-		t.Errorf("Add = %v", got)
-	}
 	if got := Sum(a); got != 9 {
 		t.Errorf("Sum = %d", got)
 	}
@@ -131,7 +128,6 @@ func TestVectorHelpersPanicOnLengthMismatch(t *testing.T) {
 		"Min":    func() { Min([]int{1}, []int{1, 2}) },
 		"Covers": func() { Covers([]int{1}, []int{1, 2}) },
 		"Sub":    func() { Sub([]int{1}, []int{1, 2}) },
-		"Add":    func() { Add([]int{1}, []int{1, 2}) },
 	}
 	for name, fn := range fns {
 		func() {
@@ -169,28 +165,6 @@ func TestQuickMinCoversAgree(t *testing.T) {
 			}
 		}
 		return Covers(a, b) == eqB
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Add and Sub are inverses.
-func TestQuickAddSubInverse(t *testing.T) {
-	f := func(xs [6]int16, ys [6]int16) bool {
-		a := make([]int, 6)
-		b := make([]int, 6)
-		for i := range xs {
-			a[i] = int(xs[i])
-			b[i] = int(ys[i])
-		}
-		r := Sub(Add(a, b), b)
-		for i := range r {
-			if r[i] != a[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

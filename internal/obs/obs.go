@@ -27,7 +27,6 @@ package obs
 import (
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -69,20 +68,6 @@ func (g *Gauge) Set(x float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(x))
-}
-
-// Add shifts the gauge by dx. No-op on a nil receiver.
-func (g *Gauge) Add(dx float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + dx)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // Value returns the current level (0 on a nil receiver).
@@ -273,25 +258,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.snapshot()
 	}
 	return s
-}
-
-// MetricNames returns every registered metric name, sorted.
-func (r *Registry) MetricNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

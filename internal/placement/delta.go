@@ -7,11 +7,14 @@
 // that center with C's rack/cloud profile already on the tallies, so the
 // merged DC(C′) is priced exactly and the fill order is the one a fresh
 // build around that center would use. Shrink: give back a per-type delta
-// by repeatedly removing the VM whose departure minimizes the resulting
-// DC(C), probed through the evaluator's RemovePreview.
+// so that the DC(C) left is the least any such removal can leave. With
+// the center k fixed, keeping each type's VMs nearest k is optimal, so
+// the shrink prices every hosting node once in closed form and gives
+// back the farthest VMs from the cheapest one (DESIGN.md §16).
 //
 // The grow reuses the pooled scanScratch of the tier-aggregated scan, so
-// it stays allocation-free in steady state.
+// it stays allocation-free in steady state; the shrink allocates only
+// its result.
 package placement
 
 import (
@@ -135,13 +138,11 @@ func (s *scanScratch) seedEntries(cur []affinity.VMEntry) {
 }
 
 // ReleaseSubset shrinks alloc by the per-type delta, choosing as victims
-// the VMs whose removal keeps DC(C) lowest: one VM at a time, the
-// hosting node with the best RemovePreview (ties toward the lowest node
-// ID, then the lowest type ID still owed). The victims are removed from
-// alloc in place and returned as aggregated sparse entries — a fresh
-// slice the caller may keep or hand to Inventory.ReleaseList. The call
-// fails, changing nothing, if alloc holds fewer VMs of some type than
-// delta asks back.
+// the VMs whose removal leaves the lowest DC(C) any removal of delta can
+// leave. The victims are removed from alloc in place and returned as
+// aggregated sparse entries — a fresh slice the caller may keep or hand
+// to Inventory.ReleaseList. The call fails, changing nothing, if alloc
+// holds fewer VMs of some type than delta asks back.
 func ReleaseSubset(t *topology.Topology, alloc affinity.Allocation, delta model.Request) ([]affinity.VMEntry, error) {
 	victims, err := ReleaseSubsetSparse(t, alloc.Sparse(), delta)
 	if err != nil {
@@ -156,9 +157,22 @@ func ReleaseSubset(t *topology.Topology, alloc affinity.Allocation, delta model.
 // ReleaseSubsetSparse is ReleaseSubset over the cluster's sparse cells.
 // cur is only read; the returned entries alias neither cur nor any
 // internal state. An entry whose node or type lies outside the plant and
-// delta, or whose count is negative, is an error. The working state
-// comes from a pooled shrinkScratch, so a steady-state call allocates
-// only the returned slice.
+// delta, or whose count is negative, is an error.
+//
+// The shrink is exact on the tier metric. Let keep_j = have_j − delta_j.
+// For a center k fixed, the cheapest survivors keep each type's keep_j
+// VMs nearest k, which leaves Σ_j min(self_j, keep_j) VMs on k itself,
+// Σ_j min(rack_j, keep_j) in its rack and Σ_j min(cloud_j, keep_j) in
+// its cloud, where self_j, rack_j and cloud_j count the type-j VMs at
+// tier ≤ 0, 1 and 2 from k. TierSum of those counts is the least center
+// sum at k of any shrink. DC of a shrunk cluster is a center sum at one
+// of its own hosts, which are hosts of cur, so the least of these prices
+// over cur's hosting nodes is the least DC any shrink can leave, and the
+// shrink that keeps nearest its center (the lowest-ID cheapest host)
+// leaves it. Each type gives back its farthest VMs first; within a tier,
+// cells go in ascending (node, type) order. The working state comes from
+// a pooled releaseScratch with nothing sized by the plant, so a
+// steady-state call allocates only the returned slice.
 func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
 	K := 0
 	for j, v := range delta {
@@ -178,121 +192,102 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 	if K == 0 {
 		return nil, nil
 	}
-	sc := getShrink(t)
-	defer putShrink(sc)
-	// Aggregate the cluster's cells (duplicates summed) into a private
-	// working copy and check per-type feasibility.
-	sc.have = sc.have[:0]
-	for range delta {
-		sc.have = append(sc.have, 0)
-	}
-	have := sc.have
-	for _, e := range cur {
-		if e.Count == 0 {
-			continue
-		}
-		have[e.Type] += e.Count
-		if !addEntry(sc.cells, e.Node, e.Type, e.Count) {
-			sc.cells = append(sc.cells, affinity.VMEntry{Node: e.Node, Type: e.Type, Count: e.Count})
-		}
+	sc := releasePool.Get().(*releaseScratch)
+	defer putRelease(sc)
+	cells := affinity.Canonical(append(sc.cells[:0], cur...))
+	sc.cells = cells
+	m := len(delta)
+	keep := append(sc.keep[:0], make([]int, m)...)
+	for _, c := range cells {
+		keep[c.Type] += c.Count
 	}
 	for j, v := range delta {
-		if v > have[j] {
-			return nil, fmt.Errorf("placement: shrink wants %d VMs of type %d back, cluster holds %d", v, j, have[j])
+		if v > keep[j] {
+			return nil, fmt.Errorf("placement: shrink wants %d VMs of type %d back, cluster holds %d", v, j, keep[j])
+		}
+		keep[j] -= v
+	}
+	sc.keep = keep
+
+	// Price every hosting node; cells run in node order, so the first
+	// strict minimum is the lowest-ID one.
+	d := t.Distances()
+	tally := append(sc.tally[:0], make([]int, 3*m)...)
+	sc.tally = tally
+	center := topology.NodeID(-1)
+	best := 0.0
+	for i, c := range cells {
+		if i > 0 && cells[i-1].Node == c.Node {
+			continue
+		}
+		for _, e := range cells {
+			if tier := tierOf(t, c.Node, e.Node); tier < 3 {
+				tally[tier*m+int(e.Type)] += e.Count
+			}
+		}
+		w, rack, cloud, total := 0, 0, 0, 0
+		for j, kj := range keep {
+			self := tally[j]
+			inRack := self + tally[m+j]
+			inCloud := inRack + tally[2*m+j]
+			w += min(self, kj)
+			rack += min(inRack, kj)
+			cloud += min(inCloud, kj)
+			total += kj
+			tally[j], tally[m+j], tally[2*m+j] = 0, 0, 0
+		}
+		if s := affinity.TierSum(d, w, rack, cloud, total); center < 0 || s < best {
+			center, best = c.Node, s
 		}
 	}
-	cells := sc.cells
-	ev := sc.ev
-	for _, c := range cells {
-		ev.AddVMs(c.Node, c.Count)
-	}
-	sc.need = append(sc.need[:0], delta...)
-	need := sc.need
-	removable := func(i topology.NodeID) bool {
+
+	// Give back each type's farthest VMs from that center.
+	owed := append(sc.owed[:0], delta...)
+	sc.owed = owed
+	victims := sc.victims[:0]
+	for tier := 3; tier >= 0; tier-- {
 		for _, c := range cells {
-			if c.Node == i && c.Count > 0 && need[c.Type] > 0 {
-				return true
+			if take := min(c.Count, owed[c.Type]); take > 0 && tierOf(t, center, c.Node) == tier {
+				owed[c.Type] -= take
+				victims = append(victims, affinity.VMEntry{Node: c.Node, Type: c.Type, Count: take})
 			}
-		}
-		return false
-	}
-	for k := 0; k < K; k++ {
-		bestNode := topology.NodeID(-1)
-		bestDC := 0.0
-		for _, i := range ev.HostingNodes() {
-			if !removable(i) {
-				continue
-			}
-			dc, _ := ev.RemovePreview(i)
-			if bestNode < 0 || dc < bestDC {
-				bestNode, bestDC = i, dc
-			}
-		}
-		if bestNode < 0 {
-			return nil, fmt.Errorf("placement: internal error — no removable VM for shrink %v with %d owed", delta, K-k)
-		}
-		// Lowest owed type on the victim node.
-		bestType := model.VMTypeID(-1)
-		for _, c := range cells {
-			if c.Node == bestNode && c.Count > 0 && need[c.Type] > 0 {
-				if bestType < 0 || c.Type < bestType {
-					bestType = c.Type
-				}
-			}
-		}
-		addEntry(cells, bestNode, bestType, -1)
-		need[bestType]--
-		ev.Remove(bestNode)
-		if !addEntry(sc.victims, bestNode, bestType, 1) {
-			sc.victims = append(sc.victims, affinity.VMEntry{Node: bestNode, Type: bestType, Count: 1})
 		}
 	}
-	return append([]affinity.VMEntry(nil), sc.victims...), nil
+	sc.victims = victims
+	return append([]affinity.VMEntry(nil), victims...), nil
 }
 
-// addEntry adds count to the (node, typ) entry of es, reporting false
-// when es has no such entry.
-func addEntry(es []affinity.VMEntry, node topology.NodeID, typ model.VMTypeID, count int) bool {
-	for i := range es {
-		if es[i].Node == node && es[i].Type == typ {
-			es[i].Count += count
-			return true
-		}
+// tierOf is the distance tier between nodes k and i: 0 on one node, 1 in
+// one rack, 2 in one cloud, 3 across clouds.
+func tierOf(t *topology.Topology, k, i topology.NodeID) int {
+	switch {
+	case i == k:
+		return 0
+	case t.RackOf(i) == t.RackOf(k):
+		return 1
+	case t.CloudOf(i) == t.CloudOf(k):
+		return 2
+	default:
+		return 3
 	}
-	return false
 }
 
-// shrinkScratch is ReleaseSubsetSparse's working state for one topology:
-// the evaluator pricing the shrinking cluster, its aggregated cells, the
-// per-type held/owed tallies, and the victims being collected.
-type shrinkScratch struct {
-	t       *topology.Topology
-	ev      *affinity.DistanceEvaluator
+// releaseScratch is ReleaseSubsetSparse's working state: the cluster's
+// aggregated cells, the per-type kept and owed counts, one center's
+// per-tier tallies, and the victims being collected. Nothing in it is
+// sized by the plant, so one pool serves every topology.
+type releaseScratch struct {
 	cells   []affinity.VMEntry
-	have    []int
-	need    []int
+	keep    []int
+	owed    []int
+	tally   []int
 	victims []affinity.VMEntry
 }
 
-// shrinkPool recycles shrinkScratch across calls. A pooled scratch built
-// for another topology is dropped, so the pool is keyed by topology
-// identity and never hands out a mis-sized evaluator.
-var shrinkPool sync.Pool
+var releasePool = sync.Pool{New: func() any { return new(releaseScratch) }}
 
-// getShrink returns an empty scratch for t: a pooled one reset in
-// O(hosts + clouds), or a fresh O(n) build when none matches.
-func getShrink(t *topology.Topology) *shrinkScratch {
-	if v := shrinkPool.Get(); v != nil {
-		if sc := v.(*shrinkScratch); sc.t == t {
-			sc.ev.Reset(nil)
-			return sc
-		}
-	}
-	return &shrinkScratch{t: t, ev: affinity.NewDistanceEvaluator(t, nil)}
-}
-
-func putShrink(sc *shrinkScratch) {
+func putRelease(sc *releaseScratch) {
 	sc.cells = sc.cells[:0]
 	sc.victims = sc.victims[:0]
-	shrinkPool.Put(sc)
+	releasePool.Put(sc)
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -172,57 +173,137 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 	}
 }
 
-// TestReleaseSubsetGreedyVictims: for a single-VM shrink the greedy
-// victim must be exactly the argmin over all possible removals, and any
-// shrink must conserve the per-type vector while leaving victims that
-// were really part of the cluster.
-func TestReleaseSubsetGreedyVictims(t *testing.T) {
-	const trials = 50
-	for trial := 0; trial < trials; trial++ {
+// TestReleaseSubsetMatchesBruteForceProperty holds the shrink to a
+// brute-force enumeration of every removal (checkShrink) on 2,450 random
+// small clusters of 1–12 VMs and 1–3 types, on random and scrambled
+// plants. The first 50 draws give back a single VM of the lowest type
+// the cluster holds, on clusters of 6–17 VMs; the rest give back a
+// random part of each type.
+func TestReleaseSubsetMatchesBruteForceProperty(t *testing.T) {
+	for trial := 0; trial < 2450; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
 		tp := randomPlant(t, rng)
 		n := tp.Nodes()
 		m := 1 + rng.Intn(3)
 		a := affinity.NewAllocation(n, m)
-		for v := 0; v < 6+rng.Intn(12); v++ {
+		vms := 1 + rng.Intn(12)
+		if trial < 50 {
+			vms = 6 + rng.Intn(12)
+		}
+		for v := 0; v < vms; v++ {
 			a.Add(topology.NodeID(rng.Intn(n)), model.VMTypeID(rng.Intn(m)))
 		}
-		// Brute force the best single removal of the lowest type with stock.
-		j := 0
-		for ; j < m; j++ {
-			if a.Vector()[j] > 0 {
-				break
-			}
-		}
-		bestDC := -1.0
-		bestNode := topology.NodeID(-1)
-		for i := 0; i < n; i++ {
-			if a[i][j] == 0 {
-				continue
-			}
-			a.Remove(topology.NodeID(i), model.VMTypeID(j))
-			dc, _ := a.Distance(tp)
-			a.Add(topology.NodeID(i), model.VMTypeID(j))
-			if bestNode < 0 || dc < bestDC {
-				bestDC, bestNode = dc, topology.NodeID(i)
-			}
-		}
+		have := a.Vector()
 		delta := make(model.Request, m)
-		delta[j] = 1
-		got := a.Clone()
-		victims, err := ReleaseSubset(tp, got, delta)
-		if err != nil {
-			t.Fatalf("trial %d: ReleaseSubset: %v", trial, err)
+		if trial < 50 {
+			j := 0
+			for have[j] == 0 {
+				j++
+			}
+			delta[j] = 1
+		} else {
+			for j := range delta {
+				delta[j] = rng.Intn(have[j] + 1)
+			}
 		}
-		if len(victims) != 1 || victims[0].Count != 1 || victims[0].Type != model.VMTypeID(j) {
-			t.Fatalf("trial %d: single-VM shrink returned %v", trial, victims)
+		checkShrink(t, tp, a.Sparse(), delta)
+	}
+}
+
+// checkShrink runs ReleaseSubsetSparse on cells and holds it to the
+// brute force: a delta the cluster cannot give back is refused; any
+// other returns victims that sum to delta per type, each a positive part
+// of a cell, and leave the least DC that any removal of delta can leave,
+// priced by the row-scan oracle Allocation.DistanceFrom over every node.
+// The dense ReleaseSubset must take the same victims out of its matrix.
+func checkShrink(t *testing.T, tp *topology.Topology, cells []affinity.VMEntry, delta model.Request) {
+	t.Helper()
+	n, m := tp.Nodes(), len(delta)
+	a := affinity.NewAllocation(n, m)
+	for _, c := range cells {
+		a[c.Node][c.Type] += c.Count
+	}
+	have := a.Vector()
+	feasible := true
+	for j, v := range delta {
+		feasible = feasible && v <= have[j]
+	}
+	victims, err := ReleaseSubsetSparse(tp, cells, delta)
+	if !feasible {
+		if err == nil {
+			t.Fatalf("shrink by %v of a cluster holding %v accepted: %v", delta, have, victims)
 		}
-		gotDC, _ := got.Distance(tp)
-		if gotDC != bestDC {
-			t.Fatalf("trial %d: greedy victim %v leaves DC %v, best single removal (node %d) leaves %v",
-				trial, victims, gotDC, bestNode, bestDC)
+		return
+	}
+	if err != nil {
+		t.Fatalf("shrink by %v of %v: %v", delta, a, err)
+	}
+	left := a.Clone()
+	got := make(model.Request, m)
+	for _, v := range victims {
+		if v.Count <= 0 {
+			t.Fatalf("shrink by %v of %v returned victim %v", delta, a, v)
+		}
+		left[v.Node][v.Type] -= v.Count
+		if left[v.Node][v.Type] < 0 {
+			t.Fatalf("shrink by %v of %v takes victim %v beyond its cell", delta, a, v)
+		}
+		got[v.Type] += v.Count
+	}
+	for j := range delta {
+		if got[j] != delta[j] {
+			t.Fatalf("shrink by %v of %v gave back %v", delta, a, got)
 		}
 	}
+	if dc, best := rowScanDC(tp, left), bestShrinkDC(tp, a, delta); dc != best {
+		t.Fatalf("shrink by %v of %v leaves %v (DC %v), least DC of any removal is %v", delta, a, left, dc, best)
+	}
+	dense := a.Clone()
+	again, err := ReleaseSubset(tp, dense, delta)
+	if err != nil || !reflect.DeepEqual(again, victims) || !reflect.DeepEqual(dense, left) {
+		t.Fatalf("dense shrink by %v of %v: victims %v (%v), sparse %v", delta, a, again, err, victims)
+	}
+}
+
+// bestShrinkDC enumerates every way to take delta's VMs out of a and
+// returns the least DC left, by the row-scan oracle.
+func bestShrinkDC(tp *topology.Topology, a affinity.Allocation, delta model.Request) float64 {
+	cells := a.Sparse()
+	work := a.Clone()
+	owed := append(model.Request(nil), delta...)
+	best := math.Inf(1)
+	var walk func(i int)
+	walk = func(i int) {
+		if i == len(cells) {
+			if model.Sum(owed) == 0 {
+				best = math.Min(best, rowScanDC(tp, work))
+			}
+			return
+		}
+		c := cells[i]
+		for x := 0; x <= min(c.Count, owed[c.Type]); x++ {
+			work[c.Node][c.Type] -= x
+			owed[c.Type] -= x
+			walk(i + 1)
+			work[c.Node][c.Type] += x
+			owed[c.Type] += x
+		}
+	}
+	walk(0)
+	return best
+}
+
+// rowScanDC is Definition 1 by brute force: the least Σ_i w_i·D_ik over
+// every node k of the plant (0 for an empty cluster).
+func rowScanDC(tp *topology.Topology, a affinity.Allocation) float64 {
+	if a.TotalVMs() == 0 {
+		return 0
+	}
+	best := math.Inf(1)
+	for k := 0; k < tp.Nodes(); k++ {
+		best = math.Min(best, a.DistanceFrom(tp, topology.NodeID(k)))
+	}
+	return best
 }
 
 // TestReleaseSubsetConservesAndConcentrates: a multi-VM shrink returns
@@ -262,6 +343,49 @@ func TestReleaseSubsetConservesAndConcentrates(t *testing.T) {
 	// Infeasible shrink: asks back more than the cluster holds.
 	if _, err := ReleaseSubset(tp, a, model.Request{7}); err == nil {
 		t.Fatal("oversized shrink accepted")
+	}
+}
+
+// TestReleaseSubsetTieBreaks pins the shrink's choice among removals
+// that leave the same DC, which the elastic goldens and the traced
+// replay depend on: the center is the lowest-ID cheapest host, each type
+// gives back its farthest VMs first, and within a tier cells go in
+// ascending (node, type) order, whatever order the caller's cells come
+// in.
+func TestReleaseSubsetTieBreaks(t *testing.T) {
+	tp := deltaPlant(t)
+	d := tp.Distances()
+
+	// Nodes 1 and 2 (rack 0) tie as centers; node 5 sits in rack 1 and
+	// node 13 in the other cloud. Keeping 3 around node 1 gives back the
+	// cross-cloud VM, then the cross-rack one, then one of node 2's.
+	a := affinity.NewAllocation(tp.Nodes(), 1)
+	a[1][0], a[2][0], a[5][0], a[13][0] = 2, 2, 1, 1
+	victims, err := ReleaseSubset(tp, a, model.Request{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []affinity.VMEntry{{Node: 13, Type: 0, Count: 1}, {Node: 5, Type: 0, Count: 1}, {Node: 2, Type: 0, Count: 1}}; !reflect.DeepEqual(victims, want) {
+		t.Fatalf("victims %v, want %v", victims, want)
+	}
+	if dc, k := a.Distance(tp); dc != d.SameRack || k != 1 {
+		t.Fatalf("post-shrink DC (%v, %d), want (%v, 1)", dc, k, d.SameRack)
+	}
+
+	// Node 0 is the center; every victim is one rack away from it, on
+	// nodes 1, 2 and 3. The cells arrive unsorted, with node 0's type-0
+	// cell split in two, and the victims still follow (node, type) order.
+	cur := []affinity.VMEntry{
+		{Node: 3, Type: 1, Count: 1}, {Node: 0, Type: 0, Count: 2}, {Node: 2, Type: 1, Count: 1},
+		{Node: 3, Type: 0, Count: 1}, {Node: 0, Type: 1, Count: 3}, {Node: 1, Type: 0, Count: 1},
+		{Node: 0, Type: 0, Count: 1},
+	}
+	victims, err = ReleaseSubsetSparse(tp, cur, model.Request{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []affinity.VMEntry{{Node: 1, Type: 0, Count: 1}, {Node: 2, Type: 1, Count: 1}}; !reflect.DeepEqual(victims, want) {
+		t.Fatalf("victims %v, want %v", victims, want)
 	}
 }
 
@@ -540,8 +664,8 @@ func TestPlaceDeltaZeroAllocs(t *testing.T) {
 
 // TestReleaseSubsetPooledScratch interleaves shrinks on two plants, with
 // a rejected shrink between rounds, and checks every round returns the
-// first round's victims: the topology-keyed pool never leaks state from
-// one call, plant or error path into the next.
+// first round's victims: the pooled scratch never leaks state from one
+// call, plant or error path into the next.
 func TestReleaseSubsetPooledScratch(t *testing.T) {
 	small, err := topology.Uniform(1, 2, 3, topology.DefaultDistances())
 	if err != nil {
@@ -570,8 +694,7 @@ func TestReleaseSubsetPooledScratch(t *testing.T) {
 }
 
 // TestReleaseSubsetSparseAllocs pins the pooled shrink scratch: at 16k
-// nodes a steady-state shrink allocates only the returned victims, where
-// a fresh DistanceEvaluator would cost O(n) per call.
+// nodes a steady-state shrink allocates only the returned victims.
 func TestReleaseSubsetSparseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under -race (instrumentation allocates)")

@@ -250,3 +250,48 @@ func checkBoundedBuilds(t *testing.T, idx *affinity.TierIndex, r model.Request) 
 		}
 	}
 }
+
+// FuzzReleaseSubset holds the shrink to the brute-force enumeration of
+// every removal (checkShrink) on small clusters of uniform or scrambled
+// plants. Each byte pair of cellBytes adds one VM (node, type) as its
+// own entry, so cells repeat and arrive unsorted; zeroCell inserts an
+// empty entry. deltaBytes asks back up to one VM more than a type holds,
+// so refused shrinks are fuzzed too. Invariants: victims sum to delta
+// per type, no cell goes negative, and the DC left is the least any
+// removal of delta can leave.
+func FuzzReleaseSubset(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(2), uint8(3), uint8(0), false, false, []byte{0, 0, 1, 0, 4, 0, 5, 0}, []byte{2})
+	f.Add(int64(2), uint8(1), uint8(1), uint8(2), uint8(1), true, false, []byte{0, 0, 3, 1, 3, 1, 9, 0, 2, 1}, []byte{1, 1})
+	f.Add(int64(3), uint8(2), uint8(3), uint8(1), uint8(2), false, true, []byte{1, 2, 1, 2, 7, 0, 8, 1, 11, 2, 0, 0}, []byte{2, 1, 1})
+	f.Add(int64(4), uint8(1), uint8(2), uint8(2), uint8(0), true, false, []byte{0, 0}, []byte{2})
+	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, width uint8, scramble, zeroCell bool, cellBytes, deltaBytes []byte) {
+		tp, err := topology.Uniform(1+int(clouds)%3, 1+int(racksPer)%4, 1+int(nodesPer)%4, topology.DefaultDistances())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scramble {
+			tp = topotest.Scramble(t, rand.New(rand.NewSource(seed)), tp)
+		}
+		m := 1 + int(width)%3
+		if len(cellBytes) > 24 {
+			cellBytes = cellBytes[:24]
+		}
+		var cells []affinity.VMEntry
+		have := make(model.Request, m)
+		for i := 0; i+1 < len(cellBytes); i += 2 {
+			e := affinity.VMEntry{Node: topology.NodeID(int(cellBytes[i]) % tp.Nodes()), Type: model.VMTypeID(int(cellBytes[i+1]) % m), Count: 1}
+			cells = append(cells, e)
+			have[e.Type]++
+		}
+		if zeroCell {
+			cells = append(cells, affinity.VMEntry{Node: 0, Type: 0})
+		}
+		delta := make(model.Request, m)
+		for j := range delta {
+			if j < len(deltaBytes) {
+				delta[j] = int(deltaBytes[j]) % (have[j] + 2)
+			}
+		}
+		checkShrink(t, tp, cells, delta)
+	})
+}

@@ -139,6 +139,19 @@ type OnlineHeuristic struct {
 	// densePool recycles the transient tier index the dense entry points
 	// rebuild over their caller's capacity matrix.
 	densePool sync.Pool
+	// held, when non-nil, replaces scanPool and densePool: the placer
+	// keeps one scan scratch and one transient index for its whole life.
+	// PlaceBatch's short-lived step-2 placer uses it, because a fresh
+	// sync.Pool's first Put registers the pool with the runtime, at an
+	// allocation cost that depends on how many pools the last GC left
+	// registered.
+	held *heldScratch
+}
+
+// heldScratch is the scratch a placer with held set keeps across calls.
+type heldScratch struct {
+	scan  *scanScratch
+	dense *denseScratch
 }
 
 // denseScratch is a pooled transient TierIndex plus sparse staging for
@@ -151,14 +164,24 @@ type denseScratch struct {
 // getDense returns a transient index rebound over l — a pooled rebuild
 // when the shape matches, a fresh index otherwise.
 func (h *OnlineHeuristic) getDense(t *topology.Topology, l [][]int) (*denseScratch, error) {
+	if h.held != nil {
+		if ds := h.held.dense; ds != nil && ds.rebind(t, l) {
+			return ds, nil
+		}
+		ds, err := newDense(t, l)
+		h.held.dense = ds
+		return ds, err
+	}
 	if v := h.densePool.Get(); v != nil {
-		ds := v.(*denseScratch)
-		if ds.idx.Topology() == t && ds.idx.Types() == len(l[0]) {
-			if err := ds.idx.Rebind(l); err == nil {
-				return ds, nil
-			}
+		if ds := v.(*denseScratch); ds.rebind(t, l) {
+			return ds, nil
 		}
 	}
+	return newDense(t, l)
+}
+
+// newDense builds a transient index over l.
+func newDense(t *topology.Topology, l [][]int) (*denseScratch, error) {
 	idx, err := affinity.NewTierIndex(t, l)
 	if err != nil {
 		return nil, err
@@ -166,7 +189,16 @@ func (h *OnlineHeuristic) getDense(t *topology.Topology, l [][]int) (*denseScrat
 	return &denseScratch{idx: idx}, nil
 }
 
-func (h *OnlineHeuristic) putDense(ds *denseScratch) { h.densePool.Put(ds) }
+// rebind points ds's index at l, reporting false when the shapes differ.
+func (ds *denseScratch) rebind(t *topology.Topology, l [][]int) bool {
+	return ds.idx.Topology() == t && ds.idx.Types() == len(l[0]) && ds.idx.Rebind(l) == nil
+}
+
+func (h *OnlineHeuristic) putDense(ds *denseScratch) {
+	if h.held == nil {
+		h.densePool.Put(ds)
+	}
+}
 
 // placerMetrics are the resolved obs handles of a placer. The zero value
 // (all nil) is fully usable: every method is a nil-receiver no-op.
@@ -510,8 +542,8 @@ func (g *GlobalSubOpt) Name() string { return "global-subopt" }
 // depletes get a nil allocation and count in Failed.
 func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.Request) (*BatchResult, error) {
 	// Step 2: Algorithm 1 on each request in turn, depleting a working
-	// copy of the capacity.
-	res, work, err := placeSequential(t, l, reqs, &OnlineHeuristic{Obs: g.Obs})
+	// copy of the capacity, with one scratch held for the whole batch.
+	res, work, err := placeSequential(t, l, reqs, &OnlineHeuristic{Obs: g.Obs, held: &heldScratch{}})
 	if err != nil {
 		return nil, err
 	}

@@ -296,8 +296,15 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 	}
 }
 
-// getScan pulls a scratch matching (t, m) from the pool or builds one.
+// getScan pulls a scratch matching (t, m) from the pool, or the held
+// one, or builds one.
 func (h *OnlineHeuristic) getScan(t *topology.Topology, m int) *scanScratch {
+	if h.held != nil {
+		if s := h.held.scan; s == nil || s.t != t || s.m != m {
+			h.held.scan = newScanScratch(t, m)
+		}
+		return h.held.scan
+	}
 	if v := h.scanPool.Get(); v != nil {
 		if s := v.(*scanScratch); s.t == t && s.m == m {
 			return s
@@ -306,10 +313,13 @@ func (h *OnlineHeuristic) getScan(t *topology.Topology, m int) *scanScratch {
 	return newScanScratch(t, m)
 }
 
-// putScan returns s to the pool without the caller's allocation.
+// putScan returns s to the pool, or to the placer that holds it, without
+// the caller's allocation.
 func (h *OnlineHeuristic) putScan(s *scanScratch) {
 	s.dst = nil
-	h.scanPool.Put(s)
+	if h.held == nil {
+		h.scanPool.Put(s)
+	}
 }
 
 // sup returns the lazily-sized per-node supply scratch. It is only

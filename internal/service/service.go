@@ -215,7 +215,7 @@ func (s *Service) Grow(entries []affinity.VMEntry, delta model.Request) (Placeme
 }
 
 // Shrink gives back delta VMs per type from a previously committed
-// cluster, picking the DC(C)-minimizing victims
+// cluster, picking the victims that leave the least DC(C)
 // (placement.ReleaseSubsetSparse), and wakes whatever queued placements
 // the freed capacity now fits. It returns the victim entries — the caller
 // must subtract them from its record of the cluster. entries is only

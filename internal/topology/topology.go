@@ -263,12 +263,6 @@ func (t *Topology) Racks() int { return t.racks }
 // Clouds returns the number of clouds.
 func (t *Topology) Clouds() int { return t.clouds }
 
-// Node returns the descriptor of node id. It panics on an out-of-range ID,
-// which always indicates a programming error.
-func (t *Topology) Node(id NodeID) Node {
-	return t.nodes[id]
-}
-
 // RackOf returns the rack index of node id.
 func (t *Topology) RackOf(id NodeID) int { return t.rackOf[id] }
 

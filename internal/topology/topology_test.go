@@ -144,7 +144,7 @@ func TestBuilderExplicit(t *testing.T) {
 	if r1 != 0 || r2 != 1 {
 		t.Errorf("rack indices = %d, %d", r1, r2)
 	}
-	if tp.Node(n1).Name != "alpha" || tp.Node(n2).Name != "node-1" || tp.Node(n3).Name != "gamma" {
+	if tp.nodes[n1].Name != "alpha" || tp.nodes[n2].Name != "node-1" || tp.nodes[n3].Name != "gamma" {
 		t.Errorf("node names wrong: %+v", tp.nodes)
 	}
 	if !tp.SameRack(n1, n2) || tp.SameRack(n1, n3) {

@@ -166,7 +166,6 @@ func (w *Writer) Close() error {
 // invariants the writer enforced.
 type Reader struct {
 	sc          *bufio.Scanner
-	f           *os.File // non-nil only for OpenFile readers
 	hdr         streamHeader
 	prevID      model.RequestID
 	prevArrival float64
@@ -197,21 +196,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, errors.New("trace: non-positive type count")
 	}
 	return &Reader{sc: sc, hdr: hdr, prevID: -1, line: 1}, nil
-}
-
-// OpenFile opens path for streaming replay; Close releases the file.
-func OpenFile(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r.f = f
-	return r, nil
 }
 
 // Types returns the trace's declared VM type count.
@@ -248,15 +232,6 @@ func (r *Reader) Next() (model.TimedRequest, bool, error) {
 		return model.TimedRequest{}, false, err
 	}
 	return model.TimedRequest{}, false, nil
-}
-
-// Close releases the underlying file for OpenFile readers (no-op
-// otherwise).
-func (r *Reader) Close() error {
-	if r.f != nil {
-		return r.f.Close()
-	}
-	return nil
 }
 
 // CopySource drains src into w — the bridge from any request generator

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -84,8 +85,8 @@ func TestStreamReaderIgnoresPriority(t *testing.T) {
 	}
 }
 
-// TestStreamFileRoundTrip covers the CreateFile/OpenFile pair and that
-// Reader satisfies model.RequestSource.
+// TestStreamFileRoundTrip covers CreateFile with a Reader over the file,
+// and that Reader satisfies model.RequestSource.
 func TestStreamFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	w, err := CreateFile(path, "file trip", 3)
@@ -98,11 +99,15 @@ func TestStreamFileRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = rd.Close() }()
+	defer func() { _ = f.Close() }()
+	rd, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var src model.RequestSource = rd
 	n := 0
 	for {

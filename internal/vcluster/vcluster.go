@@ -58,14 +58,6 @@ func FromAllocation(t *topology.Topology, a affinity.Allocation) (*Cluster, erro
 // Size returns the number of VMs.
 func (c *Cluster) Size() int { return len(c.vms) }
 
-// VM returns the VM with the given ID.
-func (c *Cluster) VM(id VMID) VM { return c.vms[id] }
-
-// VMs returns all VMs; the slice must not be modified.
-//
-//lint:shared documented read-only view of the VM table
-func (c *Cluster) VMs() []VM { return c.vms }
-
 // NodeOf returns the physical node hosting a VM.
 func (c *Cluster) NodeOf(id VMID) topology.NodeID { return c.vms[id].Node }
 
@@ -98,18 +90,4 @@ func (c *Cluster) PairwiseDistance() float64 {
 		}
 	}
 	return sum
-}
-
-// Racks returns the distinct racks the cluster spans.
-func (c *Cluster) Racks() []int {
-	seen := make(map[int]bool)
-	var out []int
-	for _, vm := range c.vms {
-		r := c.topo.RackOf(vm.Node)
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -29,17 +29,14 @@ func TestFromAllocation(t *testing.T) {
 	}
 	// Ordered by node then type: VMs 0,1 small on node 0; VM 2 medium on
 	// node 0; VM 3 small on node 2.
-	if c.VM(0).Node != 0 || c.VM(0).Type != 0 {
-		t.Errorf("VM 0 = %+v", c.VM(0))
+	if c.vms[0].Node != 0 || c.vms[0].Type != 0 {
+		t.Errorf("VM 0 = %+v", c.vms[0])
 	}
-	if c.VM(2).Node != 0 || c.VM(2).Type != 1 {
-		t.Errorf("VM 2 = %+v", c.VM(2))
+	if c.vms[2].Node != 0 || c.vms[2].Type != 1 {
+		t.Errorf("VM 2 = %+v", c.vms[2])
 	}
-	if c.VM(3).Node != 2 || c.VM(3).Type != 0 {
-		t.Errorf("VM 3 = %+v", c.VM(3))
-	}
-	if len(c.VMs()) != 4 {
-		t.Error("VMs() length wrong")
+	if c.vms[3].Node != 2 || c.vms[3].Type != 0 {
+		t.Errorf("VM 3 = %+v", c.vms[3])
 	}
 	if c.Topology() != tp {
 		t.Error("Topology() wrong")
@@ -93,18 +90,5 @@ func TestPairwiseDistanceMatchesAffinity(t *testing.T) {
 	}
 	if got, want := c.PairwiseDistance(), a.PairwiseAffinity(tp); got != want {
 		t.Errorf("PairwiseDistance = %v, affinity metric = %v", got, want)
-	}
-}
-
-func TestRacks(t *testing.T) {
-	tp := plant(t)
-	a := affinity.Allocation{{1, 0}, {0, 0}, {1, 0}, {1, 0}}
-	c, err := FromAllocation(tp, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	racks := c.Racks()
-	if len(racks) != 2 {
-		t.Fatalf("Racks = %v", racks)
 	}
 }
