@@ -80,7 +80,7 @@ lint-json:
 # equals a lowest-ID row scan and every aggregate equals a rebuild after
 # each cell change and row zeroing or restore, on scrambled plants too),
 # Algorithm 1 placement (capacity respected, mismatched matrix widths
-# rejected, the pruned scan places exactly as ExhaustiveCenters,
+# rejected, the pruned scan places exactly as the Exhaustive oracle,
 # evaluator DC(C) matches the row-scan oracle), the exact shrink
 # (victims sum to the delta, no cell goes negative, and the DC left is
 # the least of a brute-force enumeration of every removal),
@@ -139,7 +139,7 @@ elastic-race:
 
 # Full benchmark suite: every table/figure plus ablations.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/experiments
 
 # Just the hot-path benchmarks gated by the performance acceptance
 # criteria (incremental vs scratch DC evaluation, Algorithm 1/2 cost).

@@ -44,8 +44,8 @@ func BenchmarkPlaceDelta(b *testing.B) {
 				delta[j%types]++
 			}
 			var sp affinity.SparseAlloc
-			h := &placement.OnlineHeuristic{Policy: placement.ScanAllCenters}
-			// One warm op sizes sp and the scan pools so the timed loop
+			h := &placement.OnlineHeuristic{}
+			// One warm op sizes sp and the placer's scratch so the timed loop
 			// reports the allocation-free steady state.
 			if _, _, err := h.PlaceDeltaSparse(ring.idx, cur, delta, &sp); err != nil {
 				b.Fatal(err)

@@ -242,39 +242,6 @@ func BenchmarkAblationExactSolvers(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDelaySched compares the MapReduce scheduler with and
-// without delay scheduling on the skewed-input experiment, where locality
-// is contended.
-func BenchmarkAblationDelaySched(b *testing.B) {
-	tops, err := experiments.MRTopologies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mt := tops[1] // the cluster whose locality suffers most under skew
-	for _, tc := range []struct {
-		name  string
-		skips int
-	}{
-		{"eager", 0},
-		{"delay-3", 3},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := experiments.DefaultMRExperimentConfig(benchSeed)
-			cfg.SingleWriterInput = true
-			cfg.Sim.DelaySkips = tc.skips
-			var nonLocal float64
-			for i := 0; i < b.N; i++ {
-				row, err := experiments.RunMRCluster(mt.Name, mt.Alloc, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nonLocal = float64(row.NonDataLocalMaps)
-			}
-			b.ReportMetric(nonLocal, "non-local-maps")
-		})
-	}
-}
-
 // BenchmarkBaselineComparison regenerates the strategy comparison table.
 func BenchmarkBaselineComparison(b *testing.B) {
 	var onlineTotal float64
@@ -396,17 +363,17 @@ func BenchmarkPlaceScale(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, arm := range []struct {
-			name    string
-			policy  placement.CenterPolicy
-			perRack int // VMs requested per type, in multiples of nodesPerRack
-			maxExh  int // an exhaustive arm's largest plant
+			name       string
+			exhaustive bool
+			perRack    int // VMs requested per type, in multiples of nodesPerRack
+			maxExh     int // an exhaustive arm's largest plant
 		}{
-			{"pruned", placement.ScanAllCenters, 1, 0},
-			{"exhaustive", placement.ExhaustiveCenters, 1, 16000}, // 1M nodes: hours per op
-			{"spill/pruned", placement.ScanAllCenters, 4, 0},
-			{"spill/exhaustive", placement.ExhaustiveCenters, 4, 800},
+			{"pruned", false, 1, 0},
+			{"exhaustive", true, 1, 16000}, // 1M nodes: hours per op
+			{"spill/pruned", false, 4, 0},
+			{"spill/exhaustive", true, 4, 800},
 		} {
-			if arm.policy == placement.ExhaustiveCenters && topo.Nodes() > arm.maxExh {
+			if arm.exhaustive && topo.Nodes() > arm.maxExh {
 				continue
 			}
 			req := make(model.Request, types)
@@ -414,29 +381,30 @@ func BenchmarkPlaceScale(b *testing.B) {
 				req[j] = arm.perRack * tc.nodesPerRack
 			}
 			b.Run(fmt.Sprintf("%s/%s", tc.name, arm.name), func(b *testing.B) {
-				h := &placement.OnlineHeuristic{Policy: arm.policy}
-				if arm.policy == placement.ScanAllCenters {
-					idx, err := affinity.NewTierIndex(topo, caps)
-					if err != nil {
-						b.Fatal(err)
-					}
-					var sp affinity.SparseAlloc
-					if _, _, err := h.PlaceSparse(idx, req, &sp); err != nil {
-						b.Fatal(err)
-					}
+				if arm.exhaustive {
+					p := &placement.Exhaustive{}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, _, err := h.PlaceSparse(idx, req, &sp); err != nil {
+						if _, err := p.Place(topo, caps, req); err != nil {
 							b.Fatal(err)
 						}
 					}
 					return
 				}
+				h := &placement.OnlineHeuristic{}
+				idx, err := affinity.NewTierIndex(topo, caps)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var sp affinity.SparseAlloc
+				if _, _, err := h.PlaceSparse(idx, req, &sp); err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := h.Place(topo, caps, req); err != nil {
+					if _, _, err := h.PlaceSparse(idx, req, &sp); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -581,20 +549,5 @@ func BenchmarkSimplex(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkMapReduceWordCount measures one full simulated WordCount run.
-func BenchmarkMapReduceWordCount(b *testing.B) {
-	tops, err := experiments.MRTopologies()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := experiments.DefaultMRExperimentConfig(benchSeed)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunMRCluster(tops[0].Name, tops[0].Alloc, cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -61,7 +61,7 @@ func fillChurnRing(tb testing.TB, topo *topology.Topology, caps [][]int, nodesPe
 	r := &churnRing{
 		inv:        inv,
 		idx:        idx,
-		h:          &placement.OnlineHeuristic{Policy: placement.ScanAllCenters},
+		h:          &placement.OnlineHeuristic{},
 		allocTotal: make([]int, topo.Nodes()),
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -178,12 +178,12 @@ func BenchmarkChurn(b *testing.B) {
 // TestChurnSteadyStateZeroAllocs gates the steady state's allocations:
 // after warmup, a churn step (ReleaseList + PlaceSparse + AllocateList +
 // ring bookkeeping) must not allocate. GC is disabled around the
-// measurement so pool reclamation cannot flake the gate. The plants are
-// small so the gate also runs in -short mode. Each arm drives code the
-// others miss: util90 the slow path's container and node heaps, the
-// fail-restore mix TierIndex.ApplyRow (its 2 allocs are the two rows
-// FailNode copies), and the 8-cloud plant of single 3-node racks the
-// far-cloud gather of requests that outgrow their cloud.
+// measurement so the count reads only the step's own allocations. The
+// plants are small so the gate also runs in -short mode. Each arm
+// drives code the others miss: util90 the slow path's container and
+// node heaps, the fail-restore mix TierIndex.ApplyRow (its 2 allocs are
+// the two rows FailNode copies), and the 8-cloud plant of single 3-node
+// racks the far-cloud gather of requests that outgrow their cloud.
 func TestChurnSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in non-race builds")
@@ -221,7 +221,7 @@ func TestChurnSteadyStateZeroAllocs(t *testing.T) {
 					}
 				}
 			}
-			for i := 0; i < 3*len(ring.ents); i++ { // warm pools and entry slices
+			for i := 0; i < 3*len(ring.ents); i++ { // size the scratch and entry slices
 				step()
 			}
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -279,7 +279,7 @@ type lockstep struct {
 	invA, invB *inventory.Inventory
 	idx        *affinity.TierIndex
 	pruned     *placement.OnlineHeuristic
-	exhaustive *placement.OnlineHeuristic
+	exhaustive *placement.Exhaustive
 	sp         affinity.SparseAlloc
 	live       []lockCluster
 	failed     []topology.NodeID // failed nodes, oldest first
@@ -306,8 +306,8 @@ func newLockstep(t *testing.T, name string, topo *topology.Topology, caps [][]in
 	}
 	return &lockstep{
 		t: t, name: name, topo: topo, invA: invA, invB: invB, idx: idx,
-		pruned:     &placement.OnlineHeuristic{Policy: placement.ScanAllCenters},
-		exhaustive: &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters},
+		pruned:     &placement.OnlineHeuristic{},
+		exhaustive: &placement.Exhaustive{},
 	}
 }
 

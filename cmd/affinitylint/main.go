@@ -2,7 +2,7 @@
 // analyzer suite: detrand (no wall clock / global rand / env reads in
 // simulation packages), maporder (map iteration order must not reach
 // ordered output), errdrop (no silently discarded errors from our own
-// APIs), scratchpool (sync.Pool buffer discipline), and aliasret
+// APIs), scratchpool (pooled scratch-buffer discipline), and aliasret
 // (exported methods must not return views of unexported state
 // uncopied). It machine-enforces the same-seed ⇒ byte-identical
 // contract of DESIGN.md §7–§10 and the bug classes of §15 that no test

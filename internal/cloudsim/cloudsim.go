@@ -291,18 +291,14 @@ type simMetrics struct {
 }
 
 // New builds a simulator over a topology, a live inventory, and the
-// online heuristic that places its requests. The heuristic must use the
-// ScanAllCenters policy: New attaches a tier index to the inventory and
-// places through PlaceSparse.
+// online heuristic that places its requests. New attaches a tier index
+// to the inventory and places through PlaceSparse.
 func New(tp *topology.Topology, inv *inventory.Inventory, online *placement.OnlineHeuristic, cfg Config) (*Simulator, error) {
 	if tp.Nodes() != inv.Nodes() {
 		return nil, fmt.Errorf("cloudsim: topology has %d nodes, inventory %d", tp.Nodes(), inv.Nodes())
 	}
 	if online == nil {
 		return nil, errors.New("cloudsim: nil online heuristic")
-	}
-	if online.Policy != placement.ScanAllCenters {
-		return nil, fmt.Errorf("cloudsim: the online heuristic must use ScanAllCenters, got %q", online.Name())
 	}
 	s := &Simulator{
 		topo:            tp,

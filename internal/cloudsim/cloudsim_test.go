@@ -62,9 +62,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(tp, inv, nil, Config{}); err == nil {
 		t.Error("nil online heuristic accepted")
 	}
-	if _, err := New(tp, inv, &placement.OnlineHeuristic{Policy: placement.ExhaustiveCenters}, Config{}); err == nil {
-		t.Error("ExhaustiveCenters heuristic accepted")
-	}
 	smallInv, _ := inventory.NewFromMatrix([][]int{{1, 1}})
 	if _, err := New(tp, smallInv, &placement.OnlineHeuristic{}, Config{}); err == nil {
 		t.Error("mismatched inventory accepted")
@@ -106,7 +103,7 @@ func TestImmediateServiceAndRelease(t *testing.T) {
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if inv.Allocated(0, 0) != 0 {
+	if inv.AllocatedMatrix()[0][0] != 0 {
 		t.Error("resources not fully released")
 	}
 	if m.MakeSpan != 11 {

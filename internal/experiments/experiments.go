@@ -468,12 +468,6 @@ func DefaultMRExperimentConfig(seed int64) MRExperimentConfig {
 	}
 }
 
-// RunMRCluster executes WordCount on one cluster allocation and returns
-// its row.
-func RunMRCluster(name string, alloc affinity.Allocation, cfg MRExperimentConfig) (*Fig78Row, error) {
-	return runMRClusterJob(name, alloc, cfg, mapreduce.WordCount("input"))
-}
-
 // newMRSim assembles the simulator stack (engine, network, DFS with the
 // pre-loaded input, MapReduce scheduler) for one cluster.
 func newMRSim(tp *topology.Topology, cluster *vcluster.Cluster, cfg MRExperimentConfig) (*mapreduce.Simulator, error) {

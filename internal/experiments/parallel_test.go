@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync/atomic"
 	"testing"
 )
@@ -18,12 +21,51 @@ func withWorkers(t *testing.T, w int, fn func()) {
 	fn()
 }
 
-// settled reports whether the goroutine count falls back to before.
-// Exited goroutines are reaped asynchronously, so it yields the
-// processor for a while before it gives up.
-func settled(before int) bool {
-	for i := 0; runtime.NumGoroutine() > before; i++ {
-		if i == 100_000 {
+// goroutines returns the IDs of the live goroutines, read from the
+// headers of an all-goroutine stack dump. IDs are never reused.
+func goroutines() map[int]bool {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	ids := map[int]bool{}
+	for _, line := range bytes.Split(buf, []byte("\n")) {
+		if rest, ok := bytes.CutPrefix(line, []byte("goroutine ")); ok {
+			if id, _, ok := bytes.Cut(rest, []byte(" ")); ok {
+				if n, err := strconv.Atoi(string(id)); err == nil {
+					ids[n] = true
+				}
+			}
+		}
+	}
+	return ids
+}
+
+// started returns the goroutines alive now that are not in before,
+// ascending.
+func started(before map[int]bool) []int {
+	var out []int
+	for id := range goroutines() {
+		if !before[id] {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// settled reports whether every goroutine started since before has
+// exited. Exited goroutines are reaped asynchronously, so it yields the
+// processor for a while before it gives up. It compares goroutine IDs,
+// not counts, so a goroutine that was alive in before and exits later
+// cannot hide a new one.
+func settled(before map[int]bool) bool {
+	for i := 0; len(started(before)) > 0; i++ {
+		if i == 10_000 {
 			return false
 		}
 		runtime.Gosched()
@@ -31,12 +73,12 @@ func settled(before int) bool {
 	return true
 }
 
-// joined fails the test unless the goroutine count falls back to
-// before: a worker that outlives forEachIndex leaks.
-func joined(t *testing.T, before int) {
+// joined fails the test unless every goroutine started since before has
+// exited: a worker that outlives forEachIndex leaks.
+func joined(t *testing.T, before map[int]bool) {
 	t.Helper()
 	if !settled(before) {
-		t.Fatalf("%d goroutines after forEachIndex, %d before", runtime.NumGoroutine(), before)
+		t.Fatalf("goroutines %v outlived forEachIndex", started(before))
 	}
 }
 
@@ -48,7 +90,7 @@ func TestForEachIndexCoversAllAndOrdersErrors(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
 			withWorkers(t, w, func() {
 				var calls [40]int32
-				before := runtime.NumGoroutine()
+				before := goroutines()
 				if err := forEachIndex(len(calls), func(i int) error {
 					atomic.AddInt32(&calls[i], 1)
 					return nil
@@ -90,7 +132,7 @@ func TestForEachIndexCoversAllAndOrdersErrors(t *testing.T) {
 func TestSettledCatchesParkedGoroutine(t *testing.T) {
 	withWorkers(t, 3, func() {
 		stop := make(chan struct{})
-		before := runtime.NumGoroutine()
+		before := goroutines()
 		if err := forEachIndex(4, func(i int) error {
 			if i == 0 {
 				go func() { <-stop }()
@@ -104,7 +146,7 @@ func TestSettledCatchesParkedGoroutine(t *testing.T) {
 		}
 		close(stop)
 		if !settled(before) {
-			t.Fatalf("%d goroutines after the parked one exited, %d before", runtime.NumGoroutine(), before)
+			t.Fatalf("goroutines %v alive after the parked one exited", started(before))
 		}
 	})
 }

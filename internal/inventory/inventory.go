@@ -12,7 +12,6 @@ package inventory
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"affinitycluster/internal/affinity"
@@ -107,27 +106,6 @@ func (inv *Inventory) Nodes() int { return inv.nodes }
 
 // Types returns the VM type dimension m.
 func (inv *Inventory) Types() int { return inv.types }
-
-// Capacity returns M[node][vt].
-func (inv *Inventory) Capacity(node topology.NodeID, vt model.VMTypeID) int {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	return inv.max[node][vt]
-}
-
-// Allocated returns C[node][vt].
-func (inv *Inventory) Allocated(node topology.NodeID, vt model.VMTypeID) int {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	return inv.alloc[node][vt]
-}
-
-// RemainingAt returns L[node][vt] = M[node][vt] − C[node][vt].
-func (inv *Inventory) RemainingAt(node topology.NodeID, vt model.VMTypeID) int {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	return inv.remain[node][vt]
-}
 
 // Remaining returns a copy of the full remaining matrix L. Placement
 // algorithms plan against this snapshot and then commit with Allocate.
@@ -367,18 +345,6 @@ func (inv *Inventory) RestoreNode(node topology.NodeID) error {
 	delete(inv.failed, i)
 	inv.tixApplyRow(node, inv.tixDeltas)
 	return nil
-}
-
-// FailedNodes returns the currently failed nodes, ascending.
-func (inv *Inventory) FailedNodes() []topology.NodeID {
-	inv.mu.RLock()
-	defer inv.mu.RUnlock()
-	out := make([]topology.NodeID, 0, len(inv.failed))
-	for i := range inv.failed {
-		out = append(out, topology.NodeID(i))
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // CheckInvariants verifies the bookkeeping identities of Section II:

@@ -70,10 +70,10 @@ func TestAllocateReleaseRoundTrip(t *testing.T) {
 	if err := inv.Allocate(alloc); err != nil {
 		t.Fatal(err)
 	}
-	if got := inv.RemainingAt(0, 0); got != 1 {
+	if got := inv.remain[0][0]; got != 1 {
 		t.Errorf("L[0][0] = %d, want 1", got)
 	}
-	if got := inv.Allocated(1, 2); got != 1 {
+	if got := inv.alloc[1][2]; got != 1 {
 		t.Errorf("C[1][2] = %d, want 1", got)
 	}
 	a := inv.Available()
@@ -107,7 +107,7 @@ func TestAllocateFailsAtomically(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
 	// Nothing changed — including the part that would have fit.
-	if inv.Allocated(0, 0) != 0 {
+	if inv.alloc[0][0] != 0 {
 		t.Error("partial allocation leaked")
 	}
 	if err := inv.CheckInvariants(); err != nil {
@@ -174,7 +174,7 @@ func TestNewFromMatrixCopiesInput(t *testing.T) {
 	max := [][]int{{2, 3, 0}, {3, 0, 1}, {0, 2, 1}}
 	inv := mustInv(t, max)
 	max[0][0] = 9
-	if got := inv.Capacity(0, 0); got != 2 {
+	if got := inv.max[0][0]; got != 2 {
 		t.Errorf("M[0][0] = %d after the caller's write, want 2", got)
 	}
 	if err := inv.Allocate([][]int{{2, 0, 0}, {1, 0, 0}, {0, 0, 0}}); err != nil {
@@ -195,7 +195,7 @@ func TestSnapshotsDoNotAlias(t *testing.T) {
 	inv := tableII(t)
 	l := inv.Remaining()
 	l[0][0] = 99
-	if inv.RemainingAt(0, 0) == 99 {
+	if inv.remain[0][0] == 99 {
 		t.Error("Remaining() aliases internal state")
 	}
 	m := inv.CapacityTotals()
@@ -205,7 +205,7 @@ func TestSnapshotsDoNotAlias(t *testing.T) {
 	}
 	c := inv.AllocatedMatrix()
 	c[0][0] = 99
-	if inv.Allocated(0, 0) == 99 {
+	if inv.alloc[0][0] == 99 {
 		t.Error("AllocatedMatrix() aliases internal state")
 	}
 	a := inv.Available()
@@ -224,8 +224,8 @@ func TestMove(t *testing.T) {
 	if err := inv.Move(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if inv.Allocated(0, 0) != 1 || inv.Allocated(1, 0) != 1 {
-		t.Errorf("allocations after move: %d, %d", inv.Allocated(0, 0), inv.Allocated(1, 0))
+	if inv.alloc[0][0] != 1 || inv.alloc[1][0] != 1 {
+		t.Errorf("allocations after move: %d, %d", inv.alloc[0][0], inv.alloc[1][0])
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -336,8 +336,8 @@ func TestConcurrentAllocateRelease(t *testing.T) {
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if inv.Allocated(0, 0) != 0 {
-		t.Errorf("leftover allocation %d", inv.Allocated(0, 0))
+	if inv.alloc[0][0] != 0 {
+		t.Errorf("leftover allocation %d", inv.alloc[0][0])
 	}
 }
 
@@ -356,14 +356,14 @@ func TestFailAndRestoreNode(t *testing.T) {
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if inv.Capacity(0, 0) != 0 || inv.RemainingAt(0, 0) != 0 || inv.Allocated(0, 0) != 0 {
+	if inv.max[0][0] != 0 || inv.remain[0][0] != 0 || inv.alloc[0][0] != 0 {
 		t.Error("failed node still shows capacity or allocation")
 	}
 	if got := inv.Available(); got[0] != 1 || got[1] != 1 {
 		t.Errorf("avail = %v, want [1 1]", got)
 	}
-	if failed := inv.FailedNodes(); len(failed) != 1 || failed[0] != 0 {
-		t.Errorf("FailedNodes = %v", failed)
+	if _, ok := inv.failed[0]; len(inv.failed) != 1 || !ok {
+		t.Errorf("failed nodes = %v", inv.failed)
 	}
 	if _, err := inv.FailNode(0); err == nil {
 		t.Error("double failure accepted")
@@ -378,17 +378,17 @@ func TestFailAndRestoreNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The node comes back empty at full pre-failure capacity.
-	if inv.Capacity(0, 0) != 3 || inv.Capacity(0, 1) != 2 {
+	if inv.max[0][0] != 3 || inv.max[0][1] != 2 {
 		t.Error("capacity not restored")
 	}
-	if inv.Allocated(0, 0) != 0 {
+	if inv.alloc[0][0] != 0 {
 		t.Error("restored node should be empty")
 	}
 	if err := inv.RestoreNode(0); err == nil {
 		t.Error("double restore accepted")
 	}
-	if len(inv.FailedNodes()) != 0 {
-		t.Errorf("FailedNodes after restore = %v", inv.FailedNodes())
+	if len(inv.failed) != 0 {
+		t.Errorf("failed nodes after restore = %v", inv.failed)
 	}
 }
 

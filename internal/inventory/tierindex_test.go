@@ -150,9 +150,9 @@ func TestAttachTierIndexMidChurn(t *testing.T) {
 	for _, row := range inv.AllocatedMatrix() {
 		allocated += model.Sum(row)
 	}
-	if len(inv.FailedNodes()) == 0 || allocated == 0 {
+	if len(inv.failed) == 0 || allocated == 0 {
 		t.Fatalf("churn left %d failed nodes and %d allocated VMs; the attach must meet both",
-			len(inv.FailedNodes()), allocated)
+			len(inv.failed), allocated)
 	}
 	first, err := inv.AttachTierIndex(topo)
 	if err != nil {
@@ -205,12 +205,8 @@ func TestListFormsMatchDense(t *testing.T) {
 	if err := dense.Allocate(a); err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 2; j++ {
-			if sparse.RemainingAt(topology.NodeID(i), model.VMTypeID(j)) != dense.RemainingAt(topology.NodeID(i), model.VMTypeID(j)) {
-				t.Fatalf("remaining mismatch at (%d,%d)", i, j)
-			}
-		}
+	if !slices.EqualFunc(sparse.remain, dense.remain, slices.Equal[[]int]) {
+		t.Fatalf("remaining mismatch: sparse %v, dense %v", sparse.remain, dense.remain)
 	}
 
 	// Over-allocating via repeated cells must fail atomically.
@@ -245,8 +241,8 @@ func TestListFormsMatchDense(t *testing.T) {
 	if err := sparse.ReleaseList([]affinity.VMEntry{{Node: 0, Type: 0, Count: 3}}); err != nil {
 		t.Fatalf("ReleaseList: %v", err)
 	}
-	if got := sparse.RemainingAt(0, 0); got != 3 {
-		t.Fatalf("RemainingAt(0,0) = %d after release, want 3", got)
+	if got := sparse.remain[0][0]; got != 3 {
+		t.Fatalf("L[0][0] = %d after release, want 3", got)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package scratchpool protects the placer's sync.Pool scratch-buffer
-// discipline (the PR-3 pooling work in internal/placement):
+// Package scratchpool protects sync.Pool scratch-buffer discipline (in
+// this module, the shrink's releasePool in internal/placement):
 //
 //  1. A raw slice handed to Pool.Put must have its length reset first
 //     (`buf = buf[:0]` or `Put(buf[:0])`), otherwise the next Get
@@ -9,8 +9,8 @@
 //     call: storing it into a struct field, package variable, map/slice
 //     element, or sending it over a channel aliases a buffer that a later
 //     Put hands to an unrelated goroutine. Returning a pooled value to
-//     the caller is allowed — that is exactly how placement's getBuffer
-//     helper works — because ownership transfers with the return.
+//     the caller is allowed, because ownership transfers with the
+//     return.
 package scratchpool
 
 import (

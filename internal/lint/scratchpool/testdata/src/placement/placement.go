@@ -1,42 +1,45 @@
-// Fixture: the shape of placement's getScan. The scratch is a pointer
-// pooled in a struct field and fetched through an if-init type
-// assertion; keeping it in a package variable lets the next Get hand
-// the same scratch to a second scan while the first still reads it.
+// Fixture: the shape of placement's ReleaseSubsetSparse. The scratch is
+// a pointer pooled in a package variable and fetched through a type
+// assertion; keeping it in a package variable past the call lets a
+// second shrink reuse the same scratch while the pool hands it to a
+// shrink on another goroutine.
 package placement
 
 import "sync"
 
-type scanScratch struct {
-	m   int
-	dst []int
+type releaseScratch struct {
+	cells   []int
+	victims []int
 }
 
-type OnlineHeuristic struct{ scanPool sync.Pool }
+var releasePool = sync.Pool{New: func() any { return new(releaseScratch) }}
 
-var lastScan *scanScratch
+var lastRelease *releaseScratch
 
-func (h *OnlineHeuristic) getScanRetained(m int) *scanScratch {
-	if v := h.scanPool.Get(); v != nil {
-		if s := v.(*scanScratch); s.m == m {
-			lastScan = s // want `pooled buffer retained in package variable lastScan`
-			return s
-		}
+func releaseRetained(cur []int) []int {
+	sc := releasePool.Get().(*releaseScratch)
+	if lastRelease != nil {
+		sc = lastRelease
 	}
-	return &scanScratch{m: m}
+	lastRelease = sc // want `pooled buffer retained in package variable lastRelease`
+	defer putRelease(sc)
+	victims := append(sc.victims[:0], cur...)
+	sc.victims = victims
+	return append([]int(nil), victims...)
 }
 
-// getScan is the sanctioned form: the scratch is handed to the caller,
-// who returns it through putScan.
-func (h *OnlineHeuristic) getScan(m int) *scanScratch {
-	if v := h.scanPool.Get(); v != nil {
-		if s := v.(*scanScratch); s.m == m {
-			return s
-		}
-	}
-	return &scanScratch{m: m}
+// release is the sanctioned form: the scratch lives for one call and
+// goes back through putRelease, and the caller gets a copy.
+func release(cur []int) []int {
+	sc := releasePool.Get().(*releaseScratch)
+	defer putRelease(sc)
+	victims := append(sc.victims[:0], cur...)
+	sc.victims = victims
+	return append([]int(nil), victims...)
 }
 
-func (h *OnlineHeuristic) putScan(s *scanScratch) {
-	s.dst = nil
-	h.scanPool.Put(s)
+func putRelease(sc *releaseScratch) {
+	sc.cells = sc.cells[:0]
+	sc.victims = sc.victims[:0]
+	releasePool.Put(sc)
 }

@@ -60,7 +60,7 @@ func aliasRetain(c *cache) {
 }
 
 func handoffOK() []byte {
-	// Returning transfers ownership to the caller (placement.getBuffer).
+	// Returning transfers ownership to the caller.
 	b := pool.Get().([]byte)
 	return b
 }

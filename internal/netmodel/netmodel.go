@@ -157,9 +157,6 @@ func (fs *FlowSim) capacity(l linkID) float64 {
 	}
 }
 
-// Active returns the number of in-flight flows.
-func (fs *FlowSim) Active() int { return len(fs.flows) }
-
 // StartFlow launches a transfer of sizeMB from src to dst; done fires on
 // the engine when the last byte lands. Zero-size transfers complete after
 // the path latency alone.

@@ -231,12 +231,12 @@ func TestActiveCount(t *testing.T) {
 	}
 	for !marked && e.Step() {
 	}
-	if fs.Active() != 2 {
-		t.Errorf("Active = %d, want 2", fs.Active())
+	if len(fs.flows) != 2 {
+		t.Errorf("%d flows in flight, want 2", len(fs.flows))
 	}
 	e.Run()
-	if fs.Active() != 0 {
-		t.Errorf("Active after drain = %d", fs.Active())
+	if len(fs.flows) != 0 {
+		t.Errorf("%d flows in flight after drain", len(fs.flows))
 	}
 }
 
@@ -271,7 +271,7 @@ func TestQuickFlowsRespectUncontendedBound(t *testing.T) {
 			}
 		}
 		e.Run()
-		if fs.Active() != 0 {
+		if len(fs.flows) != 0 {
 			return false
 		}
 		for _, rc := range recs {

@@ -12,9 +12,8 @@
 // the shrink prices every hosting node once in closed form and gives
 // back the farthest VMs from the cheapest one (DESIGN.md §16).
 //
-// The grow reuses the pooled scanScratch of the tier-aggregated scan, so
-// it stays allocation-free in steady state; the shrink allocates only
-// its result.
+// The grow reuses the placer's scan scratch, so it stays allocation-free
+// in steady state; the shrink allocates only its result.
 package placement
 
 import (
@@ -37,11 +36,8 @@ import (
 // by the scan), bit-identical to PlaceSparse. Committing the delta
 // against the inventory is the caller's step, exactly as with
 // PlaceSparse. Steady-state calls are allocation-free once dst and the
-// pooled scratch have grown to their working sizes. cur is only read.
+// placer's scratch have grown to their working sizes. cur is only read.
 func (h *OnlineHeuristic) PlaceDeltaSparse(idx *affinity.TierIndex, cur []affinity.VMEntry, delta model.Request, dst *affinity.SparseAlloc) (float64, topology.NodeID, error) {
-	if h.Policy != ScanAllCenters {
-		return 0, -1, fmt.Errorf("placement: PlaceDeltaSparse requires ScanAllCenters, placer uses %q", h.Name())
-	}
 	om := h.obsHandles()
 	om.calls.Inc()
 	dc, center, fast, err := h.placeDeltaCore(idx, cur, delta, dst)
@@ -97,8 +93,7 @@ func (h *OnlineHeuristic) placeDeltaCore(idx *affinity.TierIndex, cur []affinity
 		T += v
 	}
 	d := t.Distances()
-	s := h.getScan(t, m)
-	defer h.putScan(s)
+	s := h.scratch(t, m)
 	s.resetTallies()
 	s.seedEntries(cur)
 	dc0, center := s.score(t, d, s.total)

@@ -52,7 +52,7 @@ func TestPlaceDeltaEmptyEqualsPlace(t *testing.T) {
 				work[i][j] = rng.Intn(4)
 			}
 		}
-		h := &OnlineHeuristic{Policy: ScanAllCenters}
+		h := &OnlineHeuristic{}
 		r := randomRequest(rng, m, n)
 		want, wantErr := h.Place(tp, work, r)
 		idx, err := affinity.NewTierIndex(tp, work)
@@ -102,7 +102,7 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 				work[i][j] = rng.Intn(5)
 			}
 		}
-		h := &OnlineHeuristic{Policy: ScanAllCenters}
+		h := &OnlineHeuristic{}
 		seed := randomRequest(rng, m, n/2+1)
 		cluster, err := h.Place(tp, work, seed)
 		if err != nil {
@@ -476,7 +476,7 @@ func TestDeltaChurnTierIndexLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &OnlineHeuristic{Policy: ScanAllCenters}
+		h := &OnlineHeuristic{}
 		var sp affinity.SparseAlloc
 		type cluster struct{ entries []affinity.VMEntry }
 		var clusters []*cluster
@@ -636,7 +636,7 @@ func TestPlaceDeltaZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &OnlineHeuristic{Policy: ScanAllCenters}
+	h := &OnlineHeuristic{}
 	var sp, base affinity.SparseAlloc
 	if _, _, err := h.PlaceSparse(tidx, model.Request{6, 3}, &base); err != nil {
 		t.Fatal(err)
@@ -656,7 +656,7 @@ func TestPlaceDeltaZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle() // warm the pools
+	cycle() // size sp and the placer's scratch
 	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
 		t.Fatalf("PlaceDeltaSparse steady state allocates %.2f allocs/op, want 0", avg)
 	}

@@ -24,7 +24,7 @@ import (
 // Invariants (DESIGN.md §10): Place never panics, never mutates the
 // capacity snapshot L, rejects a width mismatch with an error, and every
 // successful allocation (a) satisfies the request within L, (b) equals
-// the ExhaustiveCenters reference allocation, with PlaceSparse on a tier
+// the Exhaustive reference allocation, with PlaceSparse on a tier
 // index returning that allocation's exact DC bits and center, (c) has a
 // DC(C) on which the tier-aggregated DistanceEvaluator and the plain
 // row-scan oracle Allocation.DistanceFrom agree exactly, including the
@@ -122,7 +122,7 @@ func FuzzPlaceRequest(f *testing.F) {
 		}
 		// (b) The pruned scan places exactly as the exhaustive reference,
 		// and the indexed entry point reports the reference's DC and center.
-		want, werr := (&OnlineHeuristic{Policy: ExhaustiveCenters}).Place(tp, l, r)
+		want, werr := (&Exhaustive{}).Place(tp, l, r)
 		if werr != nil {
 			t.Fatalf("exhaustive reference failed where the scan placed: %v", werr)
 		}

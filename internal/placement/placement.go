@@ -5,7 +5,9 @@
 //
 // All placers consume a read-only snapshot of the remaining-capacity
 // matrix L and produce an allocation matrix C; committing C to the live
-// inventory is the caller's job (see package inventory).
+// inventory is the caller's job (see package inventory). Algorithm 1's
+// placers and GlobalSubOpt keep their working state from one call to
+// the next, so each serves one caller at a time.
 package placement
 
 import (
@@ -94,32 +96,16 @@ func (e *shortfall) Error() string {
 
 func (e *shortfall) Unwrap() error { return ErrInsufficient }
 
-// CenterPolicy selects how Algorithm 1 picks candidate central nodes.
-type CenterPolicy int
-
-const (
-	// ScanAllCenters keeps the best allocation over every candidate center,
-	// strictly dominating results. Since the build around any center in a
-	// rack shares its per-rack tier profile with every other center of that
-	// rack, the scan probes one representative center per rack (the
-	// max-capacity node) and only re-builds inside racks that tie the best
-	// DC — O(racks) builds instead of the paper's O(n), with bit-identical
-	// output to ExhaustiveCenters including the lowest-ID tie-break.
-	ScanAllCenters CenterPolicy = iota
-	// ExhaustiveCenters is the pre-pruning reference scan: every node is
-	// tried as the center, ascending ID, first strict improvement kept.
-	// It exists as the equivalence oracle for ScanAllCenters and as the
-	// baseline arm of the scale benchmarks; results are identical, cost is
-	// O(n) builds per request.
-	ExhaustiveCenters
-)
-
 // OnlineHeuristic is the paper's Algorithm 1: greedy placement around a
 // central node, packing the center first, then its rack peers in
-// descending supply order, then remote nodes.
+// descending supply order, then remote nodes. It runs the tier-aggregated
+// center scan (tierscan.go), which prices every rack's best build from a
+// tier index and builds only inside the racks that can hold the winner;
+// Exhaustive is the paper's literal every-node scan, kept as its oracle.
+//
+// A placer keeps its working state from one call to the next, so it
+// serves one caller at a time.
 type OnlineHeuristic struct {
-	// Policy selects the center scan strategy; default ScanAllCenters.
-	Policy CenterPolicy
 	// Obs, when non-nil, receives placement metrics (call counts, fast-path
 	// hits, DC of returned allocations). Handles are resolved once on first
 	// Place; a nil Obs leaves the hot path with nil-receiver no-ops.
@@ -128,76 +114,27 @@ type OnlineHeuristic struct {
 	obsOnce sync.Once
 	metrics placerMetrics
 
-	// bufPool recycles the ExhaustiveCenters buildBuffers across Place
-	// calls on this placer. Buffers are keyed by the (nodes, types) shape;
-	// a pooled buffer whose shape no longer matches is dropped rather than
-	// resized.
-	bufPool sync.Pool
-	// scanPool recycles the indexed-scan scratch (see tierscan.go), keyed
-	// by topology identity and type count.
-	scanPool sync.Pool
-	// densePool recycles the transient tier index the dense entry points
-	// rebuild over their caller's capacity matrix.
-	densePool sync.Pool
-	// held, when non-nil, replaces scanPool and densePool: the placer
-	// keeps one scan scratch and one transient index for its whole life.
-	// PlaceBatch's short-lived step-2 placer uses it, because a fresh
-	// sync.Pool's first Put registers the pool with the runtime, at an
-	// allocation cost that depends on how many pools the last GC left
-	// registered.
-	held *heldScratch
+	// scan is the scan's scratch, rebuilt when a call's topology or type
+	// count differs from the last call's.
+	scan *scanScratch
+	// dense is the transient tier index dense Place rebinds over its
+	// caller's capacity matrix, rebuilt like scan; denseSp stages its
+	// sparse result.
+	dense   *affinity.TierIndex
+	denseSp affinity.SparseAlloc
 }
 
-// heldScratch is the scratch a placer with held set keeps across calls.
-type heldScratch struct {
-	scan  *scanScratch
-	dense *denseScratch
-}
-
-// denseScratch is a pooled transient TierIndex plus sparse staging for
-// dense ScanAllCenters calls that arrive without a persistent index.
-type denseScratch struct {
-	idx *affinity.TierIndex
-	sp  affinity.SparseAlloc
-}
-
-// getDense returns a transient index rebound over l — a pooled rebuild
-// when the shape matches, a fresh index otherwise.
-func (h *OnlineHeuristic) getDense(t *topology.Topology, l [][]int) (*denseScratch, error) {
-	if h.held != nil {
-		if ds := h.held.dense; ds != nil && ds.rebind(t, l) {
-			return ds, nil
-		}
-		ds, err := newDense(t, l)
-		h.held.dense = ds
-		return ds, err
+// denseIndex returns the placer's transient index bound to l.
+func (h *OnlineHeuristic) denseIndex(t *topology.Topology, l [][]int) (*affinity.TierIndex, error) {
+	if h.dense != nil && h.dense.Topology() == t && h.dense.Types() == len(l[0]) {
+		return h.dense, h.dense.Rebind(l)
 	}
-	if v := h.densePool.Get(); v != nil {
-		if ds := v.(*denseScratch); ds.rebind(t, l) {
-			return ds, nil
-		}
-	}
-	return newDense(t, l)
-}
-
-// newDense builds a transient index over l.
-func newDense(t *topology.Topology, l [][]int) (*denseScratch, error) {
 	idx, err := affinity.NewTierIndex(t, l)
 	if err != nil {
 		return nil, err
 	}
-	return &denseScratch{idx: idx}, nil
-}
-
-// rebind points ds's index at l, reporting false when the shapes differ.
-func (ds *denseScratch) rebind(t *topology.Topology, l [][]int) bool {
-	return ds.idx.Topology() == t && ds.idx.Types() == len(l[0]) && ds.idx.Rebind(l) == nil
-}
-
-func (h *OnlineHeuristic) putDense(ds *denseScratch) {
-	if h.held == nil {
-		h.densePool.Put(ds)
-	}
+	h.dense = idx
+	return idx, nil
 }
 
 // placerMetrics are the resolved obs handles of a placer. The zero value
@@ -225,16 +162,11 @@ func (h *OnlineHeuristic) obsHandles() *placerMetrics {
 }
 
 // Name implements Placer.
-func (h *OnlineHeuristic) Name() string {
-	if h.Policy == ExhaustiveCenters {
-		return "online-heuristic/exhaustive"
-	}
-	return "online-heuristic"
-}
+func (h *OnlineHeuristic) Name() string { return "online-heuristic" }
 
-// Place implements Placer with the paper's Algorithm 1. ScanAllCenters
-// runs the tier-aggregated scan over a transient index rebuilt over l;
-// cloudsim and the service keep persistent indexes and call PlaceSparse.
+// Place implements Placer with the paper's Algorithm 1: the scan over a
+// transient index bound to l. cloudsim and the service keep persistent
+// indexes and call PlaceSparse.
 func (h *OnlineHeuristic) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
 	om := h.obsHandles()
 	om.calls.Inc()
@@ -244,15 +176,11 @@ func (h *OnlineHeuristic) Place(t *topology.Topology, l [][]int, r model.Request
 		}
 		return nil, err
 	}
-	if h.Policy == ExhaustiveCenters {
-		return h.placeExhaustive(t, l, r, om)
-	}
-	ds, err := h.getDense(t, l)
+	idx, err := h.denseIndex(t, l)
 	if err != nil {
 		return nil, err
 	}
-	defer h.putDense(ds)
-	dc, _, fast, err := h.placeSparseCore(ds.idx, r, &ds.sp)
+	dc, _, fast, err := h.placeSparseCore(idx, r, &h.denseSp)
 	if err != nil {
 		return nil, err
 	}
@@ -262,26 +190,41 @@ func (h *OnlineHeuristic) Place(t *topology.Topology, l [][]int, r model.Request
 	} else {
 		om.dc.Observe(dc)
 	}
-	return ds.sp.ToDense(), nil
+	return h.denseSp.ToDense(), nil
 }
 
-// placeExhaustive is the ExhaustiveCenters reference scan over a dense
-// build buffer: the lowest-ID node covering R outright (Algorithm 1,
-// lines 9–14), else a build around every node as the center, ascending
-// ID, keeping the first strict improvement.
-func (h *OnlineHeuristic) placeExhaustive(t *topology.Topology, l [][]int, r model.Request, om *placerMetrics) (affinity.Allocation, error) {
+// Exhaustive is the paper's literal Algorithm 1 scan over a dense build
+// buffer: the lowest-ID node covering R outright (lines 9–14), else a
+// build around every node as the center, ascending ID, keeping the first
+// strict improvement. It places exactly as OnlineHeuristic at O(n)
+// builds per request, which makes it the oracle of the scan's tests and
+// the baseline arm of the scale benchmarks. It has no PlaceSparse, so it
+// cannot drive cloudsim or the service. It keeps its build buffer from
+// one call to the next, so it serves one caller at a time.
+type Exhaustive struct {
+	buf *buildBuffer
+}
+
+// Name implements Placer.
+func (*Exhaustive) Name() string { return "online-heuristic/exhaustive" }
+
+// Place implements Placer.
+func (p *Exhaustive) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
+	if err := admit(t, l, r); err != nil {
+		return nil, err
+	}
 	n, m := t.Nodes(), len(r)
 	for i := 0; i < n; i++ {
 		if model.Covers(l[i], r) {
 			alloc := affinity.NewAllocation(n, m)
 			copy(alloc[i], r)
-			om.fastPath.Inc()
-			om.dc.Observe(0)
 			return alloc, nil
 		}
 	}
-	buf := h.getBuffer(n, m)
-	defer h.putBuffer(buf)
+	if p.buf == nil || p.buf.n != n || p.buf.m != m {
+		p.buf = newBuildBuffer(n, m)
+	}
+	buf := p.buf
 	var (
 		best     affinity.Allocation
 		bestDist float64
@@ -302,16 +245,15 @@ func (h *OnlineHeuristic) placeExhaustive(t *topology.Topology, l [][]int, r mod
 		// reach every node, so construction cannot fail.
 		return nil, fmt.Errorf("placement: internal error — no allocation built for feasible request %v", r)
 	}
-	om.dc.Observe(bestDist)
 	return best, nil
 }
 
-// buildBuffer holds the scratch state of the ExhaustiveCenters scan so a
+// buildBuffer holds the scratch state of the Exhaustive scan so a
 // single allocation matrix, weight vector, and candidate lists are reused
 // across all candidate centers — the scan itself allocates nothing per
 // center.
 type buildBuffer struct {
-	n, m     int // shape, the pool key
+	n, m     int // shape
 	alloc    affinity.Allocation
 	w        []int             // per-node VM totals of the current build
 	hosts    []topology.NodeID // take-order hosting nodes
@@ -333,18 +275,6 @@ func newBuildBuffer(n, m int) *buildBuffer {
 		cand2:  make([]topology.NodeID, 0, n),
 	}
 }
-
-// getBuffer pulls a shape-matching buffer from the pool or builds one.
-func (h *OnlineHeuristic) getBuffer(n, m int) *buildBuffer {
-	if v := h.bufPool.Get(); v != nil {
-		if b := v.(*buildBuffer); b.n == n && b.m == m {
-			return b
-		}
-	}
-	return newBuildBuffer(n, m)
-}
-
-func (h *OnlineHeuristic) putBuffer(b *buildBuffer) { h.bufPool.Put(b) }
 
 // reset clears only the cells the last build touched.
 func (b *buildBuffer) reset() {
@@ -495,7 +425,9 @@ type BatchResult struct {
 
 // GlobalSubOpt is the paper's Algorithm 2: place every admitted request
 // with the online heuristic, then run a Theorem-2 exchange local search
-// across allocation pairs to shrink the summed distance.
+// across allocation pairs to shrink the summed distance. It keeps its
+// step-2 placer from one batch to the next, so it serves one caller at a
+// time.
 type GlobalSubOpt struct {
 	// MaxPasses caps local-search sweeps (0 = run to fixpoint, at most 64
 	// passes). Figs 5/6, cloudsim's batch mode and examples/batchqueue run
@@ -508,6 +440,7 @@ type GlobalSubOpt struct {
 
 	obsOnce sync.Once
 	metrics batchMetrics
+	online  *OnlineHeuristic // step 2's placer, built on the first batch
 }
 
 // batchMetrics are the resolved obs handles of the batch placer; the zero
@@ -542,8 +475,11 @@ func (g *GlobalSubOpt) Name() string { return "global-subopt" }
 // depletes get a nil allocation and count in Failed.
 func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.Request) (*BatchResult, error) {
 	// Step 2: Algorithm 1 on each request in turn, depleting a working
-	// copy of the capacity, with one scratch held for the whole batch.
-	res, work, err := placeSequential(t, l, reqs, &OnlineHeuristic{Obs: g.Obs, held: &heldScratch{}})
+	// copy of the capacity.
+	if g.online == nil {
+		g.online = &OnlineHeuristic{Obs: g.Obs}
+	}
+	res, work, err := placeSequential(t, l, reqs, g.online)
 	if err != nil {
 		return nil, err
 	}

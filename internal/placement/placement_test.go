@@ -103,7 +103,7 @@ func TestPlacersRejectMalformedShapes(t *testing.T) {
 	}
 	for _, p := range []Placer{
 		&OnlineHeuristic{},
-		&OnlineHeuristic{Policy: ExhaustiveCenters},
+		&Exhaustive{},
 		&Random{Rand: rand.New(rand.NewSource(1))},
 		FirstFit{},
 		RoundRobinStripe{},
@@ -195,7 +195,7 @@ func TestQuickAlgorithm1MatchesSDOptimum(t *testing.T) {
 			req[j] = r.Intn(7)
 		}
 		exact, errEx := sdexact.SolveSDLP(tp, l, req)
-		for _, h := range []*OnlineHeuristic{{}, {Policy: ExhaustiveCenters}} {
+		for _, h := range []Placer{&OnlineHeuristic{}, &Exhaustive{}} {
 			alloc, errH := h.Place(tp, l, req)
 			if errEx != nil || errH != nil {
 				if !errors.Is(errEx, sdexact.ErrInfeasible) || !errors.Is(errH, ErrInsufficient) {
@@ -461,7 +461,7 @@ func TestBaselinesRejectInfeasible(t *testing.T) {
 func TestPlacerNames(t *testing.T) {
 	names := map[string]interface{ Name() string }{
 		"online-heuristic":            &OnlineHeuristic{},
-		"online-heuristic/exhaustive": &OnlineHeuristic{Policy: ExhaustiveCenters},
+		"online-heuristic/exhaustive": &Exhaustive{},
 		"random":                      &Random{},
 		"first-fit":                   FirstFit{},
 		"round-robin":                 RoundRobinStripe{},
@@ -653,7 +653,7 @@ func TestAdmissionRejectsCapacityOverflow(t *testing.T) {
 	} {
 		r := make(model.Request, len(l[0]))
 		r[0] = 5
-		for _, p := range []Placer{&OnlineHeuristic{}, &OnlineHeuristic{Policy: ExhaustiveCenters}, FirstFit{}, RoundRobinStripe{}, PackBestFit{}} {
+		for _, p := range []Placer{&OnlineHeuristic{}, &Exhaustive{}, FirstFit{}, RoundRobinStripe{}, PackBestFit{}} {
 			_, err := p.Place(tp, l, r)
 			if !errors.Is(err, model.ErrCapacityOverflow) || errors.Is(err, ErrInsufficient) {
 				t.Errorf("%s on %v: err = %v, want ErrCapacityOverflow and not ErrInsufficient", p.Name(), l, err)

@@ -37,8 +37,8 @@ func randomPlant(t *testing.T, rng *rand.Rand) *topology.Topology {
 	return topotest.Scramble(t, rng, tp)
 }
 
-// TestRackProbeMatchesExhaustiveProperty drives the pruned ScanAllCenters
-// scan and the reference ExhaustiveCenters scan through identical random
+// TestRackProbeMatchesExhaustiveProperty drives the pruned scan and the
+// reference Exhaustive scan through identical random
 // request streams on random plants, depleting capacity in lockstep. At
 // every step both must return byte-identical allocations (hence the same
 // DC and the same winning center under the lowest-ID tie-break) or the
@@ -58,8 +58,8 @@ func TestRackProbeMatchesExhaustiveProperty(t *testing.T) {
 				work[i][j] = rng.Intn(5)
 			}
 		}
-		pruned := &OnlineHeuristic{Policy: ScanAllCenters}
-		exhaustive := &OnlineHeuristic{Policy: ExhaustiveCenters}
+		pruned := &OnlineHeuristic{}
+		exhaustive := &Exhaustive{}
 
 		for step := 0; step < 12; step++ {
 			r := make([]int, m)

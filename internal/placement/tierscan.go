@@ -105,6 +105,11 @@
 // count grows, which holds because topology.Distances.Validate admits only
 // SameNode < SameRack < CrossRack < CrossCloud; the fill's near-before-
 // far bucket order relies on the same check.
+//
+// The scan's heaps, tallies and memo slots live in a scanScratch that
+// the placer keeps from one call to the next and rebuilds only when a
+// call's topology or type count differs from the last call's, so a
+// steady-state scan allocates nothing.
 package placement
 
 import (
@@ -120,14 +125,10 @@ import (
 // PlaceSparse places request r against the persistent tier index idx,
 // writing the allocation into dst (reset first; entries in take order)
 // and returning the allocation's DC and central node — bitwise equal to
-// Allocation.Distance of the dense form. The placer must use
-// ScanAllCenters; the index must be current for the matrix it aliases.
-// Steady-state calls are allocation-free once dst and the placer's
-// pooled scratch have grown to their working sizes.
+// Allocation.Distance of the dense form. The index must be current for
+// the matrix it aliases. Steady-state calls are allocation-free once dst
+// and the placer's scratch have grown to their working sizes.
 func (h *OnlineHeuristic) PlaceSparse(idx *affinity.TierIndex, r model.Request, dst *affinity.SparseAlloc) (float64, topology.NodeID, error) {
-	if h.Policy != ScanAllCenters {
-		return 0, -1, fmt.Errorf("placement: PlaceSparse requires ScanAllCenters, placer uses %q", h.Name())
-	}
 	om := h.obsHandles()
 	om.calls.Inc()
 	dc, center, fast, err := h.placeSparseCore(idx, r, dst)
@@ -164,8 +165,7 @@ func (h *OnlineHeuristic) placeSparseCore(idx *affinity.TierIndex, r model.Reque
 		T += v
 	}
 	d := t.Distances()
-	s := h.getScan(t, m)
-	defer h.putScan(s)
+	s := h.scratch(t, m)
 	s.dst = dst
 
 	// Fast path (Algorithm 1, lines 9–14): the lowest-ID node covering R
@@ -199,8 +199,8 @@ func (h *OnlineHeuristic) placeSparseCore(idx *affinity.TierIndex, r model.Reque
 	return dc, center, false, nil
 }
 
-// scanScratch is the pooled working state of the indexed scan, sized to
-// one topology and type count.
+// scanScratch is the working state of the indexed scan, sized to one
+// topology and type count.
 type scanScratch struct {
 	t *topology.Topology
 	m int
@@ -218,9 +218,9 @@ type scanScratch struct {
 	ctLow  []topology.NodeID // racks+clouds: lowest node ID, fixed per topology
 	ndHeap []topology.NodeID // node max-heap of opened racks
 
-	// dst is the caller's allocation during a PlaceSparse call, nil in the
-	// pool. The sweep's full builds write into it, and built names the
-	// center whose full build dst and the tallies hold (-1: none).
+	// dst is the allocation of the last PlaceSparse call. The sweep's
+	// full builds write into it, and built names the center whose full
+	// build dst and the tallies hold (-1: none).
 	dst   *affinity.SparseAlloc
 	built topology.NodeID
 
@@ -270,8 +270,8 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 		}
 	}
 	// rackCap and cloudCap share backing arrays with rackTake and
-	// cloudTake, which keeps down the allocations of each scratch the
-	// pool rebuilds after a collection.
+	// cloudTake, which saves two allocations each time a placer builds
+	// its scratch.
 	racks, clouds := make([]int, 2*nr), make([]int, 2*nc)
 	return &scanScratch{
 		t:         t,
@@ -296,30 +296,14 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 	}
 }
 
-// getScan pulls a scratch matching (t, m) from the pool, or the held
-// one, or builds one.
-func (h *OnlineHeuristic) getScan(t *topology.Topology, m int) *scanScratch {
-	if h.held != nil {
-		if s := h.held.scan; s == nil || s.t != t || s.m != m {
-			h.held.scan = newScanScratch(t, m)
-		}
-		return h.held.scan
+// scratch returns the placer's scan scratch, rebuilt when t or m
+// differs from the last call's.
+func (h *OnlineHeuristic) scratch(t *topology.Topology, m int) *scanScratch {
+	if s := h.scan; s != nil && s.t == t && s.m == m {
+		return s
 	}
-	if v := h.scanPool.Get(); v != nil {
-		if s := v.(*scanScratch); s.t == t && s.m == m {
-			return s
-		}
-	}
-	return newScanScratch(t, m)
-}
-
-// putScan returns s to the pool, or to the placer that holds it, without
-// the caller's allocation.
-func (h *OnlineHeuristic) putScan(s *scanScratch) {
-	s.dst = nil
-	if h.held == nil {
-		h.scanPool.Put(s)
-	}
+	h.scan = newScanScratch(t, m)
+	return h.scan
 }
 
 // sup returns the lazily-sized per-node supply scratch. It is only
@@ -675,7 +659,7 @@ func (s *scanScratch) supplyOf(li []int) int {
 // descending supply then ID, then remote nodes bucketed by distance
 // tier with all supplies keyed to the residual as the remote phase
 // began — the exact take order of buildBuffer.buildAround, the
-// ExhaustiveCenters reference. rackOnly stops after the rack phase (the
+// Exhaustive reference. rackOnly stops after the rack phase (the
 // caller only needs the in-rack load profile). Reports whether the
 // residual was fully covered.
 func (s *scanScratch) buildSim(idx *affinity.TierIndex, r model.Request, center topology.NodeID, dst *affinity.SparseAlloc, rackOnly bool) bool {
