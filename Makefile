@@ -45,7 +45,7 @@ examples:
 	done
 
 # Static-analysis gate: the repo's own analyzer suite (aliasret,
-# detrand, errdrop, maporder, scratchpool — see DESIGN.md §10 and §15)
+# detrand, errdrop, maporder — see DESIGN.md §10 and §15)
 # plus staticcheck and govulncheck when installed. CI installs the
 # pinned versions via lint-tools; offline checkouts skip the external
 # tools with a notice so `make lint` stays runnable anywhere.
@@ -178,7 +178,7 @@ bench-service:
 # single-iteration results because they carry custom metrics (req/s,
 # peak-heap-bytes), which are the figures that matter. -benchmem records
 # each replay's allocs/op and B/op. One op is a whole replay, whose
-# allocs/op moves by a few hundred run to run on unchanged code, so
+# allocs/op moves by up to 13 run to run on unchanged code, so
 # `benchjson -compare BENCH_soak.json` judges these one-iteration arms by
 # a 0.5% relative slack instead of the +1 it allows every other arm.
 bench-soak:

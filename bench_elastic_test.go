@@ -106,14 +106,14 @@ func BenchmarkReleaseSubset(b *testing.B) {
 			}
 			merged := append(append([]affinity.VMEntry(nil), ring.ents[0]...), sp.Entries...)
 			b.Run(fmt.Sprintf("shrink-by-%d/%dx%dx%d/util60", k, clouds, racks, nodesPerRack), func(b *testing.B) {
-				// One warm op fills the shrink scratch pool.
-				if _, err := placement.ReleaseSubsetSparse(topo, merged, delta); err != nil {
+				// One warm op sizes the placer's shrink scratch.
+				if _, err := ring.h.ReleaseSubsetSparse(topo, merged, delta); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					victims, err := placement.ReleaseSubsetSparse(topo, merged, delta)
+					victims, err := ring.h.ReleaseSubsetSparse(topo, merged, delta)
 					if err != nil {
 						b.Fatal(err)
 					}

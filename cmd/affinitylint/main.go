@@ -2,11 +2,10 @@
 // analyzer suite: detrand (no wall clock / global rand / env reads in
 // simulation packages), maporder (map iteration order must not reach
 // ordered output), errdrop (no silently discarded errors from our own
-// APIs), scratchpool (pooled scratch-buffer discipline), and aliasret
-// (exported methods must not return views of unexported state
-// uncopied). It machine-enforces the same-seed ⇒ byte-identical
-// contract of DESIGN.md §7–§10 and the bug classes of §15 that no test
-// catches.
+// APIs), and aliasret (exported methods must not return views of
+// unexported state uncopied). It machine-enforces the same-seed ⇒
+// byte-identical contract of DESIGN.md §7–§10 and the bug classes of §15
+// that no test catches.
 //
 // Usage:
 //
@@ -33,7 +32,6 @@ import (
 	"affinitycluster/internal/lint/errdrop"
 	"affinitycluster/internal/lint/load"
 	"affinitycluster/internal/lint/maporder"
-	"affinitycluster/internal/lint/scratchpool"
 )
 
 // Suite is the full analyzer set, in report order.
@@ -42,7 +40,6 @@ var suite = []*analysis.Analyzer{
 	detrand.Analyzer,
 	errdrop.Analyzer,
 	maporder.Analyzer,
-	scratchpool.Analyzer,
 }
 
 func main() {

@@ -8,18 +8,20 @@ import (
 )
 
 // allocSlack is how far an arm's allocs/op may rise above its base
-// before the gate fails. Allocation counts do not depend on the machine;
-// the only noise is a pool refilled after a GC or a slice grown on an
-// amortized schedule, and either shows as a fraction of one allocation
-// per op.
+// before the gate fails. Allocation counts do not depend on the machine,
+// and the module keeps no object pool; a slice grown on an amortized
+// schedule shows as a fraction of one allocation per op.
 const allocSlack = 1
 
 // replaySlack is the relative rise allowed instead when the base arm ran
 // one iteration, as BenchmarkSoak's arms do: one op there is a whole
-// replay, and pool refills after its collections move allocs/op by
-// hundreds on unchanged code (BenchmarkSoak/1M read 1,134,158–1,135,407;
-// elastic-20k's 63,140–63,374, under 0.4%, is the widest spread seen).
-// One more allocation per replayed request adds far more than 0.5%.
+// replay, whose allocs/op still moves a little on unchanged code, from a
+// cause not pinned down (the standard library's own pools, fmt's among
+// them, are one candidate). Five runs of each arm read 114,003–114,006
+// (100k), 1,127,703–1,127,716 (1M) and 37,088–37,092 (elastic-20k), at
+// most 13 apart (0.001%); while the placers drew scratch from pools, 1M
+// read 1,134,158–1,135,407. One more allocation per replayed request
+// adds far more than 0.5%.
 const replaySlack = 0.005
 
 // slack returns how far an arm's allocs/op may rise above those of its

@@ -1,23 +1,17 @@
-// Incremental evaluation of the paper's Definition 1. Every optimizer in
-// this repo proposes single-VM moves and needs DC(C) after each candidate;
-// recomputing it from the allocation matrix costs O(hosts²·m) per call.
+// Incremental evaluation of the paper's Definition 1 for the callers that
+// price single-VM moves of one cluster: Algorithm 2's exchange step, the
+// migration planner and the evacuation's PlanReplacement.
 //
 // The tiered distance model (Definition 1: SameNode < SameRack < CrossRack
-// < CrossCloud) makes DC(C) a function of per-rack and per-cloud VM
-// aggregates only. For a candidate center k with w_k VMs, rack total
-// R = Σ_{i∈rack(k)} w_i, cloud total B = Σ_{i∈cloud(k)} w_i and cluster
-// total T:
+// < CrossCloud) makes the center sum of a candidate k a function of four
+// counts: its own w_k VMs, its rack total R = Σ_{i∈rack(k)} w_i, its cloud
+// total B = Σ_{i∈cloud(k)} w_i and the cluster total T:
 //
 //	S_k = w_k·d0 + (R−w_k)·d1 + (B−R)·d2 + (T−B)·d3
 //
-// so DistanceEvaluator maintains rack/cloud totals under Add/Remove/Move in
-// O(1) and answers DistanceFrom in O(1). Minimizing S_k over a rack means
-// maximizing w_k (d0 < d1), so DC(C) is found by ranking racks on the
-// aggregate lower bound R·d0 + (B−R)·d2 + (T−B)·d3 (all rack VMs
-// concentrated on the center) and scanning hosting nodes only inside racks
-// whose bound can still beat the incumbent — O(racks) plus the pruned rack
-// scans, instead of the O(hosts) per-center cached sums this file used to
-// keep.
+// DistanceEvaluator keeps the per-node, per-rack and per-cloud totals under
+// Add/Remove/Move, so each S_k costs O(1) and DC(C), whose minimum is
+// attained at a hosting node (Theorem 1), costs one pass over the hosts.
 //
 // Exactness: with integer-valued distance tiers (the paper's 0/1/2/4) and
 // integer VM counts, every aggregate product is an exactly representable
@@ -29,7 +23,7 @@ package affinity
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
@@ -41,22 +35,12 @@ import (
 // when only node totals matter). Not safe for concurrent mutation;
 // independent evaluators may be used from different goroutines.
 type DistanceEvaluator struct {
-	t     *topology.Topology
-	w     []int             // VMs per node
-	hosts []topology.NodeID // ascending IDs of nodes with w > 0
-	total int               // Σ w
-
-	rackW     []int               // VMs per rack
-	cloudW    []int               // VMs per cloud
-	rackHosts [][]topology.NodeID // hosting nodes per rack, ascending
-	active    []int               // racks with rackW > 0, unordered
-	rackPos   []int               // index of rack in active, -1 when inactive
-
-	// Scan scratch, reused across Distance/MovePreview calls.
-	scanRacks []int
-	scanLB    []float64
-	scanRW    []int
-	scanCW    []int
+	t      *topology.Topology
+	w      []int             // VMs per node
+	hosts  []topology.NodeID // ascending IDs of nodes with w > 0
+	total  int               // Σ w
+	rackW  []int             // VMs per rack
+	cloudW []int             // VMs per cloud
 }
 
 // NewDistanceEvaluator builds an evaluator for allocation a (which may be
@@ -64,72 +48,45 @@ type DistanceEvaluator struct {
 // the matrix; the aggregates follow in O(hosts).
 func NewDistanceEvaluator(t *topology.Topology, a Allocation) *DistanceEvaluator {
 	e := &DistanceEvaluator{
-		t:         t,
-		w:         make([]int, t.Nodes()),
-		rackW:     make([]int, t.Racks()),
-		cloudW:    make([]int, t.Clouds()),
-		rackHosts: make([][]topology.NodeID, t.Racks()),
-		rackPos:   make([]int, t.Racks()),
-		scanRacks: make([]int, 0, t.Racks()+1),
-		scanLB:    make([]float64, 0, t.Racks()+1),
-		scanRW:    make([]int, 0, t.Racks()+1),
-		scanCW:    make([]int, 0, t.Racks()+1),
+		t:      t,
+		w:      make([]int, t.Nodes()),
+		rackW:  make([]int, t.Racks()),
+		cloudW: make([]int, t.Clouds()),
 	}
-	for r := range e.rackPos {
-		e.rackPos[r] = -1
-	}
-	if a != nil {
-		e.Reset(a)
-	}
+	e.reset(a)
 	return e
 }
 
-// Reset reloads the evaluator from allocation a, discarding all cached
+// reset reloads the evaluator from allocation a, discarding all cached
 // state.
-func (e *DistanceEvaluator) Reset(a Allocation) {
+func (e *DistanceEvaluator) reset(a Allocation) {
 	for _, i := range e.hosts {
 		e.w[i] = 0
 	}
-	for _, r := range e.active {
-		e.rackW[r] = 0
-		e.rackHosts[r] = e.rackHosts[r][:0]
-		e.rackPos[r] = -1
-	}
-	for c := range e.cloudW {
-		e.cloudW[c] = 0
-	}
+	clear(e.rackW)
+	clear(e.cloudW)
 	e.hosts = e.hosts[:0]
-	e.active = e.active[:0]
 	e.total = 0
 	for i := range a {
 		if v := model.Sum(a[i]); v > 0 {
-			e.AddVMs(topology.NodeID(i), v)
+			e.addVMs(topology.NodeID(i), v)
 		}
 	}
 }
 
 // Add registers one more VM on node i in O(hosts) (the aggregate updates
-// are O(1); the cost is keeping the hosting-node lists sorted).
-func (e *DistanceEvaluator) Add(i topology.NodeID) { e.AddVMs(i, 1) }
+// are O(1); the cost is keeping the host list sorted).
+func (e *DistanceEvaluator) Add(i topology.NodeID) { e.addVMs(i, 1) }
 
-// AddVMs registers count more VMs on node i.
-func (e *DistanceEvaluator) AddVMs(i topology.NodeID, count int) {
-	if count <= 0 {
-		panic(fmt.Sprintf("affinity: AddVMs(%d, %d) with non-positive count", i, count))
-	}
-	r := e.t.RackOf(i)
-	c := e.t.CloudOf(i)
+// addVMs registers count > 0 more VMs on node i.
+func (e *DistanceEvaluator) addVMs(i topology.NodeID, count int) {
 	if e.w[i] == 0 {
-		insertSorted(&e.hosts, i)
-		insertSorted(&e.rackHosts[r], i)
-	}
-	if e.rackW[r] == 0 {
-		e.rackPos[r] = len(e.active)
-		e.active = append(e.active, r)
+		pos, _ := slices.BinarySearch(e.hosts, i)
+		e.hosts = slices.Insert(e.hosts, pos, i)
 	}
 	e.w[i] += count
-	e.rackW[r] += count
-	e.cloudW[c] += count
+	e.rackW[e.t.RackOf(i)] += count
+	e.cloudW[e.t.CloudOf(i)] += count
 	e.total += count
 }
 
@@ -139,24 +96,13 @@ func (e *DistanceEvaluator) Remove(i topology.NodeID) {
 	if e.w[i] <= 0 {
 		panic(fmt.Sprintf("affinity: evaluator Remove(%d) on empty node", i))
 	}
-	r := e.t.RackOf(i)
-	c := e.t.CloudOf(i)
 	e.w[i]--
-	e.rackW[r]--
-	e.cloudW[c]--
+	e.rackW[e.t.RackOf(i)]--
+	e.cloudW[e.t.CloudOf(i)]--
 	e.total--
 	if e.w[i] == 0 {
-		deleteSorted(&e.hosts, i)
-		deleteSorted(&e.rackHosts[r], i)
-	}
-	if e.rackW[r] == 0 {
-		// Swap-remove r from the active rack list.
-		pos := e.rackPos[r]
-		last := e.active[len(e.active)-1]
-		e.active[pos] = last
-		e.rackPos[last] = pos
-		e.active = e.active[:len(e.active)-1]
-		e.rackPos[r] = -1
+		pos, _ := slices.BinarySearch(e.hosts, i)
+		e.hosts = slices.Delete(e.hosts, pos, pos+1)
 	}
 }
 
@@ -167,21 +113,6 @@ func (e *DistanceEvaluator) Move(p, q topology.NodeID) {
 	}
 	e.Remove(p)
 	e.Add(q)
-}
-
-func insertSorted(s *[]topology.NodeID, i topology.NodeID) {
-	ids := *s
-	pos := sort.Search(len(ids), func(x int) bool { return ids[x] >= i })
-	ids = append(ids, 0)
-	copy(ids[pos+1:], ids[pos:])
-	ids[pos] = i
-	*s = ids
-}
-
-func deleteSorted(s *[]topology.NodeID, i topology.NodeID) {
-	ids := *s
-	pos := sort.Search(len(ids), func(x int) bool { return ids[x] >= i })
-	*s = append(ids[:pos], ids[pos+1:]...)
 }
 
 // TierSum prices S_k — the inner sum of Definition 1 — for a candidate
@@ -195,17 +126,9 @@ func TierSum(d topology.Distances, wk, rackVMs, cloudVMs, totalVMs int) float64 
 		float64(cloudVMs-rackVMs)*d.CrossRack + float64(totalVMs-cloudVMs)*d.CrossCloud
 }
 
-// DistanceFrom returns Σ_i w_i·D_ik for candidate center k — the inner sum
-// of Definition 1 before minimization — in O(1) from the aggregates.
-func (e *DistanceEvaluator) DistanceFrom(k topology.NodeID) float64 {
-	return TierSum(e.t.Distances(), e.w[k], e.rackW[e.t.RackOf(k)], e.cloudW[e.t.CloudOf(k)], e.total)
-}
-
 // Distance returns DC(C) per Definition 1 with the minimizing central
 // node. Ties break toward the lowest node ID, matching Allocation.Distance.
-// An empty cluster has distance 0 and central node -1. Cost: O(active
-// racks) plus a hosting-node scan of the racks whose aggregate lower bound
-// survives pruning.
+// An empty cluster has distance 0 and central node -1. Cost: O(hosts).
 func (e *DistanceEvaluator) Distance() (float64, topology.NodeID) {
 	return e.bestCenter(-1, -1)
 }
@@ -235,19 +158,12 @@ func (e *DistanceEvaluator) AddPreview(q topology.NodeID) (float64, topology.Nod
 // means no VM is removed and q < 0 means none is added, so
 // bestCenter(-1, -1) is the current DC(C). The minimum over all n
 // candidate centers is always attained at a hosting node (Theorem 1's
-// exchange argument), so only hosting nodes are scanned. A cluster left
-// empty has distance 0 and central node -1.
-//
-// Pass 1 prices each candidate rack's lower bound (its whole rack total
-// concentrated on one node); pass 2 scans hosting nodes only in racks whose
-// bound ties or beats the incumbent, seeded from the tightest rack. The
-// bound is computed by the same expression as the exact sum, so pruning on
-// lb > best never discards an exact tie.
+// exchange argument), so it prices each host the move leaves loaded, and
+// q when the move makes it one, keeping the lowest ID on ties. A cluster
+// left empty has distance 0 and central node -1.
 func (e *DistanceEvaluator) bestCenter(p, q topology.NodeID) (float64, topology.NodeID) {
-	d := e.t.Distances()
 	total := e.total
 	rp, rq, cp, cq := -1, -1, -1, -1
-	racks := append(e.scanRacks[:0], e.active...)
 	if p >= 0 {
 		rp, cp = e.t.RackOf(p), e.t.CloudOf(p)
 		total--
@@ -255,87 +171,46 @@ func (e *DistanceEvaluator) bestCenter(p, q topology.NodeID) (float64, topology.
 	if q >= 0 {
 		rq, cq = e.t.RackOf(q), e.t.CloudOf(q)
 		total++
-		if e.rackW[rq] == 0 {
-			racks = append(racks, rq)
-		}
 	}
 	if total == 0 {
 		return 0, -1
 	}
-	lbs := e.scanLB[:0]
-	rws := e.scanRW[:0]
-	cws := e.scanCW[:0]
-	seed := -1
-	for idx, r := range racks {
-		rw := e.rackW[r]
-		cl := e.t.CloudOfRack(r)
-		cw := e.cloudW[cl]
+	d := e.t.Distances()
+	best := math.Inf(1)
+	bestK := topology.NodeID(-1)
+	price := func(k topology.NodeID) {
+		wk, r, c := e.w[k], e.t.RackOf(k), e.t.CloudOf(k)
+		rw, cw := e.rackW[r], e.cloudW[c]
+		if k == p {
+			wk--
+		}
+		if k == q {
+			wk++
+		}
+		if wk == 0 { // the removal drains k
+			return
+		}
 		if r == rp {
 			rw--
 		}
 		if r == rq {
 			rw++
 		}
-		if cl == cp {
+		if c == cp {
 			cw--
 		}
-		if cl == cq {
+		if c == cq {
 			cw++
 		}
-		rws = append(rws, rw)
-		cws = append(cws, cw)
-		if rw == 0 { // the removal drains this rack entirely
-			lbs = append(lbs, math.Inf(1))
-			continue
-		}
-		lb := TierSum(d, rw, rw, cw, total)
-		lbs = append(lbs, lb)
-		if seed < 0 || lb < lbs[seed] {
-			seed = idx
+		if s := TierSum(d, wk, rw, cw, total); s < best || (s == best && k < bestK) {
+			best, bestK = s, k
 		}
 	}
-	e.scanRacks, e.scanLB, e.scanRW, e.scanCW = racks, lbs, rws, cws
-
-	best := math.Inf(1)
-	bestK := topology.NodeID(-1)
-	scan := func(idx int) {
-		r := racks[idx]
-		maxW := 0
-		maxID := topology.NodeID(-1)
-		for _, h := range e.rackHosts[r] {
-			wh := e.w[h]
-			if h == p {
-				wh--
-			}
-			if h == q {
-				wh++
-			}
-			if wh == 0 {
-				continue
-			}
-			if wh > maxW || (wh == maxW && h < maxID) {
-				maxW, maxID = wh, h
-			}
-		}
-		if r == rq && e.w[q] == 0 {
-			// q becomes a hosting node only with the added VM.
-			if 1 > maxW || (1 == maxW && q < maxID) {
-				maxW, maxID = 1, q
-			}
-		}
-		if maxW == 0 {
-			return
-		}
-		if s := TierSum(d, maxW, rws[idx], cws[idx], total); s < best || (s == best && maxID < bestK) {
-			best, bestK = s, maxID
-		}
+	for _, h := range e.hosts {
+		price(h)
 	}
-	scan(seed)
-	for idx := range racks {
-		if idx == seed || lbs[idx] > best {
-			continue
-		}
-		scan(idx)
+	if q >= 0 && e.w[q] == 0 {
+		price(q)
 	}
 	return best, bestK
 }

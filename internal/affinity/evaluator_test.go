@@ -143,7 +143,7 @@ func TestEvaluatorFractionalDistances(t *testing.T) {
 }
 
 // TestEvaluatorResetAndEmpty covers the empty-cluster conventions and
-// Reset reuse.
+// reset reuse.
 func TestEvaluatorResetAndEmpty(t *testing.T) {
 	tp := evalPlant(t)
 	e := NewDistanceEvaluator(tp, nil)
@@ -154,7 +154,7 @@ func TestEvaluatorResetAndEmpty(t *testing.T) {
 	a.Add(3, 0)
 	a.Add(17, 1)
 	a.Add(17, 1)
-	e.Reset(a)
+	e.reset(a)
 	checkAgainstScratch(t, tp, e, a, 0)
 	// Drain back to empty through the incremental path.
 	e.Remove(3)
@@ -165,6 +165,37 @@ func TestEvaluatorResetAndEmpty(t *testing.T) {
 	}
 	if len(e.hosts) != 0 {
 		t.Fatalf("hosts not empty: %v", e.hosts)
+	}
+}
+
+// TestEvaluatorPanicsOnEmptySource: Remove, Move and MovePreview from a
+// node that hosts none of the cluster's VMs panic before they touch any
+// total. bestCenter prices only the hosts and takes the moved VM off p's
+// rack and cloud totals, so a desynchronized caller would otherwise be
+// handed the DC of a cluster with a negative load somewhere.
+func TestEvaluatorPanicsOnEmptySource(t *testing.T) {
+	tp := evalPlant(t)
+	a := NewAllocation(tp.Nodes(), 1)
+	a.Add(3, 0)
+	a.Add(17, 0)
+	for _, tc := range []struct {
+		name string
+		call func(e *DistanceEvaluator)
+	}{
+		{"Remove", func(e *DistanceEvaluator) { e.Remove(4) }},
+		{"Move", func(e *DistanceEvaluator) { e.Move(4, 3) }},
+		{"MovePreview", func(e *DistanceEvaluator) { e.MovePreview(4, 17) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewDistanceEvaluator(tp, a)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s from empty node 4 did not panic", tc.name)
+				}
+				checkAgainstScratch(t, tp, e, a, 0)
+			}()
+			tc.call(e)
+		})
 	}
 }
 

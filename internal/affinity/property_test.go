@@ -46,11 +46,11 @@ func randomAlloc(rng *rand.Rand, n, m int) Allocation {
 
 // TestTierAggregatedDistanceProperty checks the tier-aggregated evaluator
 // against the untouched per-row oracle Allocation.DistanceFrom — a plain
-// Σ_i w_i·D_ik scan that never saw the aggregation rewrite. For every
-// candidate center the aggregated sum must match exactly (integer tiers),
-// and Distance must equal the brute-force minimum over ALL nodes with the
-// lowest-ID tie-break, confirming both the O(1) TierSum pricing and the
-// restriction of the scan to hosting nodes.
+// Σ_i w_i·D_ik scan that never saw the aggregation rewrite. Distance and
+// every MovePreview must equal the brute-force minimum over ALL nodes
+// with the lowest-ID tie-break (integer tiers, so exactly), confirming
+// both the O(1) TierSum pricing and the restriction of the scan to
+// hosting nodes.
 func TestTierAggregatedDistanceProperty(t *testing.T) {
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {
@@ -66,10 +66,6 @@ func TestTierAggregatedDistanceProperty(t *testing.T) {
 		if a.TotalVMs() > 0 {
 			for k := 0; k < n; k++ {
 				want := a.DistanceFrom(tp, topology.NodeID(k))
-				got := ev.DistanceFrom(topology.NodeID(k))
-				if got != want {
-					t.Fatalf("trial %d: DistanceFrom(%d) = %v, oracle %v\nalloc %v", trial, k, got, want, a)
-				}
 				if bestK < 0 || want < bestD {
 					bestD, bestK = want, topology.NodeID(k)
 				}

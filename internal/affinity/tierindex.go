@@ -225,8 +225,9 @@ func (x *TierIndex) FirstCover(r model.Request) topology.NodeID {
 }
 
 // Rebind points the index at a different matrix of the same shape and
-// rebuilds. It exists so transient per-call
-// indexes can be pooled instead of reallocated.
+// rebuilds. It lets a placer keep the index dense Place builds over its
+// caller's matrix and rebind it on the next call instead of
+// reallocating it.
 func (x *TierIndex) Rebind(l [][]int) error {
 	if len(l) != x.n {
 		return fmt.Errorf("affinity: tier index rebind with %d rows, index has %d", len(l), x.n)

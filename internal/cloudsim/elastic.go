@@ -15,7 +15,7 @@
 // event heap. An event that frees capacity or drains the queue wakes
 // every parked grow the plant can now take, and each rejoins its ladder
 // at the first tick not yet passed. A served grow schedules
-// the shrink at the boundary: placement.ReleaseSubsetSparse picks the
+// the shrink at the boundary: the placer's ReleaseSubsetSparse picks the
 // victims that leave the least DC any removal of the delta can leave
 // (not necessarily the VMs the grow added), returns them to the
 // inventory, and offers the freed capacity to the wait queue like any
@@ -35,7 +35,6 @@ import (
 	"affinitycluster/internal/eventsim"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/obs"
-	"affinitycluster/internal/placement"
 )
 
 // ElasticConfig enables map/shuffle-driven resizing of every served
@@ -383,7 +382,7 @@ func (s *Simulator) shrink(c *cluster, now float64) {
 	if s.failed != nil {
 		return
 	}
-	victims, err := placement.ReleaseSubsetSparse(s.topo, c.cells, c.growVec)
+	victims, err := s.online.ReleaseSubsetSparse(s.topo, c.cells, c.growVec)
 	if err != nil {
 		s.fail(fmt.Errorf("cloudsim: shrinking cluster %d at t=%v: %w", c.id, now, err))
 		return

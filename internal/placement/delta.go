@@ -12,14 +12,14 @@
 // the shrink prices every hosting node once in closed form and gives
 // back the farthest VMs from the cheapest one (DESIGN.md §16).
 //
-// The grow reuses the placer's scan scratch, so it stays allocation-free
-// in steady state; the shrink allocates only its result.
+// The grow reuses the placer's scan scratch and the shrink its release
+// scratch, so in steady state the grow allocates nothing and the shrink
+// only its result.
 package placement
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/model"
@@ -149,9 +149,16 @@ func ReleaseSubset(t *topology.Topology, alloc affinity.Allocation, delta model.
 	return victims, nil
 }
 
+// ReleaseSubsetSparse is the OnlineHeuristic method of the same name on a
+// fresh placer, so it allocates its working state on every call. cloudsim
+// and the service shrink through their own placer's method.
+func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
+	return new(OnlineHeuristic).ReleaseSubsetSparse(t, cur, delta)
+}
+
 // ReleaseSubsetSparse is ReleaseSubset over the cluster's sparse cells.
-// cur is only read; the returned entries alias neither cur nor any
-// internal state. An entry whose node or type lies outside the plant and
+// cur is only read; the returned entries alias neither cur nor the
+// placer's state. An entry whose node or type lies outside the plant and
 // delta, or whose count is negative, is an error.
 //
 // The shrink is exact on the tier metric. Let keep_j = have_j − delta_j.
@@ -165,10 +172,10 @@ func ReleaseSubset(t *topology.Topology, alloc affinity.Allocation, delta model.
 // over cur's hosting nodes is the least DC any shrink can leave, and the
 // shrink that keeps nearest its center (the lowest-ID cheapest host)
 // leaves it. Each type gives back its farthest VMs first; within a tier,
-// cells go in ascending (node, type) order. The working state comes from
-// a pooled releaseScratch with nothing sized by the plant, so a
+// cells go in ascending (node, type) order. The working state is the
+// placer's release scratch, with nothing sized by the plant, so a
 // steady-state call allocates only the returned slice.
-func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
+func (h *OnlineHeuristic) ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
 	K := 0
 	for j, v := range delta {
 		if v < 0 {
@@ -187,8 +194,7 @@ func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta mod
 	if K == 0 {
 		return nil, nil
 	}
-	sc := releasePool.Get().(*releaseScratch)
-	defer putRelease(sc)
+	sc := &h.release
 	cells := affinity.Canonical(append(sc.cells[:0], cur...))
 	sc.cells = cells
 	m := len(delta)
@@ -267,22 +273,14 @@ func tierOf(t *topology.Topology, k, i topology.NodeID) int {
 	}
 }
 
-// releaseScratch is ReleaseSubsetSparse's working state: the cluster's
-// aggregated cells, the per-type kept and owed counts, one center's
-// per-tier tallies, and the victims being collected. Nothing in it is
-// sized by the plant, so one pool serves every topology.
+// releaseScratch is the shrink's working state: the cluster's aggregated
+// cells, the per-type kept and owed counts, one center's per-tier
+// tallies, and the victims being collected. Nothing in it is sized by the
+// plant, so it serves every topology as it is.
 type releaseScratch struct {
 	cells   []affinity.VMEntry
 	keep    []int
 	owed    []int
 	tally   []int
 	victims []affinity.VMEntry
-}
-
-var releasePool = sync.Pool{New: func() any { return new(releaseScratch) }}
-
-func putRelease(sc *releaseScratch) {
-	sc.cells = sc.cells[:0]
-	sc.victims = sc.victims[:0]
-	releasePool.Put(sc)
 }

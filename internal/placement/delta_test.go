@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"affinitycluster/internal/affinity"
@@ -180,6 +181,7 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 // the cluster holds, on clusters of 6–17 VMs; the rest give back a
 // random part of each type.
 func TestReleaseSubsetMatchesBruteForceProperty(t *testing.T) {
+	h := &OnlineHeuristic{}
 	for trial := 0; trial < 2450; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
 		tp := randomPlant(t, rng)
@@ -206,17 +208,20 @@ func TestReleaseSubsetMatchesBruteForceProperty(t *testing.T) {
 				delta[j] = rng.Intn(have[j] + 1)
 			}
 		}
-		checkShrink(t, tp, a.Sparse(), delta)
+		checkShrink(t, h, tp, a.Sparse(), delta)
 	}
 }
 
-// checkShrink runs ReleaseSubsetSparse on cells and holds it to the
-// brute force: a delta the cluster cannot give back is refused; any
-// other returns victims that sum to delta per type, each a positive part
-// of a cell, and leave the least DC that any removal of delta can leave,
-// priced by the row-scan oracle Allocation.DistanceFrom over every node.
-// The dense ReleaseSubset must take the same victims out of its matrix.
-func checkShrink(t *testing.T, tp *topology.Topology, cells []affinity.VMEntry, delta model.Request) {
+// checkShrink runs the long-lived placer h's ReleaseSubsetSparse on
+// cells and holds it to the brute force: a delta the cluster cannot give
+// back is refused; any other returns victims that sum to delta per type,
+// each a positive part of a cell, and leave the least DC that any
+// removal of delta can leave, priced by the row-scan oracle
+// Allocation.DistanceFrom over every node. The package-level
+// ReleaseSubsetSparse, on fresh scratch, must return what h returns, so
+// h's kept scratch carries nothing from one call into the next, and the
+// dense ReleaseSubset must take the same victims out of its matrix.
+func checkShrink(t *testing.T, h *OnlineHeuristic, tp *topology.Topology, cells []affinity.VMEntry, delta model.Request) {
 	t.Helper()
 	n, m := tp.Nodes(), len(delta)
 	a := affinity.NewAllocation(n, m)
@@ -228,7 +233,11 @@ func checkShrink(t *testing.T, tp *topology.Topology, cells []affinity.VMEntry, 
 	for j, v := range delta {
 		feasible = feasible && v <= have[j]
 	}
-	victims, err := ReleaseSubsetSparse(tp, cells, delta)
+	victims, err := h.ReleaseSubsetSparse(tp, cells, delta)
+	fresh, ferr := ReleaseSubsetSparse(tp, cells, delta)
+	if (err == nil) != (ferr == nil) || !reflect.DeepEqual(victims, fresh) {
+		t.Fatalf("shrink by %v of %v: kept placer %v (%v), fresh scratch %v (%v)", delta, a, victims, err, fresh, ferr)
+	}
 	if !feasible {
 		if err == nil {
 			t.Fatalf("shrink by %v of a cluster holding %v accepted: %v", delta, have, victims)
@@ -390,17 +399,30 @@ func TestReleaseSubsetTieBreaks(t *testing.T) {
 }
 
 // TestReleaseSubsetDoesNotAlias: the victims slice aliases neither the
-// caller's entry slice nor anything that changes under later calls —
-// mutating it must not perturb the inputs or a repeat run.
+// caller's entry slice nor the placer's scratch. A second shrink on the
+// same placer must leave the first one's victims as they were, and
+// mutating them must not perturb the caller's entries or a repeat run.
 func TestReleaseSubsetDoesNotAlias(t *testing.T) {
 	tp := deltaPlant(t)
 	a := affinity.NewAllocation(tp.Nodes(), 2)
 	a[0][0], a[0][1], a[5][0], a[9][1] = 2, 1, 1, 1
 	cur := a.Sparse()
 	curCopy := append([]affinity.VMEntry(nil), cur...)
-	victims, err := ReleaseSubsetSparse(tp, cur, model.Request{1, 1})
+	h := &OnlineHeuristic{}
+	victims, err := h.ReleaseSubsetSparse(tp, cur, model.Request{1, 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := append([]affinity.VMEntry(nil), victims...)
+	other, err := h.ReleaseSubsetSparse(tp, cur, model.Request{2, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(other, want) {
+		t.Fatalf("shrinks by {1 1} and {2 0} both gave back %v; the check below would be vacuous", want)
+	}
+	if !reflect.DeepEqual(victims, want) {
+		t.Fatalf("a second shrink turned the first one's victims %v into %v; the result aliases the placer's scratch", want, victims)
 	}
 	for i := range victims {
 		victims[i] = affinity.VMEntry{Node: -99, Type: -99, Count: -99}
@@ -408,14 +430,12 @@ func TestReleaseSubsetDoesNotAlias(t *testing.T) {
 	if !reflect.DeepEqual(cur, curCopy) {
 		t.Fatal("mutating victims changed the caller's entries; slices alias")
 	}
-	again, err := ReleaseSubsetSparse(tp, cur, model.Request{1, 1})
+	again, err := h.ReleaseSubsetSparse(tp, cur, model.Request{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range again {
-		if v.Count <= 0 || v.Node < 0 {
-			t.Fatalf("repeat run returned poisoned entry %v; internal state aliased", v)
-		}
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("repeat run returned %v, first run %v; internal state aliased", again, want)
 	}
 }
 
@@ -662,11 +682,11 @@ func TestPlaceDeltaZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestReleaseSubsetPooledScratch interleaves shrinks on two plants, with
-// a rejected shrink between rounds, and checks every round returns the
-// first round's victims: the pooled scratch never leaks state from one
-// call, plant or error path into the next.
-func TestReleaseSubsetPooledScratch(t *testing.T) {
+// TestReleaseSubsetReusesScratch interleaves one placer's shrinks on two
+// plants, with a rejected shrink between rounds, and checks every round
+// returns the first round's victims: the placer's kept scratch never
+// leaks state from one call, plant or error path into the next.
+func TestReleaseSubsetReusesScratch(t *testing.T) {
 	small, err := topology.Uniform(1, 2, 3, topology.DefaultDistances())
 	if err != nil {
 		t.Fatal(err)
@@ -674,10 +694,11 @@ func TestReleaseSubsetPooledScratch(t *testing.T) {
 	plants := []*topology.Topology{deltaPlant(t), small}
 	cur := []affinity.VMEntry{{Node: 0, Type: 0, Count: 3}, {Node: 1, Type: 1, Count: 2}, {Node: 4, Type: 0, Count: 1}, {Node: 5, Type: 1, Count: 1}}
 	delta := model.Request{2, 1}
+	h := &OnlineHeuristic{}
 	var first [][]affinity.VMEntry
 	for round := 0; round < 4; round++ {
 		for p, tp := range plants {
-			got, err := ReleaseSubsetSparse(tp, cur, delta)
+			got, err := h.ReleaseSubsetSparse(tp, cur, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -686,14 +707,47 @@ func TestReleaseSubsetPooledScratch(t *testing.T) {
 			} else if !reflect.DeepEqual(got, first[p]) {
 				t.Fatalf("round %d plant %d: victims %v, first round %v", round, p, got, first[p])
 			}
-			if _, err := ReleaseSubsetSparse(tp, cur, model.Request{9, 0}); err == nil {
+			if _, err := h.ReleaseSubsetSparse(tp, cur, model.Request{9, 0}); err == nil {
 				t.Fatal("oversized shrink accepted")
 			}
 		}
 	}
 }
 
-// TestReleaseSubsetSparseAllocs pins the pooled shrink scratch: at 16k
+// TestReleaseSubsetConcurrentPlacers shrinks through two placers on two
+// goroutines at once. Each placer owns its scratch, so every shrink
+// returns what fresh scratch returns, and under -race (make
+// elastic-race) the run is clean; scratch shared by every placer is a
+// data race here, which no single-goroutine test can see.
+func TestReleaseSubsetConcurrentPlacers(t *testing.T) {
+	tp := deltaPlant(t)
+	clusters := [][]affinity.VMEntry{
+		{{Node: 0, Type: 0, Count: 3}, {Node: 1, Type: 1, Count: 2}, {Node: 4, Type: 0, Count: 1}, {Node: 13, Type: 1, Count: 1}},
+		{{Node: 2, Type: 1, Count: 2}, {Node: 7, Type: 0, Count: 2}, {Node: 9, Type: 0, Count: 1}, {Node: 20, Type: 1, Count: 3}},
+	}
+	delta := model.Request{2, 1}
+	var wg sync.WaitGroup
+	for _, cur := range clusters {
+		want, err := ReleaseSubsetSparse(tp, cur, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := &OnlineHeuristic{}
+			for i := 0; i < 200; i++ {
+				if got, err := h.ReleaseSubsetSparse(tp, cur, delta); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("shrink %d by %v of %v = %v (%v), want %v", i, delta, cur, got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestReleaseSubsetSparseAllocs pins the placer's shrink scratch: at 16k
 // nodes a steady-state shrink allocates only the returned victims.
 func TestReleaseSubsetSparseAllocs(t *testing.T) {
 	if raceEnabled {
@@ -709,13 +763,14 @@ func TestReleaseSubsetSparseAllocs(t *testing.T) {
 		{Node: 3, Type: 0, Count: 2}, {Node: 45, Type: 1, Count: 2}, {Node: 46, Type: 2, Count: 2},
 		{Node: 9000, Type: 0, Count: 1},
 	}
+	h := &OnlineHeuristic{}
 	for _, delta := range []model.Request{{1, 1, 1}, {4, 2, 2}} {
 		shrink := func() {
-			if _, err := ReleaseSubsetSparse(tp, cur, delta); err != nil {
+			if _, err := h.ReleaseSubsetSparse(tp, cur, delta); err != nil {
 				t.Fatal(err)
 			}
 		}
-		shrink() // warm the pool
+		shrink() // size the scratch
 		if avg := testing.AllocsPerRun(100, shrink); avg > 1 {
 			t.Errorf("shrink by %v allocates %.2f allocs/op, want ≤ 1 (the victims)", delta, avg)
 		}

@@ -149,12 +149,7 @@ func FuzzPlaceRequest(f *testing.F) {
 		ev := affinity.NewDistanceEvaluator(tp, alloc)
 		bestD := 0.0
 		for k := 0; k < n; k++ {
-			id := topology.NodeID(k)
-			oracle := alloc.DistanceFrom(tp, id)
-			if got := ev.DistanceFrom(id); got != oracle {
-				t.Fatalf("DistanceFrom(%d) = %v, row-scan oracle %v\nalloc %v", k, got, oracle, alloc)
-			}
-			if k == 0 || oracle < bestD {
+			if oracle := alloc.DistanceFrom(tp, topology.NodeID(k)); k == 0 || oracle < bestD {
 				bestD = oracle
 			}
 		}
@@ -257,13 +252,15 @@ func checkBoundedBuilds(t *testing.T, idx *affinity.TierIndex, r model.Request) 
 // own entry, so cells repeat and arrive unsorted; zeroCell inserts an
 // empty entry. deltaBytes asks back up to one VM more than a type holds,
 // so refused shrinks are fuzzed too. Invariants: victims sum to delta
-// per type, no cell goes negative, and the DC left is the least any
-// removal of delta can leave.
+// per type, no cell goes negative, the DC left is the least any removal
+// of delta can leave, and one placer kept across every input returns
+// what fresh scratch returns.
 func FuzzReleaseSubset(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(2), uint8(3), uint8(0), false, false, []byte{0, 0, 1, 0, 4, 0, 5, 0}, []byte{2})
 	f.Add(int64(2), uint8(1), uint8(1), uint8(2), uint8(1), true, false, []byte{0, 0, 3, 1, 3, 1, 9, 0, 2, 1}, []byte{1, 1})
 	f.Add(int64(3), uint8(2), uint8(3), uint8(1), uint8(2), false, true, []byte{1, 2, 1, 2, 7, 0, 8, 1, 11, 2, 0, 0}, []byte{2, 1, 1})
 	f.Add(int64(4), uint8(1), uint8(2), uint8(2), uint8(0), true, false, []byte{0, 0}, []byte{2})
+	h := &OnlineHeuristic{} // one placer for every input
 	f.Fuzz(func(t *testing.T, seed int64, clouds, racksPer, nodesPer, width uint8, scramble, zeroCell bool, cellBytes, deltaBytes []byte) {
 		tp, err := topology.Uniform(1+int(clouds)%3, 1+int(racksPer)%4, 1+int(nodesPer)%4, topology.DefaultDistances())
 		if err != nil {
@@ -292,6 +289,6 @@ func FuzzReleaseSubset(f *testing.F) {
 				delta[j] = int(deltaBytes[j]) % (have[j] + 2)
 			}
 		}
-		checkShrink(t, tp, cells, delta)
+		checkShrink(t, h, tp, cells, delta)
 	})
 }

@@ -122,6 +122,8 @@ type OnlineHeuristic struct {
 	// sparse result.
 	dense   *affinity.TierIndex
 	denseSp affinity.SparseAlloc
+	// release is the shrink's scratch, which fits every shape.
+	release releaseScratch
 }
 
 // denseIndex returns the placer's transient index bound to l.

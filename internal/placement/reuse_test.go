@@ -15,8 +15,9 @@ import (
 
 // TestPlacersReuseScratchAcrossShapes drives one OnlineHeuristic, one
 // Exhaustive and one GlobalSubOpt across two plants and two type counts,
-// interleaving PlaceSparse, PlaceDeltaSparse, dense Place and PlaceBatch
-// so that consecutive calls change the plant, the type count or both.
+// interleaving PlaceSparse, PlaceDeltaSparse, ReleaseSubsetSparse, dense
+// Place and PlaceBatch so that consecutive calls change the plant, the
+// type count or both.
 // Each call must return exactly what a fresh placer returns: a placer
 // rebuilds the scratch it kept whenever a call's shape differs from the
 // last call's, and otherwise reuses it without leaking state.
@@ -101,6 +102,18 @@ func TestPlacersReuseScratchAcrossShapes(t *testing.T) {
 				if !same(dc, wdc, k, wk, err, werr, grown, freshGrown) {
 					t.Fatalf("round %d, %d nodes, %d types: PlaceDeltaSparse(%v) = %v (dc %v, center %d, err %v), fresh placer %v (dc %v, center %d, err %v)",
 						round, sh.tp.Nodes(), m, delta, grown, dc, k, err, freshGrown, wdc, wk, werr)
+				}
+				// Shrink the cluster, grown when the grow fit, by the
+				// placed request.
+				cluster := base
+				if err == nil {
+					cluster = append(slices.Clone(base), grown.Entries...)
+				}
+				victims, err := h.ReleaseSubsetSparse(sh.tp, cluster, r)
+				want, werr := (&OnlineHeuristic{}).ReleaseSubsetSparse(sh.tp, cluster, r)
+				if !sameErr(err, werr) || !slices.Equal(victims, want) {
+					t.Fatalf("round %d, %d nodes, %d types: ReleaseSubsetSparse(%v) of %v = %v (err %v), fresh placer %v (err %v)",
+						round, sh.tp.Nodes(), m, r, cluster, victims, err, want, werr)
 				}
 				if err := sh.inv.ReleaseList(base); err != nil {
 					t.Fatal(err)

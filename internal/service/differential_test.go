@@ -241,7 +241,7 @@ func (d *directTwin) commit(dc float64, center topology.NodeID, err error) (Plac
 }
 
 func (d *directTwin) shrink(cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
-	victims, err := placement.ReleaseSubsetSparse(d.topo, cur, delta)
+	victims, err := d.h.ReleaseSubsetSparse(d.topo, cur, delta)
 	if err == nil {
 		err = d.inv.ReleaseList(victims)
 	}

@@ -216,7 +216,7 @@ func (s *Service) Grow(entries []affinity.VMEntry, delta model.Request) (Placeme
 
 // Shrink gives back delta VMs per type from a previously committed
 // cluster, picking the victims that leave the least DC(C)
-// (placement.ReleaseSubsetSparse), and wakes whatever queued placements
+// (OnlineHeuristic.ReleaseSubsetSparse), and wakes whatever queued placements
 // the freed capacity now fits. It returns the victim entries — the caller
 // must subtract them from its record of the cluster. entries is only
 // read and must not be mutated until the call returns.
@@ -369,7 +369,7 @@ func (s *Service) applyGrow(o *op) result {
 // applyShrink releases the DC-minimizing victims of a live cluster and
 // offers the freed capacity to the wait queue, like a release.
 func (s *Service) applyShrink(o *op) result {
-	victims, err := placement.ReleaseSubsetSparse(s.topo, o.entries, o.req)
+	victims, err := s.online.ReleaseSubsetSparse(s.topo, o.entries, o.req)
 	if err != nil {
 		return result{err: fmt.Errorf("service: shrink %d: %w", o.seq, err)}
 	}
