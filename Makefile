@@ -79,6 +79,11 @@ lint-json:
 # round-trip, never panic), the tier index's cover tree (FirstCover
 # equals a lowest-ID row scan and every aggregate equals a rebuild after
 # each cell change and row zeroing or restore, on scrambled plants too),
+# the inventory's ops against a naive model that keeps M and C (list and
+# dense commits with repeated, negative, out-of-range or mis-shaped
+# input, moves, failures and restores: each succeeds exactly when the
+# model's does, a failure changes nothing, and the attached index stays
+# consistent),
 # Algorithm 1 placement (capacity respected, mismatched matrix widths
 # rejected, the pruned scan places exactly as the Exhaustive oracle,
 # evaluator DC(C) matches the row-scan oracle), the exact shrink
@@ -95,6 +100,7 @@ lint-json:
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/affinity -run '^$$' -fuzz '^FuzzFirstCover$$' -fuzztime 10s
+	$(GO) test ./internal/inventory -run '^$$' -fuzz '^FuzzInventoryOps$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzReleaseSubset$$' -fuzztime 10s
 	$(GO) test ./internal/sdexact -run '^$$' -fuzz '^FuzzSolveSD$$' -fuzztime 10s

@@ -181,9 +181,11 @@ func BenchmarkChurn(b *testing.B) {
 // measurement so the count reads only the step's own allocations. The
 // plants are small so the gate also runs in -short mode. Each arm
 // drives code the others miss: util90 the slow path's container and
-// node heaps, the fail-restore mix TierIndex.ApplyRow (its 2 allocs are
-// the two rows FailNode copies), and the 8-cloud plant of single 3-node
-// racks the far-cloud gather of requests that outgrow their cloud.
+// node heaps, the fail-restore mix FailNode and RestoreNode with the
+// index repairs of a whole row (its 2 allocs are the saved capacity row
+// and the lost row FailNode returns), and the 8-cloud plant of single
+// 3-node racks the far-cloud gather of requests that outgrow their
+// cloud.
 func TestChurnSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in non-race builds")

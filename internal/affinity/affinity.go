@@ -150,7 +150,7 @@ func (a Allocation) DistanceFrom(t *topology.Topology, k topology.NodeID) float6
 // 0 and central node -1.
 //
 // The matrix is reduced to per-node totals once, then evaluated through
-// DistanceOf — O(n·m + hosts²) instead of O(hosts·n·m). Call sites that
+// DistanceOf — O(n·m + hosts) instead of O(hosts·n·m). Call sites that
 // re-evaluate after single-VM mutations should use a DistanceEvaluator
 // instead, which prices each move in O(hosts).
 func (a Allocation) Distance(t *topology.Topology) (float64, topology.NodeID) {

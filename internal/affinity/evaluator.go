@@ -218,9 +218,9 @@ func (e *DistanceEvaluator) bestCenter(p, q topology.NodeID) (float64, topology.
 // DistanceOf computes Definition 1 once for per-node VM totals w restricted
 // to the hosting nodes hosts (any order; ties still break toward the lowest
 // node ID). It is the one-shot path for short-lived candidate placements:
-// the hosts are folded into rack/cloud aggregates and only rack-level bests
-// are compared — O(hosts + racks) instead of the former O(hosts²). Callers
-// that evaluate repeatedly keep a DistanceScratch instead.
+// the hosts are folded into rack and cloud totals and each host is priced
+// with TierSum, O(hosts). Callers that evaluate repeatedly keep a
+// DistanceScratch instead.
 func DistanceOf(t *topology.Topology, hosts []topology.NodeID, w []int) (float64, topology.NodeID) {
 	var s DistanceScratch
 	return s.DistanceOf(t, hosts, w)
@@ -228,15 +228,12 @@ func DistanceOf(t *topology.Topology, hosts []topology.NodeID, w []int) (float64
 
 // DistanceScratch is the reusable working storage of DistanceOf: rack-
 // and cloud-sized tallies that are left zeroed between calls, so each
-// evaluation touches only the racks its hosts activate. The zero value
-// is ready to use; it sizes itself to the largest topology it has seen.
-// Not safe for concurrent use.
+// evaluation touches only the racks and clouds of its hosts. The zero
+// value is ready to use; it sizes itself to the largest topology it has
+// seen. Not safe for concurrent use.
 type DistanceScratch struct {
-	rackW  []int             // racks: VMs per rack (zero between calls)
-	cloudW []int             // clouds: VMs per cloud (zero between calls)
-	bestW  []int             // racks: largest single-node load
-	bestID []topology.NodeID // racks: lowest ID achieving bestW
-	active []int             // racks touched by the current call
+	rackW  []int // racks: VMs per rack (zero between calls)
+	cloudW []int // clouds: VMs per cloud (zero between calls)
 }
 
 // DistanceOf is the package-level DistanceOf over reused storage; once
@@ -248,43 +245,28 @@ func (s *DistanceScratch) DistanceOf(t *topology.Topology, hosts []topology.Node
 	if len(s.rackW) < t.Racks() {
 		s.rackW = make([]int, t.Racks())
 	}
-	if len(s.bestW) < t.Racks() {
-		s.bestW = make([]int, t.Racks())
-	}
-	if len(s.bestID) < t.Racks() {
-		s.bestID = make([]topology.NodeID, t.Racks())
-	}
 	if len(s.cloudW) < t.Clouds() {
 		s.cloudW = make([]int, t.Clouds())
 	}
-	d := t.Distances()
-	rackW, cloudW, bestW, bestID := s.rackW, s.cloudW, s.bestW, s.bestID
-	s.active = s.active[:0]
+	rackW, cloudW := s.rackW, s.cloudW
 	total := 0
 	for _, h := range hosts {
-		r := t.RackOf(h)
-		wh := w[h]
-		if rackW[r] == 0 {
-			s.active = append(s.active, r)
-			bestW[r], bestID[r] = wh, h
-		} else if wh > bestW[r] || (wh == bestW[r] && h < bestID[r]) {
-			bestW[r], bestID[r] = wh, h
-		}
-		rackW[r] += wh
-		cloudW[t.CloudOf(h)] += wh
-		total += wh
+		rackW[t.RackOf(h)] += w[h]
+		cloudW[t.CloudOf(h)] += w[h]
+		total += w[h]
 	}
+	d := t.Distances()
 	best := math.Inf(1)
 	bestK := topology.NodeID(-1)
-	for _, r := range s.active {
-		sum := TierSum(d, bestW[r], rackW[r], cloudW[t.CloudOfRack(r)], total)
-		if sum < best || (sum == best && bestID[r] < bestK) {
-			best, bestK = sum, bestID[r]
+	for _, h := range hosts {
+		sum := TierSum(d, w[h], rackW[t.RackOf(h)], cloudW[t.CloudOf(h)], total)
+		if sum < best || (sum == best && h < bestK) {
+			best, bestK = sum, h
 		}
 	}
-	for _, r := range s.active {
-		rackW[r] = 0
-		cloudW[t.CloudOfRack(r)] = 0
+	for _, h := range hosts {
+		rackW[t.RackOf(h)] = 0
+		cloudW[t.CloudOf(h)] = 0
 	}
 	return best, bestK
 }

@@ -15,10 +15,9 @@ import (
 // coverBlock, re-imported with permuted node and rack IDs when scramble
 // is set (topotest.Scramble), and a capacity matrix, one cell of which is
 // raised to MaxInt/2 when capMax's top bit is set. Each op byte then
-// changes the matrix and reports the change: one cell taken from or
-// given back through Apply, or a row zeroed and restored to its drawn
-// capacity through ApplyRow, the way FailNode and RestoreNode change
-// it. After every step FirstCover must return the scan's node for the
+// changes the matrix and reports the change through Apply: one cell
+// taken from or given back, or a row zeroed or restored to its drawn
+// capacity cell by cell, the way FailNode and RestoreNode change it. After every step FirstCover must return the scan's node for the
 // all-zero request, one-type requests, a node's own row, a drawn
 // request and near-MaxInt requests, and CheckConsistent must pass.
 func FuzzFirstCover(f *testing.F) {
@@ -58,7 +57,6 @@ func FuzzFirstCover(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkFirstCover(t, rng, idx, -1)
-		deltas := make([]int, m)
 		for step, op := range ops[:min(len(ops), 64)] {
 			i := topology.NodeID(rng.Intn(n))
 			switch op % 4 {
@@ -73,15 +71,15 @@ func FuzzFirstCover(f *testing.F) {
 				l[i][j] += d
 				idx.Apply(i, j, d)
 			case 2, 3: // zero the row, or restore it to its capacity
-				for j := range deltas {
+				for j := range m {
 					v := 0
 					if op%4 == 3 {
 						v = capRow[i][j]
 					}
-					deltas[j] = v - l[i][j]
+					d := v - l[i][j]
 					l[i][j] = v
+					idx.Apply(i, j, d)
 				}
-				idx.ApplyRow(i, deltas)
 			}
 			checkFirstCover(t, rng, idx, step)
 		}

@@ -51,12 +51,10 @@ type TierIndex struct {
 	cloudRemain []int // clouds×m row-major: Σ_{i∈cloud} L_ij
 	avail       []int // m: A_j = Σ_i L_ij
 	nodeTot     []int // n: Σ_j L_ij
-	rackTotSum  []int // racks: Σ_j rackRemain[r][j]
 	rackMaxCol  []int // racks×m: max_{i∈rack} L_ij
 	cloudMaxCol []int // clouds×m: max_{i∈cloud} L_ij
 	rackMaxTot  []int // racks: max_{i∈rack} nodeTot[i]
 	cloudMaxTot []int // clouds: max over the cloud's racks of rackMaxTot
-	cloudMaxSum []int // clouds: max over the cloud's racks of rackTotSum
 
 	// cover is the cover index, heap-ordered with m columns per tree node:
 	// root 1, children 2k and 2k+1, and the leaf of node block b at
@@ -103,12 +101,10 @@ func NewTierIndex(t *topology.Topology, l [][]int) (*TierIndex, error) {
 		cloudRemain: make([]int, t.Clouds()*m),
 		avail:       make([]int, m),
 		nodeTot:     make([]int, n),
-		rackTotSum:  make([]int, t.Racks()),
 		rackMaxCol:  make([]int, t.Racks()*m),
 		cloudMaxCol: make([]int, t.Clouds()*m),
 		rackMaxTot:  make([]int, t.Racks()),
 		cloudMaxTot: make([]int, t.Clouds()),
-		cloudMaxSum: make([]int, t.Clouds()),
 		cover:       make([]int, 2*leaves*m),
 		coverLeaves: leaves,
 	}
@@ -116,9 +112,9 @@ func NewTierIndex(t *topology.Topology, l [][]int) (*TierIndex, error) {
 	return x, nil
 }
 
-// checkMatrix refuses a matrix with a row that is not m wide, or whose
-// cells sum past int (model.AddCapacity): the index's rack, cloud and
-// availability totals would wrap.
+// checkMatrix refuses a matrix with a row that is not m wide, a
+// negative cell, or cells that sum past int (model.AddCapacity): the
+// index's rack, cloud and availability totals would wrap.
 func checkMatrix(l [][]int, m int) error {
 	total := 0
 	for i, row := range l {
@@ -126,6 +122,9 @@ func checkMatrix(l [][]int, m int) error {
 			return fmt.Errorf("affinity: tier index matrix ragged at row %d", i)
 		}
 		for j, v := range row {
+			if v < 0 {
+				return fmt.Errorf("affinity: tier index matrix cell [%d][%d] = %d is negative", i, j, v)
+			}
 			var err error
 			if total, err = model.AddCapacity(total, v); err != nil {
 				return fmt.Errorf("affinity: tier index matrix cell [%d][%d] = %d: %w", i, j, v, err)
@@ -185,10 +184,6 @@ func (x *TierIndex) RackMaxTotal(r int) int { return x.rackMaxTot[r] }
 // CloudMaxNodeTotal returns the largest per-node total remaining
 // capacity in cloud c.
 func (x *TierIndex) CloudMaxNodeTotal(c int) int { return x.cloudMaxTot[c] }
-
-// CloudMaxRackSum returns the largest rack-level total remaining
-// capacity in cloud c.
-func (x *TierIndex) CloudMaxRackSum(c int) int { return x.cloudMaxSum[c] }
 
 // FirstCover returns the lowest node ID whose row covers r (L_ij ≥ R_j
 // for every j), or -1 when no row does: Algorithm 1's single-node fast
@@ -259,13 +254,11 @@ func (x *TierIndex) Rebuild() {
 	for j := range x.avail {
 		x.avail[j] = 0
 	}
-	for r := range x.rackTotSum {
-		x.rackTotSum[r] = 0
+	for r := range x.rackMaxTot {
 		x.rackMaxTot[r] = 0
 	}
 	for c := range x.cloudMaxTot {
 		x.cloudMaxTot[c] = 0
-		x.cloudMaxSum[c] = 0
 	}
 	m := x.m
 	for i, row := range x.l {
@@ -286,7 +279,6 @@ func (x *TierIndex) Rebuild() {
 			}
 		}
 		x.nodeTot[i] = tot
-		x.rackTotSum[r] += tot
 		if tot > x.rackMaxTot[r] {
 			x.rackMaxTot[r] = tot
 		}
@@ -298,9 +290,6 @@ func (x *TierIndex) Rebuild() {
 		}
 		if x.rackMaxTot[r] > x.cloudMaxTot[c] {
 			x.cloudMaxTot[c] = x.rackMaxTot[r]
-		}
-		if x.rackTotSum[r] > x.cloudMaxSum[c] {
-			x.cloudMaxSum[c] = x.rackTotSum[r]
 		}
 		for j, v := range x.rackMaxCol[r*m : (r+1)*m] {
 			if v > x.cloudMaxCol[c*m+j] {
@@ -334,7 +323,6 @@ func (x *TierIndex) Apply(i topology.NodeID, j int, delta int) {
 	oldTot := x.nodeTot[i]
 	newTot := oldTot + delta
 	x.nodeTot[i] = newTot
-	x.rackTotSum[r] += delta
 
 	// Cover index: the leaf of i's block and the ancestors whose maximum
 	// it carries.
@@ -414,31 +402,6 @@ func (x *TierIndex) Apply(i topology.NodeID, j int, delta int) {
 			}
 		}
 	}
-
-	// Cloud max rack-total sum.
-	rts := x.rackTotSum[r]
-	if delta > 0 {
-		if rts > x.cloudMaxSum[c] {
-			x.cloudMaxSum[c] = rts
-		}
-	} else if rts-delta == x.cloudMaxSum[c] {
-		cm := 0
-		for _, rr := range x.t.CloudRacks(c) {
-			if w := x.rackTotSum[rr]; w > cm {
-				cm = w
-			}
-		}
-		x.cloudMaxSum[c] = cm
-	}
-}
-
-// ApplyRow folds a whole-row change: every cell of node i moved from
-// the values implied by the per-type deltas. It is Apply per type, the
-// form FailNode/RestoreNode use.
-func (x *TierIndex) ApplyRow(i topology.NodeID, deltas []int) {
-	for j, d := range deltas {
-		x.Apply(i, j, d)
-	}
 }
 
 // CheckConsistent recomputes every aggregate from the matrix and
@@ -460,9 +423,6 @@ func (x *TierIndex) CheckConsistent() error {
 	if !intsEqual(x.nodeTot, fresh.nodeTot) {
 		return fmt.Errorf("affinity: tier index nodeTot diverged from rebuild")
 	}
-	if !intsEqual(x.rackTotSum, fresh.rackTotSum) {
-		return fmt.Errorf("affinity: tier index rackTotSum diverged from rebuild")
-	}
 	if !intsEqual(x.rackMaxCol, fresh.rackMaxCol) {
 		return fmt.Errorf("affinity: tier index rackMaxCol diverged from rebuild")
 	}
@@ -474,9 +434,6 @@ func (x *TierIndex) CheckConsistent() error {
 	}
 	if !intsEqual(x.cloudMaxTot, fresh.cloudMaxTot) {
 		return fmt.Errorf("affinity: tier index cloudMaxTot diverged from rebuild")
-	}
-	if !intsEqual(x.cloudMaxSum, fresh.cloudMaxSum) {
-		return fmt.Errorf("affinity: tier index cloudMaxSum diverged from rebuild")
 	}
 	if !intsEqual(x.cover, fresh.cover) {
 		return fmt.Errorf("affinity: tier index cover tree diverged from rebuild")

@@ -809,12 +809,13 @@ func (s *Simulator) admit(taken []model.TimedRequest, now float64) {
 					s.requeue(taken[i])
 					continue
 				}
-				if err := s.inv.Allocate([][]int(alloc)); err != nil {
+				cells := alloc.Sparse()
+				if err := s.inv.AllocateList(cells); err != nil {
 					s.requeue(taken[i])
 					continue
 				}
 				d, center := alloc.Distance(s.topo)
-				s.commission(taken[i], alloc.Sparse(), d, center, now)
+				s.commission(taken[i], cells, d, center, now)
 			}
 			return
 		}

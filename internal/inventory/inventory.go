@@ -1,12 +1,13 @@
 // Package inventory tracks the resource bookkeeping of Section II of the
 // paper: the capacity matrix M (maximum VMs per node per type), the
-// allocation matrix C (currently placed VMs), the remaining matrix
-// L = M − C, and the availability vector A with A_j = Σ_i L_ij.
+// remaining matrix L, and the availability vector A with
+// A_j = Σ_i L_ij. The allocation matrix C (currently placed VMs) is
+// M − L by definition, so only M and L are stored.
 //
 // NewFromMatrix builds an Inventory from M; afterwards M changes only
 // through FailNode and RestoreNode. An Inventory is safe for concurrent
 // use; the placement algorithms take snapshots (Remaining, Available) and
-// commit allocations atomically with Allocate.
+// commit allocations atomically with AllocateList.
 package inventory
 
 import (
@@ -19,8 +20,8 @@ import (
 	"affinitycluster/internal/topology"
 )
 
-// ErrInsufficient is returned by Allocate when the requested VMs exceed the
-// remaining capacity of some node. The caller's view was stale or the
+// ErrInsufficient is returned by AllocateList when the requested VMs exceed
+// the remaining capacity of some node. The caller's view was stale or the
 // placement was computed against a different snapshot.
 var ErrInsufficient = errors.New("inventory: insufficient remaining capacity")
 
@@ -30,8 +31,7 @@ type Inventory struct {
 	nodes  int
 	types  int
 	max    [][]int // M
-	alloc  [][]int // C (aggregate over all tenants)
-	remain [][]int // L = M − C, kept incrementally
+	remain [][]int // L; the allocation C (over all tenants) is M − L
 	avail  []int   // A_j = Σ_i L_ij, kept incrementally
 	capSum []int   // Σ_i M_ij, kept incrementally for CanEverSatisfy
 	// failed maps a failed node to its saved pre-failure capacity row;
@@ -39,10 +39,8 @@ type Inventory struct {
 	failed map[int][]int
 	// tidx, when non-nil, is the attached tier-aggregate index over the
 	// live remain matrix (see AttachTierIndex); every mutator keeps it in
-	// sync under the same lock. tixDeltas is its reusable row-delta
-	// scratch for FailNode/RestoreNode.
-	tidx      *affinity.TierIndex
-	tixDeltas []int
+	// sync under the same lock.
+	tidx *affinity.TierIndex
 }
 
 // NewFromMatrix creates an inventory whose capacity matrix M is a copy of
@@ -57,7 +55,6 @@ func NewFromMatrix(max [][]int) (*Inventory, error) {
 		nodes:  n,
 		types:  m,
 		max:    newMatrix(n, m),
-		alloc:  newMatrix(n, m),
 		remain: newMatrix(n, m),
 		avail:  make([]int, m),
 		capSum: make([]int, m),
@@ -108,18 +105,25 @@ func (inv *Inventory) Nodes() int { return inv.nodes }
 func (inv *Inventory) Types() int { return inv.types }
 
 // Remaining returns a copy of the full remaining matrix L. Placement
-// algorithms plan against this snapshot and then commit with Allocate.
+// algorithms plan against this snapshot and then commit with AllocateList.
 func (inv *Inventory) Remaining() [][]int {
 	inv.mu.RLock()
 	defer inv.mu.RUnlock()
 	return cloneMatrix(inv.remain)
 }
 
-// AllocatedMatrix returns a copy of C.
+// AllocatedMatrix returns the allocation matrix C = M − L as a fresh
+// matrix.
 func (inv *Inventory) AllocatedMatrix() [][]int {
 	inv.mu.RLock()
 	defer inv.mu.RUnlock()
-	return cloneMatrix(inv.alloc)
+	c := newMatrix(inv.nodes, inv.types)
+	for i, row := range c {
+		for j := range row {
+			row[j] = inv.max[i][j] - inv.remain[i][j]
+		}
+	}
+	return c
 }
 
 // Available returns a copy of the availability vector A, A_j = Σ_i L_ij.
@@ -177,67 +181,26 @@ func (inv *Inventory) CanEverSatisfy(r model.Request) bool {
 	return true
 }
 
-// Allocate atomically commits an allocation matrix: C += alloc, L -= alloc.
-// The matrix must be n×m with non-negative entries. If any entry exceeds
-// the remaining capacity the whole call fails with ErrInsufficient and the
-// inventory is unchanged.
+// Allocate commits an n×m allocation matrix: AllocateList of its
+// non-zero cells, so a negative or over-capacity cell fails the whole
+// call and leaves the inventory unchanged. Dense callers (the
+// benchmark's trace replay) use it; every other caller commits sparse
+// cells.
 func (inv *Inventory) Allocate(alloc [][]int) error {
 	if err := inv.checkShape(alloc); err != nil {
 		return err
 	}
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	for i, row := range alloc {
-		for j, k := range row {
-			if k < 0 {
-				return fmt.Errorf("inventory: negative allocation at [%d][%d]", i, j)
-			}
-			if k > inv.remain[i][j] {
-				return fmt.Errorf("%w: node %d type %d has %d remaining, %d requested",
-					ErrInsufficient, i, j, inv.remain[i][j], k)
-			}
-		}
-	}
-	for i, row := range alloc {
-		for j, k := range row {
-			inv.alloc[i][j] += k
-			inv.remain[i][j] -= k
-			inv.avail[j] -= k
-			inv.tixApply(topology.NodeID(i), model.VMTypeID(j), -k)
-		}
-	}
-	return nil
+	return inv.AllocateList(affinity.Allocation(alloc).Sparse())
 }
 
-// Release atomically returns an allocation: C -= alloc, L += alloc. It
-// fails if the release exceeds what is currently allocated anywhere, in
-// which case the inventory is unchanged.
+// Release returns an n×m allocation matrix: ReleaseList of its non-zero
+// cells, so a negative cell or a release beyond what a node holds fails
+// the whole call and leaves the inventory unchanged.
 func (inv *Inventory) Release(alloc [][]int) error {
 	if err := inv.checkShape(alloc); err != nil {
 		return err
 	}
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	for i, row := range alloc {
-		for j, k := range row {
-			if k < 0 {
-				return fmt.Errorf("inventory: negative release at [%d][%d]", i, j)
-			}
-			if k > inv.alloc[i][j] {
-				return fmt.Errorf("inventory: release of %d VMs of type %d on node %d exceeds %d allocated",
-					k, j, i, inv.alloc[i][j])
-			}
-		}
-	}
-	for i, row := range alloc {
-		for j, k := range row {
-			inv.alloc[i][j] -= k
-			inv.remain[i][j] += k
-			inv.avail[j] += k
-			inv.tixApply(topology.NodeID(i), model.VMTypeID(j), k)
-		}
-	}
-	return nil
+	return inv.ReleaseList(affinity.Allocation(alloc).Sparse())
 }
 
 func (inv *Inventory) checkShape(alloc [][]int) error {
@@ -267,19 +230,15 @@ func (inv *Inventory) Move(from, to topology.NodeID, vt model.VMTypeID) error {
 	if f == tn {
 		return fmt.Errorf("inventory: Move to the same node %d", f)
 	}
-	if inv.alloc[f][j] == 0 {
+	if inv.max[f][j]-inv.remain[f][j] == 0 {
 		return fmt.Errorf("inventory: no VM of type %d allocated on node %d", j, f)
 	}
 	if inv.remain[tn][j] == 0 {
 		return fmt.Errorf("%w: node %d has no remaining capacity for type %d", ErrInsufficient, tn, j)
 	}
-	inv.alloc[f][j]--
-	inv.remain[f][j]++
-	inv.alloc[tn][j]++
-	inv.remain[tn][j]--
-	// avail is unchanged: one slot freed, one consumed.
-	inv.tixApply(from, vt, 1)
-	inv.tixApply(to, vt, -1)
+	// A is unchanged: one slot freed, one consumed.
+	inv.shift(f, j, 1)
+	inv.shift(tn, j, -1)
 	return nil
 }
 
@@ -300,22 +259,18 @@ func (inv *Inventory) FailNode(node topology.NodeID) ([]int, error) {
 		return nil, fmt.Errorf("inventory: node %d is already failed", i)
 	}
 	saved := append([]int(nil), inv.max[i]...)
-	lost := append([]int(nil), inv.alloc[i]...)
-	for j := 0; j < inv.types; j++ {
-		if inv.tidx != nil {
-			inv.tixDeltas[j] = -inv.remain[i][j]
-		}
-		inv.avail[j] -= inv.remain[i][j]
-		inv.capSum[j] -= inv.max[i][j]
+	lost := make([]int, inv.types)
+	for j, k := range saved {
+		free := inv.remain[i][j]
+		lost[j] = k - free
+		inv.capSum[j] -= k
 		inv.max[i][j] = 0
-		inv.alloc[i][j] = 0
-		inv.remain[i][j] = 0
+		inv.shift(i, j, -free)
 	}
 	if inv.failed == nil {
 		inv.failed = make(map[int][]int)
 	}
 	inv.failed[i] = saved
-	inv.tixApplyRow(node, inv.tixDeltas)
 	return lost, nil
 }
 
@@ -333,24 +288,20 @@ func (inv *Inventory) RestoreNode(node topology.NodeID) error {
 	if !down {
 		return fmt.Errorf("inventory: node %d is not failed", i)
 	}
-	for j := 0; j < inv.types; j++ {
-		inv.max[i][j] = saved[j]
-		inv.remain[i][j] = saved[j]
-		inv.avail[j] += saved[j]
-		inv.capSum[j] += saved[j]
-		if inv.tidx != nil {
-			inv.tixDeltas[j] = saved[j]
-		}
+	for j, k := range saved {
+		inv.max[i][j] = k
+		inv.capSum[j] += k
+		inv.shift(i, j, k)
 	}
 	delete(inv.failed, i)
-	inv.tixApplyRow(node, inv.tixDeltas)
 	return nil
 }
 
 // CheckInvariants verifies the bookkeeping identities of Section II:
-// L = M − C, A_j = Σ_i L_ij, and 0 ≤ C ≤ M everywhere, plus the kept
-// capacity totals Σ_i M_ij. It returns the first violation found. The
-// test suite and the simulators call this after every mutation batch.
+// 0 ≤ L ≤ M everywhere (so the allocation C = M − L lies in [0, M]),
+// A_j = Σ_i L_ij, and the kept capacity totals Σ_i M_ij. It returns the
+// first violation found. The test suite and the simulators call this
+// after every mutation batch.
 func (inv *Inventory) CheckInvariants() error {
 	inv.mu.RLock()
 	defer inv.mu.RUnlock()
@@ -359,11 +310,8 @@ func (inv *Inventory) CheckInvariants() error {
 	for i := 0; i < inv.nodes; i++ {
 		for j := 0; j < inv.types; j++ {
 			caps[j] += inv.max[i][j]
-			if inv.alloc[i][j] < 0 || inv.alloc[i][j] > inv.max[i][j] {
-				return fmt.Errorf("inventory: C[%d][%d] = %d outside [0, M=%d]", i, j, inv.alloc[i][j], inv.max[i][j])
-			}
-			if inv.remain[i][j] != inv.max[i][j]-inv.alloc[i][j] {
-				return fmt.Errorf("inventory: L[%d][%d] = %d, want M−C = %d", i, j, inv.remain[i][j], inv.max[i][j]-inv.alloc[i][j])
+			if l := inv.remain[i][j]; l < 0 || l > inv.max[i][j] {
+				return fmt.Errorf("inventory: L[%d][%d] = %d outside [0, M=%d]", i, j, l, inv.max[i][j])
 			}
 			sums[j] += inv.remain[i][j]
 		}

@@ -73,7 +73,7 @@ func TestAllocateReleaseRoundTrip(t *testing.T) {
 	if got := inv.remain[0][0]; got != 1 {
 		t.Errorf("L[0][0] = %d, want 1", got)
 	}
-	if got := inv.alloc[1][2]; got != 1 {
+	if got := inv.AllocatedMatrix()[1][2]; got != 1 {
 		t.Errorf("C[1][2] = %d, want 1", got)
 	}
 	a := inv.Available()
@@ -107,7 +107,7 @@ func TestAllocateFailsAtomically(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
 	}
 	// Nothing changed — including the part that would have fit.
-	if inv.alloc[0][0] != 0 {
+	if inv.AllocatedMatrix()[0][0] != 0 {
 		t.Error("partial allocation leaked")
 	}
 	if err := inv.CheckInvariants(); err != nil {
@@ -205,7 +205,7 @@ func TestSnapshotsDoNotAlias(t *testing.T) {
 	}
 	c := inv.AllocatedMatrix()
 	c[0][0] = 99
-	if inv.alloc[0][0] == 99 {
+	if inv.AllocatedMatrix()[0][0] == 99 {
 		t.Error("AllocatedMatrix() aliases internal state")
 	}
 	a := inv.Available()
@@ -224,8 +224,8 @@ func TestMove(t *testing.T) {
 	if err := inv.Move(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if inv.alloc[0][0] != 1 || inv.alloc[1][0] != 1 {
-		t.Errorf("allocations after move: %d, %d", inv.alloc[0][0], inv.alloc[1][0])
+	if c := inv.AllocatedMatrix(); c[0][0] != 1 || c[1][0] != 1 {
+		t.Errorf("allocations after move: %d, %d", c[0][0], c[1][0])
 	}
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -336,8 +336,8 @@ func TestConcurrentAllocateRelease(t *testing.T) {
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if inv.alloc[0][0] != 0 {
-		t.Errorf("leftover allocation %d", inv.alloc[0][0])
+	if got := inv.AllocatedMatrix()[0][0]; got != 0 {
+		t.Errorf("leftover allocation %d", got)
 	}
 }
 
@@ -356,7 +356,7 @@ func TestFailAndRestoreNode(t *testing.T) {
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if inv.max[0][0] != 0 || inv.remain[0][0] != 0 || inv.alloc[0][0] != 0 {
+	if inv.max[0][0] != 0 || inv.remain[0][0] != 0 {
 		t.Error("failed node still shows capacity or allocation")
 	}
 	if got := inv.Available(); got[0] != 1 || got[1] != 1 {
@@ -381,7 +381,7 @@ func TestFailAndRestoreNode(t *testing.T) {
 	if inv.max[0][0] != 3 || inv.max[0][1] != 2 {
 		t.Error("capacity not restored")
 	}
-	if inv.alloc[0][0] != 0 {
+	if inv.remain[0][0] != 3 || inv.remain[0][1] != 2 {
 		t.Error("restored node should be empty")
 	}
 	if err := inv.RestoreNode(0); err == nil {

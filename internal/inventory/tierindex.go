@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"affinitycluster/internal/affinity"
-	"affinitycluster/internal/model"
 	"affinitycluster/internal/topology"
 )
 
@@ -43,9 +42,6 @@ func (inv *Inventory) AttachTierIndex(t *topology.Topology) (*affinity.TierIndex
 		return nil, err
 	}
 	inv.tidx = idx
-	if cap(inv.tixDeltas) < inv.types {
-		inv.tixDeltas = make([]int, inv.types)
-	}
 	return idx, nil
 }
 
@@ -75,11 +71,11 @@ func (inv *Inventory) RemainingView() [][]int {
 }
 
 // AllocateList atomically commits a sparse allocation: for each entry,
-// C[Node][Type] += Count and L[Node][Type] -= Count. Entries may repeat
-// cells; the combined total per cell must fit the remaining capacity or the
-// whole call fails with ErrInsufficient and the inventory is unchanged.
-// Unlike Allocate it touches only the listed cells, so a placement commit
-// is O(entries) rather than O(n·m).
+// L[Node][Type] -= Count (so C = M − L grows by Count). Entries may repeat
+// cells; the combined total per cell must fit the remaining capacity or
+// the whole call fails with ErrInsufficient and the inventory is
+// unchanged. It touches only the listed cells, so a placement commit is
+// O(entries) rather than O(n·m).
 func (inv *Inventory) AllocateList(entries []affinity.VMEntry) error {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
@@ -87,20 +83,14 @@ func (inv *Inventory) AllocateList(entries []affinity.VMEntry) error {
 		return err
 	}
 	for _, e := range entries {
-		i, j := int(e.Node), int(e.Type)
-		inv.alloc[i][j] += e.Count
-		inv.remain[i][j] -= e.Count
-		inv.avail[j] -= e.Count
-		if inv.tidx != nil {
-			inv.tidx.Apply(e.Node, j, -e.Count)
-		}
+		inv.shift(int(e.Node), int(e.Type), -e.Count)
 	}
 	return nil
 }
 
-// ReleaseList atomically returns a sparse allocation: C -= entry counts,
-// L += entry counts. It fails, changing nothing, if any cell would go
-// below zero allocated.
+// ReleaseList atomically returns a sparse allocation: L += entry counts.
+// It fails, changing nothing, if any cell would release more than the
+// M − L VMs its node holds.
 func (inv *Inventory) ReleaseList(entries []affinity.VMEntry) error {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
@@ -108,13 +98,7 @@ func (inv *Inventory) ReleaseList(entries []affinity.VMEntry) error {
 		return err
 	}
 	for _, e := range entries {
-		i, j := int(e.Node), int(e.Type)
-		inv.alloc[i][j] -= e.Count
-		inv.remain[i][j] += e.Count
-		inv.avail[j] += e.Count
-		if inv.tidx != nil {
-			inv.tidx.Apply(e.Node, j, e.Count)
-		}
+		inv.shift(int(e.Node), int(e.Type), e.Count)
 	}
 	return nil
 }
@@ -122,10 +106,14 @@ func (inv *Inventory) ReleaseList(entries []affinity.VMEntry) error {
 // checkEntries validates a sparse entry list against the current state
 // without mutating it. Cells may repeat across entries, so the bound is
 // checked against the running per-cell total: allocating requires the
-// total ≤ L, releasing requires the total ≤ C. The repeated-cell sum is
-// accumulated in place over the remain/alloc matrices and rolled back, so
+// total ≤ L, releasing requires the total ≤ M − L, the VMs the node
+// holds. The running total is staged in place in L and rolled back, so
 // the success path allocates nothing.
 func (inv *Inventory) checkEntries(entries []affinity.VMEntry, allocating bool) error {
+	sign := 1
+	if allocating {
+		sign = -1
+	}
 	var err error
 	k := 0
 	for ; k < len(entries); k++ {
@@ -145,39 +133,27 @@ func (inv *Inventory) checkEntries(entries []affinity.VMEntry, allocating bool) 
 					ErrInsufficient, i, j, inv.remain[i][j], e.Count)
 				break
 			}
-			inv.remain[i][j] -= e.Count
-		} else {
-			if e.Count > inv.alloc[i][j] {
-				err = fmt.Errorf("inventory: release of %d VMs of type %d on node %d exceeds %d allocated",
-					e.Count, int(e.Type), i, inv.alloc[i][j])
-				break
-			}
-			inv.alloc[i][j] -= e.Count
+		} else if held := inv.max[i][j] - inv.remain[i][j]; e.Count > held {
+			err = fmt.Errorf("inventory: release of %d VMs of type %d on node %d exceeds %d allocated",
+				e.Count, j, i, held)
+			break
 		}
+		inv.remain[i][j] += sign * e.Count
 	}
 	for k--; k >= 0; k-- {
 		e := entries[k]
-		if allocating {
-			inv.remain[e.Node][e.Type] += e.Count
-		} else {
-			inv.alloc[e.Node][e.Type] += e.Count
-		}
+		inv.remain[e.Node][e.Type] -= sign * e.Count
 	}
 	return err
 }
 
-// tixApply forwards one cell delta to the attached index, if any. Callers
-// hold inv.mu and have already mutated L.
-func (inv *Inventory) tixApply(node topology.NodeID, vt model.VMTypeID, delta int) {
-	if inv.tidx != nil && delta != 0 {
-		inv.tidx.Apply(node, int(vt), delta)
-	}
-}
-
-// tixApplyRow forwards a whole-row delta (FailNode / RestoreNode) to the
-// attached index. Callers hold inv.mu and have already mutated L.
-func (inv *Inventory) tixApplyRow(node topology.NodeID, deltas []int) {
+// shift moves one cell of L by delta and folds it into A and the
+// attached index, if any: the one commit step of every mutator. Callers
+// hold inv.mu and have checked the cell's bounds.
+func (inv *Inventory) shift(i, j, delta int) {
+	inv.remain[i][j] += delta
+	inv.avail[j] += delta
 	if inv.tidx != nil {
-		inv.tidx.ApplyRow(node, deltas)
+		inv.tidx.Apply(topology.NodeID(i), j, delta)
 	}
 }

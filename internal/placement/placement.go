@@ -126,8 +126,13 @@ type OnlineHeuristic struct {
 	release releaseScratch
 }
 
-// denseIndex returns the placer's transient index bound to l.
+// denseIndex returns the placer's transient index bound to l, which
+// must have a row per node of t. The index refuses a ragged matrix, a
+// negative cell and cells that sum past int.
 func (h *OnlineHeuristic) denseIndex(t *topology.Topology, l [][]int) (*affinity.TierIndex, error) {
+	if len(l) != t.Nodes() {
+		return nil, fmt.Errorf("placement: capacity matrix has %d rows, topology has %d nodes", len(l), t.Nodes())
+	}
 	if h.dense != nil && h.dense.Topology() == t && h.dense.Types() == len(l[0]) {
 		return h.dense, h.dense.Rebind(l)
 	}
@@ -166,31 +171,16 @@ func (h *OnlineHeuristic) obsHandles() *placerMetrics {
 // Name implements Placer.
 func (h *OnlineHeuristic) Name() string { return "online-heuristic" }
 
-// Place implements Placer with the paper's Algorithm 1: the scan over a
-// transient index bound to l. cloudsim and the service keep persistent
-// indexes and call PlaceSparse.
+// Place implements Placer with the paper's Algorithm 1: PlaceSparse over
+// a transient index bound to l. cloudsim and the service keep persistent
+// indexes and call PlaceSparse directly.
 func (h *OnlineHeuristic) Place(t *topology.Topology, l [][]int, r model.Request) (affinity.Allocation, error) {
-	om := h.obsHandles()
-	om.calls.Inc()
-	if err := admit(t, l, r); err != nil {
-		if errors.Is(err, ErrInsufficient) {
-			om.infeasible.Inc()
-		}
-		return nil, err
-	}
 	idx, err := h.denseIndex(t, l)
 	if err != nil {
 		return nil, err
 	}
-	dc, _, fast, err := h.placeSparseCore(idx, r, &h.denseSp)
-	if err != nil {
+	if _, _, err := h.PlaceSparse(idx, r, &h.denseSp); err != nil {
 		return nil, err
-	}
-	if fast {
-		om.fastPath.Inc()
-		om.dc.Observe(0)
-	} else {
-		om.dc.Observe(dc)
 	}
 	return h.denseSp.ToDense(), nil
 }

@@ -28,10 +28,10 @@
 //
 // is the exact optimum DC over all centers, computable from the index
 // in O(racks·m) with zero builds. The same monotonicity gives a cloud-
-// tier bound checked first: TierSum(ubW_c, ubRack_c, cloudTot_c, T)
-// with ubRack_c = min(CloudMaxRackSum, T, cloudTot_c) and ubW_c =
-// min(CloudMaxNodeTotal, ubRack_c) lower-bounds S_probe of every rack
-// in cloud c, so no rack of a pruned cloud is probed. scanBound needs
+// tier bound checked first: TierSum(ubW_c, cloudTot_c, cloudTot_c, T)
+// with ubW_c = min(CloudMaxNodeTotal, cloudTot_c) lower-bounds S_probe
+// of every rack in cloud c (no rack absorbs more than its cloud, and
+// cloudTot_c ≤ T), so no rack of a pruned cloud is probed. scanBound needs
 // only M's value, so it prunes a cloud or rack whose bound merely ties
 // the incumbent (>= M): such a rack cannot lower M. It is the slow
 // path's one pass over the racks before the sweep: the same loop
@@ -409,9 +409,9 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCa
 		if s.cloudCap[c] = ct; ct == 0 {
 			continue
 		}
-		ubRack := min(idx.CloudMaxRackSum(c), T, ct)
-		ubW := min(idx.CloudMaxNodeTotal(c), ubRack, wCap)
-		pruned := affinity.TierSum(d, ubW, ubRack, ct, T) >= M
+		// No rack of the cloud takes more than the cloud, ct ≤ T.
+		ubW := min(idx.CloudMaxNodeTotal(c), ct, wCap)
+		pruned := affinity.TierSum(d, ubW, ct, ct, T) >= M
 		for _, rho := range t.CloudRacks(c) {
 			rr := idx.RackRemain(rho)
 			mc := idx.RackMaxCol(rho)
@@ -1001,9 +1001,10 @@ func (s *scanScratch) popNode(hp *[]topology.NodeID) topology.NodeID {
 	return top
 }
 
-// score prices the current tallies exactly as affinity.DistanceOf does:
-// per touched rack the max-loaded (lowest-ID) node, min across racks
-// with ties toward the lowest node ID.
+// score prices the current tallies to the DC and center
+// affinity.DistanceOf returns: per touched rack its max-loaded (lowest-ID)
+// node, the rack's cheapest host, then the minimum across racks with ties
+// toward the lowest node ID.
 func (s *scanScratch) score(t *topology.Topology, d topology.Distances, total int) (float64, topology.NodeID) {
 	best := math.Inf(1)
 	bestK := topology.NodeID(-1)
