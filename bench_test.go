@@ -339,7 +339,9 @@ func BenchmarkAblationMigration(b *testing.B) {
 // simulators use — so it times the scan alone: a dense Place would
 // rebuild the index per request (~790 kB at 16k nodes, 3M cells at 1M).
 // The exhaustive arms stay on dense Place, the reference as callers see
-// it, and are skipped at the million-node size (hours per op).
+// it, and are skipped at the million-node size (hours per op). The
+// 10x40x40 plant adds the miss arm (benchPlaceMisses), which times the
+// slow path on a loaded plant alone.
 func BenchmarkPlaceScale(b *testing.B) {
 	for _, tc := range []struct {
 		name                        string
@@ -410,7 +412,95 @@ func BenchmarkPlaceScale(b *testing.B) {
 				}
 			})
 		}
+		if tc.clouds == 10 {
+			b.Run(tc.name+"/miss", func(b *testing.B) { benchPlaceMisses(b, topo) })
+		}
 	}
+}
+
+// placeMisses is how many fast-path misses the miss arm replays per op.
+const placeMisses = 1000
+
+// benchPlaceMisses times Algorithm 1's slow path alone, on the plant of
+// the repo benchmark's svc-16k workload (benchmark/): capacities of at
+// most two VMs per type and node, filled to 60% of its VM slots with
+// open-loop-sized requests through PlaceSparse and AllocateList. That
+// workload's clients cycle place, grow, shrink and release, and each
+// cycle gives back what it took, so with one client every place meets
+// the post-fill plant. The arm keeps the first placeMisses requests of a
+// client's open-loop stream that no single node covers there, and one op
+// places all of them without committing any, so ns/op is the slow path
+// of placeMisses requests, comparable run to run. dc-sum and center-sum
+// add up their DCs and central nodes; a change that only touches speed
+// must not move them.
+func benchPlaceMisses(b *testing.B, topo *topology.Topology) {
+	const types = 3
+	caps, err := workload.RandomCapacities(benchSeed, topo.Nodes(), types, workload.InventoryConfig{MaxPerType: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inv, err := inventory.NewFromMatrix(caps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := inv.AttachTierIndex(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := workload.DefaultOpenLoopConfig()
+	cfg.Types = types
+	fill, err := workload.NewOpenLoop(benchSeed+1, 1<<30, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := &placement.OnlineHeuristic{}
+	var sp affinity.SparseAlloc
+	for used, target := 0, int(0.6*float64(model.Sum(idx.Avail()))); used < target; {
+		r, _, err := fill.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := h.PlaceSparse(idx, r.Vector, &sp); err != nil {
+			b.Fatal(err)
+		}
+		if err := inv.AllocateList(sp.Entries); err != nil {
+			b.Fatal(err)
+		}
+		used += r.Vector.TotalVMs()
+	}
+	client, err := workload.NewOpenLoop(benchSeed+100, 1<<30, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	misses := make([]model.Request, 0, placeMisses)
+	for len(misses) < placeMisses {
+		r, _, err := client.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if idx.FirstCover(r.Vector) < 0 && inv.CanSatisfy(r.Vector) {
+			misses = append(misses, r.Vector)
+		}
+	}
+	replay := func() (dcSum, centerSum float64) {
+		for _, r := range misses {
+			dc, center, err := h.PlaceSparse(idx, r, &sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dcSum += dc
+			centerSum += float64(center)
+		}
+		return dcSum, centerSum
+	}
+	dcSum, centerSum := replay() // grows the placer's scratch and sp
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
+	}
+	b.ReportMetric(dcSum, "dc-sum")
+	b.ReportMetric(centerSum, "center-sum")
 }
 
 // BenchmarkExchangeScale times Algorithm 2 and the migration planner from

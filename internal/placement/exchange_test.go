@@ -59,7 +59,7 @@ func TestExchangeWalksMatchDenseLoops(t *testing.T) {
 		name += ", placed at random"
 		for _, passes := range []int{0, 1} {
 			got := &BatchResult{Allocs: cloneAllocs(scattered.Allocs)}
-			(&GlobalSubOpt{MaxPasses: passes}).exchange(tp, got, cloneMatrix(work))
+			(&GlobalSubOpt{MaxPasses: passes}).exchange(tp, got, cloneMatrix(work), false)
 			want := &BatchResult{Allocs: cloneAllocs(scattered.Allocs)}
 			denseExchange(tp, want, cloneMatrix(work), passes)
 			checkBatch(t, fmt.Sprintf("%s, exchange with MaxPasses %d", name, passes), got, want)

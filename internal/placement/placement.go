@@ -223,7 +223,7 @@ func (p *Exhaustive) Place(t *topology.Topology, l [][]int, r model.Request) (af
 	)
 	for i := 0; i < n; i++ {
 		if buf.buildAround(t, l, r, topology.NodeID(i)) {
-			d, _ := affinity.DistanceOf(t, buf.hosts, buf.w)
+			d, _ := buf.dist.DistanceOf(t, buf.hosts, buf.w)
 			if best == nil || d < bestDist {
 				// The buffer is reused across centers; only a new incumbent
 				// is materialized.
@@ -241,9 +241,9 @@ func (p *Exhaustive) Place(t *topology.Topology, l [][]int, r model.Request) (af
 }
 
 // buildBuffer holds the scratch state of the Exhaustive scan so a
-// single allocation matrix, weight vector, and candidate lists are reused
-// across all candidate centers — the scan itself allocates nothing per
-// center.
+// single allocation matrix, weight vector, candidate lists and distance
+// tallies are reused across all candidate centers — the scan itself
+// allocates nothing per center.
 type buildBuffer struct {
 	n, m     int // shape
 	alloc    affinity.Allocation
@@ -253,6 +253,7 @@ type buildBuffer struct {
 	residual model.Request
 	cand     []topology.NodeID // near candidate scratch (peers / same cloud)
 	cand2    []topology.NodeID // far candidate scratch (cross cloud)
+	dist     affinity.DistanceScratch
 }
 
 func newBuildBuffer(n, m int) *buildBuffer {
@@ -476,7 +477,7 @@ func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.
 		return nil, err
 	}
 
-	g.exchange(t, res, work)
+	g.exchange(t, res, work, true)
 	om := g.obsHandles()
 	om.batches.Inc()
 	om.failed.Add(int64(res.Failed))
@@ -497,7 +498,14 @@ func (g *GlobalSubOpt) PlaceBatch(t *topology.Topology, l [][]int, reqs []model.
 // passes; candidate exchanges are priced through O(hosts) previews and
 // allocations are only touched on accept. It counts res.Swaps and
 // res.Passes and sets res.Total to the clusters' summed DC.
-func (g *GlobalSubOpt) exchange(t *topology.Topology, res *BatchResult, residual [][]int) {
+//
+// online reports that res is step 2's output. Algorithm 1 is exact and
+// each later request only takes capacity away, so every target free
+// after step 2 was free when its cluster was placed, and a relocated
+// cluster is one Algorithm 1 could have returned: the first relocation
+// pass moves nothing (TestFirstRelocationPassIsIdle), and pass 1 starts
+// with the swaps.
+func (g *GlobalSubOpt) exchange(t *topology.Topology, res *BatchResult, residual [][]int, online bool) {
 	evs := make([]*affinity.DistanceEvaluator, len(res.Allocs))
 	for qi, a := range res.Allocs {
 		if a != nil {
@@ -510,7 +518,10 @@ func (g *GlobalSubOpt) exchange(t *topology.Topology, res *BatchResult, residual
 		maxPasses = hardCap
 	}
 	for pass := 0; pass < maxPasses; pass++ {
-		improved := relocatePass(t, res.Allocs, evs, residual)
+		improved := false
+		if pass > 0 || !online {
+			improved = relocatePass(t, res.Allocs, evs, residual)
+		}
 		if swapPass(res, evs, residual) {
 			improved = true
 		}

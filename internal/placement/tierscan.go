@@ -83,14 +83,26 @@
 //     a cloud opens into its racks, and a rack, bounded by Σ_j
 //     min(RackMaxCol_j, resid0_j) and its largest node total, into exact
 //     per-node supplies, each only when its bound could hold the next
-//     take. So a build touches the clouds and racks that supply it, not
-//     every rack of the plant. Partially drained racks are skipped
-//     without any simulation when closed-form floors prove both their
-//     in-rack and out-of-rack hosting prices exceed M (see sweep).
+//     take. An opened rack stays in the same heap as a cursor keyed by
+//     its best untaken node, and re-keys itself by its next best after
+//     each take, so no node enters a heap of its own. So a build touches
+//     the clouds and racks that supply it, not every rack of the plant.
+//     Partially drained racks are skipped without any simulation when
+//     closed-form floors prove both their in-rack and out-of-rack
+//     hosting prices exceed M (see sweep).
 //   - Lazy rack phase. The center's rack peers enter a heap only with a
 //     positive supply and leave it only while the residual lasts, so a
 //     build whose first one or two peers cover the residual does not
 //     sort the rest.
+//   - No dead phases. A build skips its rack phase when the center holds
+//     all its rack has of every type still needed, and the same-cloud
+//     bucket when the center's rack holds all its cloud has: every peer,
+//     or every other rack of the cloud, would supply nothing. The first
+//     skip fires in every purely remote build, and both in the one that
+//     clouds absorbing nothing share.
+//   - Floor exit. No center prices below F = TierSum(T−1, T, T, T), so
+//     the bound pass stops at the first rack that prices F. The racks it
+//     never reached get their caps on first read (rackCapOf).
 //   - Winner reuse. The sweep's full builds write into the caller's
 //     allocation, and the scratch records whose build it holds. The
 //     winner's build is replayed only when an in-rack test settled it.
@@ -210,13 +222,15 @@ type scanScratch struct {
 	nodeSup []int             // n, lazy: per-candidate supply (written before read)
 	peers   []topology.NodeID // node max-heap of the center's positive-supply rack peers
 
-	// The remote bucket's containers are racks ρ and clouds c, the latter
-	// keyed Racks()+c, in one max-heap ordered by supply bound, then by
-	// lowest node ID.
+	// The remote bucket's containers are unopened racks ρ, unopened
+	// clouds c keyed Racks()+c, and opened racks keyed Racks()+Clouds()+ρ,
+	// in one max-heap ordered by key value, then by key node. An unopened
+	// container's value bounds its nodes' supplies and its key node is its
+	// lowest node, fixed per topology; an opened rack's are the supply and
+	// ID of its best untaken node.
 	ctHeap []int             // container max-heap of the current remote bucket
-	ctUb   []int             // racks+clouds: supply upper bound keyed to resid0
-	ctLow  []topology.NodeID // racks+clouds: lowest node ID, fixed per topology
-	ndHeap []topology.NodeID // node max-heap of opened racks
+	ctUb   []int             // containers: key value, keyed to resid0
+	ctLow  []topology.NodeID // containers: key node
 
 	// dst is the allocation of the last PlaceSparse call. The sweep's
 	// full builds write into it, and built names the center whose full
@@ -245,14 +259,19 @@ type scanScratch struct {
 	// The sweep's test builds are bounded: bound is the optimum M they
 	// must reach (+Inf for every other build), and reachable abandons a
 	// build, setting aborted, once no hosting node can still price at M.
-	// rackCap and cloudCap hold what each rack and cloud of an absorbing
-	// cloud can take of the request, wStar and rStar the largest node and
-	// rack shares, reqT its total; scanBound sets them once per request.
-	// deadFar, deadClouds and deadRacks mark the floors already proven
-	// above the bound in the current build.
+	// cloudCap holds what each cloud can take of the request req, rackCap
+	// what each rack can, wStar and rStar the largest node and rack
+	// shares, reqT its total; scanBound sets them once per request. A
+	// rack's cap is valid only while capSeen holds the request's capGen:
+	// scanBound may stop before it reaches a rack, and rackCapOf fills the
+	// cap on first read. deadFar, deadClouds and deadRacks mark the floors
+	// already proven above the bound in the current build.
 	bound                 float64
 	aborted               bool
+	req                   []int // m
 	rackCap               []int // racks
+	capSeen               []int // racks
+	capGen                int
 	cloudCap              []int // clouds
 	wStar, rStar, reqT    int
 	deadFar               bool
@@ -261,7 +280,7 @@ type scanScratch struct {
 
 func newScanScratch(t *topology.Topology, m int) *scanScratch {
 	nr, nc := t.Racks(), t.Clouds()
-	low := make([]topology.NodeID, nr+t.Clouds())
+	low := make([]topology.NodeID, nr+nc+nr)
 	for c := range t.Clouds() {
 		low[nr+c] = math.MaxInt
 		for _, rho := range t.CloudRacks(c) {
@@ -269,16 +288,17 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 			low[nr+c] = min(low[nr+c], low[rho])
 		}
 	}
-	// rackCap and cloudCap share backing arrays with rackTake and
-	// cloudTake, which saves two allocations each time a placer builds
-	// its scratch.
-	racks, clouds := make([]int, 2*nr), make([]int, 2*nc)
+	// rackCap, capSeen and cloudCap share backing arrays with rackTake
+	// and cloudTake, and req with resid0, which saves four allocations
+	// each time a placer builds its scratch.
+	racks, clouds, snap := make([]int, 3*nr), make([]int, 2*nc), make([]int, 2*m)
 	return &scanScratch{
 		t:         t,
 		m:         m,
 		resid:     make([]int, 0, m),
-		resid0:    make([]int, 0, m),
-		ctUb:      make([]int, nr+t.Clouds()),
+		resid0:    snap[:0:m],
+		req:       snap[m:],
+		ctUb:      make([]int, nr+nc+nr),
 		ctLow:     low,
 		built:     -1,
 		rackTake:  racks[:nr:nr],
@@ -291,7 +311,8 @@ func newScanScratch(t *topology.Topology, m int) *scanScratch {
 		cloudMemo: make([]bool, t.Clouds()+1),
 		memoList:  make([]int, 0, t.Clouds()+1),
 		bound:     math.Inf(1),
-		rackCap:   racks[nr:],
+		rackCap:   racks[nr : 2*nr : 2*nr],
+		capSeen:   racks[2*nr:],
 		cloudCap:  clouds[nc:],
 	}
 }
@@ -392,21 +413,34 @@ func cloudTotOf(idx *affinity.TierIndex, r model.Request, c int) int {
 // Only M's value is needed, so a bound that ties M prunes too. wCap
 // bounds any one node's share of r (T−1 once the fast path has failed).
 //
+// No center prices below the floor F = TierSum(wCap, T, T, T): its node
+// takes at most wCap, its rack and cloud at most T, and TierSum falls in
+// each count. A rack whose w_ρ is wCap and whose rackTot is T prices
+// exactly F, so the pass stops there with M = F.
+//
 // The same pass records what the sweep's skip floors and every bounded
-// build read: what each cloud and each rack of an absorbing cloud can
-// take of r (cloudCap, rackCap, also for the racks of a pruned cloud),
-// the largest node share W* = min(max_ρ Σ_j min(RackMaxCol_j, R_j),
-// wCap), the largest rack share R* = max_ρ rackCap, and the total T. The
-// racks of a cloud that absorbs nothing take nothing in any build, so
-// their rackCap is never read.
+// build read: what each cloud can take of r (cloudCap, before the rack
+// loop), what each rack it reaches can take (rackCap; rackCapOf fills
+// the others on first read), the largest node share W* = min(max_ρ Σ_j
+// min(RackMaxCol_j, R_j), wCap), the largest rack share R* = max_ρ
+// rackCap, and the total T. A pass that stops at the floor has just
+// folded in a rack whose node share is wCap and whose rack share is T,
+// the caps of W* and R*, so they read as after a full pass.
 func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCap int) float64 {
 	t := s.t
 	d := t.Distances()
+	s.req = append(s.req[:0], r...)
+	s.reqT = T
+	s.capGen++
+	for c := 0; c < t.Clouds(); c++ {
+		s.cloudCap[c] = cloudTotOf(idx, r, c)
+	}
 	M := math.Inf(1)
 	wStar, rStar := 0, 0
+clouds:
 	for c := 0; c < t.Clouds(); c++ {
-		ct := cloudTotOf(idx, r, c)
-		if s.cloudCap[c] = ct; ct == 0 {
+		ct := s.cloudCap[c]
+		if ct == 0 {
 			continue
 		}
 		// No rack of the cloud takes more than the cloud, ct ≤ T.
@@ -420,7 +454,7 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCa
 				rackTot += min(rr[j], need)
 				wv += min(mc[j], need)
 			}
-			s.rackCap[rho] = rackTot
+			s.rackCap[rho], s.capSeen[rho] = rackTot, s.capGen
 			wStar, rStar = max(wStar, wv), max(rStar, rackTot)
 			if pruned || rackTot == 0 {
 				continue
@@ -433,10 +467,28 @@ func (s *scanScratch) scanBound(idx *affinity.TierIndex, r model.Request, T, wCa
 			if S := affinity.TierSum(d, w, rackTot, ct, T); S < M {
 				M = S
 			}
+			if w == wCap && rackTot == T {
+				break clouds
+			}
 		}
 	}
-	s.wStar, s.rStar, s.reqT = min(wStar, wCap), rStar, T
+	s.wStar, s.rStar = min(wStar, wCap), rStar
 	return M
+}
+
+// rackCapOf is rack rho's cap for the request scanBound last saw,
+// Σ_j min(RackRemain_j, R_j), computed on its first read when the bound
+// pass stopped before the rack.
+func (s *scanScratch) rackCapOf(idx *affinity.TierIndex, rho int) int {
+	if s.capSeen[rho] != s.capGen {
+		rr := idx.RackRemain(rho)
+		v := 0
+		for j, need := range s.req {
+			v += min(rr[j], need)
+		}
+		s.rackCap[rho], s.capSeen[rho] = v, s.capGen
+	}
+	return s.rackCap[rho]
 }
 
 // sweep finds the lowest-ID center whose build achieves DC == M. Racks
@@ -492,7 +544,7 @@ func (s *scanScratch) sweep(idx *affinity.TierIndex, r model.Request, T, wCap in
 				continue
 			}
 		}
-		h := s.rackCap[rho]
+		h := s.rackCapOf(idx, rho)
 		if h == 0 {
 			if s.remoteDC(idx, r, nodes[0], t.CloudOfRack(rho), M) == M {
 				winner = nodes[0]
@@ -641,6 +693,19 @@ func (s *scanScratch) take(l [][]int, i topology.NodeID, dst *affinity.SparseAll
 	return left == 0
 }
 
+// beyond reports whether outer holds more than inner of some type the
+// residual still needs, where outer counts the capacity of a set of nodes
+// and inner that of a subset: whether the nodes outside the subset can
+// supply anything.
+func (s *scanScratch) beyond(outer, inner []int) bool {
+	for j, need := range s.resid {
+		if need > 0 && outer[j] > inner[j] {
+			return true
+		}
+	}
+	return false
+}
+
 // supplyOf is Σ_j min(L_ij, residual_j).
 func (s *scanScratch) supplyOf(li []int) int {
 	v := 0
@@ -698,7 +763,7 @@ func (s *scanScratch) buildFull(idx *affinity.TierIndex, r model.Request, center
 // on, so a floor once above the bound stays there: the check resumes
 // after the floors already proven dead and returns at the first one
 // that is not, paying O(1) per call on a build that can still reach.
-func (s *scanScratch) reachable() bool {
+func (s *scanScratch) reachable(idx *affinity.TierIndex) bool {
 	t := s.t
 	d := t.Distances()
 	T := s.reqT
@@ -719,7 +784,7 @@ func (s *scanScratch) reachable() bool {
 	for ; s.deadRacks < len(s.touched); s.deadRacks++ {
 		rho := s.touched[s.deadRacks]
 		c := t.CloudOfRack(rho)
-		if affinity.TierSum(d, max(s.rackMaxW[rho], w), min(s.rackTake[rho]+rem, s.rackCap[rho]),
+		if affinity.TierSum(d, max(s.rackMaxW[rho], w), min(s.rackTake[rho]+rem, s.rackCapOf(idx, rho)),
 			min(s.cloudTake[c]+rem, s.cloudCap[c]), T) <= s.bound {
 			return true
 		}
@@ -740,25 +805,30 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 	// Rack phase: peers in the node heap's order, supplies keyed to the
 	// residual the center left. A zero-supply peer would take nothing, so
 	// only positive ones enter the heap, and a peer is popped only while
-	// the residual lasts.
+	// the residual lasts. When the center holds all its rack has of every
+	// type still needed, every peer's supply is zero and the phase is
+	// skipped.
 	cRack := t.RackOf(center)
-	sup := s.sup()
-	s.peers = s.peers[:0]
-	for _, id := range t.RackNodes(cRack) {
-		if id == center {
-			continue
+	rackRemain := idx.RackRemain(cRack)
+	if s.beyond(rackRemain, l[center]) {
+		sup := s.sup()
+		s.peers = s.peers[:0]
+		for _, id := range t.RackNodes(cRack) {
+			if id == center {
+				continue
+			}
+			if v := s.supplyOf(l[id]); v > 0 {
+				sup[id] = v
+				s.peers = append(s.peers, id)
+			}
 		}
-		if v := s.supplyOf(l[id]); v > 0 {
-			sup[id] = v
-			s.peers = append(s.peers, id)
+		for root := len(s.peers)/2 - 1; root >= 0; root-- {
+			s.siftNode(s.peers, root)
 		}
-	}
-	for root := len(s.peers)/2 - 1; root >= 0; root-- {
-		s.siftNode(s.peers, root)
-	}
-	for len(s.peers) > 0 {
-		if s.take(l, s.popNode(&s.peers), dst) {
-			return true
+		for len(s.peers) > 0 {
+			if s.take(l, s.popNode(&s.peers), dst) {
+				return true
+			}
 		}
 	}
 	if rackOnly {
@@ -771,14 +841,19 @@ func (s *scanScratch) fillFrom(idx *affinity.TierIndex, center topology.NodeID, 
 	// supply upper bound from the index and are only expanded, a cloud to
 	// its racks and a rack to exact per-node supplies, when that bound
 	// could beat the best opened node. The same-cloud bucket drains
-	// first: Distances.Validate guarantees CrossRack < CrossCloud.
+	// first: Distances.Validate guarantees CrossRack < CrossCloud. When
+	// the center's rack holds all its cloud has of every type still
+	// needed, every other rack of the cloud bounds at zero, the bucket is
+	// empty, and it is skipped.
 	s.resid0 = append(s.resid0[:0], s.resid...)
 	cCloud := t.CloudOf(center)
-	if s.gatherNear(idx, cCloud, cRack); s.drainBucket(idx, l, dst) {
-		return true
-	}
-	if s.aborted {
-		return false
+	if s.beyond(idx.CloudRemain(cCloud), rackRemain) {
+		if s.gatherNear(idx, cCloud, cRack); s.drainBucket(idx, l, dst) {
+			return true
+		}
+		if s.aborted {
+			return false
+		}
 	}
 	if s.gatherFar(idx, cCloud); s.drainBucket(idx, l, dst) {
 		return true
@@ -835,54 +910,73 @@ func (s *scanScratch) pushRackUb(idx *affinity.TierIndex, rho int) {
 
 // drainBucket takes from the gathered containers in exactly the order
 // the eager scan's global sort produces — supply descending, node ID
-// ascending, supplies keyed to resid0 — expanding the first container
-// (cloud or rack) only when its bound says it may hold the next node:
-// any node in an unopened container has supply ≤ ub < the open maximum,
-// or ties it with a strictly higher ID (ctLow is the container's lowest
-// node), and so sorts after it; so does every node of a container that
-// sorts after the first. A cloud opens into its racks, a rack into its
-// positive-supply nodes. Reports whether the residual reached zero. A
-// bounded build checks reachable before each container it opens and
-// stops, setting aborted, once the check fails.
+// ascending, supplies keyed to resid0. The heap's first container says
+// what comes next. An opened rack's key is its best untaken node, which
+// is taken; the rack then zeroes that node's supply and re-keys itself
+// by its next best node, or leaves the heap when none supplies anything.
+// An unopened container (cloud or rack) that comes first is opened:
+// each of its nodes has supply ≤ ub, or ties ub with an ID above its
+// lowest node (ctLow), so a node sorting before the container's key can
+// only lie in an opened rack, which would then have come first. A cloud
+// opens into its racks, a rack into its nodes' supplies. Reports
+// whether the residual reached zero. A bounded build checks reachable
+// before each container it opens and stops, setting aborted, once the
+// check fails.
 func (s *scanScratch) drainBucket(idx *affinity.TierIndex, l [][]int, dst *affinity.SparseAlloc) bool {
-	s.ndHeap = s.ndHeap[:0]
 	sup := s.sup()
 	nr := s.t.Racks()
+	opened := nr + s.t.Clouds()
 	bounded := !math.IsInf(s.bound, 1)
-	for {
-		for len(s.ctHeap) > 0 {
-			top := s.ctHeap[0]
-			if len(s.ndHeap) > 0 {
-				h := s.ndHeap[0]
-				if s.ctUb[top] < sup[h] || (s.ctUb[top] == sup[h] && s.ctLow[top] > h) {
-					break
-				}
+	for len(s.ctHeap) > 0 {
+		top := s.ctHeap[0]
+		if top >= opened {
+			id := s.ctLow[top]
+			if s.take(l, id, dst) {
+				return true
 			}
-			if bounded && !s.reachable() {
-				s.aborted = true
-				return false
+			sup[id] = 0
+			if s.cursor(top) {
+				s.siftCt(0)
+			} else {
+				s.popCt()
 			}
-			s.popCt()
-			if top >= nr {
-				for _, rho := range s.t.CloudRacks(top - nr) {
-					s.pushRackUb(idx, rho)
-				}
-				continue
-			}
-			for _, id := range s.t.RackNodes(top) {
-				if v := s.supply0(l[id]); v > 0 {
-					sup[id] = v
-					s.pushNode(id)
-				}
-			}
+			continue
 		}
-		if len(s.ndHeap) == 0 {
+		if bounded && !s.reachable(idx) {
+			s.aborted = true
 			return false
 		}
-		if s.take(l, s.popNode(&s.ndHeap), dst) {
-			return true
+		s.popCt()
+		if top >= nr {
+			for _, rho := range s.t.CloudRacks(top - nr) {
+				s.pushRackUb(idx, rho)
+			}
+			continue
+		}
+		for _, id := range s.t.RackNodes(top) {
+			sup[id] = s.supply0(l[id])
+		}
+		if k := opened + top; s.cursor(k) {
+			s.pushCt(k, s.ctUb[k])
 		}
 	}
+	return false
+}
+
+// cursor keys opened rack k (Racks()+Clouds()+ρ) by its best untaken
+// node: the largest supply, then the lowest ID. It reports false when no
+// node of the rack supplies anything.
+func (s *scanScratch) cursor(k int) bool {
+	sup := s.nodeSup
+	best := topology.NodeID(-1)
+	bv := 0
+	for _, id := range s.t.RackNodes(k - s.t.Racks() - s.t.Clouds()) {
+		if sup[id] > bv {
+			best, bv = id, sup[id]
+		}
+	}
+	s.ctUb[k], s.ctLow[k] = bv, best
+	return bv > 0
 }
 
 // supply0 is Σ_j min(L_ij, resid0_j) — supplyOf against the remote
@@ -931,14 +1025,20 @@ func (s *scanScratch) popCt() {
 	h := s.ctHeap
 	last := len(h) - 1
 	h[0] = h[last]
-	h = h[:last]
-	s.ctHeap = h
-	for root := 0; ; {
+	s.ctHeap = h[:last]
+	s.siftCt(0)
+}
+
+// siftCt restores the container-heap order below root.
+func (s *scanScratch) siftCt(root int) {
+	h := s.ctHeap
+	n := len(h)
+	for {
 		c := 2*root + 1
-		if c >= last {
+		if c >= n {
 			return
 		}
-		if c+1 < last && s.ctBefore(h[c+1], h[c]) {
+		if c+1 < n && s.ctBefore(h[c+1], h[c]) {
 			c++
 		}
 		if !s.ctBefore(h[c], h[root]) {
@@ -949,26 +1049,14 @@ func (s *scanScratch) popCt() {
 	}
 }
 
-// nodeBefore orders the node heaps: exact supply descending, ties by
-// ascending node ID — the strict total order of buildBuffer.bySupply.
+// nodeBefore orders the rack phase's node heap: exact supply descending,
+// ties by ascending node ID — the strict total order of
+// buildBuffer.bySupply.
 func (s *scanScratch) nodeBefore(a, b topology.NodeID) bool {
 	if s.nodeSup[a] != s.nodeSup[b] {
 		return s.nodeSup[a] > s.nodeSup[b]
 	}
 	return a < b
-}
-
-func (s *scanScratch) pushNode(id topology.NodeID) {
-	s.ndHeap = append(s.ndHeap, id)
-	h := s.ndHeap
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !s.nodeBefore(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
 }
 
 // siftNode restores the node-heap order below root.
