@@ -91,9 +91,11 @@ lint-json:
 # the least of a brute-force enumeration of every removal),
 # Algorithm 1 against the SD oracle (dense Place and SolveSDLP agree on
 # solved, infeasible, malformed or overflowing input, and on the
-# optimum), and the trace encoder's quoting fast path and float encoder
+# optimum), the trace encoder's quoting fast path and float encoder
 # (its integer path and shortest-digit kernel), byte-equal to
-# strconv.AppendQuote and strconv.AppendFloat.
+# strconv.AppendQuote and strconv.AppendFloat, and the request-trace
+# reader (any input is rejected or yields requests that keep the stream
+# contract and round-trip through the writer, never a panic).
 # The float target gets 40s: replaying its ~16k seeds (every power of
 # two and ten with neighbours, both signs) takes ~20s of it on two cores
 # before mutation starts.
@@ -106,6 +108,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sdexact -run '^$$' -fuzz '^FuzzSolveSD$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendQuote$$' -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAppendFloat$$' -fuzztime 40s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 10s
 
 # Fault-injection gate: the fault/recovery tests under the race detector
 # plus one seeded end-to-end faults figure, so every recovery path runs
@@ -122,10 +125,10 @@ faults-race:
 service-race:
 	$(GO) test -race -count=10 ./internal/service -run 'Service'
 
-# Streaming-replay gate: the soak scenario and the stream/retained
-# parity tests under the race detector, plus one seeded soak figure at a
-# reduced request count so the whole RunStream path (lazy arrivals,
-# sketches, fault teardown rollback) runs race-checked on each change.
+# Streaming-replay gate: the soak scenario and the streaming tests under
+# the race detector, plus one seeded soak figure at a reduced request
+# count so the whole RunStream path (lazy arrivals, sketches, fault
+# teardown rollback) runs race-checked.
 soak-race:
 	$(GO) test -race ./internal/cloudsim ./internal/experiments ./internal/trace ./internal/workload -run 'Stream|Soak|OpenLoop'
 	$(GO) run -race ./cmd/affinitysim -fig soak -requests 20000 > /dev/null

@@ -12,6 +12,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"affinitycluster/internal/cloudsim"
@@ -33,6 +34,8 @@ func BenchmarkSoak(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			cfg := experiments.DefaultSoakConfig()
 			cfg.Requests = arm.requests
+			// Encode every event, as a traced run does, and discard it.
+			cfg.Trace = io.Discard
 			if arm.elastic {
 				cfg.Elastic = cloudsim.ElasticConfig{
 					Enabled:      true,

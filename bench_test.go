@@ -352,17 +352,28 @@ func BenchmarkPlaceScale(b *testing.B) {
 		{"10x40x40", 10, 40, 40},
 		{"100x100x100", 100, 100, 100},
 	} {
-		if tc.clouds*tc.racks*tc.nodesPerRack >= 10000 && testing.Short() {
+		nodes := tc.clouds * tc.racks * tc.nodesPerRack
+		if nodes >= 10000 && testing.Short() {
 			continue // the 16 000-node and larger plants are too heavy for -short runs
 		}
-		topo, err := topology.Uniform(tc.clouds, tc.racks, tc.nodesPerRack, topology.DefaultDistances())
-		if err != nil {
-			b.Fatal(err)
-		}
 		const types = 3
-		caps, err := workload.RandomCapacities(benchSeed, topo.Nodes(), types, workload.DefaultInventoryConfig())
-		if err != nil {
-			b.Fatal(err)
+		// The plant is built by the first of its arms that runs, so a
+		// -bench pattern that selects none of them never builds it.
+		var (
+			topo *topology.Topology
+			caps [][]int
+		)
+		plant := func(b *testing.B) {
+			if topo != nil {
+				return
+			}
+			var err error
+			if topo, err = topology.Uniform(tc.clouds, tc.racks, tc.nodesPerRack, topology.DefaultDistances()); err != nil {
+				b.Fatal(err)
+			}
+			if caps, err = workload.RandomCapacities(benchSeed, nodes, types, workload.DefaultInventoryConfig()); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for _, arm := range []struct {
 			name       string
@@ -375,7 +386,7 @@ func BenchmarkPlaceScale(b *testing.B) {
 			{"spill/pruned", false, 4, 0},
 			{"spill/exhaustive", true, 4, 800},
 		} {
-			if arm.exhaustive && topo.Nodes() > arm.maxExh {
+			if arm.exhaustive && nodes > arm.maxExh {
 				continue
 			}
 			req := make(model.Request, types)
@@ -383,6 +394,7 @@ func BenchmarkPlaceScale(b *testing.B) {
 				req[j] = arm.perRack * tc.nodesPerRack
 			}
 			b.Run(fmt.Sprintf("%s/%s", tc.name, arm.name), func(b *testing.B) {
+				plant(b)
 				if arm.exhaustive {
 					p := &placement.Exhaustive{}
 					b.ReportAllocs()
@@ -413,7 +425,10 @@ func BenchmarkPlaceScale(b *testing.B) {
 			})
 		}
 		if tc.clouds == 10 {
-			b.Run(tc.name+"/miss", func(b *testing.B) { benchPlaceMisses(b, topo) })
+			b.Run(tc.name+"/miss", func(b *testing.B) {
+				plant(b)
+				benchPlaceMisses(b, topo)
+			})
 		}
 	}
 }

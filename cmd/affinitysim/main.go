@@ -2,7 +2,7 @@
 // on the 3-rack × 10-node cloud and prints figure-shaped terminal output.
 // The ops figure runs the instrumented operational scenario (cloud
 // simulation + one MapReduce job) and is the producer for the -metrics
-// and -trace exports.
+// and -trace exports unless -fig selects another producer.
 //
 // Usage:
 //
@@ -11,11 +11,12 @@
 //	            [-metrics out.json] [-trace out.jsonl] [-pprof addr]
 //
 // The faults, soak, and elastic figures are their own
-// -metrics/-trace producers; the soak figure streams its trace to the
-// -trace file event by event instead of retaining it.
+// -metrics/-trace producers. Every producer streams its trace to the
+// -trace file event by event.
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -23,9 +24,11 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"time"
 
 	"affinitycluster/internal/experiments"
+	"affinitycluster/internal/obs"
 )
 
 func main() {
@@ -34,8 +37,8 @@ func main() {
 	mtbf := flag.Float64("mtbf", 0, "faults figure: mean time between failures (0 = scenario default)")
 	mttr := flag.Float64("mttr", 0, "faults figure: mean time to repair (0 = scenario default)")
 	requests := flag.Int("requests", 0, "soak figure: open-loop request count (0 = scenario default)")
-	metricsPath := flag.String("metrics", "", "write the ops scenario's JSON metric snapshot to this file")
-	tracePath := flag.String("trace", "", "write the ops scenario's JSONL event trace to this file")
+	metricsPath := flag.String("metrics", "", "write the producing scenario's JSON metric snapshot to this file (ops unless -fig is faults, soak or elastic)")
+	tracePath := flag.String("trace", "", "stream the producing scenario's JSONL event trace to this file (ops unless -fig is faults, soak or elastic)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.Parse()
 
@@ -54,7 +57,7 @@ func main() {
 	}
 }
 
-func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr float64, requests int) error {
+func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr float64, requests int) (err error) {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -62,6 +65,30 @@ func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr
 		if !(f.v >= 0) || math.IsInf(f.v, 1) {
 			return fmt.Errorf("-%s must be finite and non-negative (0 = scenario default), got %v", f.name, f.v)
 		}
+	}
+	if fig != "all" && !slices.Contains([]string{"2", "3", "4", "5", "6", "ops", "faults", "soak", "elastic"}, fig) {
+		return fmt.Errorf("unknown figure %q", fig)
+	}
+	// One buffered sink takes the trace of whichever scenario produces
+	// it. Without -trace it stays an untyped nil, which keeps no trace: a
+	// nil *bufio.Writer in the interface would not be nil.
+	var trace io.Writer
+	if tracePath != "" {
+		f, ferr := os.Create(tracePath)
+		if ferr != nil {
+			return fmt.Errorf("creating trace file: %w", ferr)
+		}
+		bw := bufio.NewWriter(f)
+		// The deferred flush and close report through run's own err.
+		defer func() {
+			if ferr := bw.Flush(); ferr != nil && err == nil {
+				err = fmt.Errorf("writing trace: %w", ferr)
+			}
+			if ferr := f.Close(); ferr != nil && err == nil {
+				err = fmt.Errorf("closing trace file: %w", ferr)
+			}
+		}()
+		trace = bw
 	}
 	want := func(f string) bool { return fig == "all" || fig == f }
 	if want("2") {
@@ -99,30 +126,15 @@ func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr
 		}
 		fmt.Fprintln(w, res.Render())
 	}
-	// The ops scenario is the metrics/trace producer; force it when an
-	// export was requested even if -fig selects only classic figures
-	// (the faults figure is its own producer and takes over the exports).
-	if want("ops") || (fig != "faults" && fig != "soak" && fig != "elastic" && (metricsPath != "" || tracePath != "")) {
-		res, err := experiments.Ops(seed, experiments.DefaultOpsConfig(seed))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, res.Render())
-		if metricsPath != "" {
-			if err := writeFile(metricsPath, res.WriteMetrics); err != nil {
-				return fmt.Errorf("writing metrics: %w", err)
-			}
-		}
-		if tracePath != "" {
-			if err := writeFile(tracePath, res.WriteTrace); err != nil {
-				return fmt.Errorf("writing trace: %w", err)
-			}
-		}
-	}
-	// The faults figure is deliberately NOT part of -fig all: the classic
-	// figures stay byte-identical to fault-free builds, and fault runs are
-	// an explicit opt-in.
-	if fig == "faults" {
+	// reg is the registry of the one scenario that produces the -metrics
+	// and -trace exports.
+	var reg *obs.Registry
+	switch {
+	// The faults, soak and elastic figures are deliberately NOT part of
+	// -fig all: the classic figures stay byte-identical to fault-free,
+	// static builds, and these runs are an explicit opt-in. Each is its
+	// own producer.
+	case fig == "faults":
 		cfg := experiments.DefaultFaultsConfig(seed)
 		if mtbf > 0 {
 			cfg.Faults.MTBF = mtbf
@@ -130,48 +142,22 @@ func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr
 		if mttr > 0 {
 			cfg.Faults.MTTR = mttr
 		}
+		cfg.Trace = trace
 		res, err := experiments.Faults(seed, cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, res.Render())
-		if metricsPath != "" {
-			if err := writeFile(metricsPath, res.WriteMetrics); err != nil {
-				return fmt.Errorf("writing metrics: %w", err)
-			}
-		}
-		if tracePath != "" {
-			if err := writeFile(tracePath, res.WriteTrace); err != nil {
-				return fmt.Errorf("writing trace: %w", err)
-			}
-		}
-	}
-	// The soak figure, like faults, is NOT part of -fig all: it is the
-	// streaming endurance scenario, sized for long runs, and an explicit
-	// opt-in.
-	if fig == "soak" {
+		reg = res.Reg
+	case fig == "soak":
+		// The streaming endurance scenario, sized for long runs.
 		cfg := experiments.DefaultSoakConfig()
 		if requests > 0 {
 			cfg.Requests = requests
 		}
-		// The soak run streams its trace: the sink file must exist before
-		// the replay starts, and nothing is retained for a later export.
-		var traceFile *os.File
-		if tracePath != "" {
-			f, err := os.Create(tracePath)
-			if err != nil {
-				return fmt.Errorf("creating trace file: %w", err)
-			}
-			traceFile = f
-			cfg.Trace = f
-		}
+		cfg.Trace = trace
 		start := time.Now()
 		res, err := experiments.Soak(seed, cfg)
-		if traceFile != nil {
-			if cerr := traceFile.Close(); cerr != nil && err == nil {
-				err = fmt.Errorf("closing trace file: %w", cerr)
-			}
-		}
 		if err != nil {
 			return err
 		}
@@ -181,56 +167,40 @@ func run(w io.Writer, seed int64, fig, metricsPath, tracePath string, mtbf, mttr
 		// stay out of Render() — the report above is seed-deterministic.
 		fmt.Fprintf(w, "replay: %.2fs wall (%.0f req/s), peak heap %.1f MiB\n\n",
 			elapsed, float64(cfg.Requests)/elapsed, float64(res.PeakHeapBytes)/(1<<20))
-		if metricsPath != "" {
-			if err := writeFile(metricsPath, res.Reg.WriteMetricsJSON); err != nil {
-				return fmt.Errorf("writing metrics: %w", err)
-			}
-		}
-	}
-	// The elastic figure — static vs mid-job-resize on the same seed —
-	// is, like faults, NOT part of -fig all: classic figure output stays
-	// byte-identical and elastic runs are an explicit opt-in.
-	if fig == "elastic" {
-		res, err := experiments.Elastic(seed, experiments.DefaultElasticConfig())
+		reg = res.Reg
+	case fig == "elastic":
+		// Static vs mid-job resize on the same seed.
+		cfg := experiments.DefaultElasticConfig()
+		cfg.Trace = trace
+		res, err := experiments.Elastic(seed, cfg)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, res.Render())
-		if metricsPath != "" {
-			if err := writeFile(metricsPath, res.WriteMetrics); err != nil {
-				return fmt.Errorf("writing metrics: %w", err)
-			}
+		reg = res.Reg
+	// Otherwise the ops scenario is the producer; an export request
+	// forces it even when -fig selects only classic figures.
+	case want("ops") || metricsPath != "" || tracePath != "":
+		cfg := experiments.DefaultOpsConfig(seed)
+		cfg.Trace = trace
+		res, err := experiments.Ops(seed, cfg)
+		if err != nil {
+			return err
 		}
-		if tracePath != "" {
-			if err := writeFile(tracePath, res.WriteTrace); err != nil {
-				return fmt.Errorf("writing trace: %w", err)
-			}
-		}
+		fmt.Fprintln(w, res.Render())
+		reg = res.Reg
 	}
-	if fig != "all" && !contains([]string{"2", "3", "4", "5", "6", "ops", "faults", "soak", "elastic"}, fig) {
-		return fmt.Errorf("unknown figure %q", fig)
+	if metricsPath != "" {
+		f, err := os.Create(metricsPath)
+		if err == nil {
+			err = reg.WriteMetricsJSON(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("writing metrics: %w", err)
+		}
 	}
 	return nil
-}
-
-// writeFile creates path and streams one export into it.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

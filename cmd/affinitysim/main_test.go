@@ -200,3 +200,21 @@ func TestRunSoakFigure(t *testing.T) {
 		}
 	}
 }
+
+// A trace the sink cannot take fails the run: a write error during the
+// run (the ops trace outgrows the sink's buffer), and one that only the
+// flush after the run meets (a one-request soak's trace does not).
+func TestRunReportsTraceWriteErrors(t *testing.T) {
+	const full = "/dev/full" // every write fails with ENOSPC
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("no %s: %v", full, err)
+	}
+	for _, tc := range []struct {
+		fig      string
+		requests int
+	}{{"ops", 0}, {"soak", 1}} {
+		if err := run(io.Discard, 2012, tc.fig, "", full, 0, 0, tc.requests); err == nil {
+			t.Errorf("-fig %s -trace %s: no error", tc.fig, full)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -36,22 +37,53 @@ func timed(id int, vec model.Request, at, hold float64) model.TimedRequest {
 	return model.TimedRequest{ID: model.RequestID(id), Vector: vec, Arrival: at, Hold: hold}
 }
 
-// placeSamples reads the exact per-request samples behind Metrics'
-// sketches off a retaining registry's trace: the dc and wait fields of
-// each place event, in service order. A cluster a fault tears down keeps
-// its place event, though its sample leaves the sketches.
-func placeSamples(reg *obs.Registry) (dcs, waits []float64) {
-	for _, e := range reg.Events() {
-		if e.Kind != "place" {
-			continue
-		}
-		for _, f := range e.Fields {
-			switch f.Key {
-			case "dc":
-				dcs = append(dcs, f.Val().(float64))
-			case "wait":
-				waits = append(waits, f.Val().(float64))
+// event is one decoded line of a streamed JSONL trace: its "t", its
+// "kind" and the emitter's fields. Numbers decode as float64, exactly:
+// the encoder writes shortest round-trip digits.
+type event map[string]any
+
+// events decodes the JSONL trace a streaming registry wrote to trace.
+// A key keeps its first value: the fault event's own "kind" field
+// repeats the key the event's kind was written under.
+func events(t *testing.T, trace *bytes.Buffer) []event {
+	t.Helper()
+	var out []event
+	dec := json.NewDecoder(bytes.NewReader(trace.Bytes()))
+	for dec.More() {
+		e := event{}
+		_, err := dec.Token() // the opening brace
+		for err == nil && dec.More() {
+			var key json.Token
+			if key, err = dec.Token(); err != nil {
+				break
 			}
+			var v any
+			err = dec.Decode(&v)
+			if _, seen := e[key.(string)]; !seen {
+				e[key.(string)] = v
+			}
+		}
+		if err == nil {
+			_, err = dec.Token() // the closing brace
+		}
+		if err != nil {
+			t.Fatalf("trace event %d: %v", len(out), err)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// placeSamples reads the exact per-request samples behind Metrics'
+// sketches off a streamed trace: the dc and wait fields of each place
+// event, in service order. A cluster a fault tears down keeps its place
+// event, though its sample leaves the sketches.
+func placeSamples(t *testing.T, trace *bytes.Buffer) (dcs, waits []float64) {
+	t.Helper()
+	for _, e := range events(t, trace) {
+		if e["kind"] == "place" {
+			dcs = append(dcs, e["dc"].(float64))
+			waits = append(waits, e["wait"].(float64))
 		}
 	}
 	return dcs, waits
@@ -81,7 +113,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestImmediateServiceAndRelease(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +130,7 @@ func TestImmediateServiceAndRelease(t *testing.T) {
 	if m.Served != 2 || m.Rejected != 0 || m.Unplaced != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if _, waits := placeSamples(reg); len(waits) != 2 || waits[0] != 0 || waits[1] != 0 {
+	if _, waits := placeSamples(t, &trace); len(waits) != 2 || waits[0] != 0 || waits[1] != 0 {
 		t.Errorf("waits = %v, want zeros", waits)
 	}
 	if err := inv.CheckInvariants(); err != nil {
@@ -128,7 +161,8 @@ func TestOversizedRequestRejected(t *testing.T) {
 
 func TestQueueingAndDrain(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, _ := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	// Request 0 takes the whole plant for 10s; request 1 arrives at t=2
 	// and must wait until t=11.
@@ -143,7 +177,7 @@ func TestQueueingAndDrain(t *testing.T) {
 	if m.Served != 2 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if _, waits := placeSamples(reg); len(waits) != 2 || waits[1] != 9 { // 11 − 2
+	if _, waits := placeSamples(t, &trace); len(waits) != 2 || waits[1] != 9 { // 11 − 2
 		t.Errorf("waits = %v, want the second 9", waits)
 	}
 	if m.MakeSpan != 16 {
@@ -248,7 +282,8 @@ func TestEndToEndRandomWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Policy: queue.FIFO, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +298,7 @@ func TestEndToEndRandomWorkload(t *testing.T) {
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if dcs, _ := placeSamples(reg); len(dcs) != m.Served {
+	if dcs, _ := placeSamples(t, &trace); len(dcs) != m.Served {
 		t.Errorf("%d place events, want one per served request (%d)", len(dcs), m.Served)
 	}
 	if m.UtilizationAvg < 0 || m.UtilizationAvg > 1 {
@@ -348,7 +383,8 @@ func TestSoakLongHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(topo, inv, &placement.OnlineHeuristic{}, Config{
 		Policy:  queue.FIFO,
 		Batch:   true,
@@ -381,7 +417,7 @@ func TestSoakLongHorizon(t *testing.T) {
 			}
 		}
 	}
-	dcs, waits := placeSamples(reg)
+	dcs, waits := placeSamples(t, &trace)
 	if len(dcs) != m.Served || len(waits) != m.Served {
 		t.Error("metric sample counts inconsistent")
 	}
@@ -435,7 +471,7 @@ func TestCorruptedReleaseReturnsError(t *testing.T) {
 // migration metric families plus the event trace all populate — and that
 // the same seed yields a byte-identical snapshot.
 func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
-	run := func() *obs.Registry {
+	run := func() (*obs.Registry, *bytes.Buffer) {
 		tp, _ := plant(t)
 		caps := [][]int{
 			{4, 0}, {1, 0}, {0, 0},
@@ -445,7 +481,8 @@ func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := obs.NewRegistry()
+		trace := &bytes.Buffer{}
+		reg := obs.NewStreamingRegistry(trace)
 		sim, err := New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, Config{Migrate: true, Obs: reg})
 		if err != nil {
 			t.Fatal(err)
@@ -457,9 +494,9 @@ func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
 		})); err != nil {
 			t.Fatal(err)
 		}
-		return reg
+		return reg, trace
 	}
-	reg := run()
+	reg, trace := run()
 	snap := reg.Snapshot()
 	for _, name := range []string{"cloudsim.served", "queue.enqueued", "placement.place_calls", "migration.plans"} {
 		if _, ok := snap.Counters[name]; !ok {
@@ -473,8 +510,8 @@ func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
 		t.Errorf("wait histogram N = %d, want 3", snap.Histograms["cloudsim.wait_seconds"].N)
 	}
 	kinds := map[string]bool{}
-	for _, e := range reg.Events() {
-		kinds[e.Kind] = true
+	for _, e := range events(t, trace) {
+		kinds[e["kind"].(string)] = true
 	}
 	for _, k := range []string{"place", "depart", "queue_admit", "migrate"} {
 		if !kinds[k] {
@@ -485,7 +522,8 @@ func TestInstrumentedRunRecordsAllFamilies(t *testing.T) {
 	if err := reg.WriteMetricsJSON(&one); err != nil {
 		t.Fatal(err)
 	}
-	if err := run().WriteMetricsJSON(&two); err != nil {
+	again, _ := run()
+	if err := again.WriteMetricsJSON(&two); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(one.Bytes(), two.Bytes()) {

@@ -55,7 +55,8 @@ func TestElasticValidation(t *testing.T) {
 // after departure.
 func TestElasticGrowShrinkLifecycle(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -87,12 +88,12 @@ func TestElasticGrowShrinkLifecycle(t *testing.T) {
 		}
 	}
 	var growAt, shrinkAt float64 = -1, -1
-	for _, e := range reg.Events() {
-		switch e.Kind {
+	for _, e := range events(t, &trace) {
+		switch e["kind"] {
 		case "resize_grow":
-			growAt = e.Time
+			growAt = e["t"].(float64)
 		case "resize_shrink":
-			shrinkAt = e.Time
+			shrinkAt = e["t"].(float64)
 		}
 	}
 	if growAt != 1 {
@@ -126,7 +127,8 @@ func TestElasticDeadlineRejectsShortJob(t *testing.T) {
 // can pay off before the boundary; the cluster runs at base size.
 func TestElasticDeferExpires(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +145,8 @@ func TestElasticDeferExpires(t *testing.T) {
 		t.Fatalf("metrics = %+v", m)
 	}
 	kinds := map[string]int{}
-	for _, e := range reg.Events() {
-		kinds[e.Kind]++
+	for _, e := range events(t, &trace) {
+		kinds[e["kind"].(string)]++
 	}
 	if kinds["resize_defer"] == 0 || kinds["resize_expire"] != 1 {
 		t.Errorf("trace kinds = %v, want defers and one expiry", kinds)
@@ -156,7 +158,8 @@ func TestElasticDeferExpires(t *testing.T) {
 // queue like a departure would.
 func TestElasticDeferredGrowServedAfterDeparture(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +181,7 @@ func TestElasticDeferredGrowServedAfterDeparture(t *testing.T) {
 	if m.Served != 2 || m.GrowRequests != 2 || m.Grows != 2 || m.Shrinks != 2 || m.Deferred != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	if _, waits := placeSamples(reg); len(waits) != 2 || waits[1] != 0.6000000000000001 { // 1.6 − 1
+	if _, waits := placeSamples(t, &trace); len(waits) != 2 || waits[1] != 0.6000000000000001 { // 1.6 − 1
 		t.Errorf("waits = %v, want second ≈ 0.6", waits)
 	}
 	if err := inv.CheckInvariants(); err != nil {
@@ -278,7 +281,8 @@ func TestElasticRandomizedConservation(t *testing.T) {
 func TestElasticSameSeedByteIdentical(t *testing.T) {
 	run := func() (*Metrics, []byte) {
 		tp, inv := plant(t)
-		reg := obs.NewRegistry()
+		var trace bytes.Buffer
+		reg := obs.NewStreamingRegistry(&trace)
 		sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 		if err != nil {
 			t.Fatal(err)
@@ -287,11 +291,7 @@ func TestElasticSameSeedByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteTraceJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return m, buf.Bytes()
+		return m, trace.Bytes()
 	}
 	m1, tr1 := run()
 	m2, tr2 := run()
@@ -310,7 +310,8 @@ func TestElasticSameSeedByteIdentical(t *testing.T) {
 func TestElasticNeverWorseAdmission(t *testing.T) {
 	rejects := func(elastic bool) (*Metrics, map[int]bool) {
 		tp, inv := plant(t)
-		reg := obs.NewRegistry()
+		var trace bytes.Buffer
+		reg := obs.NewStreamingRegistry(&trace)
 		cfg := Config{Obs: reg}
 		if elastic {
 			cfg.Elastic = elasticCfg()
@@ -324,14 +325,9 @@ func TestElasticNeverWorseAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 		set := map[int]bool{}
-		for _, e := range reg.Events() {
-			if e.Kind != "queue_reject" {
-				continue
-			}
-			for _, f := range e.Fields {
-				if f.Key == "req" {
-					set[f.Val().(int)] = true
-				}
+		for _, e := range events(t, &trace) {
+			if e["kind"] == "queue_reject" {
+				set[int(e["req"].(float64))] = true
 			}
 		}
 		return m, set
@@ -471,18 +467,20 @@ func TestElasticParkedListHoldsOnlyParkedGrows(t *testing.T) {
 }
 
 // resizeTrace renders the run's place, depart and resize events as
-// "t kind key=value..." lines, in trace order.
-func resizeTrace(reg *obs.Registry) []string {
+// "t kind key=value..." lines, in trace order. The keys it keeps follow
+// the order every emitter writes them in.
+func resizeTrace(t *testing.T, trace *bytes.Buffer) []string {
+	t.Helper()
 	var out []string
-	for _, e := range reg.Events() {
-		if e.Kind != "place" && e.Kind != "depart" && !strings.HasPrefix(e.Kind, "resize_") {
+	for _, e := range events(t, trace) {
+		kind := e["kind"].(string)
+		if kind != "place" && kind != "depart" && !strings.HasPrefix(kind, "resize_") {
 			continue
 		}
-		line := fmt.Sprintf("%g %s", e.Time, e.Kind)
-		for _, f := range e.Fields {
-			switch f.Key {
-			case "req", "cluster", "reason", "type", "need", "avail":
-				line += fmt.Sprintf(" %s=%v", f.Key, f.Val())
+		line := fmt.Sprintf("%g %s", e["t"], kind)
+		for _, k := range []string{"req", "cluster", "reason", "type", "need", "avail"} {
+			if v, ok := e[k]; ok {
+				line += fmt.Sprintf(" %s=%v", k, v)
 			}
 		}
 		out = append(out, line)
@@ -502,10 +500,11 @@ func checkTrace(t *testing.T, got, want []string) {
 // grow {1,1} parks with its ladder at 15, 20, …, 45 (deadline 10 +
 // 0.4·100 = 50). C, and with it the queue, clears when Y = {10,0}
 // departs at yHold.
-func parkScenario(t *testing.T, yHold float64) (*Metrics, *obs.Registry) {
+func parkScenario(t *testing.T, yHold float64) (*Metrics, *bytes.Buffer) {
 	t.Helper()
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	trace := &bytes.Buffer{}
+	reg := obs.NewStreamingRegistry(trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -521,13 +520,14 @@ func parkScenario(t *testing.T, yHold float64) (*Metrics, *obs.Registry) {
 		t.Fatal(err)
 	}
 	elasticConserve(t, m, len(reqs))
-	return m, reg
+	return m, trace
 }
 
 // clusterTrace keeps the resizeTrace lines of one cluster.
-func clusterTrace(reg *obs.Registry, id int) []string {
+func clusterTrace(t *testing.T, trace *bytes.Buffer, id int) []string {
+	t.Helper()
 	var out []string
-	for _, l := range resizeTrace(reg) {
+	for _, l := range resizeTrace(t, trace) {
 		if strings.Contains(l, fmt.Sprintf(" cluster=%d", id)) {
 			out = append(out, l)
 		}
@@ -538,8 +538,8 @@ func clusterTrace(reg *obs.Registry, id int) []string {
 // The queue empties at t=17, between ticks: the parked grow's attempt
 // comes at its next tick, 20, not at the emptying time.
 func TestElasticParkWakesAtNextTick(t *testing.T) {
-	_, reg := parkScenario(t, 17)
-	checkTrace(t, clusterTrace(reg, 2), []string{
+	_, trace := parkScenario(t, 17)
+	checkTrace(t, clusterTrace(t, trace, 2), []string{
 		"10 resize_defer req=2 cluster=2 reason=queue",
 		"20 resize_grow req=2 cluster=2",
 		"50 resize_shrink req=2 cluster=2",
@@ -549,8 +549,8 @@ func TestElasticParkWakesAtNextTick(t *testing.T) {
 // The queue empties exactly at tick 20, when Y departs and C is served:
 // the attempt comes at that tick, after the events that emptied it.
 func TestElasticParkWakesAtEmptyingTick(t *testing.T) {
-	_, reg := parkScenario(t, 20)
-	got := resizeTrace(reg)
+	_, trace := parkScenario(t, 20)
+	got := resizeTrace(t, trace)
 	i := slices.Index(got, "20 depart req=1")
 	j := slices.Index(got, "20 place req=3")
 	k := slices.Index(got, "20 resize_grow req=2 cluster=2")
@@ -562,8 +562,8 @@ func TestElasticParkWakesAtEmptyingTick(t *testing.T) {
 // The queue never empties before A's boundary: one resize_defer at the
 // park, then resize_expire at the ladder's last tick, 45.
 func TestElasticParkNeverWokenExpires(t *testing.T) {
-	_, reg := parkScenario(t, 60)
-	checkTrace(t, clusterTrace(reg, 2), []string{
+	_, trace := parkScenario(t, 60)
+	checkTrace(t, clusterTrace(t, trace, 2), []string{
 		"10 resize_defer req=2 cluster=2 reason=queue",
 		"45 resize_expire req=2 cluster=2 reason=deadline",
 	})
@@ -577,7 +577,8 @@ func TestElasticParkNeverWokenExpires(t *testing.T) {
 // both wake at that tick.
 func TestElasticParkTiedLaddersFireInIDOrder(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -595,7 +596,7 @@ func TestElasticParkTiedLaddersFireInIDOrder(t *testing.T) {
 	}
 	elasticConserve(t, m, len(reqs))
 	var got []string
-	for _, l := range resizeTrace(reg) {
+	for _, l := range resizeTrace(t, &trace) {
 		if strings.HasPrefix(l, "20 ") || strings.HasPrefix(l, "10 resize_defer") {
 			got = append(got, l)
 		}
@@ -612,10 +613,11 @@ func TestElasticParkTiedLaddersFireInIDOrder(t *testing.T) {
 
 // runElastic runs reqs, with the given faults, on the 6-node plant with
 // the test resize policy, and returns the simulator and its trace.
-func runElastic(t *testing.T, reqs []model.TimedRequest, evs ...faults.Event) (*Simulator, *obs.Registry) {
+func runElastic(t *testing.T, reqs []model.TimedRequest, evs ...faults.Event) (*Simulator, *bytes.Buffer) {
 	t.Helper()
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	trace := &bytes.Buffer{}
+	reg := obs.NewStreamingRegistry(trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +631,7 @@ func runElastic(t *testing.T, reqs []model.TimedRequest, evs ...faults.Event) (*
 	if err := inv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return sim, reg
+	return sim, trace
 }
 
 // X = {4,0} and Y = {4,0} grow by {2,0} at t=0 and fill type 0; X's
@@ -639,12 +641,12 @@ func runElastic(t *testing.T, reqs []model.TimedRequest, evs ...faults.Event) (*
 // wakes it, and it runs at the next tick, 15, after its one
 // resize_defer line.
 func TestElasticCapacityWakesAtNextTick(t *testing.T) {
-	_, reg := runElastic(t, []model.TimedRequest{
+	_, trace := runElastic(t, []model.TimedRequest{
 		timed(0, model.Request{4, 0}, 0, 12),  // X, cluster 0
 		timed(1, model.Request{4, 0}, 0, 200), // Y, cluster 1
 		timed(2, model.Request{2, 0}, 5, 100), // A, cluster 2
 	})
-	checkTrace(t, clusterTrace(reg, 2), []string{
+	checkTrace(t, clusterTrace(t, trace, 2), []string{
 		"5 resize_defer req=2 cluster=2 reason=capacity type=0 need=1 avail=0",
 		"15 resize_grow req=2 cluster=2",
 		"45 resize_shrink req=2 cluster=2",
@@ -671,8 +673,8 @@ func capacityBlocked(extra ...model.TimedRequest) []model.TimedRequest {
 // teardown's release alone wakes A's grow, which runs at the next tick,
 // 11.
 func TestElasticCapacityWakesAfterTeardown(t *testing.T) {
-	_, reg := runElastic(t, capacityBlocked(), pair(8, 60, 0, 0, 1)...)
-	checkTrace(t, clusterTrace(reg, 2), []string{
+	_, trace := runElastic(t, capacityBlocked(), pair(8, 60, 0, 0, 1)...)
+	checkTrace(t, clusterTrace(t, trace, 2), []string{
 		"1 resize_defer req=2 cluster=2 reason=capacity type=0 need=1 avail=0",
 		"11 resize_grow req=2 cluster=2",
 		"41 resize_shrink req=2 cluster=2",
@@ -683,8 +685,8 @@ func TestElasticCapacityWakesAfterTeardown(t *testing.T) {
 // run leave A's grow parked. Its retry fires once, at the ladder's last
 // tick, 36, where the grow expires.
 func TestElasticCapacityNeverFreedExpires(t *testing.T) {
-	sim, reg := runElastic(t, capacityBlocked(timed(3, model.Request{0, 2}, 2, 20)))
-	checkTrace(t, clusterTrace(reg, 2), []string{
+	sim, trace := runElastic(t, capacityBlocked(timed(3, model.Request{0, 2}, 2, 20)))
+	checkTrace(t, clusterTrace(t, trace, 2), []string{
 		"1 resize_defer req=2 cluster=2 reason=capacity type=0 need=1 avail=0",
 		"36 resize_expire req=2 cluster=2 reason=deadline",
 	})
@@ -699,7 +701,8 @@ func TestElasticCapacityNeverFreedExpires(t *testing.T) {
 // teardown; its stale parked entry never wakes or expires again.
 func TestElasticParkTeardownCountsOnce(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Elastic: elasticCfg(), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -715,13 +718,13 @@ func TestElasticParkTeardownCountsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	elasticConserve(t, m, len(reqs))
-	checkTrace(t, clusterTrace(reg, 1), []string{
+	checkTrace(t, clusterTrace(t, &trace, 1), []string{
 		"10 resize_defer req=2 cluster=1 reason=queue",
 		"30 resize_expire req=2 cluster=1 reason=teardown",
 	})
 	expires := 0
-	for _, e := range reg.Events() {
-		if e.Kind == "resize_expire" {
+	for _, e := range events(t, &trace) {
+		if e["kind"] == "resize_expire" {
 			expires++
 		}
 	}

@@ -46,7 +46,8 @@ func pair(at, repairAt float64, id int, nodes ...topology.NodeID) []faults.Event
 // departure, and the repair restores the plant to full capacity.
 func TestCrashEvacuatesDegradedCluster(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +80,8 @@ func TestCrashEvacuatesDegradedCluster(t *testing.T) {
 		}
 	}
 	kinds := map[string]bool{}
-	for _, e := range reg.Events() {
-		kinds[e.Kind] = true
+	for _, e := range events(t, &trace) {
+		kinds[e["kind"].(string)] = true
 	}
 	for _, k := range []string{"fault", "degraded", "recover", "repair", "depart"} {
 		if !kinds[k] {
@@ -95,7 +96,8 @@ func TestCrashEvacuatesDegradedCluster(t *testing.T) {
 // time, so the recorded wait spans the whole outage.
 func TestCrashTeardownRequeueServedAfterRepair(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{
 		Obs:      reg,
 		Recovery: RecoveryConfig{MaxAttempts: 2, Backoff: 1, Factor: 2},
@@ -122,7 +124,7 @@ func TestCrashTeardownRequeueServedAfterRepair(t *testing.T) {
 	}
 	// Placed on arrival, then re-served at the t=30 repair, arrived at 1;
 	// the teardown rolled the first sample back out of the sketch.
-	if _, waits := placeSamples(reg); !slices.Equal(waits, []float64{0, 29}) {
+	if _, waits := placeSamples(t, &trace); !slices.Equal(waits, []float64{0, 29}) {
 		t.Errorf("place waits = %v, want [0 29]", waits)
 	}
 	if m.WaitSketch.Count() != 1 || m.WaitSketch.Sum() != 29 {
@@ -161,7 +163,8 @@ func TestTeardownVictimQueueRefusalAbortsRun(t *testing.T) {
 // Malformed requests are rejected and still counted.
 func TestInvalidRequestsRejectedAndCounted(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -188,28 +191,19 @@ func TestInvalidRequestsRejectedAndCounted(t *testing.T) {
 	// larger than the plant.
 	want := []string{"1 invalid @1", "2 invalid @1", "3 invalid @1", "0 invalid @1",
 		"4 invalid @1", "5 invalid @1", "6 invalid @1"}
-	if got := rejectLog(reg); !slices.Equal(got, want) {
+	if got := rejectLog(t, &trace); !slices.Equal(got, want) {
 		t.Errorf("rejects = %q, want %q", got, want)
 	}
 }
 
-// rejectLog lists the registry's queue_reject events as "req reason @t".
-func rejectLog(reg *obs.Registry) []string {
+// rejectLog lists the trace's queue_reject events as "req reason @t".
+func rejectLog(t *testing.T, trace *bytes.Buffer) []string {
+	t.Helper()
 	var out []string
-	for _, e := range reg.Events() {
-		if e.Kind != "queue_reject" {
-			continue
+	for _, e := range events(t, trace) {
+		if e["kind"] == "queue_reject" {
+			out = append(out, fmt.Sprintf("%v %v @%v", e["req"], e["reason"], e["t"]))
 		}
-		var req, reason any
-		for _, f := range e.Fields {
-			switch f.Key {
-			case "req":
-				req = f.Val()
-			case "reason":
-				reason = f.Val()
-			}
-		}
-		out = append(out, fmt.Sprintf("%v %v @%v", req, reason, e.Time))
 	}
 	return out
 }
@@ -217,7 +211,7 @@ func rejectLog(reg *obs.Registry) []string {
 // Full seeded fault pipeline: same seed and config twice must produce
 // byte-identical metric snapshots and traces.
 func TestSeededFaultRunDeterministic(t *testing.T) {
-	run := func() (*Metrics, *obs.Registry) {
+	run := func() (*Metrics, *obs.Registry, []byte) {
 		tp := topology.PaperSimPlant()
 		caps, err := workload.RandomCapacities(11, tp.Nodes(), 3, workload.InventoryConfig{MaxPerType: 2})
 		if err != nil {
@@ -237,7 +231,8 @@ func TestSeededFaultRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := obs.NewRegistry()
+		var trace bytes.Buffer
+		reg := obs.NewStreamingRegistry(&trace)
 		sim, err := New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, Config{
 			Policy:    queue.FIFO,
 			Batch:     true,
@@ -257,17 +252,17 @@ func TestSeededFaultRunDeterministic(t *testing.T) {
 		if err := inv.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return m, reg
+		return m, reg, trace.Bytes()
 	}
-	m1, reg1 := run()
-	m2, reg2 := run()
+	m1, reg1, ta := run()
+	m2, reg2, tb := run()
 	if m1.Failures == 0 {
 		t.Fatal("seeded scenario injected no failures")
 	}
 	if m1.Failures != m2.Failures || m1.Served != m2.Served || m1.Requeued != m2.Requeued {
 		t.Errorf("metrics differ: %+v vs %+v", m1, m2)
 	}
-	var a, b, ta, tb bytes.Buffer
+	var a, b bytes.Buffer
 	if err := reg1.WriteMetricsJSON(&a); err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +272,7 @@ func TestSeededFaultRunDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("metric snapshots differ between identical seeded fault runs")
 	}
-	if err := reg1.WriteTraceJSONL(&ta); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg2.WriteTraceJSONL(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
+	if !bytes.Equal(ta, tb) {
 		t.Error("traces differ between identical seeded fault runs")
 	}
 }

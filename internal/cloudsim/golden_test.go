@@ -53,20 +53,22 @@ func TestElasticGoldenContinuous(t *testing.T) {
 		seed := int64(101 + 7919*i)
 		got[fmt.Sprintf("soak-%d", seed)] = soakElasticDigest(t, seed, 2000, i%4 != 0)
 	}
-	res, err := experiments.Elastic(2012, experiments.DefaultElasticConfig())
+	// The figure's trace is hashed after its metrics, so it streams into
+	// a buffer first.
+	var trace bytes.Buffer
+	cfg := experiments.DefaultElasticConfig()
+	cfg.Trace = &dropDefers{w: &trace}
+	res, err := experiments.Elastic(2012, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
 	writeMetrics(h, res.Static)
 	writeMetrics(h, res.Elastic)
-	if err := res.WriteMetrics(h); err != nil {
+	if err := res.Reg.WriteMetricsJSON(h); err != nil {
 		t.Fatal(err)
 	}
-	f := &dropDefers{w: h}
-	if err := res.WriteTrace(f); err != nil {
-		t.Fatal(err)
-	}
+	h.Write(trace.Bytes())
 	got["fig-elastic-2012"] = sum(h)
 	checkGolden(t, "continuous", got)
 }

@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -66,7 +67,8 @@ func TestStreamingMetricsParity(t *testing.T) {
 		}
 		return m
 	}
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	traced := run(reg)
 	plain := run(nil)
 	if traced.Served == 0 {
@@ -75,7 +77,7 @@ func TestStreamingMetricsParity(t *testing.T) {
 	if !reflect.DeepEqual(traced, plain) {
 		t.Errorf("metrics diverge:\ntraced: %+v\nplain:  %+v", traced, plain)
 	}
-	dcs, waits := placeSamples(reg)
+	dcs, waits := placeSamples(t, &trace)
 	for _, tc := range []struct {
 		name    string
 		sketch  *stats.Quantile
@@ -106,7 +108,8 @@ func TestStreamingMetricsParity(t *testing.T) {
 // stream.
 func TestRunStreamRejectsContractViolations(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +137,7 @@ func TestRunStreamRejectsContractViolations(t *testing.T) {
 	// arrival before it fires.
 	want := []string{"0 invalid @1", "2 invalid @1.5", "3 invalid @1.5", "4 invalid @1.5",
 		"6 invalid @3", "7 invalid @3"}
-	if got := rejectLog(reg); !slices.Equal(got, want) {
+	if got := rejectLog(t, &trace); !slices.Equal(got, want) {
 		t.Errorf("rejects = %q, want %q", got, want)
 	}
 }
@@ -144,7 +147,8 @@ func TestRunStreamRejectsContractViolations(t *testing.T) {
 // wait runs from its own arrival.
 func TestRunStreamDuplicateOfQueuedRequest(t *testing.T) {
 	tp, inv := plant(t)
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	sim, err := New(tp, inv, &placement.OnlineHeuristic{}, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +165,7 @@ func TestRunStreamDuplicateOfQueuedRequest(t *testing.T) {
 	if m.Rejected != 1 {
 		t.Errorf("rejected %d, want the duplicate alone", m.Rejected)
 	}
-	if _, waits := placeSamples(reg); len(waits) != 2 || waits[1] != 9 {
+	if _, waits := placeSamples(t, &trace); len(waits) != 2 || waits[1] != 9 {
 		t.Errorf("waits %v, want request 1 served at t=11 after waiting 9 s", waits)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/queue"
-	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
 )
 
@@ -37,6 +36,9 @@ type ElasticExperimentConfig struct {
 	// GrowFactor sizes the map-phase grow; see cloudsim.ElasticConfig,
 	// whose MinPayoff and DeferBackoff defaults the run takes.
 	GrowFactor float64
+	// Trace receives the elastic run's event trace as JSONL, streamed
+	// event by event. Nil keeps no trace; events are still counted.
+	Trace io.Writer
 }
 
 // DefaultElasticConfig pairs the ops-style workload with a map-heavy
@@ -54,8 +56,8 @@ func DefaultElasticConfig() ElasticExperimentConfig {
 }
 
 // ElasticResult bundles the comparison's outputs. Reg is the elastic
-// run's registry (the one the -metrics/-trace exports stream); the
-// static run is summarized by its metrics alone.
+// run's registry, whose trace went to Trace; the static run is
+// summarized by its metrics alone.
 type ElasticResult struct {
 	Reg     *obs.Registry
 	Static  *cloudsim.Metrics
@@ -78,17 +80,7 @@ func Elastic(seed int64, cfg ElasticExperimentConfig) (*ElasticResult, error) {
 		return nil, fmt.Errorf("experiments: job %q yields degenerate map fraction %v", cfg.Job.Name, mapFrac)
 	}
 
-	const types = 3
-	tp := topology.PaperSimPlant()
-	caps, err := workload.RandomCapacities(seed, tp.Nodes(), types, workload.InventoryConfig{MaxPerType: 2})
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := workload.RandomRequests(seed+1, cfg.Requests, types, workload.Normal, workload.DefaultRequestConfig())
-	if err != nil {
-		return nil, err
-	}
-	timed, err := workload.TimedRequests(seed+2, reqs, cfg.Arrival)
+	tp, caps, timed, err := opsPlant(seed, cfg.Requests, cfg.Arrival)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +105,7 @@ func Elastic(seed int64, cfg ElasticExperimentConfig) (*ElasticResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := obs.NewRegistry()
+	reg := obs.NewStreamingRegistry(cfg.Trace)
 	elastic, err := run(reg, cloudsim.ElasticConfig{
 		Enabled:    true,
 		GrowFactor: cfg.GrowFactor,
@@ -121,6 +113,9 @@ func Elastic(seed int64, cfg ElasticExperimentConfig) (*ElasticResult, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if err := reg.SinkErr(); err != nil {
+		return nil, fmt.Errorf("experiments: elastic trace sink: %w", err)
 	}
 	return &ElasticResult{Reg: reg, Static: static, Elastic: elastic, MapFrac: mapFrac}, nil
 }
@@ -151,9 +146,3 @@ func (r *ElasticResult) Render() string {
 		e.GrowRequests, e.Grows, e.GrowVMs, e.Shrinks, e.GrowRejected, e.Deferred)
 	return head + r.Reg.RenderSummary()
 }
-
-// WriteMetrics writes the elastic run's JSON metric snapshot.
-func (r *ElasticResult) WriteMetrics(w io.Writer) error { return r.Reg.WriteMetricsJSON(w) }
-
-// WriteTrace writes the elastic run's JSONL event trace.
-func (r *ElasticResult) WriteTrace(w io.Writer) error { return r.Reg.WriteTraceJSONL(w) }

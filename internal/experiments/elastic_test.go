@@ -53,15 +53,14 @@ func TestElasticDeterministic(t *testing.T) {
 	var metrics, traces [2]bytes.Buffer
 	var renders [2]string
 	for i := 0; i < 2; i++ {
-		res, err := Elastic(7, DefaultElasticConfig())
+		cfg := DefaultElasticConfig()
+		cfg.Trace = &traces[i]
+		res, err := Elastic(7, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		renders[i] = res.Render()
-		if err := res.WriteMetrics(&metrics[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteTrace(&traces[i]); err != nil {
+		if err := res.Reg.WriteMetricsJSON(&metrics[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

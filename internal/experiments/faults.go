@@ -19,7 +19,6 @@ import (
 	"affinitycluster/internal/obs"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/queue"
-	"affinitycluster/internal/topology"
 	"affinitycluster/internal/workload"
 )
 
@@ -33,6 +32,9 @@ type FaultsConfig struct {
 	Faults faults.Config
 	// Recovery tunes the requeue-with-backoff policy.
 	Recovery cloudsim.RecoveryConfig
+	// Trace receives the run's event trace as JSONL, streamed event by
+	// event. Nil keeps no trace; events are still counted.
+	Trace io.Writer
 }
 
 // DefaultFaultsConfig pairs the ops workload (a saturated 3×10 plant)
@@ -62,7 +64,7 @@ func DefaultFaultsConfig(seed int64) FaultsConfig {
 }
 
 // FaultsResult bundles the scenario's outputs: the registry holding
-// every metric and event, the cloud metrics, and the injected schedule.
+// every metric, the cloud metrics, and the injected schedule.
 type FaultsResult struct {
 	Reg   *obs.Registry
 	Cloud *cloudsim.Metrics
@@ -80,19 +82,8 @@ func Faults(seed int64, cfg FaultsConfig) (*FaultsResult, error) {
 	if !cfg.Faults.Enabled() {
 		return nil, fmt.Errorf("experiments: Faults needs an enabled fault config (MTBF > 0)")
 	}
-	reg := obs.NewRegistry()
-
-	const types = 3
-	tp := topology.PaperSimPlant()
-	caps, err := workload.RandomCapacities(seed, tp.Nodes(), types, workload.InventoryConfig{MaxPerType: 2})
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := workload.RandomRequests(seed+1, cfg.Requests, types, workload.Normal, workload.DefaultRequestConfig())
-	if err != nil {
-		return nil, err
-	}
-	timed, err := workload.TimedRequests(seed+2, reqs, cfg.Arrival)
+	reg := obs.NewStreamingRegistry(cfg.Trace)
+	tp, caps, timed, err := opsPlant(seed, cfg.Requests, cfg.Arrival)
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +112,9 @@ func Faults(seed int64, cfg FaultsConfig) (*FaultsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := reg.SinkErr(); err != nil {
+		return nil, fmt.Errorf("experiments: faults trace sink: %w", err)
+	}
 	return &FaultsResult{Reg: reg, Cloud: cloudMetrics, Plan: plan}, nil
 }
 
@@ -134,9 +128,3 @@ func (r *FaultsResult) Render() string {
 		c.Served, c.Rejected, c.Unplaced, c.Migrations)
 	return head + r.Reg.RenderSummary()
 }
-
-// WriteMetrics writes the registry's JSON metric snapshot.
-func (r *FaultsResult) WriteMetrics(w io.Writer) error { return r.Reg.WriteMetricsJSON(w) }
-
-// WriteTrace writes the registry's JSONL event trace.
-func (r *FaultsResult) WriteTrace(w io.Writer) error { return r.Reg.WriteTraceJSONL(w) }

@@ -59,14 +59,13 @@ func TestFaultsConservation(t *testing.T) {
 func TestFaultsDeterministic(t *testing.T) {
 	var metrics, traces [2]bytes.Buffer
 	for i := 0; i < 2; i++ {
-		res, err := Faults(7, DefaultFaultsConfig(7))
+		cfg := DefaultFaultsConfig(7)
+		cfg.Trace = &traces[i]
+		res, err := Faults(7, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.WriteMetrics(&metrics[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.WriteTrace(&traces[i]); err != nil {
+		if err := res.Reg.WriteMetricsJSON(&metrics[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

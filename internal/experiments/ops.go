@@ -4,7 +4,7 @@
 // decision trace of one simulated day in one snapshot.
 //
 // Unlike the figure runners, Ops executes strictly serially: the obs
-// event log records events in append order, and only a single-threaded
+// trace records events in emission order, and only a single-threaded
 // simulation makes that order (and hence the -trace output) a
 // deterministic function of the seed.
 
@@ -36,6 +36,9 @@ type OpsConfig struct {
 	// MR configures the MapReduce job run on the first experiment
 	// cluster after the cloud simulation completes.
 	MR MRExperimentConfig
+	// Trace receives the run's event trace as JSONL, streamed event by
+	// event. Nil keeps no trace; events are still counted.
+	Trace io.Writer
 }
 
 // DefaultOpsConfig sizes the scenario so every family sees real work:
@@ -53,7 +56,7 @@ func DefaultOpsConfig(seed int64) OpsConfig {
 }
 
 // OpsResult bundles the scenario's outputs: the registry holding every
-// metric and event, plus the headline numbers of both halves.
+// metric, plus the headline numbers of both halves.
 type OpsResult struct {
 	Reg   *obs.Registry
 	Cloud *cloudsim.Metrics
@@ -69,24 +72,10 @@ func Ops(seed int64, cfg OpsConfig) (*OpsResult, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("experiments: Ops needs a positive request count, got %d", cfg.Requests)
 	}
-	reg := obs.NewRegistry()
+	reg := obs.NewStreamingRegistry(cfg.Trace)
 
 	// --- Cloud half: queue + placement + migration. ---
-	// The plant is the paper's 3×10 topology but with tighter per-node
-	// capacities (at most 2 of each type instead of 4): Normal-scenario
-	// requests then outstrip the plant, so arrivals genuinely queue and
-	// batch drains and migration all have work to do.
-	const types = 3
-	tp := topology.PaperSimPlant()
-	caps, err := workload.RandomCapacities(seed, tp.Nodes(), types, workload.InventoryConfig{MaxPerType: 2})
-	if err != nil {
-		return nil, err
-	}
-	reqs, err := workload.RandomRequests(seed+1, cfg.Requests, types, workload.Normal, workload.DefaultRequestConfig())
-	if err != nil {
-		return nil, err
-	}
-	timed, err := workload.TimedRequests(seed+2, reqs, cfg.Arrival)
+	tp, caps, timed, err := opsPlant(seed, cfg.Requests, cfg.Arrival)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +103,34 @@ func Ops(seed int64, cfg OpsConfig) (*OpsResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := reg.SinkErr(); err != nil {
+		return nil, fmt.Errorf("experiments: ops trace sink: %w", err)
+	}
 	return &OpsResult{Reg: reg, Cloud: cloudMetrics, MR: mrCounters}, nil
+}
+
+// opsPlant draws the plant and workload Ops, Faults and Elastic share:
+// the paper's 3×10 topology with at most 2 VMs of each of 3 types per
+// node (drawn from seed), and n Normal-scenario requests (seed+1) timed
+// by arr (seed+2). The capacities are tighter than the paper's 4
+// per type, so the requests outstrip the plant: arrivals genuinely
+// queue, and batch drains, migration and resizes all have work to do.
+func opsPlant(seed int64, n int, arr workload.ArrivalConfig) (*topology.Topology, [][]int, []model.TimedRequest, error) {
+	const types = 3
+	tp := topology.PaperSimPlant()
+	caps, err := workload.RandomCapacities(seed, tp.Nodes(), types, workload.InventoryConfig{MaxPerType: 2})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	reqs, err := workload.RandomRequests(seed+1, n, types, workload.Normal, workload.DefaultRequestConfig())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	timed, err := workload.TimedRequests(seed+2, reqs, arr)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tp, caps, timed, nil
 }
 
 // opsMapReduce mirrors runMRClusterJob but threads the registry through
@@ -150,9 +166,3 @@ func (r *OpsResult) Render() string {
 		r.MR.Runtime, r.MR.NonDataLocalMaps(), r.MR.MapsTotal)
 	return head + r.Reg.RenderSummary()
 }
-
-// WriteMetrics writes the registry's JSON metric snapshot.
-func (r *OpsResult) WriteMetrics(w io.Writer) error { return r.Reg.WriteMetricsJSON(w) }
-
-// WriteTrace writes the registry's JSONL event trace.
-func (r *OpsResult) WriteTrace(w io.Writer) error { return r.Reg.WriteTraceJSONL(w) }

@@ -2,11 +2,11 @@
 // an open-loop arrival stream (diurnally modulated Poisson arrivals,
 // heavy-tailed sizes and lifetimes) under a sparse crash/repair
 // schedule, replayed through the cloud simulator's streaming run. It
-// never materializes the request slice, and its instrumentation uses a
-// streaming obs registry (events are written to a JSONL sink as they
-// happen, io.Discard by default, instead of being retained), so its
-// footprint is O(active clusters) no matter how many requests are
-// replayed: one million requests fit in the same heap as ten thousand.
+// never materializes the request slice, and its obs registry retains no
+// events (they are written to a JSONL sink as they happen, when one is
+// given), so its footprint is O(active clusters) no matter how many
+// requests are replayed: one million requests fit in the same heap as
+// ten thousand.
 // Latency and distance distributions come from the simulator's
 // constant-memory quantile sketches.
 
@@ -53,8 +53,7 @@ type SoakConfig struct {
 	// sampling).
 	MemEvery int
 	// Trace receives the run's event trace as JSONL, streamed event by
-	// event (never retained). Nil streams to io.Discard, so the run is
-	// always instrumented at O(1) trace memory.
+	// event. Nil keeps no trace; events are still counted.
 	Trace io.Writer
 }
 
@@ -84,11 +83,11 @@ type SoakResult struct {
 	// Cloud is the simulator's aggregate metrics; its DistanceSketch and
 	// WaitSketch carry the latency/distance distributions.
 	Cloud *cloudsim.Metrics
-	// Reg is the run's streaming obs registry: its metrics are live for
-	// snapshotting, while its event trace went to SoakConfig.Trace (or
-	// io.Discard) and is not retained.
+	// Reg is the run's obs registry: its metrics are live for
+	// snapshotting, while its event trace went to SoakConfig.Trace and
+	// is not retained.
 	Reg *obs.Registry
-	// Events is the number of events streamed to the trace sink.
+	// Events is the number of events the run emitted.
 	Events int
 	// Requests and Nodes echo the scenario size.
 	Requests, Nodes int
@@ -138,11 +137,7 @@ func Soak(seed int64, cfg SoakConfig) (*SoakResult, error) {
 		// NewOpenLoop accepted the config, so BaseRate > 0.
 		cfg.Faults.Horizon = float64(cfg.Requests) / cfg.Workload.BaseRate
 	}
-	sink := cfg.Trace
-	if sink == nil {
-		sink = io.Discard
-	}
-	reg := obs.NewStreamingRegistry(sink)
+	reg := obs.NewStreamingRegistry(cfg.Trace)
 	cs, err := cloudsim.New(tp, inv, &placement.OnlineHeuristic{Obs: reg}, cloudsim.Config{
 		Policy:    queue.FIFO,
 		Faults:    cfg.Faults,

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,33 +60,42 @@ func TestSoakDeterministic(t *testing.T) {
 	}
 }
 
-// TestSoakStreamsTrace: the soak is instrumented through a streaming
-// registry — events reach the sink as JSONL without being retained, and
-// the streamed bytes are a same-seed-deterministic function of the run.
+// TestSoakStreamsTrace: the soak streams its events to the sink as
+// JSONL, one JSON object per event, and the streamed bytes are a
+// same-seed-deterministic function of the run. A nil Trace keeps no
+// trace but counts the same events.
 func TestSoakStreamsTrace(t *testing.T) {
-	runAt := func(seed int64) (*SoakResult, string) {
+	runAt := func(seed int64, trace io.Writer) *SoakResult {
 		cfg := DefaultSoakConfig()
 		cfg.Requests = 2000
-		var buf strings.Builder
-		cfg.Trace = &buf
+		cfg.Trace = trace
 		res, err := Soak(seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, buf.String()
+		return res
 	}
-	res, trace := runAt(11)
+	var trace bytes.Buffer
+	res := runAt(11, &trace)
 	if res.Events == 0 {
 		t.Fatal("instrumented soak streamed no events")
 	}
-	if got := strings.Count(trace, "\n"); got != res.Events {
-		t.Errorf("sink holds %d JSONL lines, registry counted %d events", got, res.Events)
+	lines := 0
+	for dec := json.NewDecoder(bytes.NewReader(trace.Bytes())); dec.More(); lines++ {
+		var e struct{ Kind string }
+		if err := dec.Decode(&e); err != nil || e.Kind == "" {
+			t.Fatalf("event %d: kind %q, error %v", lines, e.Kind, err)
+		}
 	}
-	if res.Reg.Events() != nil {
-		t.Error("soak registry retained events; must stream")
+	if lines != res.Events {
+		t.Errorf("sink holds %d JSONL events, registry counted %d", lines, res.Events)
 	}
-	if _, again := runAt(11); again != trace {
+	var again bytes.Buffer
+	if runAt(11, &again); !bytes.Equal(again.Bytes(), trace.Bytes()) {
 		t.Error("same-seed soak traces differ")
+	}
+	if n := runAt(11, nil).Events; n != res.Events {
+		t.Errorf("soak without a trace counted %d events, want %d", n, res.Events)
 	}
 }
 

@@ -2,7 +2,7 @@
 // lightweight, allocation-conscious metrics registry (counters, gauges,
 // fixed-bucket histograms) plus a structured event trace for per-decision
 // telemetry (placement decisions, queue admission, migration moves,
-// MapReduce phase boundaries).
+// MapReduce phase boundaries), streamed as JSONL to a sink.
 //
 // Design rules:
 //
@@ -18,7 +18,7 @@
 //     so two runs with the same seed produce byte-identical output.
 //   - Concurrency. Counters and gauges are atomics and histograms take a
 //     short mutex, so instrumented components stay safe under the
-//     experiment worker pool. Event append order across goroutines is,
+//     experiment worker pool. Event write order across goroutines is,
 //     however, scheduler-dependent; deterministic traces require a
 //     single-threaded simulation (which is how the instrumented runners
 //     drive it).
@@ -131,26 +131,27 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	}
 }
 
-// Registry is a named collection of metrics plus the event trace. The
-// zero value is not usable; call NewRegistry. A nil *Registry is a valid
+// Registry is a named collection of metrics plus an event counter and,
+// when it has a sink, the event trace. The zero value is not usable;
+// call NewRegistry or NewStreamingRegistry. A nil *Registry is a valid
 // no-op sink: every lookup returns a nil handle and Emit does nothing.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	events   []Event
 	nEvents  int
 
-	// Streaming mode (NewStreamingRegistry): events are encoded into
-	// sinkBuf and written to sink as they are emitted instead of being
-	// retained in events. sinkErr latches the first write failure.
+	// Events are encoded into sinkBuf and written to sink as they are
+	// emitted; a nil sink keeps no trace. sinkErr latches the first
+	// write failure.
 	sink    io.Writer
 	sinkBuf []byte
 	sinkErr error
 }
 
-// NewRegistry creates an empty registry.
+// NewRegistry creates an empty registry without a sink: it keeps
+// metrics and counts events, but keeps no trace.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
@@ -160,11 +161,11 @@ func NewRegistry() *Registry {
 }
 
 // NewStreamingRegistry creates a registry whose event trace streams to w
-// as JSONL — each Emit writes exactly the bytes WriteTraceJSONL would
-// have produced for that event — instead of being retained in memory.
-// Metrics behave exactly as in a retained registry. Long soak runs use
-// this so instrumentation stays O(1) in the event count; wrap w in a
-// bufio.Writer (and flush it after the run) when writing to a file.
+// as JSONL: each Emit writes one line, the event as a JSON object with
+// its time, its kind and its fields in emission order. Its metrics are
+// those of NewRegistry, and a nil w keeps no trace, as NewRegistry does.
+// Wrap w in a bufio.Writer (and flush it after the run) when writing to
+// a file.
 func NewStreamingRegistry(w io.Writer) *Registry {
 	r := NewRegistry()
 	r.sink = w

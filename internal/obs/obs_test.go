@@ -26,8 +26,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	h := r.Histogram("z", 0, 10, 5)
 	h.Observe(4)
 	r.Emit("evt", 1.5, F("a", 1))
-	if r.EventCount() != 0 || r.Events() != nil {
-		t.Error("nil registry recorded events")
+	if r.EventCount() != 0 {
+		t.Error("nil registry counted events")
 	}
 	snap := r.Snapshot()
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
@@ -35,9 +35,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := r.WriteMetricsJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteTraceJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if r.RenderSummary() != "" {
@@ -148,13 +145,10 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 }
 
 func TestTraceJSONL(t *testing.T) {
-	r := NewRegistry()
+	var buf bytes.Buffer
+	r := NewStreamingRegistry(&buf)
 	r.Emit("place", 1.5, F("req", 3), F("center", 7), F("dc", 14.25), F("placer", "online-heuristic"))
 	r.Emit("queue_reject", 2, F("req", 4), F("reason", "full"))
-	var buf bytes.Buffer
-	if err := r.WriteTraceJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
 	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines: %q", len(lines), buf.String())
@@ -163,10 +157,14 @@ func TestTraceJSONL(t *testing.T) {
 	if lines[0] != want {
 		t.Errorf("line 0 = %s\nwant     %s", lines[0], want)
 	}
+	want1 := map[string]any{"t": 2.0, "kind": "queue_reject", "req": 4.0, "reason": "full"}
 	for i, ln := range lines {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(ln), &m); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v", i, err)
+		}
+		if i == 1 && !reflect.DeepEqual(m, want1) {
+			t.Errorf("line 1 decodes to %v, want %v", m, want1)
 		}
 	}
 }
@@ -209,12 +207,9 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 func TestTraceIntSliceField(t *testing.T) {
-	r := NewRegistry()
-	r.Emit("fault", 3, F("nodes", []int{4, 5, 6}), F("empty", []int{}))
 	var buf bytes.Buffer
-	if err := r.WriteTraceJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
+	r := NewStreamingRegistry(&buf)
+	r.Emit("fault", 3, F("nodes", []int{4, 5, 6}), F("empty", []int{}))
 	want := `{"t":3,"kind":"fault","nodes":[4,5,6],"empty":[]}`
 	got := strings.TrimSuffix(buf.String(), "\n")
 	if got != want {

@@ -1,5 +1,5 @@
-// Structured event trace: one Event per simulation decision, with a
-// virtual timestamp and ordered key/value fields. Events marshal to JSONL
+// Structured event trace: one JSONL line per simulation decision, with a
+// virtual timestamp and ordered key/value fields. Events are encoded
 // through a hand-rolled encoder so field order and float formatting are
 // deterministic (encoding/json would also work for the metric snapshot's
 // sorted maps, but an event's fields are ordered by the emitter, and that
@@ -7,11 +7,7 @@
 package obs
 
 import (
-	"bufio"
-	"errors"
-	"io"
 	"math"
-	"slices"
 	"strconv"
 )
 
@@ -66,75 +62,32 @@ func F[T FieldValue](key string, v T) Field {
 	return f
 }
 
-// Val returns the field's value as the type it was built from. A []int
-// comes back as a copy.
-func (f Field) Val() any {
-	switch f.kind {
-	case kindInt:
-		return int(f.num)
-	case kindInt64:
-		return int64(f.num)
-	case kindFloat:
-		return math.Float64frombits(f.num)
-	case kindString:
-		return f.str
-	case kindBool:
-		return f.num != 0
-	default:
-		return slices.Clone(f.ints)
-	}
-}
-
-// Event is one recorded simulation decision. Time is eventsim virtual
-// time — never the wall clock — so traces are reproducible.
-type Event struct {
-	Time   float64
-	Kind   string
-	Fields []Field
-}
-
-// Emit records an event. No-op on a nil registry. In retained mode the
-// event is appended to the trace with a copy of the fields, so callers
-// may reuse their slice. In streaming mode (NewStreamingRegistry) the
-// event is encoded into the registry's reused buffer and written to the
-// sink immediately, so nothing is retained and memory stays O(1) in the
-// event count; the first write error is latched (SinkErr) and later
-// events are still counted but dropped. Fields never escape, so the
-// variadic slice stays on the caller's stack: only the retained copy
-// allocates.
+// Emit records an event. No-op on a nil registry. The event is
+// counted, and a registry with a sink (NewStreamingRegistry) encodes it
+// into its reused buffer and writes it to the sink at once; a registry
+// without a sink keeps no trace. Nothing is retained either way, so
+// memory stays O(1) in the event count. The first write error is latched
+// (SinkErr), and later events are still counted but dropped. Fields
+// never escape, so the variadic slice stays on the caller's stack and
+// Emit allocates nothing.
 func (r *Registry) Emit(kind string, t float64, fields ...Field) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.nEvents++
-	if r.sink != nil {
-		if r.sinkErr == nil {
-			r.sinkBuf = appendEvent(r.sinkBuf[:0], t, kind, fields)
-			r.sinkBuf = append(r.sinkBuf, '\n')
-			if _, err := r.sink.Write(r.sinkBuf); err != nil {
-				r.sinkErr = err
-			}
+	if r.sink != nil && r.sinkErr == nil {
+		r.sinkBuf = appendEvent(r.sinkBuf[:0], t, kind, fields)
+		r.sinkBuf = append(r.sinkBuf, '\n')
+		if _, err := r.sink.Write(r.sinkBuf); err != nil {
+			r.sinkErr = err
 		}
-	} else {
-		r.events = append(r.events, Event{Time: t, Kind: kind, Fields: append([]Field(nil), fields...)})
 	}
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the recorded trace (nil on a nil registry).
-// A streaming registry retains nothing and returns nil.
-func (r *Registry) Events() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
-
-// EventCount returns the number of emitted events. Streaming registries
-// count events they no longer hold.
+// EventCount returns the number of emitted events, written to a sink or
+// not.
 func (r *Registry) EventCount() int {
 	if r == nil {
 		return 0
@@ -233,29 +186,4 @@ func plainASCII(s string) bool {
 		}
 	}
 	return true
-}
-
-// WriteTraceJSONL streams the trace as one JSON object per line. A
-// streaming registry has already written its events to the sink and
-// retains nothing to export, so the call is rejected.
-func (r *Registry) WriteTraceJSONL(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	streaming := r.sink != nil
-	r.mu.Unlock()
-	if streaming {
-		return errors.New("obs: streaming registry does not retain events; the trace was written to the sink")
-	}
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for _, e := range r.Events() {
-		buf = appendEvent(buf[:0], e.Time, e.Kind, e.Fields)
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -61,7 +61,8 @@ func serveAgainstDirect(t *testing.T, seed int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	reg := obs.NewStreamingRegistry(&trace)
 	svc, err := New(Config{Topology: topo, Inventory: svcInv, QueueCap: -1, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -203,9 +204,7 @@ func serveAgainstDirect(t *testing.T, seed int64) []byte {
 	if err := reg.WriteMetricsJSON(&out); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.WriteTraceJSONL(&out); err != nil {
-		t.Fatal(err)
-	}
+	out.Write(trace.Bytes())
 	return out.Bytes()
 }
 

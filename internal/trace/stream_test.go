@@ -160,29 +160,37 @@ func TestStreamWriterRejects(t *testing.T) {
 	}
 }
 
-// TestStreamReaderRejects: malformed headers and invalid lines fail with
-// a line-numbered error instead of yielding garbage.
-func TestStreamReaderRejects(t *testing.T) {
-	for name, in := range map[string]string{
+// badHeaders are streams NewReader must reject; badLines are request
+// lines, after rejectHeader, that Next must reject. FuzzTraceReader
+// seeds its corpus with both.
+var (
+	badHeaders = map[string]string{
 		"empty":          "",
 		"not json":       "hello\n",
 		"wrong format":   `{"version":1,"format":"csv","types":3}` + "\n",
 		"wrong version":  `{"version":9,"format":"jsonl","types":3}` + "\n",
 		"no types":       `{"version":1,"format":"jsonl"}` + "\n",
 		"plain document": `{"version":1,"types":3,"requests":[]}` + "\n",
-	} {
-		if _, err := NewReader(strings.NewReader(in)); err == nil {
-			t.Errorf("%s header accepted", name)
-		}
 	}
-	hdr := `{"version":1,"format":"jsonl","types":2}` + "\n"
-	for name, line := range map[string]string{
+	rejectHeader = `{"version":1,"format":"jsonl","types":2}` + "\n"
+	badLines     = map[string]string{
 		"bad json":     "not json",
 		"dup id":       `{"id":1,"vec":[1,0],"at":1,"hold":1}` + "\n" + `{"id":1,"vec":[1,0],"at":2,"hold":1}`,
 		"time travel":  `{"id":1,"vec":[1,0],"at":5,"hold":1}` + "\n" + `{"id":2,"vec":[1,0],"at":4,"hold":1}`,
 		"zero request": `{"id":1,"vec":[0,0],"at":1,"hold":1}`,
-	} {
-		rd, err := NewReader(strings.NewReader(hdr + line + "\n"))
+	}
+)
+
+// TestStreamReaderRejects: malformed headers and invalid lines fail with
+// a line-numbered error instead of yielding garbage.
+func TestStreamReaderRejects(t *testing.T) {
+	for name, in := range badHeaders {
+		if _, err := NewReader(strings.NewReader(in)); err == nil {
+			t.Errorf("%s header accepted", name)
+		}
+	}
+	for name, line := range badLines {
+		rd, err := NewReader(strings.NewReader(rejectHeader + line + "\n"))
 		if err != nil {
 			t.Fatalf("%s: header rejected: %v", name, err)
 		}
